@@ -21,6 +21,7 @@ from __future__ import annotations
 import random
 import statistics
 import time
+from bisect import bisect_left
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -172,7 +173,7 @@ def bench_verification(
     group = crypto.signature_group(key_bits)
     rng = random.Random(seed)
     x = rng.randrange(1, group.q)
-    y = pow(group.g, x, group.p)
+    y = crypto.generator_power(group, x)
     messages = [rng.randbytes(payload_bytes) for _ in range(batch_size)]
     signatures = [crypto.schnorr_sign(group, x, m) for m in messages]
     items = list(zip(messages, signatures))
@@ -248,13 +249,15 @@ def measure_service_rate(log, window_ms: float, node: str | None = None):
         raise EmptyLog(f"no interest completions at {node}")
     t_first = completions[0][0]
     t_last = completions[-1][0]
+    times = sorted(t for t, _ in completions)
     out = []
     start = t_first
+    lo = bisect_left(times, start)
     while start <= t_last:
         end = start + window_ms
-        count = sum(1 for t, _ in completions if start <= t < end)
-        out.append((start, count / (window_ms / 1000.0)))
-        start = end
+        hi = bisect_left(times, end, lo)
+        out.append((start, (hi - lo) / (window_ms / 1000.0)))
+        start, lo = end, hi
     return out
 
 

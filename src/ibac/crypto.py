@@ -16,13 +16,30 @@ bits for benchmarking).  A signature is ``(R, s)`` with
 signing nonce ``k`` is derived from the key and message, so signatures are
 deterministic.  Verification checks ``g^s == R * y^e``.
 
-Batch verification uses the randomized small-exponent test: draw 64-bit
-``z_i`` and accept iff
+Batch verification uses the randomized small-exponent test
+(Bellare-Garay-Rabin, EUROCRYPT '98): fix ``z_1 = 1``, draw 64-bit ``z_i``
+for the other items and accept iff
 
     g^(sum z_i*s_i) == prod R_i^{z_i} * y^(sum z_i*e_i)   (mod p)
 
-which passes every valid batch and accepts a batch containing an invalid
-signature with probability at most 2^-64.
+which passes every valid batch.  When every ``R_i`` lies in the order-q
+subgroup, a batch containing an invalid signature passes with probability
+at most 2^-64.  ``R_i`` is only range-checked, so a signer can submit an
+``R`` outside the subgroup (for example ``-g^k``) that fails individual
+verification yet passes a batch with fair probability; the repair is open
+(ROADMAP item 2).
+
+Exponentiation engine.  Every exponent raised to a fixed base (``g`` and
+the public keys ``y``) is below q, so each such base gets a fixed-base
+table (a comb after Lim-Lee, CRYPTO '94): ``base^e`` is one multiplication
+per nonzero w-bit window of ``e`` plus a few squarings.  ``g`` has one
+table per group for the life of the process.  Public keys share a small
+LRU of tables keyed by ``(p, y)``; a key's table is built on its second
+use, so a stream of one-shot keys never pays for (or evicts) tables.
+Exponents longer than a table fall back to built-in ``pow``.  The batch
+product ``prod R_i^{z_i}`` is one Straus interleaved multi-exponentiation
+with shared squarings (Moeller, SAC 2001).  The engine returns exactly
+what ``pow`` returns, so signatures are unchanged.
 """
 
 from __future__ import annotations
@@ -31,7 +48,9 @@ import hashlib
 import hmac
 import random
 import struct
+from collections import OrderedDict
 from dataclasses import dataclass
+from functools import lru_cache
 
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
@@ -135,6 +154,141 @@ def _expand(seed: int, label: bytes, nbytes: int) -> bytes:
 
 
 # ---------------------------------------------------------------------------
+# exponentiation engine
+
+FIXED_BASE_WINDOW = 6
+FIXED_BASE_PASSES = 2  # halves the table (and its build) for w squarings
+FIXED_BASE_EXP_BITS = 256  # every fixed-base exponent is reduced mod q
+KEY_TABLE_CAP = 8  # public-key tables kept per process
+KEY_SEEN_CAP = 64  # public keys remembered as used once, awaiting a table
+STRAUS_WINDOW = 4
+BATCH_Z_BITS = 64
+
+
+def _powers(b: int, count: int, p: int) -> list[int]:
+    """``[b^0, b^1, ..., b^(count-1)] mod p`` for ``count >= 2``."""
+    row = [1, b]
+    for _ in range(count - 2):
+        row.append(row[-1] * b % p)
+    return row
+
+
+class FixedBaseTable:
+    """``base^e mod p`` for ``e < 2^FIXED_BASE_EXP_BITS`` by table lookup.
+
+    The exponent's w-bit windows are dealt round-robin to the passes; row
+    ``i`` holds ``base^(d * 2^(w*passes*i))`` for every digit ``d``, so pass
+    ``k`` multiplies in one entry per nonzero window ``passes*i + k`` and
+    the passes are joined by w squarings each (a comb with ``passes``
+    teeth).
+    """
+
+    __slots__ = ("p", "rows")
+
+    def __init__(self, base: int, p: int):
+        stride = FIXED_BASE_WINDOW * FIXED_BASE_PASSES
+        b = base % p
+        rows = []
+        for _ in range(-(-FIXED_BASE_EXP_BITS // stride)):
+            row = _powers(b, 1 << FIXED_BASE_WINDOW, p)
+            rows.append(row)
+            b = row[-1] * b % p  # b^(2^w)
+            for _ in range(stride - FIXED_BASE_WINDOW):
+                b = b * b % p  # the next row's base, b^(2^stride)
+        self.p = p
+        self.rows = rows
+
+    def power(self, e: int) -> int:
+        if e >> FIXED_BASE_EXP_BITS:  # over-length (or negative) exponent
+            return pow(self.rows[0][1], e, self.p)
+        p = self.p
+        mask = (1 << FIXED_BASE_WINDOW) - 1
+        stride = FIXED_BASE_WINDOW * FIXED_BASE_PASSES
+        acc = 1
+        for k in range(FIXED_BASE_PASSES - 1, -1, -1):
+            if acc != 1:
+                for _ in range(FIXED_BASE_WINDOW):
+                    acc = acc * acc % p
+            x = e >> (FIXED_BASE_WINDOW * k)
+            for row in self.rows:
+                if not x:
+                    break
+                digit = x & mask
+                if digit:
+                    acc = acc * row[digit] % p
+                x >>= stride
+        return acc
+
+
+@lru_cache(maxsize=len(_GROUP_PARAMS))
+def _generator_table(p: int, g: int) -> FixedBaseTable:
+    return FixedBaseTable(g, p)
+
+
+def generator_power(group: SignatureGroup, e: int) -> int:
+    """``g^e mod p`` from the group's generator table."""
+    return _generator_table(group.p, group.g).power(e)
+
+
+class KeyTables:
+    """LRU of public-key tables; a key's table is built on its second use."""
+
+    def __init__(self):
+        self.tables: OrderedDict[tuple[int, int], FixedBaseTable] = OrderedDict()
+        self.seen: OrderedDict[tuple[int, int], None] = OrderedDict()
+
+    def power(self, p: int, base: int, e: int) -> int:
+        key = (p, base)
+        table = self.tables.get(key)
+        if table is not None:
+            self.tables.move_to_end(key)
+            return table.power(e)
+        if key not in self.seen:
+            self.seen[key] = None
+            if len(self.seen) > KEY_SEEN_CAP:
+                self.seen.popitem(last=False)
+            return pow(base, e, p)
+        del self.seen[key]
+        table = self.tables[key] = FixedBaseTable(base, p)
+        if len(self.tables) > KEY_TABLE_CAP:
+            self.tables.popitem(last=False)
+        return table.power(e)
+
+
+# tables depend only on (p, base), so sharing them changes no result
+_KEY_TABLES = KeyTables()
+
+
+def key_power(group: SignatureGroup, y: int, e: int) -> int:
+    """``y^e mod p`` for a public key ``y``, through the key-table LRU."""
+    return _KEY_TABLES.power(group.p, y, e)
+
+
+def multi_power(pairs, p: int) -> int:
+    """``prod b^z mod p`` over ``(b, z)`` pairs with ``z >= 0``.
+
+    Straus interleaving: one squaring chain shared by all bases, one
+    multiplication per nonzero window of each exponent.
+    """
+    mask = (1 << STRAUS_WINDOW) - 1
+    tables = []
+    top = 0
+    for b, z in pairs:
+        tables.append((_powers(b % p, 1 << STRAUS_WINDOW, p), z))
+        top = max(top, z.bit_length())
+    acc = 1
+    for shift in range((top - 1) // STRAUS_WINDOW * STRAUS_WINDOW, -1, -STRAUS_WINDOW):
+        if acc != 1:
+            for _ in range(STRAUS_WINDOW):
+                acc = acc * acc % p
+        for row, z in tables:
+            digit = (z >> shift) & mask
+            if digit:
+                acc = acc * row[digit] % p
+    return acc
+
+
+# ---------------------------------------------------------------------------
 # group and producer key material
 
 
@@ -211,13 +365,13 @@ def gen_group(
     material = GroupKeyMaterial(
         obfuscation_key=k,
         signing_private=x,
-        signing_public=pow(group.g, x, group.p),
+        signing_public=generator_power(group, x),
         group_id=sha256(k),
         group=group,
     )
     # creation-time self-test: the key pair must round-trip a signature
     probe = b"ibac.self-test"
-    sig = schnorr_sign(group, x, probe)
+    sig = schnorr_sign(group, x, probe, material.signing_public)
     if not schnorr_verify(group, material.signing_public, probe, sig):
         raise CryptoError("signing self-test failed")
     return material
@@ -256,7 +410,7 @@ class ProducerKeyPair:
 def gen_producer_keypair(seed: int, key_bits: int = DEFAULT_KEY_BITS) -> ProducerKeyPair:
     group = signature_group(key_bits)
     x = int.from_bytes(_expand(seed, b"producer-key", 64), "big") % (group.q - 1) + 1
-    pair = ProducerKeyPair(x, ProducerPublicKey(pow(group.g, x, group.p), group))
+    pair = ProducerKeyPair(x, ProducerPublicKey(generator_power(group, x), group))
     probe = encrypt_group_id(pair.public, sha256(b"probe"), random.Random(0))
     if decrypt_group_id(pair, probe) != sha256(b"probe"):
         raise CryptoError("producer keypair self-test failed")
@@ -326,8 +480,8 @@ def encrypt_group_id(public: ProducerPublicKey, group_id: bytes, rng: random.Ran
     """Randomized hashed-ElGamal encryption: two calls never collide."""
     group = public.group
     r = rng.randrange(1, group.q)
-    c1 = pow(group.g, r, group.p).to_bytes(group.element_bytes, "big")
-    shared = pow(public.y, r, group.p).to_bytes(group.element_bytes, "big")
+    c1 = generator_power(group, r).to_bytes(group.element_bytes, "big")
+    shared = key_power(group, public.y, r).to_bytes(group.element_bytes, "big")
     kdf = sha256(c1 + shared + b"group-id-encryption")
     stream = bytearray()
     counter = 0
@@ -365,7 +519,10 @@ def decrypt_group_id(pair: ProducerKeyPair, blob: bytes) -> bytes:
 # Schnorr signatures
 
 
-def schnorr_sign(group: SignatureGroup, x: int, message: bytes) -> bytes:
+def schnorr_sign(
+    group: SignatureGroup, x: int, message: bytes, y: int | None = None
+) -> bytes:
+    """Sign under private key ``x``; pass its public key ``y`` when known."""
     digest = sha256(message)
     k = (
         int.from_bytes(
@@ -374,9 +531,9 @@ def schnorr_sign(group: SignatureGroup, x: int, message: bytes) -> bytes:
         % (group.q - 1)
         + 1
     )
-    big_r = pow(group.g, k, group.p)
-    rb = big_r.to_bytes(group.element_bytes, "big")
-    y = pow(group.g, x, group.p)
+    rb = generator_power(group, k).to_bytes(group.element_bytes, "big")
+    if y is None:
+        y = generator_power(group, x)
     e = _challenge(group, rb, y, message)
     s = (k + x * e) % group.q
     return rb + s.to_bytes(group.order_bytes, "big")
@@ -404,7 +561,7 @@ def schnorr_verify(group: SignatureGroup, y: int, message: bytes, sig: bytes) ->
         return False
     big_r, s, rb = parsed
     e = _challenge(group, rb, y, message)
-    return pow(group.g, s, group.p) == big_r * pow(y, e, group.p) % group.p
+    return generator_power(group, s) == big_r * key_power(group, y, e) % group.p
 
 
 def schnorr_batch_verify(
@@ -413,7 +570,11 @@ def schnorr_batch_verify(
     items,
     rng: random.Random | None = None,
 ) -> bool:
-    """Small-exponent batch test over (message, signature) pairs under one key."""
+    """Small-exponent batch test over (message, signature) pairs under one key.
+
+    The first item's exponent is fixed at 1 (Bellare-Garay-Rabin), so a
+    batch of one costs what an individual verification costs.
+    """
     items = list(items)
     if not items:
         raise EmptyBatch("batch must contain at least one item")
@@ -421,18 +582,25 @@ def schnorr_batch_verify(
         rng = random.Random()
     s_sum = 0
     e_sum = 0
-    rhs = 1
+    first_r = None
+    weighted_r = []
     for message, sig in items:
         parsed = _parse_signature(group, sig)
         if parsed is None:
             return False
         big_r, s, rb = parsed
-        z = rng.randrange(1, 1 << 64)
+        # one draw per item, the first included: the simulator hands routers
+        # its own stream, so the number of draws is part of its determinism
+        z = rng.randrange(1, 1 << BATCH_Z_BITS)
+        if first_r is None:
+            first_r, z = big_r, 1
+        else:
+            weighted_r.append((big_r, z))
         s_sum = (s_sum + z * s) % group.q
         e_sum = (e_sum + z * _challenge(group, rb, y, message)) % group.q
-        rhs = rhs * pow(big_r, z, group.p) % group.p
-    rhs = rhs * pow(y, e_sum, group.p) % group.p
-    return pow(group.g, s_sum, group.p) == rhs
+    rhs = first_r * multi_power(weighted_r, group.p) % group.p
+    rhs = rhs * key_power(group, y, e_sum) % group.p
+    return generator_power(group, s_sum) == rhs
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +621,9 @@ def sign_payload(
     timestamp: int,
 ) -> bytes:
     msg = _signing_message(name_bytes, group_id, nonce, timestamp)
-    return schnorr_sign(material.group, material.signing_private, msg)
+    return schnorr_sign(
+        material.group, material.signing_private, msg, material.signing_public
+    )
 
 
 def verify_payload(

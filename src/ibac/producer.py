@@ -352,8 +352,11 @@ class Producer:
     def _build_content(self, entry: ContentEntry, interest: Interest, now: float) -> ContentObject:
         # cached copies can only authorize future interests if the keys ride along
         if entry.policy in (ProtectionPolicy.FULL, ProtectionPolicy.AUTH_ONLY):
+            # a group revoked without a rekey stays listed but has no key
             keys = tuple(
-                (gid, self.registry[gid].public_key_bytes) for gid in entry.group_ids
+                (gid, self.registry[gid].public_key_bytes)
+                for gid in entry.group_ids
+                if gid in self.registry
             )
         else:
             keys = ()

@@ -16,6 +16,8 @@ from ibac.analysis import (
     model_mu,
 )
 from ibac.consumer import ConsumerContext, ConsumerMode, interest_generation
+from ibac.scenario import load_bundled, run_sweep
+from ibac.simnet import INTEREST_COMPLETION_KINDS
 from ibac.wire import (
     AuthorizationPayload,
     ContentObject,
@@ -187,6 +189,49 @@ def test_measure_service_rate_empty_log():
         measure_service_rate([], window_ms=100.0)
     with pytest.raises(EmptyLog):
         measure_service_rate(["1.000\tr1\tcontent_delivered\t00\t"], window_ms=100.0, node="r1")
+
+
+def reference_service_rate(log, window_ms, node):
+    """The per-window rescan measure_service_rate must reproduce."""
+    completions = [
+        float(t)
+        for t, n, kind, _, _ in (line.split("\t") for line in log if line.strip())
+        if n == node and kind in INTEREST_COMPLETION_KINDS
+    ]
+    out = []
+    start = completions[0]
+    while start <= completions[-1]:
+        end = start + window_ms
+        count = sum(1 for t in completions if start <= t < end)
+        out.append((start, count / (window_ms / 1000.0)))
+        start = end
+    return out
+
+
+def test_measure_service_rate_matches_rescan_on_synthetic_log():
+    rng = random.Random(5)
+    log = synth_log(period_ms=5.0, count=300)
+    log += [
+        f"{1000.0 + rng.uniform(0.0, 2000.0):.3f}\tr1\tcs_hit_served\t00\tverified"
+        for _ in range(300)
+    ]
+    log += synth_log(node="r2", count=50)
+    for window_ms in (0.7, 5.0, 33.3, 500.0, 5000.0):
+        assert measure_service_rate(log, window_ms, node="r1") == reference_service_rate(
+            log, window_ms, "r1"
+        )
+
+
+def test_measure_service_rate_matches_rescan_on_sweep_log():
+    config = load_bundled("service_rate_sweep")
+    config.sweep.interests_per_point = 300
+    config.sweep.deltas = [0.5]
+    _, results = run_sweep(config)
+    log = results[0].log_lines
+    for window_ms in (10.0, 250.0, 1000.0):
+        assert measure_service_rate(log, window_ms, node="r1") == reference_service_rate(
+            log, window_ms, "r1"
+        )
 
 
 def test_mixture_rate_estimate_two_classes():

@@ -323,3 +323,125 @@ def test_empty_batch_rejected():
     m = gen_group(128, 1)
     with pytest.raises(EmptyBatch):
         batch_verify(m.group, m.signing_public, [])
+
+
+# ---------------------------------------------------------------------------
+# exponentiation engine
+
+KEY_SIZES = (512, 1024, 2048, 3072)
+over_length = st.integers(min_value=1 << crypto.FIXED_BASE_EXP_BITS, max_value=1 << 600)
+
+
+@pytest.mark.parametrize("key_bits", KEY_SIZES)
+@settings(max_examples=4, deadline=None)
+@given(data=st.data())
+def test_fixed_base_table_equals_pow(key_bits, data):
+    group = crypto.signature_group(key_bits)
+    base = data.draw(st.integers(min_value=0, max_value=group.p - 1), label="base")
+    exponents = [0, group.q - 1, data.draw(over_length, label="over-length")]
+    exponents += data.draw(
+        st.lists(st.integers(min_value=0, max_value=group.q - 1), min_size=1, max_size=5),
+        label="exponents",
+    )
+    table = crypto.FixedBaseTable(base, group.p)
+    for e in exponents:
+        assert table.power(e) == pow(base, e, group.p)
+        assert crypto.generator_power(group, e) == pow(group.g, e, group.p)
+
+
+@pytest.mark.parametrize("key_bits", KEY_SIZES)
+@settings(max_examples=4, deadline=None)
+@given(data=st.data())
+def test_key_power_equals_pow_before_and_after_its_table(key_bits, data):
+    group = crypto.signature_group(key_bits)
+    y = data.draw(st.integers(min_value=2, max_value=group.p - 1), label="key")
+    for _ in range(3):  # first use on pow, second builds the table, third reads it
+        e = data.draw(st.integers(min_value=0, max_value=group.q - 1), label="e")
+        assert crypto.key_power(group, y, e) == pow(y, e, group.p)
+    e = data.draw(over_length, label="over-length")
+    assert crypto.key_power(group, y, e) == pow(y, e, group.p)
+
+
+@pytest.mark.parametrize("key_bits", KEY_SIZES)
+@settings(max_examples=5, deadline=None)
+@given(data=st.data())
+def test_straus_product_equals_plain_product(key_bits, data):
+    group = crypto.signature_group(key_bits)
+    z_max = (1 << crypto.BATCH_Z_BITS) - 1
+    pairs = data.draw(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=group.p - 1),
+                st.one_of(st.integers(min_value=0, max_value=z_max), st.sampled_from([0, 1, z_max])),
+            ),
+            max_size=6,
+        ),
+        label="pairs",
+    )
+    expected = 1
+    for b, z in pairs:
+        expected = expected * pow(b, z, group.p) % group.p
+    assert crypto.multi_power(pairs, group.p) == expected
+
+
+@pytest.mark.parametrize("key_bits", KEY_SIZES)
+@settings(max_examples=3, deadline=None)
+@given(
+    x_seed=st.integers(min_value=0, max_value=(1 << 64) - 1),
+    size=st.integers(min_value=1, max_value=4),
+    rng_seed=st.integers(min_value=0, max_value=1 << 32),
+)
+def test_batch_rejects_corrupted_first_item(key_bits, x_seed, size, rng_seed):
+    group = crypto.signature_group(key_bits)
+    x = x_seed % (group.q - 1) + 1
+    y = pow(group.g, x, group.p)
+    items = [(b"m%d" % i, crypto.schnorr_sign(group, x, b"m%d" % i, y)) for i in range(size)]
+    message, sig = items[0]
+    rb, s = sig[: group.element_bytes], sig[group.element_bytes :]
+    bumped_s = ((int.from_bytes(s, "big") + 1) % group.q).to_bytes(group.order_bytes, "big")
+    # Boyd-Pavlovski: R' = -g^k lies outside the order-q subgroup; signed
+    # honestly over R', it fails alone but passes R'^z for every even z
+    k = x_seed % (group.q - 1) + 1
+    negated_rb = (group.p - pow(group.g, k, group.p)).to_bytes(group.element_bytes, "big")
+    e = int.from_bytes(
+        hashlib.sha256(negated_rb + y.to_bytes(group.element_bytes, "big") + message).digest(),
+        "big",
+    ) % group.q
+    negated_sig = negated_rb + ((k + x * e) % group.q).to_bytes(group.order_bytes, "big")
+    corruptions = [
+        (message, rb + bumped_s),
+        (message, negated_sig),
+        (message + b"!", sig),
+    ]
+    for bad in corruptions:
+        assert not crypto.schnorr_verify(group, y, *bad)
+        # with z_1 = 1 the verdict cannot depend on the drawn exponents
+        for seed in range(rng_seed, rng_seed + 8):
+            assert not crypto.schnorr_batch_verify(
+                group, y, [bad] + items[1:], random.Random(seed)
+            )
+
+
+@settings(max_examples=3, deadline=None)
+@given(order=st.permutations(range(100)))
+def test_key_tables_stay_within_cap(order):
+    group = crypto.signature_group(512)
+    tables = crypto.KeyTables()
+    for i in order:
+        y = pow(group.g, i + 2, group.p)
+        for e in (i, group.q - 1 - i):  # the second use builds a table
+            assert tables.power(group.p, y, e) == pow(y, e, group.p)
+            assert len(tables.tables) <= crypto.KEY_TABLE_CAP
+            assert len(tables.seen) <= crypto.KEY_SEEN_CAP
+    assert len(tables.tables) == crypto.KEY_TABLE_CAP
+
+
+def test_one_shot_keys_build_no_tables_and_evict_none():
+    group = crypto.signature_group(512)
+    tables = crypto.KeyTables()
+    hot = pow(group.g, 12345, group.p)
+    tables.power(group.p, hot, 1)
+    tables.power(group.p, hot, 2)
+    for i in range(100):
+        tables.power(group.p, pow(group.g, i + 2, group.p), 3)
+    assert list(tables.tables) == [(group.p, hot)]

@@ -245,6 +245,21 @@ def test_two_group_content_carries_both_keys():
     )
 
 
+def test_two_group_content_after_revocation_carries_remaining_key():
+    producer = make_producer()
+    g1, g2 = crypto.gen_group(128, 1), crypto.gen_group(128, 2)
+    producer.register_group(g1)
+    producer.register_group(g2)
+    shared = published(
+        producer, groups=[g1.group_id, g2.group_id], scheme=SchemeTag.HASH
+    )
+    producer.revoke_group(g2.group_id)  # no rekey: the entry still lists g2
+    ctx = make_consumer(g1, scheme=SchemeTag.HASH, content_keys={HOME.components: shared})
+    response = producer.content_object_generation(fetch_interest(producer, ctx), 1000.0)
+    assert response.served
+    assert response.content.verification_keys == ((g1.group_id, g1.public_key_bytes),)
+
+
 def test_hash_unknown_obfuscated_name_dropped():
     producer = make_producer()
     material = crypto.gen_group(128, 1)
