@@ -1,16 +1,17 @@
-"""Shared authorization-check machinery for caches and producers.
+"""The one authorization pipeline shared by caches and producers.
 
-The check order is fixed: nonce duplication, then timestamp validity, then
-signature verification.  A nonce is recorded only after the whole check
-passes.  Nonce memory is scoped to a per-name window; once the window
-elapses the stored nonces are erased, and timestamps older than the window
-are rejected outright.
+Every node that satisfies an interest runs the same check on the interest
+alone, in a fixed order: nonce duplication, then timestamp validity (the
+``precheck``), then signature verification (``verify_any``).  The caller
+holds the replay state and records the nonce of a passed check.  A nonce
+needs remembering only while its timestamp is valid: once the timestamp
+falls out of the window, the timestamp check refuses every replay of it.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import crypto
 from .wire import AuthorizationPayload
@@ -31,24 +32,6 @@ class FailReason(enum.Enum):
 
 
 @dataclass
-class NonceWindow:
-    """Nonces seen for one content name within the current window."""
-
-    window_start: float
-    nonces: set[bytes] = field(default_factory=set)
-    window_ms: float | None = None  # retention period, for sweeping
-
-    def roll(self, now: float, window_ms: float) -> None:
-        if now - self.window_start >= window_ms:
-            self.nonces.clear()
-            self.window_start = now
-
-
-def timestamp_valid(timestamp: int, now: float, window_ms: float, skew_ms: float) -> bool:
-    return now - window_ms <= timestamp <= now + skew_ms
-
-
-@dataclass
 class CheckOutcome:
     failure: FailReason | None
     verifies: int = 0  # signature verifications actually performed
@@ -58,34 +41,39 @@ class CheckOutcome:
         return self.failure is None
 
 
-def run_authorization_check(
+def precheck(
     payload: AuthorizationPayload | None,
-    name_bytes: bytes,
+    seen,
     candidates,
-    nonce_window: NonceWindow,
     now: float,
     window_ms: float,
     skew_ms: float = DEFAULT_SKEW_MS,
-    pending_nonces: frozenset | set = frozenset(),
-) -> CheckOutcome:
-    """Authorize one interest payload against cached/registered keys.
+    pending=frozenset(),
+) -> FailReason | None:
+    """Every step of the check short of the signature; None when all pass.
+
+    ``seen`` and ``pending`` are nonce containers (only ``in`` is used): the
+    nonces of passed checks, and those of checks still in flight.
+    """
+    if payload is None or not payload.has_auth_info():
+        return FailReason.MISSING_PAYLOAD
+    if payload.nonce in seen or payload.nonce in pending:
+        return FailReason.DUPLICATE_NONCE
+    if not now - window_ms <= payload.timestamp <= now + skew_ms:
+        return FailReason.STALE_TIMESTAMP
+    if not candidates:
+        return FailReason.UNKNOWN_GROUP_KEY
+    return None
+
+
+def verify_any(payload: AuthorizationPayload, name_bytes: bytes, candidates) -> CheckOutcome:
+    """Trial-verify the signature under each candidate key until one accepts.
 
     ``candidates`` is the list of (SignatureGroup, signing_public) pairs the
     signature may verify under; it has one entry when the payload names a
     group in cleartext and every carried key when the group id is encrypted
-    (a cache cannot decrypt, so it trial-verifies).  On success the nonce is
-    recorded in ``nonce_window``.
+    (a cache cannot decrypt, so it trial-verifies).
     """
-    if payload is None or not payload.has_auth_info():
-        return CheckOutcome(FailReason.MISSING_PAYLOAD)
-    nonce_window.roll(now, window_ms)
-    if payload.nonce in nonce_window.nonces or payload.nonce in pending_nonces:
-        return CheckOutcome(FailReason.DUPLICATE_NONCE)
-    if not timestamp_valid(payload.timestamp, now, window_ms, skew_ms):
-        return CheckOutcome(FailReason.STALE_TIMESTAMP)
-    candidates = list(candidates)
-    if not candidates:
-        return CheckOutcome(FailReason.UNKNOWN_GROUP_KEY)
     verifies = 0
     for group, signing_public in candidates:
         verifies += 1
@@ -98,6 +86,22 @@ def run_authorization_check(
             payload.timestamp,
             payload.signature,
         ):
-            nonce_window.nonces.add(payload.nonce)
             return CheckOutcome(None, verifies)
     return CheckOutcome(FailReason.BAD_SIGNATURE, verifies)
+
+
+def run_authorization_check(
+    payload: AuthorizationPayload | None,
+    name_bytes: bytes,
+    candidates: list,
+    seen,
+    now: float,
+    window_ms: float,
+    skew_ms: float = DEFAULT_SKEW_MS,
+    pending=frozenset(),
+) -> CheckOutcome:
+    """``precheck`` then ``verify_any``; the caller records a passed nonce."""
+    failure = precheck(payload, seen, candidates, now, window_ms, skew_ms, pending)
+    if failure is not None:
+        return CheckOutcome(failure)
+    return verify_any(payload, name_bytes, candidates)

@@ -310,48 +310,6 @@ class GroupKeyMaterial:
     def public_key_bytes(self) -> bytes:
         return self.signing_public.to_bytes(self.group.element_bytes, "big")
 
-    def to_blob(self) -> bytes:
-        fields = [
-            struct.pack(">I", self.group.key_bits),
-            self.obfuscation_key,
-            self.signing_private.to_bytes(self.group.order_bytes, "big"),
-            self.public_key_bytes,
-            self.group_id,
-        ]
-        return b"".join(struct.pack(">I", len(f)) + f for f in fields)
-
-    @classmethod
-    def from_blob(cls, blob: bytes) -> "GroupKeyMaterial":
-        fields = _split_blob(blob, 5)
-        group = signature_group(struct.unpack(">I", fields[0])[0])
-        material = cls(
-            obfuscation_key=fields[1],
-            signing_private=int.from_bytes(fields[2], "big"),
-            signing_public=int.from_bytes(fields[3], "big"),
-            group_id=fields[4],
-            group=group,
-        )
-        if sha256(material.obfuscation_key) != material.group_id:
-            raise DecryptFailure("group id does not match obfuscation key")
-        return material
-
-
-def _split_blob(blob: bytes, count: int) -> list[bytes]:
-    fields = []
-    pos = 0
-    for _ in range(count):
-        if pos + 4 > len(blob):
-            raise DecryptFailure("truncated key blob")
-        (n,) = struct.unpack_from(">I", blob, pos)
-        pos += 4
-        if pos + n > len(blob):
-            raise DecryptFailure("truncated key blob")
-        fields.append(blob[pos : pos + n])
-        pos += n
-    if pos != len(blob):
-        raise DecryptFailure("trailing bytes in key blob")
-    return fields
-
 
 def gen_group(
     kappa: int, seed: int, key_bits: int = DEFAULT_KEY_BITS
@@ -387,24 +345,6 @@ class ProducerPublicKey:
 class ProducerKeyPair:
     private: int
     public: ProducerPublicKey
-
-    def to_blob(self) -> bytes:
-        group = self.public.group
-        fields = [
-            struct.pack(">I", group.key_bits),
-            self.private.to_bytes(group.order_bytes, "big"),
-            self.public.y.to_bytes(group.element_bytes, "big"),
-        ]
-        return b"".join(struct.pack(">I", len(f)) + f for f in fields)
-
-    @classmethod
-    def from_blob(cls, blob: bytes) -> "ProducerKeyPair":
-        fields = _split_blob(blob, 3)
-        group = signature_group(struct.unpack(">I", fields[0])[0])
-        return cls(
-            int.from_bytes(fields[1], "big"),
-            ProducerPublicKey(int.from_bytes(fields[2], "big"), group),
-        )
 
 
 def gen_producer_keypair(seed: int, key_bits: int = DEFAULT_KEY_BITS) -> ProducerKeyPair:

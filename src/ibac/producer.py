@@ -8,6 +8,10 @@ requesting group's key.  Content published to several groups uses one
 content-scoped obfuscation key shared by all of them, so every group's
 interests carry the same obfuscated name and a single cached copy serves
 them all; the per-group signing keys still separate authorization.
+
+Replay state is one map per name from nonce to the time the nonce's
+timestamp goes stale; a nonce is kept until then, because until then the
+timestamp check alone would let its replay through.
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ from .authcheck import (
     DEFAULT_SKEW_MS,
     CheckOutcome,
     FailReason,
-    NonceWindow,
     run_authorization_check,
 )
 from .wire import (
@@ -115,7 +118,8 @@ class Producer:
         # obfuscated suffix bytes -> (cleartext name, obfuscation key id)
         self.hash_name_map: dict[bytes, tuple[Name, bytes]] = {}
         self.enc_name_map: dict[bytes, tuple[Name, bytes]] = {}
-        self.nonce_store: dict[bytes, NonceWindow] = {}
+        # name bytes -> {nonce: time its timestamp goes stale}
+        self.nonce_store: dict[bytes, dict[bytes, float]] = {}
         self._content_key_seed = content_key_seed
         self._content_key_generation: dict[tuple[bytes, ...], int] = {}
 
@@ -132,9 +136,6 @@ class Producer:
             material.group,
             material.signing_public,
         )
-
-    def lookup_group(self, group_id: bytes) -> RegisteredGroup | None:
-        return self.registry.get(group_id)
 
     def revoke_group(self, group_id: bytes) -> None:
         self.registry.pop(group_id, None)
@@ -303,24 +304,18 @@ class Producer:
         if window_ms is None:
             window_ms = self.default_window_ms
         name_bytes = encode_name(interest.name)
-        window = self.nonce_store.get(name_bytes)
-        if window is None:
-            window = self.nonce_store[name_bytes] = NonceWindow(
-                window_start=now, window_ms=window_ms
-            )
+        seen = self.nonce_store.get(name_bytes, {})
         registered = self.registry.get(clear_gid) if clear_gid is not None else None
         candidates = (
             [(registered.group, registered.signing_public)] if registered else []
         )
+        payload = interest.payload
         outcome = run_authorization_check(
-            interest.payload,
-            name_bytes,
-            candidates,
-            window,
-            now,
-            window_ms,
-            self.skew_ms,
+            payload, name_bytes, candidates, seen, now, window_ms, self.skew_ms
         )
+        if outcome.passed:
+            self.nonce_store[name_bytes] = seen
+            seen[payload.nonce] = payload.timestamp + window_ms
         if outcome.failure is FailReason.UNKNOWN_GROUP_KEY:
             return CheckOutcome(FailReason.UNKNOWN_GROUP, outcome.verifies)
         return outcome
@@ -374,9 +369,9 @@ class Producer:
         )
 
     def sweep_nonces(self, now: float) -> None:
-        """Erase nonce windows whose retention period has elapsed."""
-        for name_bytes in list(self.nonce_store):
-            window = self.nonce_store[name_bytes]
-            retention = window.window_ms or self.default_window_ms
-            if now - window.window_start >= retention:
+        """Forget nonces whose timestamps are stale: their replays fail on time."""
+        for name_bytes, seen in list(self.nonce_store.items()):
+            for nonce in [n for n, stale_at in seen.items() if stale_at < now]:
+                del seen[nonce]
+            if not seen:
                 del self.nonce_store[name_bytes]

@@ -6,9 +6,14 @@ authorization check (nonce, timestamp, signature) before anything leaves
 the store; content without keys is served unconditionally.  When content
 arrives for aggregated interests, each pending payload is checked against
 the arriving keys the moment they are available, so collapsed requesters
-cannot bypass authorization.  Nonce memory lives and dies with the cache
-entry: the entry's remaining lifetime is the replay window, and eviction
-erases the nonces.
+cannot bypass authorization.  Every check is ``authcheck``'s pipeline; in
+BATCH mode the precheck runs at enqueue and the signatures at flush.
+
+Nonce memory lives and dies with the cache entry: the entry holds the
+nonces of its passed checks and of its queued ones, the entry's lifetime
+is the timestamp window, and eviction erases the nonces.  A replay can hit
+the entry only while it lives, and for all that time the entry remembers
+every nonce it accepted.
 
 Routers never hold obfuscation keys; every decision here keys off the
 binary name bytes only.
@@ -17,22 +22,23 @@ binary name bytes only.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import crypto
 from .authcheck import (
     DEFAULT_SKEW_MS,
     CheckOutcome,
     FailReason,
-    NonceWindow,
+    precheck,
     run_authorization_check,
-    timestamp_valid,
+    verify_any,
 )
 from .wire import (
     AuthorizationPayload,
     ContentObject,
     Interest,
     encode_content,
+    encode_interest,
     encode_name,
     longest_prefix_match,
 )
@@ -75,10 +81,15 @@ class CacheEntry:
     content: ContentObject
     inserted_at: float
     expires_at: float
+    wire: bytes  # the content, encoded once at insert
+    nonces: set[bytes] = field(default_factory=set)  # of passed checks
+    queued: set[bytes] = field(default_factory=set)  # of checks awaiting a flush
 
     @property
     def window_ms(self) -> float:
-        return self.expires_at - self.inserted_at
+        """The replay window; at least 1 ms, so content that arrives already
+        expired still authorizes the interests it was fetched for."""
+        return max(self.expires_at - self.inserted_at, 1.0)
 
 
 @dataclass
@@ -134,9 +145,7 @@ class Router:
         self.fib: dict[tuple[bytes, ...], int] = {}
         self.pit: dict[bytes, PitEntry] = {}
         self.cs: dict[bytes, CacheEntry] = {}
-        self.nonce_table: dict[bytes, NonceWindow] = {}
         self._batch_queues: dict[tuple, list[_QueuedCheck]] = {}
-        self._queued_nonces: dict[bytes, set[bytes]] = {}
         # emission-safety instrumentation: protected cache serves must pair
         # with a passed check
         self.auth_passes = 0
@@ -147,7 +156,9 @@ class Router:
 
     # -- authorization against cached content ----------------------------
 
-    def _candidates(self, payload: AuthorizationPayload, content: ContentObject):
+    def _candidates(self, payload: AuthorizationPayload | None, content: ContentObject):
+        if payload is None:
+            return []
         keys = content.verification_keys
         if payload.group_id_encrypted:
             # a cache cannot decrypt the id, so it trial-verifies every key
@@ -164,29 +175,30 @@ class Router:
         return out
 
     def router_authorization_check(
-        self, interest: Interest, entry: CacheEntry, now: float
+        self,
+        payload: AuthorizationPayload | None,
+        name_bytes: bytes,
+        entry: CacheEntry,
+        now: float,
     ) -> CheckOutcome:
         """Nonce, timestamp, then signature; records the nonce on pass."""
-        name_bytes = encode_name(interest.name)
-        payload = interest.payload
-        if payload is None or not payload.has_auth_info():
-            return CheckOutcome(FailReason.MISSING_PAYLOAD)
-        window = self.nonce_table.get(name_bytes)
-        if window is None:
-            window = self.nonce_table[name_bytes] = NonceWindow(entry.inserted_at)
         outcome = run_authorization_check(
             payload,
             name_bytes,
             self._candidates(payload, entry.content),
-            window,
+            entry.nonces,
             now,
             entry.window_ms,
             self.skew_ms,
-            pending_nonces=self._queued_nonces.get(name_bytes, frozenset()),
+            entry.queued,
         )
         if outcome.passed:
-            self.auth_passes += 1
+            self._record_pass(payload, entry)
         return outcome
+
+    def _record_pass(self, payload: AuthorizationPayload, entry: CacheEntry) -> None:
+        entry.nonces.add(payload.nonce)
+        self.auth_passes += 1
 
     # -- interest pipeline -------------------------------------------------
 
@@ -206,39 +218,18 @@ class Router:
                         EventKind.SERVE_FROM_CACHE,
                         name_bytes,
                         in_iface,
-                        encode_content(entry.content),
+                        entry.wire,
                         reason="public",
                     )
                 )
-            elif self.verify_mode.strategy is VerifyStrategy.INDIVIDUAL:
-                outcome = self.router_authorization_check(interest, entry, now)
-                verifies += outcome.verifies
-                if outcome.passed:
-                    self.protected_serves += 1
-                    events.append(
-                        RouterEvent(
-                            EventKind.SERVE_FROM_CACHE,
-                            name_bytes,
-                            in_iface,
-                            encode_content(entry.content),
-                            reason="verified",
-                            verified=True,
-                        )
-                    )
-                else:
-                    events.append(
-                        RouterEvent(
-                            EventKind.DROP_INTEREST,
-                            name_bytes,
-                            reason=outcome.failure,
-                        )
-                    )
+            elif self.verify_mode.strategy is VerifyStrategy.BATCH:
+                return self._enqueue_batch(interest.payload, entry, in_iface, name_bytes, now)
             else:
-                batch_events, batch_verifies = self._enqueue_batch(
-                    interest, entry, in_iface, name_bytes, now
+                outcome = self.router_authorization_check(
+                    interest.payload, name_bytes, entry, now
                 )
-                events.extend(batch_events)
-                verifies += batch_verifies
+                verifies += outcome.verifies
+                events.append(self._serve_or_drop(outcome.failure, name_bytes, in_iface, entry))
             return events, verifies
 
         pit = self.pit.get(name_bytes)
@@ -257,8 +248,6 @@ class Router:
             )
             return events, verifies
         self.pit[name_bytes] = PitEntry([(in_iface, interest.payload)], now)
-        from .wire import encode_interest
-
         events.append(
             RouterEvent(
                 EventKind.FORWARD_INTEREST,
@@ -269,40 +258,45 @@ class Router:
         )
         return events, verifies
 
+    def _serve_or_drop(
+        self, failure: FailReason | None, name_bytes: bytes, iface: int, entry: CacheEntry
+    ) -> RouterEvent:
+        """The answer to one checked cache hit."""
+        if failure is not None:
+            return RouterEvent(EventKind.DROP_INTEREST, name_bytes, reason=failure)
+        self.protected_serves += 1
+        return RouterEvent(
+            EventKind.SERVE_FROM_CACHE,
+            name_bytes,
+            iface,
+            entry.wire,
+            reason="verified",
+            verified=True,
+        )
+
     # -- batched cache-hit verification -----------------------------------
 
-    def _precheck(self, payload, entry, name_bytes, now):
-        """Nonce and timestamp part of the check, run at enqueue time."""
-        if payload is None or not payload.has_auth_info():
-            return FailReason.MISSING_PAYLOAD
-        window = self.nonce_table.get(name_bytes)
-        if window is None:
-            window = self.nonce_table[name_bytes] = NonceWindow(entry.inserted_at)
-        window.roll(now, entry.window_ms)
-        queued = self._queued_nonces.get(name_bytes, set())
-        if payload.nonce in window.nonces or payload.nonce in queued:
-            return FailReason.DUPLICATE_NONCE
-        if not timestamp_valid(payload.timestamp, now, entry.window_ms, self.skew_ms):
-            return FailReason.STALE_TIMESTAMP
-        if not self._candidates(payload, entry.content):
-            return FailReason.UNKNOWN_GROUP_KEY
-        return None
-
-    def _enqueue_batch(self, interest, entry, in_iface, name_bytes, now):
-        events: list[RouterEvent] = []
-        reason = self._precheck(interest.payload, entry, name_bytes, now)
-        if reason is not None:
-            events.append(RouterEvent(EventKind.DROP_INTEREST, name_bytes, reason=reason))
-            return events, 0
-        key = (name_bytes, interest.payload.group_id)
+    def _enqueue_batch(self, payload, entry, in_iface, name_bytes, now):
+        """Precheck now, queue the signature for the next flush."""
+        failure = precheck(
+            payload,
+            entry.nonces,
+            self._candidates(payload, entry.content),
+            now,
+            entry.window_ms,
+            self.skew_ms,
+            entry.queued,
+        )
+        if failure is not None:
+            return [self._serve_or_drop(failure, name_bytes, in_iface, entry)], 0
+        key = (name_bytes, payload.group_id)
         queue = self._batch_queues.setdefault(key, [])
-        queue.append(_QueuedCheck(in_iface, interest.payload))
-        self._queued_nonces.setdefault(name_bytes, set()).add(interest.payload.nonce)
-        events.append(RouterEvent(EventKind.BATCH_ENQUEUE, name_bytes))
+        queue.append(_QueuedCheck(in_iface, payload))
+        entry.queued.add(payload.nonce)
+        events = [RouterEvent(EventKind.BATCH_ENQUEUE, name_bytes)]
         if len(queue) >= self.verify_mode.batch_size:
             flush_events, verifies = self.flush_batch(key, now)
-            events.extend(flush_events)
-            return events, verifies
+            return events + flush_events, verifies
         if len(queue) == 1:
             events.append(
                 RouterEvent(
@@ -316,30 +310,22 @@ class Router:
 
     def flush_batch(self, key: tuple, now: float):
         """Verify one queued batch; a failed batch falls back to per-item checks."""
-        events: list[RouterEvent] = []
-        verifies = 0
         queue = self._batch_queues.pop(key, [])
         if not queue:
-            return events, verifies
+            return [], 0
         name_bytes = key[0]
-        queued_nonces = self._queued_nonces.get(name_bytes, set())
-        for item in queue:
-            queued_nonces.discard(item.payload.nonce)
         entry = self.cs.get(name_bytes)
         if entry is None or entry.expires_at <= now:
-            for item in queue:
-                events.append(
-                    RouterEvent(
-                        EventKind.DROP_INTEREST,
-                        name_bytes,
-                        reason=DropReason.CACHE_EXPIRED,
-                    )
-                )
-            return events, verifies
-        window = self.nonce_table.setdefault(name_bytes, NonceWindow(entry.inserted_at))
+            return [
+                RouterEvent(EventKind.DROP_INTEREST, name_bytes, reason=DropReason.CACHE_EXPIRED)
+                for _ in queue
+            ], 0
+        for item in queue:
+            entry.queued.discard(item.payload.nonce)
 
-        candidates = self._candidates(queue[0].payload, entry.content)
+        verifies = 0
         all_pass = False
+        candidates = self._candidates(queue[0].payload, entry.content)
         if len(candidates) == 1 and not queue[0].payload.group_id_encrypted:
             group, signing_public = candidates[0]
             items = [
@@ -351,44 +337,18 @@ class Router:
             ]
             verifies += 1
             all_pass = crypto.batch_verify(group, signing_public, items, self.batch_rng)
-        wire = encode_content(entry.content)
+        events: list[RouterEvent] = []
         for item in queue:
-            if all_pass:
-                passed = True
-            else:
-                outcome = run_authorization_check(
-                    item.payload,
-                    name_bytes,
-                    self._candidates(item.payload, entry.content),
-                    NonceWindow(entry.inserted_at),  # nonce already pre-checked
-                    now,
-                    entry.window_ms,
-                    self.skew_ms,
+            failure = None
+            if not all_pass:
+                outcome = verify_any(
+                    item.payload, name_bytes, self._candidates(item.payload, entry.content)
                 )
                 verifies += outcome.verifies
-                passed = outcome.passed
-            if passed:
-                window.nonces.add(item.payload.nonce)
-                self.auth_passes += 1
-                self.protected_serves += 1
-                events.append(
-                    RouterEvent(
-                        EventKind.SERVE_FROM_CACHE,
-                        name_bytes,
-                        item.iface,
-                        wire,
-                        reason="verified",
-                        verified=True,
-                    )
-                )
-            else:
-                events.append(
-                    RouterEvent(
-                        EventKind.DROP_INTEREST,
-                        name_bytes,
-                        reason=FailReason.BAD_SIGNATURE,
-                    )
-                )
+                failure = outcome.failure
+            if failure is None:
+                self._record_pass(item.payload, entry)
+            events.append(self._serve_or_drop(failure, name_bytes, item.iface, entry))
         return events, verifies
 
     # -- content pipeline ---------------------------------------------------
@@ -406,16 +366,14 @@ class Router:
             )
             return events, verifies
 
+        wire = encode_content(content)
         expires = float(content.expiry_time)
         if expires > now:
-            entry = CacheEntry(content, now, expires)
-            self.cs[name_bytes] = entry
-            self.nonce_table[name_bytes] = NonceWindow(now)
+            entry = self.cs[name_bytes] = CacheEntry(content, now, expires, wire)
             events.append(RouterEvent(EventKind.CACHE_INSERT, name_bytes))
         else:
-            entry = CacheEntry(content, now, now)
+            entry = CacheEntry(content, now, now, wire)
 
-        wire = encode_content(content)
         for iface, payload in pit.records:
             if not content.verification_keys:
                 events.append(
@@ -424,19 +382,9 @@ class Router:
                     )
                 )
                 continue
-            window = self.nonce_table.get(name_bytes) or NonceWindow(now)
-            outcome = run_authorization_check(
-                payload,
-                name_bytes,
-                self._candidates(payload, content) if payload else [],
-                window,
-                now,
-                max(entry.window_ms, 1.0),
-                self.skew_ms,
-            )
+            outcome = self.router_authorization_check(payload, name_bytes, entry, now)
             verifies += outcome.verifies
             if outcome.passed:
-                self.auth_passes += 1
                 events.append(
                     RouterEvent(
                         EventKind.FORWARD_CONTENT,
@@ -459,8 +407,6 @@ class Router:
 
     def _evict(self, name_bytes: bytes, events: list[RouterEvent]) -> None:
         self.cs.pop(name_bytes, None)
-        self.nonce_table.pop(name_bytes, None)
-        self._queued_nonces.pop(name_bytes, None)
         events.append(RouterEvent(EventKind.CACHE_EVICT, name_bytes))
 
     def expire(self, now: float) -> list[RouterEvent]:

@@ -424,6 +424,10 @@ def validate(config: ScenarioConfig) -> list[str]:
                 errors.append(f"{where}: adversary has no direct link to {action.target}")
             if action.kind == "NAME_PROBE" and not action.probe_prefix:
                 errors.append(f"{where}: NAME_PROBE needs probe_prefix")
+            if action.probe_scheme not in SchemeTag.__members__:
+                errors.append(f"{where}: unknown probe_scheme {action.probe_scheme!r}")
+            if not isinstance(action.probe_suffix_len, int) or action.probe_suffix_len <= 0:
+                errors.append(f"{where}: probe_suffix_len must be a positive integer")
 
     for r in config.rekeys:
         if r.content not in content_names:

@@ -14,7 +14,6 @@ from ibac.crypto import (
     AuthenticityFailure,
     DecryptFailure,
     EmptyBatch,
-    GroupKeyMaterial,
     UnsupportedParameter,
     batch_verify,
     decrypt_group_id,
@@ -74,25 +73,6 @@ def test_unsupported_kappa():
 
 def test_kappa_256_key_length():
     assert len(gen_group(256, 1).obfuscation_key) == 32
-
-
-def test_material_blob_roundtrip():
-    material = gen_group(128, 5)
-    assert GroupKeyMaterial.from_blob(material.to_blob()) == material
-
-
-def test_material_blob_truncated():
-    with pytest.raises(DecryptFailure):
-        GroupKeyMaterial.from_blob(gen_group(128, 5).to_blob()[:-3])
-
-
-def test_producer_keypair_blob_roundtrip():
-    pair = gen_producer_keypair(11)
-    restored = crypto.ProducerKeyPair.from_blob(pair.to_blob())
-    assert restored == pair
-    gid = gen_group(128, 1).group_id
-    blob = encrypt_group_id(pair.public, gid, random.Random(2))
-    assert decrypt_group_id(restored, blob) == gid
 
 
 # ---------------------------------------------------------------------------

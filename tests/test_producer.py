@@ -52,7 +52,7 @@ def test_register_then_lookup():
     producer = make_producer()
     material = crypto.gen_group(128, 1)
     producer.register_group(material)
-    registered = producer.lookup_group(material.group_id)
+    registered = producer.registry[material.group_id]
     assert registered.obfuscation_key == material.obfuscation_key
     assert registered.signing_public == material.signing_public
 
@@ -66,7 +66,7 @@ def test_duplicate_registration():
 
 
 def test_unknown_lookup_is_none():
-    assert make_producer().lookup_group(b"\x00" * 32) is None
+    assert make_producer().registry.get(b"\x00" * 32) is None
 
 
 # ---------------------------------------------------------------------------
@@ -137,8 +137,8 @@ def test_authorize_pass_records_nonce():
     interest = fetch_interest(producer, ctx)
     outcome = producer.authorize(interest, now=1000.0, window_ms=60_000)
     assert outcome.passed
-    window = producer.nonce_store[encode_name(interest.name)]
-    assert interest.payload.nonce in window.nonces
+    seen = producer.nonce_store[encode_name(interest.name)]
+    assert interest.payload.nonce in seen
 
 
 def test_authorize_replay_is_duplicate_nonce():
@@ -444,3 +444,20 @@ def test_rekey_swaps_groups_and_maps():
     assert digest == crypto.obfuscate_hash(g_new.obfuscation_key, [b"ics", b"home.html"])
     old_interest = fetch_interest(producer, make_consumer(g_old, scheme=SchemeTag.HASH))
     assert not producer.content_object_generation(old_interest, 1000.0).served
+
+
+def test_replay_straddling_window_edge_is_refused():
+    # the replay of an interest served just before the window's edge comes
+    # back just after it, while its timestamp is still valid
+    producer = make_producer(window_ms=1000.0)
+    material = crypto.gen_group(128, 1)
+    producer.register_group(material)
+    published(producer, groups=[material.group_id], lifetime=1000)
+    first = fetch_interest(producer, make_consumer(material, clock=lambda: 0.0, rng_seed=1))
+    assert producer.content_object_generation(first, 0.0).served
+    late = fetch_interest(producer, make_consumer(material, clock=lambda: 999.0, rng_seed=2))
+    assert late.payload.timestamp == 999
+    assert producer.content_object_generation(late, 999.0).served
+    replay = producer.content_object_generation(late, 1001.0)
+    assert not replay.served
+    assert replay.drop_reason is FailReason.DUPLICATE_NONCE

@@ -64,10 +64,10 @@ def test_check_pass_records_nonce_then_duplicate_fails():
 
     second = fetch(material, rng_seed=2)
     entry = router.cs[name_bytes]
-    outcome = router.router_authorization_check(second, entry, 1500.0)
+    outcome = router.router_authorization_check(second.payload, name_bytes, entry, 1500.0)
     assert outcome.passed
-    assert second.payload.nonce in router.nonce_table[name_bytes].nonces
-    replay = router.router_authorization_check(second, entry, 1600.0)
+    assert second.payload.nonce in router.cs[name_bytes].nonces
+    replay = router.router_authorization_check(second.payload, name_bytes, entry, 1600.0)
     assert replay.failure is FailReason.DUPLICATE_NONCE
 
 
@@ -77,7 +77,7 @@ def test_check_stale_timestamp():
     serve_and_cache(router, producer, first, 1000.0)
     old = fetch(material, clock_value=900.0, rng_seed=3)
     entry = router.cs[encode_name(first.name)]
-    outcome = router.router_authorization_check(old, entry, 3500.0)
+    outcome = router.router_authorization_check(old.payload, encode_name(old.name), entry, 3500.0)
     assert outcome.failure is FailReason.STALE_TIMESTAMP
 
 
@@ -94,7 +94,9 @@ def test_check_unknown_group_key():
         HOME,
     )
     entry = router.cs[encode_name(first.name)]
-    outcome = router.router_authorization_check(foreign, entry, 1500.0)
+    outcome = router.router_authorization_check(
+        foreign.payload, encode_name(foreign.name), entry, 1500.0
+    )
     assert outcome.failure is FailReason.UNKNOWN_GROUP_KEY
 
 
@@ -104,7 +106,8 @@ def test_check_missing_payload():
     serve_and_cache(router, producer, first, 1000.0)
     bare = Interest(first.name)
     entry = router.cs[encode_name(first.name)]
-    assert router.router_authorization_check(bare, entry, 1500.0).failure is FailReason.MISSING_PAYLOAD
+    outcome = router.router_authorization_check(bare.payload, encode_name(bare.name), entry, 1500.0)
+    assert outcome.failure is FailReason.MISSING_PAYLOAD
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +197,8 @@ def test_two_authorized_pendings_both_served_and_pit_removed():
     assert encode_name(first.name) not in router.pit
     # nonces of both pendings are recorded: replaying either now fails
     entry = router.cs[encode_name(first.name)]
-    assert router.router_authorization_check(first, entry, 1004.0).failure is FailReason.DUPLICATE_NONCE
+    outcome = router.router_authorization_check(first.payload, encode_name(first.name), entry, 1004.0)
+    assert outcome.failure is FailReason.DUPLICATE_NONCE
 
 
 def test_unauthorized_pending_gets_nothing():
@@ -246,12 +250,12 @@ def test_expire_flushes_cache_and_nonces():
     interest = fetch(material)
     content, _, _ = serve_and_cache(router, producer, interest, 1000.0)
     name_bytes = encode_name(interest.name)
-    assert name_bytes in router.cs and name_bytes in router.nonce_table
+    assert name_bytes in router.cs and interest.payload.nonce in router.cs[name_bytes].nonces
     router.expire(content.expiry_time - 1.0)
     assert name_bytes in router.cs  # boundary: one ms early keeps the entry
     events = router.expire(float(content.expiry_time))
     assert any(e.kind is EventKind.CACHE_EVICT for e in events)
-    assert name_bytes not in router.cs and name_bytes not in router.nonce_table
+    assert name_bytes not in router.cs  # the entry's nonces went with it
 
 
 def test_expired_entry_treated_as_miss_on_interest():
@@ -406,3 +410,20 @@ def test_protected_serves_never_exceed_passes():
     router.on_interest(bare, in_iface=0, now=2010.0)
     assert router.protected_serves <= router.auth_passes
     assert router.protected_serves == 5
+
+
+def test_batch_mode_replay_after_passed_flush_is_duplicate():
+    (material,), producer, router, _ = build_world(
+        verify_mode=VerifyMode.batch(batch_size=2)
+    )
+    warm = fetch(material, rng_seed=1)
+    serve_and_cache(router, producer, warm, 1000.0)
+    first = fetch(material, rng_seed=50)
+    second = fetch(material, rng_seed=51)
+    router.on_interest(first, in_iface=0, now=1500.0)
+    events, _ = router.on_interest(second, in_iface=1, now=1501.0)
+    assert [e.kind for e in events].count(EventKind.SERVE_FROM_CACHE) == 2
+    replay_events, verifies = router.on_interest(second, in_iface=2, now=1502.0)
+    assert verifies == 0
+    assert [e.kind for e in replay_events] == [EventKind.DROP_INTEREST]
+    assert replay_events[0].reason is FailReason.DUPLICATE_NONCE

@@ -112,6 +112,28 @@ def test_adversary_must_be_adjacent_to_target():
     assert any("no direct link" in e for e in err.value.errors)
 
 
+def name_probe_raw(**action):
+    raw = minimal_raw()
+    raw["nodes"].append({"id": "adv", "role": "adversary"})
+    raw["links"].append(["adv", "r1", 5])
+    probe = {"kind": "NAME_PROBE", "at_ms": 100, "target": "r1", "probe_prefix": "/edu/uci"}
+    raw["adversary"] = {"node": "adv", "actions": [dict(probe, **action)]}
+    return raw
+
+
+def test_unknown_probe_scheme_rejected():
+    with pytest.raises(ValidationError) as err:
+        scenario_from_dict(name_probe_raw(probe_scheme="BOGUS"))
+    assert any("unknown probe_scheme 'BOGUS'" in e for e in err.value.errors)
+
+
+@pytest.mark.parametrize("length", [-1, 0, "8"])
+def test_bad_probe_suffix_len_rejected(length):
+    with pytest.raises(ValidationError) as err:
+        scenario_from_dict(name_probe_raw(probe_suffix_len=length))
+    assert any("probe_suffix_len must be a positive integer" in e for e in err.value.errors)
+
+
 @pytest.mark.parametrize(
     "name", [n for n in BUNDLED_SCENARIOS if n != "service_rate_sweep"]
 )
