@@ -16,7 +16,10 @@ the entry only while it lives, and for all that time the entry remembers
 every nonce it accepted.
 
 Routers never hold obfuscation keys; every decision here keys off the
-binary name bytes only.
+binary name bytes only.  What a router sends on is the record it was given:
+the interest it forwards and the content it caches or forwards are passed
+on as received, so a record that came off the wire carries its bytes with
+it (see ``wire``) and nothing is encoded again.
 """
 
 from __future__ import annotations
@@ -37,8 +40,6 @@ from .wire import (
     AuthorizationPayload,
     ContentObject,
     Interest,
-    encode_content,
-    encode_interest,
     encode_name,
     longest_prefix_match,
 )
@@ -81,7 +82,6 @@ class CacheEntry:
     content: ContentObject
     inserted_at: float
     expires_at: float
-    wire: bytes  # the content, encoded once at insert
     nonces: set[bytes] = field(default_factory=set)  # of passed checks
     queued: set[bytes] = field(default_factory=set)  # of checks awaiting a flush
 
@@ -117,7 +117,7 @@ class RouterEvent:
     kind: EventKind
     name_bytes: bytes = b""
     iface: int | None = None
-    wire: bytes | None = None
+    message: Interest | ContentObject | None = None  # the record to send
     reason: object | None = None
     verified: bool = False
     at: float | None = None  # BATCH_TIMER: when to flush
@@ -218,7 +218,7 @@ class Router:
                         EventKind.SERVE_FROM_CACHE,
                         name_bytes,
                         in_iface,
-                        entry.wire,
+                        entry.content,
                         reason="public",
                     )
                 )
@@ -253,7 +253,7 @@ class Router:
                 EventKind.FORWARD_INTEREST,
                 name_bytes,
                 out_iface,
-                encode_interest(interest),
+                interest,
             )
         )
         return events, verifies
@@ -269,7 +269,7 @@ class Router:
             EventKind.SERVE_FROM_CACHE,
             name_bytes,
             iface,
-            entry.wire,
+            entry.content,
             reason="verified",
             verified=True,
         )
@@ -366,19 +366,18 @@ class Router:
             )
             return events, verifies
 
-        wire = encode_content(content)
         expires = float(content.expiry_time)
         if expires > now:
-            entry = self.cs[name_bytes] = CacheEntry(content, now, expires, wire)
+            entry = self.cs[name_bytes] = CacheEntry(content, now, expires)
             events.append(RouterEvent(EventKind.CACHE_INSERT, name_bytes))
         else:
-            entry = CacheEntry(content, now, now, wire)
+            entry = CacheEntry(content, now, now)
 
         for iface, payload in pit.records:
             if not content.verification_keys:
                 events.append(
                     RouterEvent(
-                        EventKind.FORWARD_CONTENT, name_bytes, iface, wire, reason="public"
+                        EventKind.FORWARD_CONTENT, name_bytes, iface, content, reason="public"
                     )
                 )
                 continue
@@ -390,7 +389,7 @@ class Router:
                         EventKind.FORWARD_CONTENT,
                         name_bytes,
                         iface,
-                        wire,
+                        content,
                         reason="verified",
                         verified=True,
                     )
@@ -410,12 +409,22 @@ class Router:
         events.append(RouterEvent(EventKind.CACHE_EVICT, name_bytes))
 
     def expire(self, now: float) -> list[RouterEvent]:
-        """Flush every cache entry past its expiry together with its nonces."""
+        """Flush every cache entry past its expiry together with its nonces,
+        and every PIT entry past its lifetime.
+
+        A PIT entry is inserted only when its key is absent, always at the
+        router's ``now``, and the simulator never runs a node's clock
+        backwards.  So the PIT's dict order is creation order and the scan
+        stops at the first entry still live.
+        """
         events: list[RouterEvent] = []
         for name_bytes in [nb for nb, e in self.cs.items() if e.expires_at <= now]:
             self._evict(name_bytes, events)
-        for name_bytes in [
-            nb for nb, p in self.pit.items() if p.created_at + self.pit_lifetime_ms <= now
-        ]:
+        stale = []
+        for name_bytes, pit in self.pit.items():
+            if pit.created_at + self.pit_lifetime_ms > now:
+                break
+            stale.append(name_bytes)
+        for name_bytes in stale:
             del self.pit[name_bytes]  # expired pending interests drop silently
         return events

@@ -10,6 +10,16 @@ All randomness (traffic, nonces, encryption, batch exponents, adversary
 choices) flows from one seeded generator, so a run is a pure function of
 its configuration and seed.
 
+A message is decoded once per trip.  A node hands on the record it
+decoded together with its bytes, and a receiver decodes only when no
+record decoded from exactly those bytes came with them
+(``message._wire is wire``, see ``wire``).  An interest is therefore
+decoded at the first node it reaches and content at the first node after
+the producer, not again at every hop.  Bytes that arrive without such a
+record -- a consumer's or producer's fresh encoding, an adversary's
+capture, replay or forgery, malformed input -- are always decoded and
+checked.
+
 The emission log is append-only, one line per event:
 ``time<TAB>node<TAB>kind<TAB>name-hex<TAB>reason``.
 """
@@ -34,6 +44,7 @@ from .wire import (
     ObfuscatedName,
     SchemeTag,
     decode_message,
+    encode_content,
     encode_interest,
     encode_name,
     longest_prefix_match,
@@ -53,6 +64,14 @@ ATTACK_KINDS = (REPLAY_SAME_PATH, REPLAY_CROSS_PATH, FORGE_PAYLOAD, NAME_PROBE)
 
 class ConfigError(ValueError):
     pass
+
+
+def _received(wire: bytes, message):
+    """The record of ``wire``: ``message`` when it was decoded from exactly
+    these bytes, else a fresh decode (which may raise ``DecodeError``)."""
+    if message is not None and message._wire is wire:
+        return message
+    return decode_message(wire)
 
 
 @dataclass
@@ -330,7 +349,8 @@ class Simulation:
             f"{t:.3f}\t{node}\t{kind}\t{name_bytes.hex()}\t{reason}"
         )
 
-    def _send(self, rt: _NodeRuntime, iface: int, wire: bytes, t: float) -> None:
+    def _send(self, rt: _NodeRuntime, iface: int, wire: bytes, t: float, message=None) -> None:
+        """Put ``wire`` on the link; ``message``, if given, is its decoded record."""
         peer_id, latency = rt.ifaces[iface]
         if self.record_wire:
             self.wire_trace.append((t, rt.node_id, peer_id, wire))
@@ -338,7 +358,7 @@ class Simulation:
             for adv_id in self._taps.get(frozenset((rt.node_id, peer_id)), ()):
                 self.nodes[adv_id].obj.captures.append(_Capture(t, wire))
         arrival_iface = self.nodes[peer_id].iface_to[rt.node_id]
-        self._schedule(t + latency, peer_id, "arrival", (arrival_iface, wire))
+        self._schedule(t + latency, peer_id, "arrival", (arrival_iface, wire, message))
 
     def run(self) -> RunResult:
         for node_id, rt in self.nodes.items():
@@ -360,12 +380,14 @@ class Simulation:
 
     # -- arrivals and the one-message-at-a-time service discipline -------------
 
-    def _handle_arrival(self, rt: _NodeRuntime, t: float, iface: int, wire: bytes) -> None:
+    def _handle_arrival(
+        self, rt: _NodeRuntime, t: float, iface: int, wire: bytes, message
+    ) -> None:
         if rt.role in ("router", "producer"):
-            self._offer_work(rt, t, ("msg", iface, wire))
+            self._offer_work(rt, t, ("msg", iface, wire, message))
             return
         try:
-            message = decode_message(wire)
+            message = _received(wire, message)
         except DecodeError:
             self.log_event(t, rt.node_id, "malformed_drop", b"")
             self.drops[(rt.node_id, "Malformed")] += 1
@@ -385,17 +407,17 @@ class Simulation:
         """Run the handler at service start; effects leave at completion."""
         rt.busy = True
         if item[0] == "msg":
-            _, iface, wire = item
-            completion, effects = self._execute_message(rt, start, iface, wire)
+            _, iface, wire, message = item
+            completion, effects = self._execute_message(rt, start, iface, wire, message)
         else:  # queued batch flush
             events, verifies = rt.obj.flush_batch(item[1], start)
             completion = start + verifies * rt.tau_verify_ms
             effects = ("router", events)
         self._schedule(completion, rt.node_id, "service_done", (effects,))
 
-    def _execute_message(self, rt: _NodeRuntime, start: float, iface: int, wire: bytes):
+    def _execute_message(self, rt: _NodeRuntime, start: float, iface: int, wire: bytes, message):
         try:
-            message = decode_message(wire)
+            message = _received(wire, message)
         except DecodeError:
             return start + rt.tau_process_ms, ("malformed",)
         if rt.role == "router":
@@ -429,8 +451,6 @@ class Simulation:
         elif tag == "producer":
             _, iface, name_bytes, response = effects
             if response.served:
-                from .wire import encode_content
-
                 reason = "verified" if response.verifies else "plain"
                 self.log_event(at, rt.node_id, "content_served", name_bytes, reason)
                 self._send(rt, iface, encode_content(response.content), at)
@@ -457,7 +477,12 @@ class Simulation:
                 EventKind.FORWARD_INTEREST,
                 EventKind.FORWARD_CONTENT,
             ):
-                self._send(rt, ev.iface, ev.wire, at)
+                message = ev.message
+                if isinstance(message, Interest):
+                    wire = encode_interest(message)
+                else:
+                    wire = encode_content(message)
+                self._send(rt, ev.iface, wire, at, message)
             elif ev.kind in (
                 EventKind.DROP_INTEREST,
                 EventKind.DROP_CONTENT,

@@ -28,13 +28,24 @@ names treat the whole name as routable.  An obfuscated name travels as its
 cleartext prefix components followed by one ObfuscatedComponent and a
 SchemeTag; the obfuscated suffix is a single opaque component whose
 display form is lowercase hex.
+
+Decoded records keep their bytes.  A message returned by a decoder holds
+the exact input in a private ``_wire`` field, and ``encode_interest`` /
+``encode_content`` hand those bytes back instead of encoding again; a name
+keeps its Name TLV the same way, memoised by ``encode_name`` or set by the
+decoder.  That is exact, not an approximation, because the encoding is
+canonical: every input the decoders accept is the one encoding of the
+record they return, so decode then encode is the identity.  Only the
+decoders set a message's ``_wire``, so ``msg._wire is data`` means exactly
+that ``msg`` is what decoding ``data`` gives.  The field takes no part in
+equality, hashing or ``repr``, and ``dataclasses.replace`` drops it.
 """
 
 from __future__ import annotations
 
 import enum
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 TYPE_INTEREST = 0x0001
 TYPE_CONTENT = 0x0002
@@ -98,6 +109,7 @@ class Name:
 
     components: tuple[bytes, ...]
     routable_prefix_len: int
+    _wire: bytes | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.components:
@@ -129,6 +141,7 @@ class ObfuscatedName:
     routable_prefix: tuple[bytes, ...]
     obfuscated_suffix: bytes
     scheme_tag: SchemeTag
+    _wire: bytes | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.routable_prefix:
@@ -184,6 +197,7 @@ class Interest:
     payload: AuthorizationPayload | None = None
     key_id: bytes | None = None
     content_object_hash: bytes | None = None
+    _wire: bytes | None = field(default=None, init=False, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -195,6 +209,7 @@ class ContentObject:
     verification_keys: tuple[tuple[bytes, bytes], ...] = ()
     expiry_time: int = 0
     producer_signature: bytes = b""
+    _wire: bytes | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not 0 <= self.expiry_time < 1 << 64:
@@ -271,34 +286,32 @@ def unpack_components(blob: bytes) -> list[bytes]:
 # ---------------------------------------------------------------------------
 # TLV primitives
 
+_HEADER = struct.Struct(">HH")
+
 
 def _tlv(type_code: int, value: bytes) -> bytes:
     if len(value) > MAX_VALUE_LEN:
         raise EncodeError(f"value for type 0x{type_code:04x} exceeds 65535 bytes")
-    return struct.pack(">HH", type_code, len(value)) + value
+    return _HEADER.pack(type_code, len(value)) + value
 
 
-class _Reader:
-    __slots__ = ("buf", "pos", "end")
+def _tlvs(buf: bytes, pos: int, end: int):
+    """Yield ``(type, value start, value end)`` for the TLVs filling ``buf[pos:end]``.
 
-    def __init__(self, buf: bytes, start: int = 0, end: int | None = None):
-        self.buf = buf
-        self.pos = start
-        self.end = len(buf) if end is None else end
-
-    def at_end(self) -> bool:
-        return self.pos >= self.end
-
-    def next(self) -> tuple[int, bytes]:
-        if self.pos + 4 > self.end:
+    Decoders walk containers in place and slice out only the leaf values
+    they keep.
+    """
+    unpack = _HEADER.unpack_from
+    while pos < end:
+        if pos + 4 > end:
             raise DecodeError("truncated TLV header")
-        type_code, length = struct.unpack_from(">HH", self.buf, self.pos)
-        self.pos += 4
-        if self.pos + length > self.end:
+        type_code, length = unpack(buf, pos)
+        pos += 4
+        value_end = pos + length
+        if value_end > end:
             raise DecodeError("TLV length overflows container")
-        value = self.buf[self.pos : self.pos + length]
-        self.pos += length
-        return type_code, value
+        yield type_code, pos, value_end
+        pos = value_end
 
 
 def _decode_uint64(value: bytes, what: str) -> int:
@@ -316,60 +329,74 @@ def _decode_flag(value: bytes) -> bool:
 # ---------------------------------------------------------------------------
 # names
 
+_SCHEME_TAGS = {tag.value: tag for tag in SchemeTag}
+
 
 def encode_name(name: AnyName) -> bytes:
-    """Canonical Name TLV; these bytes are what routers key their tables on."""
-    if isinstance(name, Name):
-        body = b"".join(_tlv(TYPE_NAME_COMPONENT, c) for c in name.components)
-    else:
-        body = b"".join(_tlv(TYPE_NAME_COMPONENT, c) for c in name.routable_prefix)
-        body += _tlv(TYPE_OBFUSCATED_COMPONENT, name.obfuscated_suffix)
-        body += _tlv(TYPE_SCHEME_TAG, bytes([name.scheme_tag]))
-    return _tlv(TYPE_NAME, body)
+    """Canonical Name TLV; these bytes are what routers key their tables on.
+
+    Names are immutable, so the encoding is memoised on the name.
+    """
+    out = name._wire
+    if out is None:
+        if isinstance(name, Name):
+            body = b"".join(_tlv(TYPE_NAME_COMPONENT, c) for c in name.components)
+        else:
+            body = b"".join(_tlv(TYPE_NAME_COMPONENT, c) for c in name.routable_prefix)
+            body += _tlv(TYPE_OBFUSCATED_COMPONENT, name.obfuscated_suffix)
+            body += _tlv(TYPE_SCHEME_TAG, bytes([name.scheme_tag]))
+        out = _tlv(TYPE_NAME, body)
+        object.__setattr__(name, "_wire", out)
+    return out
 
 
-def _decode_name_value(value: bytes) -> AnyName:
-    reader = _Reader(value)
+def _decode_name(buf: bytes, start: int, end: int) -> AnyName:
+    """The name whose TLV value is ``buf[start:end]``; it keeps its TLV bytes."""
     comps: list[bytes] = []
     obf_suffix: bytes | None = None
     scheme: SchemeTag | None = None
-    while not reader.at_end():
-        type_code, v = reader.next()
+    for type_code, vs, ve in _tlvs(buf, start, end):
         if type_code == TYPE_NAME_COMPONENT:
             if obf_suffix is not None or scheme is not None:
                 raise DecodeError("name component after obfuscated suffix")
-            comps.append(v)
+            comps.append(buf[vs:ve])
         elif type_code == TYPE_OBFUSCATED_COMPONENT:
             if obf_suffix is not None:
                 raise DecodeError("duplicate obfuscated component")
             if scheme is not None:
                 raise DecodeError("obfuscated component after scheme tag")
-            obf_suffix = v
+            obf_suffix = buf[vs:ve]
         elif type_code == TYPE_SCHEME_TAG:
             if scheme is not None:
                 raise DecodeError("duplicate scheme tag")
-            if len(v) != 1:
+            if ve - vs != 1:
                 raise DecodeError("scheme tag must be one byte")
-            try:
-                scheme = SchemeTag(v[0])
-            except ValueError:
-                raise DecodeError(f"unknown scheme tag {v[0]}") from None
+            scheme = _SCHEME_TAGS.get(buf[vs])
+            if scheme is None:
+                raise DecodeError(f"unknown scheme tag {buf[vs]}")
         else:
             raise DecodeError(f"unknown type 0x{type_code:04x} inside name")
     try:
         if obf_suffix is None and scheme is None:
             if not comps:
                 raise DecodeError("empty name")
-            return Name(tuple(comps), len(comps))
-        if obf_suffix is None or scheme is None:
+            name = Name(tuple(comps), len(comps))
+        elif obf_suffix is None or scheme is None:
             raise DecodeError("obfuscated name needs both suffix and scheme tag")
-        return ObfuscatedName(tuple(comps), obf_suffix, scheme)
+        else:
+            name = ObfuscatedName(tuple(comps), obf_suffix, scheme)
     except ValueError as exc:
         raise DecodeError(str(exc)) from None
+    object.__setattr__(name, "_wire", buf[start - 4 : end])
+    return name
 
 
 # ---------------------------------------------------------------------------
 # authorization payload
+
+_PAYLOAD_TYPES = frozenset(
+    (TYPE_GROUP_ID, TYPE_NONCE, TYPE_TIMESTAMP, TYPE_PAYLOAD_SIGNATURE, TYPE_GROUP_ID_ENCRYPTED)
+)
 
 
 def _encode_payload(p: AuthorizationPayload) -> bytes:
@@ -384,24 +411,16 @@ def _encode_payload(p: AuthorizationPayload) -> bytes:
     return _tlv(TYPE_AUTH_PAYLOAD, body)
 
 
-def _decode_payload_value(value: bytes) -> AuthorizationPayload:
-    reader = _Reader(value)
+def _decode_payload(buf: bytes, start: int, end: int) -> AuthorizationPayload:
     seen: dict[int, bytes] = {}
     last_type = 0
-    while not reader.at_end():
-        type_code, v = reader.next()
-        if type_code not in (
-            TYPE_GROUP_ID,
-            TYPE_NONCE,
-            TYPE_TIMESTAMP,
-            TYPE_PAYLOAD_SIGNATURE,
-            TYPE_GROUP_ID_ENCRYPTED,
-        ):
+    for type_code, vs, ve in _tlvs(buf, start, end):
+        if type_code not in _PAYLOAD_TYPES:
             raise DecodeError(f"unknown type 0x{type_code:04x} inside payload")
         if type_code <= last_type:
             raise DecodeError("payload fields out of canonical order or duplicated")
         last_type = type_code
-        seen[type_code] = v
+        seen[type_code] = buf[vs:ve]
     if TYPE_GROUP_ID not in seen or TYPE_GROUP_ID_ENCRYPTED not in seen:
         raise DecodeError("payload missing group id or encrypted flag")
     try:
@@ -425,6 +444,9 @@ def _decode_payload_value(value: bytes) -> AuthorizationPayload:
 
 
 def encode_interest(interest: Interest) -> bytes:
+    """Canonical Interest TLV; a decoded interest returns its own bytes."""
+    if interest._wire is not None:
+        return interest._wire
     body = encode_name(interest.name)
     if interest.payload is not None:
         body += _encode_payload(interest.payload)
@@ -439,32 +461,30 @@ def encode_interest(interest: Interest) -> bytes:
 
 
 def decode_interest(data: bytes) -> Interest:
-    type_code, value, _ = _decode_top(data)
+    type_code, start, end = _decode_top(data)
     if type_code != TYPE_INTEREST:
         raise DecodeError(f"expected interest, got type 0x{type_code:04x}")
-    return _decode_interest_value(value)
+    return _keep_wire(_decode_interest(data, start, end), data)
 
 
-def _decode_interest_value(value: bytes) -> Interest:
-    reader = _Reader(value)
+def _decode_interest(buf: bytes, start: int, end: int) -> Interest:
     name: AnyName | None = None
     payload: AuthorizationPayload | None = None
     key_id: bytes | None = None
     co_hash: bytes | None = None
     last_type = 0
-    while not reader.at_end():
-        type_code, v = reader.next()
+    for type_code, vs, ve in _tlvs(buf, start, end):
         if type_code <= last_type:
             raise DecodeError("interest fields out of canonical order or duplicated")
         last_type = type_code
         if type_code == TYPE_NAME:
-            name = _decode_name_value(v)
+            name = _decode_name(buf, vs, ve)
         elif type_code == TYPE_AUTH_PAYLOAD:
-            payload = _decode_payload_value(v)
+            payload = _decode_payload(buf, vs, ve)
         elif type_code == TYPE_KEY_ID:
-            key_id = v
+            key_id = buf[vs:ve]
         elif type_code == TYPE_CONTENT_OBJECT_HASH:
-            co_hash = v
+            co_hash = buf[vs:ve]
         else:
             raise DecodeError(f"unknown type 0x{type_code:04x} inside interest")
     if name is None:
@@ -477,6 +497,9 @@ def _decode_interest_value(value: bytes) -> Interest:
 
 
 def encode_content(content: ContentObject) -> bytes:
+    """Canonical ContentObject TLV; a decoded object returns its own bytes."""
+    if content._wire is not None:
+        return content._wire
     body = encode_name(content.name)
     body += _tlv(TYPE_CONTENT_DATA, content.data)
     for group_id, key in content.verification_keys:
@@ -490,50 +513,51 @@ def encode_content(content: ContentObject) -> bytes:
 
 
 def decode_content(data: bytes) -> ContentObject:
-    type_code, value, _ = _decode_top(data)
+    type_code, start, end = _decode_top(data)
     if type_code != TYPE_CONTENT:
         raise DecodeError(f"expected content object, got type 0x{type_code:04x}")
-    return _decode_content_value(value)
+    return _keep_wire(_decode_content(data, start, end), data)
 
 
-def _decode_key_entry(value: bytes) -> tuple[bytes, bytes]:
-    reader = _Reader(value)
-    type_code, group_id = reader.next()
+def _decode_key_entry(buf: bytes, start: int, end: int) -> tuple[bytes, bytes]:
+    first = next(_tlvs(buf, start, end), None)
+    if first is None:
+        raise DecodeError("truncated TLV header")
+    type_code, vs, ve = first
     if type_code != TYPE_GROUP_ID:
         raise DecodeError("verification key entry must start with a group id")
-    key = value[reader.pos :]
+    group_id = buf[vs:ve]
+    key = buf[ve:end]
     if not group_id or not key:
         raise DecodeError("verification key entry needs group id and key bytes")
     return group_id, key
 
 
-def _decode_content_value(value: bytes) -> ContentObject:
-    reader = _Reader(value)
+def _decode_content(buf: bytes, start: int, end: int) -> ContentObject:
     name: AnyName | None = None
     data: bytes | None = None
     keys: list[tuple[bytes, bytes]] = []
     expiry: int | None = None
     producer_sig: bytes | None = None
     last_type = 0
-    while not reader.at_end():
-        type_code, v = reader.next()
+    for type_code, vs, ve in _tlvs(buf, start, end):
         if type_code == TYPE_VERIFICATION_KEY:
             if last_type > TYPE_VERIFICATION_KEY:
                 raise DecodeError("content fields out of canonical order")
             last_type = type_code
-            keys.append(_decode_key_entry(v))
+            keys.append(_decode_key_entry(buf, vs, ve))
             continue
         if type_code <= last_type:
             raise DecodeError("content fields out of canonical order or duplicated")
         last_type = type_code
         if type_code == TYPE_NAME:
-            name = _decode_name_value(v)
+            name = _decode_name(buf, vs, ve)
         elif type_code == TYPE_CONTENT_DATA:
-            data = v
+            data = buf[vs:ve]
         elif type_code == TYPE_EXPIRY_TIME:
-            expiry = _decode_uint64(v, "expiry time")
+            expiry = _decode_uint64(buf[vs:ve], "expiry time")
         elif type_code == TYPE_PRODUCER_SIGNATURE:
-            producer_sig = v
+            producer_sig = buf[vs:ve]
         else:
             raise DecodeError(f"unknown type 0x{type_code:04x} inside content object")
     if name is None or data is None or expiry is None or producer_sig is None:
@@ -545,21 +569,31 @@ def _decode_content_value(value: bytes) -> ContentObject:
 # top level
 
 
-def _decode_top(data: bytes) -> tuple[int, bytes, int]:
+def _decode_top(data: bytes) -> tuple[int, int, int]:
+    """Type and value span of the single TLV that is the whole message."""
     if len(data) > MAX_MESSAGE_LEN:
         raise DecodeError("message exceeds 1 MiB")
-    reader = _Reader(data)
-    type_code, value = reader.next()
-    if not reader.at_end():
+    top = next(_tlvs(data, 0, len(data)), None)
+    if top is None:
+        raise DecodeError("truncated TLV header")
+    if top[2] != len(data):
         raise DecodeError("trailing bytes after message")
-    return type_code, value, reader.pos
+    return top
+
+
+def _keep_wire(message, data: bytes):
+    object.__setattr__(message, "_wire", data)
+    return message
 
 
 def decode_message(data: bytes) -> Interest | ContentObject:
-    """Decode either message kind (used by nodes reading a link)."""
-    type_code, value, _ = _decode_top(data)
+    """Decode either message kind (used by nodes reading a link).
+
+    The record keeps ``data`` as its ``_wire``.
+    """
+    type_code, start, end = _decode_top(data)
     if type_code == TYPE_INTEREST:
-        return _decode_interest_value(value)
+        return _keep_wire(_decode_interest(data, start, end), data)
     if type_code == TYPE_CONTENT:
-        return _decode_content_value(value)
+        return _keep_wire(_decode_content(data, start, end), data)
     raise DecodeError(f"unknown top-level type 0x{type_code:04x}")

@@ -1,11 +1,14 @@
 import random
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from ibac import crypto
 from ibac.authcheck import FailReason
 from ibac.consumer import ConsumerContext, ConsumerMode, interest_generation
 from ibac.producer import Producer, ProtectionPolicy
 from ibac.router import DropReason, EventKind, Router, VerifyMode
-from ibac.wire import Interest, Name, SchemeTag, decode_content, encode_name
+from ibac.wire import ContentObject, Interest, Name, SchemeTag, encode_name
 
 PREFIX = (b"edu", b"uci")
 HOME = Name.from_uri("/edu/uci/ics/home.html", 2)
@@ -150,7 +153,7 @@ def test_cache_hit_pass_serves_and_replay_drops():
     assert verifies == 1
     assert events[0].kind is EventKind.SERVE_FROM_CACHE
     assert events[0].iface == 4
-    assert decode_content(events[0].wire).data == b"data"
+    assert events[0].message.data == b"data"
     replay_events, _ = router.on_interest(second, in_iface=4, now=1600.0)
     assert replay_events[0].kind is EventKind.DROP_INTEREST
     assert replay_events[0].reason is FailReason.DUPLICATE_NONCE
@@ -256,6 +259,39 @@ def test_expire_flushes_cache_and_nonces():
     events = router.expire(float(content.expiry_time))
     assert any(e.kind is EventKind.CACHE_EVICT for e in events)
     assert name_bytes not in router.cs  # the entry's nonces went with it
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(["interest", "content", "expire"]),
+            st.integers(min_value=0, max_value=7),
+            st.integers(min_value=0, max_value=3000),
+        ),
+        max_size=80,
+    )
+)
+def test_pit_expiry_stopping_at_first_live_entry_matches_full_scan(ops):
+    router = Router()
+    router.add_route(PREFIX, 9)
+    now = 0.0
+    for op, k, step in ops:
+        now += step  # a node's clock never runs backwards
+        name = Name(PREFIX + (b"n%d" % k,), 2)
+        if op == "interest":
+            router.on_interest(Interest(name), in_iface=0, now=now)
+        elif op == "content":
+            # already expired, so never cached: the next interest goes to the PIT
+            router.on_content(ContentObject(name, b"d"), in_iface=9, now=now)
+        else:
+            full_scan = {
+                nb
+                for nb, p in router.pit.items()
+                if p.created_at + router.pit_lifetime_ms > now
+            }
+            router.expire(now)
+            assert set(router.pit) == full_scan
 
 
 def test_expired_entry_treated_as_miss_on_interest():

@@ -1,8 +1,9 @@
+import hashlib
 import math
 
 import pytest
 
-from ibac import scenario
+from ibac import scenario, simnet
 from ibac.scenario import run_config, scenario_from_dict
 
 
@@ -40,6 +41,29 @@ def test_linear_fetch_caches_at_both_routers():
         router = result.nodes[node]
         assert wire_name in router.cs
     assert delivery.data == result.nodes["r1"].cs[wire_name].content.data
+
+
+def test_fetch_decodes_interest_once_and_content_once(monkeypatch):
+    decoded = []
+    real_decode = simnet.decode_message
+
+    def counting_decode(data):
+        message = real_decode(data)
+        decoded.append(type(message).__name__)
+        return message
+
+    monkeypatch.setattr(simnet, "decode_message", counting_decode)
+    result, info = run_config(linear_config())
+    # consumer -> r1 -> r2 -> producer and back: r1 decodes the interest,
+    # r2 the producer's content; every later hop takes the decoded record
+    assert sorted(decoded) == ["ContentObject", "Interest"]
+    name = info.content_names["/edu/uci/ics/home.html"]
+    assert [(d.time_ms, d.consumer, d.data) for d in result.deliveries] == [
+        (64.0, "cr1", info.producers["p1"].catalog[name.components].data)
+    ]
+    # passing records on instead of bytes alone must not change what is emitted
+    digest = hashlib.sha256("\n".join(result.log_lines).encode()).hexdigest()
+    assert digest == "d49876dfd9db1c56aa6aea6f541ef9789895f2b6447ae2f6fa31c3463b2aeeac"
 
 
 def test_end_to_end_data_matches_catalog():

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -21,6 +22,7 @@ from ibac.wire import (
     decode_message,
     encode_content,
     encode_interest,
+    encode_name,
     longest_prefix_match,
     suffix,
 )
@@ -241,6 +243,61 @@ def test_bulk_roundtrip_10k_messages():
                 rng.randbytes(32),
             )
             assert decode_message(encode_content(msg)) == msg
+
+
+def _encode(message):
+    if isinstance(message, Interest):
+        return encode_interest(message)
+    return encode_content(message)
+
+
+def _fresh(message):
+    """An equal record built field by field, so nothing in it remembers bytes."""
+    name = message.name
+    if isinstance(name, Name):
+        name = Name(name.components, name.routable_prefix_len)
+    else:
+        name = ObfuscatedName(name.routable_prefix, name.obfuscated_suffix, name.scheme_tag)
+    if isinstance(message, Interest):
+        return Interest(name, message.payload, message.key_id, message.content_object_hash)
+    return ContentObject(
+        name,
+        message.data,
+        message.verification_keys,
+        message.expiry_time,
+        message.producer_signature,
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(interests(), contents()), st.data())
+def test_accepted_bytes_are_the_canonical_encoding(message, data):
+    # decoded records hand back their input bytes instead of encoding
+    # again; that is sound only if every accepted input is canonical
+    original = _encode(message)
+    candidates = [original]
+    for _ in range(4):
+        pos = data.draw(st.integers(min_value=0, max_value=len(original) - 1))
+        # small steps turn type codes and lengths into their neighbours
+        step = data.draw(st.one_of(st.integers(-3, 3), st.integers(0, 255)))
+        mutated = original[:pos] + bytes([(original[pos] + step) % 256]) + original[pos + 1 :]
+        cut = data.draw(st.integers(min_value=0, max_value=len(original)))
+        candidates += [mutated, mutated[:cut]]
+    for candidate in candidates:
+        try:
+            decoded = decode_message(candidate)
+        except DecodeError:
+            continue
+        assert decoded._wire is candidate
+        fresh = _fresh(decoded)
+        assert fresh._wire is None and fresh.name._wire is None
+        assert _encode(fresh) == candidate
+        assert encode_name(fresh.name) == decoded.name._wire
+        # the remembered bytes take no part in equality, hashing or repr
+        assert fresh == decoded and fresh.name == decoded.name
+        assert hash(fresh) == hash(decoded)
+        assert repr(fresh) == repr(decoded)
+        assert dataclasses.replace(decoded)._wire is None
 
 
 def test_truncation_always_fails():
