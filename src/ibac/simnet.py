@@ -10,15 +10,19 @@ All randomness (traffic, nonces, encryption, batch exponents, adversary
 choices) flows from one seeded generator, so a run is a pure function of
 its configuration and seed.
 
-A message is decoded once per trip.  A node hands on the record it
-decoded together with its bytes, and a receiver decodes only when no
-record decoded from exactly those bytes came with them
-(``message._wire is wire``, see ``wire``).  An interest is therefore
-decoded at the first node it reaches and content at the first node after
-the producer, not again at every hop.  Bytes that arrive without such a
-record -- a consumer's or producer's fresh encoding, an adversary's
-capture, replay or forgery, malformed input -- are always decoded and
-checked.
+Messages carry their records from the first hop.  Every sender -- a
+consumer's fetch, a producer's content, a router's forward or cache serve,
+an adversary's probe, forgery or replay -- passes the record it holds to
+``_send``, which puts it on the link beside its bytes.  The encoders
+memoise their output on the record, so ``message._wire is wire`` means the
+record is what decoding the bytes gives (see ``wire``), and a receiver
+decodes only bytes that arrived without their record.  No simulator
+origin builds such bytes today: a run decodes nothing.  Adversary
+captures keep the record they were sent with, too.
+
+Each node's link table maps an interface to the peer, the latency, the
+peer's interface for the link and the adversaries tapping it (none when
+the sender is itself an adversary), so a send is one lookup.
 
 The emission log is append-only, one line per event:
 ``time<TAB>node<TAB>kind<TAB>name-hex<TAB>reason``.
@@ -67,8 +71,8 @@ class ConfigError(ValueError):
 
 
 def _received(wire: bytes, message):
-    """The record of ``wire``: ``message`` when it was decoded from exactly
-    these bytes, else a fresh decode (which may raise ``DecodeError``)."""
+    """The record of ``wire``: ``message`` when it carries exactly these
+    bytes, else a fresh decode (which may raise ``DecodeError``)."""
     if message is not None and message._wire is wire:
         return message
     return decode_message(wire)
@@ -123,6 +127,7 @@ class AttackStat:
 class _Capture:
     time_ms: float
     wire: bytes
+    message: Interest  # the record of ``wire``
 
 
 @dataclass
@@ -152,7 +157,8 @@ class _NodeRuntime:
     clock_offset_ms: float = 0.0
     busy: bool = False
     work_queue: deque = field(default_factory=deque)
-    ifaces: dict = field(default_factory=dict)  # iface -> (peer, latency)
+    # iface -> (peer, latency, peer's iface for the link, tapping adversaries)
+    ifaces: dict = field(default_factory=dict)
     iface_to: dict = field(default_factory=dict)  # peer -> iface
 
 
@@ -201,7 +207,7 @@ class Simulation:
         self._queue: list = []
         self._seq = 0
         self.nodes: dict[str, _NodeRuntime] = {}
-        self._taps: dict[frozenset, list[str]] = {}
+        self._taps: dict[frozenset, tuple[str, ...]] = {}
         self.actions: list[AdversaryAction] = []
         self._action_adversary: dict[int, str] = {}
         self.traffic: TrafficProfile | None = None
@@ -297,13 +303,31 @@ class Simulation:
                 raise ConfigError(f"link references unknown node {end}")
         rt_a, rt_b = self.nodes[a], self.nodes[b]
         ia, ib = len(rt_a.ifaces), len(rt_b.ifaces)
-        rt_a.ifaces[ia] = (b, latency_ms)
+        rt_a.ifaces[ia] = (b, latency_ms, ib, ())
         rt_a.iface_to[b] = ia
-        rt_b.ifaces[ib] = (a, latency_ms)
+        rt_b.ifaces[ib] = (a, latency_ms, ia, ())
         rt_b.iface_to[a] = ib
+        self._set_link_taps(a, b)
 
     def add_tap(self, a: str, b: str, adversary: str) -> None:
-        self._taps.setdefault(frozenset((a, b)), []).append(adversary)
+        """Let ``adversary`` capture the interests sent between ``a`` and ``b``.
+
+        The tap covers every link between the two, added before or after it.
+        """
+        key = frozenset((a, b))
+        self._taps[key] = self._taps.get(key, ()) + (adversary,)
+        if a in self.nodes and b in self.nodes:
+            self._set_link_taps(a, b)
+
+    def _set_link_taps(self, a: str, b: str) -> None:
+        taps = self._taps.get(frozenset((a, b)), ())
+        for end, peer in ((a, b), (b, a)):
+            rt = self.nodes[end]
+            if rt.role == "adversary":
+                continue
+            for iface, (peer_id, latency, arrival, _) in rt.ifaces.items():
+                if peer_id == peer:
+                    rt.ifaces[iface] = (peer_id, latency, arrival, taps)
 
     def register_content_prefix(self, name: Name, prefix) -> None:
         self.content_prefixes[name.components] = tuple(prefix)
@@ -349,15 +373,21 @@ class Simulation:
             f"{t:.3f}\t{node}\t{kind}\t{name_bytes.hex()}\t{reason}"
         )
 
-    def _send(self, rt: _NodeRuntime, iface: int, wire: bytes, t: float, message=None) -> None:
-        """Put ``wire`` on the link; ``message``, if given, is its decoded record."""
-        peer_id, latency = rt.ifaces[iface]
+    def _send(self, rt: _NodeRuntime, iface: int, message, t: float) -> None:
+        """Put ``message`` on the link: its bytes, with the record beside them."""
+        wire = message._wire
+        if wire is None:
+            if isinstance(message, Interest):
+                wire = encode_interest(message)
+            else:
+                wire = encode_content(message)
+        peer_id, latency, arrival_iface, taps = rt.ifaces[iface]
         if self.record_wire:
             self.wire_trace.append((t, rt.node_id, peer_id, wire))
-        if rt.role != "adversary" and wire[:2] == b"\x00\x01":
-            for adv_id in self._taps.get(frozenset((rt.node_id, peer_id)), ()):
-                self.nodes[adv_id].obj.captures.append(_Capture(t, wire))
-        arrival_iface = self.nodes[peer_id].iface_to[rt.node_id]
+        if taps and isinstance(message, Interest):
+            capture = _Capture(t, wire, _received(wire, message))
+            for adv_id in taps:
+                self.nodes[adv_id].obj.captures.append(capture)
         self._schedule(t + latency, peer_id, "arrival", (arrival_iface, wire, message))
 
     def run(self) -> RunResult:
@@ -453,7 +483,7 @@ class Simulation:
             if response.served:
                 reason = "verified" if response.verifies else "plain"
                 self.log_event(at, rt.node_id, "content_served", name_bytes, reason)
-                self._send(rt, iface, encode_content(response.content), at)
+                self._send(rt, iface, response.content, at)
             else:
                 reason = str(response.drop_reason)
                 self.log_event(at, rt.node_id, "int_drop", name_bytes, reason)
@@ -477,12 +507,7 @@ class Simulation:
                 EventKind.FORWARD_INTEREST,
                 EventKind.FORWARD_CONTENT,
             ):
-                message = ev.message
-                if isinstance(message, Interest):
-                    wire = encode_interest(message)
-                else:
-                    wire = encode_content(message)
-                self._send(rt, ev.iface, wire, at, message)
+                self._send(rt, ev.iface, ev.message, at)
             elif ev.kind in (
                 EventKind.DROP_INTEREST,
                 EventKind.DROP_CONTENT,
@@ -551,7 +576,6 @@ class Simulation:
     def _do_fetch(self, rt: _NodeRuntime, name: Name, prefix, t: float) -> None:
         state: _ConsumerState = rt.obj
         interest = interest_generation(state.ctx, prefix, name)
-        wire = encode_interest(interest)
         name_bytes = encode_name(interest.name)
         self.counters["injected"] += 1
         self.counters["consumer_fetches"] += 1
@@ -563,7 +587,7 @@ class Simulation:
             return
         state.outstanding.setdefault(name_bytes, []).append(name)
         self.log_event(t, rt.node_id, "int_sent", name_bytes)
-        self._send(rt, out_iface, wire, t)
+        self._send(rt, out_iface, interest, t)
 
     def _do_traffic(self, rt: _NodeRuntime, t: float) -> None:
         profile = self.traffic
@@ -592,7 +616,7 @@ class Simulation:
             )
             shot += 1
         if action.kind == NAME_PROBE and action.include_captured:
-            for _ in self._distinct_capture_names(state):
+            for _ in self._first_capture_of_each_name(state):
                 self._schedule(
                     t + shot * action.interval_ms,
                     rt.node_id,
@@ -602,12 +626,12 @@ class Simulation:
                 shot += 1
 
     @staticmethod
-    def _distinct_capture_names(state: _AdversaryState) -> list[bytes]:
-        seen: dict[bytes, bytes] = {}
+    def _first_capture_of_each_name(state: _AdversaryState) -> list[_Capture]:
+        """The first capture of each distinct name, in order of capture."""
+        seen: dict[bytes, _Capture] = {}
         for capture in state.captures:
-            message = decode_message(capture.wire)
-            seen.setdefault(encode_name(message.name), capture.wire)
-        return list(seen)
+            seen.setdefault(encode_name(capture.message.name), capture)
+        return list(seen.values())
 
     def _select_capture(self, state: _AdversaryState, action: AdversaryAction, shot: int):
         if not state.captures:
@@ -627,15 +651,15 @@ class Simulation:
             if capture is None:
                 self.log_event(t, rt.node_id, "adv_noop", b"", "no capture")
                 return
-            wire = capture.wire
-            name_bytes = encode_name(decode_message(wire).name)
+            message = capture.message
+            name_bytes = encode_name(message.name)
             pending_kind = kind
         elif kind == FORGE_PAYLOAD:
             capture = self._select_capture(state, action, shot)
             if capture is None:
                 self.log_event(t, rt.node_id, "adv_noop", b"", "no capture")
                 return
-            base = decode_message(capture.wire)
+            base = capture.message
             name_bytes = encode_name(base.name)
             group_id = (
                 base.payload.group_id if base.payload else state.material.group_id
@@ -647,11 +671,10 @@ class Simulation:
             signature = crypto.sign_payload(
                 state.material, name_bytes, group_id, nonce, timestamp
             )
-            forged = Interest(
+            message = Interest(
                 base.name,
                 AuthorizationPayload(group_id, encrypted, nonce, timestamp, signature),
             )
-            wire = encode_interest(forged)
             pending_kind = kind
         else:  # NAME_PROBE
             if shot < action.count:
@@ -662,25 +685,17 @@ class Simulation:
                     action.probe_suffix_len, "big"
                 )
                 name = ObfuscatedName(prefix, suffix_bytes, action.probe_scheme)
-                wire = encode_interest(Interest(name))
+                message = Interest(name)
                 name_bytes = encode_name(name)
                 pending_kind = kind
             else:
-                names = self._distinct_capture_names(state)
+                distinct = self._first_capture_of_each_name(state)
                 position = shot - action.count
-                if position >= len(names):
+                if position >= len(distinct):
                     return
-                captured_name_bytes = names[position]
-                base = decode_message(
-                    next(
-                        c.wire
-                        for c in state.captures
-                        if encode_name(decode_message(c.wire).name) == captured_name_bytes
-                    )
-                )
-                probe = Interest(base.name)  # name only: payload stripped
-                wire = encode_interest(probe)
-                name_bytes = captured_name_bytes
+                base = distinct[position].message
+                message = Interest(base.name)  # name only: payload stripped
+                name_bytes = encode_name(base.name)
                 state.captured_probe_outcomes.setdefault(name_bytes.hex(), 0)
                 pending_kind = "NAME_PROBE_CAPTURED"
 
@@ -694,7 +709,7 @@ class Simulation:
         self.counters["injected"] += 1
         self.counters["adv_injected"] += 1
         self.log_event(t, rt.node_id, "int_sent", name_bytes, f"{kind}#{index}")
-        self._send(rt, target_iface, wire, t)
+        self._send(rt, target_iface, message, t)
 
     def _do_batch_flush(self, rt: _NodeRuntime, key, t: float) -> None:
         self._offer_work(rt, t, ("flush", key))

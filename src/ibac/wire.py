@@ -29,16 +29,25 @@ cleartext prefix components followed by one ObfuscatedComponent and a
 SchemeTag; the obfuscated suffix is a single opaque component whose
 display form is lowercase hex.
 
-Decoded records keep their bytes.  A message returned by a decoder holds
-the exact input in a private ``_wire`` field, and ``encode_interest`` /
-``encode_content`` hand those bytes back instead of encoding again; a name
-keeps its Name TLV the same way, memoised by ``encode_name`` or set by the
-decoder.  That is exact, not an approximation, because the encoding is
-canonical: every input the decoders accept is the one encoding of the
-record they return, so decode then encode is the identity.  Only the
-decoders set a message's ``_wire``, so ``msg._wire is data`` means exactly
-that ``msg`` is what decoding ``data`` gives.  The field takes no part in
-equality, hashing or ``repr``, and ``dataclasses.replace`` drops it.
+Records carry their bytes.  A message holds its encoding in a private
+``_wire`` field: a decoder sets it to the exact input, and
+``encode_interest`` / ``encode_content`` memoise their output there, so a
+record is encoded at most once and a decoded one never.  A name keeps its
+Name TLV the same way, memoised by ``encode_name`` or set by the decoder.
+``msg._wire is data`` always means ``decode_message(data) == msg``:
+
+* for decoded records because the encoding is canonical: every input the
+  decoders accept is the one encoding of the record they return, so
+  decode then encode is the identity;
+* for built records because the constructors reject every field value the
+  decoders reject (a scheme tag that is not a ``SchemeTag``, an encrypted
+  flag that is not a bool) and normalise sequences to the tuples the
+  decoders return.  The one record an encoder does not memoise on is one
+  named by a clear ``Name`` whose routable prefix is shorter than the
+  name: its bytes decode to a full-length prefix, another record.
+
+The field takes no part in equality, hashing or ``repr``, and
+``dataclasses.replace`` drops it.
 """
 
 from __future__ import annotations
@@ -112,6 +121,7 @@ class Name:
     _wire: bytes | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "components", tuple(self.components))
         if not self.components:
             raise ValueError("a name needs at least one component")
         for comp in self.components:
@@ -144,10 +154,13 @@ class ObfuscatedName:
     _wire: bytes | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "routable_prefix", tuple(self.routable_prefix))
         if not self.routable_prefix:
             raise ValueError("routable prefix must be non-empty")
         for comp in self.routable_prefix:
             _check_component(comp)
+        if not isinstance(self.scheme_tag, SchemeTag):
+            raise TypeError(f"scheme_tag must be a SchemeTag, got {self.scheme_tag!r}")
         if self.scheme_tag != SchemeTag.NONE and not self.obfuscated_suffix:
             raise ValueError("obfuscated suffix must be non-empty for ENC/HASH")
 
@@ -178,6 +191,8 @@ class AuthorizationPayload:
     def __post_init__(self):
         if not self.group_id:
             raise ValueError("group_id must be non-empty")
+        if not isinstance(self.group_id_encrypted, bool):
+            raise TypeError("group_id_encrypted must be a bool")
         if self.nonce is not None and not self.nonce:
             raise ValueError("nonce, when present, must be non-empty")
         if self.timestamp is not None and not 0 <= self.timestamp < 1 << 64:
@@ -214,9 +229,11 @@ class ContentObject:
     def __post_init__(self):
         if not 0 <= self.expiry_time < 1 << 64:
             raise ValueError("expiry_time out of uint64 range")
-        for group_id, key in self.verification_keys:
+        keys = tuple((group_id, key) for group_id, key in self.verification_keys)
+        for group_id, key in keys:
             if not group_id or not key:
                 raise ValueError("verification key entries need group id and key bytes")
+        object.__setattr__(self, "verification_keys", keys)
 
 
 # ---------------------------------------------------------------------------
@@ -443,8 +460,20 @@ def _decode_payload(buf: bytes, start: int, end: int) -> AuthorizationPayload:
 # interest
 
 
+def _remember(message, out: bytes) -> bytes:
+    """Memoise ``out`` on ``message`` unless decoding it gives another record.
+
+    That happens only for a clear name with a partial routable prefix: the
+    prefix split does not travel, so its bytes decode to the full length.
+    """
+    name = message.name
+    if not isinstance(name, Name) or name.routable_prefix_len == len(name.components):
+        object.__setattr__(message, "_wire", out)
+    return out
+
+
 def encode_interest(interest: Interest) -> bytes:
-    """Canonical Interest TLV; a decoded interest returns its own bytes."""
+    """Canonical Interest TLV, memoised on the interest (see ``_remember``)."""
     if interest._wire is not None:
         return interest._wire
     body = encode_name(interest.name)
@@ -457,7 +486,7 @@ def encode_interest(interest: Interest) -> bytes:
     out = _tlv(TYPE_INTEREST, body)
     if len(out) > MAX_MESSAGE_LEN:
         raise EncodeError("message exceeds 1 MiB")
-    return out
+    return _remember(interest, out)
 
 
 def decode_interest(data: bytes) -> Interest:
@@ -497,7 +526,7 @@ def _decode_interest(buf: bytes, start: int, end: int) -> Interest:
 
 
 def encode_content(content: ContentObject) -> bytes:
-    """Canonical ContentObject TLV; a decoded object returns its own bytes."""
+    """Canonical ContentObject TLV, memoised on the object (see ``_remember``)."""
     if content._wire is not None:
         return content._wire
     body = encode_name(content.name)
@@ -509,7 +538,7 @@ def encode_content(content: ContentObject) -> bytes:
     out = _tlv(TYPE_CONTENT, body)
     if len(out) > MAX_MESSAGE_LEN:
         raise EncodeError("message exceeds 1 MiB")
-    return out
+    return _remember(content, out)
 
 
 def decode_content(data: bytes) -> ContentObject:

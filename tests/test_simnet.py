@@ -1,10 +1,18 @@
 import hashlib
+import json
 import math
+from pathlib import Path
 
 import pytest
 
-from ibac import scenario, simnet
+from ibac import crypto, scenario, simnet
+from ibac.consumer import ConsumerMode
 from ibac.scenario import run_config, scenario_from_dict
+from ibac.wire import Name, SchemeTag, decode_message
+
+BUNDLED_DIGESTS = json.loads(
+    (Path(__file__).resolve().parent.parent / "testdata" / "bundled_digests.json").read_text()
+)
 
 
 def linear_config(**overrides):
@@ -43,7 +51,8 @@ def test_linear_fetch_caches_at_both_routers():
     assert delivery.data == result.nodes["r1"].cs[wire_name].content.data
 
 
-def test_fetch_decodes_interest_once_and_content_once(monkeypatch):
+def count_decodes(monkeypatch) -> list:
+    """Record the type of every message the simulator decodes."""
     decoded = []
     real_decode = simnet.decode_message
 
@@ -53,10 +62,15 @@ def test_fetch_decodes_interest_once_and_content_once(monkeypatch):
         return message
 
     monkeypatch.setattr(simnet, "decode_message", counting_decode)
+    return decoded
+
+
+def test_linear_fetch_decodes_nothing(monkeypatch):
+    decoded = count_decodes(monkeypatch)
     result, info = run_config(linear_config())
-    # consumer -> r1 -> r2 -> producer and back: r1 decodes the interest,
-    # r2 the producer's content; every later hop takes the decoded record
-    assert sorted(decoded) == ["ContentObject", "Interest"]
+    # consumer -> r1 -> r2 -> producer and back: the consumer's interest and
+    # the producer's content travel with the records they were built as
+    assert decoded == []
     name = info.content_names["/edu/uci/ics/home.html"]
     assert [(d.time_ms, d.consumer, d.data) for d in result.deliveries] == [
         (64.0, "cr1", info.producers["p1"].catalog[name.components].data)
@@ -64,6 +78,44 @@ def test_fetch_decodes_interest_once_and_content_once(monkeypatch):
     # passing records on instead of bytes alone must not change what is emitted
     digest = hashlib.sha256("\n".join(result.log_lines).encode()).hexdigest()
     assert digest == "d49876dfd9db1c56aa6aea6f541ef9789895f2b6447ae2f6fa31c3463b2aeeac"
+
+
+@pytest.mark.parametrize("name", ["name_probe", "replay_same_path", "forgery"])
+def test_adversary_reads_captured_records_without_decoding(monkeypatch, name):
+    # name_probe probes captured names (include_captured); the others replay
+    # and forge from captures: all of it reads the records captured with the bytes
+    decoded = count_decodes(monkeypatch)
+    result, _ = run_config(scenario.load_bundled(name))
+    assert decoded == []
+    log = ("\n".join(result.log_lines) + "\n").encode()
+    assert hashlib.sha256(log).hexdigest() == BUNDLED_DIGESTS[name]
+
+
+def tapped_link_captures(tap_first: bool) -> list:
+    sim = simnet.Simulation(seed=9)
+    material = crypto.gen_group(128, 1)
+    consumer = sim.add_consumer("c", material, ConsumerMode.OBFUSCATE_ONLY, SchemeTag.ENC)
+    consumer.fib[(b"edu",)] = 0
+    sim.add_router("r")  # no route: it drops what arrives, after the tap saw it
+    adversary = sim.add_adversary("adv", material)
+    if tap_first:
+        sim.add_tap("c", "r", "adv")
+    sim.add_link("c", "r", 5.0)
+    if not tap_first:
+        sim.add_tap("r", "c", "adv")
+    for i in range(3):
+        sim.schedule_fetch("c", Name.from_uri(f"/edu/uci/{i}"), 10.0 * i, prefix=(b"edu",))
+    sim.run()
+    return adversary.captures
+
+
+def test_tap_added_before_or_after_its_link_captures_the_same_interests():
+    early, late = tapped_link_captures(True), tapped_link_captures(False)
+    assert len(early) == 3
+    assert [(c.time_ms, c.wire) for c in early] == [(c.time_ms, c.wire) for c in late]
+    for capture in early:
+        assert capture.message._wire is capture.wire
+        assert decode_message(capture.wire) == capture.message
 
 
 def test_end_to_end_data_matches_catalog():
