@@ -7,6 +7,15 @@ the producer can pick the right key; no anti-replay fields travel because
 that mode does not defend against replay.  AUTH_ONLY sends the cleartext
 name with the complete payload, for deployments where name privacy does
 not matter but cache hits must still be authorized.
+
+Obfuscation is deterministic and draws nothing from the generator, so a
+context memoises each ``ObfuscatedName`` it builds, with its Name TLV
+bytes, keyed on the obfuscation key, the scheme, the routable prefix and
+the name (which fixes the suffix): ``obfuscate_*`` runs once per distinct
+name, not once per fetch.  Key and scheme are read from the context on
+every call, so changing ``scheme``, ``group`` or ``content_keys`` never
+yields a stale name.  Every interest built here carries its name's bytes
+(``name._wire``).
 """
 
 from __future__ import annotations
@@ -44,6 +53,8 @@ class ConsumerContext:
     producer_public: crypto.ProducerPublicKey | None = None
     # per-name obfuscation keys provisioned out of band (multi-group content)
     content_keys: dict[tuple[bytes, ...], bytes] = field(default_factory=dict)
+    # (obfuscation key, scheme, routable prefix, name components) -> name
+    _obfuscated: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.mode is not ConsumerMode.AUTH_ONLY and self.scheme not in (
@@ -69,14 +80,21 @@ def interest_generation(ctx: ConsumerContext, routable_prefix, name: Name) -> In
         wire_name = Name(name.components, len(name.components))
         # validate the prefix relationship even though the name stays clear
         suffix(name, routable_prefix)
+        name_bytes = encode_name(wire_name)
     else:
-        suffix_components = suffix(name, routable_prefix)
         obf_key = ctx.content_keys.get(name.components, ctx.group.obfuscation_key)
-        if ctx.scheme is SchemeTag.ENC:
-            obf = crypto.obfuscate_enc(obf_key, suffix_components)
-        else:
-            obf = crypto.obfuscate_hash(obf_key, suffix_components)
-        wire_name = ObfuscatedName(routable_prefix, obf, ctx.scheme)
+        memo_key = (obf_key, ctx.scheme, routable_prefix, name.components)
+        wire_name = ctx._obfuscated.get(memo_key)
+        if wire_name is None:
+            suffix_components = suffix(name, routable_prefix)
+            if ctx.scheme is SchemeTag.ENC:
+                obf = crypto.obfuscate_enc(obf_key, suffix_components)
+            else:
+                obf = crypto.obfuscate_hash(obf_key, suffix_components)
+            wire_name = ObfuscatedName(routable_prefix, obf, ctx.scheme)
+            encode_name(wire_name)  # memoised on the name
+            ctx._obfuscated[memo_key] = wire_name
+        name_bytes = wire_name._wire
 
     group_id, encrypted = _group_id_field(ctx)
     if ctx.mode is ConsumerMode.OBFUSCATE_ONLY:
@@ -85,8 +103,6 @@ def interest_generation(ctx: ConsumerContext, routable_prefix, name: Name) -> In
         kappa = ctx.group.kappa
         nonce = ctx.rng.getrandbits(kappa).to_bytes(kappa // 8, "big")
         timestamp = round(ctx.clock())
-        signature = crypto.sign_payload(
-            ctx.group, encode_name(wire_name), group_id, nonce, timestamp
-        )
+        signature = crypto.sign_payload(ctx.group, name_bytes, group_id, nonce, timestamp)
         payload = AuthorizationPayload(group_id, encrypted, nonce, timestamp, signature)
     return Interest(wire_name, payload)

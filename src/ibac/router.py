@@ -50,7 +50,6 @@ PIT_LIFETIME_MS = 4000.0
 class DropReason(enum.Enum):
     NO_ROUTE = "NoRoute"
     UNSOLICITED = "Unsolicited"
-    MALFORMED = "Malformed"
     CACHE_EXPIRED = "CacheExpired"
 
     def __str__(self) -> str:

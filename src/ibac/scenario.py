@@ -428,6 +428,13 @@ def validate(config: ScenarioConfig) -> list[str]:
                 errors.append(f"{where}: unknown probe_scheme {action.probe_scheme!r}")
             if not isinstance(action.probe_suffix_len, int) or action.probe_suffix_len <= 0:
                 errors.append(f"{where}: probe_suffix_len must be a positive integer")
+            if not isinstance(action.count, int) or action.count < 0:
+                errors.append(f"{where}: count must be a non-negative integer")
+            for what in ("at_ms", "interval_ms"):
+                value = getattr(action, what)
+                # ``not >= 0`` also refuses NaN
+                if not isinstance(value, (int, float)) or not value >= 0:
+                    errors.append(f"{where}: {what} must be a non-negative number")
 
     for r in config.rekeys:
         if r.content not in content_names:
@@ -697,14 +704,14 @@ def check_invariants(result: RunResult, sim: Simulation) -> None:
     if not result.conservation["balanced"]:
         raise InvariantViolation(f"conservation violated: {result.conservation}")
     # recount drops and deliveries from the raw log
-    drop_kinds = {"int_drop", "content_drop", "pending_drop", "malformed_drop"}
+    drop_kinds = {"int_drop", "content_drop", "pending_drop"}
     recount: Counter = Counter()
     delivered = 0
     served_verified: Counter = Counter()
     for line in result.log_lines:
         _, node, kind, _, reason = line.split("\t")
         if kind in drop_kinds and sim.nodes[node].role != "adversary":
-            recount[(node, reason or "Malformed")] += 1
+            recount[(node, reason)] += 1
         if kind == "content_delivered":
             delivered += 1
         if kind in ("cs_hit_served", "content_sent") and reason == "verified":

@@ -10,6 +10,21 @@ All randomness (traffic, nonces, encryption, batch exponents, adversary
 choices) flows from one seeded generator, so a run is a pure function of
 its configuration and seed.
 
+The event queue is a heap of ``(time, seq, handler, runtime, args)``;
+``run`` pops an entry and calls ``handler(runtime, time, *args)``, and
+``seq`` breaks ties in time.  Handlers are methods of the simulation: the
+receiving node's ``arrive`` (set by its role), a service's completion or a
+timer's own.  A busy node queues ``(handler, args)`` service starts.
+Protocol code (``Router.on_interest``, ``crypto.*``) is looked up where it
+is called, never stored in an event.
+
+An action of ``n`` shots reserves ``n`` consecutive sequence numbers when
+it starts, and each shot schedules the next at ``at + i * interval_ms``
+under its reserved number.  With non-negative latencies, service costs
+and intervals no handler schedules an event before its own time, so every
+shot pops exactly where queueing all of them up front would, ties
+included, while the heap holds one shot per action.
+
 Messages carry their records from the first hop.  Every sender -- a
 consumer's fetch, a producer's content, a router's forward or cache serve,
 an adversary's probe, forgery or replay -- passes the record it holds to
@@ -18,11 +33,15 @@ memoise their output on the record, so ``message._wire is wire`` means the
 record is what decoding the bytes gives (see ``wire``), and a receiver
 decodes only bytes that arrived without their record.  No simulator
 origin builds such bytes today: a run decodes nothing.  Adversary
-captures keep the record they were sent with, too.
+captures keep the record they were sent with, too.  Encoding or decoding a
+message memoises its name's bytes on the name, so whoever holds a record
+that crossed a link reads its name bytes from ``name._wire`` instead of
+asking the encoder again.
 
-Each node's link table maps an interface to the peer, the latency, the
-peer's interface for the link and the adversaries tapping it (none when
-the sender is itself an adversary), so a send is one lookup.
+Each node's link table maps an interface to the peer's runtime, the
+latency, the peer's interface for the link and the runtimes of the
+adversaries tapping it (none when the sender is itself an adversary), so
+a send is one lookup.
 
 The emission log is append-only, one line per event:
 ``time<TAB>node<TAB>kind<TAB>name-hex<TAB>reason``.
@@ -42,7 +61,6 @@ from .router import EventKind, Router
 from .wire import (
     AuthorizationPayload,
     ContentObject,
-    DecodeError,
     Interest,
     Name,
     ObfuscatedName,
@@ -155,11 +173,13 @@ class _NodeRuntime:
     tau_process_ms: float = 0.0
     tau_verify_ms: float = 0.0
     clock_offset_ms: float = 0.0
+    arrive: object = None  # handler of a message arriving here
     busy: bool = False
-    work_queue: deque = field(default_factory=deque)
-    # iface -> (peer, latency, peer's iface for the link, tapping adversaries)
+    work_queue: deque = field(default_factory=deque)  # (handler, args)
+    # iface -> (peer runtime, latency, peer's iface for the link,
+    #           runtimes of the tapping adversaries)
     ifaces: dict = field(default_factory=dict)
-    iface_to: dict = field(default_factory=dict)  # peer -> iface
+    iface_to: dict = field(default_factory=dict)  # peer id -> iface
 
 
 @dataclass
@@ -207,7 +227,7 @@ class Simulation:
         self._queue: list = []
         self._seq = 0
         self.nodes: dict[str, _NodeRuntime] = {}
-        self._taps: dict[frozenset, tuple[str, ...]] = {}
+        self._taps: dict[frozenset, tuple[_NodeRuntime, ...]] = {}
         self.actions: list[AdversaryAction] = []
         self._action_adversary: dict[int, str] = {}
         self.traffic: TrafficProfile | None = None
@@ -225,6 +245,12 @@ class Simulation:
     def _add_node(self, rt: _NodeRuntime) -> _NodeRuntime:
         if rt.node_id in self.nodes:
             raise ConfigError(f"duplicate node id {rt.node_id}")
+        rt.arrive = {
+            "router": self._arrive_at_router,
+            "producer": self._arrive_at_producer,
+            "consumer": self._consumer_arrival,
+            "adversary": self._adversary_arrival,
+        }[rt.role]
         self.nodes[rt.node_id] = rt
         return rt
 
@@ -303,9 +329,9 @@ class Simulation:
                 raise ConfigError(f"link references unknown node {end}")
         rt_a, rt_b = self.nodes[a], self.nodes[b]
         ia, ib = len(rt_a.ifaces), len(rt_b.ifaces)
-        rt_a.ifaces[ia] = (b, latency_ms, ib, ())
+        rt_a.ifaces[ia] = (rt_b, latency_ms, ib, ())
         rt_a.iface_to[b] = ia
-        rt_b.ifaces[ib] = (a, latency_ms, ia, ())
+        rt_b.ifaces[ib] = (rt_a, latency_ms, ia, ())
         rt_b.iface_to[a] = ib
         self._set_link_taps(a, b)
 
@@ -315,19 +341,19 @@ class Simulation:
         The tap covers every link between the two, added before or after it.
         """
         key = frozenset((a, b))
-        self._taps[key] = self._taps.get(key, ()) + (adversary,)
+        self._taps[key] = self._taps.get(key, ()) + (self.nodes[adversary],)
         if a in self.nodes and b in self.nodes:
             self._set_link_taps(a, b)
 
     def _set_link_taps(self, a: str, b: str) -> None:
         taps = self._taps.get(frozenset((a, b)), ())
-        for end, peer in ((a, b), (b, a)):
+        for end, peer_id in ((a, b), (b, a)):
             rt = self.nodes[end]
             if rt.role == "adversary":
                 continue
-            for iface, (peer_id, latency, arrival, _) in rt.ifaces.items():
-                if peer_id == peer:
-                    rt.ifaces[iface] = (peer_id, latency, arrival, taps)
+            for iface, (peer, latency, arrival, _) in rt.ifaces.items():
+                if peer.node_id == peer_id:
+                    rt.ifaces[iface] = (peer, latency, arrival, taps)
 
     def register_content_prefix(self, name: Name, prefix) -> None:
         self.content_prefixes[name.components] = tuple(prefix)
@@ -337,36 +363,43 @@ class Simulation:
             prefix = self.content_prefixes.get(name.components)
         if prefix is None:
             raise ConfigError(f"no routable prefix known for {name.to_uri()}")
-        self._schedule(at_ms, consumer, "timer", ("fetch", name, tuple(prefix)))
+        self._push(at_ms, self._do_fetch, self.nodes[consumer], (name, tuple(prefix)))
 
     def set_traffic(self, profile: TrafficProfile) -> None:
         self.traffic = profile
-        self._schedule(profile.start_ms, profile.consumer, "timer", ("traffic",))
+        self._push(profile.start_ms, self._do_traffic, self.nodes[profile.consumer])
 
     def schedule_action(self, adversary: str, action: AdversaryAction) -> int:
         if action.kind not in ATTACK_KINDS:
             raise ConfigError(f"unknown adversary action kind {action.kind}")
+        if not isinstance(action.count, int) or action.count < 0:
+            raise ConfigError(f"action count must be a non-negative int, got {action.count!r}")
+        for what in ("at_ms", "interval_ms"):
+            value = getattr(action, what)
+            if not value >= 0:  # also refuses NaN
+                raise ConfigError(f"action {what} must be non-negative, got {value!r}")
+        rt = self.nodes[adversary]
         index = len(self.actions)
         self.actions.append(action)
         self._action_adversary[index] = adversary
-        self._schedule(action.at_ms, adversary, "timer", ("action", index))
+        self._push(action.at_ms, self._start_action, rt, (index,))
         return index
 
     def schedule_rekey(
         self, at_ms: float, producer: str, name: Name, new_group_materials, revoke_ids
     ) -> None:
-        self._schedule(
+        self._push(
             at_ms,
-            producer,
-            "timer",
-            ("rekey", name, tuple(new_group_materials), tuple(revoke_ids)),
+            self._do_rekey,
+            self.nodes[producer],
+            (name, tuple(new_group_materials), tuple(revoke_ids)),
         )
 
     # -- event machinery ----------------------------------------------------
 
-    def _schedule(self, t: float, node: str, kind: str, payload: tuple) -> None:
+    def _push(self, t: float, handler, rt: _NodeRuntime, args: tuple = ()) -> None:
         self._seq += 1
-        heapq.heappush(self._queue, (t, self._seq, node, kind, payload))
+        heapq.heappush(self._queue, (t, self._seq, handler, rt, args))
 
     def log_event(self, t: float, node: str, kind: str, name_bytes: bytes, reason="") -> None:
         self.log_lines.append(
@@ -381,124 +414,95 @@ class Simulation:
                 wire = encode_interest(message)
             else:
                 wire = encode_content(message)
-        peer_id, latency, arrival_iface, taps = rt.ifaces[iface]
+        peer, latency, arrival_iface, taps = rt.ifaces[iface]
         if self.record_wire:
-            self.wire_trace.append((t, rt.node_id, peer_id, wire))
+            self.wire_trace.append((t, rt.node_id, peer.node_id, wire))
         if taps and isinstance(message, Interest):
             capture = _Capture(t, wire, _received(wire, message))
-            for adv_id in taps:
-                self.nodes[adv_id].obj.captures.append(capture)
-        self._schedule(t + latency, peer_id, "arrival", (arrival_iface, wire, message))
+            for adversary in taps:
+                adversary.obj.captures.append(capture)
+        self._push(t + latency, peer.arrive, peer, (arrival_iface, wire, message))
 
     def run(self) -> RunResult:
-        for node_id, rt in self.nodes.items():
+        for rt in self.nodes.values():
             if rt.role in ("router", "producer"):
-                self._schedule(self.expiry_sweep_ms, node_id, "timer", ("expire",))
-        while self._queue:
-            t, _, node_id, kind, payload = heapq.heappop(self._queue)
-            if t > self.horizon_ms:
+                self._push(self.expiry_sweep_ms, self._do_expire, rt)
+        queue = self._queue
+        horizon = self.horizon_ms
+        while queue:
+            t, _, handler, rt, args = heapq.heappop(queue)
+            if t > horizon:
                 break
             self.now = t
-            rt = self.nodes[node_id]
-            if kind == "arrival":
-                self._handle_arrival(rt, t, *payload)
-            elif kind == "service_done":
-                self._service_done(rt, t, payload[0])
-            else:
-                self._handle_timer(rt, t, payload)
+            handler(rt, t, *args)
         return self._result()
 
     # -- arrivals and the one-message-at-a-time service discipline -------------
 
-    def _handle_arrival(
+    def _arrive_at_router(
         self, rt: _NodeRuntime, t: float, iface: int, wire: bytes, message
     ) -> None:
-        if rt.role in ("router", "producer"):
-            self._offer_work(rt, t, ("msg", iface, wire, message))
-            return
-        try:
-            message = _received(wire, message)
-        except DecodeError:
-            self.log_event(t, rt.node_id, "malformed_drop", b"")
-            self.drops[(rt.node_id, "Malformed")] += 1
-            return
-        if rt.role == "consumer":
-            self._consumer_arrival(rt, t, message)
-        else:
-            self._adversary_arrival(rt, t, message)
+        self._offer_work(rt, t, self._serve_router_message, (iface, wire, message))
 
-    def _offer_work(self, rt: _NodeRuntime, t: float, item: tuple) -> None:
+    def _arrive_at_producer(
+        self, rt: _NodeRuntime, t: float, iface: int, wire: bytes, message
+    ) -> None:
+        self._offer_work(rt, t, self._serve_producer_message, (iface, wire, message))
+
+    def _flush_timer(self, rt: _NodeRuntime, t: float, key: tuple) -> None:
+        self._offer_work(rt, t, self._serve_batch_flush, (key,))
+
+    def _offer_work(self, rt: _NodeRuntime, t: float, handler, args: tuple) -> None:
+        """Serve now if the node is idle, else queue the service start."""
         if rt.busy:
-            rt.work_queue.append(item)
+            rt.work_queue.append((handler, args))
         else:
-            self._begin_service(rt, t, item)
+            rt.busy = True
+            handler(rt, t, *args)
 
-    def _begin_service(self, rt: _NodeRuntime, start: float, item: tuple) -> None:
-        """Run the handler at service start; effects leave at completion."""
-        rt.busy = True
-        if item[0] == "msg":
-            _, iface, wire, message = item
-            completion, effects = self._execute_message(rt, start, iface, wire, message)
-        else:  # queued batch flush
-            events, verifies = rt.obj.flush_batch(item[1], start)
-            completion = start + verifies * rt.tau_verify_ms
-            effects = ("router", events)
-        self._schedule(completion, rt.node_id, "service_done", (effects,))
-
-    def _execute_message(self, rt: _NodeRuntime, start: float, iface: int, wire: bytes, message):
-        try:
-            message = _received(wire, message)
-        except DecodeError:
-            return start + rt.tau_process_ms, ("malformed",)
-        if rt.role == "router":
-            router: Router = rt.obj
-            if isinstance(message, Interest):
-                events, verifies = router.on_interest(message, iface, start)
-            else:
-                events, verifies = router.on_content(message, iface, start)
-            completion = start + rt.tau_process_ms + verifies * rt.tau_verify_ms
-            return completion, ("router", events)
-        producer: Producer = rt.obj
-        name_bytes = encode_name(message.name)
-        if isinstance(message, ContentObject):
-            return start + rt.tau_process_ms, ("producer_unsolicited", name_bytes)
-        response = producer.content_object_generation(message, start)
-        completion = start + rt.tau_process_ms + response.verifies * rt.tau_verify_ms
-        self.producer_interests[(rt.node_id, name_bytes.hex())] += 1
-        return completion, ("producer", iface, name_bytes, response)
-
-    def _service_done(self, rt: _NodeRuntime, t: float, effects: tuple) -> None:
-        self._apply_effects(rt, t, effects)
+    def _next_service(self, rt: _NodeRuntime, t: float) -> None:
+        """At a service's completion, start the next queued one, if any."""
         if rt.work_queue:
-            self._begin_service(rt, t, rt.work_queue.popleft())
+            handler, args = rt.work_queue.popleft()
+            handler(rt, t, *args)
         else:
             rt.busy = False
 
-    def _apply_effects(self, rt: _NodeRuntime, at: float, effects: tuple) -> None:
-        tag = effects[0]
-        if tag == "router":
-            self._apply_router_events(rt, effects[1], at)
-        elif tag == "producer":
-            _, iface, name_bytes, response = effects
-            if response.served:
-                reason = "verified" if response.verifies else "plain"
-                self.log_event(at, rt.node_id, "content_served", name_bytes, reason)
-                self._send(rt, iface, response.content, at)
-            else:
-                reason = str(response.drop_reason)
-                self.log_event(at, rt.node_id, "int_drop", name_bytes, reason)
-                self.drops[(rt.node_id, reason)] += 1
-        elif tag == "producer_unsolicited":
-            self.log_event(at, rt.node_id, "content_drop", effects[1], "Unsolicited")
-            self.drops[(rt.node_id, "Unsolicited")] += 1
-        else:  # malformed
-            self.log_event(at, rt.node_id, "malformed_drop", b"")
-            self.drops[(rt.node_id, "Malformed")] += 1
+    # Service starts run the node's handler and schedule the completion,
+    # which applies the effects and moves on to the next queued service.
 
-    def _apply_router_events(self, rt: _NodeRuntime, events, at: float) -> None:
+    def _serve_router_message(
+        self, rt: _NodeRuntime, start: float, iface: int, wire: bytes, message
+    ) -> None:
+        message = _received(wire, message)
+        if isinstance(message, Interest):
+            events, verifies = rt.obj.on_interest(message, iface, start)
+        else:
+            events, verifies = rt.obj.on_content(message, iface, start)
+        completion = start + rt.tau_process_ms + verifies * rt.tau_verify_ms
+        self._push(completion, self._router_done, rt, (events,))
+
+    def _serve_batch_flush(self, rt: _NodeRuntime, start: float, key: tuple) -> None:
+        events, verifies = rt.obj.flush_batch(key, start)
+        self._push(start + verifies * rt.tau_verify_ms, self._router_done, rt, (events,))
+
+    def _serve_producer_message(
+        self, rt: _NodeRuntime, start: float, iface: int, wire: bytes, message
+    ) -> None:
+        message = _received(wire, message)
+        name_bytes = message.name._wire
+        if isinstance(message, ContentObject):
+            self._push(start + rt.tau_process_ms, self._unsolicited_done, rt, (name_bytes,))
+            return
+        response = rt.obj.content_object_generation(message, start)
+        completion = start + rt.tau_process_ms + response.verifies * rt.tau_verify_ms
+        self.producer_interests[(rt.node_id, name_bytes.hex())] += 1
+        self._push(completion, self._producer_done, rt, (iface, name_bytes, response))
+
+    def _router_done(self, rt: _NodeRuntime, at: float, events) -> None:
         for ev in events:
             if ev.kind is EventKind.BATCH_TIMER:
-                self._schedule(ev.at, rt.node_id, "timer", ("batch_flush", ev.batch_key))
+                self._push(ev.at, self._flush_timer, rt, (ev.batch_key,))
                 continue
             reason = "" if ev.reason is None else str(ev.reason)
             self.log_event(at, rt.node_id, ev.kind.value, ev.name_bytes, reason)
@@ -514,14 +518,36 @@ class Simulation:
                 EventKind.PENDING_DROP,
             ):
                 self.drops[(rt.node_id, reason)] += 1
+        self._next_service(rt, at)
 
-    def _consumer_arrival(self, rt: _NodeRuntime, t: float, message) -> None:
+    def _producer_done(
+        self, rt: _NodeRuntime, at: float, iface: int, name_bytes: bytes, response
+    ) -> None:
+        if response.served:
+            reason = "verified" if response.verifies else "plain"
+            self.log_event(at, rt.node_id, "content_served", name_bytes, reason)
+            self._send(rt, iface, response.content, at)
+        else:
+            reason = str(response.drop_reason)
+            self.log_event(at, rt.node_id, "int_drop", name_bytes, reason)
+            self.drops[(rt.node_id, reason)] += 1
+        self._next_service(rt, at)
+
+    def _unsolicited_done(self, rt: _NodeRuntime, at: float, name_bytes: bytes) -> None:
+        self.log_event(at, rt.node_id, "content_drop", name_bytes, "Unsolicited")
+        self.drops[(rt.node_id, "Unsolicited")] += 1
+        self._next_service(rt, at)
+
+    def _consumer_arrival(
+        self, rt: _NodeRuntime, t: float, iface: int, wire: bytes, message
+    ) -> None:
         state: _ConsumerState = rt.obj
+        message = _received(wire, message)
+        name_bytes = message.name._wire
         if isinstance(message, Interest):
-            self.log_event(t, rt.node_id, "int_drop", encode_name(message.name), "Unexpected")
+            self.log_event(t, rt.node_id, "int_drop", name_bytes, "Unexpected")
             self.drops[(rt.node_id, "Unexpected")] += 1
             return
-        name_bytes = encode_name(message.name)
         waiting = state.outstanding.get(name_bytes)
         if not waiting:
             self.log_event(t, rt.node_id, "content_drop", name_bytes, "Unsolicited")
@@ -534,11 +560,14 @@ class Simulation:
         self.counters["delivered"] += 1
         self.log_event(t, rt.node_id, "content_delivered", name_bytes)
 
-    def _adversary_arrival(self, rt: _NodeRuntime, t: float, message) -> None:
+    def _adversary_arrival(
+        self, rt: _NodeRuntime, t: float, iface: int, wire: bytes, message
+    ) -> None:
         state: _AdversaryState = rt.obj
+        message = _received(wire, message)
         if isinstance(message, Interest):
             return
-        name_bytes = encode_name(message.name)
+        name_bytes = message.name._wire
         waiting = state.pending.get(name_bytes)
         if not waiting:
             self.log_event(t, rt.node_id, "content_drop", name_bytes, "Unsolicited")
@@ -555,28 +584,10 @@ class Simulation:
 
     # -- timers ---------------------------------------------------------------
 
-    def _handle_timer(self, rt: _NodeRuntime, t: float, payload: tuple) -> None:
-        tag = payload[0]
-        if tag == "fetch":
-            _, name, prefix = payload
-            self._do_fetch(rt, name, prefix, t)
-        elif tag == "traffic":
-            self._do_traffic(rt, t)
-        elif tag == "action":
-            self._expand_action(rt, payload[1], t)
-        elif tag == "action_shot":
-            self._do_shot(rt, payload[1], payload[2], t)
-        elif tag == "batch_flush":
-            self._do_batch_flush(rt, payload[1], t)
-        elif tag == "expire":
-            self._do_expire(rt, t)
-        elif tag == "rekey":
-            self._do_rekey(rt, t, payload)
-
-    def _do_fetch(self, rt: _NodeRuntime, name: Name, prefix, t: float) -> None:
+    def _do_fetch(self, rt: _NodeRuntime, t: float, name: Name, prefix) -> None:
         state: _ConsumerState = rt.obj
         interest = interest_generation(state.ctx, prefix, name)
-        name_bytes = encode_name(interest.name)
+        name_bytes = interest.name._wire
         self.counters["injected"] += 1
         self.counters["consumer_fetches"] += 1
         out_iface = longest_prefix_match(state.fib, interest.name)
@@ -601,36 +612,36 @@ class Simulation:
         pool = profile.ibac_targets if use_ibac else profile.public_targets
         if pool:
             name = self.rng.choice(pool)
-            self._do_fetch(rt, name, self.content_prefixes[name.components], t)
+            self._do_fetch(rt, t, name, self.content_prefixes[name.components])
             self._traffic_sent += 1
         next_t = t + self.rng.expovariate(profile.lambda_per_s / 1000.0)
-        self._schedule(next_t, rt.node_id, "timer", ("traffic",))
+        self._push(next_t, self._do_traffic, rt)
 
-    def _expand_action(self, rt: _NodeRuntime, index: int, t: float) -> None:
+    def _start_action(self, rt: _NodeRuntime, t: float, index: int) -> None:
+        """Reserve a sequence number for each of the action's shots and
+        schedule the first; each shot schedules the next (``_chain_shot``)."""
         action = self.actions[index]
-        state: _AdversaryState = rt.obj
-        shot = 0
-        for _ in range(action.count):
-            self._schedule(
-                t + shot * action.interval_ms, rt.node_id, "timer", ("action_shot", index, shot)
-            )
-            shot += 1
+        shots = action.count
         if action.kind == NAME_PROBE and action.include_captured:
-            for _ in self._first_capture_of_each_name(state):
-                self._schedule(
-                    t + shot * action.interval_ms,
-                    rt.node_id,
-                    "timer",
-                    ("action_shot", index, shot),
-                )
-                shot += 1
+            shots += len(self._first_capture_of_each_name(rt.obj))
+        first_seq = self._seq + 1
+        self._seq += shots
+        self._chain_shot(rt, (index, shots, t, first_seq), 0)
+
+    def _chain_shot(self, rt: _NodeRuntime, chain: tuple, shot: int) -> None:
+        """Schedule shot ``shot`` of ``chain`` = (action index, shots, start,
+        first reserved seq), if the action has that many."""
+        index, shots, start, first_seq = chain
+        if shot < shots:
+            t = start + shot * self.actions[index].interval_ms
+            heapq.heappush(self._queue, (t, first_seq + shot, self._do_shot, rt, (chain, shot)))
 
     @staticmethod
     def _first_capture_of_each_name(state: _AdversaryState) -> list[_Capture]:
         """The first capture of each distinct name, in order of capture."""
         seen: dict[bytes, _Capture] = {}
         for capture in state.captures:
-            seen.setdefault(encode_name(capture.message.name), capture)
+            seen.setdefault(capture.message.name._wire, capture)
         return list(seen.values())
 
     def _select_capture(self, state: _AdversaryState, action: AdversaryAction, shot: int):
@@ -642,7 +653,9 @@ class Simulation:
             return state.captures[action.capture]
         return state.captures[shot % len(state.captures)]
 
-    def _do_shot(self, rt: _NodeRuntime, index: int, shot: int, t: float) -> None:
+    def _do_shot(self, rt: _NodeRuntime, t: float, chain: tuple, shot: int) -> None:
+        self._chain_shot(rt, chain, shot + 1)
+        index = chain[0]
         action = self.actions[index]
         state: _AdversaryState = rt.obj
         kind = action.kind
@@ -652,7 +665,7 @@ class Simulation:
                 self.log_event(t, rt.node_id, "adv_noop", b"", "no capture")
                 return
             message = capture.message
-            name_bytes = encode_name(message.name)
+            name_bytes = message.name._wire
             pending_kind = kind
         elif kind == FORGE_PAYLOAD:
             capture = self._select_capture(state, action, shot)
@@ -660,7 +673,7 @@ class Simulation:
                 self.log_event(t, rt.node_id, "adv_noop", b"", "no capture")
                 return
             base = capture.message
-            name_bytes = encode_name(base.name)
+            name_bytes = base.name._wire
             group_id = (
                 base.payload.group_id if base.payload else state.material.group_id
             )
@@ -695,7 +708,7 @@ class Simulation:
                     return
                 base = distinct[position].message
                 message = Interest(base.name)  # name only: payload stripped
-                name_bytes = encode_name(base.name)
+                name_bytes = base.name._wire
                 state.captured_probe_outcomes.setdefault(name_bytes.hex(), 0)
                 pending_kind = "NAME_PROBE_CAPTURED"
 
@@ -711,9 +724,6 @@ class Simulation:
         self.log_event(t, rt.node_id, "int_sent", name_bytes, f"{kind}#{index}")
         self._send(rt, target_iface, message, t)
 
-    def _do_batch_flush(self, rt: _NodeRuntime, key, t: float) -> None:
-        self._offer_work(rt, t, ("flush", key))
-
     def _do_expire(self, rt: _NodeRuntime, t: float) -> None:
         if rt.role == "router":
             for ev in rt.obj.expire(t):
@@ -722,10 +732,11 @@ class Simulation:
             rt.obj.sweep_nonces(t)
         next_t = t + self.expiry_sweep_ms
         if next_t <= self.horizon_ms:
-            self._schedule(next_t, rt.node_id, "timer", ("expire",))
+            self._push(next_t, self._do_expire, rt)
 
-    def _do_rekey(self, rt: _NodeRuntime, t: float, payload) -> None:
-        _, name, new_materials, revoke_ids = payload
+    def _do_rekey(
+        self, rt: _NodeRuntime, t: float, name: Name, new_materials, revoke_ids
+    ) -> None:
         producer: Producer = rt.obj
         for gid in revoke_ids:
             producer.revoke_group(gid)

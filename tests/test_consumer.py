@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ibac import crypto
 from ibac.consumer import ConsumerContext, ConsumerMode, interest_generation
@@ -139,3 +141,84 @@ def test_suffix_errors_propagate():
 def test_mode_scheme_validation():
     with pytest.raises(ValueError):
         make_ctx(scheme=SchemeTag.NONE)
+
+
+components = st.lists(st.binary(min_size=1, max_size=8), min_size=1, max_size=3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    key=st.binary(min_size=16, max_size=16),
+    scheme=st.sampled_from([SchemeTag.ENC, SchemeTag.HASH]),
+    mode=st.sampled_from([ConsumerMode.FULL, ConsumerMode.OBFUSCATE_ONLY]),
+    prefix=components,
+    rest=components,
+)
+def test_memoised_name_equals_a_fresh_obfuscation(key, scheme, mode, prefix, rest):
+    ctx = make_ctx(mode=mode, scheme=scheme)
+    name = Name(tuple(prefix + rest), len(prefix))
+    ctx.content_keys[name.components] = key
+    obfuscate = crypto.obfuscate_enc if scheme is SchemeTag.ENC else crypto.obfuscate_hash
+    fresh = ObfuscatedName(tuple(prefix), obfuscate(key, rest), scheme)
+    first = interest_generation(ctx, prefix, name)
+    second = interest_generation(ctx, tuple(prefix), name)
+    assert second.name is first.name  # the memo hit
+    for interest in (first, second):
+        assert interest.name == fresh
+        assert interest.name._wire == encode_name(fresh)
+
+
+def test_memo_follows_scheme_and_content_key_changes():
+    ctx = make_ctx(scheme=SchemeTag.ENC)
+    rest = [b"ics", b"home.html"]
+    own = ctx.group.obfuscation_key
+    assert interest_generation(ctx, PREFIX, NAME).name.obfuscated_suffix == (
+        crypto.obfuscate_enc(own, rest)
+    )
+    ctx.scheme = SchemeTag.HASH
+    hashed = interest_generation(ctx, PREFIX, NAME).name
+    assert hashed.scheme_tag is SchemeTag.HASH
+    assert hashed.obfuscated_suffix == crypto.obfuscate_hash(own, rest)
+    shared = bytes(range(16))
+    ctx.content_keys[NAME.components] = shared
+    assert interest_generation(ctx, PREFIX, NAME).name.obfuscated_suffix == (
+        crypto.obfuscate_hash(shared, rest)
+    )
+    ctx.scheme = SchemeTag.ENC
+    assert interest_generation(ctx, PREFIX, NAME).name.obfuscated_suffix == (
+        crypto.obfuscate_enc(shared, rest)
+    )
+    del ctx.content_keys[NAME.components]
+    assert interest_generation(ctx, PREFIX, NAME).name.obfuscated_suffix == (
+        crypto.obfuscate_enc(own, rest)
+    )
+
+
+def test_obfuscation_runs_once_per_key_scheme_and_name(monkeypatch):
+    calls = []
+    for fn in ("obfuscate_enc", "obfuscate_hash"):
+        real = getattr(crypto, fn)
+
+        def counting(k, suffix_components, fn=fn, real=real):
+            calls.append((fn, k, tuple(suffix_components)))
+            return real(k, suffix_components)
+
+        monkeypatch.setattr(crypto, fn, counting)
+    ctx = make_ctx(mode=ConsumerMode.OBFUSCATE_ONLY)
+    other = Name.from_uri("/edu/uci/ics/about.html", routable_prefix_len=2)
+    for scheme in (SchemeTag.ENC, SchemeTag.HASH, SchemeTag.ENC):
+        ctx.scheme = scheme
+        for _ in range(3):
+            for name in (NAME, other):
+                interest_generation(ctx, PREFIX, name)
+    ctx.content_keys[NAME.components] = bytes(16)
+    for _ in range(3):
+        interest_generation(ctx, PREFIX, NAME)
+    key = ctx.group.obfuscation_key
+    assert sorted(calls) == sorted([
+        ("obfuscate_enc", key, (b"ics", b"home.html")),
+        ("obfuscate_enc", key, (b"ics", b"about.html")),
+        ("obfuscate_hash", key, (b"ics", b"home.html")),
+        ("obfuscate_hash", key, (b"ics", b"about.html")),
+        ("obfuscate_enc", bytes(16), (b"ics", b"home.html")),
+    ])

@@ -280,3 +280,87 @@ def test_pit_expiry_drops_silently():
     assert len(result.deliveries) == 0
     assert result.conservation["pending_at_end"] == 1
     assert not result.nodes["r1"].pit  # swept after its 4 s lifetime
+
+
+def tie_config():
+    """Integral times everywhere: two adversary actions whose shots tie with
+    each other (intervals 1 and 2 ms from the same start), with arrivals
+    (1 ms links, 1 ms service), with fetches and with the 100 ms expiry
+    timer, which evicts short-lived cached copies."""
+    return scenario_from_dict({
+        "name": "ties",
+        "seed": 3,
+        "duration_ms": 700,
+        "expiry_sweep_ms": 100,
+        "nodes": [
+            {"id": "c1", "role": "consumer", "group": "g1", "mode": "FULL", "scheme": "ENC"},
+            {"id": "r1", "role": "router", "tau_process_s": 0.001, "tau_verify_s": 0.001},
+            {"id": "p1", "role": "producer", "prefix": "/edu/uci",
+             "tau_process_s": 0.001, "tau_verify_s": 0.001},
+            {"id": "adv", "role": "adversary"},
+        ],
+        "links": [["c1", "r1", 1], ["r1", "p1", 1], ["adv", "r1", 1]],
+        "groups": [{"id": "g1", "seed": 42}],
+        "contents": [
+            {"name": "/edu/uci/a", "groups": ["g1"], "scheme": "ENC", "policy": "FULL",
+             "expiry_ms": 200, "data_size": 16},
+            {"name": "/edu/uci/b", "scheme": "ENC", "policy": "PUBLIC",
+             "expiry_ms": 150, "data_size": 16},
+        ],
+        "fetches": [{"consumer": "c1", "name": n, "at_ms": t}
+                    for t in range(0, 600, 50) for n in ("/edu/uci/a", "/edu/uci/b")],
+        "adversary": {
+            "node": "adv",
+            "taps": [["c1", "r1"]],
+            "actions": [
+                {"kind": "NAME_PROBE", "at_ms": 100, "target": "r1", "count": 200,
+                 "interval_ms": 1, "include_captured": True, "probe_prefix": "/edu/uci"},
+                {"kind": "REPLAY_SAME_PATH", "at_ms": 100, "target": "r1", "count": 100,
+                 "interval_ms": 2},
+            ],
+        },
+    })
+
+
+def test_tied_shots_arrivals_and_expiry_keep_their_order():
+    # pinned from the simulator that scheduled every shot when its action
+    # started; shots chained under fresh sequence numbers reorder the ties
+    result, _ = run_config(tie_config())
+    assert len(result.log_lines) == 966
+    log = ("\n".join(result.log_lines) + "\n").encode()
+    assert hashlib.sha256(log).hexdigest() == (
+        "e4559af419cc0bcb77f1eaf86f445dbe68a9888a03919feb6db8575e86c5c14a"
+    )
+
+
+def test_an_action_keeps_one_shot_queued(monkeypatch):
+    # bundled name_probe: one action of 1000 random probes plus the captured names
+    sim, _ = scenario.build(scenario.load_bundled("name_probe"))
+    queued_shots = []
+    log_event = sim.log_event
+
+    def observing_log_event(*args, **kwargs):
+        queued_shots.append(sum(
+            getattr(entry[2], "__func__", None) is simnet.Simulation._do_shot
+            for entry in sim._queue
+        ))
+        log_event(*args, **kwargs)
+
+    monkeypatch.setattr(sim, "log_event", observing_log_event)
+    result = sim.run()
+    assert result.attack_stat("NAME_PROBE").attempts == 1002
+    assert max(queued_shots) == 1
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("interval_ms", -5), ("at_ms", -1.0), ("count", -1), ("count", 2.5)],
+)
+def test_bad_adversary_timing_is_rejected(field, value):
+    # a negative interval used to run the log's clock backwards (t = -4005 ms)
+    config = scenario.load_bundled("name_probe")
+    setattr(config.adversary.actions[0], field, value)
+    errors = scenario.validate(config)
+    assert [e for e in errors if e.startswith(f"adversary.actions[0]: {field} ")]
+    with pytest.raises(simnet.ConfigError, match=field):
+        scenario.build(config)
