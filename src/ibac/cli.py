@@ -4,6 +4,7 @@ the service-rate model, and validate configurations."""
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import sys
 from pathlib import Path
@@ -60,11 +61,12 @@ def cmd_validate(args) -> int:
 
 def cmd_bench(args) -> int:
     results = []
-    for batch in args.batch:
+    grid = itertools.product(args.key_bits, args.batch, args.sig_bytes)
+    for key_bits, batch, sig_bytes in grid:
         result = analysis.bench_verification(
-            key_bits=args.key_bits,
+            key_bits=key_bits,
             batch_size=batch,
-            payload_bytes=args.sig_bytes,
+            payload_bytes=sig_bytes,
             trials=args.trials,
         )
         results.append(result)
@@ -117,10 +119,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_val.set_defaults(func=cmd_validate)
 
     p_bench = sub.add_parser("bench", help="verification micro-benchmark")
-    p_bench.add_argument("--key-bits", type=int, default=1024)
+    p_bench.add_argument("--key-bits", type=int, nargs="+", default=[1024])
     p_bench.add_argument("--batch", type=int, nargs="+", default=[10])
     p_bench.add_argument("--trials", type=int, default=10)
-    p_bench.add_argument("--sig-bytes", type=int, default=512 * 1024)
+    p_bench.add_argument("--sig-bytes", type=int, nargs="+", default=[512 * 1024])
     p_bench.add_argument("--out", default=None)
     p_bench.set_defaults(func=cmd_bench)
 

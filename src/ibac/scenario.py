@@ -15,7 +15,7 @@ import copy
 import hashlib
 import json
 from collections import Counter, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
 
@@ -25,13 +25,7 @@ from . import analysis, crypto
 from .consumer import ConsumerMode
 from .producer import Producer, ProtectionPolicy
 from .router import Router, VerifyMode, VerifyStrategy
-from .simnet import (
-    ATTACK_KINDS,
-    AdversaryAction,
-    RunResult,
-    Simulation,
-    TrafficProfile,
-)
+from .simnet import AdversaryAction, RunResult, Simulation, TrafficProfile
 from .wire import Name, SchemeTag
 
 DEFAULT_TAU_PROCESS_S = 0.005
@@ -97,38 +91,11 @@ class FetchSpec:
 
 
 @dataclass
-class ActionSpec:
-    kind: str
-    at_ms: float
-    target: str
-    count: int = 1
-    interval_ms: float = 1.0
-    capture: int | str = "cycle"
-    include_captured: bool = False
-    probe_prefix: str | None = None
-    probe_scheme: str = "HASH"
-    probe_suffix_len: int = 32
-    label: str = ""
-
-
-@dataclass
 class AdversarySpec:
     node: str
     keypair_seed: int = 0xADF
     taps: list[list[str]] = field(default_factory=list)
-    actions: list[ActionSpec] = field(default_factory=list)
-
-
-@dataclass
-class TrafficSpec:
-    consumer: str
-    lambda_per_s: float
-    delta: float
-    start_ms: float = 0.0
-    max_interests: int | None = None
-    end_ms: float | None = None
-    ibac_targets: list[str] = field(default_factory=list)
-    public_targets: list[str] = field(default_factory=list)
+    actions: list[AdversaryAction] = field(default_factory=list)
 
 
 @dataclass
@@ -162,7 +129,7 @@ class ScenarioConfig:
     groups: list[GroupSpec] = field(default_factory=list)
     contents: list[ContentSpec] = field(default_factory=list)
     fetches: list[FetchSpec] = field(default_factory=list)
-    traffic: TrafficSpec | None = None
+    traffic: TrafficProfile | None = None
     adversary: AdversarySpec | None = None
     rekeys: list[RekeySpec] = field(default_factory=list)
     sweep: SweepSpec | None = None
@@ -258,14 +225,14 @@ def scenario_from_dict(raw: dict, source: str = "<dict>") -> ScenarioConfig:
         if spec:
             config.fetches.append(spec)
     if "traffic" in raw and raw["traffic"] is not None:
-        config.traffic = _build_dataclass(TrafficSpec, raw["traffic"], "traffic", errors)
+        config.traffic = _build_dataclass(TrafficProfile, raw["traffic"], "traffic", errors)
     if "adversary" in raw and raw["adversary"] is not None:
         adv_raw = dict(raw["adversary"])
         actions_raw = adv_raw.pop("actions", [])
         adv = _build_dataclass(AdversarySpec, adv_raw, "adversary", errors)
         if adv:
             for i, item in enumerate(actions_raw):
-                spec = _build_dataclass(ActionSpec, item, f"adversary.actions[{i}]", errors)
+                spec = _build_dataclass(AdversaryAction, item, f"adversary.actions[{i}]", errors)
                 if spec:
                     adv.actions.append(spec)
             config.adversary = adv
@@ -333,11 +300,20 @@ def validate(config: ScenarioConfig) -> list[str]:
             errors.append(f"producer {n.id}: missing prefix")
         if n.role == "router" and n.verify_mode not in ("INDIVIDUAL", "BATCH"):
             errors.append(f"router {n.id}: unknown verify_mode {n.verify_mode!r}")
+        # a negative cost or timeout finishes a service before it starts,
+        # which runs the log's clock backwards; ``not >= 0`` also refuses NaN
+        for what in ("tau_process_s", "tau_verify_s", "batch_timeout_ms"):
+            value = getattr(n, what)
+            if not isinstance(value, (int, float)) or not value >= 0:
+                errors.append(f"{n.role} {n.id}: {what} must be a non-negative number")
 
     if not isinstance(config.seed, int):
         errors.append("seed must be an integer")
     if config.kappa not in crypto.SUPPORTED_KAPPA:
         errors.append(f"kappa must be one of {crypto.SUPPORTED_KAPPA}")
+    sweep_ms = config.expiry_sweep_ms
+    if not (isinstance(sweep_ms, (int, float)) and sweep_ms > 0):
+        errors.append("expiry_sweep_ms must be positive")
 
     adjacency: dict[str, set[str]] = {n: set() for n in node_ids}
     for a, b, latency in config.links:
@@ -399,10 +375,7 @@ def validate(config: ScenarioConfig) -> list[str]:
         t = config.traffic
         if t.consumer not in nodes or nodes[t.consumer].role != "consumer":
             errors.append(f"traffic: unknown consumer {t.consumer!r}")
-        if not 0.0 <= t.delta <= 1.0:
-            errors.append(f"traffic: delta {t.delta} outside [0, 1]")
-        if t.lambda_per_s <= 0:
-            errors.append("traffic: lambda_per_s must be positive")
+        errors += [f"traffic: {problem}" for problem in t.problems()]
         for name in list(t.ibac_targets) + list(t.public_targets):
             if name not in content_names:
                 errors.append(f"traffic target {name}: content not in catalog")
@@ -416,25 +389,11 @@ def validate(config: ScenarioConfig) -> list[str]:
                 errors.append(f"adversary tap ({a}, {b}): no such link")
         for i, action in enumerate(adv.actions):
             where = f"adversary.actions[{i}]"
-            if action.kind not in ATTACK_KINDS:
-                errors.append(f"{where}: unknown kind {action.kind!r}")
+            errors += [f"{where}: {problem}" for problem in action.problems()]
             if action.target not in nodes:
                 errors.append(f"{where}: unknown target {action.target!r}")
             elif adv.node in adjacency and action.target not in adjacency.get(adv.node, ()):
                 errors.append(f"{where}: adversary has no direct link to {action.target}")
-            if action.kind == "NAME_PROBE" and not action.probe_prefix:
-                errors.append(f"{where}: NAME_PROBE needs probe_prefix")
-            if action.probe_scheme not in SchemeTag.__members__:
-                errors.append(f"{where}: unknown probe_scheme {action.probe_scheme!r}")
-            if not isinstance(action.probe_suffix_len, int) or action.probe_suffix_len <= 0:
-                errors.append(f"{where}: probe_suffix_len must be a positive integer")
-            if not isinstance(action.count, int) or action.count < 0:
-                errors.append(f"{where}: count must be a non-negative integer")
-            for what in ("at_ms", "interval_ms"):
-                value = getattr(action, what)
-                # ``not >= 0`` also refuses NaN
-                if not isinstance(value, (int, float)) or not value >= 0:
-                    errors.append(f"{where}: {what} must be a non-negative number")
 
     for r in config.rekeys:
         if r.content not in content_names:
@@ -616,42 +575,14 @@ def build(config: ScenarioConfig) -> tuple[Simulation, BuildInfo]:
         t = config.traffic
         ibac = t.ibac_targets or [c.name for c in config.contents if c.policy != "PUBLIC"]
         public = t.public_targets or [c.name for c in config.contents if c.policy == "PUBLIC"]
-        sim.set_traffic(
-            TrafficProfile(
-                consumer=t.consumer,
-                lambda_per_s=t.lambda_per_s,
-                delta=t.delta,
-                start_ms=t.start_ms,
-                ibac_targets=[info.content_names[n] for n in ibac],
-                public_targets=[info.content_names[n] for n in public],
-                max_interests=t.max_interests,
-                end_ms=t.end_ms,
-            )
-        )
+        sim.set_traffic(replace(t, ibac_targets=ibac, public_targets=public))
 
     if config.adversary is not None:
         adv = config.adversary
         for a, b in adv.taps:
             sim.add_tap(a, b, adv.node)
         for action in adv.actions:
-            sim.schedule_action(
-                adv.node,
-                AdversaryAction(
-                    kind=action.kind,
-                    at_ms=action.at_ms,
-                    target=action.target,
-                    count=action.count,
-                    interval_ms=action.interval_ms,
-                    capture=action.capture,
-                    include_captured=action.include_captured,
-                    probe_prefix=_parse_prefix(action.probe_prefix)
-                    if action.probe_prefix
-                    else None,
-                    probe_scheme=SchemeTag[action.probe_scheme],
-                    probe_suffix_len=action.probe_suffix_len,
-                    label=action.label,
-                ),
-            )
+            sim.schedule_action(adv.node, action)
 
     for r in config.rekeys:
         name = info.content_names[r.content]

@@ -43,6 +43,15 @@ latency, the peer's interface for the link and the runtimes of the
 adversaries tapping it (none when the sender is itself an adversary), so
 a send is one lookup.
 
+``AdversaryAction`` and ``TrafficProfile`` hold values as a scenario file
+writes them: a probe prefix is a URI, a probe scheme a ``SchemeTag`` name
+and a traffic target a content URI.  Each lists its own field errors
+(``problems()``), which ``schedule_action`` and ``set_traffic`` raise as
+``ConfigError``.  The simulator resolves the file values once: a probe's
+prefix and scheme when its action starts, and the traffic targets to the
+registered names and their prefixes in ``set_traffic``, never per shot or
+per fetch.
+
 The emission log is append-only, one line per event:
 ``time<TAB>node<TAB>kind<TAB>name-hex<TAB>reason``.
 """
@@ -98,6 +107,8 @@ def _received(wire: bytes, message):
 
 @dataclass
 class AdversaryAction:
+    """One scripted attack, as a scenario file writes it."""
+
     kind: str
     at_ms: float
     target: str
@@ -105,22 +116,57 @@ class AdversaryAction:
     interval_ms: float = 1.0
     capture: int | str = "cycle"  # capture index, or "cycle" over all captures
     include_captured: bool = False
-    probe_prefix: tuple[bytes, ...] | None = None
-    probe_scheme: SchemeTag = SchemeTag.HASH
+    probe_prefix: str | None = None  # URI of the probed routable prefix
+    probe_scheme: str = "HASH"  # a ``SchemeTag`` name
     probe_suffix_len: int = 32
     label: str = ""
+
+    def problems(self) -> list[str]:
+        """What is wrong with the action's own fields; empty when it can run."""
+        out = []
+        if self.kind not in ATTACK_KINDS:
+            out.append(f"unknown kind {self.kind!r}")
+        if self.kind == NAME_PROBE and not (
+            isinstance(self.probe_prefix, str) and self.probe_prefix.strip("/")
+        ):
+            out.append("NAME_PROBE needs probe_prefix")
+        scheme = self.probe_scheme
+        if not (isinstance(scheme, str) and scheme in SchemeTag.__members__):
+            out.append(f"unknown probe_scheme {scheme!r}")
+        if not isinstance(self.probe_suffix_len, int) or self.probe_suffix_len <= 0:
+            out.append("probe_suffix_len must be a positive integer")
+        if not isinstance(self.count, int) or self.count < 0:
+            out.append("count must be a non-negative integer")
+        for what in ("at_ms", "interval_ms"):
+            value = getattr(self, what)
+            # ``not >= 0`` also refuses NaN
+            if not isinstance(value, (int, float)) or not value >= 0:
+                out.append(f"{what} must be a non-negative number")
+        return out
 
 
 @dataclass
 class TrafficProfile:
+    """Poisson fetches by one consumer, as a scenario file writes them: the
+    targets are content URIs."""
+
     consumer: str
     lambda_per_s: float
     delta: float
-    start_ms: float
-    ibac_targets: list[Name]
-    public_targets: list[Name]
+    start_ms: float = 0.0
     max_interests: int | None = None
     end_ms: float | None = None
+    ibac_targets: list[str] = field(default_factory=list)
+    public_targets: list[str] = field(default_factory=list)
+
+    def problems(self) -> list[str]:
+        """What is wrong with the profile's own fields; empty when it can run."""
+        out = []
+        if not (isinstance(self.delta, (int, float)) and 0.0 <= self.delta <= 1.0):
+            out.append(f"delta {self.delta} outside [0, 1]")
+        if not (isinstance(self.lambda_per_s, (int, float)) and self.lambda_per_s > 0):
+            out.append("lambda_per_s must be positive")
+        return out
 
 
 @dataclass
@@ -218,6 +264,9 @@ class Simulation:
         expiry_sweep_ms: float = 500.0,
         record_wire: bool = False,
     ):
+        if not (isinstance(expiry_sweep_ms, (int, float)) and expiry_sweep_ms > 0):
+            # the sweep reschedules itself this far ahead; at 0 it never ends
+            raise ConfigError(f"expiry_sweep_ms must be positive, got {expiry_sweep_ms!r}")
         self.seed = seed
         self.rng = random.Random(seed)
         self.horizon_ms = horizon_ms
@@ -230,7 +279,6 @@ class Simulation:
         self._taps: dict[frozenset, tuple[_NodeRuntime, ...]] = {}
         self.actions: list[AdversaryAction] = []
         self._action_adversary: dict[int, str] = {}
-        self.traffic: TrafficProfile | None = None
         self._traffic_sent = 0
         self.content_prefixes: dict[tuple[bytes, ...], tuple[bytes, ...]] = {}
         self.log_lines: list[str] = []
@@ -366,18 +414,25 @@ class Simulation:
         self._push(at_ms, self._do_fetch, self.nodes[consumer], (name, tuple(prefix)))
 
     def set_traffic(self, profile: TrafficProfile) -> None:
-        self.traffic = profile
-        self._push(profile.start_ms, self._do_traffic, self.nodes[profile.consumer])
+        """Start ``profile``; its targets must name registered contents."""
+        problems = profile.problems()
+        pools = ([], [])  # (name, routable prefix) of each IBAC and public target
+        for pool, uris in zip(pools, (profile.ibac_targets, profile.public_targets)):
+            for name in map(Name.from_uri, uris):
+                prefix = self.content_prefixes.get(name.components)
+                if prefix is None:
+                    problems.append(f"target {name.to_uri()!r}: no content registered")
+                else:
+                    pool.append((name, prefix))
+        if problems:
+            raise ConfigError("traffic: " + "; ".join(problems))
+        rt = self.nodes[profile.consumer]
+        self._push(profile.start_ms, self._do_traffic, rt, (profile, *pools))
 
     def schedule_action(self, adversary: str, action: AdversaryAction) -> int:
-        if action.kind not in ATTACK_KINDS:
-            raise ConfigError(f"unknown adversary action kind {action.kind}")
-        if not isinstance(action.count, int) or action.count < 0:
-            raise ConfigError(f"action count must be a non-negative int, got {action.count!r}")
-        for what in ("at_ms", "interval_ms"):
-            value = getattr(action, what)
-            if not value >= 0:  # also refuses NaN
-                raise ConfigError(f"action {what} must be non-negative, got {value!r}")
+        problems = action.problems()
+        if problems:
+            raise ConfigError("adversary action: " + "; ".join(problems))
         rt = self.nodes[adversary]
         index = len(self.actions)
         self.actions.append(action)
@@ -600,38 +655,41 @@ class Simulation:
         self.log_event(t, rt.node_id, "int_sent", name_bytes)
         self._send(rt, out_iface, interest, t)
 
-    def _do_traffic(self, rt: _NodeRuntime, t: float) -> None:
-        profile = self.traffic
-        if profile is None:
-            return
+    def _do_traffic(
+        self, rt: _NodeRuntime, t: float, profile: TrafficProfile, ibac: list, public: list
+    ) -> None:
         if profile.max_interests is not None and self._traffic_sent >= profile.max_interests:
             return
         if profile.end_ms is not None and t > profile.end_ms:
             return
-        use_ibac = profile.ibac_targets and self.rng.random() < profile.delta
-        pool = profile.ibac_targets if use_ibac else profile.public_targets
+        use_ibac = ibac and self.rng.random() < profile.delta
+        pool = ibac if use_ibac else public
         if pool:
-            name = self.rng.choice(pool)
-            self._do_fetch(rt, t, name, self.content_prefixes[name.components])
+            self._do_fetch(rt, t, *self.rng.choice(pool))
             self._traffic_sent += 1
         next_t = t + self.rng.expovariate(profile.lambda_per_s / 1000.0)
-        self._push(next_t, self._do_traffic, rt)
+        self._push(next_t, self._do_traffic, rt, (profile, ibac, public))
 
     def _start_action(self, rt: _NodeRuntime, t: float, index: int) -> None:
         """Reserve a sequence number for each of the action's shots and
-        schedule the first; each shot schedules the next (``_chain_shot``)."""
+        schedule the first; each shot schedules the next (``_chain_shot``).
+        A probe's prefix and scheme are resolved here, once."""
         action = self.actions[index]
         shots = action.count
-        if action.kind == NAME_PROBE and action.include_captured:
-            shots += len(self._first_capture_of_each_name(rt.obj))
+        probe = None
+        if action.kind == NAME_PROBE:
+            probe = (Name.from_uri(action.probe_prefix).components, SchemeTag[action.probe_scheme])
+            if action.include_captured:
+                shots += len(self._first_capture_of_each_name(rt.obj))
         first_seq = self._seq + 1
         self._seq += shots
-        self._chain_shot(rt, (index, shots, t, first_seq), 0)
+        self._chain_shot(rt, (index, shots, t, first_seq, probe), 0)
 
     def _chain_shot(self, rt: _NodeRuntime, chain: tuple, shot: int) -> None:
         """Schedule shot ``shot`` of ``chain`` = (action index, shots, start,
-        first reserved seq), if the action has that many."""
-        index, shots, start, first_seq = chain
+        first reserved seq, probe prefix and scheme), if the action has that
+        many."""
+        index, shots, start, first_seq, _ = chain
         if shot < shots:
             t = start + shot * self.actions[index].interval_ms
             heapq.heappush(self._queue, (t, first_seq + shot, self._do_shot, rt, (chain, shot)))
@@ -691,13 +749,11 @@ class Simulation:
             pending_kind = kind
         else:  # NAME_PROBE
             if shot < action.count:
-                prefix = action.probe_prefix
-                if prefix is None:
-                    raise ConfigError("NAME_PROBE needs probe_prefix")
+                prefix, scheme = chain[4]
                 suffix_bytes = self.rng.getrandbits(action.probe_suffix_len * 8).to_bytes(
                     action.probe_suffix_len, "big"
                 )
-                name = ObfuscatedName(prefix, suffix_bytes, action.probe_scheme)
+                name = ObfuscatedName(prefix, suffix_bytes, scheme)
                 message = Interest(name)
                 name_bytes = encode_name(name)
                 pending_kind = kind

@@ -134,6 +134,18 @@ def test_bad_probe_suffix_len_rejected(length):
     assert any("probe_suffix_len must be a positive integer" in e for e in err.value.errors)
 
 
+@pytest.mark.parametrize("field", ["tau_process_s", "tau_verify_s", "batch_timeout_ms"])
+@pytest.mark.parametrize("value", [-0.5, float("nan")])
+def test_negative_service_times_are_reported(field, value):
+    # each one finishes a service before it starts and runs the log's clock backwards
+    config = load_bundled("figure_sequence")
+    router = next(n for n in config.nodes if n.role == "router")
+    setattr(router, field, value)
+    assert f"router {router.id}: {field} must be a non-negative number" in scenario.validate(
+        config
+    )
+
+
 @pytest.mark.parametrize(
     "name", [n for n in BUNDLED_SCENARIOS if n != "service_rate_sweep"]
 )
@@ -264,11 +276,14 @@ def test_cli_run_writes_outputs(tmp_path):
 def test_cli_bench_writes_csv(tmp_path, capsys):
     out = tmp_path / "bench"
     code = cli.main([
-        "bench", "--key-bits", "512", "--batch", "2", "--trials", "2",
+        "bench", "--key-bits", "512", "1024", "--batch", "2", "3", "--trials", "2",
         "--sig-bytes", "1024", "--out", str(out),
     ])
     assert code == 0
-    assert (out / "bench.csv").exists()
+    rows = (out / "bench.csv").read_text().splitlines()[1:]
+    assert sorted(tuple(r.split(",")[:2]) for r in rows) == [
+        ("1024", "2"), ("1024", "3"), ("512", "2"), ("512", "3"),
+    ]
 
 
 def test_cli_out_dir_env(tmp_path, monkeypatch):

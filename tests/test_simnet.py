@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -364,3 +365,47 @@ def test_bad_adversary_timing_is_rejected(field, value):
     assert [e for e in errors if e.startswith(f"adversary.actions[0]: {field} ")]
     with pytest.raises(simnet.ConfigError, match=field):
         scenario.build(config)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("probe_scheme", "BOGUS"), ("probe_suffix_len", 0), ("probe_prefix", None)],
+)
+def test_bad_probe_fields_are_rejected_before_the_run(field, value):
+    # each used to pass build and fail at the first shot, or raise KeyError in build
+    config = scenario.load_bundled("name_probe")
+    setattr(config.adversary.actions[0], field, value)
+    errors = scenario.validate(config)
+    assert [e for e in errors if e.startswith("adversary.actions[0]: ") and field in e]
+    with pytest.raises(simnet.ConfigError, match=field):
+        scenario.build(config)
+
+
+@pytest.mark.parametrize(
+    "change, problem",
+    [
+        ({"lambda_per_s": 0}, "lambda_per_s must be positive"),
+        ({"public_targets": ["/edu/uci/public/z"]}, "'/edu/uci/public/z': no content registered"),
+    ],
+)
+def test_set_traffic_rejects_a_profile_that_cannot_run(change, problem):
+    # lambda_per_s 0 used to end the run in a ZeroDivisionError
+    config = scenario.load_bundled("service_rate_sweep")
+    profile = replace(config.traffic, **change)
+    config.traffic = None
+    sim, _ = scenario.build(config)
+    with pytest.raises(simnet.ConfigError, match=problem):
+        sim.set_traffic(profile)
+    assert not any(entry[2] == sim._do_traffic for entry in sim._queue)
+
+
+@pytest.mark.parametrize("value", [0, -1.0, math.nan])
+def test_expiry_sweep_must_be_positive(value):
+    # the expiry sweep reschedules itself expiry_sweep_ms later: at 0 ``run`` never returns
+    config = scenario.load_bundled("figure_sequence")
+    config.expiry_sweep_ms = value
+    assert "expiry_sweep_ms must be positive" in scenario.validate(config)
+    with pytest.raises(simnet.ConfigError, match="expiry_sweep_ms"):
+        scenario.build(config)
+    with pytest.raises(simnet.ConfigError, match="expiry_sweep_ms"):
+        simnet.Simulation(expiry_sweep_ms=value)
