@@ -31,12 +31,18 @@ verification yet passes a batch with fair probability; the repair is open
 
 Exponentiation engine.  Every exponent raised to a fixed base (``g`` and
 the public keys ``y``) is below q, so each such base gets a fixed-base
-table (a comb after Lim-Lee, CRYPTO '94): ``base^e`` is one multiplication
-per nonzero w-bit window of ``e`` plus a few squarings.  ``g`` has one
-table per group for the life of the process.  Public keys share a small
-LRU of tables keyed by ``(p, y)``; a key's table is built on its second
-use, so a stream of one-shot keys never pays for (or evicts) tables.
-Exponents longer than a table fall back to built-in ``pow``.  The batch
+table (Brickell-Gordon-McCurley-Wilson, EUROCRYPT '92): row ``i`` holds
+``base^(d * 256^i)`` for every byte value ``d``, and ``base^e`` is one
+multiplication per nonzero byte of ``e``, at most 32, with no squarings.
+A new table builds only the nibble entries of each row (``d < 16`` and
+the multiples of 16), about 1,000 multiplications; every other entry is
+the product of its two nibble entries, made the first time an exponent
+needs it and kept.  A full table is 32 x 256 entries, about 0.8 MB at
+512 bits and 3.5 MB at 3072.  ``g`` has one table per group for the life
+of the process.  Public keys share a small LRU of tables keyed by
+``(p, y)``; a key's table is built on its second use, so a stream of
+one-shot keys never pays for (or evicts) tables.  Exponents longer than a
+table, or negative, fall back to built-in ``pow``.  The batch
 product ``prod R_i^{z_i}`` is one Straus interleaved multi-exponentiation
 with shared squarings (Moeller, SAC 2001).  The engine returns exactly
 what ``pow`` returns, so signatures are unchanged.
@@ -156,8 +162,6 @@ def _expand(seed: int, label: bytes, nbytes: int) -> bytes:
 # ---------------------------------------------------------------------------
 # exponentiation engine
 
-FIXED_BASE_WINDOW = 6
-FIXED_BASE_PASSES = 2  # halves the table (and its build) for w squarings
 FIXED_BASE_EXP_BITS = 256  # every fixed-base exponent is reduced mod q
 KEY_TABLE_CAP = 8  # public-key tables kept per process
 KEY_SEEN_CAP = 64  # public keys remembered as used once, awaiting a table
@@ -176,25 +180,26 @@ def _powers(b: int, count: int, p: int) -> list[int]:
 class FixedBaseTable:
     """``base^e mod p`` for ``e < 2^FIXED_BASE_EXP_BITS`` by table lookup.
 
-    The exponent's w-bit windows are dealt round-robin to the passes; row
-    ``i`` holds ``base^(d * 2^(w*passes*i))`` for every digit ``d``, so pass
-    ``k`` multiplies in one entry per nonzero window ``passes*i + k`` and
-    the passes are joined by w squarings each (a comb with ``passes``
-    teeth).
+    Row ``i`` holds ``base^(d * 256^i)`` at index ``d`` for every byte value
+    ``d``, so ``base^e`` is one product per nonzero byte of ``e`` and no
+    squarings.  Only the nibble entries (``d < 16`` and the multiples of
+    16) are built up front; any other entry is ``row[d & 0xF0] *
+    row[d & 0x0F]``, made the first time an exponent needs it and kept.
     """
 
     __slots__ = ("p", "rows")
 
     def __init__(self, base: int, p: int):
-        stride = FIXED_BASE_WINDOW * FIXED_BASE_PASSES
         b = base % p
         rows = []
-        for _ in range(-(-FIXED_BASE_EXP_BITS // stride)):
-            row = _powers(b, 1 << FIXED_BASE_WINDOW, p)
+        for _ in range(FIXED_BASE_EXP_BITS // 8):
+            lo = _powers(b, 17, p)  # b^0 .. b^16
+            hi = _powers(lo[16], 16, p)  # b^0, b^16, .. b^240
+            row = [None] * 256
+            row[:16] = lo[:16]
+            row[::16] = hi
             rows.append(row)
-            b = row[-1] * b % p  # b^(2^w)
-            for _ in range(stride - FIXED_BASE_WINDOW):
-                b = b * b % p  # the next row's base, b^(2^stride)
+            b = hi[15] * lo[16] % p  # the next row's base, b^256
         self.p = p
         self.rows = rows
 
@@ -202,21 +207,13 @@ class FixedBaseTable:
         if e >> FIXED_BASE_EXP_BITS:  # over-length (or negative) exponent
             return pow(self.rows[0][1], e, self.p)
         p = self.p
-        mask = (1 << FIXED_BASE_WINDOW) - 1
-        stride = FIXED_BASE_WINDOW * FIXED_BASE_PASSES
         acc = 1
-        for k in range(FIXED_BASE_PASSES - 1, -1, -1):
-            if acc != 1:
-                for _ in range(FIXED_BASE_WINDOW):
-                    acc = acc * acc % p
-            x = e >> (FIXED_BASE_WINDOW * k)
-            for row in self.rows:
-                if not x:
-                    break
-                digit = x & mask
-                if digit:
-                    acc = acc * row[digit] % p
-                x >>= stride
+        for row, d in zip(self.rows, e.to_bytes(FIXED_BASE_EXP_BITS // 8, "little")):
+            if d:
+                x = row[d]
+                if x is None:
+                    x = row[d] = row[d & 0xF0] * row[d & 0x0F] % p
+                acc = acc * x % p
         return acc
 
 

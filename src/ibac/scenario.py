@@ -211,6 +211,9 @@ def scenario_from_dict(raw: dict, source: str = "<dict>") -> ScenarioConfig:
         if not (isinstance(item, (list, tuple)) and len(item) == 3):
             errors.append(f"links[{i}]: expected [a, b, latency_ms]")
             continue
+        if not isinstance(item[2], (int, float)):
+            errors.append(f"links[{i}]: latency_ms must be a number")
+            continue
         config.links.append((str(item[0]), str(item[1]), float(item[2])))
     for i, item in enumerate(raw.get("groups", [])):
         spec = _build_dataclass(GroupSpec, item, f"groups[{i}]", errors)
@@ -320,7 +323,7 @@ def validate(config: ScenarioConfig) -> list[str]:
         for end in (a, b):
             if end not in nodes:
                 errors.append(f"link ({a}, {b}): unknown node {end}")
-        if latency <= 0:
+        if not latency > 0:  # also refuses NaN
             errors.append(f"link ({a}, {b}): latency must be positive")
         if a in adjacency and b in adjacency:
             adjacency[a].add(b)
@@ -355,8 +358,8 @@ def validate(config: ScenarioConfig) -> list[str]:
             errors.append(f"content {c.name}: unknown policy {c.policy!r}")
         if c.scheme not in ("ENC", "HASH"):
             errors.append(f"content {c.name}: unknown scheme {c.scheme!r}")
-        if c.expiry_ms <= 0:
-            errors.append(f"content {c.name}: expiry_ms must be positive")
+        if not (isinstance(c.expiry_ms, (int, float)) and c.expiry_ms > 0):
+            errors.append(f"content {c.name}: expiry_ms must be a positive number")
         if c.policy == "PUBLIC" and c.groups:
             errors.append(f"content {c.name}: public content cannot list groups")
         if c.policy != "PUBLIC" and not c.groups:
@@ -403,13 +406,23 @@ def validate(config: ScenarioConfig) -> list[str]:
                 errors.append(f"rekey of {r.content}: undefined group {gid!r}")
 
     if config.sweep is not None:
-        if config.sweep.router not in nodes or nodes[config.sweep.router].role != "router":
-            errors.append(f"sweep: router {config.sweep.router!r} not a router node")
+        sweep = config.sweep
+        if sweep.router not in nodes or nodes[sweep.router].role != "router":
+            errors.append(f"sweep: router {sweep.router!r} not a router node")
         if config.traffic is None:
             errors.append("sweep: requires a traffic profile")
-        for d in config.sweep.deltas:
-            if not 0.0 <= d <= 1.0:
-                errors.append(f"sweep delta {d} outside [0, 1]")
+        if not isinstance(sweep.deltas, (list, tuple)):
+            errors.append("sweep: deltas must be a list")
+        else:
+            for d in sweep.deltas:
+                if not (isinstance(d, (int, float)) and 0.0 <= d <= 1.0):
+                    errors.append(f"sweep delta {d!r} outside [0, 1]")
+        if not (isinstance(sweep.interests_per_point, int) and sweep.interests_per_point > 0):
+            errors.append("sweep: interests_per_point must be a positive integer")
+        if not (isinstance(sweep.tail_ms, (int, float)) and sweep.tail_ms >= 0):
+            errors.append("sweep: tail_ms must be a non-negative number")
+        if not (isinstance(sweep.saturation_factor, (int, float)) and sweep.saturation_factor > 0):
+            errors.append("sweep: saturation_factor must be a positive number")
 
     # connectivity: every consumer must reach at least one producer
     producer_ids = {n.id for n in producers}

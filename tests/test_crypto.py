@@ -330,6 +330,46 @@ def test_fixed_base_table_equals_pow(key_bits, data):
 
 
 @pytest.mark.parametrize("key_bits", KEY_SIZES)
+def test_fixed_base_table_every_byte_at_first_middle_and_last_row(key_bits):
+    group = crypto.signature_group(key_bits)
+    base = group.p - 2
+    table = crypto.FixedBaseTable(base, group.p)
+    # only the nibble entries (d < 16 and multiples of 16) exist before use
+    assert all(sum(x is not None for x in row) == 31 for row in table.rows)
+    for _ in range(2):  # the second pass reads the entries the first one made
+        for i in (0, 15, 31):
+            row_base = pow(base, 1 << 8 * i, group.p)
+            for d in range(256):
+                assert table.power(d << 8 * i) == pow(row_base, d, group.p)
+    for i, row in enumerate(table.rows):
+        assert len(row) <= 256
+        assert (None in row) == (i not in (0, 15, 31))
+
+
+@pytest.mark.parametrize("key_bits", KEY_SIZES)
+def test_fixed_base_table_edge_exponents(key_bits):
+    group = crypto.signature_group(key_bits)
+    table = crypto.FixedBaseTable(group.g, group.p)
+    top = (1 << crypto.FIXED_BASE_EXP_BITS) - 1
+    exponents = [
+        0,
+        1,
+        top,
+        top ^ (0xFF << 64),  # one interior zero byte
+        top ^ ((1 << 192) - (1 << 8)),  # interior zero bytes 1..23
+        (1 << 255) | 1,  # zeros everywhere but the ends
+        0x01_00_00_FF_00_7F << 100,
+        1 << crypto.FIXED_BASE_EXP_BITS,  # over-length: the pow fallback
+        (1 << 300) + 12345,
+    ]
+    for e in exponents + exponents:  # repeated calls on one table
+        assert table.power(e) == pow(group.g, e, group.p)
+    for e in (-1, -(1 << 255), -top):  # negative: the pow fallback (an inverse)
+        assert table.power(e) == pow(group.g, e, group.p)
+    assert all(len(row) <= 256 for row in table.rows)
+
+
+@pytest.mark.parametrize("key_bits", KEY_SIZES)
 @settings(max_examples=4, deadline=None)
 @given(data=st.data())
 def test_key_power_equals_pow_before_and_after_its_table(key_bits, data):

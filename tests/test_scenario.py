@@ -2,6 +2,7 @@ import json
 from collections import Counter
 
 import pytest
+import yaml
 
 from ibac import cli, scenario
 from ibac.scenario import (
@@ -144,6 +145,54 @@ def test_negative_service_times_are_reported(field, value):
     assert f"router {router.id}: {field} must be a non-negative number" in scenario.validate(
         config
     )
+
+
+def sweep_raw(**sweep):
+    return minimal_raw(
+        traffic={"consumer": "cr1", "lambda_per_s": 10, "delta": 0.5},
+        sweep=dict({"router": "r1"}, **sweep),
+    )
+
+
+def _link_latency(value):
+    raw = minimal_raw()
+    raw["links"][1][2] = value
+    return raw
+
+
+def _content_expiry(value):
+    raw = minimal_raw()
+    raw["contents"][0]["expiry_ms"] = value
+    return raw
+
+
+@pytest.mark.parametrize(
+    "raw, message",
+    [
+        (_link_latency("fast"), "links[1]: latency_ms must be a number"),
+        (_link_latency(float("nan")), "link (r1, p1): latency must be positive"),
+        (_content_expiry("soon"), "content /edu/uci/x: expiry_ms must be a positive number"),
+        (sweep_raw(deltas=["x"]), "sweep delta 'x' outside [0, 1]"),
+        (sweep_raw(deltas=0.5), "sweep: deltas must be a list"),
+        (sweep_raw(interests_per_point="many"),
+         "sweep: interests_per_point must be a positive integer"),
+        (sweep_raw(tail_ms="long"), "sweep: tail_ms must be a non-negative number"),
+        (sweep_raw(saturation_factor="2x"),
+         "sweep: saturation_factor must be a positive number"),
+    ],
+    ids=["latency", "latency-nan", "expiry_ms", "deltas-item", "deltas", "interests_per_point",
+         "tail_ms", "saturation_factor"],
+)
+def test_cli_validate_reports_non_numeric_fields(tmp_path, capsys, raw, message):
+    # each of these once crashed loading with a traceback, or passed validation
+    path = tmp_path / "bad.yaml"
+    path.write_text(yaml.safe_dump(raw))
+    assert cli.main(["validate", str(path)]) == 1
+    assert message in capsys.readouterr().err.splitlines()
+
+
+def test_sweep_raw_is_valid():
+    assert scenario_from_dict(sweep_raw()).sweep.router == "r1"
 
 
 @pytest.mark.parametrize(
