@@ -19,16 +19,23 @@ from .wire import AuthorizationPayload
 DEFAULT_SKEW_MS = 1000.0
 
 
-class FailReason(enum.Enum):
+class TextEnum(str, enum.Enum):
+    """An enum of strings that reads as its value, as ``enum.StrEnum``
+    (Python 3.11+) does: ``str()`` and ``format()`` give the value, and a
+    member equals and hashes as its value, so it goes straight into a log
+    line or a table keyed by the value."""
+
+    __str__ = str.__str__
+    __format__ = str.__format__
+
+
+class FailReason(TextEnum):
     DUPLICATE_NONCE = "DuplicateNonce"
     STALE_TIMESTAMP = "StaleTimestamp"
     BAD_SIGNATURE = "BadSignature"
     UNKNOWN_GROUP = "UnknownGroup"
     UNKNOWN_GROUP_KEY = "UnknownGroupKey"
     MISSING_PAYLOAD = "MissingPayload"
-
-    def __str__(self) -> str:
-        return self.value
 
 
 @dataclass

@@ -25,6 +25,7 @@ from .authcheck import (
     DEFAULT_SKEW_MS,
     CheckOutcome,
     FailReason,
+    TextEnum,
     run_authorization_check,
 )
 from .wire import (
@@ -52,16 +53,13 @@ class ProtectionPolicy(enum.Enum):
     PUBLIC = "PUBLIC"
 
 
-class DropReason(enum.Enum):
+class DropReason(TextEnum):
     UNKNOWN_NAME = "UnknownName"
     UNAUTHORIZED = "Unauthorized"
     PREFIX_MISMATCH = "PrefixMismatch"
     AUTHENTICITY_FAILURE = "AuthenticityFailure"
     DECRYPT_FAILURE = "DecryptFailure"
     WRONG_SCHEME = "WrongScheme"
-
-    def __str__(self) -> str:
-        return self.value
 
 
 @dataclass(frozen=True)
@@ -89,7 +87,7 @@ class ContentEntry:
     content_key: bytes | None = None  # set when several groups share the name
 
 
-@dataclass
+@dataclass(slots=True)
 class ProducerResponse:
     content: ContentObject | None
     drop_reason: object | None = None  # FailReason or DropReason
@@ -303,7 +301,7 @@ class Producer:
                 return CheckOutcome(reason if isinstance(reason, FailReason) else FailReason.UNKNOWN_GROUP)
         if window_ms is None:
             window_ms = self.default_window_ms
-        name_bytes = encode_name(interest.name)
+        name_bytes = interest.name._wire or encode_name(interest.name)
         seen = self.nonce_store.get(name_bytes, {})
         registered = self.registry.get(clear_gid) if clear_gid is not None else None
         candidates = (
@@ -356,7 +354,7 @@ class Producer:
         else:
             keys = ()
         expiry = round(now) + entry.lifetime_ms
-        name_bytes = encode_name(interest.name)
+        name_bytes = interest.name._wire or encode_name(interest.name)
         producer_signature = crypto.sha256(
             name_bytes + entry.data + struct.pack(">Q", expiry)
         )

@@ -16,10 +16,10 @@ the entry only while it lives, and for all that time the entry remembers
 every nonce it accepted.
 
 Routers never hold obfuscation keys; every decision here keys off the
-binary name bytes only.  What a router sends on is the record it was given:
-the interest it forwards and the content it caches or forwards are passed
-on as received, so a record that came off the wire carries its bytes with
-it (see ``wire``) and nothing is encoded again.
+binary name bytes only, read off the name (``name._wire``) when it carries
+them and encoded once otherwise.  What a router sends on is the record it
+was given: the interest it forwards and the content it caches or forwards
+are passed on as received, and nothing here encodes a message.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from .authcheck import (
     DEFAULT_SKEW_MS,
     CheckOutcome,
     FailReason,
+    TextEnum,
     precheck,
     run_authorization_check,
     verify_any,
@@ -47,13 +48,10 @@ from .wire import (
 PIT_LIFETIME_MS = 4000.0
 
 
-class DropReason(enum.Enum):
+class DropReason(TextEnum):
     NO_ROUTE = "NoRoute"
     UNSOLICITED = "Unsolicited"
     CACHE_EXPIRED = "CacheExpired"
-
-    def __str__(self) -> str:
-        return self.value
 
 
 class VerifyStrategy(enum.Enum):
@@ -91,13 +89,13 @@ class CacheEntry:
         return max(self.expires_at - self.inserted_at, 1.0)
 
 
-@dataclass
+@dataclass(slots=True)
 class PitEntry:
     records: list  # (iface, AuthorizationPayload | None)
     created_at: float
 
 
-class EventKind(enum.Enum):
+class EventKind(TextEnum):
     SERVE_FROM_CACHE = "cs_hit_served"
     FORWARD_INTEREST = "int_forwarded"
     AGGREGATE = "int_aggregated"
@@ -111,7 +109,7 @@ class EventKind(enum.Enum):
     BATCH_TIMER = "batch_timer"
 
 
-@dataclass
+@dataclass(slots=True)
 class RouterEvent:
     kind: EventKind
     name_bytes: bytes = b""
@@ -205,7 +203,7 @@ class Router:
         """Process one interest; returns (events, signature verifications)."""
         events: list[RouterEvent] = []
         verifies = 0
-        name_bytes = encode_name(interest.name)
+        name_bytes = interest.name._wire or encode_name(interest.name)
         entry = self.cs.get(name_bytes)
         if entry is not None and entry.expires_at <= now:
             self._evict(name_bytes, events)
@@ -355,7 +353,7 @@ class Router:
     def on_content(self, content: ContentObject, in_iface: int, now: float):
         events: list[RouterEvent] = []
         verifies = 0
-        name_bytes = encode_name(content.name)
+        name_bytes = content.name._wire or encode_name(content.name)
         pit = self.pit.pop(name_bytes, None)
         if pit is not None and pit.created_at + self.pit_lifetime_ms <= now:
             pit = None

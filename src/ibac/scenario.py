@@ -282,6 +282,17 @@ def _parse_prefix(uri: str) -> tuple[bytes, ...]:
     return tuple(c.encode() for c in uri.strip("/").split("/") if c)
 
 
+def _declared(key, table) -> bool:
+    """Whether ``key`` is a string declared in ``table``.  Any other value is
+    not declared; a list, say, would make ``in`` raise ``TypeError``."""
+    return isinstance(key, str) and key in table
+
+
+def _non_negative(value) -> bool:
+    # NaN compares false, so it is refused too
+    return isinstance(value, (int, float)) and value >= 0
+
+
 def validate(config: ScenarioConfig) -> list[str]:
     errors: list[str] = []
     node_ids = [n.id for n in config.nodes]
@@ -295,7 +306,7 @@ def validate(config: ScenarioConfig) -> list[str]:
         if n.role == "consumer":
             if n.group is None:
                 errors.append(f"consumer {n.id}: missing group")
-            if n.mode not in ConsumerMode.__members__:
+            if not _declared(n.mode, ConsumerMode.__members__):
                 errors.append(f"consumer {n.id}: unknown mode {n.mode!r}")
             if n.scheme not in ("ENC", "HASH"):
                 errors.append(f"consumer {n.id}: unknown scheme {n.scheme!r}")
@@ -304,10 +315,9 @@ def validate(config: ScenarioConfig) -> list[str]:
         if n.role == "router" and n.verify_mode not in ("INDIVIDUAL", "BATCH"):
             errors.append(f"router {n.id}: unknown verify_mode {n.verify_mode!r}")
         # a negative cost or timeout finishes a service before it starts,
-        # which runs the log's clock backwards; ``not >= 0`` also refuses NaN
+        # which runs the log's clock backwards
         for what in ("tau_process_s", "tau_verify_s", "batch_timeout_ms"):
-            value = getattr(n, what)
-            if not isinstance(value, (int, float)) or not value >= 0:
+            if not _non_negative(getattr(n, what)):
                 errors.append(f"{n.role} {n.id}: {what} must be a non-negative number")
 
     if not isinstance(config.seed, int):
@@ -317,6 +327,8 @@ def validate(config: ScenarioConfig) -> list[str]:
     sweep_ms = config.expiry_sweep_ms
     if not (isinstance(sweep_ms, (int, float)) and sweep_ms > 0):
         errors.append("expiry_sweep_ms must be positive")
+    if not _non_negative(config.duration_ms):
+        errors.append("duration_ms must be a non-negative number")
 
     adjacency: dict[str, set[str]] = {n: set() for n in node_ids}
     for a, b, latency in config.links:
@@ -334,13 +346,16 @@ def validate(config: ScenarioConfig) -> list[str]:
         errors.append("duplicate group ids")
     groups = set(group_ids)
     for n in config.nodes:
-        if n.role == "consumer" and n.group is not None and n.group not in groups:
+        if n.role == "consumer" and n.group is not None and not _declared(n.group, groups):
             errors.append(f"consumer {n.id}: undefined group {n.group!r}")
 
     producers = [n for n in config.nodes if n.role == "producer"]
     prefixes = {n.id: _parse_prefix(n.prefix or "") for n in producers}
     content_names = set()
     for c in config.contents:
+        if not isinstance(c.name, str):
+            errors.append(f"content {c.name!r}: name must be a string")
+            continue
         if c.name in content_names:
             errors.append(f"content {c.name}: duplicated")
         content_names.add(c.name)
@@ -354,38 +369,45 @@ def validate(config: ScenarioConfig) -> list[str]:
             errors.append(
                 f"content {c.name}: must extend exactly one producer prefix (matched {owners})"
             )
-        if c.policy not in ProtectionPolicy.__members__:
+        if not _declared(c.policy, ProtectionPolicy.__members__):
             errors.append(f"content {c.name}: unknown policy {c.policy!r}")
         if c.scheme not in ("ENC", "HASH"):
             errors.append(f"content {c.name}: unknown scheme {c.scheme!r}")
         if not (isinstance(c.expiry_ms, (int, float)) and c.expiry_ms > 0):
             errors.append(f"content {c.name}: expiry_ms must be a positive number")
+        if not (isinstance(c.data_size, int) and c.data_size >= 0):
+            errors.append(f"content {c.name}: data_size must be a non-negative integer")
         if c.policy == "PUBLIC" and c.groups:
             errors.append(f"content {c.name}: public content cannot list groups")
         if c.policy != "PUBLIC" and not c.groups:
             errors.append(f"content {c.name}: protected content needs groups")
         for gid in list(c.groups) + list(c.extra_key_groups):
-            if gid not in groups:
+            if not _declared(gid, groups):
                 errors.append(f"content {c.name}: undefined group {gid!r}")
 
+    # a scenario may script thousands of fetches: ``_declared`` and
+    # ``_non_negative`` are inlined here
+    consumer_ids = {n.id for n in config.nodes if n.role == "consumer"}
     for f in config.fetches:
-        if f.consumer not in nodes or nodes[f.consumer].role != "consumer":
+        if not (isinstance(f.consumer, str) and f.consumer in consumer_ids):
             errors.append(f"fetch of {f.name}: unknown consumer {f.consumer!r}")
-        if f.name not in content_names:
+        if not (isinstance(f.name, str) and f.name in content_names):
             errors.append(f"fetch of {f.name}: content not in catalog")
+        if not (isinstance(f.at_ms, (int, float)) and f.at_ms >= 0):
+            errors.append(f"fetch of {f.name}: at_ms must be a non-negative number")
 
     if config.traffic is not None:
         t = config.traffic
-        if t.consumer not in nodes or nodes[t.consumer].role != "consumer":
+        if not (_declared(t.consumer, nodes) and nodes[t.consumer].role == "consumer"):
             errors.append(f"traffic: unknown consumer {t.consumer!r}")
         errors += [f"traffic: {problem}" for problem in t.problems()]
         for name in list(t.ibac_targets) + list(t.public_targets):
-            if name not in content_names:
+            if not _declared(name, content_names):
                 errors.append(f"traffic target {name}: content not in catalog")
 
     if config.adversary is not None:
         adv = config.adversary
-        if adv.node not in nodes or nodes[adv.node].role != "adversary":
+        if not (_declared(adv.node, nodes) and nodes[adv.node].role == "adversary"):
             errors.append(f"adversary: node {adv.node!r} must be declared with role adversary")
         for a, b in adv.taps:
             if frozenset((a, b)) not in {frozenset((x, y)) for x, y, _ in config.links}:
@@ -393,21 +415,21 @@ def validate(config: ScenarioConfig) -> list[str]:
         for i, action in enumerate(adv.actions):
             where = f"adversary.actions[{i}]"
             errors += [f"{where}: {problem}" for problem in action.problems()]
-            if action.target not in nodes:
+            if not _declared(action.target, nodes):
                 errors.append(f"{where}: unknown target {action.target!r}")
-            elif adv.node in adjacency and action.target not in adjacency.get(adv.node, ()):
+            elif _declared(adv.node, adjacency) and action.target not in adjacency[adv.node]:
                 errors.append(f"{where}: adversary has no direct link to {action.target}")
 
     for r in config.rekeys:
-        if r.content not in content_names:
+        if not _declared(r.content, content_names):
             errors.append(f"rekey of {r.content}: content not in catalog")
         for gid in list(r.new_groups) + list(r.revoke_groups):
-            if gid not in groups:
+            if not _declared(gid, groups):
                 errors.append(f"rekey of {r.content}: undefined group {gid!r}")
 
     if config.sweep is not None:
         sweep = config.sweep
-        if sweep.router not in nodes or nodes[sweep.router].role != "router":
+        if not (_declared(sweep.router, nodes) and nodes[sweep.router].role == "router"):
             errors.append(f"sweep: router {sweep.router!r} not a router node")
         if config.traffic is None:
             errors.append("sweep: requires a traffic profile")

@@ -25,18 +25,21 @@ and intervals no handler schedules an event before its own time, so every
 shot pops exactly where queueing all of them up front would, ties
 included, while the heap holds one shot per action.
 
-Messages carry their records from the first hop.  Every sender -- a
-consumer's fetch, a producer's content, a router's forward or cache serve,
-an adversary's probe, forgery or replay -- passes the record it holds to
-``_send``, which puts it on the link beside its bytes.  The encoders
-memoise their output on the record, so ``message._wire is wire`` means the
-record is what decoding the bytes gives (see ``wire``), and a receiver
-decodes only bytes that arrived without their record.  No simulator
-origin builds such bytes today: a run decodes nothing.  Adversary
-captures keep the record they were sent with, too.  Encoding or decoding a
-message memoises its name's bytes on the name, so whoever holds a record
-that crossed a link reads its name bytes from ``name._wire`` instead of
-asking the encoder again.
+Links carry records, and a message's bytes are made only where they are
+read.  Every sender -- a consumer's fetch, a producer's content, a
+router's forward or cache serve, an adversary's probe, forgery or replay
+-- passes the record it holds to ``_send``, which encodes it only for a
+tapping adversary's capture, for the ``record_wire`` trace, or when the
+record does not ``wire.round_trips`` (its receiver must then get the
+record the bytes decode to).  A receiver (``_received``) takes the record
+as it is whenever no bytes came with it -- even if a send on a tapped link
+memoised bytes on it while it was in flight -- and decodes only bytes the
+record does not carry.  No simulator origin builds a record that does not
+round-trip, so a run decodes nothing.  Adversary captures keep the record they were sent with.
+Every origin builds its record around a name whose bytes are memoised
+(``name._wire``): the consumer and the adversary encode the names they
+make, and every other name crossed a link.  So receivers, routers and
+producers read name bytes off the name.
 
 Each node's link table maps an interface to the peer's runtime, the
 latency, the peer's interface for the link and the runtimes of the
@@ -53,7 +56,11 @@ registered names and their prefixes in ``set_traffic``, never per shot or
 per fetch.
 
 The emission log is append-only, one line per event:
-``time<TAB>node<TAB>kind<TAB>name-hex<TAB>reason``.
+``time<TAB>node<TAB>kind<TAB>name-hex<TAB>reason``; ``log_event`` writes
+every line.  Router event kinds and drop and failure reasons are string
+enums that format as their values, so they go into a line, and key the
+drop counts, as they are.  Producer interests are counted by name bytes
+and turned into hex once, in the result.
 """
 
 from __future__ import annotations
@@ -79,6 +86,7 @@ from .wire import (
     encode_interest,
     encode_name,
     longest_prefix_match,
+    round_trips,
 )
 
 # interest-processing completions, the events service-rate measurement counts
@@ -92,15 +100,23 @@ FORGE_PAYLOAD = "FORGE_PAYLOAD"
 NAME_PROBE = "NAME_PROBE"
 ATTACK_KINDS = (REPLAY_SAME_PATH, REPLAY_CROSS_PATH, FORGE_PAYLOAD, NAME_PROBE)
 
+# router events that put their record on a link, and those counted as drops
+_SEND_KINDS = frozenset(
+    {EventKind.SERVE_FROM_CACHE, EventKind.FORWARD_INTEREST, EventKind.FORWARD_CONTENT}
+)
+_DROP_KINDS = frozenset(
+    {EventKind.DROP_INTEREST, EventKind.DROP_CONTENT, EventKind.PENDING_DROP}
+)
+
 
 class ConfigError(ValueError):
     pass
 
 
-def _received(wire: bytes, message):
-    """The record of ``wire``: ``message`` when it carries exactly these
-    bytes, else a fresh decode (which may raise ``DecodeError``)."""
-    if message is not None and message._wire is wire:
+def _received(wire: bytes | None, message):
+    """The record that arrived: ``message`` when no bytes came with it or it
+    carries exactly these bytes, else a fresh decode of ``wire``."""
+    if wire is None or message._wire is wire:
         return message
     return decode_message(wire)
 
@@ -462,17 +478,20 @@ class Simulation:
         )
 
     def _send(self, rt: _NodeRuntime, iface: int, message, t: float) -> None:
-        """Put ``message`` on the link: its bytes, with the record beside them."""
+        """Put ``message`` on the link, with its bytes where they are read:
+        by a tap, by the wire trace, or by a receiver that must decode them
+        because the record does not ``round_trips``."""
+        peer, latency, arrival_iface, taps = rt.ifaces[iface]
+        tapped = taps and isinstance(message, Interest)
         wire = message._wire
-        if wire is None:
+        if wire is None and (tapped or self.record_wire or not round_trips(message)):
             if isinstance(message, Interest):
                 wire = encode_interest(message)
             else:
                 wire = encode_content(message)
-        peer, latency, arrival_iface, taps = rt.ifaces[iface]
         if self.record_wire:
             self.wire_trace.append((t, rt.node_id, peer.node_id, wire))
-        if taps and isinstance(message, Interest):
+        if tapped:
             capture = _Capture(t, wire, _received(wire, message))
             for adversary in taps:
                 adversary.obj.captures.append(capture)
@@ -495,12 +514,12 @@ class Simulation:
     # -- arrivals and the one-message-at-a-time service discipline -------------
 
     def _arrive_at_router(
-        self, rt: _NodeRuntime, t: float, iface: int, wire: bytes, message
+        self, rt: _NodeRuntime, t: float, iface: int, wire: bytes | None, message
     ) -> None:
         self._offer_work(rt, t, self._serve_router_message, (iface, wire, message))
 
     def _arrive_at_producer(
-        self, rt: _NodeRuntime, t: float, iface: int, wire: bytes, message
+        self, rt: _NodeRuntime, t: float, iface: int, wire: bytes | None, message
     ) -> None:
         self._offer_work(rt, t, self._serve_producer_message, (iface, wire, message))
 
@@ -527,7 +546,7 @@ class Simulation:
     # which applies the effects and moves on to the next queued service.
 
     def _serve_router_message(
-        self, rt: _NodeRuntime, start: float, iface: int, wire: bytes, message
+        self, rt: _NodeRuntime, start: float, iface: int, wire: bytes | None, message
     ) -> None:
         message = _received(wire, message)
         if isinstance(message, Interest):
@@ -542,7 +561,7 @@ class Simulation:
         self._push(start + verifies * rt.tau_verify_ms, self._router_done, rt, (events,))
 
     def _serve_producer_message(
-        self, rt: _NodeRuntime, start: float, iface: int, wire: bytes, message
+        self, rt: _NodeRuntime, start: float, iface: int, wire: bytes | None, message
     ) -> None:
         message = _received(wire, message)
         name_bytes = message.name._wire
@@ -551,27 +570,20 @@ class Simulation:
             return
         response = rt.obj.content_object_generation(message, start)
         completion = start + rt.tau_process_ms + response.verifies * rt.tau_verify_ms
-        self.producer_interests[(rt.node_id, name_bytes.hex())] += 1
+        self.producer_interests[(rt.node_id, name_bytes)] += 1
         self._push(completion, self._producer_done, rt, (iface, name_bytes, response))
 
     def _router_done(self, rt: _NodeRuntime, at: float, events) -> None:
         for ev in events:
-            if ev.kind is EventKind.BATCH_TIMER:
+            kind = ev.kind
+            if kind is EventKind.BATCH_TIMER:
                 self._push(ev.at, self._flush_timer, rt, (ev.batch_key,))
                 continue
-            reason = "" if ev.reason is None else str(ev.reason)
-            self.log_event(at, rt.node_id, ev.kind.value, ev.name_bytes, reason)
-            if ev.kind in (
-                EventKind.SERVE_FROM_CACHE,
-                EventKind.FORWARD_INTEREST,
-                EventKind.FORWARD_CONTENT,
-            ):
+            reason = "" if ev.reason is None else ev.reason
+            self.log_event(at, rt.node_id, kind, ev.name_bytes, reason)
+            if kind in _SEND_KINDS:
                 self._send(rt, ev.iface, ev.message, at)
-            elif ev.kind in (
-                EventKind.DROP_INTEREST,
-                EventKind.DROP_CONTENT,
-                EventKind.PENDING_DROP,
-            ):
+            elif kind in _DROP_KINDS:
                 self.drops[(rt.node_id, reason)] += 1
         self._next_service(rt, at)
 
@@ -583,7 +595,7 @@ class Simulation:
             self.log_event(at, rt.node_id, "content_served", name_bytes, reason)
             self._send(rt, iface, response.content, at)
         else:
-            reason = str(response.drop_reason)
+            reason = response.drop_reason
             self.log_event(at, rt.node_id, "int_drop", name_bytes, reason)
             self.drops[(rt.node_id, reason)] += 1
         self._next_service(rt, at)
@@ -594,7 +606,7 @@ class Simulation:
         self._next_service(rt, at)
 
     def _consumer_arrival(
-        self, rt: _NodeRuntime, t: float, iface: int, wire: bytes, message
+        self, rt: _NodeRuntime, t: float, iface: int, wire: bytes | None, message
     ) -> None:
         state: _ConsumerState = rt.obj
         message = _received(wire, message)
@@ -616,7 +628,7 @@ class Simulation:
         self.log_event(t, rt.node_id, "content_delivered", name_bytes)
 
     def _adversary_arrival(
-        self, rt: _NodeRuntime, t: float, iface: int, wire: bytes, message
+        self, rt: _NodeRuntime, t: float, iface: int, wire: bytes | None, message
     ) -> None:
         state: _AdversaryState = rt.obj
         message = _received(wire, message)
@@ -783,7 +795,7 @@ class Simulation:
     def _do_expire(self, rt: _NodeRuntime, t: float) -> None:
         if rt.role == "router":
             for ev in rt.obj.expire(t):
-                self.log_event(t, rt.node_id, ev.kind.value, ev.name_bytes)
+                self.log_event(t, rt.node_id, ev.kind, ev.name_bytes)
         else:
             rt.obj.sweep_nonces(t)
         next_t = t + self.expiry_sweep_ms
@@ -854,7 +866,10 @@ class Simulation:
             log_lines=self.log_lines,
             counters=dict(self.counters),
             drops=dict(self.drops),
-            producer_interests=dict(self.producer_interests),
+            producer_interests={
+                (node, name_bytes.hex()): n
+                for (node, name_bytes), n in self.producer_interests.items()
+            },
             deliveries=self.deliveries,
             attacks=attacks,
             captured_probe_outcomes=captured_outcomes,

@@ -42,17 +42,23 @@ Name TLV the same way, memoised by ``encode_name`` or set by the decoder.
 * for built records because the constructors reject every field value the
   decoders reject (a scheme tag that is not a ``SchemeTag``, an encrypted
   flag that is not a bool) and normalise sequences to the tuples the
-  decoders return.  The one record an encoder does not memoise on is one
+  decoders return.  The one record whose bytes decode to another is one
   named by a clear ``Name`` whose routable prefix is shorter than the
-  name: its bytes decode to a full-length prefix, another record.
+  name (it decodes to a full-length prefix); ``round_trips`` tells it
+  apart, and the encoders do not memoise on it.
 
 The field takes no part in equality, hashing or ``repr``, and
-``dataclasses.replace`` drops it.
+``dataclasses.replace`` drops it.  Nothing here encodes a record until
+asked, so a holder of records that never needs their bytes never makes
+them.  ``encode_name`` builds the component TLVs of each routable prefix
+once and keeps one tag TLV per scheme, so encoding a fresh obfuscated
+name costs its suffix alone.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import struct
 from dataclasses import dataclass, field
 
@@ -347,21 +353,32 @@ def _decode_flag(value: bytes) -> bool:
 # names
 
 _SCHEME_TAGS = {tag.value: tag for tag in SchemeTag}
+_SCHEME_TAG_TLVS = {tag: _tlv(TYPE_SCHEME_TAG, bytes([tag])) for tag in SchemeTag}
+
+
+@functools.lru_cache(maxsize=64)
+def _prefix_body(routable_prefix: tuple[bytes, ...]) -> bytes:
+    """The NameComponent TLVs of a routable prefix, built once per prefix."""
+    return b"".join(_tlv(TYPE_NAME_COMPONENT, c) for c in routable_prefix)
 
 
 def encode_name(name: AnyName) -> bytes:
     """Canonical Name TLV; these bytes are what routers key their tables on.
 
-    Names are immutable, so the encoding is memoised on the name.
+    Names are immutable, so the encoding is memoised on the name.  An
+    obfuscated name reuses its prefix's component TLVs and its scheme's tag
+    TLV, so only the suffix is encoded afresh.
     """
     out = name._wire
     if out is None:
         if isinstance(name, Name):
             body = b"".join(_tlv(TYPE_NAME_COMPONENT, c) for c in name.components)
         else:
-            body = b"".join(_tlv(TYPE_NAME_COMPONENT, c) for c in name.routable_prefix)
-            body += _tlv(TYPE_OBFUSCATED_COMPONENT, name.obfuscated_suffix)
-            body += _tlv(TYPE_SCHEME_TAG, bytes([name.scheme_tag]))
+            body = (
+                _prefix_body(name.routable_prefix)
+                + _tlv(TYPE_OBFUSCATED_COMPONENT, name.obfuscated_suffix)
+                + _SCHEME_TAG_TLVS[name.scheme_tag]
+            )
         out = _tlv(TYPE_NAME, body)
         object.__setattr__(name, "_wire", out)
     return out
@@ -460,14 +477,20 @@ def _decode_payload(buf: bytes, start: int, end: int) -> AuthorizationPayload:
 # interest
 
 
-def _remember(message, out: bytes) -> bytes:
-    """Memoise ``out`` on ``message`` unless decoding it gives another record.
+def round_trips(message: Interest | ContentObject) -> bool:
+    """Whether decoding the message's bytes gives the message back.
 
-    That happens only for a clear name with a partial routable prefix: the
-    prefix split does not travel, so its bytes decode to the full length.
+    Only a record named by a clear name with a partial routable prefix does
+    not: the prefix split does not travel, so its bytes decode to the full
+    length.
     """
     name = message.name
-    if not isinstance(name, Name) or name.routable_prefix_len == len(name.components):
+    return not isinstance(name, Name) or name.routable_prefix_len == len(name.components)
+
+
+def _remember(message, out: bytes) -> bytes:
+    """Memoise ``out`` on ``message`` when it ``round_trips``."""
+    if round_trips(message):
         object.__setattr__(message, "_wire", out)
     return out
 

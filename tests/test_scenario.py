@@ -191,6 +191,43 @@ def test_cli_validate_reports_non_numeric_fields(tmp_path, capsys, raw, message)
     assert message in capsys.readouterr().err.splitlines()
 
 
+def _content_field(field, value):
+    raw = minimal_raw()
+    raw["contents"][0][field] = value
+    return raw
+
+
+def _fetch_field(field, value):
+    raw = minimal_raw()
+    raw["fetches"][0][field] = value
+    return raw
+
+
+@pytest.mark.parametrize(
+    "raw, message",
+    [
+        (_content_field("data_size", "8"),
+         "content /edu/uci/x: data_size must be a non-negative integer"),
+        (_fetch_field("at_ms", "0"), "fetch of /edu/uci/x: at_ms must be a non-negative number"),
+        (_fetch_field("at_ms", float("nan")),
+         "fetch of /edu/uci/x: at_ms must be a non-negative number"),
+        (_fetch_field("at_ms", -5), "fetch of /edu/uci/x: at_ms must be a non-negative number"),
+        (_fetch_field("consumer", ["cr1"]), "fetch of /edu/uci/x: unknown consumer ['cr1']"),
+        (sweep_raw(router=["r1"]), "sweep: router ['r1'] not a router node"),
+        (minimal_raw(duration_ms="2000"), "duration_ms must be a non-negative number"),
+    ],
+    ids=["data_size", "at_ms", "at_ms-nan", "at_ms-negative", "consumer-list", "sweep-router-list",
+         "duration_ms"],
+)
+def test_cli_validate_reports_fields_that_crashed_the_run(tmp_path, capsys, raw, message):
+    # each of these once passed validation and crashed the run with a TypeError,
+    # ValueError or OverflowError, or made ``validate`` itself raise TypeError
+    path = tmp_path / "bad.yaml"
+    path.write_text(yaml.safe_dump(raw))
+    assert cli.main(["validate", str(path)]) == 1
+    assert message in capsys.readouterr().err.splitlines()
+
+
 def test_sweep_raw_is_valid():
     assert scenario_from_dict(sweep_raw()).sweep.router == "r1"
 

@@ -9,7 +9,14 @@ import pytest
 from ibac import crypto, scenario, simnet
 from ibac.consumer import ConsumerMode
 from ibac.scenario import run_config, scenario_from_dict
-from ibac.wire import Name, SchemeTag, decode_message
+from ibac.wire import (
+    Interest,
+    Name,
+    ObfuscatedName,
+    SchemeTag,
+    decode_message,
+    encode_interest,
+)
 
 BUNDLED_DIGESTS = json.loads(
     (Path(__file__).resolve().parent.parent / "testdata" / "bundled_digests.json").read_text()
@@ -66,12 +73,29 @@ def count_decodes(monkeypatch) -> list:
     return decoded
 
 
+def count_encodes(monkeypatch) -> list:
+    """Record the type of every message the simulator encodes."""
+    encoded = []
+    for encoder in ("encode_interest", "encode_content"):
+        real_encode = getattr(simnet, encoder)
+
+        def counting_encode(message, real_encode=real_encode):
+            encoded.append(type(message).__name__)
+            return real_encode(message)
+
+        monkeypatch.setattr(simnet, encoder, counting_encode)
+    return encoded
+
+
 def test_linear_fetch_decodes_nothing(monkeypatch):
-    decoded = count_decodes(monkeypatch)
+    decoded, encoded = count_decodes(monkeypatch), count_encodes(monkeypatch)
     result, info = run_config(linear_config())
     # consumer -> r1 -> r2 -> producer and back: the consumer's interest and
-    # the producer's content travel with the records they were built as
+    # the producer's content travel as the records they were built as, and
+    # with no tap, no wire trace and no record whose bytes decode to another,
+    # nothing reads their bytes, so none are made
     assert decoded == []
+    assert encoded == []
     name = info.content_names["/edu/uci/ics/home.html"]
     assert [(d.time_ms, d.consumer, d.data) for d in result.deliveries] == [
         (64.0, "cr1", info.producers["p1"].catalog[name.components].data)
@@ -79,6 +103,84 @@ def test_linear_fetch_decodes_nothing(monkeypatch):
     # passing records on instead of bytes alone must not change what is emitted
     digest = hashlib.sha256("\n".join(result.log_lines).encode()).hexdigest()
     assert digest == "d49876dfd9db1c56aa6aea6f541ef9789895f2b6447ae2f6fa31c3463b2aeeac"
+
+
+@pytest.mark.parametrize("name", ["mode_matrix", "replay_same_path", "name_probe"])
+def test_traced_and_tapped_bytes_decode_to_the_record_sent(name):
+    # mode_matrix records the wire; the others tap a link
+    sim, _ = scenario.build(scenario.load_bundled(name))
+    captures = [rt.obj.captures for rt in sim.nodes.values() if rt.role == "adversary"]
+    send = sim._send
+    seen = {"trace": 0, "captures": 0}
+
+    def checking_send(rt, iface, message, t):
+        traced, captured = len(sim.wire_trace), [len(c) for c in captures]
+        send(rt, iface, message, t)
+        for *_, wire in sim.wire_trace[traced:]:
+            assert decode_message(wire) == message
+            seen["trace"] += 1
+        for held, before in zip(captures, captured):
+            for capture in held[before:]:
+                assert capture.message is message
+                assert decode_message(capture.wire) == message
+                seen["captures"] += 1
+
+    sim._send = checking_send
+    sim.run()
+    assert seen["trace"] == len(sim.wire_trace)
+    assert seen["trace" if sim.record_wire else "captures"] > 0
+
+
+def two_router_sim():
+    """A consumer ``c`` linked to routers ``r1`` (iface 0) and ``r2`` (iface 1,
+    tapped by ``adv``); each router records the interests that reach it."""
+    sim = simnet.Simulation(seed=3)
+    material = crypto.gen_group(128, 1)
+    sim.add_consumer("c", material, ConsumerMode.OBFUSCATE_ONLY, SchemeTag.ENC)
+    arrived = {}
+    for node in ("r1", "r2"):
+        router = sim.add_router(node)  # no route: it drops what arrives
+        arrived[node] = []
+        on_interest = router.on_interest
+
+        def recording(interest, iface, now, on_interest=on_interest, log=arrived[node]):
+            log.append(interest)
+            return on_interest(interest, iface, now)
+
+        router.on_interest = recording
+        sim.add_link("c", node, 10.0)
+    sim.add_adversary("adv", material)
+    sim.add_tap("c", "r2", "adv")
+    return sim, arrived
+
+
+def test_a_partial_prefix_clear_name_arrives_as_its_decoded_record():
+    # its bytes decode to a full-length prefix, so the receiver must get
+    # that record, not the one sent
+    sim, arrived = two_router_sim()
+    interest = Interest(Name((b"edu", b"uci", b"x"), 2))
+    sim._send(sim.nodes["c"], 0, interest, 0.0)
+    sim.run()
+    [received] = arrived["r1"]
+    assert received is not interest and interest._wire is None
+    assert received == decode_message(encode_interest(interest))
+    assert received.name == Name((b"edu", b"uci", b"x"), 3)
+
+
+def test_a_record_memoised_in_flight_arrives_as_itself():
+    # sent without bytes on the untapped link, then encoded (and memoised)
+    # by a send on the tapped one while the first copy is still in flight
+    sim, arrived = two_router_sim()
+    interest = Interest(ObfuscatedName((b"edu",), b"\x01" * 8, SchemeTag.HASH))
+    sim._send(sim.nodes["c"], 0, interest, 0.0)
+    assert interest._wire is None
+    sim._send(sim.nodes["c"], 1, interest, 1.0)
+    assert interest._wire is not None
+    sim.run()
+    [first], [second] = arrived["r1"], arrived["r2"]
+    assert first is interest and second is interest
+    [capture] = sim.nodes["adv"].obj.captures
+    assert capture.message is interest and capture.wire is interest._wire
 
 
 @pytest.mark.parametrize("name", ["name_probe", "replay_same_path", "forgery"])
