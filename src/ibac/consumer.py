@@ -16,6 +16,13 @@ name, not once per fetch.  Key and scheme are read from the context on
 every call, so changing ``scheme``, ``group`` or ``content_keys`` never
 yields a stale name.  Every interest built here carries its name's bytes
 (``name._wire``).
+
+A full payload's nonce and timestamp are drawn at once, but its signature
+is pending (``AuthorizationPayload.signed_on_read``): it holds the
+context's group key material and the name bytes of this call, and
+``crypto.sign_payload`` runs on the first read of ``payload.signature``.
+A later change to the context's ``group``, ``scheme`` or ``content_keys``
+does not reach a payload already built.
 """
 
 from __future__ import annotations
@@ -103,6 +110,7 @@ def interest_generation(ctx: ConsumerContext, routable_prefix, name: Name) -> In
         kappa = ctx.group.kappa
         nonce = ctx.rng.getrandbits(kappa).to_bytes(kappa // 8, "big")
         timestamp = round(ctx.clock())
-        signature = crypto.sign_payload(ctx.group, name_bytes, group_id, nonce, timestamp)
-        payload = AuthorizationPayload(group_id, encrypted, nonce, timestamp, signature)
+        payload = AuthorizationPayload.signed_on_read(
+            ctx.group, name_bytes, group_id, encrypted, nonce, timestamp
+        )
     return Interest(wire_name, payload)

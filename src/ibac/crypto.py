@@ -14,7 +14,10 @@ is always 256 bits; p is 512 bits for protocol traffic and 1024/2048/3072
 bits for benchmarking).  A signature is ``(R, s)`` with
 ``R = g^k``, ``e = H(R || y || m) mod q``, ``s = k + x*e mod q``; the
 signing nonce ``k`` is derived from the key and message, so signatures are
-deterministic.  Verification checks ``g^s == R * y^e``.
+deterministic.  Verification checks ``g^s == R * y^e``.  Because signing
+is deterministic, a signer may defer it: ``wire.AuthorizationPayload``
+calls ``sign_payload`` on the first read of a payload's signature, which
+gives the same bytes signing at once would.
 
 Batch verification uses the randomized small-exponent test
 (Bellare-Garay-Rabin, EUROCRYPT '98): fix ``z_1 = 1``, draw 64-bit ``z_i``
@@ -27,7 +30,7 @@ subgroup, a batch containing an invalid signature passes with probability
 at most 2^-64.  ``R_i`` is only range-checked, so a signer can submit an
 ``R`` outside the subgroup (for example ``-g^k``) that fails individual
 verification yet passes a batch with fair probability; the repair is open
-(ROADMAP item 2).
+(ROADMAP item 3).
 
 Exponentiation engine.  Every exponent raised to a fixed base (``g`` and
 the public keys ``y``) is below q, so each such base gets a fixed-base

@@ -295,6 +295,13 @@ def _non_negative(value) -> bool:
 
 def validate(config: ScenarioConfig) -> list[str]:
     errors: list[str] = []
+    # every table below is keyed by node id, so nothing else is checked
+    # until the ids can be keys
+    errors += [
+        f"node {n.id!r}: id must be a string" for n in config.nodes if not isinstance(n.id, str)
+    ]
+    if errors:
+        return errors
     node_ids = [n.id for n in config.nodes]
     if len(node_ids) != len(set(node_ids)):
         errors.append("duplicate node ids")
@@ -312,6 +319,8 @@ def validate(config: ScenarioConfig) -> list[str]:
                 errors.append(f"consumer {n.id}: unknown scheme {n.scheme!r}")
         if n.role == "producer" and not n.prefix:
             errors.append(f"producer {n.id}: missing prefix")
+        elif n.role == "producer" and not isinstance(n.prefix, str):
+            errors.append(f"producer {n.id}: prefix must be a string")
         if n.role == "router" and n.verify_mode not in ("INDIVIDUAL", "BATCH"):
             errors.append(f"router {n.id}: unknown verify_mode {n.verify_mode!r}")
         # a negative cost or timeout finishes a service before it starts,
@@ -350,7 +359,9 @@ def validate(config: ScenarioConfig) -> list[str]:
             errors.append(f"consumer {n.id}: undefined group {n.group!r}")
 
     producers = [n for n in config.nodes if n.role == "producer"]
-    prefixes = {n.id: _parse_prefix(n.prefix or "") for n in producers}
+    prefixes = {
+        n.id: _parse_prefix(n.prefix) if isinstance(n.prefix, str) else () for n in producers
+    }
     content_names = set()
     for c in config.contents:
         if not isinstance(c.name, str):
@@ -377,6 +388,8 @@ def validate(config: ScenarioConfig) -> list[str]:
             errors.append(f"content {c.name}: expiry_ms must be a positive number")
         if not (isinstance(c.data_size, int) and c.data_size >= 0):
             errors.append(f"content {c.name}: data_size must be a non-negative integer")
+        if not (c.data is None or isinstance(c.data, str)):
+            errors.append(f"content {c.name}: data must be a string")
         if c.policy == "PUBLIC" and c.groups:
             errors.append(f"content {c.name}: public content cannot list groups")
         if c.policy != "PUBLIC" and not c.groups:

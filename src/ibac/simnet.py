@@ -751,12 +751,11 @@ class Simulation:
             kappa = state.material.kappa
             nonce = self.rng.getrandbits(kappa).to_bytes(kappa // 8, "big")
             timestamp = round(t)
-            signature = crypto.sign_payload(
-                state.material, name_bytes, group_id, nonce, timestamp
-            )
             message = Interest(
                 base.name,
-                AuthorizationPayload(group_id, encrypted, nonce, timestamp, signature),
+                AuthorizationPayload.signed_on_read(
+                    state.material, name_bytes, group_id, encrypted, nonce, timestamp
+                ),
             )
             pending_kind = kind
         else:  # NAME_PROBE

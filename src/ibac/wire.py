@@ -53,6 +53,13 @@ asked, so a holder of records that never needs their bytes never makes
 them.  ``encode_name`` builds the component TLVs of each routable prefix
 once and keeps one tag TLV per scheme, so encoding a fresh obfuscated
 name costs its suffix alone.
+
+Payloads are signed where their signature is read.  A payload built with
+``AuthorizationPayload.signed_on_read`` holds the signer's key material
+and the name bytes in place of its signature; the first read of
+``signature`` (``encode_interest`` among them) signs with
+``crypto.sign_payload`` and keeps the bytes.  This module is the only
+place that knows a signature can be pending: every reader sees bytes.
 """
 
 from __future__ import annotations
@@ -178,6 +185,29 @@ class ObfuscatedName:
 AnyName = Name | ObfuscatedName
 
 
+class _SignedOnRead:
+    """Class attribute behind ``AuthorizationPayload.signature``.
+
+    An instance attribute wins over it, so it is reached only while the
+    signature is pending: it signs, stores the bytes on the payload and
+    drops the signing material.  On the class it reads as the field's
+    default, ``None``.
+    """
+
+    def __get__(self, payload, owner=None):
+        if payload is None:
+            return None
+        from . import crypto  # crypto imports this module
+
+        material, name_bytes = payload._signing
+        signature = crypto.sign_payload(
+            material, name_bytes, payload.group_id, payload.nonce, payload.timestamp
+        )
+        object.__setattr__(payload, "signature", signature)
+        object.__setattr__(payload, "_signing", None)
+        return signature
+
+
 @dataclass(frozen=True)
 class AuthorizationPayload:
     """Group identity plus optional anti-replay fields carried in an interest.
@@ -186,13 +216,25 @@ class AuthorizationPayload:
     ``group_id_encrypted`` is set, a public-key ciphertext of it.  Identity-
     only payloads (no nonce/timestamp/signature) are how obfuscation-only
     requests tell the producer which key to use.
+
+    A signer that may never see its signature read builds the payload with
+    ``signed_on_read``: it holds the group's key material and the name bytes
+    (``_signing``) in place of the signature, and the first read of
+    ``signature`` -- by a verifier, an encoder, ``==``, ``hash``, ``repr``
+    or ``dataclasses.replace`` -- makes it with ``crypto.sign_payload`` over
+    the fields the payload already holds, keeps the bytes and drops the
+    material.  Signing is deterministic, so a pending payload is
+    indistinguishable from one signed at once.  ``has_auth_info`` never
+    signs.
     """
 
     group_id: bytes
     group_id_encrypted: bool = False
     nonce: bytes | None = None
     timestamp: int | None = None
-    signature: bytes | None = None
+    signature: bytes | None = _SignedOnRead()
+    # (GroupKeyMaterial, name bytes) while the signature is pending
+    _signing: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.group_id:
@@ -204,11 +246,28 @@ class AuthorizationPayload:
         if self.timestamp is not None and not 0 <= self.timestamp < 1 << 64:
             raise ValueError("timestamp out of uint64 range")
 
+    @classmethod
+    def signed_on_read(
+        cls,
+        material,
+        name_bytes: bytes,
+        group_id: bytes,
+        group_id_encrypted: bool,
+        nonce: bytes,
+        timestamp: int,
+    ) -> "AuthorizationPayload":
+        """A full payload whose signature, by ``material`` over ``name_bytes``
+        and these fields, is made on its first read."""
+        payload = cls(group_id, group_id_encrypted, nonce, timestamp)
+        object.__delattr__(payload, "signature")
+        object.__setattr__(payload, "_signing", (material, name_bytes))
+        return payload
+
     def has_auth_info(self) -> bool:
         return (
             self.nonce is not None
             and self.timestamp is not None
-            and self.signature is not None
+            and (self._signing is not None or self.signature is not None)
         )
 
 

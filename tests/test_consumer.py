@@ -222,3 +222,61 @@ def test_obfuscation_runs_once_per_key_scheme_and_name(monkeypatch):
         ("obfuscate_hash", key, (b"ics", b"about.html")),
         ("obfuscate_enc", bytes(16), (b"ics", b"home.html")),
     ])
+
+
+def _count_signs(monkeypatch):
+    calls = []
+    real = crypto.sign_payload
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(crypto, "sign_payload", counting)
+    return calls
+
+
+@pytest.mark.parametrize("mode", [ConsumerMode.FULL, ConsumerMode.AUTH_ONLY])
+def test_signature_is_made_on_first_read(monkeypatch, mode):
+    calls = _count_signs(monkeypatch)
+    ctx = make_ctx(mode=mode)
+    interest = interest_generation(ctx, PREFIX, NAME)
+    p = interest.payload
+    assert calls == [] and p.has_auth_info()
+    expected = crypto.sign_payload(
+        ctx.group, interest.name._wire, p.group_id, p.nonce, p.timestamp
+    )
+    del calls[:]
+    assert p.signature == expected and p._signing is None
+    assert p.signature is p.signature and len(calls) == 1
+
+
+def _rekey(ctx):
+    ctx.group = crypto.gen_group(128, 2)
+
+
+def _switch_scheme(ctx):
+    ctx.scheme = SchemeTag.HASH
+
+
+def _provision_content_key(ctx):
+    ctx.content_keys[NAME.components] = bytes(16)
+
+
+@pytest.mark.parametrize("change", [_rekey, _switch_scheme, _provision_content_key])
+def test_pending_signature_signs_the_values_captured_at_creation(change):
+    ctx = make_ctx()
+    group = ctx.group
+    interest = interest_generation(ctx, PREFIX, NAME)
+    name_bytes = interest.name._wire
+    p = interest.payload
+    expected = crypto.sign_payload(group, name_bytes, p.group_id, p.nonce, p.timestamp)
+    change(ctx)
+    # the context now builds another name, or signs with another key
+    other = interest_generation(ctx, PREFIX, NAME)
+    assert (other.name._wire, other.payload._signing[0]) != (name_bytes, group)
+    assert p.signature == expected
+    assert crypto.verify_payload(
+        group.group, group.signing_public, name_bytes, p.group_id, p.nonce, p.timestamp,
+        p.signature,
+    )

@@ -197,6 +197,12 @@ def _content_field(field, value):
     return raw
 
 
+def _node_field(index, field, value):
+    raw = minimal_raw()
+    raw["nodes"][index][field] = value
+    return raw
+
+
 def _fetch_field(field, value):
     raw = minimal_raw()
     raw["fetches"][0][field] = value
@@ -215,13 +221,17 @@ def _fetch_field(field, value):
         (_fetch_field("consumer", ["cr1"]), "fetch of /edu/uci/x: unknown consumer ['cr1']"),
         (sweep_raw(router=["r1"]), "sweep: router ['r1'] not a router node"),
         (minimal_raw(duration_ms="2000"), "duration_ms must be a non-negative number"),
+        (_node_field(0, "id", ["cr1"]), "node ['cr1']: id must be a string"),
+        (_node_field(2, "prefix", 5), "producer p1: prefix must be a string"),
+        (_content_field("data", 5), "content /edu/uci/x: data must be a string"),
     ],
     ids=["data_size", "at_ms", "at_ms-nan", "at_ms-negative", "consumer-list", "sweep-router-list",
-         "duration_ms"],
+         "duration_ms", "node-id-list", "prefix-int", "data-int"],
 )
 def test_cli_validate_reports_fields_that_crashed_the_run(tmp_path, capsys, raw, message):
     # each of these once passed validation and crashed the run with a TypeError,
-    # ValueError or OverflowError, or made ``validate`` itself raise TypeError
+    # ValueError, OverflowError or AttributeError, or made ``validate`` itself
+    # raise TypeError or AttributeError
     path = tmp_path / "bad.yaml"
     path.write_text(yaml.safe_dump(raw))
     assert cli.main(["validate", str(path)]) == 1

@@ -221,6 +221,58 @@ def test_tap_added_before_or_after_its_link_captures_the_same_interests():
         assert decode_message(capture.wire) == capture.message
 
 
+def count_crypto(monkeypatch, fn: str) -> list:
+    """Record the arguments of every call to ``crypto.<fn>``."""
+    calls = []
+    real = getattr(crypto, fn)
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(crypto, fn, counting)
+    return calls
+
+
+TWO_FETCHES = [
+    {"consumer": "cr1", "name": "/edu/uci/ics/home.html", "at_ms": 0},
+    {"consumer": "cr1", "name": "/edu/uci/ics/home.html", "at_ms": 1000},
+]
+
+
+def test_a_public_cache_hit_signs_nothing(monkeypatch):
+    # a FULL consumer's payload goes unread on PUBLIC content: the miss
+    # is served by the producer and the second fetch by r1's cache
+    signs = count_crypto(monkeypatch, "sign_payload")
+    public = {"name": "/edu/uci/ics/home.html", "policy": "PUBLIC", "expiry_ms": 60000}
+    result, _ = run_config(linear_config(contents=[public], fetches=TWO_FETCHES))
+    assert len(result.deliveries) == 2
+    assert [l.split("\t")[1] for l in result.log_lines if "\tcs_hit_served\t" in l] == ["r1"]
+    assert signs == []
+
+
+def test_each_verified_interest_signs_once(monkeypatch):
+    # the first fetch is verified by the producer and again by r2 and r1 when
+    # the content comes back; the second by r1's cache hit
+    signs = count_crypto(monkeypatch, "sign_payload")
+    verifies = count_crypto(monkeypatch, "verify_payload")
+    result, _ = run_config(linear_config(fetches=TWO_FETCHES))
+    assert len(result.deliveries) == 2 and len(verifies) == 4
+    signed_nonces = [args[3] for args in signs]
+    assert sorted(signed_nonces) == sorted({args[4] for args in verifies})
+
+
+def test_tap_captures_hold_signature_bytes():
+    sim, _ = scenario.build(scenario.load_bundled("replay_same_path"))
+    sim.run()
+    captures = sim.nodes["adv"].obj.captures
+    assert captures
+    for capture in captures:
+        payload = capture.message.payload
+        assert payload._signing is None and isinstance(vars(payload)["signature"], bytes)
+        assert decode_message(capture.wire).payload == payload
+
+
 def test_end_to_end_data_matches_catalog():
     cfg = linear_config()
     result, info = run_config(cfg)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ibac import simnet, wire
+from ibac import authcheck, crypto, simnet, wire
 from ibac.wire import (
     AuthorizationPayload,
     ContentObject,
@@ -464,3 +464,94 @@ def test_timestamp_must_be_eight_bytes():
 def test_pack_unpack_components_roundtrip():
     comps = [b"a", b"bb", b"\x00\xff"]
     assert wire.unpack_components(wire.pack_components(comps)) == comps
+
+
+# ---------------------------------------------------------------------------
+# payloads signed on read
+
+MATERIALS = [crypto.gen_group(128, seed) for seed in (1, 2)]
+
+
+def _counting_signs(monkeypatch):
+    """Record every ``crypto.sign_payload`` call; the pending signature looks
+    the function up on the module when it signs."""
+    calls = []
+    real = crypto.sign_payload
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(crypto, "sign_payload", counting)
+    return calls
+
+
+@st.composite
+def signed_fields(draw):
+    """(material, name, group id, encrypted flag, nonce, timestamp)"""
+    return (
+        draw(st.sampled_from(MATERIALS)),
+        draw(st.one_of(names(), obfuscated_names())),
+        draw(st.binary(min_size=1, max_size=64)),
+        draw(st.booleans()),
+        draw(st.binary(min_size=16, max_size=16)),
+        draw(st.integers(min_value=0, max_value=2**64 - 1)),
+    )
+
+
+def _pending(fields):
+    material, name, group_id, encrypted, nonce, timestamp = fields
+    return AuthorizationPayload.signed_on_read(
+        material, encode_name(name), group_id, encrypted, nonce, timestamp
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(signed_fields())
+def test_signed_on_read_matches_an_eagerly_signed_payload(fields):
+    material, name, group_id, encrypted, nonce, timestamp = fields
+    eager = AuthorizationPayload(
+        group_id,
+        encrypted,
+        nonce,
+        timestamp,
+        crypto.sign_payload(material, encode_name(name), group_id, nonce, timestamp),
+    )
+    # every read path gets a payload of its own, so each one is the first read
+    assert _pending(fields).signature == eager.signature
+    assert encode_interest(Interest(name, _pending(fields))) == encode_interest(
+        Interest(name, eager)
+    )
+    assert _pending(fields) == eager and eager == _pending(fields)
+    assert hash(_pending(fields)) == hash(eager)
+    assert repr(_pending(fields)) == repr(eager)
+    assert dataclasses.replace(_pending(fields)) == eager
+    forged = dataclasses.replace(eager, signature=bytes(len(eager.signature)))
+    assert _pending(fields) != forged and hash(_pending(fields)) != hash(forged)
+
+
+def test_auth_info_and_precheck_make_no_signature(monkeypatch):
+    calls = _counting_signs(monkeypatch)
+    material = MATERIALS[0]
+    name_bytes = encode_name(Name((b"edu", b"uci", b"x"), 2))
+    payload = AuthorizationPayload.signed_on_read(
+        material, name_bytes, material.group_id, False, b"n" * 16, 1000
+    )
+    candidates = [(material.group, material.signing_public)]
+    assert payload.has_auth_info()
+    assert authcheck.precheck(payload, set(), candidates, 1000.0, 4000.0) is None
+    assert calls == [] and payload._signing == (material, name_bytes)
+    assert authcheck.verify_any(payload, name_bytes, candidates).passed
+    assert len(calls) == 1
+
+
+def test_first_read_drops_the_signing_material(monkeypatch):
+    calls = _counting_signs(monkeypatch)
+    material = MATERIALS[1]
+    payload = AuthorizationPayload.signed_on_read(
+        material, encode_name(Name((b"a", b"b"), 1)), b"g" * 32, True, b"n" * 16, 7
+    )
+    signature = payload.signature
+    assert payload._signing is None and vars(payload)["signature"] is signature
+    assert payload.signature is signature and payload.has_auth_info()
+    assert len(calls) == 1
