@@ -33,6 +33,9 @@ def cmd_run(args) -> int:
         for err in exc.errors:
             print(f"invalid scenario: {err}", file=sys.stderr)
         return 2
+    except (scenario.ParseError, OSError) as exc:
+        print(exc, file=sys.stderr)
+        return 2
     if args.seed is not None:
         config.seed = args.seed
     out_dir = _default_out(config.name, args.out)
@@ -52,7 +55,7 @@ def cmd_validate(args) -> int:
         for err in exc.errors:
             print(err, file=sys.stderr)
         return 1
-    except (scenario.ParseError, FileNotFoundError) as exc:
+    except (scenario.ParseError, OSError) as exc:
         print(exc, file=sys.stderr)
         return 1
     print(f"{config.name}: OK")

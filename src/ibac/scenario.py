@@ -7,6 +7,12 @@ optional revocation (rekey) events.  ``load_scenario`` validates the whole
 file and reports every problem at once; ``run_scenario`` executes a
 validated configuration and writes the emission log, a JSON summary,
 and metrics CSVs.
+
+``load_scenario`` reads the file as bytes, so YAML's encoding rules apply
+(UTF-8, or UTF-16 by byte-order mark), not the locale's.  It parses with
+libyaml's C parser when PyYAML was built with libyaml, and with PyYAML's
+pure-Python parser otherwise; both build values with PyYAML's safe
+constructor, so a file gives the same configuration either way.
 """
 
 from __future__ import annotations
@@ -254,12 +260,15 @@ def scenario_from_dict(raw: dict, source: str = "<dict>") -> ScenarioConfig:
 
 def load_scenario(path) -> ScenarioConfig:
     path = Path(path)
+    loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)  # absent without libyaml
     try:
-        raw = yaml.safe_load(path.read_text())
-    except FileNotFoundError:
-        raise
+        raw = yaml.load(path.read_bytes(), Loader=loader)
     except yaml.YAMLError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
+        # one line; the parser's own message spans several and names "<byte string>"
+        mark = getattr(exc, "problem_mark", None)
+        where = f"{path}:{mark.line + 1}:{mark.column + 1}" if mark else str(path)
+        problem = getattr(exc, "problem", None) or str(exc).partition("\n")[0]
+        raise ParseError(f"{where}: {problem}") from exc
     return scenario_from_dict(raw, str(path))
 
 

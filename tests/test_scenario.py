@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 import yaml
@@ -9,6 +13,7 @@ from ibac.scenario import (
     BUNDLED_SCENARIOS,
     ParseError,
     ValidationError,
+    bundled_scenario_path,
     load_bundled,
     run_config,
     scenario_from_dict,
@@ -52,6 +57,51 @@ def test_all_bundled_scenarios_load():
 def test_unknown_bundled_name():
     with pytest.raises(ParseError):
         load_bundled("does_not_exist")
+
+
+def _without_libyaml(monkeypatch):
+    # a PyYAML built without libyaml defines no CSafeLoader
+    monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+
+
+@pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml")
+@pytest.mark.parametrize("name", BUNDLED_SCENARIOS)
+def test_c_and_python_loaders_parse_bundled_scenarios_alike(name):
+    data = bundled_scenario_path(name).read_bytes()
+    assert yaml.load(data, Loader=yaml.CSafeLoader) == yaml.load(data, Loader=yaml.SafeLoader)
+
+
+def test_bundled_scenarios_load_alike_without_libyaml(monkeypatch):
+    default = [load_bundled(name) for name in BUNDLED_SCENARIOS]
+    _without_libyaml(monkeypatch)
+    assert [load_bundled(name) for name in BUNDLED_SCENARIOS] == default
+
+
+@pytest.mark.parametrize("libyaml", [True, False], ids=["c", "python"])
+def test_malformed_yaml_names_the_file(tmp_path, monkeypatch, libyaml):
+    if libyaml and not yaml.__with_libyaml__:
+        pytest.skip("PyYAML built without libyaml")
+    if not libyaml:
+        _without_libyaml(monkeypatch)
+    path = tmp_path / "bad.yaml"
+    path.write_text("name: bad\nnodes: [\n")
+    with pytest.raises(ParseError) as info:
+        scenario.load_scenario(path)
+    message = str(info.value)
+    assert message.startswith(f"{path}:3:1: ")
+    assert "\n" not in message
+
+
+def test_scenario_file_is_decoded_as_yaml_not_by_locale(tmp_path):
+    # an ASCII locale once made the file fail to decode, with a traceback
+    path = tmp_path / "fr.yaml"
+    path.write_bytes(bundled_scenario_path("figure_sequence").read_bytes() + "# réseau\n".encode())
+    src = Path(scenario.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONUTF8": "0", "LC_ALL": "C",
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, "-m", "ibac.cli", "validate", str(path)],
+                            env=env, capture_output=True, text=True, timeout=60)
+    assert (result.returncode, result.stdout, result.stderr) == (0, "figure_sequence: OK\n", "")
 
 
 def test_undefined_consumer_group_rejected():
@@ -361,6 +411,27 @@ def test_cli_validate_bad_file(tmp_path, capsys):
     bad = tmp_path / "bad.yaml"
     bad.write_text("nodes:\n  - {id: c, role: consumer}\n")
     assert cli.main(["validate", str(bad)]) == 1
+
+
+@pytest.mark.parametrize(
+    "content",
+    [None, "nodes: [\n", "- name: listed\n", "directory"],
+    ids=["unknown-bundled-name", "malformed-yaml", "top-level-list", "directory"],
+)
+def test_cli_run_reports_unloadable_scenario(tmp_path, capsys, content):
+    # each of these once escaped `ibac run` as a traceback
+    if content is None:
+        target = "does_not_exist"
+    elif content == "directory":
+        target = str(tmp_path)
+    else:
+        target = tmp_path / "bad.yaml"
+        target.write_text(content)
+    assert cli.main(["run", str(target), "--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_run_writes_outputs(tmp_path):
