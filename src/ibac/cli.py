@@ -13,9 +13,18 @@ from . import analysis, scenario
 
 
 def _resolve_config(name_or_path: str):
+    """The scenario file the argument names, else the bundled scenario.
+
+    An argument that reads as a path (it holds a separator or ends in
+    ``.yaml`` or ``.yml``) and names no file is reported as a missing file,
+    not as an unknown bundled name.
+    """
     path = Path(name_or_path)
     if path.exists():
         return scenario.load_scenario(path)
+    looks_like_path = "/" in name_or_path or os.sep in name_or_path
+    if looks_like_path or name_or_path.endswith((".yaml", ".yml")):
+        raise FileNotFoundError(f"{name_or_path}: no such file")
     return scenario.load_bundled(name_or_path)
 
 

@@ -302,6 +302,11 @@ def _non_negative(value) -> bool:
     return isinstance(value, (int, float)) and value >= 0
 
 
+def _seed_64(value) -> bool:
+    # key generation expands a seed as 8 bytes
+    return isinstance(value, int) and 0 <= value < 1 << 64
+
+
 def validate(config: ScenarioConfig) -> list[str]:
     errors: list[str] = []
     # every table below is keyed by node id, so nothing else is checked
@@ -363,6 +368,9 @@ def validate(config: ScenarioConfig) -> list[str]:
     if len(group_ids) != len(set(group_ids)):
         errors.append("duplicate group ids")
     groups = set(group_ids)
+    for g in config.groups:
+        if not _seed_64(g.seed):
+            errors.append(f"group {g.id}: seed must be an integer in [0, 2**64)")
     for n in config.nodes:
         if n.role == "consumer" and n.group is not None and not _declared(n.group, groups):
             errors.append(f"consumer {n.id}: undefined group {n.group!r}")
@@ -431,6 +439,8 @@ def validate(config: ScenarioConfig) -> list[str]:
         adv = config.adversary
         if not (_declared(adv.node, nodes) and nodes[adv.node].role == "adversary"):
             errors.append(f"adversary: node {adv.node!r} must be declared with role adversary")
+        if not _seed_64(adv.keypair_seed):
+            errors.append("adversary: keypair_seed must be an integer in [0, 2**64)")
         for a, b in adv.taps:
             if frozenset((a, b)) not in {frozenset((x, y)) for x, y, _ in config.links}:
                 errors.append(f"adversary tap ({a}, {b}): no such link")

@@ -14,16 +14,25 @@ The event queue is a heap of ``(time, seq, handler, runtime, args)``;
 ``run`` pops an entry and calls ``handler(runtime, time, *args)``, and
 ``seq`` breaks ties in time.  Handlers are methods of the simulation: the
 receiving node's ``arrive`` (set by its role), a service's completion or a
-timer's own.  A busy node queues ``(handler, args)`` service starts.
-Protocol code (``Router.on_interest``, ``crypto.*``) is looked up where it
-is called, never stored in an event.
+timer's own.  A router's or producer's ``arrive``, like a batch-flush
+timer, is also its service start: it tests the node's ``busy`` flag
+itself, serves at once when the node is idle, and otherwise queues
+``(handler, args)``, which ``_next_service`` replays when the current
+service completes.  Protocol code (``Router.on_interest``, ``crypto.*``)
+is looked up where it is called, never stored in an event.
 
 An action of ``n`` shots reserves ``n`` consecutive sequence numbers when
 it starts, and each shot schedules the next at ``at + i * interval_ms``
 under its reserved number.  With non-negative latencies, service costs
 and intervals no handler schedules an event before its own time, so every
 shot pops exactly where queueing all of them up front would, ties
-included, while the heap holds one shot per action.
+included, while the heap holds one shot per action.  The shots carry a
+``_ShotChain``: what they all share, resolved when the action starts --
+the target interface, the ``KIND#index`` reason and, for a name probe, a
+``wire.SuffixTemplate``.  The template is made from a name built by the
+``ObfuscatedName`` constructor, which checks the probe's prefix and scheme
+once; each random probe then draws its suffix, and the template joins it
+to fixed bytes into an interest whose name and own bytes are memoised.
 
 Links carry records, and a message's bytes are made only where they are
 read.  Every sender -- a consumer's fetch, a producer's content, a
@@ -31,15 +40,16 @@ router's forward or cache serve, an adversary's probe, forgery or replay
 -- passes the record it holds to ``_send``, which encodes it only for a
 tapping adversary's capture, for the ``record_wire`` trace, or when the
 record does not ``wire.round_trips`` (its receiver must then get the
-record the bytes decode to).  A receiver (``_received``) takes the record
-as it is whenever no bytes came with it -- even if a send on a tapped link
-memoised bytes on it while it was in flight -- and decodes only bytes the
-record does not carry.  No simulator origin builds a record that does not
-round-trip, so a run decodes nothing.  Adversary captures keep the record they were sent with.
-Every origin builds its record around a name whose bytes are memoised
-(``name._wire``): the consumer and the adversary encode the names they
-make, and every other name crossed a link.  So receivers, routers and
-producers read name bytes off the name.
+record the bytes decode to).  Bytes go along to the receiver only in that
+last case, so a receiver decodes whatever bytes came and otherwise takes
+the record as it is -- even if a send on a tapped link memoised bytes on
+it while it was in flight.  No simulator origin builds a record that does
+not round-trip, so a run decodes nothing.  Adversary captures keep the
+record they were sent with (``_received``).  Every origin builds its record
+around a name whose bytes are memoised (``name._wire``): the consumer
+encodes the names it makes, a probe's template joins its name's bytes,
+and every other name crossed a link.  So receivers, routers and producers
+read name bytes off the name.
 
 Each node's link table maps an interface to the peer's runtime, the
 latency, the peer's interface for the link and the runtimes of the
@@ -60,11 +70,12 @@ The emission log is append-only, one line per event:
 every line.  Router event kinds and drop and failure reasons are string
 enums that format as their values, so they go into a line, and key the
 drop counts, as they are.  Producer interests are counted by name bytes
-and turned into hex once, in the result.
+and turned into hex on the first read of ``RunResult.producer_interests``.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import random
 from collections import Counter, deque
@@ -81,6 +92,7 @@ from .wire import (
     Name,
     ObfuscatedName,
     SchemeTag,
+    SuffixTemplate,
     decode_message,
     encode_content,
     encode_interest,
@@ -113,10 +125,10 @@ class ConfigError(ValueError):
     pass
 
 
-def _received(wire: bytes | None, message):
-    """The record that arrived: ``message`` when no bytes came with it or it
-    carries exactly these bytes, else a fresh decode of ``wire``."""
-    if wire is None or message._wire is wire:
+def _received(wire: bytes, message):
+    """The record that ``wire``, sent as ``message``, carries: ``message``
+    when it holds exactly these bytes, else a fresh decode of ``wire``."""
+    if message._wire is wire:
         return message
     return decode_message(wire)
 
@@ -182,6 +194,15 @@ class TrafficProfile:
             out.append(f"delta {self.delta} outside [0, 1]")
         if not (isinstance(self.lambda_per_s, (int, float)) and self.lambda_per_s > 0):
             out.append("lambda_per_s must be positive")
+        # a fetch before time 0 carries a negative timestamp; ``not >= 0``
+        # also refuses NaN
+        if not (isinstance(self.start_ms, (int, float)) and self.start_ms >= 0):
+            out.append("start_ms must be a non-negative number")
+        if not (self.end_ms is None or isinstance(self.end_ms, (int, float))):
+            out.append("end_ms must be a number")
+        count = self.max_interests
+        if not (count is None or (isinstance(count, int) and count >= 0)):
+            out.append("max_interests must be a non-negative integer")
         return out
 
 
@@ -201,6 +222,21 @@ class AttackStat:
     label: str
     attempts: int
     successes: int
+
+
+@dataclass(slots=True)
+class _ShotChain:
+    """What every shot of one adversary action shares, resolved when the
+    action starts."""
+
+    index: int
+    action: AdversaryAction
+    shots: int
+    start: float
+    first_seq: int  # the first of ``shots`` reserved sequence numbers
+    target_iface: int | None  # None when the adversary has no link to the target
+    reason: str  # the ``int_sent`` line's reason, ``KIND#index``
+    probe: SuffixTemplate | None  # a NAME_PROBE's random-name interests
 
 
 @dataclass
@@ -250,13 +286,20 @@ class RunResult:
     log_lines: list[str]
     counters: dict
     drops: dict
-    producer_interests: dict
+    producer_counts: dict  # (node, name bytes) -> interests served or refused there
     deliveries: list[Delivery]
     attacks: list[AttackStat]
     captured_probe_outcomes: dict
     conservation: dict
     wire_trace: list
     nodes: dict
+
+    @functools.cached_property
+    def producer_interests(self) -> dict:
+        """``producer_counts`` keyed by name hex, made on first read."""
+        return {
+            (node, name_bytes.hex()): n for (node, name_bytes), n in self.producer_counts.items()
+        }
 
     def drop_total(self, reason: str | None = None) -> int:
         if reason is None:
@@ -300,7 +343,7 @@ class Simulation:
         self.log_lines: list[str] = []
         self.counters: Counter = Counter()
         self.drops: Counter = Counter()
-        self.producer_interests: Counter = Counter()
+        self.producer_counts: dict[tuple[str, bytes], int] = {}
         self.deliveries: list[Delivery] = []
         self.wire_trace: list = []
 
@@ -310,8 +353,8 @@ class Simulation:
         if rt.node_id in self.nodes:
             raise ConfigError(f"duplicate node id {rt.node_id}")
         rt.arrive = {
-            "router": self._arrive_at_router,
-            "producer": self._arrive_at_producer,
+            "router": self._router_message,
+            "producer": self._producer_message,
             "consumer": self._consumer_arrival,
             "adversary": self._adversary_arrival,
         }[rt.role]
@@ -480,7 +523,8 @@ class Simulation:
     def _send(self, rt: _NodeRuntime, iface: int, message, t: float) -> None:
         """Put ``message`` on the link, with its bytes where they are read:
         by a tap, by the wire trace, or by a receiver that must decode them
-        because the record does not ``round_trips``."""
+        because the record does not ``round_trips``.  Only then do bytes go
+        along to the receiver."""
         peer, latency, arrival_iface, taps = rt.ifaces[iface]
         tapped = taps and isinstance(message, Interest)
         wire = message._wire
@@ -495,7 +539,11 @@ class Simulation:
             capture = _Capture(t, wire, _received(wire, message))
             for adversary in taps:
                 adversary.obj.captures.append(capture)
-        self._push(t + latency, peer.arrive, peer, (arrival_iface, wire, message))
+        if wire is message._wire:
+            wire = None  # the record carries its bytes
+        self._seq += 1
+        args = (arrival_iface, wire, message)
+        heapq.heappush(self._queue, (t + latency, self._seq, peer.arrive, peer, args))
 
     def run(self) -> RunResult:
         for rt in self.nodes.values():
@@ -513,71 +561,67 @@ class Simulation:
 
     # -- arrivals and the one-message-at-a-time service discipline -------------
 
-    def _arrive_at_router(
-        self, rt: _NodeRuntime, t: float, iface: int, wire: bytes | None, message
-    ) -> None:
-        self._offer_work(rt, t, self._serve_router_message, (iface, wire, message))
-
-    def _arrive_at_producer(
-        self, rt: _NodeRuntime, t: float, iface: int, wire: bytes | None, message
-    ) -> None:
-        self._offer_work(rt, t, self._serve_producer_message, (iface, wire, message))
-
-    def _flush_timer(self, rt: _NodeRuntime, t: float, key: tuple) -> None:
-        self._offer_work(rt, t, self._serve_batch_flush, (key,))
-
-    def _offer_work(self, rt: _NodeRuntime, t: float, handler, args: tuple) -> None:
-        """Serve now if the node is idle, else queue the service start."""
-        if rt.busy:
-            rt.work_queue.append((handler, args))
-        else:
-            rt.busy = True
-            handler(rt, t, *args)
+    # A service runs the node's handler and schedules its completion, which
+    # applies the effects and moves on to the next queued service.
 
     def _next_service(self, rt: _NodeRuntime, t: float) -> None:
         """At a service's completion, start the next queued one, if any."""
+        rt.busy = False
         if rt.work_queue:
             handler, args = rt.work_queue.popleft()
             handler(rt, t, *args)
-        else:
-            rt.busy = False
 
-    # Service starts run the node's handler and schedule the completion,
-    # which applies the effects and moves on to the next queued service.
-
-    def _serve_router_message(
-        self, rt: _NodeRuntime, start: float, iface: int, wire: bytes | None, message
+    def _router_message(
+        self, rt: _NodeRuntime, t: float, iface: int, wire: bytes | None, message
     ) -> None:
-        message = _received(wire, message)
+        if rt.busy:
+            rt.work_queue.append((self._router_message, (iface, wire, message)))
+            return
+        rt.busy = True
+        if wire is not None:
+            message = decode_message(wire)
         if isinstance(message, Interest):
-            events, verifies = rt.obj.on_interest(message, iface, start)
+            events, verifies = rt.obj.on_interest(message, iface, t)
         else:
-            events, verifies = rt.obj.on_content(message, iface, start)
-        completion = start + rt.tau_process_ms + verifies * rt.tau_verify_ms
-        self._push(completion, self._router_done, rt, (events,))
+            events, verifies = rt.obj.on_content(message, iface, t)
+        completion = t + rt.tau_process_ms + verifies * rt.tau_verify_ms
+        self._seq += 1
+        heapq.heappush(self._queue, (completion, self._seq, self._router_done, rt, (events,)))
 
-    def _serve_batch_flush(self, rt: _NodeRuntime, start: float, key: tuple) -> None:
-        events, verifies = rt.obj.flush_batch(key, start)
-        self._push(start + verifies * rt.tau_verify_ms, self._router_done, rt, (events,))
+    def _batch_flush(self, rt: _NodeRuntime, t: float, key: tuple) -> None:
+        if rt.busy:
+            rt.work_queue.append((self._batch_flush, (key,)))
+            return
+        rt.busy = True
+        events, verifies = rt.obj.flush_batch(key, t)
+        self._push(t + verifies * rt.tau_verify_ms, self._router_done, rt, (events,))
 
-    def _serve_producer_message(
-        self, rt: _NodeRuntime, start: float, iface: int, wire: bytes | None, message
+    def _producer_message(
+        self, rt: _NodeRuntime, t: float, iface: int, wire: bytes | None, message
     ) -> None:
-        message = _received(wire, message)
+        if rt.busy:
+            rt.work_queue.append((self._producer_message, (iface, wire, message)))
+            return
+        rt.busy = True
+        if wire is not None:
+            message = decode_message(wire)
         name_bytes = message.name._wire
         if isinstance(message, ContentObject):
-            self._push(start + rt.tau_process_ms, self._unsolicited_done, rt, (name_bytes,))
+            self._push(t + rt.tau_process_ms, self._unsolicited_done, rt, (name_bytes,))
             return
-        response = rt.obj.content_object_generation(message, start)
-        completion = start + rt.tau_process_ms + response.verifies * rt.tau_verify_ms
-        self.producer_interests[(rt.node_id, name_bytes)] += 1
-        self._push(completion, self._producer_done, rt, (iface, name_bytes, response))
+        response = rt.obj.content_object_generation(message, t)
+        completion = t + rt.tau_process_ms + response.verifies * rt.tau_verify_ms
+        key = (rt.node_id, name_bytes)
+        self.producer_counts[key] = self.producer_counts.get(key, 0) + 1
+        self._seq += 1
+        args = (iface, name_bytes, response)
+        heapq.heappush(self._queue, (completion, self._seq, self._producer_done, rt, args))
 
     def _router_done(self, rt: _NodeRuntime, at: float, events) -> None:
         for ev in events:
             kind = ev.kind
             if kind is EventKind.BATCH_TIMER:
-                self._push(ev.at, self._flush_timer, rt, (ev.batch_key,))
+                self._push(ev.at, self._batch_flush, rt, (ev.batch_key,))
                 continue
             reason = "" if ev.reason is None else ev.reason
             self.log_event(at, rt.node_id, kind, ev.name_bytes, reason)
@@ -609,7 +653,8 @@ class Simulation:
         self, rt: _NodeRuntime, t: float, iface: int, wire: bytes | None, message
     ) -> None:
         state: _ConsumerState = rt.obj
-        message = _received(wire, message)
+        if wire is not None:
+            message = decode_message(wire)
         name_bytes = message.name._wire
         if isinstance(message, Interest):
             self.log_event(t, rt.node_id, "int_drop", name_bytes, "Unexpected")
@@ -631,7 +676,8 @@ class Simulation:
         self, rt: _NodeRuntime, t: float, iface: int, wire: bytes | None, message
     ) -> None:
         state: _AdversaryState = rt.obj
-        message = _received(wire, message)
+        if wire is not None:
+            message = decode_message(wire)
         if isinstance(message, Interest):
             return
         name_bytes = message.name._wire
@@ -683,28 +729,29 @@ class Simulation:
         self._push(next_t, self._do_traffic, rt, (profile, ibac, public))
 
     def _start_action(self, rt: _NodeRuntime, t: float, index: int) -> None:
-        """Reserve a sequence number for each of the action's shots and
-        schedule the first; each shot schedules the next (``_chain_shot``).
-        A probe's prefix and scheme are resolved here, once."""
+        """Resolve what every shot of the action shares, reserve a sequence
+        number for each shot and schedule the first; each shot schedules
+        the next."""
         action = self.actions[index]
         shots = action.count
         probe = None
         if action.kind == NAME_PROBE:
-            probe = (Name.from_uri(action.probe_prefix).components, SchemeTag[action.probe_scheme])
+            # the constructor checks the prefix and scheme, once per action
+            probe = SuffixTemplate(
+                ObfuscatedName(
+                    Name.from_uri(action.probe_prefix).components,
+                    bytes(action.probe_suffix_len),
+                    SchemeTag[action.probe_scheme],
+                )
+            )
             if action.include_captured:
                 shots += len(self._first_capture_of_each_name(rt.obj))
-        first_seq = self._seq + 1
+        target_iface = rt.iface_to.get(action.target)
+        reason = f"{action.kind}#{index}"
+        chain = _ShotChain(index, action, shots, t, self._seq + 1, target_iface, reason, probe)
         self._seq += shots
-        self._chain_shot(rt, (index, shots, t, first_seq, probe), 0)
-
-    def _chain_shot(self, rt: _NodeRuntime, chain: tuple, shot: int) -> None:
-        """Schedule shot ``shot`` of ``chain`` = (action index, shots, start,
-        first reserved seq, probe prefix and scheme), if the action has that
-        many."""
-        index, shots, start, first_seq, _ = chain
-        if shot < shots:
-            t = start + shot * self.actions[index].interval_ms
-            heapq.heappush(self._queue, (t, first_seq + shot, self._do_shot, rt, (chain, shot)))
+        if shots:
+            heapq.heappush(self._queue, (t, chain.first_seq, self._do_shot, rt, (chain, 0)))
 
     @staticmethod
     def _first_capture_of_each_name(state: _AdversaryState) -> list[_Capture]:
@@ -723,13 +770,22 @@ class Simulation:
             return state.captures[action.capture]
         return state.captures[shot % len(state.captures)]
 
-    def _do_shot(self, rt: _NodeRuntime, t: float, chain: tuple, shot: int) -> None:
-        self._chain_shot(rt, chain, shot + 1)
-        index = chain[0]
-        action = self.actions[index]
+    def _do_shot(self, rt: _NodeRuntime, t: float, chain: _ShotChain, shot: int) -> None:
+        action = chain.action
+        following = shot + 1
+        if following < chain.shots:
+            at = chain.start + following * action.interval_ms
+            seq = chain.first_seq + following
+            heapq.heappush(self._queue, (at, seq, self._do_shot, rt, (chain, following)))
+        index = chain.index
         state: _AdversaryState = rt.obj
         kind = action.kind
-        if kind in (REPLAY_SAME_PATH, REPLAY_CROSS_PATH):
+        if chain.probe is not None and shot < action.count:
+            size = chain.probe.suffix_len
+            message = chain.probe.interest(self.rng.getrandbits(size * 8).to_bytes(size, "big"))
+            name_bytes = message.name._wire
+            pending_kind = kind
+        elif kind in (REPLAY_SAME_PATH, REPLAY_CROSS_PATH):
             capture = self._select_capture(state, action, shot)
             if capture is None:
                 self.log_event(t, rt.node_id, "adv_noop", b"", "no capture")
@@ -758,29 +814,18 @@ class Simulation:
                 ),
             )
             pending_kind = kind
-        else:  # NAME_PROBE
-            if shot < action.count:
-                prefix, scheme = chain[4]
-                suffix_bytes = self.rng.getrandbits(action.probe_suffix_len * 8).to_bytes(
-                    action.probe_suffix_len, "big"
-                )
-                name = ObfuscatedName(prefix, suffix_bytes, scheme)
-                message = Interest(name)
-                name_bytes = encode_name(name)
-                pending_kind = kind
-            else:
-                distinct = self._first_capture_of_each_name(state)
-                position = shot - action.count
-                if position >= len(distinct):
-                    return
-                base = distinct[position].message
-                message = Interest(base.name)  # name only: payload stripped
-                name_bytes = base.name._wire
-                state.captured_probe_outcomes.setdefault(name_bytes.hex(), 0)
-                pending_kind = "NAME_PROBE_CAPTURED"
+        else:  # NAME_PROBE at a captured name
+            distinct = self._first_capture_of_each_name(state)
+            position = shot - action.count
+            if position >= len(distinct):
+                return
+            base = distinct[position].message
+            message = Interest(base.name)  # name only: payload stripped
+            name_bytes = base.name._wire
+            state.captured_probe_outcomes.setdefault(name_bytes.hex(), 0)
+            pending_kind = "NAME_PROBE_CAPTURED"
 
-        target_iface = rt.iface_to.get(action.target)
-        if target_iface is None:
+        if chain.target_iface is None:
             raise ConfigError(
                 f"adversary {rt.node_id} has no link to action target {action.target}"
             )
@@ -788,8 +833,8 @@ class Simulation:
         state.attempts[index] += 1
         self.counters["injected"] += 1
         self.counters["adv_injected"] += 1
-        self.log_event(t, rt.node_id, "int_sent", name_bytes, f"{kind}#{index}")
-        self._send(rt, target_iface, message, t)
+        self.log_event(t, rt.node_id, "int_sent", name_bytes, chain.reason)
+        self._send(rt, chain.target_iface, message, t)
 
     def _do_expire(self, rt: _NodeRuntime, t: float) -> None:
         if rt.role == "router":
@@ -865,10 +910,7 @@ class Simulation:
             log_lines=self.log_lines,
             counters=dict(self.counters),
             drops=dict(self.drops),
-            producer_interests={
-                (node, name_bytes.hex()): n
-                for (node, name_bytes), n in self.producer_interests.items()
-            },
+            producer_counts=self.producer_counts,
             deliveries=self.deliveries,
             attacks=attacks,
             captured_probe_outcomes=captured_outcomes,

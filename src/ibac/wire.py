@@ -52,7 +52,10 @@ The field takes no part in equality, hashing or ``repr``, and
 asked, so a holder of records that never needs their bytes never makes
 them.  ``encode_name`` builds the component TLVs of each routable prefix
 once and keeps one tag TLV per scheme, so encoding a fresh obfuscated
-name costs its suffix alone.
+name costs its suffix alone.  A ``SuffixTemplate`` goes further for a run
+of name-only interests under one prefix and scheme with suffixes of one
+length: it checks and encodes the first name, and each further interest
+is its suffix joined to fixed bytes.
 
 Payloads are signed where their signature is read.  A payload built with
 ``AuthorizationPayload.signed_on_read`` holds the signer's key material
@@ -321,18 +324,20 @@ def suffix(name: Name, prefix) -> list[bytes]:
     return list(comps[len(prefix):])
 
 
-def name_components(name: AnyName) -> tuple[bytes, ...]:
-    """Component view used for table indexing; the obfuscated suffix counts as one."""
-    if isinstance(name, Name):
-        return name.components
-    if name.obfuscated_suffix:
-        return name.routable_prefix + (name.obfuscated_suffix,)
-    return name.routable_prefix
-
-
 def longest_prefix_match(table, name):
-    """Return the value of the longest table prefix leading ``name``, else None."""
-    comps = name_components(name) if isinstance(name, (Name, ObfuscatedName)) else tuple(name)
+    """Return the value of the longest table prefix leading ``name``, else None.
+
+    ``name`` is a name or a sequence of components; an obfuscated name's
+    suffix counts as one component.
+    """
+    if isinstance(name, ObfuscatedName):
+        comps = name.routable_prefix
+        if name.obfuscated_suffix:
+            comps += (name.obfuscated_suffix,)
+    elif isinstance(name, Name):
+        comps = name.components
+    else:
+        comps = tuple(name)
     for i in range(len(comps), 0, -1):
         hit = table.get(comps[:i])
         if hit is not None:
@@ -601,6 +606,49 @@ def _decode_interest(buf: bytes, start: int, end: int) -> Interest:
     if name is None:
         raise DecodeError("interest missing name")
     return Interest(name, payload, key_id, co_hash)
+
+
+class SuffixTemplate:
+    """Name-only interests for the obfuscated names that differ from one
+    checked name only in a suffix of the same length.
+
+    ``first`` passed ``ObfuscatedName``'s checks, and a suffix of its length
+    leaves every TLV but the suffix's value as ``first`` encodes: the
+    headers, the prefix's NameComponent TLVs and the scheme tag TLV.  So
+    ``interest(obfuscated)`` joins bytes and builds the records without the
+    constructors' checks.  They equal ``Interest(ObfuscatedName(prefix,
+    obfuscated, scheme))`` and carry its encoding.
+    """
+
+    __slots__ = ("suffix_len", "_name_fields", "_name_head", "_tag", "_interest_head")
+
+    def __init__(self, first: ObfuscatedName):
+        name_wire = encode_name(first)
+        self.suffix_len = len(first.obfuscated_suffix)
+        self._tag = _SCHEME_TAG_TLVS[first.scheme_tag]
+        self._name_head = name_wire[: len(name_wire) - self.suffix_len - len(self._tag)]
+        self._interest_head = _tlv(TYPE_INTEREST, name_wire)[:4]
+        self._name_fields = {
+            "routable_prefix": first.routable_prefix,
+            "scheme_tag": first.scheme_tag,
+        }
+
+    def interest(self, obfuscated: bytes) -> Interest:
+        """The name-only interest for the ``suffix_len``-byte suffix ``obfuscated``."""
+        if len(obfuscated) != self.suffix_len:
+            raise ValueError(f"suffix must be {self.suffix_len} bytes, got {len(obfuscated)}")
+        name_wire = self._name_head + obfuscated + self._tag
+        name = object.__new__(ObfuscatedName)
+        name.__dict__.update(self._name_fields, obfuscated_suffix=obfuscated, _wire=name_wire)
+        interest = object.__new__(Interest)
+        interest.__dict__.update(
+            name=name,
+            payload=None,
+            key_id=None,
+            content_object_hash=None,
+            _wire=self._interest_head + name_wire,
+        )
+        return interest
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
+import hashlib
 import json
 import os
 import subprocess
 import sys
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -11,6 +13,7 @@ import yaml
 from ibac import cli, scenario
 from ibac.scenario import (
     BUNDLED_SCENARIOS,
+    InvariantViolation,
     ParseError,
     ValidationError,
     bundled_scenario_path,
@@ -288,6 +291,53 @@ def test_cli_validate_reports_fields_that_crashed_the_run(tmp_path, capsys, raw,
     assert message in capsys.readouterr().err.splitlines()
 
 
+def _traffic_field(field, value):
+    traffic = {"consumer": "cr1", "lambda_per_s": 10, "delta": 0.5,
+               "ibac_targets": ["/edu/uci/x"], "max_interests": 3}
+    return minimal_raw(traffic=dict(traffic, **{field: value}))
+
+
+def _group_seed(value):
+    raw = minimal_raw()
+    raw["groups"][0]["seed"] = value
+    return raw
+
+
+def _adversary_keypair_seed(value):
+    raw = minimal_raw()
+    raw["nodes"].append({"id": "adv", "role": "adversary"})
+    raw["links"].append(["adv", "r1", 5])
+    raw["adversary"] = {"node": "adv", "keypair_seed": value, "actions": [
+        {"kind": "NAME_PROBE", "at_ms": 5, "target": "r1", "probe_prefix": "/edu/uci"}]}
+    return raw
+
+
+@pytest.mark.parametrize(
+    "raw, message",
+    [
+        *[(_traffic_field("start_ms", v), "traffic: start_ms must be a non-negative number")
+          for v in ("x", [], None, float("nan"), -1)],
+        *[(_traffic_field("end_ms", v), "traffic: end_ms must be a number") for v in ("x", [])],
+        *[(_traffic_field("max_interests", v),
+           "traffic: max_interests must be a non-negative integer") for v in ("x", [])],
+        *[(_group_seed(v), "group g1: seed must be an integer in [0, 2**64)")
+          for v in ("x", None, -1, 2**70, 1.5)],
+        *[(_adversary_keypair_seed(v), "adversary: keypair_seed must be an integer in [0, 2**64)")
+          for v in ("x", -1)],
+    ],
+    ids=["start_ms-str", "start_ms-list", "start_ms-none", "start_ms-nan", "start_ms-negative",
+         "end_ms-str", "end_ms-list", "max_interests-str", "max_interests-list",
+         "seed-str", "seed-none", "seed-negative", "seed-over-64-bits", "seed-float",
+         "keypair_seed-str", "keypair_seed-negative"],
+)
+def test_traffic_and_seed_fields_are_validated(raw, message):
+    # each of these once passed validation and crashed the run with a TypeError,
+    # ValueError, crypto.UnsupportedParameter or AttributeError
+    with pytest.raises(ValidationError) as err:
+        scenario_from_dict(raw)
+    assert message in err.value.errors
+
+
 def test_sweep_raw_is_valid():
     assert scenario_from_dict(sweep_raw()).sweep.router == "r1"
 
@@ -434,6 +484,17 @@ def test_cli_run_reports_unloadable_scenario(tmp_path, capsys, content):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command, code", [("run", 2), ("validate", 1)])
+@pytest.mark.parametrize("target", ["missing/file.yaml", "file.yaml", "file.yml"])
+def test_cli_reports_a_missing_scenario_file(tmp_path, monkeypatch, capsys, command, code, target):
+    # a mistyped path used to be reported as an unknown bundled scenario name
+    monkeypatch.chdir(tmp_path)
+    assert cli.main([command, target]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"{target}: no such file\n"
+
+
 def test_cli_run_writes_outputs(tmp_path):
     out = tmp_path / "run"
     assert cli.main(["run", "figure_sequence", "--out", str(out)]) == 0
@@ -457,3 +518,83 @@ def test_cli_out_dir_env(tmp_path, monkeypatch):
     monkeypatch.setenv("IBAC_OUT_DIR", str(tmp_path / "envout"))
     assert cli.main(["run", "figure_sequence"]) == 0
     assert (tmp_path / "envout" / "figure_sequence" / "summary.json").exists()
+
+
+# ---------------------------------------------------------------------------
+# invariant cross-checks
+
+
+def _name_probe_run():
+    sim, _ = scenario.build(load_bundled("name_probe"))
+    result = sim.run()
+    scenario.check_invariants(result, sim)  # the undoctored run passes
+    return result, sim
+
+
+def _doctored_lines(result, edit):
+    lines = list(result.log_lines)
+    edit(lines)
+    return replace(result, log_lines=lines)
+
+
+def _line_index(lines, kind, reason=None):
+    return next(
+        i for i, line in enumerate(lines)
+        if line.split("\t")[2] == kind and reason in (None, line.split("\t")[4])
+    )
+
+
+def test_invariants_catch_a_missing_drop_line():
+    result, sim = _name_probe_run()
+    doctored = _doctored_lines(result, lambda lines: lines.pop(_line_index(lines, "int_drop")))
+    with pytest.raises(InvariantViolation, match="drop counters"):
+        scenario.check_invariants(doctored, sim)
+
+
+def test_invariants_catch_an_extra_delivery_line():
+    result, sim = _name_probe_run()
+    doctored = _doctored_lines(
+        result, lambda lines: lines.append(lines[_line_index(lines, "content_delivered")])
+    )
+    with pytest.raises(InvariantViolation, match="delivery counter"):
+        scenario.check_invariants(doctored, sim)
+
+
+def test_invariants_catch_a_relabelled_verified_serve():
+    result, sim = _name_probe_run()
+
+    def relabel(lines):
+        i = _line_index(lines, "content_sent", "verified")
+        lines[i] = lines[i].rsplit("\t", 1)[0] + "\tpublic"
+
+    with pytest.raises(InvariantViolation, match="r1: emitted 0 protected contents"):
+        scenario.check_invariants(_doctored_lines(result, relabel), sim)
+
+
+def test_invariants_catch_unbalanced_conservation():
+    result, sim = _name_probe_run()
+    adversary = next(rt.obj for rt in sim.nodes.values() if rt.role == "adversary")
+    waiting = next(v for v in adversary.pending.values() if v)
+    waiting.pop()  # a probe still pending at the end, lost from the books
+    doctored = sim._result()
+    assert doctored.conservation["pending_at_end"] == result.conservation["pending_at_end"] - 1
+    with pytest.raises(InvariantViolation, match="conservation violated"):
+        scenario.check_invariants(doctored, sim)
+
+
+# ---------------------------------------------------------------------------
+# the bundled sweep, pinned at a short point length
+
+SWEEP_PINS = json.loads((Path(__file__).resolve().parent.parent
+                         / "testdata" / "sweep_outputs.json").read_text())
+
+
+def test_bundled_sweep_outputs_are_pinned(tmp_path):
+    # the sweep's bytes: tests/test_digests.py pins only the non-sweep scenarios
+    pin = SWEEP_PINS["service_rate_sweep"]
+    config = load_bundled("service_rate_sweep")
+    config.sweep.interests_per_point = pin["interests_per_point"]
+    assert scenario.run_scenario(config, tmp_path) == 0
+    for output in ("emission.log", "summary.json"):
+        digest = hashlib.sha256((tmp_path / output).read_bytes()).hexdigest()
+        assert digest == pin[output], output

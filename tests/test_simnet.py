@@ -16,6 +16,7 @@ from ibac.wire import (
     SchemeTag,
     decode_message,
     encode_interest,
+    encode_name,
 )
 
 BUNDLED_DIGESTS = json.loads(
@@ -486,6 +487,62 @@ def test_tied_shots_arrivals_and_expiry_keep_their_order():
     assert hashlib.sha256(log).hexdigest() == (
         "e4559af419cc0bcb77f1eaf86f445dbe68a9888a03919feb6db8575e86c5c14a"
     )
+
+
+def _random_probes(monkeypatch, config):
+    """Run ``config`` with a tap on the router-producer link; return the
+    action's random probes, as sent, and the adversary's captures."""
+    config.adversary.taps.append(["r1", "p1"])
+    sim, _ = scenario.build(config)
+    sent = []
+    send = sim._send
+
+    def recording_send(rt, iface, message, t):
+        if rt.role == "adversary":
+            sent.append(message)
+        send(rt, iface, message, t)
+
+    monkeypatch.setattr(sim, "_send", recording_send)
+    sim.run()
+    count = config.adversary.actions[0].count
+    return sent[:count], sim.nodes["adv"].obj.captures
+
+
+@pytest.mark.parametrize(
+    "prefix, scheme, suffix_len",
+    [(None, None, None)] + [
+        ("/edu/uci/ics", scheme, suffix_len)
+        for scheme in ("HASH", "ENC") for suffix_len in (1, 64)
+    ],
+    ids=["bundled", "hash-1", "hash-64", "enc-1", "enc-64"],
+)
+def test_random_probes_are_the_records_the_constructors_build(
+    monkeypatch, prefix, scheme, suffix_len
+):
+    config = scenario.load_bundled("name_probe")
+    action = config.adversary.actions[0]
+    if prefix is not None:
+        action.probe_prefix, action.probe_scheme = prefix, scheme
+        action.probe_suffix_len, action.count = suffix_len, 40
+    components = Name.from_uri(action.probe_prefix).components
+    tag = SchemeTag[action.probe_scheme]
+    probes, captures = _random_probes(monkeypatch, config)
+    assert len(probes) == action.count
+    expected = {}
+    for probe in probes:
+        obfuscated = probe.name.obfuscated_suffix
+        assert len(obfuscated) == action.probe_suffix_len
+        name = ObfuscatedName(components, obfuscated, tag)
+        fresh = Interest(name)
+        assert probe == fresh and probe.name == name
+        assert probe.name._wire == encode_name(name)
+        assert probe._wire == encode_interest(fresh)
+        expected[id(probe)] = probe
+    tapped = [c for c in captures if id(c.message) in expected]
+    assert tapped  # the router forwarded probes over the tapped link
+    for capture in tapped:
+        assert capture.message is expected[id(capture.message)]
+        assert decode_message(capture.wire) == capture.message
 
 
 def test_an_action_keeps_one_shot_queued(monkeypatch):

@@ -356,6 +356,33 @@ def test_built_records_carry_bytes_that_decode_to_them(message):
         assert simnet._received(data, message) is message
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.binary(min_size=1, max_size=12), min_size=1, max_size=4),
+    st.sampled_from(list(SchemeTag)),
+    st.integers(min_value=1, max_value=64).flatmap(
+        lambda n: st.lists(st.binary(min_size=n, max_size=n), min_size=1, max_size=3)
+    ),
+)
+def test_suffix_template_builds_what_the_constructors_build(prefix, scheme, suffixes):
+    template = wire.SuffixTemplate(ObfuscatedName(prefix, bytes(len(suffixes[0])), scheme))
+    for obfuscated in suffixes:
+        built = template.interest(obfuscated)
+        name = ObfuscatedName(prefix, obfuscated, scheme)
+        fresh = Interest(name)
+        assert built == fresh and built.name == name and hash(built.name) == hash(name)
+        assert built.name._wire == encode_name(name)
+        assert built._wire == encode_interest(fresh)
+        assert decode_message(built._wire) == built
+
+
+def test_suffix_template_refuses_a_suffix_of_another_length():
+    template = wire.SuffixTemplate(ObfuscatedName((b"a",), bytes(4), SchemeTag.HASH))
+    for obfuscated in (b"abc", b"abcde"):
+        with pytest.raises(ValueError, match="4 bytes"):
+            template.interest(obfuscated)
+
+
 def test_constructors_reject_fields_the_decoders_reject():
     for tag in (5, 1, None):
         with pytest.raises(TypeError):
