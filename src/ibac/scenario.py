@@ -20,15 +20,19 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import math
 from collections import Counter, deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
 
 import yaml
 
-from . import analysis, crypto
+from . import analysis, crypto, kinds
 from .consumer import ConsumerMode
+from .kinds import (BOOL, IDS, MAX_COUNT, MAX_DATA_BYTES, MAX_MS, MAX_S, MAX_SWEEP_TICKS, SEED,
+                    TEXT, TIME, Choice, Fractions, Ids, Num, Pairs, Record, Records, Text,
+                    declare, config_record)
 from .producer import Producer, ProtectionPolicy
 from .router import Router, VerifyMode, VerifyStrategy
 from .simnet import AdversaryAction, RunResult, Simulation, TrafficProfile
@@ -52,93 +56,119 @@ class InvariantViolation(AssertionError):
     pass
 
 
-@dataclass
+ROLES = ("consumer", "producer", "router", "adversary")
+SCHEMES = ("ENC", "HASH")
+COST = Num(0, MAX_S)  # a negative cost runs the log's clock backwards
+
+
+@config_record
 class NodeSpec:
-    id: str
-    role: str
-    group: str | None = None
-    mode: str = "FULL"
-    scheme: str = "ENC"
-    clock_offset_ms: float = 0.0
-    prefix: str | None = None
-    verify_mode: str = "INDIVIDUAL"
-    batch_size: int = 10
-    batch_timeout_ms: float = 100.0
-    pit_lifetime_ms: float = 4000.0
-    tau_process_s: float = DEFAULT_TAU_PROCESS_S
-    tau_verify_s: float = DEFAULT_TAU_VERIFY_S
-    window_ms: float | None = None
-    skew_ms: float = 1000.0
+    id: str = declare(TEXT)
+    role: str = declare(Choice(ROLES))
+    group: str | None = declare(Text(optional=True), None)
+    mode: str = declare(Choice(ConsumerMode.__members__), "FULL")
+    scheme: str = declare(Choice(SCHEMES), "ENC")
+    clock_offset_ms: float = declare(Num(-MAX_MS, MAX_MS), 0.0)
+    prefix: str | None = declare(Text(optional=True), None)
+    verify_mode: str = declare(Choice(("INDIVIDUAL", "BATCH")), "INDIVIDUAL")
+    batch_size: int = declare(Num(0, MAX_COUNT, strict=True, integer=True), 10)
+    batch_timeout_ms: float = declare(TIME, 100.0)
+    pit_lifetime_ms: float = declare(TIME, 4000.0)
+    tau_process_s: float = declare(COST, DEFAULT_TAU_PROCESS_S)
+    tau_verify_s: float = declare(COST, DEFAULT_TAU_VERIFY_S)
+    window_ms: float | None = declare(Num(0, MAX_MS, optional=True), None)
+    skew_ms: float = declare(TIME, 1000.0)
 
 
-@dataclass
+@config_record
+class LinkSpec:
+    """A link, written ``[a, b, latency_ms]``."""
+
+    a: str = declare(TEXT)
+    b: str = declare(TEXT)
+    latency_ms: float = declare(Num(None, MAX_MS))  # ``validate`` refuses <= 0 and NaN
+
+
+@config_record
 class GroupSpec:
-    id: str
-    seed: int
+    id: str = declare(TEXT)
+    seed: int = declare(SEED)
 
 
-@dataclass
+@config_record
 class ContentSpec:
-    name: str
-    groups: list[str] = field(default_factory=list)
-    scheme: str = "ENC"
-    policy: str = "FULL"
-    expiry_ms: int = 60_000
-    data_size: int = 64
-    data: str | None = None
-    extra_key_groups: list[str] = field(default_factory=list)
+    name: str = declare(TEXT)
+    groups: list[str] = declare(IDS, factory=list)
+    scheme: str = declare(Choice(SCHEMES), "ENC")
+    policy: str = declare(Choice(ProtectionPolicy.__members__), "FULL")
+    # the producer stamps ``round(now) + expiry_ms`` as a uint64
+    expiry_ms: int = declare(Num(0, (1 << 63) - 1, strict=True, integer=True,
+                                 what="a positive number", bound="an integer in (0, 2**63)"),
+                             60_000)
+    data_size: int = declare(Num(0, MAX_DATA_BYTES, integer=True), 64)
+    data: str | None = declare(Text(optional=True), None)
+    extra_key_groups: list[str] = declare(IDS, factory=list)
 
 
-@dataclass
+@config_record
 class FetchSpec:
-    consumer: str
-    name: str
-    at_ms: float
+    consumer: str = declare(Text(refused="unknown consumer {value!r}"))
+    name: str = declare(TEXT)
+    at_ms: float = declare(TIME)
 
 
-@dataclass
+@config_record
 class AdversarySpec:
-    node: str
-    keypair_seed: int = 0xADF
-    taps: list[list[str]] = field(default_factory=list)
-    actions: list[AdversaryAction] = field(default_factory=list)
+    node: str = declare(Text(refused="node {value!r} must be declared with role adversary"))
+    keypair_seed: int = declare(SEED, 0xADF)
+    taps: list[list[str]] = declare(Pairs(), factory=list)
+    actions: list[AdversaryAction] = declare(Records(AdversaryAction), factory=list)
 
 
-@dataclass
+@config_record
 class RekeySpec:
-    at_ms: float
-    content: str
-    new_groups: list[str]
-    revoke_groups: list[str] = field(default_factory=list)
+    at_ms: float = declare(TIME)
+    content: str = declare(TEXT)
+    new_groups: list[str] = declare(Ids(least=1))  # publishing needs a group
+    revoke_groups: list[str] = declare(IDS, factory=list)
 
 
-@dataclass
+@config_record
 class SweepSpec:
-    router: str
-    deltas: list[float] = field(default_factory=lambda: [0.0, 0.2, 0.5, 1.0])
-    interests_per_point: int = 10_000
-    tail_ms: float = 60_000.0
-    saturation_factor: float = 2.0
+    router: str = declare(Text(refused="router {value!r} not a router node"))
+    deltas: list[float] = declare(Fractions(), factory=lambda: [0.0, 0.2, 0.5, 1.0])
+    interests_per_point: int = declare(Num(0, MAX_COUNT, strict=True, integer=True), 10_000)
+    tail_ms: float = declare(TIME, 60_000.0)
+    saturation_factor: float = declare(Num(0, 1000, strict=True), 2.0)
 
 
-@dataclass
+@config_record
 class ScenarioConfig:
-    name: str
-    seed: int = 0
-    kappa: int = 128
-    duration_ms: float = 60_000.0
-    expiry_sweep_ms: float = 500.0
-    encrypted_group_ids: bool = False
-    record_wire: bool = False
-    nodes: list[NodeSpec] = field(default_factory=list)
-    links: list[tuple[str, str, float]] = field(default_factory=list)
-    groups: list[GroupSpec] = field(default_factory=list)
-    contents: list[ContentSpec] = field(default_factory=list)
-    fetches: list[FetchSpec] = field(default_factory=list)
-    traffic: TrafficProfile | None = None
-    adversary: AdversarySpec | None = None
-    rekeys: list[RekeySpec] = field(default_factory=list)
-    sweep: SweepSpec | None = None
+    name: str = declare(TEXT)
+    seed: int = declare(SEED, 0)
+    kappa: int = declare(Choice(crypto.SUPPORTED_KAPPA, f"one of {crypto.SUPPORTED_KAPPA}"), 128)
+    duration_ms: float = declare(TIME, 60_000.0)
+    # the expiry sweep reschedules itself this far ahead; at 0 it never ends
+    expiry_sweep_ms: float = declare(Num(0, MAX_MS, strict=True, what="positive"), 500.0)
+    encrypted_group_ids: bool = declare(BOOL, False)
+    record_wire: bool = declare(BOOL, False)
+    nodes: list[NodeSpec] = declare(Records(NodeSpec), factory=list)
+    links: list[LinkSpec] = declare(Records(LinkSpec), factory=list)
+    groups: list[GroupSpec] = declare(Records(GroupSpec), factory=list)
+    contents: list[ContentSpec] = declare(Records(ContentSpec), factory=list)
+    fetches: list[FetchSpec] = declare(Records(FetchSpec), factory=list)
+    traffic: TrafficProfile | None = declare(Record(TrafficProfile), None)
+    adversary: AdversarySpec | None = declare(Record(AdversarySpec), None)
+    rekeys: list[RekeySpec] = declare(Records(RekeySpec), factory=list)
+    sweep: SweepSpec | None = declare(Record(SweepSpec), None)
+
+
+# the fields that hold records, by the class that has them
+_NESTED = {
+    cls: [(name, kind) for name, kind in kinds.fields(cls).items()
+          if isinstance(kind, (Records, Record))]
+    for cls in (ScenarioConfig, AdversarySpec)
+}
 
 
 @dataclass
@@ -184,74 +214,52 @@ def _content_data(config_seed: int, spec: ContentSpec) -> bytes:
 # -- parsing -------------------------------------------------------------------
 
 
-def _build_dataclass(cls, raw: dict, where: str, errors: list[str]):
-    known = set(cls.__dataclass_fields__)
-    unknown = set(raw) - known
-    if unknown:
-        errors.append(f"{where}: unknown keys {sorted(unknown)}")
-    kwargs = {k: v for k, v in raw.items() if k in known}
+def _build(cls, raw, where: str, errors: list[str]):
+    """A ``cls`` record from the mapping ``raw`` (a link from its triple),
+    its nested records built alike and every other value kept as written;
+    None, with the reason in ``errors``, when ``raw`` has the wrong shape."""
+    if cls is LinkSpec:
+        if isinstance(raw, list) and len(raw) == 3:
+            return LinkSpec(*raw)
+        errors.append(f"{where}: expected [a, b, latency_ms]")
+        return None
+    if not isinstance(raw, dict):
+        errors.append(f"{where}: expected a mapping")
+        return None
+    declared = kinds.fields(cls)
+    kwargs = raw
+    if not raw.keys() <= declared.keys():
+        errors.append(f"{where or 'top level'}: unknown keys {sorted(raw.keys() - declared)}")
+        kwargs = {k: v for k, v in raw.items() if k in declared}
+    if cls in _NESTED:
+        kwargs = dict(kwargs)
+        for name, kind in _NESTED[cls]:
+            value = kwargs.pop(name, None)
+            if value is None:
+                continue  # the block is left out
+            inner = f"{where}.{name}" if where else name
+            if isinstance(kind, Record):
+                kwargs[name] = _build(kind.cls, value, inner, errors)
+            elif isinstance(value, list):
+                built = [_build(kind.cls, item, f"{inner}[{i}]", errors)
+                         for i, item in enumerate(value)]
+                kwargs[name] = [record for record in built if record is not None]
+            else:
+                errors.append(f"{inner}: expected a list")
     try:
         return cls(**kwargs)
-    except TypeError as exc:
+    except TypeError as exc:  # a required key is missing
         errors.append(f"{where}: {exc}")
         return None
 
 
 def scenario_from_dict(raw: dict, source: str = "<dict>") -> ScenarioConfig:
-    errors: list[str] = []
+    """The scenario ``raw`` describes; here only its shape is checked, and
+    ``validate`` checks what its records hold."""
     if not isinstance(raw, dict):
         raise ParseError(f"{source}: top level must be a mapping")
-    config = ScenarioConfig(name=str(raw.get("name", Path(source).stem)))
-    config.seed = raw.get("seed", 0)
-    config.kappa = raw.get("kappa", 128)
-    config.duration_ms = raw.get("duration_ms", 60_000.0)
-    config.expiry_sweep_ms = raw.get("expiry_sweep_ms", 500.0)
-    config.encrypted_group_ids = bool(raw.get("encrypted_group_ids", False))
-    config.record_wire = bool(raw.get("record_wire", False))
-
-    for i, item in enumerate(raw.get("nodes", [])):
-        spec = _build_dataclass(NodeSpec, item, f"nodes[{i}]", errors)
-        if spec:
-            config.nodes.append(spec)
-    for i, item in enumerate(raw.get("links", [])):
-        if not (isinstance(item, (list, tuple)) and len(item) == 3):
-            errors.append(f"links[{i}]: expected [a, b, latency_ms]")
-            continue
-        if not isinstance(item[2], (int, float)):
-            errors.append(f"links[{i}]: latency_ms must be a number")
-            continue
-        config.links.append((str(item[0]), str(item[1]), float(item[2])))
-    for i, item in enumerate(raw.get("groups", [])):
-        spec = _build_dataclass(GroupSpec, item, f"groups[{i}]", errors)
-        if spec:
-            config.groups.append(spec)
-    for i, item in enumerate(raw.get("contents", [])):
-        spec = _build_dataclass(ContentSpec, item, f"contents[{i}]", errors)
-        if spec:
-            config.contents.append(spec)
-    for i, item in enumerate(raw.get("fetches", [])):
-        spec = _build_dataclass(FetchSpec, item, f"fetches[{i}]", errors)
-        if spec:
-            config.fetches.append(spec)
-    if "traffic" in raw and raw["traffic"] is not None:
-        config.traffic = _build_dataclass(TrafficProfile, raw["traffic"], "traffic", errors)
-    if "adversary" in raw and raw["adversary"] is not None:
-        adv_raw = dict(raw["adversary"])
-        actions_raw = adv_raw.pop("actions", [])
-        adv = _build_dataclass(AdversarySpec, adv_raw, "adversary", errors)
-        if adv:
-            for i, item in enumerate(actions_raw):
-                spec = _build_dataclass(AdversaryAction, item, f"adversary.actions[{i}]", errors)
-                if spec:
-                    adv.actions.append(spec)
-            config.adversary = adv
-    for i, item in enumerate(raw.get("rekeys", [])):
-        spec = _build_dataclass(RekeySpec, item, f"rekeys[{i}]", errors)
-        if spec:
-            config.rekeys.append(spec)
-    if "sweep" in raw and raw["sweep"] is not None:
-        config.sweep = _build_dataclass(SweepSpec, raw["sweep"], "sweep", errors)
-
+    errors: list[str] = []
+    config = _build(ScenarioConfig, {"name": Path(source).stem, **raw}, "", errors)
     errors.extend(validate(config))
     if errors:
         raise ValidationError(errors)
@@ -291,102 +299,84 @@ def _parse_prefix(uri: str) -> tuple[bytes, ...]:
     return tuple(c.encode() for c in uri.strip("/").split("/") if c)
 
 
-def _declared(key, table) -> bool:
-    """Whether ``key`` is a string declared in ``table``.  Any other value is
-    not declared; a list, say, would make ``in`` raise ``TypeError``."""
-    return isinstance(key, str) and key in table
-
-
-def _non_negative(value) -> bool:
-    # NaN compares false, so it is refused too
-    return isinstance(value, (int, float)) and value >= 0
-
-
-def _seed_64(value) -> bool:
-    # key generation expands a seed as 8 bytes
-    return isinstance(value, int) and 0 <= value < 1 << 64
+def _node_where(n: NodeSpec) -> str:
+    # "router r1"; a node whose id or role cannot say so is named as written
+    if n.role in ROLES and isinstance(n.id, str):
+        return f"{n.role} {n.id}"
+    return f"node {n.id!r}"
 
 
 def validate(config: ScenarioConfig) -> list[str]:
+    """Every problem in ``config``: each field not of its declared kind
+    (``kinds.check``), and each broken rule across fields or records.  A
+    rule reads only fields of their kind, so a bad field is reported once."""
     errors: list[str] = []
-    # every table below is keyed by node id, so nothing else is checked
-    # until the ids can be keys
-    errors += [
-        f"node {n.id!r}: id must be a string" for n in config.nodes if not isinstance(n.id, str)
+    bad = kinds.check(config, "", errors)
+    if bad & {name for name, _ in _NESTED[ScenarioConfig]}:
+        return errors  # the records cannot be walked
+    if not bad & {"duration_ms", "expiry_sweep_ms"} and (
+        config.duration_ms > config.expiry_sweep_ms * MAX_SWEEP_TICKS
+    ):
+        errors.append(f"duration_ms must be at most {MAX_SWEEP_TICKS:,} times expiry_sweep_ms")
+
+    group_ids = [
+        g.id for g in config.groups if "id" not in kinds.check(g, f"group {g.id}", errors)
     ]
-    if errors:
-        return errors
-    node_ids = [n.id for n in config.nodes]
-    if len(node_ids) != len(set(node_ids)):
-        errors.append("duplicate node ids")
-    nodes = {n.id: n for n in config.nodes}
-    roles = {"consumer", "producer", "router", "adversary"}
+    groups = set(group_ids)
+    if len(groups) != len(group_ids):
+        errors.append("duplicate group ids")
+
+    nodes: dict[str, NodeSpec] = {}  # by id, when the id and role are of their kinds
+    node_bad: dict[str, frozenset] = {}  # and the node's fields that are not
     for n in config.nodes:
-        if n.role not in roles:
-            errors.append(f"node {n.id}: unknown role {n.role!r}")
-        if n.role == "consumer":
-            if n.group is None:
-                errors.append(f"consumer {n.id}: missing group")
-            if not _declared(n.mode, ConsumerMode.__members__):
-                errors.append(f"consumer {n.id}: unknown mode {n.mode!r}")
-            if n.scheme not in ("ENC", "HASH"):
-                errors.append(f"consumer {n.id}: unknown scheme {n.scheme!r}")
-        if n.role == "producer" and not n.prefix:
-            errors.append(f"producer {n.id}: missing prefix")
-        elif n.role == "producer" and not isinstance(n.prefix, str):
-            errors.append(f"producer {n.id}: prefix must be a string")
-        if n.role == "router" and n.verify_mode not in ("INDIVIDUAL", "BATCH"):
-            errors.append(f"router {n.id}: unknown verify_mode {n.verify_mode!r}")
-        # a negative cost or timeout finishes a service before it starts,
-        # which runs the log's clock backwards
-        for what in ("tau_process_s", "tau_verify_s", "batch_timeout_ms"):
-            if not _non_negative(getattr(n, what)):
-                errors.append(f"{n.role} {n.id}: {what} must be a non-negative number")
+        bad = kinds.check(n, _node_where(n), errors)
+        if not bad & {"id", "role"}:
+            if n.id in nodes:
+                errors.append("duplicate node ids")
+            nodes[n.id], node_bad[n.id] = n, bad
+    by_role = {role: {i for i, n in nodes.items() if n.role == role} for role in ROLES}
+    adv = config.adversary
+    for i, n in nodes.items():
+        if node_bad[i]:
+            continue
+        if n.role == "consumer" and n.group is None:
+            errors.append(f"consumer {i}: missing group")
+        elif n.role == "consumer" and n.group not in groups:
+            errors.append(f"consumer {i}: undefined group {n.group!r}")
+        elif n.role == "producer" and not n.prefix:
+            errors.append(f"producer {i}: missing prefix")
+        elif n.role == "adversary" and (adv is None or adv.node != i):
+            errors.append(f"adversary {i}: no adversary block names this node")
 
-    if not isinstance(config.seed, int):
-        errors.append("seed must be an integer")
-    if config.kappa not in crypto.SUPPORTED_KAPPA:
-        errors.append(f"kappa must be one of {crypto.SUPPORTED_KAPPA}")
-    sweep_ms = config.expiry_sweep_ms
-    if not (isinstance(sweep_ms, (int, float)) and sweep_ms > 0):
-        errors.append("expiry_sweep_ms must be positive")
-    if not _non_negative(config.duration_ms):
-        errors.append("duration_ms must be a non-negative number")
-
-    adjacency: dict[str, set[str]] = {n: set() for n in node_ids}
-    for a, b, latency in config.links:
+    adjacency: dict[str, set[str]] = {i: set() for i in nodes}
+    linked = set()
+    for index, link in enumerate(config.links):
+        if kinds.check(link, f"links[{index}]", errors):
+            continue
+        a, b = link.a, link.b
         for end in (a, b):
             if end not in nodes:
                 errors.append(f"link ({a}, {b}): unknown node {end}")
-        if not latency > 0:  # also refuses NaN
+        if not link.latency_ms > 0:  # also refuses NaN
             errors.append(f"link ({a}, {b}): latency must be positive")
-        if a in adjacency and b in adjacency:
+        if a in nodes and b in nodes:
             adjacency[a].add(b)
             adjacency[b].add(a)
+        linked.add(frozenset((a, b)))
 
-    group_ids = [g.id for g in config.groups]
-    if len(group_ids) != len(set(group_ids)):
-        errors.append("duplicate group ids")
-    groups = set(group_ids)
-    for g in config.groups:
-        if not _seed_64(g.seed):
-            errors.append(f"group {g.id}: seed must be an integer in [0, 2**64)")
-    for n in config.nodes:
-        if n.role == "consumer" and n.group is not None and not _declared(n.group, groups):
-            errors.append(f"consumer {n.id}: undefined group {n.group!r}")
-
-    producers = [n for n in config.nodes if n.role == "producer"]
     prefixes = {
-        n.id: _parse_prefix(n.prefix) if isinstance(n.prefix, str) else () for n in producers
+        i: _parse_prefix(nodes[i].prefix)
+        for i in by_role["producer"]
+        if nodes[i].prefix and "prefix" not in node_bad[i]
     }
-    content_names = set()
+    catalog: set[str] = set()
     for c in config.contents:
-        if not isinstance(c.name, str):
-            errors.append(f"content {c.name!r}: name must be a string")
+        bad = kinds.check(c, f"content {c.name}", errors)
+        if "name" in bad:
             continue
-        if c.name in content_names:
+        if c.name in catalog:
             errors.append(f"content {c.name}: duplicated")
-        content_names.add(c.name)
+        catalog.add(c.name)
         comps = _parse_prefix(c.name)
         owners = [
             pid
@@ -397,102 +387,91 @@ def validate(config: ScenarioConfig) -> list[str]:
             errors.append(
                 f"content {c.name}: must extend exactly one producer prefix (matched {owners})"
             )
-        if not _declared(c.policy, ProtectionPolicy.__members__):
-            errors.append(f"content {c.name}: unknown policy {c.policy!r}")
-        if c.scheme not in ("ENC", "HASH"):
-            errors.append(f"content {c.name}: unknown scheme {c.scheme!r}")
-        if not (isinstance(c.expiry_ms, (int, float)) and c.expiry_ms > 0):
-            errors.append(f"content {c.name}: expiry_ms must be a positive number")
-        if not (isinstance(c.data_size, int) and c.data_size >= 0):
-            errors.append(f"content {c.name}: data_size must be a non-negative integer")
-        if not (c.data is None or isinstance(c.data, str)):
-            errors.append(f"content {c.name}: data must be a string")
+        if bad:
+            continue
         if c.policy == "PUBLIC" and c.groups:
             errors.append(f"content {c.name}: public content cannot list groups")
         if c.policy != "PUBLIC" and not c.groups:
             errors.append(f"content {c.name}: protected content needs groups")
-        for gid in list(c.groups) + list(c.extra_key_groups):
-            if not _declared(gid, groups):
+        for gid in [*c.groups, *c.extra_key_groups]:
+            if gid not in groups:
                 errors.append(f"content {c.name}: undefined group {gid!r}")
 
-    # a scenario may script thousands of fetches: ``_declared`` and
-    # ``_non_negative`` are inlined here
-    consumer_ids = {n.id for n in config.nodes if n.role == "consumer"}
+    consumers = by_role["consumer"]
+    starts = []  # (consumer, time) of each fetch and traffic start
+    well_formed = kinds.tester(FetchSpec)  # ``check`` only what fails, of thousands
     for f in config.fetches:
-        if not (isinstance(f.consumer, str) and f.consumer in consumer_ids):
-            errors.append(f"fetch of {f.name}: unknown consumer {f.consumer!r}")
-        if not (isinstance(f.name, str) and f.name in content_names):
+        if not well_formed(f) and kinds.check(f, f"fetch of {f.name}", errors):
+            continue
+        if f.consumer not in consumers:
+            errors.append(kinds.refusal(f, "consumer", f"fetch of {f.name}"))
+        if f.name not in catalog:
             errors.append(f"fetch of {f.name}: content not in catalog")
-        if not (isinstance(f.at_ms, (int, float)) and f.at_ms >= 0):
-            errors.append(f"fetch of {f.name}: at_ms must be a non-negative number")
+        starts.append((f.consumer, f.at_ms))
 
-    if config.traffic is not None:
-        t = config.traffic
-        if not (_declared(t.consumer, nodes) and nodes[t.consumer].role == "consumer"):
-            errors.append(f"traffic: unknown consumer {t.consumer!r}")
-        errors += [f"traffic: {problem}" for problem in t.problems()]
-        for name in list(t.ibac_targets) + list(t.public_targets):
-            if not _declared(name, content_names):
+    t = config.traffic
+    if t is not None and not kinds.check(t, "traffic", errors):
+        if t.consumer not in consumers:
+            errors.append(kinds.refusal(t, "consumer", "traffic"))
+        for name in [*t.ibac_targets, *t.public_targets]:
+            if name not in catalog:
                 errors.append(f"traffic target {name}: content not in catalog")
+        starts.append((t.consumer, t.start_ms))
 
-    if config.adversary is not None:
-        adv = config.adversary
-        if not (_declared(adv.node, nodes) and nodes[adv.node].role == "adversary"):
-            errors.append(f"adversary: node {adv.node!r} must be declared with role adversary")
-        if not _seed_64(adv.keypair_seed):
-            errors.append("adversary: keypair_seed must be an integer in [0, 2**64)")
-        for a, b in adv.taps:
-            if frozenset((a, b)) not in {frozenset((x, y)) for x, y, _ in config.links}:
+    # a consumer stamps ``round(now + clock_offset_ms)`` as a uint64
+    for i in consumers:
+        offset = nodes[i].clock_offset_ms
+        if not node_bad[i] and offset < 0:
+            first = min((at for who, at in starts if who == i), default=math.inf)
+            if first + offset < 0:
+                errors.append(f"consumer {i}: clock_offset_ms {offset} stamps a time before 0")
+
+    if adv is not None:
+        bad = kinds.check(adv, "adversary", errors)
+        if "node" not in bad and adv.node not in by_role["adversary"]:
+            errors.append(kinds.refusal(adv, "node", "adversary"))
+        for a, b in () if "taps" in bad else adv.taps:
+            if frozenset((a, b)) not in linked:
                 errors.append(f"adversary tap ({a}, {b}): no such link")
-        for i, action in enumerate(adv.actions):
-            where = f"adversary.actions[{i}]"
-            errors += [f"{where}: {problem}" for problem in action.problems()]
-            if not _declared(action.target, nodes):
-                errors.append(f"{where}: unknown target {action.target!r}")
-            elif _declared(adv.node, adjacency) and action.target not in adjacency[adv.node]:
+        linked_to_adv = None if "node" in bad else adjacency.get(adv.node)
+        for index, action in enumerate(() if "actions" in bad else adv.actions):
+            where = f"adversary.actions[{index}]"
+            found = action.problems(where)
+            errors += found
+            if found:
+                continue
+            if action.target not in nodes:
+                errors.append(kinds.refusal(action, "target", where))
+            elif linked_to_adv is not None and action.target not in linked_to_adv:
                 errors.append(f"{where}: adversary has no direct link to {action.target}")
 
     for r in config.rekeys:
-        if not _declared(r.content, content_names):
+        if kinds.check(r, f"rekey of {r.content}", errors):
+            continue
+        if r.content not in catalog:
             errors.append(f"rekey of {r.content}: content not in catalog")
-        for gid in list(r.new_groups) + list(r.revoke_groups):
-            if not _declared(gid, groups):
+        for gid in [*r.new_groups, *r.revoke_groups]:
+            if gid not in groups:
                 errors.append(f"rekey of {r.content}: undefined group {gid!r}")
 
-    if config.sweep is not None:
-        sweep = config.sweep
-        if not (_declared(sweep.router, nodes) and nodes[sweep.router].role == "router"):
-            errors.append(f"sweep: router {sweep.router!r} not a router node")
-        if config.traffic is None:
+    sweep = config.sweep
+    if sweep is not None:
+        bad = kinds.check(sweep, "sweep", errors)
+        if "router" not in bad and sweep.router not in by_role["router"]:
+            errors.append(kinds.refusal(sweep, "router", "sweep"))
+        if t is None:
             errors.append("sweep: requires a traffic profile")
-        if not isinstance(sweep.deltas, (list, tuple)):
-            errors.append("sweep: deltas must be a list")
-        else:
-            for d in sweep.deltas:
-                if not (isinstance(d, (int, float)) and 0.0 <= d <= 1.0):
-                    errors.append(f"sweep delta {d!r} outside [0, 1]")
-        if not (isinstance(sweep.interests_per_point, int) and sweep.interests_per_point > 0):
-            errors.append("sweep: interests_per_point must be a positive integer")
-        if not (isinstance(sweep.tail_ms, (int, float)) and sweep.tail_ms >= 0):
-            errors.append("sweep: tail_ms must be a non-negative number")
-        if not (isinstance(sweep.saturation_factor, (int, float)) and sweep.saturation_factor > 0):
-            errors.append("sweep: saturation_factor must be a positive number")
 
     # connectivity: every consumer must reach at least one producer
-    producer_ids = {n.id for n in producers}
-    for n in config.nodes:
-        if n.role != "consumer" or n.id not in adjacency:
-            continue
-        seen = {n.id}
-        frontier = deque([n.id])
+    for i in consumers:
+        seen = {i}
+        frontier = deque([i])
         while frontier:
-            cur = frontier.popleft()
-            for nxt in adjacency.get(cur, ()):
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
-        if not seen & producer_ids:
-            errors.append(f"consumer {n.id}: no path to any producer")
+            for nxt in adjacency[frontier.popleft()] - seen:
+                seen.add(nxt)
+                frontier.append(nxt)
+        if not seen & by_role["producer"]:
+            errors.append(f"consumer {i}: no path to any producer")
 
     return errors
 
@@ -580,14 +559,14 @@ def build(config: ScenarioConfig) -> tuple[Simulation, BuildInfo]:
         adv_material = crypto.gen_group(config.kappa, config.adversary.keypair_seed)
         sim.add_adversary(config.adversary.node, adv_material)
 
-    for a, b, latency in config.links:
-        sim.add_link(a, b, latency)
+    for link in config.links:
+        sim.add_link(link.a, link.b, link.latency_ms)
 
     # FIB: shortest paths toward each producer prefix
     adjacency: dict[str, list[str]] = {n.id: [] for n in config.nodes}
-    for a, b, _ in config.links:
-        adjacency[a].append(b)
-        adjacency[b].append(a)
+    for link in config.links:
+        adjacency[link.a].append(link.b)
+        adjacency[link.b].append(link.a)
     for producer_id, producer in producers.items():
         next_hops = _bfs_next_hops(adjacency, producer_id)
         for node_id, hop in next_hops.items():

@@ -58,9 +58,11 @@ a send is one lookup.
 
 ``AdversaryAction`` and ``TrafficProfile`` hold values as a scenario file
 writes them: a probe prefix is a URI, a probe scheme a ``SchemeTag`` name
-and a traffic target a content URI.  Each lists its own field errors
-(``problems()``), which ``schedule_action`` and ``set_traffic`` raise as
-``ConfigError``.  The simulator resolves the file values once: a probe's
+and a traffic target a content URI.  Each field declares its kind
+(``kinds.declare``), and ``schedule_action`` and ``set_traffic`` raise what
+the one field checker finds as ``ConfigError``: ``kinds.problems`` for a
+profile, and for an action its ``problems()``, which adds the rule across
+its own fields.  The simulator resolves the file values once: a probe's
 prefix and scheme when its action starts, and the traffic targets to the
 registered names and their prefixes in ``set_traffic``, never per shot or
 per fetch.
@@ -81,8 +83,10 @@ import random
 from collections import Counter, deque
 from dataclasses import dataclass, field
 
-from . import crypto
+from . import crypto, kinds
 from .consumer import ConsumerContext, interest_generation
+from .kinds import (BOOL, CAPTURE, FRACTION, IDS, MAX_COUNT, MAX_MS, MAX_RATE_PER_S,
+                    MAX_SUFFIX_BYTES, TEXT, TIME, Choice, Num, Text, declare, config_record)
 from .producer import Producer
 from .router import EventKind, Router
 from .wire import (
@@ -133,77 +137,43 @@ def _received(wire: bytes, message):
     return decode_message(wire)
 
 
-@dataclass
+@config_record
 class AdversaryAction:
     """One scripted attack, as a scenario file writes it."""
 
-    kind: str
-    at_ms: float
-    target: str
-    count: int = 1
-    interval_ms: float = 1.0
-    capture: int | str = "cycle"  # capture index, or "cycle" over all captures
-    include_captured: bool = False
-    probe_prefix: str | None = None  # URI of the probed routable prefix
-    probe_scheme: str = "HASH"  # a ``SchemeTag`` name
-    probe_suffix_len: int = 32
-    label: str = ""
+    kind: str = declare(Choice(ATTACK_KINDS))
+    at_ms: float = declare(TIME)
+    target: str = declare(Text(refused="unknown target {value!r}"))
+    count: int = declare(Num(0, MAX_COUNT, integer=True), 1)
+    interval_ms: float = declare(TIME, 1.0)
+    capture: int | str = declare(CAPTURE, "cycle")
+    include_captured: bool = declare(BOOL, False)
+    probe_prefix: str | None = declare(Text(optional=True), None)  # URI of the probed prefix
+    probe_scheme: str = declare(Choice(SchemeTag.__members__), "HASH")
+    probe_suffix_len: int = declare(Num(0, MAX_SUFFIX_BYTES, strict=True, integer=True), 32)
+    label: str = declare(TEXT, "")
 
-    def problems(self) -> list[str]:
-        """What is wrong with the action's own fields; empty when it can run."""
-        out = []
-        if self.kind not in ATTACK_KINDS:
-            out.append(f"unknown kind {self.kind!r}")
-        if self.kind == NAME_PROBE and not (
-            isinstance(self.probe_prefix, str) and self.probe_prefix.strip("/")
-        ):
-            out.append("NAME_PROBE needs probe_prefix")
-        scheme = self.probe_scheme
-        if not (isinstance(scheme, str) and scheme in SchemeTag.__members__):
-            out.append(f"unknown probe_scheme {scheme!r}")
-        if not isinstance(self.probe_suffix_len, int) or self.probe_suffix_len <= 0:
-            out.append("probe_suffix_len must be a positive integer")
-        if not isinstance(self.count, int) or self.count < 0:
-            out.append("count must be a non-negative integer")
-        for what in ("at_ms", "interval_ms"):
-            value = getattr(self, what)
-            # ``not >= 0`` also refuses NaN
-            if not isinstance(value, (int, float)) or not value >= 0:
-                out.append(f"{what} must be a non-negative number")
+    def problems(self, where: str = "adversary action") -> list[str]:
+        """What is wrong with the action's fields; empty when it can run."""
+        out = kinds.problems(self, where)
+        if not out and self.kind == NAME_PROBE and not (self.probe_prefix or "").strip("/"):
+            out.append(f"{where}: NAME_PROBE needs probe_prefix")
         return out
 
 
-@dataclass
+@config_record
 class TrafficProfile:
     """Poisson fetches by one consumer, as a scenario file writes them: the
     targets are content URIs."""
 
-    consumer: str
-    lambda_per_s: float
-    delta: float
-    start_ms: float = 0.0
-    max_interests: int | None = None
-    end_ms: float | None = None
-    ibac_targets: list[str] = field(default_factory=list)
-    public_targets: list[str] = field(default_factory=list)
-
-    def problems(self) -> list[str]:
-        """What is wrong with the profile's own fields; empty when it can run."""
-        out = []
-        if not (isinstance(self.delta, (int, float)) and 0.0 <= self.delta <= 1.0):
-            out.append(f"delta {self.delta} outside [0, 1]")
-        if not (isinstance(self.lambda_per_s, (int, float)) and self.lambda_per_s > 0):
-            out.append("lambda_per_s must be positive")
-        # a fetch before time 0 carries a negative timestamp; ``not >= 0``
-        # also refuses NaN
-        if not (isinstance(self.start_ms, (int, float)) and self.start_ms >= 0):
-            out.append("start_ms must be a non-negative number")
-        if not (self.end_ms is None or isinstance(self.end_ms, (int, float))):
-            out.append("end_ms must be a number")
-        count = self.max_interests
-        if not (count is None or (isinstance(count, int) and count >= 0)):
-            out.append("max_interests must be a non-negative integer")
-        return out
+    consumer: str = declare(Text(refused="unknown consumer {value!r}"))
+    lambda_per_s: float = declare(Num(0, MAX_RATE_PER_S, strict=True, what="positive"))
+    delta: float = declare(FRACTION)
+    start_ms: float = declare(TIME, 0.0)  # a fetch before time 0 stamps a negative time
+    max_interests: int | None = declare(Num(0, MAX_COUNT, integer=True, optional=True), None)
+    end_ms: float | None = declare(Num(-MAX_MS, MAX_MS, optional=True), None)
+    ibac_targets: list[str] = declare(IDS, factory=list)
+    public_targets: list[str] = declare(IDS, factory=list)
 
 
 @dataclass
@@ -474,24 +444,26 @@ class Simulation:
 
     def set_traffic(self, profile: TrafficProfile) -> None:
         """Start ``profile``; its targets must name registered contents."""
-        problems = profile.problems()
+        problems = kinds.problems(profile, "traffic")
+        if problems:
+            raise ConfigError("; ".join(problems))
         pools = ([], [])  # (name, routable prefix) of each IBAC and public target
         for pool, uris in zip(pools, (profile.ibac_targets, profile.public_targets)):
             for name in map(Name.from_uri, uris):
                 prefix = self.content_prefixes.get(name.components)
                 if prefix is None:
-                    problems.append(f"target {name.to_uri()!r}: no content registered")
+                    problems.append(f"traffic: target {name.to_uri()!r}: no content registered")
                 else:
                     pool.append((name, prefix))
         if problems:
-            raise ConfigError("traffic: " + "; ".join(problems))
+            raise ConfigError("; ".join(problems))
         rt = self.nodes[profile.consumer]
         self._push(profile.start_ms, self._do_traffic, rt, (profile, *pools))
 
     def schedule_action(self, adversary: str, action: AdversaryAction) -> int:
         problems = action.problems()
         if problems:
-            raise ConfigError("adversary action: " + "; ".join(problems))
+            raise ConfigError("; ".join(problems))
         rt = self.nodes[adversary]
         index = len(self.actions)
         self.actions.append(action)
@@ -764,11 +736,11 @@ class Simulation:
     def _select_capture(self, state: _AdversaryState, action: AdversaryAction, shot: int):
         if not state.captures:
             return None
-        if isinstance(action.capture, int):
-            if action.capture >= len(state.captures):
-                return None
-            return state.captures[action.capture]
-        return state.captures[shot % len(state.captures)]
+        if action.capture == "cycle":
+            return state.captures[shot % len(state.captures)]
+        if action.capture >= len(state.captures):
+            return None
+        return state.captures[action.capture]
 
     def _do_shot(self, rt: _NodeRuntime, t: float, chain: _ShotChain, shot: int) -> None:
         action = chain.action

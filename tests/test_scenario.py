@@ -1,6 +1,10 @@
+import copy
+import dataclasses
 import hashlib
 import json
+import math
 import os
+import signal
 import subprocess
 import sys
 from collections import Counter
@@ -9,12 +13,15 @@ from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ibac import cli, scenario
+from ibac import cli, kinds, scenario
 from ibac.scenario import (
     BUNDLED_SCENARIOS,
     InvariantViolation,
     ParseError,
+    ScenarioConfig,
     ValidationError,
     bundled_scenario_path,
     load_bundled,
@@ -340,6 +347,177 @@ def test_traffic_and_seed_fields_are_validated(raw, message):
 
 def test_sweep_raw_is_valid():
     assert scenario_from_dict(sweep_raw()).sweep.router == "r1"
+
+
+def adversary_raw(**adversary):
+    """``minimal_raw()`` with adversary a1 on r1, tapping cr1-r1 and replaying
+    what it captures."""
+    raw = minimal_raw()
+    raw["nodes"].append({"id": "a1", "role": "adversary"})
+    raw["links"].append(["a1", "r1", 5])
+    replay = {"kind": "REPLAY_SAME_PATH", "at_ms": 100, "target": "r1"}
+    raw["adversary"] = dict({"node": "a1", "taps": [["cr1", "r1"]], "actions": [replay]},
+                            **adversary)
+    return raw
+
+
+def _replay_capture(value):
+    raw = adversary_raw()
+    raw["adversary"]["actions"][0]["capture"] = value
+    return raw
+
+
+def _adversary_without_block():
+    raw = adversary_raw()
+    del raw["adversary"]
+    return raw
+
+
+MALFORMED = {
+    "taps-one-end": adversary_raw(taps=[["a1"]]),
+    "taps-string": adversary_raw(taps="x"),
+    "taps-list-end": adversary_raw(taps=[[["r1"], "cr1"]]),
+    "group-id-list": minimal_raw(groups=[{"id": ["g1"], "seed": 9}]),
+    "ibac_targets-int": _traffic_field("ibac_targets", 5),
+    "pit_lifetime_ms-str": _node_field(1, "pit_lifetime_ms", "x"),
+    "skew_ms-str": _node_field(1, "skew_ms", "x"),
+    "clock_offset_ms-str": _node_field(0, "clock_offset_ms", "x"),
+    "clock_offset_ms-before-time-0": _node_field(0, "clock_offset_ms", -5000),
+    "capture-negative": _replay_capture(-1),
+    "capture-str": _replay_capture("x"),
+    "capture-fraction": _replay_capture(1.5),
+    "expiry_ms-fraction": _content_field("expiry_ms", 1500.5),
+    "seed-bool": _group_seed(True),
+    "adversary-node-without-block": _adversary_without_block(),
+    "new_groups-empty": minimal_raw(
+        rekeys=[{"at_ms": 500, "content": "/edu/uci/x", "new_groups": []}]
+    ),
+    "duration_ms-huge": minimal_raw(duration_ms=10**30),
+    "data_size-huge": _content_field("data_size", 10**30),
+}
+
+
+@pytest.mark.parametrize("raw", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_values_are_validation_errors(tmp_path, capsys, raw):
+    # each of these once made ``validate`` raise, crashed or hung the run, or
+    # ran: a negative or non-integer capture replayed some capture, a ``true``
+    # seed ran as seed 1
+    with pytest.raises(ValidationError):
+        scenario_from_dict(raw)
+    path = tmp_path / "bad.yaml"
+    path.write_text(yaml.safe_dump(raw))
+    assert cli.main(["validate", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err
+
+
+# ---------------------------------------------------------------------------
+# the mutation space: each value and list entry of one config, replaced by
+# each of these
+
+MUTANTS = [None, "x", -1, 0, 1.5, math.nan, math.inf, [], ["a"], {}, True, 10**30, ""]
+
+
+def mutation_base():
+    """``adversary_raw()`` plus a three-shot probe, a traffic profile, a
+    second group and a rekey to it."""
+    raw = adversary_raw()
+    raw["adversary"]["actions"].append(
+        {"kind": "NAME_PROBE", "at_ms": 200, "target": "r1", "count": 3,
+         "probe_prefix": "/edu/uci"}
+    )
+    raw["groups"].append({"id": "g2", "seed": 10})
+    raw["traffic"] = {"consumer": "cr1", "lambda_per_s": 10, "delta": 0.5,
+                      "max_interests": 5, "ibac_targets": ["/edu/uci/x"]}
+    raw["rekeys"] = [{"at_ms": 500, "content": "/edu/uci/x", "new_groups": ["g2"],
+                      "revoke_groups": ["g1"]}]
+    return raw
+
+
+def _paths(node, prefix=()):
+    for key, value in node.items() if isinstance(node, dict) else enumerate(node):
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _paths(value, prefix + (key,))
+
+
+MUTATION_PATHS = list(_paths(mutation_base()))
+
+
+def test_mutation_space_size():
+    assert len(MUTATION_PATHS) * len(MUTANTS) == 1170
+    run_config(scenario_from_dict(mutation_base()))  # the base itself runs
+
+
+class _Hang(Exception):
+    pass
+
+
+def _hang(signum, frame):
+    raise _Hang
+
+
+@settings(max_examples=1000, derandomize=True, deadline=None, database=None)
+@given(path=st.sampled_from(MUTATION_PATHS), value=st.sampled_from(MUTANTS))
+def test_any_malformed_value_is_refused_or_runs(path, value):
+    raw = mutation_base()
+    node = raw
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = copy.deepcopy(value)
+    # hypothesis's deadline does not stop a run that never ends; the timer does
+    previous = signal.signal(signal.SIGALRM, _hang)
+    signal.setitimer(signal.ITIMER_REAL, 2.0)
+    try:
+        run_config(scenario_from_dict(raw))
+    except (ValidationError, ParseError):
+        pass
+    except _Hang:
+        pytest.fail(f"{path} = {value!r} still ran after 2 s")
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+# ---------------------------------------------------------------------------
+# every config field declares its kind, and README lists it
+
+
+def _record_classes(cls=ScenarioConfig):
+    yield cls
+    for f in dataclasses.fields(cls):
+        kind = f.metadata.get("kind")
+        if isinstance(kind, (kinds.Records, kinds.Record)):
+            yield from _record_classes(kind.cls)
+
+
+def test_every_config_field_declares_a_kind():
+    classes = {cls.__name__ for cls in _record_classes()}
+    assert classes == {
+        "ScenarioConfig", "NodeSpec", "LinkSpec", "GroupSpec", "ContentSpec", "FetchSpec",
+        "TrafficProfile", "AdversarySpec", "AdversaryAction", "RekeySpec", "SweepSpec",
+    }
+    undeclared = [
+        f"{cls.__name__}.{f.name}"
+        for cls in _record_classes()
+        for f in dataclasses.fields(cls)
+        if "kind" not in f.metadata
+    ]
+    assert undeclared == []
+
+
+def test_readme_lists_every_config_field():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    reference = readme.split("## Scenario file reference\n", 1)[1].split("\n## ", 1)[0]
+    missing = []
+    for cls in _record_classes():
+        block = reference.split(f"(`{cls.__name__}`)", 1)[1].split("\n### ", 1)[0]
+        missing += [
+            f"{cls.__name__}.{f.name}"
+            for f in dataclasses.fields(cls)
+            if f"| `{f.name}` |" not in block
+        ]
+    assert missing == []
 
 
 @pytest.mark.parametrize(
