@@ -53,6 +53,9 @@ def cmd_run(args) -> int:
     except scenario.InvariantViolation as exc:
         print(f"internal invariant violated: {exc}", file=sys.stderr)
         return 1
+    except (analysis.DomainError, analysis.EmptyLog) as exc:
+        print(f"analysis error: {exc}", file=sys.stderr)
+        return 2
     print(f"wrote {out_dir}/emission.log, summary.json")
     return code
 

@@ -49,6 +49,23 @@ table, or negative, fall back to built-in ``pow``.  The batch
 product ``prod R_i^{z_i}`` is one Straus interleaved multi-exponentiation
 with shared squarings (Moeller, SAC 2001).  The engine returns exactly
 what ``pow`` returns, so signatures are unchanged.
+
+Accepted payload checks.  In a simulated network every node that serves
+an interest checks its payload, so one payload is checked at the
+producer and again at each router its content passes on the way back.
+``verify_payload`` keeps a process-wide table of the checks that
+accepted, keyed by every input (group, public key, name bytes, group-id
+field, nonce, timestamp, signature), and answers a repeat from it
+without building the message or exponentiating, as Bitcoin Core's
+signature cache does for transactions.  The verdict is a pure function
+of those inputs, so every answer is the one a fresh check gives; the
+caller still counts the check and the simulator still charges each
+node's ``tau_verify`` for it, so only real CPU falls.  Only acceptances
+are kept, so forged or probing traffic can neither fill the table nor
+evict from it; past ``ACCEPTED_CAP`` entries the oldest goes.
+``schnorr_verify``, ``schnorr_batch_verify`` and ``batch_verify`` keep
+nothing: benchmarks time repeated identical items through them, and a
+batch's ``z`` draws are part of the simulator's determinism.
 """
 
 from __future__ import annotations
@@ -566,6 +583,13 @@ def sign_payload(
     )
 
 
+ACCEPTED_CAP = 1024  # accepted payload checks remembered per process
+
+# every input of an accepted check, (group, y, name bytes, group-id field,
+# nonce, timestamp, signature), oldest first
+_ACCEPTED: OrderedDict[tuple, None] = OrderedDict()
+
+
 def verify_payload(
     group: SignatureGroup,
     signing_public: int,
@@ -575,8 +599,21 @@ def verify_payload(
     timestamp: int,
     signature: bytes,
 ) -> bool:
+    """Check a payload signature; a check that accepted before is not redone.
+
+    Only acceptances are remembered, so rejected traffic can neither fill
+    the table nor evict from it; past ``ACCEPTED_CAP`` the oldest goes.
+    """
+    key = (group, signing_public, name_bytes, group_id, nonce, timestamp, signature)
+    if key in _ACCEPTED:
+        return True
     msg = _signing_message(name_bytes, group_id, nonce, timestamp)
-    return schnorr_verify(group, signing_public, msg, signature)
+    if not schnorr_verify(group, signing_public, msg, signature):
+        return False
+    _ACCEPTED[key] = None
+    if len(_ACCEPTED) > ACCEPTED_CAP:
+        _ACCEPTED.popitem(last=False)
+    return True
 
 
 def batch_verify(

@@ -165,18 +165,12 @@ class Producer:
         group_ids = tuple(group_ids)
         if name.components[: len(self.prefix)] != self.prefix:
             raise ValueError("content name must start with the producer prefix")
+        self._check_groups(group_ids, policy)
         if policy is ProtectionPolicy.PUBLIC:
-            if group_ids:
-                raise ValueError("public content cannot list access groups")
             self.catalog[name.components] = ContentEntry(
                 name, data, (), scheme, lifetime_ms, policy
             )
             return None
-        if not group_ids:
-            raise ValueError("protected content needs at least one access group")
-        for gid in group_ids:
-            if gid not in self.registry:
-                raise UnknownGroup(gid.hex())
 
         entry = ContentEntry(name, data, group_ids, scheme, lifetime_ms, policy)
         obf_key: bytes | None = None
@@ -202,11 +196,29 @@ class Producer:
         self.catalog[name.components] = entry
         return obf_key
 
+    def _check_groups(self, group_ids: tuple, policy: ProtectionPolicy) -> None:
+        """Raise unless ``group_ids`` suit ``policy`` and are all registered."""
+        if policy is ProtectionPolicy.PUBLIC:
+            if group_ids:
+                raise ValueError("public content cannot list access groups")
+            return
+        if not group_ids:
+            raise ValueError("protected content needs at least one access group")
+        for gid in group_ids:
+            if gid not in self.registry:
+                raise UnknownGroup(gid.hex())
+
     def rekey_content(self, name: Name, new_group_ids) -> bytes | None:
-        """Re-publish a content under new groups (revocation turnover)."""
-        entry = self.catalog.pop(name.components, None)
+        """Re-publish a content under new groups (revocation turnover).
+
+        The new groups are checked first, so a refused rekey changes nothing.
+        """
+        entry = self.catalog.get(name.components)
         if entry is None:
             raise KeyError(name.to_uri())
+        new_group_ids = tuple(new_group_ids)
+        self._check_groups(new_group_ids, entry.policy)
+        del self.catalog[name.components]
         for table in (self.hash_name_map, self.enc_name_map):
             stale = [k for k, (n, _) in table.items() if n.components == name.components]
             for k in stale:

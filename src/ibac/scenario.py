@@ -311,10 +311,10 @@ def validate(config: ScenarioConfig) -> list[str]:
     (``kinds.check``), and each broken rule across fields or records.  A
     rule reads only fields of their kind, so a bad field is reported once."""
     errors: list[str] = []
-    bad = kinds.check(config, "", errors)
-    if bad & {name for name, _ in _NESTED[ScenarioConfig]}:
+    top_bad = kinds.check(config, "", errors)
+    if top_bad & {name for name, _ in _NESTED[ScenarioConfig]}:
         return errors  # the records cannot be walked
-    if not bad & {"duration_ms", "expiry_sweep_ms"} and (
+    if not top_bad & {"duration_ms", "expiry_sweep_ms"} and (
         config.duration_ms > config.expiry_sweep_ms * MAX_SWEEP_TICKS
     ):
         errors.append(f"duration_ms must be at most {MAX_SWEEP_TICKS:,} times expiry_sweep_ms")
@@ -410,7 +410,8 @@ def validate(config: ScenarioConfig) -> list[str]:
         starts.append((f.consumer, f.at_ms))
 
     t = config.traffic
-    if t is not None and not kinds.check(t, "traffic", errors):
+    t_bad = t is not None and kinds.check(t, "traffic", errors)
+    if t is not None and not t_bad:
         if t.consumer not in consumers:
             errors.append(kinds.refusal(t, "consumer", "traffic"))
         for name in [*t.ibac_targets, *t.public_targets]:
@@ -461,6 +462,22 @@ def validate(config: ScenarioConfig) -> list[str]:
             errors.append(kinds.refusal(sweep, "router", "sweep"))
         if t is None:
             errors.append("sweep: requires a traffic profile")
+        elif not (bad or t_bad or sweep.router not in by_role["router"]
+                  or node_bad[sweep.router] or "expiry_sweep_ms" in top_bad):
+            # each point runs to its own horizon, bounded as duration_ms is
+            limit = min(MAX_MS, config.expiry_sweep_ms * MAX_SWEEP_TICKS)
+            try:
+                points = sweep_points(config, nodes[sweep.router])
+            except analysis.DomainError as exc:
+                errors.append(f"sweep: router {sweep.router}: {exc}")
+            else:
+                errors += [
+                    f"sweep delta {delta}: horizon {horizon_ms:.6g} ms (start_ms +"
+                    " interests_per_point / (saturation_factor * mu) * 1000 + tail_ms)"
+                    f" must be at most {limit:,.0f}"
+                    for delta, _, horizon_ms in points
+                    if not horizon_ms <= limit
+                ]
 
     # connectivity: every consumer must reach at least one producer
     for i in consumers:
@@ -726,6 +743,25 @@ class SweepPoint:
     completions: int
 
 
+def sweep_points(config: ScenarioConfig, router_spec: NodeSpec) -> list[tuple[float, float, float]]:
+    """``(delta, mu, horizon_ms)`` of each sweep point: the model's service
+    rate, and the time its ``interests_per_point`` interests, offered at
+    ``saturation_factor * mu``, take to inject, plus the start and the tail."""
+    sweep = config.sweep
+    points = []
+    for delta in sweep.deltas:
+        mu = analysis.model_mu(
+            analysis.ServiceModelParams(
+                delta, router_spec.tau_process_s, router_spec.tau_verify_s
+            )
+        )
+        lam = sweep.saturation_factor * mu
+        # a tiny saturation_factor can underflow the offered rate to 0
+        inject_ms = sweep.interests_per_point / lam * 1000.0 if lam else math.inf
+        points.append((delta, mu, config.traffic.start_ms + inject_ms + sweep.tail_ms))
+    return points
+
+
 def run_sweep(config: ScenarioConfig) -> tuple[list[SweepPoint], list[RunResult]]:
     """Run the saturated service-rate sweep over the configured delta grid."""
     if config.sweep is None or config.traffic is None:
@@ -733,22 +769,13 @@ def run_sweep(config: ScenarioConfig) -> tuple[list[SweepPoint], list[RunResult]
     router_spec = next(n for n in config.nodes if n.id == config.sweep.router)
     points: list[SweepPoint] = []
     results: list[RunResult] = []
-    for delta in config.sweep.deltas:
-        mu = analysis.model_mu(
-            analysis.ServiceModelParams(
-                delta, router_spec.tau_process_s, router_spec.tau_verify_s
-            )
-        )
-        lam = config.sweep.saturation_factor * mu
+    for delta, mu, horizon_ms in sweep_points(config, router_spec):
         point_config = copy.deepcopy(config)
         point_config.sweep = None
         point_config.traffic.delta = delta
-        point_config.traffic.lambda_per_s = lam
+        point_config.traffic.lambda_per_s = config.sweep.saturation_factor * mu
         point_config.traffic.max_interests = config.sweep.interests_per_point
-        inject_ms = config.sweep.interests_per_point / lam * 1000.0
-        point_config.duration_ms = (
-            config.traffic.start_ms + inject_ms + config.sweep.tail_ms
-        )
+        point_config.duration_ms = horizon_ms
         result, _ = run_config(point_config)
         measured = analysis.mixture_rate_estimate(
             result.log_lines,

@@ -2,7 +2,9 @@ import hashlib
 import hmac
 import random
 import struct
+from collections import OrderedDict
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
@@ -465,3 +467,110 @@ def test_one_shot_keys_build_no_tables_and_evict_none():
     for i in range(100):
         tables.power(group.p, pow(group.g, i + 2, group.p), 3)
     assert list(tables.tables) == [(group.p, hot)]
+
+
+# ---------------------------------------------------------------------------
+# accepted payload checks, remembered across calls
+
+CHECK_FIELDS = ("name", "group_id", "nonce", "timestamp", "signature", "key")
+
+
+def _signed_checks():
+    """Three accepted ``verify_payload`` argument tuples, two keys among them."""
+    g1, g2 = gen_group(128, 1), gen_group(128, 2)
+    checks = []
+    for m, nonce in ((g1, bytes(16)), (g1, bytes(range(16))), (g2, bytes(16))):
+        sig = sign_payload(m, NAME_BYTES, m.group_id, nonce, 1000)
+        checks.append((m.group, m.signing_public, NAME_BYTES, m.group_id, nonce, 1000, sig))
+    return checks
+
+
+def _altered(check, field, bit, other_key):
+    group, y, name, gid, nonce, ts, sig = check
+    flip = lambda b: b[: bit % len(b)] + bytes([b[bit % len(b)] ^ 1]) + b[bit % len(b) + 1 :]
+    if field == "name":
+        name = flip(name)
+    elif field == "group_id":
+        gid = flip(gid)
+    elif field == "nonce":
+        nonce = flip(nonce)
+    elif field == "timestamp":
+        ts ^= 1 << (bit % 64)
+    elif field == "signature":
+        sig = flip(sig)
+    elif field == "key":
+        y = other_key
+    return group, y, name, gid, nonce, ts, sig
+
+
+def _fresh_verdict(group, y, name, gid, nonce, ts, sig) -> bool:
+    return crypto.schnorr_verify(group, y, crypto._signing_message(name, gid, nonce, ts), sig)
+
+
+SIGNED = _signed_checks()
+check_sequences = st.lists(
+    st.tuples(
+        st.sampled_from(range(len(SIGNED))),
+        st.sampled_from((None,) + CHECK_FIELDS),
+        st.integers(min_value=0, max_value=1000),
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(sequence=check_sequences)
+def test_remembered_verdicts_agree_with_a_fresh_check(sequence):
+    cap = 2  # below the three valid checks, so acceptances evict
+    with mock.patch.object(crypto, "_ACCEPTED", OrderedDict()), \
+            mock.patch.object(crypto, "ACCEPTED_CAP", cap):
+        for index, field, bit in sequence:
+            other_key = next(c[1] for c in SIGNED if c[1] != SIGNED[index][1])
+            args = _altered(SIGNED[index], field, bit, other_key)
+            # a repeat, of an acceptance or of a rejection, asks the table first
+            for _ in range(2):
+                assert verify_payload(*args) == _fresh_verdict(*args)
+            assert all(_fresh_verdict(*key) for key in crypto._ACCEPTED)
+            assert len(crypto._ACCEPTED) <= cap
+
+
+def test_only_acceptances_are_remembered():
+    valid = SIGNED[0]
+    with mock.patch.object(crypto, "_ACCEPTED", OrderedDict()):
+        for field in CHECK_FIELDS:
+            assert not verify_payload(*_altered(valid, field, 3, SIGNED[2][1]))
+        assert not crypto._ACCEPTED
+        assert verify_payload(*valid)
+        assert list(crypto._ACCEPTED) == [valid]
+
+
+def test_a_remembered_check_skips_the_exponentiations(monkeypatch):
+    verifies = []
+    real = crypto.schnorr_verify
+    monkeypatch.setattr(crypto, "_ACCEPTED", OrderedDict())
+    monkeypatch.setattr(crypto, "schnorr_verify", lambda *a: verifies.append(a) or real(*a))
+    for _ in range(3):
+        assert verify_payload(*SIGNED[1])
+    assert len(verifies) == 1
+
+
+def test_the_oldest_acceptance_is_evicted_at_the_cap(monkeypatch):
+    monkeypatch.setattr(crypto, "_ACCEPTED", OrderedDict())
+    monkeypatch.setattr(crypto, "ACCEPTED_CAP", 2)
+    for check in SIGNED:
+        assert verify_payload(*check)
+    assert list(crypto._ACCEPTED) == SIGNED[1:]
+
+
+def test_schnorr_verify_remembers_nothing(monkeypatch):
+    # timed callers (acceptance 7, ``ibac bench``) repeat identical items, so
+    # every call must do the work
+    powers = []
+    real = crypto.generator_power
+    monkeypatch.setattr(crypto, "generator_power", lambda *a: powers.append(a) or real(*a))
+    group, y, name, gid, nonce, ts, sig = SIGNED[0]
+    message = crypto._signing_message(name, gid, nonce, ts)
+    assert crypto.schnorr_verify(group, y, message, sig)
+    assert crypto.schnorr_verify(group, y, message, sig)
+    assert len(powers) == 2

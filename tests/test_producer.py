@@ -446,6 +446,25 @@ def test_rekey_swaps_groups_and_maps():
     assert not producer.content_object_generation(old_interest, 1000.0).served
 
 
+@pytest.mark.parametrize("scheme", [SchemeTag.ENC, SchemeTag.HASH], ids=["ENC", "HASH"])
+@pytest.mark.parametrize("new_groups, error", [([b"\x07" * 32], UnknownGroup), ([], ValueError)],
+                         ids=["unknown_group", "no_group"])
+def test_refused_rekey_leaves_the_producer_unchanged(scheme, new_groups, error):
+    producer = make_producer()
+    material = crypto.gen_group(128, 1)
+    producer.register_group(material)
+    published(producer, groups=[material.group_id], scheme=scheme)
+    tables = ("catalog", "hash_name_map", "enc_name_map", "_content_key_generation")
+    before = {t: dict(getattr(producer, t)) for t in tables}
+    with pytest.raises(error):
+        producer.rekey_content(HOME, new_groups)
+    assert {t: dict(getattr(producer, t)) for t in tables} == before
+    interest = fetch_interest(producer, make_consumer(material, scheme=scheme))
+    assert producer.content_object_generation(interest, 1000.0).served
+    producer.rekey_content(HOME, [material.group_id])  # a retry finds the content
+    assert HOME.components in producer.catalog
+
+
 def test_replay_straddling_window_edge_is_refused():
     # the replay of an interest served just before the window's edge comes
     # back just after it, while its timestamp is still valid

@@ -349,6 +349,36 @@ def test_sweep_raw_is_valid():
     assert scenario_from_dict(sweep_raw()).sweep.router == "r1"
 
 
+def test_a_sweep_horizon_past_the_duration_bound_is_refused():
+    # this once validated; run_sweep then ran each point to a 2.5e9 ms horizon
+    # and raised analysis.EmptyLog
+    with pytest.raises(ValidationError) as err:
+        scenario_from_dict(sweep_raw(saturation_factor=1e-9, interests_per_point=5))
+    assert [e.split(":")[0] for e in err.value.errors] == [
+        f"sweep delta {d}" for d in (0.0, 0.2, 0.5, 1.0)
+    ]
+    assert err.value.errors[0].startswith("sweep delta 0.0: horizon 2.50006e+09 ms")
+    assert err.value.errors[0].endswith("must be at most 500,000,000")
+
+
+def test_a_sweep_router_without_a_process_cost_is_refused():
+    # the model's service rate divides by tau_process_s: run_sweep raised DomainError
+    raw = sweep_raw()
+    raw["nodes"][1]["tau_process_s"] = 0
+    with pytest.raises(ValidationError) as err:
+        scenario_from_dict(raw)
+    assert err.value.errors == ["sweep: router r1: tau_process must be positive"]
+
+
+def test_cli_run_reports_an_analysis_error_in_one_line(tmp_path, capsys):
+    # one interest per point leaves a class with no completions to measure
+    path = tmp_path / "short_sweep.yaml"
+    path.write_text(yaml.safe_dump(sweep_raw(interests_per_point=1)))
+    assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "analysis error: no plain-class completions to measure\n"
+
+
 def adversary_raw(**adversary):
     """``minimal_raw()`` with adversary a1 on r1, tapping cr1-r1 and replaying
     what it captures."""

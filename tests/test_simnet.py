@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+from collections import OrderedDict
 from dataclasses import replace
 from pathlib import Path
 
@@ -261,6 +262,19 @@ def test_each_verified_interest_signs_once(monkeypatch):
     assert len(result.deliveries) == 2 and len(verifies) == 4
     signed_nonces = [args[3] for args in signs]
     assert sorted(signed_nonces) == sorted({args[4] for args in verifies})
+
+
+def test_a_payload_check_repeated_along_the_path_is_computed_once(monkeypatch):
+    # r2 and r1 re-check the first fetch's payload when the content comes
+    # back: each still runs and is charged its check, but the producer's
+    # acceptance is remembered, so only two checks exponentiate
+    sim, _ = scenario.build(linear_config(fetches=TWO_FETCHES))
+    monkeypatch.setattr(crypto, "_ACCEPTED", OrderedDict(), raising=False)  # forget other runs
+    verifies = count_crypto(monkeypatch, "verify_payload")
+    computed = count_crypto(monkeypatch, "schnorr_verify")
+    result = sim.run()
+    assert len(result.deliveries) == 2
+    assert len(verifies) == 4 and len(computed) == 2
 
 
 def test_tap_captures_hold_signature_bytes():
