@@ -29,7 +29,7 @@ def main() -> int:
         clock=lambda: 1000.0,
         rng=random.Random(1),
     )
-    name = Name.from_uri("/edu/uci/ics/home.html", 2)
+    name = Name.from_uri("/edu/uci/ics/home.html")
     full = interest_generation(ctx, (b"edu", b"uci"), name)
     bare = Interest(full.name)
     params = OverheadParams(

@@ -84,7 +84,7 @@ def interest_generation(ctx: ConsumerContext, routable_prefix, name: Name) -> In
     """Build one interest for ``name`` under the context's mode and scheme."""
     routable_prefix = tuple(routable_prefix)
     if ctx.mode is ConsumerMode.AUTH_ONLY:
-        wire_name = Name(name.components, len(name.components))
+        wire_name = name
         # validate the prefix relationship even though the name stays clear
         suffix(name, routable_prefix)
         name_bytes = encode_name(wire_name)

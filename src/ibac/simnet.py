@@ -38,18 +38,13 @@ Links carry records, and a message's bytes are made only where they are
 read.  Every sender -- a consumer's fetch, a producer's content, a
 router's forward or cache serve, an adversary's probe, forgery or replay
 -- passes the record it holds to ``_send``, which encodes it only for a
-tapping adversary's capture, for the ``record_wire`` trace, or when the
-record does not ``wire.round_trips`` (its receiver must then get the
-record the bytes decode to).  Bytes go along to the receiver only in that
-last case, so a receiver decodes whatever bytes came and otherwise takes
-the record as it is -- even if a send on a tapped link memoised bytes on
-it while it was in flight.  No simulator origin builds a record that does
-not round-trip, so a run decodes nothing.  Adversary captures keep the
-record they were sent with (``_received``).  Every origin builds its record
-around a name whose bytes are memoised (``name._wire``): the consumer
-encodes the names it makes, a probe's template joins its name's bytes,
-and every other name crossed a link.  So receivers, routers and producers
-read name bytes off the name.
+tapping adversary's capture or for the ``record_wire`` trace.  Every
+record's bytes decode to an equal record (see ``wire``), so the receiver
+and each capture take the record that was sent, and a run decodes
+nothing.  Every origin builds its record around a name whose bytes are
+memoised (``name._wire``): the consumer encodes the names it makes, a
+probe's template joins its name's bytes, and every other name crossed a
+link.  So receivers, routers and producers read name bytes off the name.
 
 Each node's link table maps an interface to the peer's runtime, the
 latency, the peer's interface for the link and the runtimes of the
@@ -66,6 +61,12 @@ its own fields.  The simulator resolves the file values once: a probe's
 prefix and scheme when its action starts, and the traffic targets to the
 registered names and their prefixes in ``set_traffic``, never per shot or
 per fetch.
+
+Each call that schedules work for a named node (``add_tap``,
+``schedule_fetch``, ``set_traffic``, ``schedule_action``,
+``schedule_rekey``) looks the node up with ``_node``, which raises
+``ConfigError`` for an unknown id or a node of another role before
+anything is queued.
 
 The emission log is append-only, one line per event:
 ``time<TAB>node<TAB>kind<TAB>name-hex<TAB>reason``; ``log_event`` writes
@@ -97,12 +98,10 @@ from .wire import (
     ObfuscatedName,
     SchemeTag,
     SuffixTemplate,
-    decode_message,
     encode_content,
     encode_interest,
     encode_name,
     longest_prefix_match,
-    round_trips,
 )
 
 # interest-processing completions, the events service-rate measurement counts
@@ -127,14 +126,6 @@ _DROP_KINDS = frozenset(
 
 class ConfigError(ValueError):
     pass
-
-
-def _received(wire: bytes, message):
-    """The record that ``wire``, sent as ``message``, carries: ``message``
-    when it holds exactly these bytes, else a fresh decode of ``wire``."""
-    if message._wire is wire:
-        return message
-    return decode_message(wire)
 
 
 @config_record
@@ -213,7 +204,7 @@ class _ShotChain:
 class _Capture:
     time_ms: float
     wire: bytes
-    message: Interest  # the record of ``wire``
+    message: Interest  # the record sent, whose bytes are ``wire``
 
 
 @dataclass
@@ -331,6 +322,15 @@ class Simulation:
         self.nodes[rt.node_id] = rt
         return rt
 
+    def _node(self, node_id: str, role: str) -> _NodeRuntime:
+        """The runtime of ``node_id``, which must have ``role``."""
+        rt = self.nodes.get(node_id)
+        if rt is None:
+            raise ConfigError(f"unknown {role} {node_id!r}")
+        if rt.role != role:
+            raise ConfigError(f"{node_id!r} has role {rt.role}, not {role}")
+        return rt
+
     def add_router(
         self,
         node_id: str,
@@ -418,7 +418,7 @@ class Simulation:
         The tap covers every link between the two, added before or after it.
         """
         key = frozenset((a, b))
-        self._taps[key] = self._taps.get(key, ()) + (self.nodes[adversary],)
+        self._taps[key] = self._taps.get(key, ()) + (self._node(adversary, "adversary"),)
         if a in self.nodes and b in self.nodes:
             self._set_link_taps(a, b)
 
@@ -436,11 +436,12 @@ class Simulation:
         self.content_prefixes[name.components] = tuple(prefix)
 
     def schedule_fetch(self, consumer: str, name: Name, at_ms: float, prefix=None) -> None:
+        rt = self._node(consumer, "consumer")
         if prefix is None:
             prefix = self.content_prefixes.get(name.components)
         if prefix is None:
             raise ConfigError(f"no routable prefix known for {name.to_uri()}")
-        self._push(at_ms, self._do_fetch, self.nodes[consumer], (name, tuple(prefix)))
+        self._push(at_ms, self._do_fetch, rt, (name, tuple(prefix)))
 
     def set_traffic(self, profile: TrafficProfile) -> None:
         """Start ``profile``; its targets must name registered contents."""
@@ -457,14 +458,14 @@ class Simulation:
                     pool.append((name, prefix))
         if problems:
             raise ConfigError("; ".join(problems))
-        rt = self.nodes[profile.consumer]
+        rt = self._node(profile.consumer, "consumer")
         self._push(profile.start_ms, self._do_traffic, rt, (profile, *pools))
 
     def schedule_action(self, adversary: str, action: AdversaryAction) -> int:
         problems = action.problems()
         if problems:
             raise ConfigError("; ".join(problems))
-        rt = self.nodes[adversary]
+        rt = self._node(adversary, "adversary")
         index = len(self.actions)
         self.actions.append(action)
         self._action_adversary[index] = adversary
@@ -474,12 +475,9 @@ class Simulation:
     def schedule_rekey(
         self, at_ms: float, producer: str, name: Name, new_group_materials, revoke_ids
     ) -> None:
-        self._push(
-            at_ms,
-            self._do_rekey,
-            self.nodes[producer],
-            (name, tuple(new_group_materials), tuple(revoke_ids)),
-        )
+        rt = self._node(producer, "producer")
+        args = (name, tuple(new_group_materials), tuple(revoke_ids))
+        self._push(at_ms, self._do_rekey, rt, args)
 
     # -- event machinery ----------------------------------------------------
 
@@ -493,28 +491,25 @@ class Simulation:
         )
 
     def _send(self, rt: _NodeRuntime, iface: int, message, t: float) -> None:
-        """Put ``message`` on the link, with its bytes where they are read:
-        by a tap, by the wire trace, or by a receiver that must decode them
-        because the record does not ``round_trips``.  Only then do bytes go
-        along to the receiver."""
+        """Put ``message`` on the link; its bytes are made only for a tap's
+        capture or the wire trace, which read them."""
         peer, latency, arrival_iface, taps = rt.ifaces[iface]
         tapped = taps and isinstance(message, Interest)
-        wire = message._wire
-        if wire is None and (tapped or self.record_wire or not round_trips(message)):
-            if isinstance(message, Interest):
-                wire = encode_interest(message)
-            else:
-                wire = encode_content(message)
-        if self.record_wire:
-            self.wire_trace.append((t, rt.node_id, peer.node_id, wire))
-        if tapped:
-            capture = _Capture(t, wire, _received(wire, message))
-            for adversary in taps:
-                adversary.obj.captures.append(capture)
-        if wire is message._wire:
-            wire = None  # the record carries its bytes
+        if tapped or self.record_wire:
+            wire = message._wire
+            if wire is None:
+                if isinstance(message, Interest):
+                    wire = encode_interest(message)
+                else:
+                    wire = encode_content(message)
+            if self.record_wire:
+                self.wire_trace.append((t, rt.node_id, peer.node_id, wire))
+            if tapped:
+                capture = _Capture(t, wire, message)
+                for adversary in taps:
+                    adversary.obj.captures.append(capture)
         self._seq += 1
-        args = (arrival_iface, wire, message)
+        args = (arrival_iface, message)
         heapq.heappush(self._queue, (t + latency, self._seq, peer.arrive, peer, args))
 
     def run(self) -> RunResult:
@@ -543,15 +538,11 @@ class Simulation:
             handler, args = rt.work_queue.popleft()
             handler(rt, t, *args)
 
-    def _router_message(
-        self, rt: _NodeRuntime, t: float, iface: int, wire: bytes | None, message
-    ) -> None:
+    def _router_message(self, rt: _NodeRuntime, t: float, iface: int, message) -> None:
         if rt.busy:
-            rt.work_queue.append((self._router_message, (iface, wire, message)))
+            rt.work_queue.append((self._router_message, (iface, message)))
             return
         rt.busy = True
-        if wire is not None:
-            message = decode_message(wire)
         if isinstance(message, Interest):
             events, verifies = rt.obj.on_interest(message, iface, t)
         else:
@@ -568,15 +559,11 @@ class Simulation:
         events, verifies = rt.obj.flush_batch(key, t)
         self._push(t + verifies * rt.tau_verify_ms, self._router_done, rt, (events,))
 
-    def _producer_message(
-        self, rt: _NodeRuntime, t: float, iface: int, wire: bytes | None, message
-    ) -> None:
+    def _producer_message(self, rt: _NodeRuntime, t: float, iface: int, message) -> None:
         if rt.busy:
-            rt.work_queue.append((self._producer_message, (iface, wire, message)))
+            rt.work_queue.append((self._producer_message, (iface, message)))
             return
         rt.busy = True
-        if wire is not None:
-            message = decode_message(wire)
         name_bytes = message.name._wire
         if isinstance(message, ContentObject):
             self._push(t + rt.tau_process_ms, self._unsolicited_done, rt, (name_bytes,))
@@ -621,12 +608,8 @@ class Simulation:
         self.drops[(rt.node_id, "Unsolicited")] += 1
         self._next_service(rt, at)
 
-    def _consumer_arrival(
-        self, rt: _NodeRuntime, t: float, iface: int, wire: bytes | None, message
-    ) -> None:
+    def _consumer_arrival(self, rt: _NodeRuntime, t: float, iface: int, message) -> None:
         state: _ConsumerState = rt.obj
-        if wire is not None:
-            message = decode_message(wire)
         name_bytes = message.name._wire
         if isinstance(message, Interest):
             self.log_event(t, rt.node_id, "int_drop", name_bytes, "Unexpected")
@@ -644,12 +627,8 @@ class Simulation:
         self.counters["delivered"] += 1
         self.log_event(t, rt.node_id, "content_delivered", name_bytes)
 
-    def _adversary_arrival(
-        self, rt: _NodeRuntime, t: float, iface: int, wire: bytes | None, message
-    ) -> None:
+    def _adversary_arrival(self, rt: _NodeRuntime, t: float, iface: int, message) -> None:
         state: _AdversaryState = rt.obj
-        if wire is not None:
-            message = decode_message(wire)
         if isinstance(message, Interest):
             return
         name_bytes = message.name._wire

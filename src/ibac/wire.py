@@ -22,12 +22,12 @@ Type codes:
 A VerificationKeyEntry value is a GroupID TLV followed by the raw key
 bytes.  Values are limited to 65535 bytes and whole messages to 1 MiB.
 
-A clear name travels as its components only; the split between routable
-prefix and the rest is consumer-side addressing state, so decoded clear
-names treat the whole name as routable.  An obfuscated name travels as its
-cleartext prefix components followed by one ObfuscatedComponent and a
-SchemeTag; the obfuscated suffix is a single opaque component whose
-display form is lowercase hex.
+A clear name is its components and nothing more: the split between
+routable prefix and the rest is consumer-side addressing state, given to
+``consumer.interest_generation``, and never part of a ``Name``.  An
+obfuscated name travels as its cleartext prefix components followed by one
+ObfuscatedComponent and a SchemeTag; the obfuscated suffix is a single
+opaque component whose display form is lowercase hex.
 
 Records carry their bytes.  A message holds its encoding in a private
 ``_wire`` field: a decoder sets it to the exact input, and
@@ -42,10 +42,8 @@ Name TLV the same way, memoised by ``encode_name`` or set by the decoder.
 * for built records because the constructors reject every field value the
   decoders reject (a scheme tag that is not a ``SchemeTag``, an encrypted
   flag that is not a bool) and normalise sequences to the tuples the
-  decoders return.  The one record whose bytes decode to another is one
-  named by a clear ``Name`` whose routable prefix is shorter than the
-  name (it decodes to a full-length prefix); ``round_trips`` tells it
-  apart, and the encoders do not memoise on it.
+  decoders return.  Every field of a record travels, so every record's
+  bytes decode to an equal record.
 
 The field takes no part in equality, hashing or ``repr``, and
 ``dataclasses.replace`` drops it.  Nothing here encodes a record until
@@ -130,10 +128,9 @@ def _check_component(comp: bytes) -> None:
 
 @dataclass(frozen=True)
 class Name:
-    """Cleartext hierarchical name plus the length of its routable prefix."""
+    """Cleartext hierarchical name."""
 
     components: tuple[bytes, ...]
-    routable_prefix_len: int
     _wire: bytes | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -142,22 +139,13 @@ class Name:
             raise ValueError("a name needs at least one component")
         for comp in self.components:
             _check_component(comp)
-        if not 1 <= self.routable_prefix_len <= len(self.components):
-            raise ValueError("routable_prefix_len out of range")
 
     @classmethod
-    def from_uri(cls, uri: str, routable_prefix_len: int | None = None) -> "Name":
-        comps = tuple(c.encode() for c in uri.strip("/").split("/") if c)
-        if routable_prefix_len is None:
-            routable_prefix_len = len(comps)
-        return cls(comps, routable_prefix_len)
+    def from_uri(cls, uri: str) -> "Name":
+        return cls(tuple(c.encode() for c in uri.strip("/").split("/") if c))
 
     def to_uri(self) -> str:
         return "/" + "/".join(c.decode("utf-8", "backslashreplace") for c in self.components)
-
-    @property
-    def routable_prefix(self) -> tuple[bytes, ...]:
-        return self.components[: self.routable_prefix_len]
 
 
 @dataclass(frozen=True)
@@ -478,7 +466,7 @@ def _decode_name(buf: bytes, start: int, end: int) -> AnyName:
         if obf_suffix is None and scheme is None:
             if not comps:
                 raise DecodeError("empty name")
-            name = Name(tuple(comps), len(comps))
+            name = Name(tuple(comps))
         elif obf_suffix is None or scheme is None:
             raise DecodeError("obfuscated name needs both suffix and scheme tag")
         else:
@@ -541,26 +529,8 @@ def _decode_payload(buf: bytes, start: int, end: int) -> AuthorizationPayload:
 # interest
 
 
-def round_trips(message: Interest | ContentObject) -> bool:
-    """Whether decoding the message's bytes gives the message back.
-
-    Only a record named by a clear name with a partial routable prefix does
-    not: the prefix split does not travel, so its bytes decode to the full
-    length.
-    """
-    name = message.name
-    return not isinstance(name, Name) or name.routable_prefix_len == len(name.components)
-
-
-def _remember(message, out: bytes) -> bytes:
-    """Memoise ``out`` on ``message`` when it ``round_trips``."""
-    if round_trips(message):
-        object.__setattr__(message, "_wire", out)
-    return out
-
-
 def encode_interest(interest: Interest) -> bytes:
-    """Canonical Interest TLV, memoised on the interest (see ``_remember``)."""
+    """Canonical Interest TLV, memoised on the interest."""
     if interest._wire is not None:
         return interest._wire
     body = encode_name(interest.name)
@@ -573,7 +543,8 @@ def encode_interest(interest: Interest) -> bytes:
     out = _tlv(TYPE_INTEREST, body)
     if len(out) > MAX_MESSAGE_LEN:
         raise EncodeError("message exceeds 1 MiB")
-    return _remember(interest, out)
+    object.__setattr__(interest, "_wire", out)
+    return out
 
 
 def decode_interest(data: bytes) -> Interest:
@@ -656,7 +627,7 @@ class SuffixTemplate:
 
 
 def encode_content(content: ContentObject) -> bytes:
-    """Canonical ContentObject TLV, memoised on the object (see ``_remember``)."""
+    """Canonical ContentObject TLV, memoised on the object."""
     if content._wire is not None:
         return content._wire
     body = encode_name(content.name)
@@ -668,7 +639,8 @@ def encode_content(content: ContentObject) -> bytes:
     out = _tlv(TYPE_CONTENT, body)
     if len(out) > MAX_MESSAGE_LEN:
         raise EncodeError("message exceeds 1 MiB")
-    return _remember(content, out)
+    object.__setattr__(content, "_wire", out)
+    return out
 
 
 def decode_content(data: bytes) -> ContentObject:
@@ -746,10 +718,7 @@ def _keep_wire(message, data: bytes):
 
 
 def decode_message(data: bytes) -> Interest | ContentObject:
-    """Decode either message kind (used by nodes reading a link).
-
-    The record keeps ``data`` as its ``_wire``.
-    """
+    """Decode either message kind; the record keeps ``data`` as its ``_wire``."""
     type_code, start, end = _decode_top(data)
     if type_code == TYPE_INTEREST:
         return _keep_wire(_decode_interest(data, start, end), data)

@@ -213,7 +213,7 @@ def test_acceptance_7_batch_verification():
     # single corrupted signature detected in >= 999/1000 seeded trials
     material = crypto.gen_group(128, 1)
     rng = random.Random(0xACC7)
-    name_bytes = encode_name(Name((b"a",), 1))
+    name_bytes = encode_name(Name((b"a",)))
     items = []
     for i in range(10):
         fields = (name_bytes, material.group_id, rng.randbytes(16), i)
@@ -271,7 +271,7 @@ def test_acceptance_8_overhead_accounting():
         clock=lambda: 1000.0,
         rng=random.Random(8),
     )
-    name = Name.from_uri("/edu/uci/ics/home.html", 2)
+    name = Name.from_uri("/edu/uci/ics/home.html")
     full = interest_generation(ctx, (b"edu", b"uci"), name)
     bare = Interest(full.name)
     params = OverheadParams(

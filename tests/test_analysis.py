@@ -90,7 +90,7 @@ def _full_interest():
         clock=lambda: 1000.0,
         rng=random.Random(3),
     )
-    name = Name.from_uri("/edu/uci/ics/home.html", 2)
+    name = Name.from_uri("/edu/uci/ics/home.html")
     return material, interest_generation(ctx, (b"edu", b"uci"), name)
 
 

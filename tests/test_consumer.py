@@ -9,7 +9,7 @@ from ibac.consumer import ConsumerContext, ConsumerMode, interest_generation
 from ibac.wire import Name, ObfuscatedName, SchemeTag, encode_name
 
 PREFIX = (b"edu", b"uci")
-NAME = Name.from_uri("/edu/uci/ics/home.html", routable_prefix_len=2)
+NAME = Name.from_uri("/edu/uci/ics/home.html")
 
 
 def make_ctx(mode=ConsumerMode.FULL, scheme=SchemeTag.ENC, seed=1, clock=lambda: 5000.0,
@@ -49,7 +49,7 @@ def test_auth_only_keeps_cleartext_name():
     ctx = make_ctx(mode=ConsumerMode.AUTH_ONLY)
     interest = interest_generation(ctx, PREFIX, NAME)
     assert isinstance(interest.name, Name)
-    assert encode_name(interest.name) == encode_name(Name(NAME.components, len(NAME.components)))
+    assert interest.name is NAME and interest.name._wire == encode_name(NAME)
     p = interest.payload
     assert p.has_auth_info()
     assert crypto.verify_payload(
@@ -156,7 +156,7 @@ components = st.lists(st.binary(min_size=1, max_size=8), min_size=1, max_size=3)
 )
 def test_memoised_name_equals_a_fresh_obfuscation(key, scheme, mode, prefix, rest):
     ctx = make_ctx(mode=mode, scheme=scheme)
-    name = Name(tuple(prefix + rest), len(prefix))
+    name = Name(tuple(prefix + rest))
     ctx.content_keys[name.components] = key
     obfuscate = crypto.obfuscate_enc if scheme is SchemeTag.ENC else crypto.obfuscate_hash
     fresh = ObfuscatedName(tuple(prefix), obfuscate(key, rest), scheme)
@@ -205,7 +205,7 @@ def test_obfuscation_runs_once_per_key_scheme_and_name(monkeypatch):
 
         monkeypatch.setattr(crypto, fn, counting)
     ctx = make_ctx(mode=ConsumerMode.OBFUSCATE_ONLY)
-    other = Name.from_uri("/edu/uci/ics/about.html", routable_prefix_len=2)
+    other = Name.from_uri("/edu/uci/ics/about.html")
     for scheme in (SchemeTag.ENC, SchemeTag.HASH, SchemeTag.ENC):
         ctx.scheme = scheme
         for _ in range(3):

@@ -16,8 +16,8 @@ from ibac.producer import (
 from ibac.wire import Interest, Name, SchemeTag, encode_name
 
 PREFIX = (b"edu", b"uci")
-HOME = Name.from_uri("/edu/uci/ics/home.html", 2)
-NEWS = Name.from_uri("/edu/uci/ics/news.html", 2)
+HOME = Name.from_uri("/edu/uci/ics/home.html")
+NEWS = Name.from_uri("/edu/uci/ics/news.html")
 
 
 def make_producer(window_ms=60_000.0, keypair=None):
@@ -109,7 +109,7 @@ def test_hash_map_size_matches_closed_form():
     groups = [crypto.gen_group(128, seed) for seed in range(4)]
     for material in groups:
         producer.register_group(material)
-    names = [Name.from_uri(f"/edu/uci/hash/{i}", 2) for i in range(3)]
+    names = [Name.from_uri(f"/edu/uci/hash/{i}") for i in range(3)]
     for i, name in enumerate(names):
         published(
             producer,
@@ -365,7 +365,7 @@ def test_protected_content_not_served_by_clear_name():
 def test_membership_enumeration_never_leaks():
     # 2 groups x 3 contents x all non-empty authorized subsets
     g1, g2 = crypto.gen_group(128, 1), crypto.gen_group(128, 2)
-    names = [Name.from_uri(f"/edu/uci/item/{i}", 2) for i in range(3)]
+    names = [Name.from_uri(f"/edu/uci/item/{i}") for i in range(3)]
     for memberships in itertools.product([(0,), (1,), (0, 1)], repeat=3):
         producer = make_producer()
         producer.register_group(g1)

@@ -11,7 +11,7 @@ from ibac.router import DropReason, EventKind, Router, VerifyMode
 from ibac.wire import ContentObject, Interest, Name, SchemeTag, encode_name
 
 PREFIX = (b"edu", b"uci")
-HOME = Name.from_uri("/edu/uci/ics/home.html", 2)
+HOME = Name.from_uri("/edu/uci/ics/home.html")
 
 
 def build_world(policy=ProtectionPolicy.FULL, scheme=SchemeTag.ENC, lifetime=60_000,
@@ -138,7 +138,7 @@ def test_second_pending_interest_aggregates():
 
 def test_no_route_drop():
     router = Router()
-    interest = Interest(Name((b"nowhere",), 1))
+    interest = Interest(Name((b"nowhere",)))
     events, _ = router.on_interest(interest, in_iface=0, now=0.0)
     assert events[0].kind is EventKind.DROP_INTEREST
     assert events[0].reason is DropReason.NO_ROUTE
@@ -232,14 +232,14 @@ def test_public_content_forwarded_unconditionally():
     producer.publish(HOME, b"pub", [], SchemeTag.ENC, 60_000, ProtectionPolicy.PUBLIC)
     router = Router()
     router.add_route(PREFIX, 9)
-    interest = Interest(Name(HOME.components, len(HOME.components)))
+    interest = Interest(HOME)
     router.on_interest(interest, in_iface=0, now=0.0)
     response = producer.content_object_generation(interest, 1.0)
     events, verifies = router.on_content(response.content, in_iface=9, now=2.0)
     assert verifies == 0
     assert any(e.kind is EventKind.FORWARD_CONTENT and e.reason == "public" for e in events)
     # cached copy served without any check
-    again = Interest(Name(HOME.components, len(HOME.components)))
+    again = Interest(HOME)
     events, verifies = router.on_interest(again, in_iface=5, now=3.0)
     assert verifies == 0
     assert events[0].kind is EventKind.SERVE_FROM_CACHE
@@ -278,7 +278,7 @@ def test_pit_expiry_stopping_at_first_live_entry_matches_full_scan(ops):
     now = 0.0
     for op, k, step in ops:
         now += step  # a node's clock never runs backwards
-        name = Name(PREFIX + (b"n%d" % k,), 2)
+        name = Name(PREFIX + (b"n%d" % k,))
         if op == "interest":
             router.on_interest(Interest(name), in_iface=0, now=now)
         elif op == "content":

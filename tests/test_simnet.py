@@ -7,15 +7,20 @@ from pathlib import Path
 
 import pytest
 
-from ibac import crypto, scenario, simnet
+from ibac import crypto, scenario, simnet, wire
 from ibac.consumer import ConsumerMode
+from ibac.producer import Producer, ProtectionPolicy
 from ibac.scenario import run_config, scenario_from_dict
 from ibac.wire import (
+    ContentObject,
     Interest,
     Name,
     ObfuscatedName,
     SchemeTag,
+    decode_content,
+    decode_interest,
     decode_message,
+    encode_content,
     encode_interest,
     encode_name,
 )
@@ -62,17 +67,31 @@ def test_linear_fetch_caches_at_both_routers():
 
 
 def count_decodes(monkeypatch) -> list:
-    """Record the type of every message the simulator decodes."""
+    """Record the type of every message decoded, by whichever of ``wire``'s
+    decoders: each one builds its record with ``_decode_interest`` or
+    ``_decode_content``."""
     decoded = []
-    real_decode = simnet.decode_message
+    for decoder in ("_decode_interest", "_decode_content"):
+        real_decode = getattr(wire, decoder)
 
-    def counting_decode(data):
-        message = real_decode(data)
-        decoded.append(type(message).__name__)
-        return message
+        def counting_decode(buf, start, end, real_decode=real_decode):
+            message = real_decode(buf, start, end)
+            decoded.append(type(message).__name__)
+            return message
 
-    monkeypatch.setattr(simnet, "decode_message", counting_decode)
+        monkeypatch.setattr(wire, decoder, counting_decode)
     return decoded
+
+
+def test_count_decodes_sees_every_decoder(monkeypatch):
+    decoded = count_decodes(monkeypatch)
+    interest = Interest(Name((b"a",)))
+    content = ContentObject(Name((b"a",)), b"x")
+    decode_message(encode_interest(interest))
+    decode_interest(encode_interest(interest))
+    decode_message(encode_content(content))
+    decode_content(encode_content(content))
+    assert decoded == ["Interest", "Interest", "ContentObject", "ContentObject"]
 
 
 def count_encodes(monkeypatch) -> list:
@@ -94,8 +113,7 @@ def test_linear_fetch_decodes_nothing(monkeypatch):
     result, info = run_config(linear_config())
     # consumer -> r1 -> r2 -> producer and back: the consumer's interest and
     # the producer's content travel as the records they were built as, and
-    # with no tap, no wire trace and no record whose bytes decode to another,
-    # nothing reads their bytes, so none are made
+    # with no tap and no wire trace nothing reads their bytes, so none are made
     assert decoded == []
     assert encoded == []
     name = info.content_names["/edu/uci/ics/home.html"]
@@ -156,22 +174,9 @@ def two_router_sim():
     return sim, arrived
 
 
-def test_a_partial_prefix_clear_name_arrives_as_its_decoded_record():
-    # its bytes decode to a full-length prefix, so the receiver must get
-    # that record, not the one sent
-    sim, arrived = two_router_sim()
-    interest = Interest(Name((b"edu", b"uci", b"x"), 2))
-    sim._send(sim.nodes["c"], 0, interest, 0.0)
-    sim.run()
-    [received] = arrived["r1"]
-    assert received is not interest and interest._wire is None
-    assert received == decode_message(encode_interest(interest))
-    assert received.name == Name((b"edu", b"uci", b"x"), 3)
-
-
 def test_a_record_memoised_in_flight_arrives_as_itself():
-    # sent without bytes on the untapped link, then encoded (and memoised)
-    # by a send on the tapped one while the first copy is still in flight
+    # sent on the untapped link, which makes no bytes, then encoded (and
+    # memoised) by a send on the tapped one while the first copy is in flight
     sim, arrived = two_router_sim()
     interest = Interest(ObfuscatedName((b"edu",), b"\x01" * 8, SchemeTag.HASH))
     sim._send(sim.nodes["c"], 0, interest, 0.0)
@@ -634,3 +639,79 @@ def test_expiry_sweep_must_be_positive(value):
         scenario.build(config)
     with pytest.raises(simnet.ConfigError, match="expiry_sweep_ms"):
         simnet.Simulation(expiry_sweep_ms=value)
+
+
+CONTENT = Name.from_uri("/edu/x")
+
+
+def one_node_of_each_role():
+    """Consumer ``c``, router ``r``, producer ``p`` and adversary ``a``, with
+    one registered content, ``CONTENT``."""
+    sim = simnet.Simulation(seed=1)
+    material = crypto.gen_group(128, 1)
+    sim.add_consumer("c", material, ConsumerMode.FULL, SchemeTag.ENC)
+    sim.add_router("r")
+    sim.add_producer("p", Producer((b"edu",)))
+    sim.add_adversary("a", material)
+    sim.register_content_prefix(CONTENT, (b"edu",))
+    return sim
+
+
+# each scheduling entry point, the role of the node it names, and a call
+SCHEDULING_CALLS = {
+    "add_tap": ("adversary", lambda sim, node: sim.add_tap("c", "r", node)),
+    "schedule_fetch": ("consumer", lambda sim, node: sim.schedule_fetch(node, CONTENT, 0.0)),
+    "set_traffic": ("consumer", lambda sim, node: sim.set_traffic(
+        simnet.TrafficProfile(node, lambda_per_s=10.0, delta=0.5, ibac_targets=["/edu/x"])
+    )),
+    "schedule_action": ("adversary", lambda sim, node: sim.schedule_action(
+        node, simnet.AdversaryAction(simnet.FORGE_PAYLOAD, at_ms=0.0, target="r")
+    )),
+    "schedule_rekey": ("producer", lambda sim, node: sim.schedule_rekey(0.0, node, CONTENT, [], [])),
+}
+ROLES = {"c": "consumer", "r": "router", "p": "producer", "a": "adversary"}
+
+
+@pytest.mark.parametrize(
+    "entry, node",
+    [
+        (entry, node)
+        for entry, (role, _) in SCHEDULING_CALLS.items()
+        for node in (*ROLES, "zz")
+        if ROLES.get(node) != role
+    ],
+)
+def test_a_node_of_the_wrong_role_is_refused_at_call_time(entry, node):
+    # each call used to be accepted and the run to end in an AttributeError
+    # (a router tapping, fetching or rekeyed, a consumer acting), and an
+    # unknown id raised a bare KeyError
+    role, call = SCHEDULING_CALLS[entry]
+    sim = one_node_of_each_role()
+    queued, taps = list(sim._queue), dict(sim._taps)
+    problem = f"unknown {role} 'zz'" if node == "zz" else f"has role {ROLES[node]}, not {role}"
+    with pytest.raises(simnet.ConfigError, match=problem):
+        call(sim, node)
+    assert sim._queue == queued and sim._taps == taps and sim.actions == []
+
+
+def test_content_reaching_a_producer_is_dropped_and_the_queue_moves_on():
+    # the content arrives just before the consumer's interest, so the
+    # interest waits while the producer refuses the content
+    sim = simnet.Simulation(seed=1)
+    material = crypto.gen_group(128, 1)
+    consumer = sim.add_consumer("c", material, ConsumerMode.AUTH_ONLY, SchemeTag.NONE)
+    consumer.fib[(b"edu",)] = 0
+    producer = sim.add_producer("p", Producer((b"edu",)), tau_process_s=0.0005)
+    name = Name.from_uri("/edu/x")
+    producer.publish(name, b"data", [], SchemeTag.ENC, 60_000, ProtectionPolicy.PUBLIC)
+    sim.add_link("c", "p", 10.0)
+    name_hex = encode_name(name).hex()
+    sim._send(sim.nodes["c"], 0, ContentObject(name, b"stray"), 0.0)
+    sim.schedule_fetch("c", name, 0.0, prefix=(b"edu",))
+    result = sim.run()
+    assert [line for line in result.log_lines if "\tp\t" in line] == [
+        f"10.500\tp\tcontent_drop\t{name_hex}\tUnsolicited",
+        f"11.000\tp\tcontent_served\t{name_hex}\tplain",
+    ]
+    assert result.drops == {("p", "Unsolicited"): 1}
+    assert [(d.time_ms, d.data) for d in result.deliveries] == [(21.0, b"data")]
