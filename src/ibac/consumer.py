@@ -6,7 +6,10 @@ OBFUSCATE_ONLY sends the obfuscated name with an identity-only payload so
 the producer can pick the right key; no anti-replay fields travel because
 that mode does not defend against replay.  AUTH_ONLY sends the cleartext
 name with the complete payload, for deployments where name privacy does
-not matter but cache hits must still be authorized.
+not matter but cache hits must still be authorized.  In every mode a
+PUBLIC content, which the context lists in ``public_names``, is requested
+by its clear name with no payload: there is nothing to hide or authorize,
+and the producer resolves a public name only in clear.
 
 Obfuscation is deterministic and draws nothing from the generator, so a
 context memoises each ``ObfuscatedName`` it builds, with its Name TLV
@@ -60,6 +63,8 @@ class ConsumerContext:
     producer_public: crypto.ProducerPublicKey | None = None
     # per-name obfuscation keys provisioned out of band (multi-group content)
     content_keys: dict[tuple[bytes, ...], bytes] = field(default_factory=dict)
+    # the name components of the catalog's PUBLIC contents
+    public_names: set[tuple[bytes, ...]] = field(default_factory=set)
     # (obfuscation key, scheme, routable prefix, name components) -> name
     _obfuscated: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -83,11 +88,14 @@ def _group_id_field(ctx: ConsumerContext) -> tuple[bytes, bool]:
 def interest_generation(ctx: ConsumerContext, routable_prefix, name: Name) -> Interest:
     """Build one interest for ``name`` under the context's mode and scheme."""
     routable_prefix = tuple(routable_prefix)
-    if ctx.mode is ConsumerMode.AUTH_ONLY:
+    public = name.components in ctx.public_names
+    if public or ctx.mode is ConsumerMode.AUTH_ONLY:
         wire_name = name
         # validate the prefix relationship even though the name stays clear
         suffix(name, routable_prefix)
         name_bytes = encode_name(wire_name)
+        if public:
+            return Interest(wire_name)
     else:
         obf_key = ctx.content_keys.get(name.components, ctx.group.obfuscation_key)
         memo_key = (obf_key, ctx.scheme, routable_prefix, name.components)

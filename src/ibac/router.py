@@ -7,7 +7,19 @@ the store; content without keys is served unconditionally.  When content
 arrives for aggregated interests, each pending payload is checked against
 the arriving keys the moment they are available, so collapsed requesters
 cannot bypass authorization.  Every check is ``authcheck``'s pipeline; in
-BATCH mode the precheck runs at enqueue and the signatures at flush.
+BATCH mode the precheck runs at enqueue and the signatures at flush.  An
+interest whose cached copy expired while it waited for a flush goes on as
+a miss, as if it had arrived after the expiry.
+
+A PIT entry keeps the record it forwarded upstream (``forwarded``), the
+face that record came from, and the records aggregated behind it
+(``waiting``).  When the upstream refuses the forwarded record and sends
+an interest NACK carrying it (``on_nack``), the router drops the record,
+hands the refusal on toward the record's face, and forwards the next
+aggregated record in its place, so one doomed record cannot take the
+honest interests collapsed behind it down with it.  A NACK matches by
+record identity, so a late one for an entry since replaced changes
+nothing.
 
 Nonce memory lives and dies with the cache entry: the entry holds the
 nonces of its passed checks and of its queued ones, the entry's lifetime
@@ -41,6 +53,7 @@ from .wire import (
     AuthorizationPayload,
     ContentObject,
     Interest,
+    Nack,
     encode_name,
     longest_prefix_match,
 )
@@ -51,7 +64,6 @@ PIT_LIFETIME_MS = 4000.0
 class DropReason(TextEnum):
     NO_ROUTE = "NoRoute"
     UNSOLICITED = "Unsolicited"
-    CACHE_EXPIRED = "CacheExpired"
 
 
 class VerifyStrategy(enum.Enum):
@@ -91,8 +103,15 @@ class CacheEntry:
 
 @dataclass(slots=True)
 class PitEntry:
-    records: list  # (iface, AuthorizationPayload | None)
+    face: int  # where ``forwarded`` came from
+    forwarded: Interest  # the record sent upstream
     created_at: float
+    waiting: list = field(default_factory=list)  # (iface, Interest) of each aggregated record
+
+    @property
+    def records(self) -> list:
+        """``(iface, Interest)`` of every pending record, the forwarded one first."""
+        return [(self.face, self.forwarded), *self.waiting]
 
 
 class EventKind(TextEnum):
@@ -107,6 +126,9 @@ class EventKind(TextEnum):
     CACHE_EVICT = "cache_evicted"
     BATCH_ENQUEUE = "batch_enqueued"
     BATCH_TIMER = "batch_timer"
+    NACKED = "int_nacked"  # the forwarded record was refused upstream
+    REFORWARD = "int_reforwarded"  # the next aggregated record, sent after a NACK
+    NACK_UNMATCHED = "nack_unmatched"
 
 
 @dataclass(slots=True)
@@ -114,7 +136,7 @@ class RouterEvent:
     kind: EventKind
     name_bytes: bytes = b""
     iface: int | None = None
-    message: Interest | ContentObject | None = None  # the record to send
+    message: Interest | ContentObject | None = None  # the record to send or refused
     reason: object | None = None
     verified: bool = False
     at: float | None = None  # BATCH_TIMER: when to flush
@@ -124,7 +146,7 @@ class RouterEvent:
 @dataclass
 class _QueuedCheck:
     iface: int
-    payload: AuthorizationPayload
+    interest: Interest
 
 
 class Router:
@@ -220,47 +242,51 @@ class Router:
                     )
                 )
             elif self.verify_mode.strategy is VerifyStrategy.BATCH:
-                return self._enqueue_batch(interest.payload, entry, in_iface, name_bytes, now)
+                return self._enqueue_batch(interest, entry, in_iface, name_bytes, now)
             else:
                 outcome = self.router_authorization_check(
                     interest.payload, name_bytes, entry, now
                 )
                 verifies += outcome.verifies
-                events.append(self._serve_or_drop(outcome.failure, name_bytes, in_iface, entry))
+                events.append(
+                    self._serve_or_drop(outcome.failure, name_bytes, in_iface, interest, entry)
+                )
             return events, verifies
+        self._miss(interest, in_iface, name_bytes, now, events)
+        return events, verifies
 
+    def _miss(self, interest: Interest, in_iface: int, name_bytes: bytes, now: float,
+              events: list[RouterEvent]) -> None:
+        """Aggregate ``interest`` on a live PIT entry, or make one and forward."""
         pit = self.pit.get(name_bytes)
         if pit is not None and pit.created_at + self.pit_lifetime_ms <= now:
             del self.pit[name_bytes]
             pit = None
         if pit is not None:
-            pit.records.append((in_iface, interest.payload))
+            pit.waiting.append((in_iface, interest))
             events.append(RouterEvent(EventKind.AGGREGATE, name_bytes))
-            return events, verifies
-
+            return
         out_iface = longest_prefix_match(self.fib, interest.name)
         if out_iface is None:
             events.append(
                 RouterEvent(EventKind.DROP_INTEREST, name_bytes, reason=DropReason.NO_ROUTE)
             )
-            return events, verifies
-        self.pit[name_bytes] = PitEntry([(in_iface, interest.payload)], now)
-        events.append(
-            RouterEvent(
-                EventKind.FORWARD_INTEREST,
-                name_bytes,
-                out_iface,
-                interest,
-            )
-        )
-        return events, verifies
+            return
+        self.pit[name_bytes] = PitEntry(in_iface, interest, now)
+        events.append(RouterEvent(EventKind.FORWARD_INTEREST, name_bytes, out_iface, interest))
 
     def _serve_or_drop(
-        self, failure: FailReason | None, name_bytes: bytes, iface: int, entry: CacheEntry
+        self,
+        failure: FailReason | None,
+        name_bytes: bytes,
+        iface: int,
+        interest: Interest,
+        entry: CacheEntry,
     ) -> RouterEvent:
-        """The answer to one checked cache hit."""
+        """The answer to one checked cache hit; a refusal names the refused
+        record and the face it came from."""
         if failure is not None:
-            return RouterEvent(EventKind.DROP_INTEREST, name_bytes, reason=failure)
+            return RouterEvent(EventKind.DROP_INTEREST, name_bytes, iface, interest, failure)
         self.protected_serves += 1
         return RouterEvent(
             EventKind.SERVE_FROM_CACHE,
@@ -273,8 +299,9 @@ class Router:
 
     # -- batched cache-hit verification -----------------------------------
 
-    def _enqueue_batch(self, payload, entry, in_iface, name_bytes, now):
+    def _enqueue_batch(self, interest, entry, in_iface, name_bytes, now):
         """Precheck now, queue the signature for the next flush."""
+        payload = interest.payload
         failure = precheck(
             payload,
             entry.nonces,
@@ -285,10 +312,10 @@ class Router:
             entry.queued,
         )
         if failure is not None:
-            return [self._serve_or_drop(failure, name_bytes, in_iface, entry)], 0
+            return [self._serve_or_drop(failure, name_bytes, in_iface, interest, entry)], 0
         key = (name_bytes, payload.group_id)
         queue = self._batch_queues.setdefault(key, [])
-        queue.append(_QueuedCheck(in_iface, payload))
+        queue.append(_QueuedCheck(in_iface, interest))
         entry.queued.add(payload.nonce)
         events = [RouterEvent(EventKind.BATCH_ENQUEUE, name_bytes)]
         if len(queue) >= self.verify_mode.batch_size:
@@ -306,46 +333,49 @@ class Router:
         return events, 0
 
     def flush_batch(self, key: tuple, now: float):
-        """Verify one queued batch; a failed batch falls back to per-item checks."""
+        """Verify one queued batch; a failed batch falls back to per-item checks.
+
+        If the cached copy has expired by now, nothing is verified: the
+        copy is evicted and each queued interest goes on as a miss."""
         queue = self._batch_queues.pop(key, [])
         if not queue:
             return [], 0
         name_bytes = key[0]
+        events: list[RouterEvent] = []
         entry = self.cs.get(name_bytes)
         if entry is None or entry.expires_at <= now:
-            return [
-                RouterEvent(EventKind.DROP_INTEREST, name_bytes, reason=DropReason.CACHE_EXPIRED)
-                for _ in queue
-            ], 0
-        for item in queue:
-            entry.queued.discard(item.payload.nonce)
+            if entry is not None:
+                self._evict(name_bytes, events)
+            for item in queue:
+                self._miss(item.interest, item.iface, name_bytes, now, events)
+            return events, 0
+        payloads = [item.interest.payload for item in queue]
+        for payload in payloads:
+            entry.queued.discard(payload.nonce)
 
         verifies = 0
         all_pass = False
-        candidates = self._candidates(queue[0].payload, entry.content)
-        if len(candidates) == 1 and not queue[0].payload.group_id_encrypted:
+        candidates = self._candidates(payloads[0], entry.content)
+        if len(candidates) == 1 and not payloads[0].group_id_encrypted:
             group, signing_public = candidates[0]
             items = [
-                (
-                    (name_bytes, q.payload.group_id, q.payload.nonce, q.payload.timestamp),
-                    q.payload.signature,
-                )
-                for q in queue
+                ((name_bytes, p.group_id, p.nonce, p.timestamp), p.signature) for p in payloads
             ]
             verifies += 1
             all_pass = crypto.batch_verify(group, signing_public, items, self.batch_rng)
-        events: list[RouterEvent] = []
-        for item in queue:
+        for item, payload in zip(queue, payloads):
             failure = None
             if not all_pass:
                 outcome = verify_any(
-                    item.payload, name_bytes, self._candidates(item.payload, entry.content)
+                    payload, name_bytes, self._candidates(payload, entry.content)
                 )
                 verifies += outcome.verifies
                 failure = outcome.failure
             if failure is None:
-                self._record_pass(item.payload, entry)
-            events.append(self._serve_or_drop(failure, name_bytes, item.iface, entry))
+                self._record_pass(payload, entry)
+            events.append(
+                self._serve_or_drop(failure, name_bytes, item.iface, item.interest, entry)
+            )
         return events, verifies
 
     # -- content pipeline ---------------------------------------------------
@@ -370,7 +400,7 @@ class Router:
         else:
             entry = CacheEntry(content, now, now)
 
-        for iface, payload in pit.records:
+        for iface, interest in pit.records:
             if not content.verification_keys:
                 events.append(
                     RouterEvent(
@@ -378,7 +408,7 @@ class Router:
                     )
                 )
                 continue
-            outcome = self.router_authorization_check(payload, name_bytes, entry, now)
+            outcome = self.router_authorization_check(interest.payload, name_bytes, entry, now)
             verifies += outcome.verifies
             if outcome.passed:
                 events.append(
@@ -394,10 +424,42 @@ class Router:
             else:
                 events.append(
                     RouterEvent(
-                        EventKind.PENDING_DROP, name_bytes, iface, reason=outcome.failure
+                        EventKind.PENDING_DROP, name_bytes, iface, interest, outcome.failure
                     )
                 )
         return events, verifies
+
+    # -- interest NACKs -------------------------------------------------------
+
+    def on_nack(self, nack: Nack, in_iface: int, now: float):
+        """Take an upstream refusal of a forwarded record; returns (events, 0).
+
+        A NACK for the record a live PIT entry forwarded drops that record
+        (``NACKED``, which names the face it came from, so the refusal can
+        go on downstream) and forwards the next aggregated record on
+        ``in_iface``, the upstream that refused, under a fresh entry
+        lifetime (``REFORWARD``: that record's arrival already completed as
+        ``AGGREGATE``, so the re-forward is not a second interest
+        completion); with no record left the entry is deleted.  Any other
+        NACK changes nothing.
+        """
+        refused = nack.interest
+        name_bytes = refused.name._wire or encode_name(refused.name)
+        pit = self.pit.get(name_bytes)
+        if (
+            pit is None
+            or pit.forwarded is not refused
+            or pit.created_at + self.pit_lifetime_ms <= now
+        ):
+            return [RouterEvent(EventKind.NACK_UNMATCHED, name_bytes, reason=nack.reason)], 0
+        del self.pit[name_bytes]
+        events = [RouterEvent(EventKind.NACKED, name_bytes, pit.face, refused, nack.reason)]
+        if pit.waiting:
+            (face, successor), *rest = pit.waiting
+            # re-inserted at the end, so the PIT's dict order stays creation order
+            self.pit[name_bytes] = PitEntry(face, successor, now, rest)
+            events.append(RouterEvent(EventKind.REFORWARD, name_bytes, in_iface, successor))
+        return events, 0
 
     # -- expiry --------------------------------------------------------------
 

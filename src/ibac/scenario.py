@@ -35,7 +35,7 @@ from .kinds import (BOOL, IDS, MAX_COUNT, MAX_DATA_BYTES, MAX_MS, MAX_S, MAX_SWE
                     declare, config_record)
 from .producer import Producer, ProtectionPolicy
 from .router import Router, VerifyMode, VerifyStrategy
-from .simnet import AdversaryAction, RunResult, Simulation, TrafficProfile
+from .simnet import AdversaryAction, RunResult, Simulation, TrafficProfile, offer_problems
 from .wire import Name, SchemeTag
 
 DEFAULT_TAU_PROCESS_S = 0.005
@@ -370,6 +370,7 @@ def validate(config: ScenarioConfig) -> list[str]:
         if nodes[i].prefix and "prefix" not in node_bad[i]
     }
     catalog: set[str] = set()
+    by_class: dict[bool, list[str]] = {True: [], False: []}  # names, by "is PUBLIC"
     for c in config.contents:
         bad = kinds.check(c, f"content {c.name}", errors)
         if "name" in bad:
@@ -377,6 +378,8 @@ def validate(config: ScenarioConfig) -> list[str]:
         if c.name in catalog:
             errors.append(f"content {c.name}: duplicated")
         catalog.add(c.name)
+        if "policy" not in bad:
+            by_class[c.policy == "PUBLIC"].append(c.name)
         comps = _parse_prefix(c.name)
         owners = [
             pid
@@ -418,6 +421,9 @@ def validate(config: ScenarioConfig) -> list[str]:
             if name not in catalog:
                 errors.append(f"traffic target {name}: content not in catalog")
         starts.append((t.consumer, t.start_ms))
+        # a class without targets defaults to every catalog content of it
+        pools = (t.ibac_targets or by_class[False], t.public_targets or by_class[True])
+        errors += offer_problems("traffic", t.delta, *pools)
 
     # a consumer stamps ``round(now + clock_offset_ms)`` as a uint64
     for i in consumers:
@@ -462,8 +468,12 @@ def validate(config: ScenarioConfig) -> list[str]:
             errors.append(kinds.refusal(sweep, "router", "sweep"))
         if t is None:
             errors.append("sweep: requires a traffic profile")
-        elif not (bad or t_bad or sweep.router not in by_role["router"]
-                  or node_bad[sweep.router] or "expiry_sweep_ms" in top_bad):
+        elif not t_bad and "deltas" not in bad:
+            # each point offers the profile's traffic at its own delta
+            for delta in sweep.deltas:
+                errors += offer_problems("sweep", delta, *pools)
+        if t is not None and not (bad or t_bad or sweep.router not in by_role["router"]
+                                  or node_bad[sweep.router] or "expiry_sweep_ms" in top_bad):
             # each point runs to its own horizon, bounded as duration_ms is
             limit = min(MAX_MS, config.expiry_sweep_ms * MAX_SWEEP_TICKS)
             try:
@@ -624,6 +634,9 @@ def build(config: ScenarioConfig) -> tuple[Simulation, BuildInfo]:
         )
         sim.register_content_prefix(name, producer.prefix)
         info.prefix_of[name.components] = producer.prefix
+        if c.policy == "PUBLIC":
+            for consumer in consumers.values():
+                consumer.ctx.public_names.add(name.components)
         if obf_key is not None:
             info.content_keys[name.components] = obf_key
             provisioned = set(c.groups) | set(c.extra_key_groups)
@@ -699,12 +712,13 @@ def check_invariants(result: RunResult, sim: Simulation) -> None:
         raise InvariantViolation(f"conservation violated: {result.conservation}")
     # recount drops and deliveries from the raw log
     drop_kinds = {"int_drop", "content_drop", "pending_drop"}
+    adversaries = {node_id for node_id, rt in sim.nodes.items() if rt.role == "adversary"}
     recount: Counter = Counter()
     delivered = 0
     served_verified: Counter = Counter()
     for line in result.log_lines:
         _, node, kind, _, reason = line.split("\t")
-        if kind in drop_kinds and sim.nodes[node].role != "adversary":
+        if kind in drop_kinds and node not in adversaries:
             recount[(node, reason)] += 1
         if kind == "content_delivered":
             delivered += 1

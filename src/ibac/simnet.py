@@ -46,6 +46,13 @@ memoised (``name._wire``): the consumer encodes the names it makes, a
 probe's template joins its name's bytes, and every other name crossed a
 link.  So receivers, routers and producers read name bytes off the name.
 
+A node that refuses an interest which came from a router, for a reason
+that depends on the record's payload (``PAYLOAD_REFUSALS``), sends a
+``wire.Nack`` carrying the refused record back on that face (``_nack``,
+logged ``nack_sent``).  The router takes it as one more message, served
+for ``tau_process`` (``Router.on_nack``).  Only routers get NACKs: a
+consumer or adversary keeps no PIT for one to act on.
+
 Each node's link table maps an interface to the peer's runtime, the
 latency, the peer's interface for the link and the runtimes of the
 adversaries tapping it (none when the sender is itself an adversary), so
@@ -85,26 +92,32 @@ from collections import Counter, deque
 from dataclasses import dataclass, field
 
 from . import crypto, kinds
+from .authcheck import FailReason
 from .consumer import ConsumerContext, interest_generation
 from .kinds import (BOOL, CAPTURE, FRACTION, IDS, MAX_COUNT, MAX_MS, MAX_RATE_PER_S,
                     MAX_SUFFIX_BYTES, TEXT, TIME, Choice, Num, Text, declare, config_record)
+from .producer import DropReason as ProducerDrop
 from .producer import Producer
 from .router import EventKind, Router
 from .wire import (
     AuthorizationPayload,
     ContentObject,
+    EmptySuffix,
     Interest,
+    Nack,
     Name,
     ObfuscatedName,
+    PrefixMismatch,
     SchemeTag,
     SuffixTemplate,
-    encode_content,
-    encode_interest,
+    encode_message,
     encode_name,
     longest_prefix_match,
+    suffix,
 )
 
-# interest-processing completions, the events service-rate measurement counts
+# interest-processing completions, the events service-rate measurement counts;
+# a re-forward after a NACK (``int_reforwarded``) completes no new interest
 INTEREST_COMPLETION_KINDS = frozenset(
     {"cs_hit_served", "int_forwarded", "int_aggregated", "int_drop"}
 )
@@ -117,11 +130,24 @@ ATTACK_KINDS = (REPLAY_SAME_PATH, REPLAY_CROSS_PATH, FORGE_PAYLOAD, NAME_PROBE)
 
 # router events that put their record on a link, and those counted as drops
 _SEND_KINDS = frozenset(
-    {EventKind.SERVE_FROM_CACHE, EventKind.FORWARD_INTEREST, EventKind.FORWARD_CONTENT}
+    {
+        EventKind.SERVE_FROM_CACHE,
+        EventKind.FORWARD_INTEREST,
+        EventKind.REFORWARD,
+        EventKind.FORWARD_CONTENT,
+    }
 )
 _DROP_KINDS = frozenset(
     {EventKind.DROP_INTEREST, EventKind.DROP_CONTENT, EventKind.PENDING_DROP}
 )
+# refusals that depend on the refused record's payload, so that a record
+# aggregated behind it may still pass: these are NACKed to a router.  A
+# name-level refusal (UnknownName, PrefixMismatch, AuthenticityFailure,
+# WrongScheme, NoRoute) fails every record for the name alike.
+PAYLOAD_REFUSALS = frozenset(FailReason) | {
+    ProducerDrop.UNAUTHORIZED,
+    ProducerDrop.DECRYPT_FAILURE,
+}
 
 
 class ConfigError(ValueError):
@@ -274,6 +300,28 @@ class RunResult:
         if len(hits) != 1:
             raise KeyError(f"{kind}[{index}] matched {len(hits)} actions")
         return hits[0]
+
+
+def _routable_prefix(name: Name, prefix) -> tuple[bytes, ...]:
+    """``prefix`` as a tuple, which must be a strict leading part of ``name``."""
+    prefix = tuple(prefix)
+    try:
+        suffix(name, prefix)
+    except (PrefixMismatch, EmptySuffix):
+        raise ConfigError(
+            f"routable prefix {prefix!r} is not a strict leading part of {name.to_uri()}"
+        ) from None
+    return prefix
+
+
+def offer_problems(where: str, delta: float, ibac, public) -> list[str]:
+    """What is wrong with offering IBAC fetches at weight ``delta`` and public
+    ones at ``1 - delta`` from these targets: a weighted class needs one."""
+    return [
+        f"{where}: delta {delta} offers {label} fetches, but there is no {label} target"
+        for label, weight, targets in (("IBAC", delta, ibac), ("public", 1 - delta, public))
+        if weight > 0 and not targets
+    ]
 
 
 class Simulation:
@@ -433,15 +481,17 @@ class Simulation:
                     rt.ifaces[iface] = (peer, latency, arrival, taps)
 
     def register_content_prefix(self, name: Name, prefix) -> None:
-        self.content_prefixes[name.components] = tuple(prefix)
+        self.content_prefixes[name.components] = _routable_prefix(name, prefix)
 
     def schedule_fetch(self, consumer: str, name: Name, at_ms: float, prefix=None) -> None:
         rt = self._node(consumer, "consumer")
         if prefix is None:
             prefix = self.content_prefixes.get(name.components)
-        if prefix is None:
-            raise ConfigError(f"no routable prefix known for {name.to_uri()}")
-        self._push(at_ms, self._do_fetch, rt, (name, tuple(prefix)))
+            if prefix is None:
+                raise ConfigError(f"no routable prefix known for {name.to_uri()}")
+        else:
+            prefix = _routable_prefix(name, prefix)
+        self._push(at_ms, self._do_fetch, rt, (name, prefix))
 
     def set_traffic(self, profile: TrafficProfile) -> None:
         """Start ``profile``; its targets must name registered contents."""
@@ -456,6 +506,7 @@ class Simulation:
                     problems.append(f"traffic: target {name.to_uri()!r}: no content registered")
                 else:
                     pool.append((name, prefix))
+        problems += offer_problems("traffic", profile.delta, *pools)
         if problems:
             raise ConfigError("; ".join(problems))
         rt = self._node(profile.consumer, "consumer")
@@ -496,12 +547,7 @@ class Simulation:
         peer, latency, arrival_iface, taps = rt.ifaces[iface]
         tapped = taps and isinstance(message, Interest)
         if tapped or self.record_wire:
-            wire = message._wire
-            if wire is None:
-                if isinstance(message, Interest):
-                    wire = encode_interest(message)
-                else:
-                    wire = encode_content(message)
+            wire = encode_message(message)
             if self.record_wire:
                 self.wire_trace.append((t, rt.node_id, peer.node_id, wire))
             if tapped:
@@ -511,6 +557,13 @@ class Simulation:
         self._seq += 1
         args = (arrival_iface, message)
         heapq.heappush(self._queue, (t + latency, self._seq, peer.arrive, peer, args))
+
+    def _nack(self, rt: _NodeRuntime, iface: int, refused: Interest, reason, t: float) -> None:
+        """Send a NACK for ``refused`` back on ``iface`` when a router is
+        there: only routers keep a PIT that a NACK can act on."""
+        if rt.ifaces[iface][0].role == "router":
+            self.log_event(t, rt.node_id, "nack_sent", refused.name._wire, reason)
+            self._send(rt, iface, Nack(refused, reason), t)
 
     def run(self) -> RunResult:
         for rt in self.nodes.values():
@@ -545,8 +598,10 @@ class Simulation:
         rt.busy = True
         if isinstance(message, Interest):
             events, verifies = rt.obj.on_interest(message, iface, t)
-        else:
+        elif isinstance(message, ContentObject):
             events, verifies = rt.obj.on_content(message, iface, t)
+        else:
+            events, verifies = rt.obj.on_nack(message, iface, t)
         completion = t + rt.tau_process_ms + verifies * rt.tau_verify_ms
         self._seq += 1
         heapq.heappush(self._queue, (completion, self._seq, self._router_done, rt, (events,)))
@@ -573,7 +628,7 @@ class Simulation:
         key = (rt.node_id, name_bytes)
         self.producer_counts[key] = self.producer_counts.get(key, 0) + 1
         self._seq += 1
-        args = (iface, name_bytes, response)
+        args = (iface, message, response)
         heapq.heappush(self._queue, (completion, self._seq, self._producer_done, rt, args))
 
     def _router_done(self, rt: _NodeRuntime, at: float, events) -> None:
@@ -588,11 +643,16 @@ class Simulation:
                 self._send(rt, ev.iface, ev.message, at)
             elif kind in _DROP_KINDS:
                 self.drops[(rt.node_id, reason)] += 1
+                if reason in PAYLOAD_REFUSALS:
+                    self._nack(rt, ev.iface, ev.message, reason, at)
+            elif kind is EventKind.NACKED:
+                self._nack(rt, ev.iface, ev.message, reason, at)
         self._next_service(rt, at)
 
     def _producer_done(
-        self, rt: _NodeRuntime, at: float, iface: int, name_bytes: bytes, response
+        self, rt: _NodeRuntime, at: float, iface: int, interest: Interest, response
     ) -> None:
+        name_bytes = interest.name._wire
         if response.served:
             reason = "verified" if response.verifies else "plain"
             self.log_event(at, rt.node_id, "content_served", name_bytes, reason)
@@ -601,6 +661,8 @@ class Simulation:
             reason = response.drop_reason
             self.log_event(at, rt.node_id, "int_drop", name_bytes, reason)
             self.drops[(rt.node_id, reason)] += 1
+            if reason in PAYLOAD_REFUSALS:
+                self._nack(rt, iface, interest, reason, at)
         self._next_service(rt, at)
 
     def _unsolicited_done(self, rt: _NodeRuntime, at: float, name_bytes: bytes) -> None:
@@ -671,11 +733,10 @@ class Simulation:
             return
         if profile.end_ms is not None and t > profile.end_ms:
             return
+        # set_traffic refused a delta that weighs a class with no target
         use_ibac = ibac and self.rng.random() < profile.delta
-        pool = ibac if use_ibac else public
-        if pool:
-            self._do_fetch(rt, t, *self.rng.choice(pool))
-            self._traffic_sent += 1
+        self._do_fetch(rt, t, *self.rng.choice(ibac if use_ibac else public))
+        self._traffic_sent += 1
         next_t = t + self.rng.expovariate(profile.lambda_per_s / 1000.0)
         self._push(next_t, self._do_traffic, rt, (profile, ibac, public))
 

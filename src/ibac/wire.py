@@ -10,6 +10,7 @@ canonical encoding a correctness requirement, not a nicety.
 Type codes:
 
     0x0001 Interest                  0x0002 ContentObject
+    0x0003 Nack                      0x0050 NackReason (UTF-8 text)
     0x0010 Name                      0x0011 NameComponent (repeatable)
     0x0012 ObfuscatedComponent       0x0013 SchemeTag (1 byte: 0/1/2)
     0x0020 AuthPayload               0x0021 GroupID
@@ -20,7 +21,8 @@ Type codes:
     0x0040 KeyID                     0x0041 ContentObjectHash
 
 A VerificationKeyEntry value is a GroupID TLV followed by the raw key
-bytes.  Values are limited to 65535 bytes and whole messages to 1 MiB.
+bytes.  A Nack holds the refused Interest TLV followed by a NackReason.
+Values are limited to 65535 bytes and whole messages to 1 MiB.
 
 A clear name is its components and nothing more: the split between
 routable prefix and the rest is consumer-side addressing state, given to
@@ -46,7 +48,10 @@ Name TLV the same way, memoised by ``encode_name`` or set by the decoder.
   bytes decode to an equal record.
 
 The field takes no part in equality, hashing or ``repr``, and
-``dataclasses.replace`` drops it.  Nothing here encodes a record until
+``dataclasses.replace`` drops it.  Interests, obfuscated names and NACKs
+keep their fields in slots: a router's PIT holds every interest it
+forwarded until the entry resolves, thousands of them under a flood of
+random names.  Nothing here encodes a record until
 asked, so a holder of records that never needs their bytes never makes
 them.  ``encode_name`` builds the component TLVs of each routable prefix
 once and keeps one tag TLV per scheme, so encoding a fresh obfuscated
@@ -72,6 +77,7 @@ from dataclasses import dataclass, field
 
 TYPE_INTEREST = 0x0001
 TYPE_CONTENT = 0x0002
+TYPE_NACK = 0x0003
 TYPE_NAME = 0x0010
 TYPE_NAME_COMPONENT = 0x0011
 TYPE_OBFUSCATED_COMPONENT = 0x0012
@@ -88,6 +94,7 @@ TYPE_EXPIRY_TIME = 0x0032
 TYPE_PRODUCER_SIGNATURE = 0x0033
 TYPE_KEY_ID = 0x0040
 TYPE_CONTENT_OBJECT_HASH = 0x0041
+TYPE_NACK_REASON = 0x0050
 
 MAX_VALUE_LEN = 65535
 MAX_MESSAGE_LEN = 1 << 20
@@ -148,7 +155,7 @@ class Name:
         return "/" + "/".join(c.decode("utf-8", "backslashreplace") for c in self.components)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ObfuscatedName:
     """Cleartext routable prefix plus one opaque obfuscated suffix component."""
 
@@ -262,7 +269,7 @@ class AuthorizationPayload:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Interest:
     name: AnyName
     payload: AuthorizationPayload | None = None
@@ -290,6 +297,23 @@ class ContentObject:
             if not group_id or not key:
                 raise ValueError("verification key entries need group id and key bytes")
         object.__setattr__(self, "verification_keys", keys)
+
+
+@dataclass(frozen=True, slots=True)
+class Nack:
+    """A node's refusal of one interest, sent back on the face the interest
+    came from (the interest NACK of NDN adaptive forwarding).  It carries the
+    refused record itself, so the receiver can tell which of its forwards
+    was refused."""
+
+    interest: Interest
+    reason: str
+    _wire: bytes | None = field(default=None, init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        if not isinstance(self.reason, str) or not self.reason:
+            raise ValueError("a NACK reason must be non-empty text")
+        self.reason.encode()  # a lone surrogate raises here, not in the encoder
 
 
 # ---------------------------------------------------------------------------
@@ -591,7 +615,7 @@ class SuffixTemplate:
     obfuscated, scheme))`` and carry its encoding.
     """
 
-    __slots__ = ("suffix_len", "_name_fields", "_name_head", "_tag", "_interest_head")
+    __slots__ = ("suffix_len", "_prefix", "_scheme", "_name_head", "_tag", "_interest_head")
 
     def __init__(self, first: ObfuscatedName):
         name_wire = encode_name(first)
@@ -599,10 +623,8 @@ class SuffixTemplate:
         self._tag = _SCHEME_TAG_TLVS[first.scheme_tag]
         self._name_head = name_wire[: len(name_wire) - self.suffix_len - len(self._tag)]
         self._interest_head = _tlv(TYPE_INTEREST, name_wire)[:4]
-        self._name_fields = {
-            "routable_prefix": first.routable_prefix,
-            "scheme_tag": first.scheme_tag,
-        }
+        self._prefix = first.routable_prefix
+        self._scheme = first.scheme_tag
 
     def interest(self, obfuscated: bytes) -> Interest:
         """The name-only interest for the ``suffix_len``-byte suffix ``obfuscated``."""
@@ -610,16 +632,31 @@ class SuffixTemplate:
             raise ValueError(f"suffix must be {self.suffix_len} bytes, got {len(obfuscated)}")
         name_wire = self._name_head + obfuscated + self._tag
         name = object.__new__(ObfuscatedName)
-        name.__dict__.update(self._name_fields, obfuscated_suffix=obfuscated, _wire=name_wire)
+        _set_prefix(name, self._prefix)
+        _set_suffix(name, obfuscated)
+        _set_scheme(name, self._scheme)
+        _set_name_wire(name, name_wire)
         interest = object.__new__(Interest)
-        interest.__dict__.update(
-            name=name,
-            payload=None,
-            key_id=None,
-            content_object_hash=None,
-            _wire=self._interest_head + name_wire,
-        )
+        _set_name(interest, name)
+        _set_payload(interest, None)
+        _set_key_id(interest, None)
+        _set_content_object_hash(interest, None)
+        _set_interest_wire(interest, self._interest_head + name_wire)
         return interest
+
+
+# the slot setters ``SuffixTemplate.interest`` fills its records with: a
+# member descriptor's ``__set__`` skips the frozen check, and the lookup by
+# name that ``object.__setattr__`` makes
+_set_prefix = ObfuscatedName.routable_prefix.__set__
+_set_suffix = ObfuscatedName.obfuscated_suffix.__set__
+_set_scheme = ObfuscatedName.scheme_tag.__set__
+_set_name_wire = ObfuscatedName._wire.__set__
+_set_name = Interest.name.__set__
+_set_payload = Interest.payload.__set__
+_set_key_id = Interest.key_id.__set__
+_set_content_object_hash = Interest.content_object_hash.__set__
+_set_interest_wire = Interest._wire.__set__
 
 
 # ---------------------------------------------------------------------------
@@ -697,7 +734,46 @@ def _decode_content(buf: bytes, start: int, end: int) -> ContentObject:
 
 
 # ---------------------------------------------------------------------------
+# nack
+
+
+def encode_nack(nack: Nack) -> bytes:
+    """Canonical Nack TLV, memoised on the NACK."""
+    if nack._wire is not None:
+        return nack._wire
+    body = encode_interest(nack.interest) + _tlv(TYPE_NACK_REASON, nack.reason.encode())
+    out = _tlv(TYPE_NACK, body)
+    if len(out) > MAX_MESSAGE_LEN:
+        raise EncodeError("message exceeds 1 MiB")
+    object.__setattr__(nack, "_wire", out)
+    return out
+
+
+def _decode_nack(buf: bytes, start: int, end: int) -> Nack:
+    fields = list(_tlvs(buf, start, end))
+    if [type_code for type_code, _, _ in fields] != [TYPE_INTEREST, TYPE_NACK_REASON]:
+        raise DecodeError("a nack holds one interest followed by one reason")
+    (_, istart, iend), (_, rstart, rend) = fields
+    interest = _keep_wire(_decode_interest(buf, istart, iend), buf[istart - 4:iend])
+    try:
+        return Nack(interest, buf[rstart:rend].decode())
+    except ValueError as exc:  # UnicodeDecodeError among them
+        raise DecodeError(f"bad nack reason: {exc}") from None
+
+
+# ---------------------------------------------------------------------------
 # top level
+
+
+def encode_message(message: Interest | ContentObject | Nack) -> bytes:
+    """The canonical bytes of any record, memoised on it."""
+    if message._wire is not None:
+        return message._wire
+    if isinstance(message, Interest):
+        return encode_interest(message)
+    if isinstance(message, ContentObject):
+        return encode_content(message)
+    return encode_nack(message)
 
 
 def _decode_top(data: bytes) -> tuple[int, int, int]:
@@ -717,11 +793,13 @@ def _keep_wire(message, data: bytes):
     return message
 
 
-def decode_message(data: bytes) -> Interest | ContentObject:
-    """Decode either message kind; the record keeps ``data`` as its ``_wire``."""
+def decode_message(data: bytes) -> Interest | ContentObject | Nack:
+    """Decode any message kind; the record keeps ``data`` as its ``_wire``."""
     type_code, start, end = _decode_top(data)
     if type_code == TYPE_INTEREST:
         return _keep_wire(_decode_interest(data, start, end), data)
     if type_code == TYPE_CONTENT:
         return _keep_wire(_decode_content(data, start, end), data)
+    if type_code == TYPE_NACK:
+        return _keep_wire(_decode_nack(data, start, end), data)
     raise DecodeError(f"unknown top-level type 0x{type_code:04x}")

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,7 +9,7 @@ from ibac.authcheck import FailReason
 from ibac.consumer import ConsumerContext, ConsumerMode, interest_generation
 from ibac.producer import Producer, ProtectionPolicy
 from ibac.router import DropReason, EventKind, Router, VerifyMode
-from ibac.wire import ContentObject, Interest, Name, SchemeTag, encode_name
+from ibac.wire import ContentObject, Interest, Nack, Name, SchemeTag, encode_name
 
 PREFIX = (b"edu", b"uci")
 HOME = Name.from_uri("/edu/uci/ics/home.html")
@@ -463,3 +464,105 @@ def test_batch_mode_replay_after_passed_flush_is_duplicate():
     assert verifies == 0
     assert [e.kind for e in replay_events] == [EventKind.DROP_INTEREST]
     assert replay_events[0].reason is FailReason.DUPLICATE_NONCE
+
+
+# ---------------------------------------------------------------------------
+# no honest interest lost: flushes past expiry and interest NACKs
+
+
+def test_batch_flush_after_the_copy_expired_forwards_each_queued_interest():
+    # the flush used to drop every queued interest as CacheExpired
+    (material,), producer, router, _ = build_world(
+        lifetime=1000, verify_mode=VerifyMode.batch(batch_size=5, batch_timeout_ms=100)
+    )
+    serve_and_cache(router, producer, fetch(material, rng_seed=1), 1000.0)
+    queued = [fetch(material, clock_value=1950.0, rng_seed=2 + i) for i in range(2)]
+    for iface, interest in enumerate(queued):
+        events, _ = router.on_interest(interest, in_iface=iface, now=1950.0 + iface)
+        assert EventKind.BATCH_ENQUEUE in [e.kind for e in events]
+    (key,) = router._batch_queues
+    events, verifies = router.flush_batch(key, 2050.0)  # the copy expired at 2000
+    assert verifies == 0
+    assert [e.kind for e in events] == [
+        EventKind.CACHE_EVICT, EventKind.FORWARD_INTEREST, EventKind.AGGREGATE
+    ]
+    assert events[1].iface == 9 and events[1].message is queued[0]
+    pit = router.pit[encode_name(queued[0].name)]
+    assert pit.records == [(0, queued[0]), (1, queued[1])]
+    assert not router.cs
+
+
+def forged_and_followers(router, material, now=1000.0):
+    """A forged record forwarded, then two honest ones aggregated behind it."""
+    honest = fetch(material, rng_seed=1)
+    forged = Interest(honest.name, replace(honest.payload, signature=b"\x01" * 48))
+    router.on_interest(forged, in_iface=5, now=now)
+    followers = [fetch(material, rng_seed=2 + i) for i in range(2)]
+    for iface, interest in zip((6, 7), followers):
+        router.on_interest(interest, in_iface=iface, now=now + 1 + iface)
+    return forged, followers
+
+
+def test_a_nack_for_the_forwarded_record_forwards_the_next_one():
+    (material,), producer, router, _ = build_world()
+    forged, followers = forged_and_followers(router, material)
+    events, verifies = router.on_nack(Nack(forged, "BadSignature"), in_iface=9, now=1050.0)
+    assert verifies == 0
+    assert [(e.kind, e.iface, e.message) for e in events] == [
+        (EventKind.NACKED, 5, forged),
+        (EventKind.REFORWARD, 9, followers[0]),
+    ]
+    assert events[0].reason == "BadSignature"
+    pit = router.pit[encode_name(forged.name)]
+    assert pit.forwarded is followers[0] and pit.created_at == 1050.0
+    assert pit.records == [(6, followers[0]), (7, followers[1])]
+    # the new forward is answered, and both followers get the content
+    response = producer.content_object_generation(followers[0], 1060.0)
+    events, _ = router.on_content(response.content, in_iface=9, now=1070.0)
+    assert [(e.kind, e.iface) for e in events if e.kind is EventKind.FORWARD_CONTENT] == [
+        (EventKind.FORWARD_CONTENT, 6), (EventKind.FORWARD_CONTENT, 7)
+    ]
+
+
+def test_a_nack_with_nothing_aggregated_deletes_the_entry():
+    (material,), producer, router, _ = build_world()
+    interest = fetch(material)
+    router.on_interest(interest, in_iface=0, now=1000.0)
+    events, _ = router.on_nack(Nack(interest, "StaleTimestamp"), in_iface=9, now=1040.0)
+    assert [e.kind for e in events] == [EventKind.NACKED]
+    assert not router.pit
+
+
+def test_a_late_nack_for_a_replaced_entry_changes_nothing():
+    (material,), producer, router, _ = build_world()
+    forged, followers = forged_and_followers(router, material)
+    # the entry expires, and a new interest makes a new one
+    later = fetch(material, rng_seed=9)
+    router.on_interest(later, in_iface=3, now=1000.0 + router.pit_lifetime_ms + 1)
+    pit = router.pit[encode_name(later.name)]
+    before = (pit.forwarded, pit.records, pit.created_at)
+    for refused in (forged, followers[0]):
+        events, _ = router.on_nack(Nack(refused, "BadSignature"), in_iface=9, now=5100.0)
+        assert [e.kind for e in events] == [EventKind.NACK_UNMATCHED]
+    assert router.pit[encode_name(later.name)] is pit
+    assert (pit.forwarded, pit.records, pit.created_at) == before
+
+
+def test_a_nack_for_an_aggregated_record_changes_nothing():
+    # only the forwarded record went upstream, so only it can be refused there
+    (material,), producer, router, _ = build_world()
+    forged, followers = forged_and_followers(router, material)
+    pit = router.pit[encode_name(forged.name)]
+    events, _ = router.on_nack(Nack(followers[0], "BadSignature"), in_iface=9, now=1050.0)
+    assert [e.kind for e in events] == [EventKind.NACK_UNMATCHED]
+    assert pit.forwarded is forged and len(pit.records) == 3
+
+
+def test_a_refused_cache_hit_names_the_record_and_its_face():
+    (material,), producer, router, _ = build_world()
+    serve_and_cache(router, producer, fetch(material, rng_seed=1), 1000.0)
+    replayed = fetch(material, rng_seed=1)
+    events, _ = router.on_interest(replayed, in_iface=4, now=1500.0)
+    assert [(e.kind, e.iface, e.message, e.reason) for e in events] == [
+        (EventKind.DROP_INTEREST, 4, replayed, FailReason.DUPLICATE_NONCE)
+    ]

@@ -16,7 +16,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ibac import cli, kinds, scenario
+from ibac import cli, kinds, scenario, simnet
 from ibac.scenario import (
     BUNDLED_SCENARIOS,
     InvariantViolation,
@@ -208,10 +208,16 @@ def test_negative_service_times_are_reported(field, value):
 
 
 def sweep_raw(**sweep):
-    return minimal_raw(
+    """``minimal_raw()`` with a public content beside its FULL one, so that
+    every delta has a target for each class it offers, and a sweep at r1."""
+    raw = minimal_raw(
         traffic={"consumer": "cr1", "lambda_per_s": 10, "delta": 0.5},
         sweep=dict({"router": "r1"}, **sweep),
     )
+    raw["contents"].append(
+        {"name": "/edu/uci/pub", "policy": "PUBLIC", "expiry_ms": 60000, "data_size": 8}
+    )
+    return raw
 
 
 def _link_latency(value):
@@ -349,6 +355,41 @@ def test_sweep_raw_is_valid():
     assert scenario_from_dict(sweep_raw()).sweep.router == "r1"
 
 
+def test_a_delta_that_weighs_a_class_with_no_target_is_refused():
+    # sweep_raw(deltas=[0.0]) over the FULL content alone used to validate;
+    # its one point offered no fetch at all, ran 249,855 empty traffic
+    # events to its horizon and raised EmptyLog
+    raw = sweep_raw(deltas=[0.0])
+    raw["contents"] = raw["contents"][:1]
+    with pytest.raises(ValidationError) as err:
+        scenario_from_dict(raw)
+    assert err.value.errors == [
+        "traffic: delta 0.5 offers public fetches, but there is no public target",
+        "sweep: delta 0.0 offers public fetches, but there is no public target",
+    ]
+    # and the simulator refuses the profile when handed it unvalidated
+    config = scenario._build(ScenarioConfig, raw, "", [])
+    with pytest.raises(simnet.ConfigError, match="delta 0.5 offers public fetches"):
+        scenario.build(config)
+
+
+@pytest.mark.parametrize(
+    "traffic, valid",
+    [
+        ({"delta": 1.0}, True),
+        ({"delta": 0.99}, False),
+        ({"delta": 0.0, "public_targets": ["/edu/uci/x"]}, True),
+        ({"delta": 0.5, "ibac_targets": ["/edu/uci/x"], "public_targets": ["/edu/uci/x"]}, True),
+    ],
+)
+def test_a_traffic_class_needs_a_target_only_when_delta_weighs_it(traffic, valid):
+    raw = minimal_raw(traffic=dict({"consumer": "cr1", "lambda_per_s": 10}, **traffic))
+    errors = scenario.validate(scenario._build(ScenarioConfig, raw, "", []))
+    assert errors == ([] if valid else [
+        "traffic: delta 0.99 offers public fetches, but there is no public target"
+    ])
+
+
 def test_a_sweep_horizon_past_the_duration_bound_is_refused():
     # this once validated; run_sweep then ran each point to a 2.5e9 ms horizon
     # and raised analysis.EmptyLog
@@ -376,7 +417,7 @@ def test_cli_run_reports_an_analysis_error_in_one_line(tmp_path, capsys):
     path.write_text(yaml.safe_dump(sweep_raw(interests_per_point=1)))
     assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
     captured = capsys.readouterr()
-    assert captured.err == "analysis error: no plain-class completions to measure\n"
+    assert captured.err == "analysis error: no verified-class completions to measure\n"
 
 
 def adversary_raw(**adversary):
@@ -457,7 +498,7 @@ def mutation_base():
          "probe_prefix": "/edu/uci"}
     )
     raw["groups"].append({"id": "g2", "seed": 10})
-    raw["traffic"] = {"consumer": "cr1", "lambda_per_s": 10, "delta": 0.5,
+    raw["traffic"] = {"consumer": "cr1", "lambda_per_s": 10, "delta": 1.0,
                       "max_interests": 5, "ibac_targets": ["/edu/uci/x"]}
     raw["rekeys"] = [{"at_ms": 500, "content": "/edu/uci/x", "new_groups": ["g2"],
                       "revoke_groups": ["g1"]}]

@@ -1,7 +1,7 @@
 import hashlib
 import json
 import math
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from dataclasses import replace
 from pathlib import Path
 
@@ -97,14 +97,13 @@ def test_count_decodes_sees_every_decoder(monkeypatch):
 def count_encodes(monkeypatch) -> list:
     """Record the type of every message the simulator encodes."""
     encoded = []
-    for encoder in ("encode_interest", "encode_content"):
-        real_encode = getattr(simnet, encoder)
+    real_encode = simnet.encode_message
 
-        def counting_encode(message, real_encode=real_encode):
-            encoded.append(type(message).__name__)
-            return real_encode(message)
+    def counting_encode(message):
+        encoded.append(type(message).__name__)
+        return real_encode(message)
 
-        monkeypatch.setattr(simnet, encoder, counting_encode)
+    monkeypatch.setattr(simnet, "encode_message", counting_encode)
     return encoded
 
 
@@ -499,12 +498,16 @@ def tie_config():
 
 def test_tied_shots_arrivals_and_expiry_keep_their_order():
     # pinned from the simulator that scheduled every shot when its action
-    # started; shots chained under fresh sequence numbers reorder the ties
+    # started; shots chained under fresh sequence numbers reorder the ties.
+    # Re-pinned when public names went clear and payload refusals began to
+    # send NACKs: the log gained 39 NACKs and their re-forwards
+    # (int_reforwarded), and four honest fetches held behind refused replays
+    # are now delivered
     result, _ = run_config(tie_config())
-    assert len(result.log_lines) == 966
+    assert len(result.log_lines) == 1131
     log = ("\n".join(result.log_lines) + "\n").encode()
     assert hashlib.sha256(log).hexdigest() == (
-        "e4559af419cc0bcb77f1eaf86f445dbe68a9888a03919feb6db8575e86c5c14a"
+        "1c3dfca5b6011d40246ae92d8fc316205ad623a018f8368f1a76e59f895fe876"
     )
 
 
@@ -662,7 +665,7 @@ SCHEDULING_CALLS = {
     "add_tap": ("adversary", lambda sim, node: sim.add_tap("c", "r", node)),
     "schedule_fetch": ("consumer", lambda sim, node: sim.schedule_fetch(node, CONTENT, 0.0)),
     "set_traffic": ("consumer", lambda sim, node: sim.set_traffic(
-        simnet.TrafficProfile(node, lambda_per_s=10.0, delta=0.5, ibac_targets=["/edu/x"])
+        simnet.TrafficProfile(node, lambda_per_s=10.0, delta=1.0, ibac_targets=["/edu/x"])
     )),
     "schedule_action": ("adversary", lambda sim, node: sim.schedule_action(
         node, simnet.AdversaryAction(simnet.FORGE_PAYLOAD, at_ms=0.0, target="r")
@@ -715,3 +718,198 @@ def test_content_reaching_a_producer_is_dropped_and_the_queue_moves_on():
     ]
     assert result.drops == {("p", "Unsolicited"): 1}
     assert [(d.time_ms, d.data) for d in result.deliveries] == [(21.0, b"data")]
+
+
+# ---------------------------------------------------------------------------
+# no honest interest lost
+
+
+def _lines(result, node=None, kind=None):
+    """The split log lines, of ``node`` and ``kind`` when given."""
+    rows = [line.split("\t") for line in result.log_lines]
+    return [r for r in rows if node in (None, r[1]) and kind in (None, r[2])]
+
+
+def test_an_interest_whose_copy_expires_before_the_flush_is_forwarded_and_served():
+    # the copy cached at r1 expires at 1020 ms; the second fetch hits it at
+    # 960 ms and waits for the flush at 1060 ms, which used to drop it as
+    # CacheExpired
+    cfg = linear_config(
+        nodes=[
+            {"id": "cr1", "role": "consumer", "group": "g1", "mode": "FULL", "scheme": "ENC"},
+            {"id": "r1", "role": "router", "verify_mode": "BATCH", "batch_size": 3,
+             "batch_timeout_ms": 100, "tau_process_s": 0.0005, "tau_verify_s": 0.0005},
+            {"id": "p1", "role": "producer", "prefix": "/edu/uci",
+             "tau_process_s": 0.0005, "tau_verify_s": 0.0005},
+        ],
+        links=[["cr1", "r1", 10], ["r1", "p1", 10]],
+        contents=[{"name": "/edu/uci/ics/home.html", "groups": ["g1"], "scheme": "ENC",
+                   "policy": "FULL", "expiry_ms": 1000, "data_size": 48}],
+        fetches=[{"consumer": "cr1", "name": "/edu/uci/ics/home.html", "at_ms": t}
+                 for t in (0, 950)],
+    )
+    result, _ = run_config(cfg)
+    assert [d.time_ms for d in result.deliveries] == [42.5, 1092.0]
+    assert [r[0] for r in _lines(result, "r1", "batch_enqueued")] == ["960.500"]
+    assert [r[2] for r in _lines(result, "r1") if r[0] == "1060.000"] == [
+        "cache_evicted", "int_forwarded"
+    ]
+    assert result.drop_total() == 0
+
+
+@pytest.mark.parametrize("mode", ["FULL", "OBFUSCATE_ONLY", "AUTH_ONLY"])
+@pytest.mark.parametrize("scheme", ["HASH", "ENC"])
+def test_a_consumer_asks_for_public_content_in_clear_and_is_served(mode, scheme):
+    # a FULL or OBFUSCATE_ONLY HASH consumer used to obfuscate the public
+    # name, which its producer cannot resolve: UnknownName
+    cfg = linear_config(
+        contents=[{"name": "/edu/uci/pub/news", "policy": "PUBLIC", "expiry_ms": 60000,
+                   "data_size": 48}],
+        fetches=[{"consumer": "cr1", "name": "/edu/uci/pub/news", "at_ms": 0}],
+    )
+    cfg.nodes[0].mode, cfg.nodes[0].scheme = mode, scheme
+    sim, info = scenario.build(cfg)
+    sent = []
+    send = sim._send
+    sim._send = lambda rt, iface, message, t: (sent.append(message), send(rt, iface, message, t))
+    result = sim.run()
+    assert len(result.deliveries) == 1 and result.drop_total() == 0
+    name = info.content_names["/edu/uci/pub/news"]
+    assert sent[0] == Interest(name)  # the clear name, with no payload
+    assert _lines(result, "cr1", "int_sent")[0][3] == encode_name(name).hex()
+
+
+def nack_config():
+    """cr1 - r1 - r2 - p1, with cr2 on the core router r2 and an adversary on
+    the edge router r1 that taps cr1's link.  cr1 fetches at 0 ms; at
+    1000 ms, after every copy expired, the adversary forges a payload for
+    that name, and cr1 and cr2 ask for it again just behind the forgery."""
+    return linear_config(
+        nodes=[
+            {"id": "cr1", "role": "consumer", "group": "g1", "mode": "FULL", "scheme": "ENC"},
+            {"id": "cr2", "role": "consumer", "group": "g1", "mode": "FULL", "scheme": "ENC"},
+            {"id": "r1", "role": "router", "tau_process_s": 0.0005, "tau_verify_s": 0.0005},
+            {"id": "r2", "role": "router", "tau_process_s": 0.0005, "tau_verify_s": 0.0005},
+            {"id": "p1", "role": "producer", "prefix": "/edu/uci",
+             "tau_process_s": 0.0005, "tau_verify_s": 0.0005},
+            {"id": "adv", "role": "adversary"},
+        ],
+        links=[["cr1", "r1", 5], ["adv", "r1", 5], ["r1", "r2", 10], ["cr2", "r2", 5],
+               ["r2", "p1", 10]],
+        contents=[{"name": "/edu/uci/ics/home.html", "groups": ["g1"], "scheme": "ENC",
+                   "policy": "FULL", "expiry_ms": 200, "data_size": 48}],
+        fetches=[{"consumer": c, "name": "/edu/uci/ics/home.html", "at_ms": t}
+                 for c, t in (("cr1", 0), ("cr1", 1002), ("cr2", 1012))],
+        adversary={"node": "adv", "taps": [["cr1", "r1"]], "actions": [
+            {"kind": "FORGE_PAYLOAD", "at_ms": 1000, "target": "r1"}]},
+    )
+
+
+def test_honest_followers_of_a_forged_record_are_served_after_its_nack():
+    # the forged record holds the PIT at r1 and r2, with cr1's fetch waiting
+    # behind it at r1 and cr2's at r2; the producer's refusal used to leave
+    # both waiting until the entries expired
+    result, info = run_config(nack_config())
+    wire_hex = scenario.content_wire_name(info, "/edu/uci/ics/home.html").hex()
+    # cr1 waits at r1 and cr2 at r2; r2 later also aggregates r1's re-forward
+    assert [r[0] for r in _lines(result, "r1", "int_aggregated")] == ["1007.500"]
+    assert [r[0] for r in _lines(result, "r2", "int_aggregated")] == ["1017.500", "1058.500"]
+    nacks = [(r[1], r[2], r[4]) for r in _lines(result) if "nack" in r[2]]
+    assert nacks == [
+        ("p1", "nack_sent", "BadSignature"),
+        ("r2", "int_nacked", "BadSignature"),
+        ("r2", "nack_sent", "BadSignature"),  # on to r1, where the record came from
+        ("r1", "int_nacked", "BadSignature"),  # from the adversary: no further NACK
+    ]
+    late = sorted((d.consumer, d.time_ms > 1000) for d in result.deliveries)
+    assert late == [("cr1", False), ("cr1", True), ("cr2", True)]
+    assert result.attack_stat(simnet.FORGE_PAYLOAD).successes == 0
+    assert {r[3] for r in _lines(result, kind="nack_sent")} == {wire_hex}
+    # each router forwarded at 0 ms and the forgery, then the next record
+    for router in ("r1", "r2"):
+        assert len(_lines(result, router, "int_forwarded")) == 2
+        assert len(_lines(result, router, "int_reforwarded")) == 1
+    assert not result.nodes["r1"].pit and not result.nodes["r2"].pit
+
+
+def test_a_nacked_name_gives_one_completion_per_interest_at_each_router():
+    # the re-forward after a NACK sends a record whose arrival already
+    # completed as int_aggregated; logged as one more int_forwarded, it made
+    # service-rate measurement count that interest twice
+    sim, _ = scenario.build(nack_config())
+    arrivals = Counter()
+    send = sim._send
+
+    def counting_send(rt, iface, message, t):
+        if isinstance(message, Interest):
+            arrivals[rt.ifaces[iface][0].node_id] += 1
+        send(rt, iface, message, t)
+
+    sim._send = counting_send
+    result = sim.run()
+    completions = Counter(
+        r[1] for r in _lines(result) if r[2] in simnet.INTEREST_COMPLETION_KINDS
+    )
+    assert len(_lines(result, kind="int_reforwarded")) == 2
+    assert {n: arrivals[n] for n in ("r1", "r2")} == {"r1": 3, "r2": 4}
+    assert {n: completions[n] for n in ("r1", "r2")} == {"r1": 3, "r2": 4}
+
+
+def test_a_refusal_of_an_interest_from_a_consumer_or_adversary_sends_no_nack():
+    # the forgery reaches r1 while cr1's copy is cached there: r1 refuses it
+    # itself, and only routers keep a PIT that a NACK acts on
+    cfg = nack_config()
+    cfg.contents[0].expiry_ms = 60_000
+    result, _ = run_config(cfg)
+    assert [(r[1], r[4]) for r in _lines(result, kind="int_drop")] == [("r1", "BadSignature")]
+    assert not _lines(result, kind="nack_sent")
+
+
+def test_random_name_probes_refused_as_unknown_names_send_no_nack():
+    config = scenario.load_bundled("name_probe")
+    probes = config.adversary.actions[0].count
+    result, _ = run_config(config)
+    assert result.drop_total("UnknownName") == probes
+    nacked = {r[3] for r in _lines(result, kind="nack_sent")}
+    unknown = {r[3] for r in _lines(result, kind="int_drop") if r[4] == "UnknownName"}
+    assert len(unknown) == probes and not nacked & unknown
+    assert {r[4] for r in _lines(result, kind="nack_sent")} <= {"MissingPayload"}
+
+
+def test_a_nack_costs_the_receiving_router_its_process_time():
+    result, _ = run_config(nack_config())
+    sent = {r[1]: float(r[0]) for r in _lines(result, kind="nack_sent")}
+    taken = {r[1]: float(r[0]) for r in _lines(result, kind="int_nacked")}
+    # 10 ms on the link, then tau_process 0.5 ms with no verification
+    assert taken == {"r2": sent["p1"] + 10.5, "r1": sent["r2"] + 10.5}
+
+
+@pytest.mark.parametrize("prefix", [(b"org",), (b"edu", b"x"), (b"edu", b"x", b"y")])
+def test_a_prefix_that_does_not_lead_the_name_is_refused_at_call_time(prefix):
+    # schedule_fetch("c", /edu/x, 0.0, prefix=(b"org",)) used to be accepted
+    # and the run to raise wire.PrefixMismatch (EmptySuffix for the whole name)
+    sim = one_node_of_each_role()
+    queued = list(sim._queue)
+    with pytest.raises(simnet.ConfigError, match="not a strict leading part of /edu/x"):
+        sim.schedule_fetch("c", CONTENT, 0.0, prefix=prefix)
+    with pytest.raises(simnet.ConfigError, match="not a strict leading part of /edu/x"):
+        sim.register_content_prefix(CONTENT, prefix)
+    assert sim._queue == queued
+    assert sim.content_prefixes == {CONTENT.components: (b"edu",)}
+
+
+@pytest.mark.parametrize(
+    "delta, targets, problem",
+    [
+        (0.5, {"ibac_targets": ["/edu/x"]}, "delta 0.5 offers public fetches"),
+        (0.0, {"ibac_targets": ["/edu/x"]}, "delta 0.0 offers public fetches"),
+        (0.2, {"public_targets": ["/edu/x"]}, "delta 0.2 offers IBAC fetches"),
+    ],
+)
+def test_set_traffic_refuses_a_delta_that_weighs_a_class_with_no_target(delta, targets, problem):
+    # it used to draw each arrival's class and send nothing for the empty one
+    sim = one_node_of_each_role()
+    queued = list(sim._queue)
+    with pytest.raises(simnet.ConfigError, match=f"traffic: {problem}, but there is no"):
+        sim.set_traffic(simnet.TrafficProfile("c", lambda_per_s=10.0, delta=delta, **targets))
+    assert sim._queue == queued

@@ -13,6 +13,7 @@ from ibac.wire import (
     EmptySuffix,
     EncodeError,
     Interest,
+    Nack,
     Name,
     ObfuscatedName,
     PrefixMismatch,
@@ -240,9 +241,7 @@ def test_bulk_roundtrip_10k_messages():
 
 
 def _encode(message):
-    if isinstance(message, Interest):
-        return encode_interest(message)
-    return encode_content(message)
+    return wire.encode_message(message)
 
 
 def _fresh(message):
@@ -309,13 +308,19 @@ def built_names(draw):
 @st.composite
 def built_messages(draw):
     name = draw(built_names())
-    if draw(st.booleans()):
-        return Interest(
+    kind = draw(st.sampled_from(["interest", "content", "nack"]))
+    if kind != "content":
+        interest = Interest(
             name,
             payload=draw(st.none() | payloads()),
             key_id=draw(st.none() | st.binary(max_size=32)),
             content_object_hash=draw(st.none() | st.binary(max_size=32)),
         )
+        if kind == "interest":
+            return interest
+        text = st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=20)
+        reason = draw(st.sampled_from(list(authcheck.FailReason)) | text)
+        return Nack(interest, reason)
     keys = draw(
         st.lists(
             st.lists(st.binary(min_size=1, max_size=32), min_size=2, max_size=2),
@@ -360,6 +365,39 @@ def test_suffix_template_builds_what_the_constructors_build(prefix, scheme, suff
         assert built.name._wire == encode_name(name)
         assert built._wire == encode_interest(fresh)
         assert decode_message(built._wire) == built
+
+
+def test_a_nack_carries_the_refused_interest_and_its_reason():
+    interest = Interest(Name((b"a",)))
+    nack = Nack(interest, authcheck.FailReason.BAD_SIGNATURE)
+    data = wire.encode_nack(nack)
+    assert data.hex() == "0003001d" + MINIMAL_INTEREST_HEX + "0050000c" + b"BadSignature".hex()
+    decoded = decode_message(data)
+    assert decoded == nack and decoded.interest._wire == encode_interest(interest)
+    assert decoded.reason == "BadSignature"
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        MINIMAL_INTEREST_HEX,  # no reason
+        "0050000162" + MINIMAL_INTEREST_HEX,  # reason first
+        MINIMAL_INTEREST_HEX + "00500000",  # empty reason
+        MINIMAL_INTEREST_HEX + "00500001ff",  # not UTF-8
+        MINIMAL_INTEREST_HEX + "0050000162" + "0050000162",  # two reasons
+    ],
+    ids=["no-reason", "reason-first", "empty-reason", "not-utf8", "two-reasons"],
+)
+def test_malformed_nacks_are_refused(body):
+    data = bytes.fromhex(f"0003{len(body) // 2:04x}" + body)
+    with pytest.raises(DecodeError):
+        decode_message(data)
+
+
+@pytest.mark.parametrize("reason", ["", "\ud800", None])
+def test_a_nack_needs_a_reason_the_encoder_can_write(reason):
+    with pytest.raises(ValueError):
+        Nack(Interest(Name((b"a",))), reason)
 
 
 def test_suffix_template_refuses_a_suffix_of_another_length():
