@@ -13,13 +13,14 @@ a miss, as if it had arrived after the expiry.
 
 A PIT entry keeps the record it forwarded upstream (``forwarded``), the
 face that record came from, and the records aggregated behind it
-(``waiting``).  When the upstream refuses the forwarded record and sends
-an interest NACK carrying it (``on_nack``), the router drops the record,
-hands the refusal on toward the record's face, and forwards the next
-aggregated record in its place, so one doomed record cannot take the
-honest interests collapsed behind it down with it.  A NACK matches by
-record identity, so a late one for an entry since replaced changes
-nothing.
+(``waiting``, a list made by the first aggregation, so the lone forward of
+each probe in a flood of random names holds none).  When the upstream
+refuses the forwarded record and sends an interest NACK carrying it
+(``on_nack``), the router drops the record, hands the refusal on toward
+the record's face, and forwards the next aggregated record in its place,
+so one doomed record cannot take the honest interests collapsed behind it
+down with it.  A NACK matches by record identity, so a late one for an
+entry since replaced changes nothing.
 
 Nonce memory lives and dies with the cache entry: the entry holds the
 nonces of its passed checks and of its queued ones, the entry's lifetime
@@ -106,12 +107,12 @@ class PitEntry:
     face: int  # where ``forwarded`` came from
     forwarded: Interest  # the record sent upstream
     created_at: float
-    waiting: list = field(default_factory=list)  # (iface, Interest) of each aggregated record
+    waiting: list | None = None  # (iface, Interest) of each aggregated record
 
     @property
     def records(self) -> list:
         """``(iface, Interest)`` of every pending record, the forwarded one first."""
-        return [(self.face, self.forwarded), *self.waiting]
+        return [(self.face, self.forwarded), *(self.waiting or ())]
 
 
 class EventKind(TextEnum):
@@ -263,6 +264,8 @@ class Router:
             del self.pit[name_bytes]
             pit = None
         if pit is not None:
+            if pit.waiting is None:
+                pit.waiting = []
             pit.waiting.append((in_iface, interest))
             events.append(RouterEvent(EventKind.AGGREGATE, name_bytes))
             return
@@ -333,7 +336,8 @@ class Router:
         return events, 0
 
     def flush_batch(self, key: tuple, now: float):
-        """Verify one queued batch; a failed batch falls back to per-item checks.
+        """Verify one queued batch; a failed batch falls back to per-item checks,
+        except a batch of one, whose failure is its item's.
 
         If the cached copy has expired by now, nothing is verified: the
         copy is evicted and each queued interest goes on as a miss."""
@@ -354,7 +358,7 @@ class Router:
             entry.queued.discard(payload.nonce)
 
         verifies = 0
-        all_pass = False
+        verdict = None  # the batch's, when one ran
         candidates = self._candidates(payloads[0], entry.content)
         if len(candidates) == 1 and not payloads[0].group_id_encrypted:
             group, signing_public = candidates[0]
@@ -362,10 +366,14 @@ class Router:
                 ((name_bytes, p.group_id, p.nonce, p.timestamp), p.signature) for p in payloads
             ]
             verifies += 1
-            all_pass = crypto.batch_verify(group, signing_public, items, self.batch_rng)
+            verdict = crypto.batch_verify(group, signing_public, items, self.batch_rng)
         for item, payload in zip(queue, payloads):
             failure = None
-            if not all_pass:
+            if verdict is False and len(queue) == 1:
+                # z_1 = 1: this batch was the item's own check; charge it, do not redo it
+                verifies += 1
+                failure = FailReason.BAD_SIGNATURE
+            elif not verdict:
                 outcome = verify_any(
                     payload, name_bytes, self._candidates(payload, entry.content)
                 )
@@ -457,7 +465,7 @@ class Router:
         if pit.waiting:
             (face, successor), *rest = pit.waiting
             # re-inserted at the end, so the PIT's dict order stays creation order
-            self.pit[name_bytes] = PitEntry(face, successor, now, rest)
+            self.pit[name_bytes] = PitEntry(face, successor, now, rest or None)
             events.append(RouterEvent(EventKind.REFORWARD, name_bytes, in_iface, successor))
         return events, 0
 

@@ -32,7 +32,10 @@ the target interface, the ``KIND#index`` reason and, for a name probe, a
 ``wire.SuffixTemplate``.  The template is made from a name built by the
 ``ObfuscatedName`` constructor, which checks the probe's prefix and scheme
 once; each random probe then draws its suffix, and the template joins it
-to fixed bytes into an interest whose name and own bytes are memoised.
+to fixed bytes into a name whose bytes are memoised; the interest's own
+bytes are made only if read.  The adversary's ``pending`` maps each probe
+name to the action's one shared ``(kind, index)``, and holds a list only
+for a name pending more than once.
 
 Links carry records, and a message's bytes are made only where they are
 read.  Every sender -- a consumer's fetch, a producer's content, a
@@ -79,8 +82,9 @@ The emission log is append-only, one line per event:
 ``time<TAB>node<TAB>kind<TAB>name-hex<TAB>reason``; ``log_event`` writes
 every line.  Router event kinds and drop and failure reasons are string
 enums that format as their values, so they go into a line, and key the
-drop counts, as they are.  Producer interests are counted by name bytes
-and turned into hex on the first read of ``RunResult.producer_interests``.
+drop counts, as they are.  Producer interests are counted per node by
+name bytes and turned into hex on the first read of
+``RunResult.producer_interests``.
 """
 
 from __future__ import annotations
@@ -224,6 +228,7 @@ class _ShotChain:
     target_iface: int | None  # None when the adversary has no link to the target
     reason: str  # the ``int_sent`` line's reason, ``KIND#index``
     probe: SuffixTemplate | None  # a NAME_PROBE's random-name interests
+    tag: tuple  # ``(kind, index)``, each shot's pending entry
 
 
 @dataclass
@@ -244,7 +249,7 @@ class _ConsumerState:
 class _AdversaryState:
     material: crypto.GroupKeyMaterial
     captures: list = field(default_factory=list)
-    pending: dict = field(default_factory=dict)  # name bytes -> [(kind, idx)]
+    pending: dict = field(default_factory=dict)  # name bytes -> (kind, idx), or a list of them
     attempts: Counter = field(default_factory=Counter)
     successes: Counter = field(default_factory=Counter)
     captured_probe_outcomes: dict = field(default_factory=dict)  # name hex -> count
@@ -273,7 +278,7 @@ class RunResult:
     log_lines: list[str]
     counters: dict
     drops: dict
-    producer_counts: dict  # (node, name bytes) -> interests served or refused there
+    producer_counts: dict  # node -> {name bytes: interests served or refused there}
     deliveries: list[Delivery]
     attacks: list[AttackStat]
     captured_probe_outcomes: dict
@@ -285,7 +290,9 @@ class RunResult:
     def producer_interests(self) -> dict:
         """``producer_counts`` keyed by name hex, made on first read."""
         return {
-            (node, name_bytes.hex()): n for (node, name_bytes), n in self.producer_counts.items()
+            (node, name_bytes.hex()): n
+            for node, counts in self.producer_counts.items()
+            for name_bytes, n in counts.items()
         }
 
     def drop_total(self, reason: str | None = None) -> int:
@@ -352,7 +359,7 @@ class Simulation:
         self.log_lines: list[str] = []
         self.counters: Counter = Counter()
         self.drops: Counter = Counter()
-        self.producer_counts: dict[tuple[str, bytes], int] = {}
+        self.producer_counts: dict[str, dict[bytes, int]] = {}
         self.deliveries: list[Delivery] = []
         self.wire_trace: list = []
 
@@ -416,6 +423,7 @@ class Simulation:
                 tau_verify_ms=tau_verify_s * 1000.0,
             )
         )
+        self.producer_counts[node_id] = {}
         return producer
 
     def add_consumer(
@@ -625,8 +633,8 @@ class Simulation:
             return
         response = rt.obj.content_object_generation(message, t)
         completion = t + rt.tau_process_ms + response.verifies * rt.tau_verify_ms
-        key = (rt.node_id, name_bytes)
-        self.producer_counts[key] = self.producer_counts.get(key, 0) + 1
+        counts = self.producer_counts[rt.node_id]
+        counts[name_bytes] = counts.get(name_bytes, 0) + 1
         self._seq += 1
         args = (iface, message, response)
         heapq.heappush(self._queue, (completion, self._seq, self._producer_done, rt, args))
@@ -694,11 +702,17 @@ class Simulation:
         if isinstance(message, Interest):
             return
         name_bytes = message.name._wire
-        waiting = state.pending.get(name_bytes)
-        if not waiting:
+        held = state.pending.get(name_bytes)
+        if held is None:
             self.log_event(t, rt.node_id, "content_drop", name_bytes, "Unsolicited")
             return
-        kind, index = waiting.pop(0)
+        if type(held) is tuple:
+            del state.pending[name_bytes]
+            kind, index = held
+        else:
+            kind, index = held.pop(0)
+            if not held:
+                del state.pending[name_bytes]
         state.successes[(index, kind)] += 1
         if kind == "NAME_PROBE_CAPTURED":
             hex_name = name_bytes.hex()
@@ -760,7 +774,10 @@ class Simulation:
                 shots += len(self._first_capture_of_each_name(rt.obj))
         target_iface = rt.iface_to.get(action.target)
         reason = f"{action.kind}#{index}"
-        chain = _ShotChain(index, action, shots, t, self._seq + 1, target_iface, reason, probe)
+        chain = _ShotChain(
+            index, action, shots, t, self._seq + 1, target_iface, reason, probe,
+            (action.kind, index),
+        )
         self._seq += shots
         if shots:
             heapq.heappush(self._queue, (t, chain.first_seq, self._do_shot, rt, (chain, 0)))
@@ -792,11 +809,11 @@ class Simulation:
         index = chain.index
         state: _AdversaryState = rt.obj
         kind = action.kind
+        tag = chain.tag
         if chain.probe is not None and shot < action.count:
             size = chain.probe.suffix_len
             message = chain.probe.interest(self.rng.getrandbits(size * 8).to_bytes(size, "big"))
             name_bytes = message.name._wire
-            pending_kind = kind
         elif kind in (REPLAY_SAME_PATH, REPLAY_CROSS_PATH):
             capture = self._select_capture(state, action, shot)
             if capture is None:
@@ -804,7 +821,6 @@ class Simulation:
                 return
             message = capture.message
             name_bytes = message.name._wire
-            pending_kind = kind
         elif kind == FORGE_PAYLOAD:
             capture = self._select_capture(state, action, shot)
             if capture is None:
@@ -825,7 +841,6 @@ class Simulation:
                     state.material, name_bytes, group_id, encrypted, nonce, timestamp
                 ),
             )
-            pending_kind = kind
         else:  # NAME_PROBE at a captured name
             distinct = self._first_capture_of_each_name(state)
             position = shot - action.count
@@ -835,13 +850,19 @@ class Simulation:
             message = Interest(base.name)  # name only: payload stripped
             name_bytes = base.name._wire
             state.captured_probe_outcomes.setdefault(name_bytes.hex(), 0)
-            pending_kind = "NAME_PROBE_CAPTURED"
+            tag = ("NAME_PROBE_CAPTURED", index)
 
         if chain.target_iface is None:
             raise ConfigError(
                 f"adversary {rt.node_id} has no link to action target {action.target}"
             )
-        state.pending.setdefault(name_bytes, []).append((pending_kind, index))
+        held = state.pending.get(name_bytes)
+        if held is None:
+            state.pending[name_bytes] = tag
+        elif type(held) is tuple:
+            state.pending[name_bytes] = [held, tag]
+        else:
+            held.append(tag)
         state.attempts[index] += 1
         self.counters["injected"] += 1
         self.counters["adv_injected"] += 1
@@ -880,7 +901,9 @@ class Simulation:
             if rt.role != "adversary":
                 continue
             state: _AdversaryState = rt.obj
-            adv_pending += sum(len(v) for v in state.pending.values())
+            adv_pending += sum(
+                1 if type(held) is tuple else len(held) for held in state.pending.values()
+            )
             captured_outcomes.update(state.captured_probe_outcomes)
             for index, action in enumerate(self.actions):
                 if self._action_adversary.get(index) != rt.node_id:

@@ -57,8 +57,9 @@ them.  ``encode_name`` builds the component TLVs of each routable prefix
 once and keeps one tag TLV per scheme, so encoding a fresh obfuscated
 name costs its suffix alone.  A ``SuffixTemplate`` goes further for a run
 of name-only interests under one prefix and scheme with suffixes of one
-length: it checks and encodes the first name, and each further interest
-is its suffix joined to fixed bytes.
+length: it checks and encodes the first name, and each further interest's
+name is its suffix joined to fixed bytes; the interest's own bytes wait
+for ``encode_interest``.
 
 Payloads are signed where their signature is read.  A payload built with
 ``AuthorizationPayload.signed_on_read`` holds the signer's key material
@@ -612,17 +613,18 @@ class SuffixTemplate:
     headers, the prefix's NameComponent TLVs and the scheme tag TLV.  So
     ``interest(obfuscated)`` joins bytes and builds the records without the
     constructors' checks.  They equal ``Interest(ObfuscatedName(prefix,
-    obfuscated, scheme))`` and carry its encoding.
+    obfuscated, scheme))``.  The name carries its encoding; the interest's
+    is left to ``encode_interest``, which makes it on the first read, so a
+    probe nobody taps holds its name bytes once.
     """
 
-    __slots__ = ("suffix_len", "_prefix", "_scheme", "_name_head", "_tag", "_interest_head")
+    __slots__ = ("suffix_len", "_prefix", "_scheme", "_name_head", "_tag")
 
     def __init__(self, first: ObfuscatedName):
         name_wire = encode_name(first)
         self.suffix_len = len(first.obfuscated_suffix)
         self._tag = _SCHEME_TAG_TLVS[first.scheme_tag]
         self._name_head = name_wire[: len(name_wire) - self.suffix_len - len(self._tag)]
-        self._interest_head = _tlv(TYPE_INTEREST, name_wire)[:4]
         self._prefix = first.routable_prefix
         self._scheme = first.scheme_tag
 
@@ -641,7 +643,7 @@ class SuffixTemplate:
         _set_payload(interest, None)
         _set_key_id(interest, None)
         _set_content_object_hash(interest, None)
-        _set_interest_wire(interest, self._interest_head + name_wire)
+        _set_interest_wire(interest, None)
         return interest
 
 

@@ -1,6 +1,7 @@
 import random
 from dataclasses import replace
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -135,6 +136,21 @@ def test_second_pending_interest_aggregates():
     assert [e.kind for e in events] == [EventKind.AGGREGATE]
     records = router.pit[encode_name(first.name)].records
     assert [iface for iface, _ in records] == [0, 3]
+
+
+def test_a_pit_entry_makes_its_waiting_list_on_the_first_aggregation():
+    # a lone forward, every random probe of a flood among them, holds no list
+    (material,), producer, router, _ = build_world()
+    first, second = fetch(material, rng_seed=1), fetch(material, rng_seed=2)
+    router.on_interest(first, in_iface=0, now=1000.0)
+    pit = router.pit[encode_name(first.name)]
+    assert pit.waiting is None and pit.records == [(0, first)]
+    router.on_interest(second, in_iface=3, now=1001.0)
+    assert pit.waiting == [(3, second)]
+    # a NACK re-forwards the one record waiting, and the new entry is lone again
+    router.on_nack(Nack(first, "BadSignature"), in_iface=9, now=1050.0)
+    pit = router.pit[encode_name(first.name)]
+    assert pit.forwarded is second and pit.waiting is None
 
 
 def test_no_route_drop():
@@ -391,6 +407,39 @@ def test_batch_mode_fallback_identifies_passers():
     assert total_verifies == 1 + 3  # failed batch, then one check per item
 
 
+def test_a_failed_batch_of_one_is_not_checked_again(monkeypatch):
+    # z_1 = 1, so a batch of one is its item's own equation: its failure is
+    # the item's BadSignature, charged as the individual check it stands for
+    def world(verify_mode):
+        (material,), producer, router, _ = build_world(verify_mode=verify_mode)
+        serve_and_cache(router, producer, fetch(material, rng_seed=1), 1000.0)
+        honest = fetch(material, rng_seed=2)
+        signature = honest.payload.signature  # well formed, but not a signature of it
+        forged = Interest(
+            honest.name, replace(honest.payload, signature=signature[:-1] + b"\xff")
+        )
+        return router, forged
+
+    def answer(events):
+        return [(e.kind, e.iface, e.message, e.reason) for e in events]
+
+    router, forged = world(None)
+    individual, _ = router.on_interest(forged, in_iface=4, now=1500.0)
+    router, forged = world(VerifyMode.batch(batch_size=5))
+    enqueued, _ = router.on_interest(forged, in_iface=4, now=1500.0)
+    (timer,) = [e for e in enqueued if e.kind is EventKind.BATCH_TIMER]
+    equations = []
+    generator_power = crypto.generator_power
+    monkeypatch.setattr(
+        crypto, "generator_power", lambda *args: equations.append(args) or generator_power(*args)
+    )
+    events, verifies = router.flush_batch(timer.batch_key, 1600.0)
+    assert answer(events) == [(EventKind.DROP_INTEREST, 4, forged, FailReason.BAD_SIGNATURE)]
+    assert answer(events) == [(e.kind, 4, forged, e.reason) for e in individual]
+    assert verifies == 2  # the batch, then the item's check, as a fallback charges
+    assert len(equations) == 1
+
+
 def test_batch_mode_duplicate_nonce_rejected_at_enqueue():
     (material,), producer, router, _ = build_world(
         verify_mode=VerifyMode.batch(batch_size=4)
@@ -490,6 +539,22 @@ def test_batch_flush_after_the_copy_expired_forwards_each_queued_interest():
     pit = router.pit[encode_name(queued[0].name)]
     assert pit.records == [(0, queued[0]), (1, queued[1])]
     assert not router.cs
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 4: a router forgets the nonces of "
+                   "an expired copy, and the producer never saw them")
+def test_a_same_path_replay_after_the_copy_expired_is_not_served():
+    # README's example: a copy cached at t = 1001 with a 1000 ms lifetime
+    # serves an interest stamped 1950 at t = 1950; the same record sent to
+    # the same router at t = 2100 is still inside the producer's window
+    (material,), producer, router, _ = build_world(lifetime=1000)
+    serve_and_cache(router, producer, fetch(material, clock_value=1000.0), 1000.0)
+    interest = fetch(material, clock_value=1950.0, rng_seed=2)
+    events, _ = router.on_interest(interest, in_iface=0, now=1950.0)
+    assert [e.kind for e in events] == [EventKind.SERVE_FROM_CACHE]
+    events, _ = router.on_interest(interest, in_iface=0, now=2100.0)
+    forwarded = [e for e in events if e.kind is EventKind.FORWARD_INTEREST]
+    assert not (forwarded and producer.content_object_generation(interest, 2100.0).served)
 
 
 def forged_and_followers(router, material, now=1000.0):

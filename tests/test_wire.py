@@ -363,8 +363,20 @@ def test_suffix_template_builds_what_the_constructors_build(prefix, scheme, suff
         fresh = Interest(name)
         assert built == fresh and built.name == name and hash(built.name) == hash(name)
         assert built.name._wire == encode_name(name)
-        assert built._wire == encode_interest(fresh)
-        assert decode_message(built._wire) == built
+        assert encode_interest(built) == encode_interest(fresh)
+        assert decode_message(encode_interest(built)) == built
+
+
+def test_a_template_probe_makes_its_interest_bytes_on_read():
+    # a probe nobody taps never needs its Interest TLV, so it holds only its
+    # name's bytes until something encodes it
+    prefix, suffix = (b"edu", b"uci"), bytes(range(32))
+    template = wire.SuffixTemplate(ObfuscatedName(prefix, bytes(32), SchemeTag.HASH))
+    probe = template.interest(suffix)
+    assert probe._wire is None and probe.name._wire is not None
+    data = encode_interest(probe)
+    assert data == encode_interest(Interest(ObfuscatedName(prefix, suffix, SchemeTag.HASH)))
+    assert probe._wire is data and encode_interest(probe) is data
 
 
 def test_a_nack_carries_the_refused_interest_and_its_reason():
