@@ -1,15 +1,20 @@
 """Command-line front end: run scenarios, benchmark verification, evaluate
-the service-rate model, and validate configurations."""
+the service-rate model, print the paper's overhead tables, and validate
+configurations."""
 
 from __future__ import annotations
 
 import argparse
 import itertools
+import json
 import os
+import random
 import sys
 from pathlib import Path
 
-from . import analysis, scenario
+from . import analysis, crypto, scenario
+from .consumer import ConsumerContext, ConsumerMode, interest_generation
+from .wire import ContentObject, Interest, Name, SchemeTag, encode_content, encode_interest
 
 
 def _resolve_config(name_or_path: str):
@@ -47,6 +52,16 @@ def cmd_run(args) -> int:
         return 2
     if args.seed is not None:
         config.seed = args.seed
+    if args.interests is not None:
+        if config.sweep is None:
+            print(f"{config.name}: --interests needs a scenario with a sweep", file=sys.stderr)
+            return 2
+        config.sweep.interests_per_point = args.interests
+        errors = scenario.validate(config)  # the override moves each point's horizon
+        if errors:
+            for err in errors:
+                print(f"invalid scenario: {err}", file=sys.stderr)
+            return 2
     out_dir = _default_out(config.name, args.out)
     try:
         code = scenario.run_scenario(config, out_dir)
@@ -56,6 +71,13 @@ def cmd_run(args) -> int:
     except (analysis.DomainError, analysis.EmptyLog) as exc:
         print(f"analysis error: {exc}", file=sys.stderr)
         return 2
+    if config.sweep is not None:
+        # the model-vs-measured service rate per delta, as mu_model.csv holds it
+        print(f"{'delta':>6} {'mu_model':>12} {'mu_measured':>12} {'rel_err':>8}")
+        for p in json.loads((out_dir / "summary.json").read_text())["sweep"]:
+            rel = abs(p["mu_measured"] - p["mu_model"]) / p["mu_model"]
+            print(f"{p['delta']:>6} {p['mu_model']:>12.4f} {p['mu_measured']:>12.4f} {rel:>7.2%}")
+        print(f"wrote {out_dir}/mu_model.csv")
     print(f"wrote {out_dir}/emission.log, summary.json")
     return code
 
@@ -116,6 +138,68 @@ def cmd_model_mu(args) -> int:
     return 0
 
 
+def _overhead_rows() -> list[tuple[str, int, int, int]]:
+    """``(quantity, analytic, measured, framing)`` bytes of the paper's two
+    bandwidth overheads: a full authorization payload on an interest, and
+    two groups' verification keys on a content object.  ``measured`` is the
+    difference of two encodings, with and without the overhead."""
+    material = crypto.gen_group(128, 1)
+    ctx = ConsumerContext(
+        group=material,
+        mode=ConsumerMode.FULL,
+        scheme=SchemeTag.ENC,
+        clock=lambda: 1000.0,
+        rng=random.Random(1),
+    )
+    full = interest_generation(ctx, (b"edu", b"uci"), Name.from_uri("/edu/uci/ics/home.html"))
+    params = analysis.OverheadParams(
+        nonce_bytes=len(full.payload.nonce),
+        timestamp_bytes=8,
+        signature_bytes=len(full.payload.signature),
+        group_id_bytes=len(full.payload.group_id),
+    )
+    interest_measured = len(encode_interest(full)) - len(encode_interest(Interest(full.name)))
+
+    keys = tuple((m.group_id, m.public_key_bytes) for m in (material, crypto.gen_group(128, 2)))
+    with_keys = ContentObject(full.name, b"data", keys, 1000, b"sig")
+    without = ContentObject(full.name, b"data", (), 1000, b"sig")
+    content_measured = len(encode_content(with_keys)) - len(encode_content(without))
+    return [
+        (
+            "interest_auth_payload",
+            analysis.interest_overhead_bytes(params),
+            interest_measured,
+            analysis.INTEREST_AUTH_FRAMING_BYTES,
+        ),
+        (
+            "content_two_group_keys",
+            analysis.content_overhead_bytes(
+                analysis.OverheadParams(key_sizes=tuple(len(k) for _, k in keys))
+            ),
+            content_measured,
+            sum(analysis.content_key_entry_framing_bytes(len(gid)) for gid, _ in keys),
+        ),
+    ]
+
+
+def cmd_overhead_table(args) -> int:
+    rows = _overhead_rows()
+    for quantity, analytic, measured, framing in rows:
+        print(f"{quantity}: analytic={analytic}B measured={measured}B framing={framing}B")
+        if measured != analytic + framing:
+            print(
+                f"{quantity}: measured {measured}B is not analytic {analytic}B"
+                f" plus framing {framing}B",
+                file=sys.stderr,
+            )
+            return 1
+    out = _default_out("overhead", args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    analysis.write_overhead_csv(out / "overhead.csv", rows)
+    print(f"wrote {out / 'overhead.csv'}")
+    return 0
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ibac",
@@ -127,6 +211,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("scenario", help=f"path or one of {', '.join(scenario.BUNDLED_SCENARIOS)}")
     p_run.add_argument("--seed", type=int, default=None)
     p_run.add_argument("--out", default=None, help="output directory (default $IBAC_OUT_DIR/<name>)")
+    p_run.add_argument("--interests", type=int, default=None,
+                       help="interests per sweep point (a sweep scenario only)")
     p_run.set_defaults(func=cmd_run)
 
     p_val = sub.add_parser("validate", help="validate a scenario file")
@@ -146,6 +232,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_mu.add_argument("--tau-process", type=float, default=0.005)
     p_mu.add_argument("--tau-verify", type=float, default=0.599)
     p_mu.set_defaults(func=cmd_model_mu)
+
+    p_oh = sub.add_parser("overhead-table", help="analytic vs measured bandwidth overheads")
+    p_oh.add_argument("--out", default=None,
+                      help="output directory (default $IBAC_OUT_DIR/overhead)")
+    p_oh.set_defaults(func=cmd_overhead_table)
     return parser
 
 

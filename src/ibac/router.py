@@ -139,7 +139,6 @@ class RouterEvent:
     iface: int | None = None
     message: Interest | ContentObject | None = None  # the record to send or refused
     reason: object | None = None
-    verified: bool = False
     at: float | None = None  # BATCH_TIMER: when to flush
     batch_key: tuple | None = None
 
@@ -297,7 +296,6 @@ class Router:
             iface,
             entry.content,
             reason="verified",
-            verified=True,
         )
 
     # -- batched cache-hit verification -----------------------------------
@@ -426,7 +424,6 @@ class Router:
                         iface,
                         content,
                         reason="verified",
-                        verified=True,
                     )
                 )
             else:

@@ -76,7 +76,9 @@ Each call that schedules work for a named node (``add_tap``,
 ``schedule_fetch``, ``set_traffic``, ``schedule_action``,
 ``schedule_rekey``) looks the node up with ``_node``, which raises
 ``ConfigError`` for an unknown id or a node of another role before
-anything is queued.
+anything is queued.  A simulation runs once: after ``run``, ``_node`` and
+``run`` itself raise ``ConfigError``, since work dated before the run's
+end would otherwise be replayed after it by a second ``run``.
 
 The emission log is append-only, one line per event:
 ``time<TAB>node<TAB>kind<TAB>name-hex<TAB>reason``; ``log_event`` writes
@@ -348,6 +350,7 @@ class Simulation:
         self.expiry_sweep_ms = expiry_sweep_ms
         self.record_wire = record_wire
         self.now = 0.0
+        self._ran = False
         self._queue: list = []
         self._seq = 0
         self.nodes: dict[str, _NodeRuntime] = {}
@@ -378,7 +381,10 @@ class Simulation:
         return rt
 
     def _node(self, node_id: str, role: str) -> _NodeRuntime:
-        """The runtime of ``node_id``, which must have ``role``."""
+        """The runtime of ``node_id``, which must have ``role``, in a
+        simulation that has not run yet."""
+        if self._ran:
+            raise ConfigError("the simulation has already run")
         rt = self.nodes.get(node_id)
         if rt is None:
             raise ConfigError(f"unknown {role} {node_id!r}")
@@ -574,6 +580,9 @@ class Simulation:
             self._send(rt, iface, Nack(refused, reason), t)
 
     def run(self) -> RunResult:
+        if self._ran:
+            raise ConfigError("the simulation has already run")
+        self._ran = True
         for rt in self.nodes.values():
             if rt.role in ("router", "producer"):
                 self._push(self.expiry_sweep_ms, self._do_expire, rt)

@@ -4,12 +4,13 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 
 from ibac import crypto
 from ibac.authcheck import FailReason
 from ibac.consumer import ConsumerContext, ConsumerMode, interest_generation
 from ibac.producer import Producer, ProtectionPolicy
-from ibac.router import DropReason, EventKind, Router, VerifyMode
+from ibac.router import DropReason, EventKind, Router, RouterEvent, VerifyMode
 from ibac.wire import ContentObject, Interest, Nack, Name, SchemeTag, encode_name
 
 PREFIX = (b"edu", b"uci")
@@ -631,3 +632,143 @@ def test_a_refused_cache_hit_names_the_record_and_its_face():
     assert [(e.kind, e.iface, e.message, e.reason) for e in events] == [
         (EventKind.DROP_INTEREST, 4, replayed, FailReason.DUPLICATE_NONCE)
     ]
+
+
+# ---------------------------------------------------------------------------
+# any call sequence on a non-decreasing clock
+
+
+PUBLIC = Name.from_uri("/edu/uci/ics/public.html")
+WAIT = st.sampled_from([0.0, 0.5, 10.0, 60.0, 250.0, 1000.0])  # ms before a call
+
+
+class RouterMachine(RuleBasedStateMachine):
+    """A router fed interests, contents, NACKs, flushes and expiry sweeps in
+    any order, each after a wait (``dt``) on a non-decreasing clock, with
+    the producer behind its one route answering forwarded records.
+
+    Members of the two groups that may read ``HOME`` send fresh protected
+    interests, an outsider sends its own, a public interest names
+    ``PUBLIC`` in clear, a forged one carries a corrupted signature, and a
+    replay re-sends any record sent before, on any face.  No call raises:
+    the router documents no exception for a well-formed record.
+    """
+
+    verify_mode = VerifyMode.individual()
+
+    @initialize(lifetime=st.sampled_from([300, 60_000]))
+    def world(self, lifetime):
+        insiders = [crypto.gen_group(128, seed) for seed in (1, 2)]
+        outsider = crypto.gen_group(128, 3)
+        self.producer = Producer(PREFIX)
+        for material in (*insiders, outsider):
+            self.producer.register_group(material)
+        shared = self.producer.publish(
+            HOME, b"data", [m.group_id for m in insiders], SchemeTag.ENC, lifetime
+        )
+        self.producer.publish(PUBLIC, b"open", [], SchemeTag.ENC, lifetime,
+                              ProtectionPolicy.PUBLIC)
+        self.router = Router(verify_mode=self.verify_mode, pit_lifetime_ms=400,
+                             batch_rng=random.Random(0))
+        self.router.add_route(PREFIX, 9)
+        self.now = 1000.0
+        self.contexts = [
+            ConsumerContext(group=m, mode=ConsumerMode.FULL, scheme=SchemeTag.ENC,
+                            clock=lambda: self.now, rng=random.Random(seed),
+                            content_keys={} if key is None else {HOME.components: key})
+            for seed, (m, key) in enumerate(
+                [(insiders[0], shared), (insiders[1], shared), (outsider, None)]
+            )
+        ]
+        self.sent: list[Interest] = []
+        self.contents: list[ContentObject] = []
+
+    def _take(self, dt, call, *args):
+        """``call(*args, now)`` after ``dt`` ms; its events are well formed."""
+        self.now += dt
+        events, verifies = call(*args, now=self.now)
+        assert all(isinstance(e, RouterEvent) and isinstance(e.kind, EventKind) for e in events)
+        assert verifies >= 0
+
+    def _send(self, dt, interest: Interest, face: int):
+        self.sent.append(interest)
+        self._take(dt, self.router.on_interest, interest, face)
+
+    def _interest(self, sender: int) -> Interest:
+        return interest_generation(self.contexts[sender], PREFIX, HOME)
+
+    @rule(dt=WAIT, sender=st.integers(0, 2), face=st.integers(0, 3))
+    def protected(self, dt, sender, face):
+        self._send(dt, self._interest(sender), face)
+
+    @rule(dt=WAIT, face=st.integers(0, 3))
+    def public(self, dt, face):
+        self._send(dt, Interest(PUBLIC), face)
+
+    @rule(dt=WAIT, sender=st.integers(0, 1), face=st.integers(0, 3))
+    def forged(self, dt, sender, face):
+        honest = self._interest(sender)
+        signature = honest.payload.signature
+        payload = replace(honest.payload, signature=signature[:-1] + bytes([signature[-1] ^ 1]))
+        self._send(dt, Interest(honest.name, payload), face)
+
+    @precondition(lambda self: self.sent)
+    @rule(dt=WAIT, data=st.data(), face=st.integers(0, 3))
+    def replayed(self, dt, data, face):
+        self._send(dt, data.draw(st.sampled_from(self.sent)), face)
+
+    @precondition(lambda self: self.router.pit)
+    @rule(dt=WAIT, data=st.data())
+    def upstream_answers(self, dt, data):
+        """The producer answers a forwarded record with content or a NACK."""
+        entry = data.draw(st.sampled_from(list(self.router.pit.values())))
+        response = self.producer.content_object_generation(entry.forwarded, self.now)
+        if response.served:
+            self.contents.append(response.content)
+            self._take(dt, self.router.on_content, response.content, 9)
+        else:
+            self._take(dt, self.router.on_nack, Nack(entry.forwarded, response.drop_reason), 9)
+
+    @precondition(lambda self: self.contents)
+    @rule(dt=WAIT, data=st.data())
+    def late_content(self, dt, data):
+        self._take(dt, self.router.on_content, data.draw(st.sampled_from(self.contents)), 9)
+
+    @precondition(lambda self: self.sent)
+    @rule(dt=WAIT, data=st.data(), reason=st.sampled_from(["BadSignature", "StaleTimestamp"]))
+    def stray_nack(self, dt, data, reason):
+        refused = data.draw(st.sampled_from(self.sent))
+        self._take(dt, self.router.on_nack, Nack(refused, reason), 9)
+
+    @rule(dt=WAIT, data=st.data())
+    def flush(self, dt, data):
+        keys = [*self.router._batch_queues, (b"none", b"")]
+        self._take(dt, self.router.flush_batch, data.draw(st.sampled_from(keys)))
+
+    @rule(dt=WAIT)
+    def expire(self, dt):
+        self.now += dt
+        assert all(e.kind is EventKind.CACHE_EVICT for e in self.router.expire(self.now))
+
+    @invariant()
+    def protected_serves_follow_passed_checks(self):
+        assert self.router.protected_serves <= self.router.auth_passes
+
+    @invariant()
+    def pit_order_is_creation_order(self):
+        # expire stops at the first live entry, which needs this order
+        created = [entry.created_at for entry in self.router.pit.values()]
+        assert created == sorted(created)
+
+
+class BatchRouterMachine(RouterMachine):
+    verify_mode = VerifyMode.batch(batch_size=3, batch_timeout_ms=50)
+
+
+MACHINE_SETTINGS = settings(
+    max_examples=25, stateful_step_count=40, derandomize=True, deadline=None, database=None
+)
+TestRouterMachine = RouterMachine.TestCase
+TestRouterMachine.settings = MACHINE_SETTINGS
+TestBatchRouterMachine = BatchRouterMachine.TestCase
+TestBatchRouterMachine.settings = MACHINE_SETTINGS

@@ -30,6 +30,8 @@ from ibac.scenario import (
 )
 from ibac.wire import Name, ObfuscatedName, decode_message, encode_name
 
+TESTDATA = Path(__file__).resolve().parent.parent / "testdata"
+
 
 def minimal_raw(**overrides):
     raw = {
@@ -763,6 +765,72 @@ def test_cli_bench_writes_csv(tmp_path, capsys):
     ]
 
 
+def test_cli_run_prints_the_sweep_table_at_the_interests_given(tmp_path, capsys):
+    # the file asks for one interest per point, too few to measure; --interests overrides it
+    path = tmp_path / "short_sweep.yaml"
+    path.write_text(yaml.safe_dump(sweep_raw(interests_per_point=1)))
+    out = tmp_path / "out"
+    assert cli.main(["run", str(path), "--interests", "100", "--out", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split() == ["delta", "mu_model", "mu_measured", "rel_err"]
+    summary = json.loads((out / "summary.json").read_text())
+    assert [tuple(map(float, line.split()[:3])) for line in lines[1:5]] == [
+        (p["delta"], round(p["mu_model"], 4), round(p["mu_measured"], 4)) for p in summary["sweep"]
+    ]
+    assert lines[5:] == [f"wrote {out}/mu_model.csv", f"wrote {out}/emission.log, summary.json"]
+
+
+@pytest.mark.parametrize(
+    "target, interests, error",
+    [
+        ("figure_sequence", "300", "figure_sequence: --interests needs a scenario with a sweep"),
+        ("service_rate_sweep", "0",
+         "invalid scenario: sweep: interests_per_point must be a positive integer"),
+    ],
+)
+def test_cli_run_refuses_interests_it_cannot_apply(tmp_path, capsys, target, interests, error):
+    out = tmp_path / "out"
+    assert cli.main(["run", target, "--interests", interests, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", error + "\n")
+    assert not out.exists()
+
+
+def test_cli_run_checks_the_sweep_horizon_that_interests_gives(tmp_path, capsys):
+    # the file's 5 interests per point fit its horizon bound; 10**6 of them do not
+    path = tmp_path / "slow_sweep.yaml"
+    path.write_text(yaml.safe_dump(sweep_raw(saturation_factor=1e-6, interests_per_point=5)))
+    assert cli.main(["validate", str(path)]) == 0
+    out = tmp_path / "out"
+    assert cli.main(["run", str(path), "--interests", "1000000", "--out", str(out)]) == 2
+    errors = capsys.readouterr().err.splitlines()
+    assert [e.split(":")[:2] for e in errors] == [
+        ["invalid scenario", f" sweep delta {d}"] for d in (0.0, 0.2, 0.5, 1.0)
+    ]
+    assert not out.exists()
+
+
+def test_cli_overhead_table_writes_the_pinned_csv(tmp_path, capsys):
+    out = tmp_path / "overhead"
+    assert cli.main(["overhead-table", "--out", str(out)]) == 0
+    assert (out / "overhead.csv").read_bytes() == (TESTDATA / "overhead.csv").read_bytes()
+    assert capsys.readouterr().out.splitlines() == [
+        "interest_auth_payload: analytic=152B measured=177B framing=25B",
+        "content_two_group_keys: analytic=128B measured=208B framing=80B",
+        f"wrote {out / 'overhead.csv'}",
+    ]
+
+
+def test_cli_overhead_table_refuses_a_framing_that_does_not_add_up(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli.analysis, "INTEREST_AUTH_FRAMING_BYTES", 24)
+    out = tmp_path / "overhead"
+    assert cli.main(["overhead-table", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "interest_auth_payload: measured 177B is not analytic 152B plus framing 24B\n"
+    )
+    assert not out.exists()
+
+
 def test_cli_out_dir_env(tmp_path, monkeypatch):
     monkeypatch.setenv("IBAC_OUT_DIR", str(tmp_path / "envout"))
     assert cli.main(["run", "figure_sequence"]) == 0
@@ -834,8 +902,7 @@ def test_invariants_catch_unbalanced_conservation():
 # ---------------------------------------------------------------------------
 # the bundled sweep, pinned at a short point length
 
-SWEEP_PINS = json.loads((Path(__file__).resolve().parent.parent
-                         / "testdata" / "sweep_outputs.json").read_text())
+SWEEP_PINS = json.loads((TESTDATA / "sweep_outputs.json").read_text())
 
 
 def test_bundled_sweep_outputs_are_pinned(tmp_path):
@@ -847,3 +914,6 @@ def test_bundled_sweep_outputs_are_pinned(tmp_path):
     for output in ("emission.log", "summary.json"):
         digest = hashlib.sha256((tmp_path / output).read_bytes()).hexdigest()
         assert digest == pin[output], output
+    # the model-vs-measured table that `ibac run service_rate_sweep --interests 300` writes
+    assert pin["interests_per_point"] == 300
+    assert (tmp_path / "mu_model.csv").read_bytes() == (TESTDATA / "mu_model_300.csv").read_bytes()

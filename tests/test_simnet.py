@@ -739,6 +739,32 @@ def test_a_node_of_the_wrong_role_is_refused_at_call_time(entry, node):
     assert sim._queue == queued and sim._taps == taps and sim.actions == []
 
 
+def test_a_simulation_runs_once():
+    # a fetch scheduled after the run, dated in the past, used to be accepted,
+    # and a second run replayed it after the first run's last line: r1 served
+    # it from the copy it cached at 52.5 ms and the invariants still held
+    sim, _ = scenario.build(scenario.load_bundled("figure_sequence"))
+    lines = list(sim.run().log_lines)
+    queued = list(sim._queue)
+    with pytest.raises(simnet.ConfigError, match="already run"):
+        sim.schedule_fetch("cr1", Name.from_uri("/edu/uci/ics/home.html"), 0.5)
+    with pytest.raises(simnet.ConfigError, match="already run"):
+        sim.run()
+    assert sim.log_lines == lines and sim._queue == queued
+
+
+@pytest.mark.parametrize("entry", sorted(SCHEDULING_CALLS))
+def test_no_work_is_scheduled_after_a_run(entry):
+    role, call = SCHEDULING_CALLS[entry]
+    sim = one_node_of_each_role()
+    sim.run()
+    queued, taps = list(sim._queue), dict(sim._taps)
+    with pytest.raises(simnet.ConfigError, match="already run"):
+        call(sim, next(node for node, r in ROLES.items() if r == role))
+    assert sim._queue == queued and sim._taps == taps and sim.actions == []
+    assert sim.log_lines == []
+
+
 def test_content_reaching_a_producer_is_dropped_and_the_queue_moves_on():
     # the content arrives just before the consumer's interest, so the
     # interest waits while the producer refuses the content
