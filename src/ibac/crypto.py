@@ -546,12 +546,11 @@ def schnorr_batch_verify(
         if parsed is None:
             return False
         big_r, s, rb = parsed
-        # one draw per item, the first included: the simulator hands routers
-        # its own stream, so the number of draws is part of its determinism
-        z = rng.randrange(1, 1 << BATCH_Z_BITS)
+        # z_1 = 1 takes no draw: a batch of n draws n - 1 exponents from rng
         if first_r is None:
             first_r, z = big_r, 1
         else:
+            z = rng.randrange(1, 1 << BATCH_Z_BITS)
             weighted_r.append((big_r, z))
         s_sum = (s_sum + z * s) % group.q
         e_sum = (e_sum + z * _challenge(group, rb, y, message)) % group.q

@@ -6,10 +6,16 @@ authorization check (nonce, timestamp, signature) before anything leaves
 the store; content without keys is served unconditionally.  When content
 arrives for aggregated interests, each pending payload is checked against
 the arriving keys the moment they are available, so collapsed requesters
-cannot bypass authorization.  Every check is ``authcheck``'s pipeline; in
-BATCH mode the precheck runs at enqueue and the signatures at flush.  An
-interest whose cached copy expired while it waited for a flush goes on as
-a miss, as if it had arrived after the expiry.
+cannot bypass authorization.  Every check is ``authcheck``'s pipeline.
+
+A protected cache hit takes one path in every verify mode: its precheck
+runs at once, and its signature waits in a queue per (name, group id)
+until the queue holds ``batch_size`` interests or the timer set by its
+first runs out.  INDIVIDUAL is the batch of one, flushed as it arrives.  A
+flush of two or more under one key runs one batch test, and falls back
+to each item's own check when it fails; a lone item gets its own check.
+An interest whose cached copy expired while it waited for a flush goes on
+as a miss, as if it had arrived after the expiry.
 
 A PIT entry keeps the record it forwarded upstream (``forwarded``), the
 face that record came from, and the records aggregated behind it
@@ -37,7 +43,6 @@ are passed on as received, and nothing here encodes a message.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 
 from . import crypto
@@ -67,15 +72,12 @@ class DropReason(TextEnum):
     UNSOLICITED = "Unsolicited"
 
 
-class VerifyStrategy(enum.Enum):
-    INDIVIDUAL = "INDIVIDUAL"
-    BATCH = "BATCH"
-
-
 @dataclass(frozen=True)
 class VerifyMode:
-    strategy: VerifyStrategy = VerifyStrategy.INDIVIDUAL
-    batch_size: int = 10
+    """When a queue of protected cache hits is flushed: once it holds
+    ``batch_size`` interests, or ``batch_timeout_ms`` after its first."""
+
+    batch_size: int = 1
     batch_timeout_ms: float = 100.0
 
     @classmethod
@@ -84,7 +86,7 @@ class VerifyMode:
 
     @classmethod
     def batch(cls, batch_size: int, batch_timeout_ms: float = 100.0) -> "VerifyMode":
-        return cls(VerifyStrategy.BATCH, batch_size, batch_timeout_ms)
+        return cls(batch_size, batch_timeout_ms)
 
 
 @dataclass
@@ -143,12 +145,6 @@ class RouterEvent:
     batch_key: tuple | None = None
 
 
-@dataclass
-class _QueuedCheck:
-    iface: int
-    interest: Interest
-
-
 class Router:
     def __init__(
         self,
@@ -164,7 +160,7 @@ class Router:
         self.fib: dict[tuple[bytes, ...], int] = {}
         self.pit: dict[bytes, PitEntry] = {}
         self.cs: dict[bytes, CacheEntry] = {}
-        self._batch_queues: dict[tuple, list[_QueuedCheck]] = {}
+        self._batch_queues: dict[tuple, list] = {}  # (iface, Interest) of each queued hit
         # emission-safety instrumentation: protected cache serves must pair
         # with a passed check
         self.auth_passes = 0
@@ -224,36 +220,26 @@ class Router:
     def on_interest(self, interest: Interest, in_iface: int, now: float):
         """Process one interest; returns (events, signature verifications)."""
         events: list[RouterEvent] = []
-        verifies = 0
         name_bytes = interest.name._wire or encode_name(interest.name)
         entry = self.cs.get(name_bytes)
         if entry is not None and entry.expires_at <= now:
             self._evict(name_bytes, events)
             entry = None
-        if entry is not None:
-            if not entry.content.verification_keys:
-                events.append(
-                    RouterEvent(
-                        EventKind.SERVE_FROM_CACHE,
-                        name_bytes,
-                        in_iface,
-                        entry.content,
-                        reason="public",
-                    )
+        if entry is None:
+            self._miss(interest, in_iface, name_bytes, now, events)
+        elif entry.content.verification_keys:
+            return self._enqueue_batch(interest, entry, in_iface, name_bytes, now)
+        else:
+            events.append(
+                RouterEvent(
+                    EventKind.SERVE_FROM_CACHE,
+                    name_bytes,
+                    in_iface,
+                    entry.content,
+                    reason="public",
                 )
-            elif self.verify_mode.strategy is VerifyStrategy.BATCH:
-                return self._enqueue_batch(interest, entry, in_iface, name_bytes, now)
-            else:
-                outcome = self.router_authorization_check(
-                    interest.payload, name_bytes, entry, now
-                )
-                verifies += outcome.verifies
-                events.append(
-                    self._serve_or_drop(outcome.failure, name_bytes, in_iface, interest, entry)
-                )
-            return events, verifies
-        self._miss(interest, in_iface, name_bytes, now, events)
-        return events, verifies
+            )
+        return events, 0
 
     def _miss(self, interest: Interest, in_iface: int, name_bytes: bytes, now: float,
               events: list[RouterEvent]) -> None:
@@ -298,10 +284,12 @@ class Router:
             reason="verified",
         )
 
-    # -- batched cache-hit verification -----------------------------------
+    # -- protected cache hits: precheck, queue, flush -----------------------
 
     def _enqueue_batch(self, interest, entry, in_iface, name_bytes, now):
-        """Precheck now, queue the signature for the next flush."""
+        """Precheck now, queue the signature, and flush a queue that is full;
+        an interest left waiting is logged and its queue's first sets the
+        timer."""
         payload = interest.payload
         failure = precheck(
             payload,
@@ -316,12 +304,11 @@ class Router:
             return [self._serve_or_drop(failure, name_bytes, in_iface, interest, entry)], 0
         key = (name_bytes, payload.group_id)
         queue = self._batch_queues.setdefault(key, [])
-        queue.append(_QueuedCheck(in_iface, interest))
+        queue.append((in_iface, interest))
+        if len(queue) >= self.verify_mode.batch_size:
+            return self.flush_batch(key, now)
         entry.queued.add(payload.nonce)
         events = [RouterEvent(EventKind.BATCH_ENQUEUE, name_bytes)]
-        if len(queue) >= self.verify_mode.batch_size:
-            flush_events, verifies = self.flush_batch(key, now)
-            return events + flush_events, verifies
         if len(queue) == 1:
             events.append(
                 RouterEvent(
@@ -334,8 +321,9 @@ class Router:
         return events, 0
 
     def flush_batch(self, key: tuple, now: float):
-        """Verify one queued batch; a failed batch falls back to per-item checks,
-        except a batch of one, whose failure is its item's.
+        """Verify one queue: two or more under one key by one batch test, which
+        falls back to each item's own check when it fails, and a lone item,
+        or items that name their group encrypted, each by its own check.
 
         If the cached copy has expired by now, nothing is verified: the
         copy is evicted and each queued interest goes on as a miss."""
@@ -348,30 +336,26 @@ class Router:
         if entry is None or entry.expires_at <= now:
             if entry is not None:
                 self._evict(name_bytes, events)
-            for item in queue:
-                self._miss(item.interest, item.iface, name_bytes, now, events)
+            for iface, interest in queue:
+                self._miss(interest, iface, name_bytes, now, events)
             return events, 0
-        payloads = [item.interest.payload for item in queue]
+        payloads = [interest.payload for _, interest in queue]
         for payload in payloads:
             entry.queued.discard(payload.nonce)
 
         verifies = 0
-        verdict = None  # the batch's, when one ran
+        passed = False  # by one batch test of the whole queue
         candidates = self._candidates(payloads[0], entry.content)
-        if len(candidates) == 1 and not payloads[0].group_id_encrypted:
+        if len(queue) > 1 and len(candidates) == 1 and not payloads[0].group_id_encrypted:
             group, signing_public = candidates[0]
             items = [
                 ((name_bytes, p.group_id, p.nonce, p.timestamp), p.signature) for p in payloads
             ]
             verifies += 1
-            verdict = crypto.batch_verify(group, signing_public, items, self.batch_rng)
-        for item, payload in zip(queue, payloads):
+            passed = crypto.batch_verify(group, signing_public, items, self.batch_rng)
+        for (iface, interest), payload in zip(queue, payloads):
             failure = None
-            if verdict is False and len(queue) == 1:
-                # z_1 = 1: this batch was the item's own check; charge it, do not redo it
-                verifies += 1
-                failure = FailReason.BAD_SIGNATURE
-            elif not verdict:
+            if not passed:
                 outcome = verify_any(
                     payload, name_bytes, self._candidates(payload, entry.content)
                 )
@@ -379,9 +363,7 @@ class Router:
                 failure = outcome.failure
             if failure is None:
                 self._record_pass(payload, entry)
-            events.append(
-                self._serve_or_drop(failure, name_bytes, item.iface, item.interest, entry)
-            )
+            events.append(self._serve_or_drop(failure, name_bytes, iface, interest, entry))
         return events, verifies
 
     # -- content pipeline ---------------------------------------------------

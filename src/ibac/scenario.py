@@ -34,8 +34,9 @@ from .kinds import (BOOL, IDS, MAX_COUNT, MAX_DATA_BYTES, MAX_MS, MAX_S, MAX_SWE
                     TEXT, TIME, Choice, Fractions, Ids, Num, Pairs, Record, Records, Text,
                     declare, config_record)
 from .producer import Producer, ProtectionPolicy
-from .router import Router, VerifyMode, VerifyStrategy
-from .simnet import AdversaryAction, RunResult, Simulation, TrafficProfile, offer_problems
+from .router import Router, VerifyMode
+from .simnet import (AdversaryAction, RunResult, Simulation, TrafficProfile, derived_seed,
+                     offer_problems)
 from .wire import Name, SchemeTag
 
 DEFAULT_TAU_PROCESS_S = 0.005
@@ -193,11 +194,6 @@ BUNDLED_SCENARIOS = (
     "revocation_expiry",
     "service_rate_sweep",
 )
-
-
-def _derived_seed(base: int, label: str) -> int:
-    digest = hashlib.sha256(f"{base}:{label}".encode()).digest()
-    return int.from_bytes(digest[:8], "big")
 
 
 def _content_data(config_seed: int, spec: ContentSpec) -> bytes:
@@ -550,14 +546,14 @@ def build(config: ScenarioConfig) -> tuple[Simulation, BuildInfo]:
             keypair = None
             if config.encrypted_group_ids:
                 keypair = crypto.gen_producer_keypair(
-                    _derived_seed(config.seed, f"producer:{spec.id}")
+                    derived_seed(config.seed, f"producer:{spec.id}")
                 )
             producer = Producer(
                 _parse_prefix(spec.prefix),
                 keypair=keypair,
                 default_window_ms=spec.window_ms or 60_000.0,
                 skew_ms=spec.skew_ms,
-                content_key_seed=_derived_seed(config.seed, f"content-keys:{spec.id}"),
+                content_key_seed=derived_seed(config.seed, f"content-keys:{spec.id}"),
             )
             producers[spec.id] = producer
             producer_keys[spec.id] = keypair
@@ -734,11 +730,8 @@ def check_invariants(result: RunResult, sim: Simulation) -> None:
         emitted = served_verified.get(node_id, 0)
         passes = rt.obj.auth_passes
         # the one service that may still be in flight at the horizon can hold
-        # passed-but-unemitted checks: one, or a batch worth in batch mode
-        in_flight = rt.obj.verify_mode.batch_size if (
-            rt.obj.verify_mode.strategy is VerifyStrategy.BATCH
-        ) else 1
-        slack = in_flight if rt.busy else 0
+        # passed-but-unemitted checks: up to a batch worth, one for INDIVIDUAL
+        slack = rt.obj.verify_mode.batch_size if rt.busy else 0
         if not emitted <= passes <= emitted + slack:
             raise InvariantViolation(
                 f"{node_id}: emitted {emitted} protected contents "

@@ -6,9 +6,11 @@ service start (arrival or the end of the previous service, whichever is
 later) and its effects leave the node at service completion, which costs
 the node's processing time plus one verification time per signature check
 actually performed.  Queueing delay therefore emerges from the event loop.
-All randomness (traffic, nonces, encryption, batch exponents, adversary
-choices) flows from one seeded generator, so a run is a pure function of
-its configuration and seed.
+All randomness flows from the seed, so a run is a pure function of its
+configuration and seed: traffic, nonces, encryption and adversary choices
+from the simulation's one generator (``rng``), and each router's batch
+exponents from its own stream (``derived_seed(seed, "batch:" + id)``), so
+the draws of a batch move no other node's events.
 
 The event queue is a heap of ``(time, seq, handler, runtime, args)``;
 ``run`` pops an entry and calls ``handler(runtime, time, *args)``, and
@@ -92,6 +94,7 @@ name bytes and turned into hex on the first read of
 from __future__ import annotations
 
 import functools
+import hashlib
 import heapq
 import random
 from collections import Counter, deque
@@ -333,6 +336,12 @@ def offer_problems(where: str, delta: float, ibac, public) -> list[str]:
     ]
 
 
+def derived_seed(base: int, label: str) -> int:
+    """A seed of its own for ``label``, fixed by the run's seed ``base``."""
+    digest = hashlib.sha256(f"{base}:{label}".encode()).digest()
+    return int.from_bytes(digest[:8], "big")
+
+
 class Simulation:
     def __init__(
         self,
@@ -401,7 +410,7 @@ class Simulation:
     ) -> Router:
         router = router or Router()
         if router.batch_rng is None:
-            router.batch_rng = self.rng
+            router.batch_rng = random.Random(derived_seed(self.seed, f"batch:{node_id}"))
         self._add_node(
             _NodeRuntime(
                 node_id,

@@ -176,10 +176,6 @@ class ObfuscatedName:
         if self.scheme_tag != SchemeTag.NONE and not self.obfuscated_suffix:
             raise ValueError("obfuscated suffix must be non-empty for ENC/HASH")
 
-    def to_uri(self) -> str:
-        prefix = "/".join(c.decode("utf-8", "backslashreplace") for c in self.routable_prefix)
-        return f"/{prefix}/{self.obfuscated_suffix.hex()}"
-
 
 AnyName = Name | ObfuscatedName
 

@@ -409,8 +409,8 @@ def test_batch_mode_fallback_identifies_passers():
 
 
 def test_a_failed_batch_of_one_is_not_checked_again(monkeypatch):
-    # z_1 = 1, so a batch of one is its item's own equation: its failure is
-    # the item's BadSignature, charged as the individual check it stands for
+    # a lone item in a flush gets its own check, charged once as INDIVIDUAL
+    # charges it, and its failure is the item's BadSignature
     def world(verify_mode):
         (material,), producer, router, _ = build_world(verify_mode=verify_mode)
         serve_and_cache(router, producer, fetch(material, rng_seed=1), 1000.0)
@@ -437,8 +437,63 @@ def test_a_failed_batch_of_one_is_not_checked_again(monkeypatch):
     events, verifies = router.flush_batch(timer.batch_key, 1600.0)
     assert answer(events) == [(EventKind.DROP_INTEREST, 4, forged, FailReason.BAD_SIGNATURE)]
     assert answer(events) == [(e.kind, 4, forged, e.reason) for e in individual]
-    assert verifies == 2  # the batch, then the item's check, as a fallback charges
+    assert verifies == 1
     assert len(equations) == 1
+
+
+HIT_KINDS = {
+    # kind: the answer to its last call, and that call's verifications
+    "passing": (EventKind.SERVE_FROM_CACHE, "verified", 1),
+    "forged": (EventKind.DROP_INTEREST, FailReason.BAD_SIGNATURE, 1),
+    "replayed": (EventKind.DROP_INTEREST, FailReason.DUPLICATE_NONCE, 0),
+    "stale": (EventKind.DROP_INTEREST, FailReason.STALE_TIMESTAMP, 0),
+    "encrypted_id": (EventKind.SERVE_FROM_CACHE, "verified", 2),
+}
+
+
+@pytest.mark.parametrize("kind", HIT_KINDS)
+def test_a_batch_of_one_answers_each_hit_as_individual_does(kind):
+    def calls(verify_mode):
+        """The (events, verifications) of each call of a ``kind`` hit, and
+        the router's books after them."""
+        pair = crypto.gen_producer_keypair(5)
+        materials = [crypto.gen_group(128, seed + 1) for seed in range(2)]
+        producer = Producer(PREFIX, keypair=pair)
+        for material in materials:
+            producer.register_group(material)
+        shared = producer.publish(
+            HOME, b"data", [m.group_id for m in materials], SchemeTag.HASH, 60_000,
+            ProtectionPolicy.FULL,
+        )
+        router = Router(verify_mode=verify_mode, batch_rng=random.Random(0))
+        router.add_route(PREFIX, 9)
+
+        def interest(rng_seed, clock_value=1500.0, encrypted=False):
+            # the second group's key is the second a trial verification tries
+            ctx = consumer_ctx(materials[1], clock_value=clock_value, scheme=SchemeTag.HASH,
+                               rng_seed=rng_seed, content_key=shared)
+            if encrypted:
+                ctx.producer_public = pair.public
+            return interest_generation(ctx, PREFIX, HOME)
+
+        serve_and_cache(router, producer, interest(1, clock_value=1000.0), 1000.0)
+        hit = interest(2)
+        if kind == "forged":
+            signature = hit.payload.signature
+            hit = Interest(hit.name, replace(hit.payload, signature=signature[:-1] + b"\xff"))
+        elif kind == "stale":
+            hit = interest(2, clock_value=1500.0 + router.skew_ms + 1)
+        elif kind == "encrypted_id":
+            hit = interest(2, encrypted=True)
+        sent = [hit, hit] if kind == "replayed" else [hit]
+        answers = [router.on_interest(i, in_iface=4, now=1500.0 + n) for n, i in enumerate(sent)]
+        (entry,) = router.cs.values()
+        return answers, router.auth_passes, router.protected_serves, entry.nonces
+
+    individual = calls(VerifyMode.individual())
+    assert calls(VerifyMode.batch(batch_size=1)) == individual
+    (event,), verifies = individual[0][-1]
+    assert (event.kind, event.reason, verifies) == HIT_KINDS[kind]
 
 
 def test_batch_mode_duplicate_nonce_rejected_at_enqueue():
@@ -765,6 +820,39 @@ class BatchRouterMachine(RouterMachine):
     verify_mode = VerifyMode.batch(batch_size=3, batch_timeout_ms=50)
 
 
+class BatchOfOneRouterMachine(RouterMachine):
+    """A batch-of-one router beside an INDIVIDUAL twin fed the same calls:
+    call for call, the same events and the same verification counts."""
+
+    verify_mode = VerifyMode.batch(batch_size=1, batch_timeout_ms=50)
+
+    @initialize(lifetime=st.sampled_from([300, 60_000]))
+    def world(self, lifetime):
+        super().world(lifetime)
+        self.twin = Router(pit_lifetime_ms=400, batch_rng=random.Random(0))
+        self.twin.add_route(PREFIX, 9)
+        # both start with HOME cached, so protected interests hit from the first step
+        interest = self._interest(0)
+        self._send(0.0, interest, 0)
+        self.contents.append(self.producer.content_object_generation(interest, self.now).content)
+        self._take(0.0, self.router.on_content, self.contents[0], 9)
+
+    def _take(self, dt, call, *args):
+        self.now += dt
+        answer = call(*args, now=self.now)
+        assert getattr(self.twin, call.__name__)(*args, now=self.now) == answer
+
+    @rule(dt=WAIT)
+    def expire(self, dt):
+        self.now += dt
+        assert self.router.expire(self.now) == self.twin.expire(self.now)
+
+    @precondition(lambda self: False)  # a batch of one leaves no queue to flush
+    @rule()
+    def flush(self):
+        pass
+
+
 MACHINE_SETTINGS = settings(
     max_examples=25, stateful_step_count=40, derandomize=True, deadline=None, database=None
 )
@@ -772,3 +860,5 @@ TestRouterMachine = RouterMachine.TestCase
 TestRouterMachine.settings = MACHINE_SETTINGS
 TestBatchRouterMachine = BatchRouterMachine.TestCase
 TestBatchRouterMachine.settings = MACHINE_SETTINGS
+TestBatchOfOneRouterMachine = BatchOfOneRouterMachine.TestCase
+TestBatchOfOneRouterMachine.settings = MACHINE_SETTINGS

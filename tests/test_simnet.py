@@ -798,6 +798,39 @@ def _lines(result, node=None, kind=None):
     return [r for r in rows if node in (None, r[1]) and kind in (None, r[2])]
 
 
+def _batch_streams(sim):
+    return {node: rt.obj.batch_rng.getstate() for node, rt in sim.nodes.items()
+            if rt.role == "router"}
+
+
+def test_batch_draws_leave_the_simulation_stream_alone():
+    # forgeries at r1 fill batches of three, each drawing two exponents from
+    # r1's own stream; the simulation's stream ends where INDIVIDUAL leaves it
+    def run(config):
+        sim, _ = scenario.build(config)
+        fresh = _batch_streams(sim)
+        result = sim.run()
+        moved = {node for node, state in _batch_streams(sim).items() if state != fresh[node]}
+        return sim.rng.getstate(), _lines(result, kind="int_sent"), moved
+
+    config = scenario.load_bundled("forgery")
+    batched = replace(config, nodes=[
+        replace(n, verify_mode="BATCH", batch_size=3) if n.role == "router" else n
+        for n in config.nodes
+    ])
+    state, sent, moved = run(config)
+    assert run(batched) == (state, sent, {"r1"})
+    assert moved == set()
+
+
+def test_each_router_draws_from_a_stream_of_its_own_fixed_by_the_seed():
+    config = scenario.load_bundled("forgery")
+    first, again = (_batch_streams(scenario.build(config)[0]) for _ in range(2))
+    assert first == again
+    assert first["r1"] != first["r2"]
+    assert _batch_streams(scenario.build(replace(config, seed=18))[0])["r1"] != first["r1"]
+
+
 def test_an_interest_whose_copy_expires_before_the_flush_is_forwarded_and_served():
     # the copy cached at r1 expires at 1020 ms; the second fetch hits it at
     # 960 ms and waits for the flush at 1060 ms, which used to drop it as
