@@ -32,23 +32,13 @@ at most 2^-64.  ``R_i`` is only range-checked, so a signer can submit an
 verification yet passes a batch with fair probability; the repair is open
 (ROADMAP item 3).
 
-Exponentiation engine.  Every exponent raised to a fixed base (``g`` and
-the public keys ``y``) is below q, so each such base gets a fixed-base
-table (Brickell-Gordon-McCurley-Wilson, EUROCRYPT '92): row ``i`` holds
-``base^(d * 256^i)`` for every byte value ``d``, and ``base^e`` is one
-multiplication per nonzero byte of ``e``, at most 32, with no squarings.
-A new table builds only the nibble entries of each row (``d < 16`` and
-the multiples of 16), about 1,000 multiplications; every other entry is
-the product of its two nibble entries, made the first time an exponent
-needs it and kept.  A full table is 32 x 256 entries, about 0.8 MB at
-512 bits and 3.5 MB at 3072.  ``g`` has one table per group for the life
-of the process.  Public keys share a small LRU of tables keyed by
-``(p, y)``; a key's table is built on its second use, so a stream of
-one-shot keys never pays for (or evicts) tables.  Exponents longer than a
-table, or negative, fall back to built-in ``pow``.  The batch
-product ``prod R_i^{z_i}`` is one Straus interleaved multi-exponentiation
-with shared squarings (Moeller, SAC 2001).  The engine returns exactly
-what ``pow`` returns, so signatures are unchanged.
+Exponentiation engine.  Every modular power here (``g^e``, ``y^e``, the
+batch product and the private-key power of group-id decryption) is
+``_power``, which returns exactly what built-in ``pow`` returns.  For a
+group modulus it calls ``BN_mod_exp_mont`` through ``ctypes`` in the
+libcrypto that CPython's ``hashlib`` links, loaded by soname on the first
+power, not at import; where none loads, and for a negative exponent,
+``pow`` does the work.
 
 Accepted payload checks.  In a simulated network every node that serves
 an interest checks its payload, so one payload is checked at the
@@ -74,9 +64,10 @@ import hashlib
 import hmac
 import random
 import struct
+import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
@@ -182,126 +173,106 @@ def _expand(seed: int, label: bytes, nbytes: int) -> bytes:
 # ---------------------------------------------------------------------------
 # exponentiation engine
 
-FIXED_BASE_EXP_BITS = 256  # every fixed-base exponent is reduced mod q
-KEY_TABLE_CAP = 8  # public-key tables kept per process
-KEY_SEEN_CAP = 64  # public keys remembered as used once, awaiting a table
-STRAUS_WINDOW = 4
 BATCH_Z_BITS = 64
+LIBCRYPTO_SONAMES = ("libcrypto.so.3", "libcrypto.so.1.1")  # OpenSSL 3, then 1.1
 
 
-def _powers(b: int, count: int, p: int) -> list[int]:
-    """``[b^0, b^1, ..., b^(count-1)] mod p`` for ``count >= 2``."""
-    row = [1, b]
-    for _ in range(count - 2):
-        row.append(row[-1] * b % p)
-    return row
+@lru_cache(maxsize=None)
+def _load_libcrypto():
+    """libcrypto with its bignum calls declared, or None where none loads.
+    ``PyDLL`` keeps the GIL through each short call instead of releasing it."""
+    import ctypes
+
+    ptr, data, size = ctypes.c_void_p, ctypes.c_char_p, ctypes.c_int
+    signatures = {
+        "BN_new": (ptr, []),
+        "BN_CTX_new": (ptr, []),
+        "BN_MONT_CTX_new": (ptr, []),
+        "BN_MONT_CTX_set": (size, [ptr, ptr, ptr]),
+        "BN_bin2bn": (ptr, [data, size, ptr]),
+        "BN_bn2binpad": (size, [ptr, ctypes.POINTER(ctypes.c_ubyte), size]),
+        "BN_mod_exp_mont": (size, [ptr, ptr, ptr, ptr, ptr, ptr]),
+    }
+    for soname in LIBCRYPTO_SONAMES:
+        try:
+            lib = ctypes.PyDLL(soname)
+            for name, (restype, argtypes) in signatures.items():
+                call = getattr(lib, name)
+                call.restype, call.argtypes = restype, argtypes
+        except (OSError, AttributeError):  # absent, or too old for a call
+            continue
+        return lib
+    return None
 
 
-class FixedBaseTable:
-    """``base^e mod p`` for ``e < 2^FIXED_BASE_EXP_BITS`` by table lookup.
+def _montgomery(lib, p: int):
+    """``power(b, e)``, exactly ``pow(b, e, p)``, by libcrypto's
+    ``BN_mod_exp_mont`` with one Montgomery context for the odd modulus
+    ``p``.  Every call reuses three scratch BIGNUMs and one output buffer,
+    under a lock, so calls from two threads cannot interleave."""
+    import ctypes
 
-    Row ``i`` holds ``base^(d * 256^i)`` at index ``d`` for every byte value
-    ``d``, so ``base^e`` is one product per nonzero byte of ``e`` and no
-    squarings.  Only the nibble entries (``d < 16`` and the multiples of
-    16) are built up front; any other entry is ``row[d & 0xF0] *
-    row[d & 0x0F]``, made the first time an exponent needs it and kept.
-    """
+    size = (p.bit_length() + 7) // 8
+    bin2bn, bn2bin, mod_exp = lib.BN_bin2bn, lib.BN_bn2binpad, lib.BN_mod_exp_mont
+    ctx, mont = lib.BN_CTX_new(), lib.BN_MONT_CTX_new()
+    base, exp, result = lib.BN_new(), lib.BN_new(), lib.BN_new()
+    m = bin2bn(p.to_bytes(size, "big"), size, None)
+    if None in (ctx, mont, base, exp, result, m) or not lib.BN_MONT_CTX_set(mont, m, ctx):
+        raise CryptoError("libcrypto could not set up a Montgomery context")
+    out = bytearray(size)
+    out_ptr = (ctypes.c_ubyte * size).from_buffer(out)
+    lock = threading.Lock()
 
-    __slots__ = ("p", "rows")
+    def power(b: int, e: int) -> int:
+        if e < 0:  # an inverse power, which BN_mod_exp_mont does not take
+            return pow(b, e, p)
+        if not 0 <= b < p:
+            b %= p
+        eb = e.to_bytes((e.bit_length() + 7) // 8, "big")
+        with lock:
+            if (
+                bin2bn(b.to_bytes(size, "big"), size, base) is None
+                or bin2bn(eb, len(eb), exp) is None
+                or not mod_exp(result, base, exp, m, ctx, mont)
+                or bn2bin(result, out_ptr, size) != size
+            ):
+                raise CryptoError("libcrypto BN_mod_exp_mont failed")
+            return int.from_bytes(out, "big")
 
-    def __init__(self, base: int, p: int):
-        b = base % p
-        rows = []
-        for _ in range(FIXED_BASE_EXP_BITS // 8):
-            lo = _powers(b, 17, p)  # b^0 .. b^16
-            hi = _powers(lo[16], 16, p)  # b^0, b^16, .. b^240
-            row = [None] * 256
-            row[:16] = lo[:16]
-            row[::16] = hi
-            rows.append(row)
-            b = hi[15] * lo[16] % p  # the next row's base, b^256
-        self.p = p
-        self.rows = rows
-
-    def power(self, e: int) -> int:
-        if e >> FIXED_BASE_EXP_BITS:  # over-length (or negative) exponent
-            return pow(self.rows[0][1], e, self.p)
-        p = self.p
-        acc = 1
-        for row, d in zip(self.rows, e.to_bytes(FIXED_BASE_EXP_BITS // 8, "little")):
-            if d:
-                x = row[d]
-                if x is None:
-                    x = row[d] = row[d & 0xF0] * row[d & 0x0F] % p
-                acc = acc * x % p
-        return acc
+    return power
 
 
-@lru_cache(maxsize=len(_GROUP_PARAMS))
-def _generator_table(p: int, g: int) -> FixedBaseTable:
-    return FixedBaseTable(g, p)
+_MODULI = frozenset(p for p, _, _ in _GROUP_PARAMS.values())
+_ENGINES: dict = {}  # group modulus -> its power(b, e), made on first use
+
+
+def _power(b: int, e: int, p: int) -> int:
+    """Exactly ``pow(b, e, p)``: in libcrypto for a group modulus where
+    libcrypto loads, and by built-in ``pow`` otherwise."""
+    engine = _ENGINES.get(p)
+    if engine is None:
+        if p not in _MODULI:
+            return pow(b, e, p)
+        lib = _load_libcrypto()
+        engine = _ENGINES[p] = _montgomery(lib, p) if lib else partial(pow, mod=p)
+    return engine(b, e)
 
 
 def generator_power(group: SignatureGroup, e: int) -> int:
-    """``g^e mod p`` from the group's generator table."""
-    return _generator_table(group.p, group.g).power(e)
-
-
-class KeyTables:
-    """LRU of public-key tables; a key's table is built on its second use."""
-
-    def __init__(self):
-        self.tables: OrderedDict[tuple[int, int], FixedBaseTable] = OrderedDict()
-        self.seen: OrderedDict[tuple[int, int], None] = OrderedDict()
-
-    def power(self, p: int, base: int, e: int) -> int:
-        key = (p, base)
-        table = self.tables.get(key)
-        if table is not None:
-            self.tables.move_to_end(key)
-            return table.power(e)
-        if key not in self.seen:
-            self.seen[key] = None
-            if len(self.seen) > KEY_SEEN_CAP:
-                self.seen.popitem(last=False)
-            return pow(base, e, p)
-        del self.seen[key]
-        table = self.tables[key] = FixedBaseTable(base, p)
-        if len(self.tables) > KEY_TABLE_CAP:
-            self.tables.popitem(last=False)
-        return table.power(e)
-
-
-# tables depend only on (p, base), so sharing them changes no result
-_KEY_TABLES = KeyTables()
+    """``g^e mod p``."""
+    return _power(group.g, e, group.p)
 
 
 def key_power(group: SignatureGroup, y: int, e: int) -> int:
-    """``y^e mod p`` for a public key ``y``, through the key-table LRU."""
-    return _KEY_TABLES.power(group.p, y, e)
+    """``y^e mod p`` for a public key ``y``."""
+    return _power(y, e, group.p)
 
 
 def multi_power(pairs, p: int) -> int:
-    """``prod b^z mod p`` over ``(b, z)`` pairs with ``z >= 0``.
-
-    Straus interleaving: one squaring chain shared by all bases, one
-    multiplication per nonzero window of each exponent.
-    """
-    mask = (1 << STRAUS_WINDOW) - 1
-    tables = []
-    top = 0
-    for b, z in pairs:
-        tables.append((_powers(b % p, 1 << STRAUS_WINDOW, p), z))
-        top = max(top, z.bit_length())
+    """``prod b^z mod p`` over ``(b, z)`` pairs with ``z >= 0``."""
     acc = 1
-    for shift in range((top - 1) // STRAUS_WINDOW * STRAUS_WINDOW, -1, -STRAUS_WINDOW):
-        if acc != 1:
-            for _ in range(STRAUS_WINDOW):
-                acc = acc * acc % p
-        for row, z in tables:
-            digit = (z >> shift) & mask
-            if digit:
-                acc = acc * row[digit] % p
+    for b, z in pairs:
+        acc = acc * _power(b, z, p) % p
     return acc
 
 
@@ -459,7 +430,7 @@ def decrypt_group_id(pair: ProducerKeyPair, blob: bytes) -> bytes:
     if not 1 <= c1 < group.p:
         raise DecryptFailure("ephemeral element out of range")
     ct, tag = blob[eb:-ENC_TAG_LEN], blob[-ENC_TAG_LEN:]
-    shared = pow(c1, pair.private, group.p).to_bytes(eb, "big")
+    shared = _power(c1, pair.private, group.p).to_bytes(eb, "big")
     kdf = sha256(blob[:eb] + shared + b"group-id-encryption")
     expected = hmac.new(kdf, ct, hashlib.sha256).digest()[:ENC_TAG_LEN]
     if not hmac.compare_digest(tag, expected):

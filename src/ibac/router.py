@@ -11,9 +11,10 @@ cannot bypass authorization.  Every check is ``authcheck``'s pipeline.
 A protected cache hit takes one path in every verify mode: its precheck
 runs at once, and its signature waits in a queue per (name, group id)
 until the queue holds ``batch_size`` interests or the timer set by its
-first runs out.  INDIVIDUAL is the batch of one, flushed as it arrives.  A
-flush of two or more under one key runs one batch test, and falls back
-to each item's own check when it fails; a lone item gets its own check.
+first runs out; a timer whose queue was flushed full flushes nothing.
+INDIVIDUAL is the batch of one, flushed as it arrives.  A flush of two
+or more under one key runs one batch test, and falls back to each
+item's own check when it fails; a lone item gets its own check.
 An interest whose cached copy expired while it waited for a flush goes on
 as a miss, as if it had arrived after the expiry.
 
@@ -43,6 +44,7 @@ are passed on as received, and nothing here encodes a message.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 from . import crypto
@@ -143,6 +145,7 @@ class RouterEvent:
     reason: object | None = None
     at: float | None = None  # BATCH_TIMER: when to flush
     batch_key: tuple | None = None
+    batch_serial: int | None = None  # BATCH_TIMER: the queue that set it
 
 
 class Router:
@@ -160,7 +163,9 @@ class Router:
         self.fib: dict[tuple[bytes, ...], int] = {}
         self.pit: dict[bytes, PitEntry] = {}
         self.cs: dict[bytes, CacheEntry] = {}
-        self._batch_queues: dict[tuple, list] = {}  # (iface, Interest) of each queued hit
+        # key -> (serial, (iface, Interest) of each queued hit)
+        self._batch_queues: dict[tuple, tuple[int, list]] = {}
+        self._batch_serials = itertools.count()
         # emission-safety instrumentation: protected cache serves must pair
         # with a passed check
         self.auth_passes = 0
@@ -303,7 +308,9 @@ class Router:
         if failure is not None:
             return [self._serve_or_drop(failure, name_bytes, in_iface, interest, entry)], 0
         key = (name_bytes, payload.group_id)
-        queue = self._batch_queues.setdefault(key, [])
+        if key not in self._batch_queues:
+            self._batch_queues[key] = (next(self._batch_serials), [])
+        serial, queue = self._batch_queues[key]
         queue.append((in_iface, interest))
         if len(queue) >= self.verify_mode.batch_size:
             return self.flush_batch(key, now)
@@ -316,20 +323,24 @@ class Router:
                     name_bytes,
                     at=now + self.verify_mode.batch_timeout_ms,
                     batch_key=key,
+                    batch_serial=serial,
                 )
             )
         return events, 0
 
-    def flush_batch(self, key: tuple, now: float):
+    def flush_batch(self, key: tuple, now: float, serial: int | None = None):
         """Verify one queue: two or more under one key by one batch test, which
         falls back to each item's own check when it fails, and a lone item,
         or items that name their group encrypted, each by its own check.
 
         If the cached copy has expired by now, nothing is verified: the
-        copy is evicted and each queued interest goes on as a miss."""
-        queue = self._batch_queues.pop(key, [])
-        if not queue:
+        copy is evicted and each queued interest goes on as a miss.  A
+        timer passes the ``serial`` of the queue that set it; once that
+        queue has been flushed full, the timer flushes nothing."""
+        open_serial, queue = self._batch_queues.get(key, (None, None))
+        if queue is None or serial not in (None, open_serial):
             return [], 0
+        del self._batch_queues[key]
         name_bytes = key[0]
         events: list[RouterEvent] = []
         entry = self.cs.get(name_bytes)

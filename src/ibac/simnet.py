@@ -20,8 +20,10 @@ timer's own.  A router's or producer's ``arrive``, like a batch-flush
 timer, is also its service start: it tests the node's ``busy`` flag
 itself, serves at once when the node is idle, and otherwise queues
 ``(handler, args)``, which ``_next_service`` replays when the current
-service completes.  Protocol code (``Router.on_interest``, ``crypto.*``)
-is looked up where it is called, never stored in an event.
+service completes.  A batch timer whose queue was flushed full starts no
+service, so ``_next_service`` goes on to the next entry.  Protocol code
+(``Router.on_interest``, ``crypto.*``) is looked up where it is called,
+never stored in an event.
 
 An action of ``n`` shots reserves ``n`` consecutive sequence numbers when
 it starts, and each shot schedules the next at ``at + i * interval_ms``
@@ -611,9 +613,10 @@ class Simulation:
     # applies the effects and moves on to the next queued service.
 
     def _next_service(self, rt: _NodeRuntime, t: float) -> None:
-        """At a service's completion, start the next queued one, if any."""
+        """At a service's completion, start the next queued one, if any; a
+        stale batch timer starts none, and the one after it is tried."""
         rt.busy = False
-        if rt.work_queue:
+        while rt.work_queue and not rt.busy:
             handler, args = rt.work_queue.popleft()
             handler(rt, t, *args)
 
@@ -632,13 +635,14 @@ class Simulation:
         self._seq += 1
         heapq.heappush(self._queue, (completion, self._seq, self._router_done, rt, (events,)))
 
-    def _batch_flush(self, rt: _NodeRuntime, t: float, key: tuple) -> None:
+    def _batch_flush(self, rt: _NodeRuntime, t: float, key: tuple, serial: int) -> None:
         if rt.busy:
-            rt.work_queue.append((self._batch_flush, (key,)))
+            rt.work_queue.append((self._batch_flush, (key, serial)))
             return
-        rt.busy = True
-        events, verifies = rt.obj.flush_batch(key, t)
-        self._push(t + verifies * rt.tau_verify_ms, self._router_done, rt, (events,))
+        events, verifies = rt.obj.flush_batch(key, t, serial)
+        if events:  # none for a stale timer, whose queue was flushed full
+            rt.busy = True
+            self._push(t + verifies * rt.tau_verify_ms, self._router_done, rt, (events,))
 
     def _producer_message(self, rt: _NodeRuntime, t: float, iface: int, message) -> None:
         if rt.busy:
@@ -661,7 +665,7 @@ class Simulation:
         for ev in events:
             kind = ev.kind
             if kind is EventKind.BATCH_TIMER:
-                self._push(ev.at, self._batch_flush, rt, (ev.batch_key,))
+                self._push(ev.at, self._batch_flush, rt, (ev.batch_key, ev.batch_serial))
                 continue
             reason = "" if ev.reason is None else ev.reason
             self.log_event(at, rt.node_id, kind, ev.name_bytes, reason)

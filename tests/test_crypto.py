@@ -1,8 +1,14 @@
 import hashlib
 import hmac
+import json
+import os
 import random
 import struct
+import subprocess
+import sys
+import threading
 from collections import OrderedDict
+from functools import partial
 from pathlib import Path
 from unittest import mock
 
@@ -11,7 +17,7 @@ from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ibac import crypto
+from ibac import crypto, scenario
 from ibac.crypto import (
     AuthenticityFailure,
     DecryptFailure,
@@ -308,16 +314,16 @@ def test_empty_batch_rejected():
 
 
 # ---------------------------------------------------------------------------
-# exponentiation engine
+# exponentiation engine: exactly pow, in libcrypto or on the pow fallback
 
 KEY_SIZES = (512, 1024, 2048, 3072)
-over_length = st.integers(min_value=1 << crypto.FIXED_BASE_EXP_BITS, max_value=1 << 600)
+over_length = st.integers(min_value=1 << 256, max_value=1 << 600)
 
 
 @pytest.mark.parametrize("key_bits", KEY_SIZES)
 @settings(max_examples=4, deadline=None)
 @given(data=st.data())
-def test_fixed_base_table_equals_pow(key_bits, data):
+def test_engine_equals_pow_on_random_inputs(key_bits, data):
     group = crypto.signature_group(key_bits)
     base = data.draw(st.integers(min_value=0, max_value=group.p - 1), label="base")
     exponents = [0, group.q - 1, data.draw(over_length, label="over-length")]
@@ -325,50 +331,53 @@ def test_fixed_base_table_equals_pow(key_bits, data):
         st.lists(st.integers(min_value=0, max_value=group.q - 1), min_size=1, max_size=5),
         label="exponents",
     )
-    table = crypto.FixedBaseTable(base, group.p)
     for e in exponents:
-        assert table.power(e) == pow(base, e, group.p)
+        assert crypto.key_power(group, base, e) == pow(base, e, group.p)
         assert crypto.generator_power(group, e) == pow(group.g, e, group.p)
 
 
 @pytest.mark.parametrize("key_bits", KEY_SIZES)
-def test_fixed_base_table_every_byte_at_first_middle_and_last_row(key_bits):
+def test_engine_every_byte_at_first_middle_and_last_position(key_bits):
     group = crypto.signature_group(key_bits)
-    base = group.p - 2
-    table = crypto.FixedBaseTable(base, group.p)
-    # only the nibble entries (d < 16 and multiples of 16) exist before use
-    assert all(sum(x is not None for x in row) == 31 for row in table.rows)
-    for _ in range(2):  # the second pass reads the entries the first one made
-        for i in (0, 15, 31):
-            row_base = pow(base, 1 << 8 * i, group.p)
+    for base, power in (
+        (group.p - 2, lambda e: crypto.key_power(group, group.p - 2, e)),
+        (group.g, lambda e: crypto.generator_power(group, e)),
+    ):
+        for i in (0, 15, 31):  # byte positions of a 256-bit exponent
+            position_base = pow(base, 1 << 8 * i, group.p)
             for d in range(256):
-                assert table.power(d << 8 * i) == pow(row_base, d, group.p)
-    for i, row in enumerate(table.rows):
-        assert len(row) <= 256
-        assert (None in row) == (i not in (0, 15, 31))
+                assert power(d << 8 * i) == pow(position_base, d, group.p)
 
 
 @pytest.mark.parametrize("key_bits", KEY_SIZES)
-def test_fixed_base_table_edge_exponents(key_bits):
+def test_engine_edge_exponents_and_bases(key_bits):
     group = crypto.signature_group(key_bits)
-    table = crypto.FixedBaseTable(group.g, group.p)
-    top = (1 << crypto.FIXED_BASE_EXP_BITS) - 1
+    p, top = group.p, (1 << 256) - 1
     exponents = [
         0,
         1,
+        group.q - 1,
         top,
         top ^ (0xFF << 64),  # one interior zero byte
         top ^ ((1 << 192) - (1 << 8)),  # interior zero bytes 1..23
         (1 << 255) | 1,  # zeros everywhere but the ends
         0x01_00_00_FF_00_7F << 100,
-        1 << crypto.FIXED_BASE_EXP_BITS,  # over-length: the pow fallback
+        1 << 256,  # over-length
         (1 << 300) + 12345,
+        -1,  # negative: an inverse power
+        -(1 << 255),
     ]
-    for e in exponents + exponents:  # repeated calls on one table
-        assert table.power(e) == pow(group.g, e, group.p)
-    for e in (-1, -(1 << 255), -top):  # negative: the pow fallback (an inverse)
-        assert table.power(e) == pow(group.g, e, group.p)
-    assert all(len(row) <= 256 for row in table.rows)
+    for e in exponents + exponents:  # repeated calls reuse the scratch numbers
+        assert crypto.generator_power(group, e) == pow(group.g, e, p)
+    for base in (0, 1, p - 1, p, p + 5, 3 * p + group.g):
+        for e in (0, 1, group.q - 1, 1 << 256, -1):
+            if e < 0 and base % p == 0:  # no inverse: both refuse alike
+                with pytest.raises(ValueError):
+                    pow(base, e, p)
+                with pytest.raises(ValueError):
+                    crypto.key_power(group, base, e)
+                continue
+            assert crypto.key_power(group, base, e) == pow(base, e, p)
 
 
 @pytest.mark.parametrize("key_bits", KEY_SIZES)
@@ -377,11 +386,77 @@ def test_fixed_base_table_edge_exponents(key_bits):
 def test_key_power_equals_pow_before_and_after_its_table(key_bits, data):
     group = crypto.signature_group(key_bits)
     y = data.draw(st.integers(min_value=2, max_value=group.p - 1), label="key")
-    for _ in range(3):  # first use on pow, second builds the table, third reads it
+    for _ in range(3):  # repeated uses of one key
         e = data.draw(st.integers(min_value=0, max_value=group.q - 1), label="e")
         assert crypto.key_power(group, y, e) == pow(y, e, group.p)
     e = data.draw(over_length, label="over-length")
     assert crypto.key_power(group, y, e) == pow(y, e, group.p)
+
+
+def test_the_pow_fallback_reproduces_the_pinned_signature_and_forgery_digest(monkeypatch):
+    # where libcrypto does not load, built-in pow computes every power
+    monkeypatch.setattr(crypto, "_load_libcrypto", lambda: None)
+    monkeypatch.setattr(crypto, "_ENGINES", {})
+    monkeypatch.setattr(crypto, "_ACCEPTED", OrderedDict())  # every check computed
+    m = gen_group(128, 1)
+    sig = sign_payload(m, NAME_BYTES, m.group_id, bytes(range(16)), 1234567890)
+    assert sig == vector("sign_payload_seed1.hex")
+    result, _ = scenario.run_config(scenario.load_bundled("forgery"))
+    log = ("\n".join(result.log_lines) + "\n").encode()
+    digests = json.loads((TESTDATA / "bundled_digests.json").read_text())
+    assert hashlib.sha256(log).hexdigest() == digests["forgery"]
+    assert list(crypto._ENGINES) == [m.group.p]
+    assert isinstance(crypto._ENGINES[m.group.p], partial)
+
+
+def test_importing_crypto_loads_no_library():
+    # perfbench's parent imports ibac, so an import must not grow its RSS
+    src = Path(crypto.__file__).resolve().parents[1]
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    code = (
+        "import sys; from ibac import crypto; "
+        "assert 'ctypes' not in sys.modules, 'ctypes imported'; "
+        "assert crypto._load_libcrypto.cache_info().currsize == 0, 'libcrypto loaded'; "
+        "assert not crypto._ENGINES"
+    )
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, timeout=60)
+    assert (result.returncode, result.stderr) == (0, "")
+
+
+def test_threads_sharing_a_modulus_get_their_own_powers():
+    # every call on a modulus reuses its scratch numbers, which a lock guards
+    group = crypto.signature_group(512)
+    wrong = []
+
+    def work(seed):
+        rng = random.Random(seed)
+        for _ in range(150):
+            base, e = rng.randrange(group.p), rng.randrange(group.q)
+            if crypto.key_power(group, base, e) != pow(base, e, group.p):
+                wrong.append((base, e))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(seed,)) for seed in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="loaded by its Linux soname")
+def test_the_libcrypto_engine_is_active_on_linux():
+    # the pow fallback gives the same values about ten times slower, so only this sees it
+    group = crypto.signature_group(512)
+    assert crypto.generator_power(group, 5) == pow(group.g, 5, group.p)
+    assert not isinstance(crypto._ENGINES[group.p], partial)  # the fallback's
 
 
 @pytest.mark.parametrize("key_bits", KEY_SIZES)
@@ -442,31 +517,6 @@ def test_batch_rejects_corrupted_first_item(key_bits, x_seed, size, rng_seed):
             assert not crypto.schnorr_batch_verify(
                 group, y, [bad] + items[1:], random.Random(seed)
             )
-
-
-@settings(max_examples=3, deadline=None)
-@given(order=st.permutations(range(100)))
-def test_key_tables_stay_within_cap(order):
-    group = crypto.signature_group(512)
-    tables = crypto.KeyTables()
-    for i in order:
-        y = pow(group.g, i + 2, group.p)
-        for e in (i, group.q - 1 - i):  # the second use builds a table
-            assert tables.power(group.p, y, e) == pow(y, e, group.p)
-            assert len(tables.tables) <= crypto.KEY_TABLE_CAP
-            assert len(tables.seen) <= crypto.KEY_SEEN_CAP
-    assert len(tables.tables) == crypto.KEY_TABLE_CAP
-
-
-def test_one_shot_keys_build_no_tables_and_evict_none():
-    group = crypto.signature_group(512)
-    tables = crypto.KeyTables()
-    hot = pow(group.g, 12345, group.p)
-    tables.power(group.p, hot, 1)
-    tables.power(group.p, hot, 2)
-    for i in range(100):
-        tables.power(group.p, pow(group.g, i + 2, group.p), 3)
-    assert list(tables.tables) == [(group.p, hot)]
 
 
 # ---------------------------------------------------------------------------

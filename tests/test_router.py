@@ -376,6 +376,25 @@ def test_batch_mode_timer_requested_for_partial_batch():
     assert verifies == 1
 
 
+def test_a_stale_batch_timer_flushes_nothing():
+    (material,), producer, router, _ = build_world(
+        verify_mode=VerifyMode.batch(batch_size=2, batch_timeout_ms=100)
+    )
+    serve_and_cache(router, producer, fetch(material, rng_seed=1), 1000.0)
+    first, _ = router.on_interest(fetch(material, rng_seed=2), in_iface=0, now=1500.0)
+    (stale,) = [e for e in first if e.kind is EventKind.BATCH_TIMER]
+    full, _ = router.on_interest(fetch(material, rng_seed=3), in_iface=1, now=1501.0)
+    assert [e.kind for e in full] == [EventKind.SERVE_FROM_CACHE] * 2
+    later, _ = router.on_interest(fetch(material, rng_seed=4), in_iface=2, now=1550.0)
+    (timer,) = [e for e in later if e.kind is EventKind.BATCH_TIMER]
+    assert timer.batch_key == stale.batch_key and timer.batch_serial != stale.batch_serial
+    assert router.flush_batch(stale.batch_key, 1600.0, stale.batch_serial) == ([], 0)
+    events, verifies = router.flush_batch(timer.batch_key, 1650.0, timer.batch_serial)
+    assert [(e.kind, e.iface) for e in events] == [(EventKind.SERVE_FROM_CACHE, 2)]
+    assert verifies == 1
+    assert router.flush_batch(timer.batch_key, 1650.0, timer.batch_serial) == ([], 0)
+
+
 def test_batch_mode_fallback_identifies_passers():
     (material,), producer, router, _ = build_world(
         verify_mode=VerifyMode.batch(batch_size=3)

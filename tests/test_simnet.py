@@ -438,6 +438,50 @@ def test_batch_router_in_simulation():
     assert len(flush_serves) == 4
 
 
+def _batch_of_two_at_r1(fetch_times):
+    fetch = {"consumer": "cr1", "name": "/edu/uci/ics/home.html"}
+    return linear_config(
+        nodes=[
+            {"id": "cr1", "role": "consumer", "group": "g1", "mode": "FULL", "scheme": "ENC"},
+            {"id": "r1", "role": "router", "verify_mode": "BATCH", "batch_size": 2,
+             "batch_timeout_ms": 100, "tau_process_s": 0.0005, "tau_verify_s": 0.0005},
+            {"id": "p1", "role": "producer", "prefix": "/edu/uci",
+             "tau_process_s": 0.0005, "tau_verify_s": 0.0005},
+        ],
+        links=[["cr1", "r1", 10], ["r1", "p1", 10]],
+        fetches=[{**fetch, "at_ms": t} for t in fetch_times],
+    )
+
+
+def test_a_batch_flushed_full_leaves_no_timer_for_the_next_queue(monkeypatch):
+    # the first queue fills at 1015 ms and is flushed; its timer, due at
+    # 1110 ms, used to flush the next queue 50 ms early, and that queue's
+    # own timer then ran a service on an empty queue
+    services = []
+    router_done = simnet.Simulation._router_done
+
+    def recording(self, rt, at, events):
+        services.append((rt.node_id, at, len(events)))
+        router_done(self, rt, at, events)
+
+    monkeypatch.setattr(simnet.Simulation, "_router_done", recording)
+    result, _ = run_config(_batch_of_two_at_r1([0, 1000, 1005, 1050]))
+    served = [float(r[0]) for r in _lines(result, "r1", "cs_hit_served")]
+    assert served == [1016.0, 1016.0, 1160.5]
+    assert len(result.deliveries) == 4
+    assert all(count for node, _, count in services if node == "r1")
+
+
+def test_a_stale_timer_queued_behind_a_service_lets_the_next_one_start():
+    # the stale timer fires at 1110 ms while r1 serves the hit that arrived
+    # at 1109.6, and the hit arriving at 1110.05 queues behind it; at
+    # 1110.1 the timer starts no service and that hit starts at once
+    result, _ = run_config(_batch_of_two_at_r1([0, 1000, 1005, 1099.6, 1100.05]))
+    served = [float(r[0]) for r in _lines(result, "r1", "cs_hit_served")]
+    assert served == [1016.0, 1016.0, 1111.1, 1111.1]
+    assert len(result.deliveries) == 5
+
+
 def test_pit_expiry_drops_silently():
     # producer missing the content: interest dies upstream, pit entry ages out
     cfg = linear_config(
