@@ -32,13 +32,26 @@ at most 2^-64.  ``R_i`` is only range-checked, so a signer can submit an
 verification yet passes a batch with fair probability; the repair is open
 (ROADMAP item 3).
 
-Exponentiation engine.  Every modular power here (``g^e``, ``y^e``, the
-batch product and the private-key power of group-id decryption) is
-``_power``, which returns exactly what built-in ``pow`` returns.  For a
-group modulus it calls ``BN_mod_exp_mont`` through ``ctypes`` in the
+Exponentiation engine.  Every modular power here is ``_power`` (one
+base) or ``_power2`` (the product of two powers), which return exactly
+what built-in ``pow`` returns.  For a group modulus they call
+``BN_mod_exp_mont`` and ``BN_mod_exp2_mont`` through ``ctypes`` in the
 libcrypto that CPython's ``hashlib`` links, loaded by soname on the first
-power, not at import; where none loads, and for a negative exponent,
-``pow`` does the work.
+power, not at import; ``BN_mod_exp2_mont`` interleaves both powers in one
+pass of squarings (Shamir's trick, the two-base case of Straus).  Where
+no libcrypto loads, for a negative exponent, and for a two-base power
+with a base ``0 mod p`` (which ``BN_mod_exp2_mont`` answers with 0 even
+when its exponent is 0, where ``pow``'s ``0^0`` is 1), ``pow`` does the
+work.  Each Schnorr equation is one two-base power:
+
+* ``g^e`` is ``g^(e mod 2^128) * G^(e >> 128)`` with ``G = g^(2^128)``
+  computed once per group (Lim-Lee), so signing, key generation and
+  group-id encryption square 128 times, not 256;
+* verification checks ``g^s * (y^-1)^e == R``, which is ``g^s == R * y^e``
+  multiplied by the invertible ``y^-e``; ``y^-1`` is computed once per
+  key, and a ``y`` that is ``0 mod p`` keeps the textbook equation;
+* a batch checks its ``g``/``y`` pair the same way and pairs its
+  ``R_i^{z_i}`` terms two per pass.
 
 Accepted payload checks.  In a simulated network every node that serves
 an interest checks its payload, so one payload is checked at the
@@ -54,8 +67,9 @@ node's ``tau_verify`` for it, so only real CPU falls.  Only acceptances
 are kept, so forged or probing traffic can neither fill the table nor
 evict from it; past ``ACCEPTED_CAP`` entries the oldest goes.
 ``schnorr_verify``, ``schnorr_batch_verify`` and ``batch_verify`` keep
-nothing: benchmarks time repeated identical items through them, and a
-batch's ``z`` draws are part of the simulator's determinism.
+no verdicts (only each key's inverse): benchmarks time repeated identical
+items through them, and a batch's ``z`` draws are part of the
+simulator's determinism.
 """
 
 from __future__ import annotations
@@ -192,6 +206,7 @@ def _load_libcrypto():
         "BN_bin2bn": (ptr, [data, size, ptr]),
         "BN_bn2binpad": (size, [ptr, ctypes.POINTER(ctypes.c_ubyte), size]),
         "BN_mod_exp_mont": (size, [ptr, ptr, ptr, ptr, ptr, ptr]),
+        "BN_mod_exp2_mont": (size, [ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr]),
     }
     for soname in LIBCRYPTO_SONAMES:
         try:
@@ -205,19 +220,29 @@ def _load_libcrypto():
     return None
 
 
+def _pow2(b1: int, e1: int, b2: int, e2: int, p: int) -> int:
+    return pow(b1, e1, p) * pow(b2, e2, p) % p
+
+
 def _montgomery(lib, p: int):
-    """``power(b, e)``, exactly ``pow(b, e, p)``, by libcrypto's
-    ``BN_mod_exp_mont`` with one Montgomery context for the odd modulus
-    ``p``.  Every call reuses three scratch BIGNUMs and one output buffer,
-    under a lock, so calls from two threads cannot interleave."""
+    """``(power, power2)`` for the odd modulus ``p``: ``power(b, e)`` is
+    exactly ``pow(b, e, p)``, by libcrypto's ``BN_mod_exp_mont``, and
+    ``power2(b1, e1, b2, e2)`` is exactly ``_pow2(b1, e1, b2, e2, p)``, by
+    ``BN_mod_exp2_mont``, which interleaves both powers in one pass of
+    squarings.  Both share one Montgomery context, five scratch BIGNUMs and
+    one output buffer, under one lock, so calls from two threads cannot
+    interleave."""
     import ctypes
 
     size = (p.bit_length() + 7) // 8
-    bin2bn, bn2bin, mod_exp = lib.BN_bin2bn, lib.BN_bn2binpad, lib.BN_mod_exp_mont
+    bin2bn, bn2bin = lib.BN_bin2bn, lib.BN_bn2binpad
+    mod_exp, mod_exp2 = lib.BN_mod_exp_mont, lib.BN_mod_exp2_mont
     ctx, mont = lib.BN_CTX_new(), lib.BN_MONT_CTX_new()
-    base, exp, result = lib.BN_new(), lib.BN_new(), lib.BN_new()
+    base, exp, base2, exp2, result = (lib.BN_new() for _ in range(5))
     m = bin2bn(p.to_bytes(size, "big"), size, None)
-    if None in (ctx, mont, base, exp, result, m) or not lib.BN_MONT_CTX_set(mont, m, ctx):
+    if None in (ctx, mont, base, exp, base2, exp2, result, m) or not lib.BN_MONT_CTX_set(
+        mont, m, ctx
+    ):
         raise CryptoError("libcrypto could not set up a Montgomery context")
     out = bytearray(size)
     out_ptr = (ctypes.c_ubyte * size).from_buffer(out)
@@ -239,28 +264,72 @@ def _montgomery(lib, p: int):
                 raise CryptoError("libcrypto BN_mod_exp_mont failed")
             return int.from_bytes(out, "big")
 
-    return power
+    def power2(b1: int, e1: int, b2: int, e2: int) -> int:
+        if not 0 < b1 < p:
+            b1 %= p
+        if not 0 < b2 < p:
+            b2 %= p
+        # BN_mod_exp2_mont takes no inverse power, and answers 0 for a zero
+        # base even when its exponent is 0, where pow's 0^0 is 1
+        if e1 < 0 or e2 < 0 or not b1 or not b2:
+            return _pow2(b1, e1, b2, e2, p)
+        eb1 = e1.to_bytes((e1.bit_length() + 7) // 8, "big")
+        eb2 = e2.to_bytes((e2.bit_length() + 7) // 8, "big")
+        with lock:
+            if (
+                bin2bn(b1.to_bytes(size, "big"), size, base) is None
+                or bin2bn(eb1, len(eb1), exp) is None
+                or bin2bn(b2.to_bytes(size, "big"), size, base2) is None
+                or bin2bn(eb2, len(eb2), exp2) is None
+                or not mod_exp2(result, base, exp, base2, exp2, m, ctx, mont)
+                or bn2bin(result, out_ptr, size) != size
+            ):
+                raise CryptoError("libcrypto BN_mod_exp2_mont failed")
+            return int.from_bytes(out, "big")
+
+    return power, power2
 
 
 _MODULI = frozenset(p for p, _, _ in _GROUP_PARAMS.values())
-_ENGINES: dict = {}  # group modulus -> its power(b, e), made on first use
+_ENGINES: dict = {}  # group modulus -> its (power, power2), made on first use
+
+
+def _engine(p: int):
+    """``(power, power2)`` for modulus ``p``: in libcrypto for a group
+    modulus where libcrypto loads, by built-in ``pow`` otherwise."""
+    fallback = (partial(pow, mod=p), partial(_pow2, p=p))
+    if p not in _MODULI:
+        return fallback
+    lib = _load_libcrypto()
+    engine = _ENGINES[p] = _montgomery(lib, p) if lib else fallback
+    return engine
 
 
 def _power(b: int, e: int, p: int) -> int:
-    """Exactly ``pow(b, e, p)``: in libcrypto for a group modulus where
-    libcrypto loads, and by built-in ``pow`` otherwise."""
-    engine = _ENGINES.get(p)
-    if engine is None:
-        if p not in _MODULI:
-            return pow(b, e, p)
-        lib = _load_libcrypto()
-        engine = _ENGINES[p] = _montgomery(lib, p) if lib else partial(pow, mod=p)
-    return engine(b, e)
+    """Exactly ``pow(b, e, p)``."""
+    return (_ENGINES.get(p) or _engine(p))[0](b, e)
+
+
+def _power2(b1: int, e1: int, b2: int, e2: int, p: int) -> int:
+    """Exactly ``pow(b1, e1, p) * pow(b2, e2, p) % p``, in one pass."""
+    return (_ENGINES.get(p) or _engine(p))[1](b1, e1, b2, e2)
+
+
+_SPLIT_BITS = 128  # generator exponents are split into halves of this many bits
+_SPLIT_MASK = (1 << _SPLIT_BITS) - 1
+
+
+@lru_cache(maxsize=16)
+def _split_base(g: int, p: int) -> int:
+    """``g^(2^_SPLIT_BITS) mod p``, once per group."""
+    return _power(g, 1 << _SPLIT_BITS, p)
 
 
 def generator_power(group: SignatureGroup, e: int) -> int:
-    """``g^e mod p``."""
-    return _power(group.g, e, group.p)
+    """``g^e mod p``, as ``g^(e mod 2^128) * G^(e >> 128)`` with
+    ``G = g^(2^128)``: two half-length exponents in one pass."""
+    g, p = group.g, group.p
+    return _power2(g, e & _SPLIT_MASK, _split_base(g, p), e >> _SPLIT_BITS, p)
 
 
 def key_power(group: SignatureGroup, y: int, e: int) -> int:
@@ -268,11 +337,31 @@ def key_power(group: SignatureGroup, y: int, e: int) -> int:
     return _power(y, e, group.p)
 
 
+@lru_cache(maxsize=256)
+def _key_inverse(y: int, p: int) -> int:
+    """``y^-1 mod p`` for a public key ``y`` not ``0 mod p``, once per key."""
+    return pow(y, -1, p)
+
+
+def schnorr_equation(group: SignatureGroup, y: int, s: int, e: int, big_r: int) -> bool:
+    """Whether ``g^s == R * y^e (mod p)``.
+
+    For ``y != 0 (mod p)`` both sides are multiplied by ``y^-e``, so the
+    check is ``g^s * (y^-1)^e == R``: one two-base power, exact because
+    ``y`` is invertible.  A zero ``y`` keeps the textbook equation."""
+    p = group.p
+    if not y % p:
+        return generator_power(group, s) == big_r * _power(y, e, p) % p
+    return _power2(group.g, s, _key_inverse(y, p), e, p) == big_r % p
+
+
 def multi_power(pairs, p: int) -> int:
-    """``prod b^z mod p`` over ``(b, z)`` pairs with ``z >= 0``."""
-    acc = 1
-    for b, z in pairs:
-        acc = acc * _power(b, z, p) % p
+    """``prod b^z mod p`` over ``(b, z)`` pairs with ``z >= 0``, two terms
+    per pass (Straus)."""
+    pairs = list(pairs)
+    acc = _power(*pairs[-1], p) if len(pairs) % 2 else 1
+    for (b1, z1), (b2, z2) in zip(pairs[::2], pairs[1::2]):
+        acc = acc * _power2(b1, z1, b2, z2, p) % p
     return acc
 
 
@@ -488,8 +577,7 @@ def schnorr_verify(group: SignatureGroup, y: int, message: bytes, sig: bytes) ->
     if parsed is None:
         return False
     big_r, s, rb = parsed
-    e = _challenge(group, rb, y, message)
-    return generator_power(group, s) == big_r * key_power(group, y, e) % group.p
+    return schnorr_equation(group, y, s, _challenge(group, rb, y, message), big_r)
 
 
 def schnorr_batch_verify(
@@ -526,8 +614,7 @@ def schnorr_batch_verify(
         s_sum = (s_sum + z * s) % group.q
         e_sum = (e_sum + z * _challenge(group, rb, y, message)) % group.q
     rhs = first_r * multi_power(weighted_r, group.p) % group.p
-    rhs = rhs * key_power(group, y, e_sum) % group.p
-    return generator_power(group, s_sum) == rhs
+    return schnorr_equation(group, y, s_sum, e_sum, rhs)
 
 
 # ---------------------------------------------------------------------------

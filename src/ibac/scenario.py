@@ -790,11 +790,9 @@ def run_sweep(config: ScenarioConfig) -> tuple[list[SweepPoint], list[RunResult]
             delta,
             t0=config.traffic.start_ms,
         )
+        served = [config.sweep.router, "cs_hit_served"]  # (node, kind) fields
         completions = sum(
-            1
-            for line in result.log_lines
-            if line.split("\t")[1] == config.sweep.router
-            and line.split("\t")[2] == "cs_hit_served"
+            1 for line in result.log_lines if line.split("\t", 3)[1:3] == served
         )
         points.append(SweepPoint(delta, mu, measured, completions))
         results.append(result)

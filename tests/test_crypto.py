@@ -393,8 +393,106 @@ def test_key_power_equals_pow_before_and_after_its_table(key_bits, data):
     assert crypto.key_power(group, y, e) == pow(y, e, group.p)
 
 
+def two_pow(b1, e1, b2, e2, p):
+    return pow(b1, e1, p) * pow(b2, e2, p) % p
+
+
+@pytest.mark.parametrize("key_bits", KEY_SIZES)
+@settings(max_examples=4, deadline=None)
+@given(data=st.data())
+def test_two_base_power_equals_pow_on_random_inputs(key_bits, data):
+    group = crypto.signature_group(key_bits)
+    p = group.p
+    bases = st.integers(min_value=0, max_value=p - 1)
+    exponents = st.one_of(
+        st.integers(min_value=0, max_value=group.q - 1),
+        st.integers(min_value=0, max_value=(1 << crypto.BATCH_Z_BITS) - 1),
+        over_length,
+    )
+    for _ in range(3):
+        b1, b2 = data.draw(bases, label="b1"), data.draw(bases, label="b2")
+        e1, e2 = data.draw(exponents, label="e1"), data.draw(exponents, label="e2")
+        assert crypto._power2(b1, e1, b2, e2, p) == two_pow(b1, e1, b2, e2, p)
+
+
+@pytest.mark.parametrize("key_bits", KEY_SIZES)
+def test_two_base_power_edge_bases_and_exponents(key_bits):
+    # BN_mod_exp2_mont answers 0 for a zero base whatever its exponent, so
+    # 0^0 in either slot must still read 1, as it does in pow
+    group = crypto.signature_group(key_bits)
+    p = group.p
+    bases = (0, 1, p - 1, p, p + 5, 3 * p + group.g)
+    exponents = (0, 1, group.q - 1, 1 << 256, (1 << 64) - 1, -1)
+    for b1 in bases:
+        for e1 in exponents:
+            for b2 in bases:
+                for e2 in exponents:
+                    if (e1 < 0 and b1 % p == 0) or (e2 < 0 and b2 % p == 0):
+                        with pytest.raises(ValueError):  # no inverse: both refuse
+                            two_pow(b1, e1, b2, e2, p)
+                        with pytest.raises(ValueError):
+                            crypto._power2(b1, e1, b2, e2, p)
+                        continue
+                    assert crypto._power2(b1, e1, b2, e2, p) == two_pow(b1, e1, b2, e2, p)
+
+
+def textbook_verdict(group, y, message, sig):
+    """``g^s == R * y^e (mod p)``, written from the group equations."""
+    eb = group.element_bytes
+    if len(sig) != eb + 32:
+        return False
+    big_r, s = int.from_bytes(sig[:eb], "big"), int.from_bytes(sig[eb:], "big")
+    if not (1 <= big_r < group.p and 0 <= s < group.q):
+        return False
+    digest = hashlib.sha256(sig[:eb] + y.to_bytes(eb, "big") + message).digest()
+    e = int.from_bytes(digest, "big") % group.q
+    return pow(group.g, s, group.p) == big_r * pow(y, e, group.p) % group.p
+
+
+VERIFY_CASES = ("valid", "forged", "negated key", "random key", "zero key", "key p")
+
+
+@pytest.mark.parametrize("key_bits", KEY_SIZES)
+@settings(max_examples=12, deadline=None)
+@given(
+    x_seed=st.integers(min_value=0, max_value=(1 << 64) - 1),
+    message=st.binary(max_size=24),
+    case=st.sampled_from(VERIFY_CASES),
+    tweak=st.integers(min_value=0, max_value=1 << 16),
+)
+def test_schnorr_verify_agrees_with_the_textbook_equation(key_bits, x_seed, message, case, tweak):
+    # verification checks g^s * (y^-1)^e == R, which must give the verdict of
+    # g^s == R * y^e for every key, in the subgroup or not, and for y = 0 mod p
+    group = crypto.signature_group(key_bits)
+    p = group.p
+    x = x_seed % (group.q - 1) + 1
+    y = pow(group.g, x, p)
+    if case == "negated key":  # -g^x has order 2q; an honest signature passes iff e is even
+        y = p - y
+    elif case == "random key":
+        y = random.Random(tweak).randrange(2, p - 1)
+    elif case == "zero key":
+        y = 0
+    elif case == "key p":
+        y = p
+    sig = crypto.schnorr_sign(group, x, message, y)
+    if case == "forged":
+        flipped = bytearray(sig)
+        flipped[tweak % len(sig)] ^= 1 << (tweak % 8)
+        sig = bytes(flipped)
+    verdict = crypto.schnorr_verify(group, y, message, sig)
+    assert verdict == textbook_verdict(group, y, message, sig)
+    if case == "valid":
+        assert verdict
+
+
 def test_the_pow_fallback_reproduces_the_pinned_signature_and_forgery_digest(monkeypatch):
     # where libcrypto does not load, built-in pow computes every power
+    # where libcrypto does not load, built-in pow computes every power, the
+    # two-base ones (signing, verification, batch pairs) included
+    two_base = []
+    pow2 = crypto._pow2
+    monkeypatch.setattr(crypto, "_pow2", lambda *a, p: two_base.append(p) or pow2(*a, p))
     monkeypatch.setattr(crypto, "_load_libcrypto", lambda: None)
     monkeypatch.setattr(crypto, "_ENGINES", {})
     monkeypatch.setattr(crypto, "_ACCEPTED", OrderedDict())  # every check computed
@@ -406,7 +504,9 @@ def test_the_pow_fallback_reproduces_the_pinned_signature_and_forgery_digest(mon
     digests = json.loads((TESTDATA / "bundled_digests.json").read_text())
     assert hashlib.sha256(log).hexdigest() == digests["forgery"]
     assert list(crypto._ENGINES) == [m.group.p]
-    assert isinstance(crypto._ENGINES[m.group.p], partial)
+    power, power2 = crypto._ENGINES[m.group.p]
+    assert isinstance(power, partial) and isinstance(power2, partial)
+    assert two_base and set(two_base) == {m.group.p}
 
 
 def test_importing_crypto_loads_no_library():
@@ -426,7 +526,8 @@ def test_importing_crypto_loads_no_library():
 
 
 def test_threads_sharing_a_modulus_get_their_own_powers():
-    # every call on a modulus reuses its scratch numbers, which a lock guards
+    # every call on a modulus, one-base or two-base, reuses its scratch
+    # numbers, which one lock guards
     group = crypto.signature_group(512)
     wrong = []
 
@@ -436,6 +537,9 @@ def test_threads_sharing_a_modulus_get_their_own_powers():
             base, e = rng.randrange(group.p), rng.randrange(group.q)
             if crypto.key_power(group, base, e) != pow(base, e, group.p):
                 wrong.append((base, e))
+            b2, e2 = rng.randrange(1, group.p), rng.randrange(group.q)
+            if crypto._power2(base, e, b2, e2, group.p) != two_pow(base, e, b2, e2, group.p):
+                wrong.append((base, e, b2, e2))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -471,14 +575,17 @@ def test_straus_product_equals_plain_product(key_bits, data):
                 st.integers(min_value=0, max_value=group.p - 1),
                 st.one_of(st.integers(min_value=0, max_value=z_max), st.sampled_from([0, 1, z_max])),
             ),
+            min_size=1,
             max_size=6,
         ),
         label="pairs",
     )
-    expected = 1
-    for b, z in pairs:
-        expected = expected * pow(b, z, group.p) % group.p
-    assert crypto.multi_power(pairs, group.p) == expected
+    # terms are paired two per pass, so check an odd and an even count
+    for terms in (pairs, pairs[:-1]):
+        expected = 1
+        for b, z in terms:
+            expected = expected * pow(b, z, group.p) % group.p
+        assert crypto.multi_power(terms, group.p) == expected
 
 
 @pytest.mark.parametrize("key_bits", KEY_SIZES)
@@ -616,11 +723,11 @@ def test_the_oldest_acceptance_is_evicted_at_the_cap(monkeypatch):
 def test_schnorr_verify_remembers_nothing(monkeypatch):
     # timed callers (acceptance 7, ``ibac bench``) repeat identical items, so
     # every call must do the work
-    powers = []
-    real = crypto.generator_power
-    monkeypatch.setattr(crypto, "generator_power", lambda *a: powers.append(a) or real(*a))
+    equations = []
+    real = crypto.schnorr_equation
+    monkeypatch.setattr(crypto, "schnorr_equation", lambda *a: equations.append(a) or real(*a))
     group, y, name, gid, nonce, ts, sig = SIGNED[0]
     message = crypto._signing_message(name, gid, nonce, ts)
     assert crypto.schnorr_verify(group, y, message, sig)
     assert crypto.schnorr_verify(group, y, message, sig)
-    assert len(powers) == 2
+    assert len(equations) == 2

@@ -449,9 +449,9 @@ def test_a_failed_batch_of_one_is_not_checked_again(monkeypatch):
     enqueued, _ = router.on_interest(forged, in_iface=4, now=1500.0)
     (timer,) = [e for e in enqueued if e.kind is EventKind.BATCH_TIMER]
     equations = []
-    generator_power = crypto.generator_power
+    schnorr_equation = crypto.schnorr_equation
     monkeypatch.setattr(
-        crypto, "generator_power", lambda *args: equations.append(args) or generator_power(*args)
+        crypto, "schnorr_equation", lambda *args: equations.append(args) or schnorr_equation(*args)
     )
     events, verifies = router.flush_batch(timer.batch_key, 1600.0)
     assert answer(events) == [(EventKind.DROP_INTEREST, 4, forged, FailReason.BAD_SIGNATURE)]
