@@ -152,7 +152,6 @@ class ScenarioConfig:
     # the expiry sweep reschedules itself this far ahead; at 0 it never ends
     expiry_sweep_ms: float = declare(Num(0, MAX_MS, strict=True, what="positive"), 500.0)
     encrypted_group_ids: bool = declare(BOOL, False)
-    record_wire: bool = declare(BOOL, False)
     nodes: list[NodeSpec] = declare(Records(NodeSpec), factory=list)
     links: list[LinkSpec] = declare(Records(LinkSpec), factory=list)
     groups: list[GroupSpec] = declare(Records(GroupSpec), factory=list)
@@ -522,7 +521,6 @@ def build(config: ScenarioConfig) -> tuple[Simulation, BuildInfo]:
         seed=config.seed,
         horizon_ms=config.duration_ms,
         expiry_sweep_ms=config.expiry_sweep_ms,
-        record_wire=config.record_wire,
     )
     materials = {g.id: crypto.gen_group(config.kappa, g.seed) for g in config.groups}
 

@@ -1,6 +1,6 @@
 """Deterministic discrete-event network simulator.
 
-Nodes exchange encoded messages over fixed-latency links.  Routers and
+Nodes exchange message records over fixed-latency links.  Routers and
 producers serve one message at a time: a message's handler runs at its
 service start (arrival or the end of the previous service, whichever is
 later) and its effects leave the node at service completion, which costs
@@ -33,25 +33,25 @@ shot pops exactly where queueing all of them up front would, ties
 included, while the heap holds one shot per action.  The shots carry a
 ``_ShotChain``: what they all share, resolved when the action starts --
 the target interface, the ``KIND#index`` reason and, for a name probe, a
-``wire.SuffixTemplate``.  The template is made from a name built by the
+``wire.SuffixTemplate``, and for a probe of captured names the first
+capture of each.  The template is made from a name built by the
 ``ObfuscatedName`` constructor, which checks the probe's prefix and scheme
 once; each random probe then draws its suffix, and the template joins it
-to fixed bytes into a name whose bytes are memoised; the interest's own
-bytes are made only if read.  The adversary's ``pending`` maps each probe
-name to the action's one shared ``(kind, index)``, and holds a list only
-for a name pending more than once.
+to fixed bytes into a name whose bytes are memoised.  The adversary's
+``pending`` maps each probe name to the action's one shared ``(kind,
+index)``, and holds a list only for a name pending more than once.
 
-Links carry records, and a message's bytes are made only where they are
-read.  Every sender -- a consumer's fetch, a producer's content, a
-router's forward or cache serve, an adversary's probe, forgery or replay
--- passes the record it holds to ``_send``, which encodes it only for a
-tapping adversary's capture or for the ``record_wire`` trace.  Every
-record's bytes decode to an equal record (see ``wire``), so the receiver
-and each capture take the record that was sent, and a run decodes
-nothing.  Every origin builds its record around a name whose bytes are
-memoised (``name._wire``): the consumer encodes the names it makes, a
-probe's template joins its name's bytes, and every other name crossed a
-link.  So receivers, routers and producers read name bytes off the name.
+Links carry records only, and a run encodes and decodes no message.
+Every sender -- a consumer's fetch, a producer's content, a router's
+forward or cache serve, an adversary's probe, forgery or replay -- passes
+the record it holds to ``_send``, and the receiver takes that record.  A
+tap appends the ``Interest`` itself to each tapping adversary's
+``captures``.  Every record's bytes decode to an equal record (see
+``wire``), so a record stands for the bytes a real link would carry.
+Every origin builds its record around a name whose bytes are memoised
+(``name._wire``): the consumer encodes the names it makes, a probe's
+template joins its name's bytes, and every other name crossed a link.
+So receivers, routers and producers read name bytes off the name.
 
 A node that refuses an interest which came from a router, for a reason
 that depends on the record's payload (``PAYLOAD_REFUSALS``), sends a
@@ -121,7 +121,6 @@ from .wire import (
     PrefixMismatch,
     SchemeTag,
     SuffixTemplate,
-    encode_message,
     encode_name,
     longest_prefix_match,
     suffix,
@@ -236,13 +235,7 @@ class _ShotChain:
     reason: str  # the ``int_sent`` line's reason, ``KIND#index``
     probe: SuffixTemplate | None  # a NAME_PROBE's random-name interests
     tag: tuple  # ``(kind, index)``, each shot's pending entry
-
-
-@dataclass
-class _Capture:
-    time_ms: float
-    wire: bytes
-    message: Interest  # the record sent, whose bytes are ``wire``
+    captured: list  # a NAME_PROBE's first capture of each name, else empty
 
 
 @dataclass
@@ -255,7 +248,7 @@ class _ConsumerState:
 @dataclass
 class _AdversaryState:
     material: crypto.GroupKeyMaterial
-    captures: list = field(default_factory=list)
+    captures: list = field(default_factory=list)  # tapped Interests, in order
     pending: dict = field(default_factory=dict)  # name bytes -> (kind, idx), or a list of them
     attempts: Counter = field(default_factory=Counter)
     successes: Counter = field(default_factory=Counter)
@@ -290,7 +283,6 @@ class RunResult:
     attacks: list[AttackStat]
     captured_probe_outcomes: dict
     conservation: dict
-    wire_trace: list
     nodes: dict
 
     @functools.cached_property
@@ -350,7 +342,6 @@ class Simulation:
         seed: int = 0,
         horizon_ms: float = 60_000.0,
         expiry_sweep_ms: float = 500.0,
-        record_wire: bool = False,
     ):
         if not (isinstance(expiry_sweep_ms, (int, float)) and expiry_sweep_ms > 0):
             # the sweep reschedules itself this far ahead; at 0 it never ends
@@ -359,7 +350,6 @@ class Simulation:
         self.rng = random.Random(seed)
         self.horizon_ms = horizon_ms
         self.expiry_sweep_ms = expiry_sweep_ms
-        self.record_wire = record_wire
         self.now = 0.0
         self._ran = False
         self._queue: list = []
@@ -375,7 +365,6 @@ class Simulation:
         self.drops: Counter = Counter()
         self.producer_counts: dict[str, dict[bytes, int]] = {}
         self.deliveries: list[Delivery] = []
-        self.wire_trace: list = []
 
     # -- construction -----------------------------------------------------
 
@@ -567,18 +556,12 @@ class Simulation:
         )
 
     def _send(self, rt: _NodeRuntime, iface: int, message, t: float) -> None:
-        """Put ``message`` on the link; its bytes are made only for a tap's
-        capture or the wire trace, which read them."""
+        """Put ``message`` on the link; a tapping adversary captures an
+        interest as the record sent."""
         peer, latency, arrival_iface, taps = rt.ifaces[iface]
-        tapped = taps and isinstance(message, Interest)
-        if tapped or self.record_wire:
-            wire = encode_message(message)
-            if self.record_wire:
-                self.wire_trace.append((t, rt.node_id, peer.node_id, wire))
-            if tapped:
-                capture = _Capture(t, wire, message)
-                for adversary in taps:
-                    adversary.obj.captures.append(capture)
+        if taps and isinstance(message, Interest):
+            for adversary in taps:
+                adversary.obj.captures.append(message)
         self._seq += 1
         args = (arrival_iface, message)
         heapq.heappush(self._queue, (t + latency, self._seq, peer.arrive, peer, args))
@@ -783,6 +766,7 @@ class Simulation:
         action = self.actions[index]
         shots = action.count
         probe = None
+        captured = []
         if action.kind == NAME_PROBE:
             # the constructor checks the prefix and scheme, once per action
             probe = SuffixTemplate(
@@ -793,23 +777,24 @@ class Simulation:
                 )
             )
             if action.include_captured:
-                shots += len(self._first_capture_of_each_name(rt.obj))
+                captured = self._first_capture_of_each_name(rt.obj)
+                shots += len(captured)
         target_iface = rt.iface_to.get(action.target)
         reason = f"{action.kind}#{index}"
         chain = _ShotChain(
             index, action, shots, t, self._seq + 1, target_iface, reason, probe,
-            (action.kind, index),
+            (action.kind, index), captured,
         )
         self._seq += shots
         if shots:
             heapq.heappush(self._queue, (t, chain.first_seq, self._do_shot, rt, (chain, 0)))
 
     @staticmethod
-    def _first_capture_of_each_name(state: _AdversaryState) -> list[_Capture]:
+    def _first_capture_of_each_name(state: _AdversaryState) -> list[Interest]:
         """The first capture of each distinct name, in order of capture."""
-        seen: dict[bytes, _Capture] = {}
+        seen: dict[bytes, Interest] = {}
         for capture in state.captures:
-            seen.setdefault(capture.message.name._wire, capture)
+            seen.setdefault(capture.name._wire, capture)
         return list(seen.values())
 
     def _select_capture(self, state: _AdversaryState, action: AdversaryAction, shot: int):
@@ -837,18 +822,16 @@ class Simulation:
             message = chain.probe.interest(self.rng.getrandbits(size * 8).to_bytes(size, "big"))
             name_bytes = message.name._wire
         elif kind in (REPLAY_SAME_PATH, REPLAY_CROSS_PATH):
-            capture = self._select_capture(state, action, shot)
-            if capture is None:
+            message = self._select_capture(state, action, shot)
+            if message is None:
                 self.log_event(t, rt.node_id, "adv_noop", b"", "no capture")
                 return
-            message = capture.message
             name_bytes = message.name._wire
         elif kind == FORGE_PAYLOAD:
-            capture = self._select_capture(state, action, shot)
-            if capture is None:
+            base = self._select_capture(state, action, shot)
+            if base is None:
                 self.log_event(t, rt.node_id, "adv_noop", b"", "no capture")
                 return
-            base = capture.message
             name_bytes = base.name._wire
             group_id = (
                 base.payload.group_id if base.payload else state.material.group_id
@@ -864,11 +847,7 @@ class Simulation:
                 ),
             )
         else:  # NAME_PROBE at a captured name
-            distinct = self._first_capture_of_each_name(state)
-            position = shot - action.count
-            if position >= len(distinct):
-                return
-            base = distinct[position].message
+            base = chain.captured[shot - action.count]
             message = Interest(base.name)  # name only: payload stripped
             name_bytes = base.name._wire
             state.captured_probe_outcomes.setdefault(name_bytes.hex(), 0)
@@ -972,6 +951,5 @@ class Simulation:
             attacks=attacks,
             captured_probe_outcomes=captured_outcomes,
             conservation=conservation,
-            wire_trace=self.wire_trace,
             nodes={node_id: rt.obj for node_id, rt in self.nodes.items()},
         )

@@ -31,35 +31,36 @@ obfuscated name travels as its cleartext prefix components followed by one
 ObfuscatedComponent and a SchemeTag; the obfuscated suffix is a single
 opaque component whose display form is lowercase hex.
 
-Records carry their bytes.  A message holds its encoding in a private
-``_wire`` field: a decoder sets it to the exact input, and
-``encode_interest`` / ``encode_content`` memoise their output there, so a
-record is encoded at most once and a decoded one never.  A name keeps its
-Name TLV the same way, memoised by ``encode_name`` or set by the decoder.
-``msg._wire is data`` always means ``decode_message(data) == msg``:
+Names carry their bytes; messages do not.  A name holds its Name TLV in a
+private ``_wire`` field: ``encode_name`` memoises its output there and a
+decoder sets it to the exact input slice, so a name is encoded at most
+once and a decoded one never.  Routers, producers and consumers key their
+PIT, CS and nonce state on these bytes.  ``name._wire is data`` always
+means the Name TLV ``data`` decodes to an equal name:
 
-* for decoded records because the encoding is canonical: every input the
+* for decoded names because the encoding is canonical: every input the
   decoders accept is the one encoding of the record they return, so
   decode then encode is the identity;
-* for built records because the constructors reject every field value the
-  decoders reject (a scheme tag that is not a ``SchemeTag``, an encrypted
-  flag that is not a bool) and normalise sequences to the tuples the
-  decoders return.  Every field of a record travels, so every record's
-  bytes decode to an equal record.
+* for built names because the constructors reject every field value the
+  decoders reject (a scheme tag that is not a ``SchemeTag``) and
+  normalise sequences to the tuples the decoders return.
 
 The field takes no part in equality, hashing or ``repr``, and
-``dataclasses.replace`` drops it.  Interests, obfuscated names and NACKs
-keep their fields in slots: a router's PIT holds every interest it
-forwarded until the entry resolves, thousands of them under a flood of
-random names.  Nothing here encodes a record until
-asked, so a holder of records that never needs their bytes never makes
-them.  ``encode_name`` builds the component TLVs of each routable prefix
-once and keeps one tag TLV per scheme, so encoding a fresh obfuscated
-name costs its suffix alone.  A ``SuffixTemplate`` goes further for a run
-of name-only interests under one prefix and scheme with suffixes of one
-length: it checks and encodes the first name, and each further interest's
-name is its suffix joined to fixed bytes; the interest's own bytes wait
-for ``encode_interest``.
+``dataclasses.replace`` drops it.  An ``Interest``, ``ContentObject`` or
+``Nack`` keeps no bytes: the encoders build a message's TLV on each call,
+reusing its name's, and the decoders keep nothing of their input but the
+names.  The constructors check and normalise message fields as they do
+names' (an encrypted flag that is not a bool is refused), and every field
+travels, so every record's bytes decode to an equal record.  Interests,
+obfuscated names and NACKs keep their fields in slots: a router's PIT
+holds every interest it forwarded until the entry resolves, thousands of
+them under a flood of random names.  ``encode_name`` builds the
+component TLVs of each routable prefix once and keeps one tag TLV per
+scheme, so encoding a fresh obfuscated name costs its suffix alone.  A
+``SuffixTemplate`` goes further for a run of name-only interests under
+one prefix and scheme with suffixes of one length: it checks and encodes
+the first name, and each further interest's name is its suffix joined to
+fixed bytes.
 
 Payloads are signed where their signature is read.  A payload built with
 ``AuthorizationPayload.signed_on_read`` holds the signer's key material
@@ -272,7 +273,6 @@ class Interest:
     payload: AuthorizationPayload | None = None
     key_id: bytes | None = None
     content_object_hash: bytes | None = None
-    _wire: bytes | None = field(default=None, init=False, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -284,7 +284,6 @@ class ContentObject:
     verification_keys: tuple[tuple[bytes, bytes], ...] = ()
     expiry_time: int = 0
     producer_signature: bytes = b""
-    _wire: bytes | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not 0 <= self.expiry_time < 1 << 64:
@@ -305,7 +304,6 @@ class Nack:
 
     interest: Interest
     reason: str
-    _wire: bytes | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not isinstance(self.reason, str) or not self.reason:
@@ -551,9 +549,7 @@ def _decode_payload(buf: bytes, start: int, end: int) -> AuthorizationPayload:
 
 
 def encode_interest(interest: Interest) -> bytes:
-    """Canonical Interest TLV, memoised on the interest."""
-    if interest._wire is not None:
-        return interest._wire
+    """Canonical Interest TLV."""
     body = encode_name(interest.name)
     if interest.payload is not None:
         body += _encode_payload(interest.payload)
@@ -564,7 +560,6 @@ def encode_interest(interest: Interest) -> bytes:
     out = _tlv(TYPE_INTEREST, body)
     if len(out) > MAX_MESSAGE_LEN:
         raise EncodeError("message exceeds 1 MiB")
-    object.__setattr__(interest, "_wire", out)
     return out
 
 
@@ -572,7 +567,7 @@ def decode_interest(data: bytes) -> Interest:
     type_code, start, end = _decode_top(data)
     if type_code != TYPE_INTEREST:
         raise DecodeError(f"expected interest, got type 0x{type_code:04x}")
-    return _keep_wire(_decode_interest(data, start, end), data)
+    return _decode_interest(data, start, end)
 
 
 def _decode_interest(buf: bytes, start: int, end: int) -> Interest:
@@ -609,9 +604,7 @@ class SuffixTemplate:
     headers, the prefix's NameComponent TLVs and the scheme tag TLV.  So
     ``interest(obfuscated)`` joins bytes and builds the records without the
     constructors' checks.  They equal ``Interest(ObfuscatedName(prefix,
-    obfuscated, scheme))``.  The name carries its encoding; the interest's
-    is left to ``encode_interest``, which makes it on the first read, so a
-    probe nobody taps holds its name bytes once.
+    obfuscated, scheme))``, and the name carries its encoding.
     """
 
     __slots__ = ("suffix_len", "_prefix", "_scheme", "_name_head", "_tag")
@@ -639,7 +632,6 @@ class SuffixTemplate:
         _set_payload(interest, None)
         _set_key_id(interest, None)
         _set_content_object_hash(interest, None)
-        _set_interest_wire(interest, None)
         return interest
 
 
@@ -654,7 +646,6 @@ _set_name = Interest.name.__set__
 _set_payload = Interest.payload.__set__
 _set_key_id = Interest.key_id.__set__
 _set_content_object_hash = Interest.content_object_hash.__set__
-_set_interest_wire = Interest._wire.__set__
 
 
 # ---------------------------------------------------------------------------
@@ -662,9 +653,7 @@ _set_interest_wire = Interest._wire.__set__
 
 
 def encode_content(content: ContentObject) -> bytes:
-    """Canonical ContentObject TLV, memoised on the object."""
-    if content._wire is not None:
-        return content._wire
+    """Canonical ContentObject TLV."""
     body = encode_name(content.name)
     body += _tlv(TYPE_CONTENT_DATA, content.data)
     for group_id, key in content.verification_keys:
@@ -674,7 +663,6 @@ def encode_content(content: ContentObject) -> bytes:
     out = _tlv(TYPE_CONTENT, body)
     if len(out) > MAX_MESSAGE_LEN:
         raise EncodeError("message exceeds 1 MiB")
-    object.__setattr__(content, "_wire", out)
     return out
 
 
@@ -682,7 +670,7 @@ def decode_content(data: bytes) -> ContentObject:
     type_code, start, end = _decode_top(data)
     if type_code != TYPE_CONTENT:
         raise DecodeError(f"expected content object, got type 0x{type_code:04x}")
-    return _keep_wire(_decode_content(data, start, end), data)
+    return _decode_content(data, start, end)
 
 
 def _decode_key_entry(buf: bytes, start: int, end: int) -> tuple[bytes, bytes]:
@@ -736,14 +724,11 @@ def _decode_content(buf: bytes, start: int, end: int) -> ContentObject:
 
 
 def encode_nack(nack: Nack) -> bytes:
-    """Canonical Nack TLV, memoised on the NACK."""
-    if nack._wire is not None:
-        return nack._wire
+    """Canonical Nack TLV."""
     body = encode_interest(nack.interest) + _tlv(TYPE_NACK_REASON, nack.reason.encode())
     out = _tlv(TYPE_NACK, body)
     if len(out) > MAX_MESSAGE_LEN:
         raise EncodeError("message exceeds 1 MiB")
-    object.__setattr__(nack, "_wire", out)
     return out
 
 
@@ -752,7 +737,7 @@ def _decode_nack(buf: bytes, start: int, end: int) -> Nack:
     if [type_code for type_code, _, _ in fields] != [TYPE_INTEREST, TYPE_NACK_REASON]:
         raise DecodeError("a nack holds one interest followed by one reason")
     (_, istart, iend), (_, rstart, rend) = fields
-    interest = _keep_wire(_decode_interest(buf, istart, iend), buf[istart - 4:iend])
+    interest = _decode_interest(buf, istart, iend)
     try:
         return Nack(interest, buf[rstart:rend].decode())
     except ValueError as exc:  # UnicodeDecodeError among them
@@ -764,9 +749,7 @@ def _decode_nack(buf: bytes, start: int, end: int) -> Nack:
 
 
 def encode_message(message: Interest | ContentObject | Nack) -> bytes:
-    """The canonical bytes of any record, memoised on it."""
-    if message._wire is not None:
-        return message._wire
+    """The canonical bytes of any record."""
     if isinstance(message, Interest):
         return encode_interest(message)
     if isinstance(message, ContentObject):
@@ -786,18 +769,13 @@ def _decode_top(data: bytes) -> tuple[int, int, int]:
     return top
 
 
-def _keep_wire(message, data: bytes):
-    object.__setattr__(message, "_wire", data)
-    return message
-
-
 def decode_message(data: bytes) -> Interest | ContentObject | Nack:
-    """Decode any message kind; the record keeps ``data`` as its ``_wire``."""
+    """Decode any message kind; its names keep their TLV bytes."""
     type_code, start, end = _decode_top(data)
     if type_code == TYPE_INTEREST:
-        return _keep_wire(_decode_interest(data, start, end), data)
+        return _decode_interest(data, start, end)
     if type_code == TYPE_CONTENT:
-        return _keep_wire(_decode_content(data, start, end), data)
+        return _decode_content(data, start, end)
     if type_code == TYPE_NACK:
-        return _keep_wire(_decode_nack(data, start, end), data)
+        return _decode_nack(data, start, end)
     raise DecodeError(f"unknown top-level type 0x{type_code:04x}")

@@ -154,12 +154,22 @@ def test_disconnected_consumer_rejected():
     assert any("no path" in e for e in err.value.errors)
 
 
-def test_unknown_keys_rejected():
-    raw = minimal_raw()
-    raw["nodes"][0]["colour"] = "blue"
-    with pytest.raises(ValidationError) as err:
-        scenario_from_dict(raw)
-    assert any("unknown keys" in e for e in err.value.errors)
+def test_unknown_keys_rejected(tmp_path, capsys):
+    node_field = minimal_raw()
+    node_field["nodes"][0]["colour"] = "blue"
+    # links carry records only, so there is no wire to record
+    record_wire = minimal_raw(record_wire=True)
+    for raw, message in [
+        (node_field, "nodes[0]: unknown keys ['colour']"),
+        (record_wire, "top level: unknown keys ['record_wire']"),
+    ]:
+        with pytest.raises(ValidationError) as err:
+            scenario_from_dict(raw)
+        assert message in err.value.errors
+        path = tmp_path / "bad.yaml"
+        path.write_text(yaml.safe_dump(raw))
+        assert cli.main(["validate", str(path)]) == 1
+        assert message in capsys.readouterr().err.splitlines()
 
 
 def test_adversary_must_be_adjacent_to_target():
@@ -641,15 +651,16 @@ def test_run_scenario_writes_outputs(tmp_path):
 # mode matrix: per-mode wire shape
 
 
-def test_mode_matrix_field_presence():
-    config = load_bundled("mode_matrix")
-    result, info = run_config(config)
+def test_mode_matrix_field_presence(wire_trace):
+    sim, info = scenario.build(load_bundled("mode_matrix"))
+    trace = wire_trace(sim)
+    result = sim.run()
     assert len(result.deliveries) == 6
 
     sent = {}
-    for t, src, dst, wire in result.wire_trace:
+    for t, src, dst, data in trace:
         if src in ("crF", "crO", "crA") and src not in sent:
-            sent[src] = decode_message(wire)
+            sent[src] = decode_message(data)
     full, obf, auth = sent["crF"], sent["crO"], sent["crA"]
 
     assert isinstance(full.name, ObfuscatedName)

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from ibac import crypto, scenario, simnet, wire
+from ibac import cli, crypto, scenario, simnet, wire
 from ibac.consumer import ConsumerMode
 from ibac.producer import Producer, ProtectionPolicy
 from ibac.scenario import run_config, scenario_from_dict
@@ -97,24 +97,45 @@ def test_count_decodes_sees_every_decoder(monkeypatch):
 
 
 def count_encodes(monkeypatch) -> list:
-    """Record the type of every message the simulator encodes."""
+    """Record the type of every message encoded, by whichever of ``wire``'s
+    encoders and wherever it is bound: each one encodes an interest with
+    ``encode_interest`` and a content object with ``encode_content``."""
     encoded = []
-    real_encode = simnet.encode_message
+    for encoder in ("encode_interest", "encode_content", "encode_nack"):
+        real_encode = getattr(wire, encoder)
 
-    def counting_encode(message):
-        encoded.append(type(message).__name__)
-        return real_encode(message)
+        def counting_encode(message, real_encode=real_encode):
+            encoded.append(type(message).__name__)
+            return real_encode(message)
 
-    monkeypatch.setattr(simnet, "encode_message", counting_encode)
+        for module in list(sys.modules.values()):
+            if module.__name__.partition(".")[0] == "ibac" and (
+                getattr(module, encoder, None) is real_encode
+            ):
+                monkeypatch.setattr(module, encoder, counting_encode)
     return encoded
+
+
+def test_count_encodes_sees_every_encoder(monkeypatch):
+    encoded = count_encodes(monkeypatch)
+    interest = Interest(Name((b"a",)))
+    content = ContentObject(Name((b"a",)), b"x")
+    nack = wire.Nack(interest, "NoRoute")
+    for message in (interest, content, nack):
+        wire.encode_message(message)
+    cli.encode_interest(interest)  # a binding outside ``wire``
+    cli.encode_content(content)
+    assert encoded == [
+        "Interest", "ContentObject", "Nack", "Interest", "Interest", "ContentObject"
+    ]
 
 
 def test_linear_fetch_decodes_nothing(monkeypatch):
     decoded, encoded = count_decodes(monkeypatch), count_encodes(monkeypatch)
     result, info = run_config(linear_config())
     # consumer -> r1 -> r2 -> producer and back: the consumer's interest and
-    # the producer's content travel as the records they were built as, and
-    # with no tap and no wire trace nothing reads their bytes, so none are made
+    # the producer's content travel as the records they were built as, so
+    # no message's bytes are made
     assert decoded == []
     assert encoded == []
     name = info.content_names["/edu/uci/ics/home.html"]
@@ -127,29 +148,28 @@ def test_linear_fetch_decodes_nothing(monkeypatch):
 
 
 @pytest.mark.parametrize("name", ["mode_matrix", "replay_same_path", "name_probe"])
-def test_traced_and_tapped_bytes_decode_to_the_record_sent(name):
-    # mode_matrix records the wire; the others tap a link
+def test_traced_and_tapped_bytes_decode_to_the_record_sent(name, wire_trace):
+    # the trace checks that every record sent encodes to bytes that decode
+    # to it; replay_same_path and name_probe also tap a link, whose
+    # adversary captures the record sent
     sim, _ = scenario.build(scenario.load_bundled(name))
     captures = [rt.obj.captures for rt in sim.nodes.values() if rt.role == "adversary"]
     send = sim._send
-    seen = {"trace": 0, "captures": 0}
+    captured = []
 
     def checking_send(rt, iface, message, t):
-        traced, captured = len(sim.wire_trace), [len(c) for c in captures]
+        before = [len(held) for held in captures]
         send(rt, iface, message, t)
-        for *_, wire in sim.wire_trace[traced:]:
-            assert decode_message(wire) == message
-            seen["trace"] += 1
-        for held, before in zip(captures, captured):
-            for capture in held[before:]:
-                assert capture.message is message
-                assert decode_message(capture.wire) == message
-                seen["captures"] += 1
+        for held, start in zip(captures, before):
+            for capture in held[start:]:
+                assert capture is message
+                captured.append(capture)
 
     sim._send = checking_send
+    trace = wire_trace(sim)
     sim.run()
-    assert seen["trace"] == len(sim.wire_trace)
-    assert seen["trace" if sim.record_wire else "captures"] > 0
+    assert trace
+    assert captured or name == "mode_matrix"
 
 
 def two_router_sim():
@@ -175,29 +195,30 @@ def two_router_sim():
     return sim, arrived
 
 
-def test_a_record_memoised_in_flight_arrives_as_itself():
-    # sent on the untapped link, which makes no bytes, then encoded (and
-    # memoised) by a send on the tapped one while the first copy is in flight
+def test_a_record_sent_on_two_links_arrives_as_itself():
+    # sent on the untapped link, then on the tapped one while the first copy
+    # is in flight: only the tapped send is captured
     sim, arrived = two_router_sim()
     interest = Interest(ObfuscatedName((b"edu",), b"\x01" * 8, SchemeTag.HASH))
     sim._send(sim.nodes["c"], 0, interest, 0.0)
-    assert interest._wire is None
+    assert sim.nodes["adv"].obj.captures == []
     sim._send(sim.nodes["c"], 1, interest, 1.0)
-    assert interest._wire is not None
     sim.run()
     [first], [second] = arrived["r1"], arrived["r2"]
     assert first is interest and second is interest
     [capture] = sim.nodes["adv"].obj.captures
-    assert capture.message is interest and capture.wire is interest._wire
+    assert capture is interest
 
 
 @pytest.mark.parametrize("name", ["name_probe", "replay_same_path", "forgery"])
 def test_adversary_reads_captured_records_without_decoding(monkeypatch, name):
     # name_probe probes captured names (include_captured); the others replay
-    # and forge from captures: all of it reads the records captured with the bytes
-    decoded = count_decodes(monkeypatch)
+    # and forge from captures: all of it reads the records captured, and a
+    # tap captures the record sent, so no message is encoded either
+    decoded, encoded = count_decodes(monkeypatch), count_encodes(monkeypatch)
     result, _ = run_config(scenario.load_bundled(name))
-    assert decoded == []
+    assert decoded == [] and encoded == []
+    assert result.nodes["adv"].captures
     log = ("\n".join(result.log_lines) + "\n").encode()
     assert hashlib.sha256(log).hexdigest() == BUNDLED_DIGESTS[name]
 
@@ -223,10 +244,10 @@ def tapped_link_captures(tap_first: bool) -> list:
 def test_tap_added_before_or_after_its_link_captures_the_same_interests():
     early, late = tapped_link_captures(True), tapped_link_captures(False)
     assert len(early) == 3
-    assert [(c.time_ms, c.wire) for c in early] == [(c.time_ms, c.wire) for c in late]
+    assert early == late
+    assert [encode_interest(c) for c in early] == [encode_interest(c) for c in late]
     for capture in early:
-        assert capture.message._wire is capture.wire
-        assert decode_message(capture.wire) == capture.message
+        assert decode_message(encode_interest(capture)) == capture
 
 
 def count_crypto(monkeypatch, fn: str) -> list:
@@ -289,9 +310,11 @@ def test_tap_captures_hold_signature_bytes():
     captures = sim.nodes["adv"].obj.captures
     assert captures
     for capture in captures:
-        payload = capture.message.payload
-        assert payload._signing is None and isinstance(vars(payload)["signature"], bytes)
-        assert decode_message(capture.wire).payload == payload
+        # a payload nobody verified yet is signed by the read that encodes it
+        decoded = decode_message(encode_interest(capture)).payload
+        assert isinstance(decoded.signature, bytes)
+        assert decoded == capture.payload
+        assert vars(capture.payload)["signature"] == decoded.signature
 
 
 def test_end_to_end_data_matches_catalog():
@@ -606,11 +629,10 @@ def test_random_probes_are_the_records_the_constructors_build(
         assert probe.name._wire == encode_name(name)
         assert encode_interest(probe) == encode_interest(fresh)
         expected[id(probe)] = probe
-    tapped = [c for c in captures if id(c.message) in expected]
+    tapped = [c for c in captures if id(c) in expected]
     assert tapped  # the router forwarded probes over the tapped link
     for capture in tapped:
-        assert capture.message is expected[id(capture.message)]
-        assert decode_message(capture.wire) == capture.message
+        assert decode_message(encode_interest(capture)) == capture
 
 
 def _probe_flood_sim(probes):
