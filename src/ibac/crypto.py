@@ -11,13 +11,15 @@ Name obfuscation comes in two deterministic flavours:
 
 Signatures are Schnorr over fixed prime-order subgroups of Z_p^* (order q
 is always 256 bits; p is 512 bits for protocol traffic and 1024/2048/3072
-bits for benchmarking).  A signature is ``(R, s)`` with
-``R = g^k``, ``e = H(R || y || m) mod q``, ``s = k + x*e mod q``; the
-signing nonce ``k`` is derived from the key and message, so signatures are
-deterministic.  Verification checks ``g^s == R * y^e``.  Because signing
-is deterministic, a signer may defer it: ``wire.AuthorizationPayload``
-calls ``sign_payload`` on the first read of a payload's signature, which
-gives the same bytes signing at once would.
+bits for benchmarking).  There is one ``SignatureGroup`` object per size,
+made at import: ``signature_group`` returns it and builds nothing.  A
+signature is ``(R, s)`` with ``R = g^k``, ``e = H(R || y || m) mod q``,
+``s = k + x*e mod q``; the signing nonce ``k`` is derived from the key and
+message, so signatures are deterministic.  Verification checks
+``g^s == R * y^e``.  Because signing is deterministic, a signer may
+defer it: ``wire.AuthorizationPayload`` calls ``sign_payload`` on the
+first read of a payload's signature, which gives the same bytes signing
+at once would.
 
 Batch verification uses the randomized small-exponent test
 (Bellare-Garay-Rabin, EUROCRYPT '98): fix ``z_1 = 1``, draw 64-bit ``z_i``
@@ -156,15 +158,19 @@ class SignatureGroup:
         return 32
 
 
+_GROUPS = {bits: SignatureGroup(bits, *params) for bits, params in _GROUP_PARAMS.items()}
+
+
 def signature_group(key_bits: int = DEFAULT_KEY_BITS) -> SignatureGroup:
+    """The one ``SignatureGroup`` of ``key_bits``: every call returns the
+    same object."""
     try:
-        p, q, g = _GROUP_PARAMS[key_bits]
+        return _GROUPS[key_bits]
     except KeyError:
         raise UnsupportedParameter(
             f"no signature group for key_bits={key_bits}; "
             f"supported: {sorted(_GROUP_PARAMS)}"
         ) from None
-    return SignatureGroup(key_bits, p, q, g)
 
 
 def sha256(data: bytes) -> bytes:
@@ -621,10 +627,18 @@ def schnorr_batch_verify(
 # payload signatures: bind (name bytes, group id field, nonce, timestamp)
 
 
+_LENGTH = struct.Struct(">I").pack
+_FRAMED_TIMESTAMP = struct.Struct(">IQ").pack  # the length 8, then the timestamp
+
+
 def _signing_message(name_bytes: bytes, group_id: bytes, nonce: bytes, timestamp: int) -> bytes:
     # 4-byte length framing removes any concatenation ambiguity
-    fields = [name_bytes, group_id, nonce, struct.pack(">Q", timestamp)]
-    return b"".join(struct.pack(">I", len(f)) + f for f in fields)
+    return b"".join((
+        _LENGTH(len(name_bytes)), name_bytes,
+        _LENGTH(len(group_id)), group_id,
+        _LENGTH(len(nonce)), nonce,
+        _FRAMED_TIMESTAMP(8, timestamp),
+    ))
 
 
 def sign_payload(

@@ -11,12 +11,16 @@ them all; the per-group signing keys still separate authorization.
 
 Replay state is one map per name from nonce to the time the nonce's
 timestamp goes stale; a nonce is kept until then, because until then the
-timestamp check alone would let its replay through.
+timestamp check alone would let its replay through.  The producer keeps a
+lower bound on the earliest of those stale times, lowered by every nonce it
+stores and reset by each full sweep, so a sweep before the bound returns
+at once.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 import struct
 from dataclasses import dataclass
 
@@ -118,6 +122,8 @@ class Producer:
         self.enc_name_map: dict[bytes, tuple[Name, bytes]] = {}
         # name bytes -> {nonce: time its timestamp goes stale}
         self.nonce_store: dict[bytes, dict[bytes, float]] = {}
+        # no nonce goes stale before this: ``sweep_nonces`` scans nothing earlier
+        self._next_stale = math.inf
         self._content_key_seed = content_key_seed
         self._content_key_generation: dict[tuple[bytes, ...], int] = {}
 
@@ -326,6 +332,7 @@ class Producer:
         if outcome.passed:
             self.nonce_store[name_bytes] = seen
             seen[payload.nonce] = payload.timestamp + window_ms
+            self._next_stale = min(self._next_stale, seen[payload.nonce])
         if outcome.failure is FailReason.UNKNOWN_GROUP_KEY:
             return CheckOutcome(FailReason.UNKNOWN_GROUP, outcome.verifies)
         return outcome
@@ -379,9 +386,17 @@ class Producer:
         )
 
     def sweep_nonces(self, now: float) -> None:
-        """Forget nonces whose timestamps are stale: their replays fail on time."""
+        """Forget nonces whose timestamps are stale: their replays fail on time.
+
+        A sweep at or before the bound on the earliest stale time returns
+        at once; a full sweep resets the bound to the earliest it leaves."""
+        if now <= self._next_stale:
+            return
         for name_bytes, seen in list(self.nonce_store.items()):
             for nonce in [n for n, stale_at in seen.items() if stale_at < now]:
                 del seen[nonce]
             if not seen:
                 del self.nonce_store[name_bytes]
+        self._next_stale = min(
+            (t for seen in self.nonce_store.values() for t in seen.values()), default=math.inf
+        )

@@ -35,6 +35,17 @@ is the timestamp window, and eviction erases the nonces.  A replay can hit
 the entry only while it lives, and for all that time the entry remembers
 every nonce it accepted.
 
+A cache entry parses its content's verification keys once, when it is
+made: each key whose size names a signature group becomes a
+``(group, public key)`` pair, and a key of any other size is skipped there,
+so it can never verify.  Each check of a hit filters that parsed list.
+
+The router keeps a lower bound on its earliest CS expiry and PIT deadline.
+Every CS insert, PIT insert and re-forward lowers it, and each full expiry
+scan resets it to the earliest expiry the scan leaves.  An expiry tick
+before the bound returns at once, with what a full scan would return:
+nothing.
+
 Routers never hold obfuscation keys; every decision here keys off the
 binary name bytes only, read off the name (``name._wire``) when it carries
 them and encoded once otherwise.  What a router sends on is the record it
@@ -45,6 +56,7 @@ are passed on as received, and nothing here encodes a message.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 from . import crypto
@@ -98,6 +110,18 @@ class CacheEntry:
     expires_at: float
     nonces: set[bytes] = field(default_factory=set)  # of passed checks
     queued: set[bytes] = field(default_factory=set)  # of checks awaiting a flush
+    # (group id, (SignatureGroup, public key)) of each carried key whose
+    # size names a group, parsed once when the entry is made
+    keys: list = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.keys = []
+        for group_id, key_bytes in self.content.verification_keys:
+            try:
+                group = crypto.signature_group(len(key_bytes) * 8)
+            except crypto.UnsupportedParameter:
+                continue
+            self.keys.append((group_id, (group, int.from_bytes(key_bytes, "big"))))
 
     @property
     def window_ms(self) -> float:
@@ -163,6 +187,9 @@ class Router:
         self.fib: dict[tuple[bytes, ...], int] = {}
         self.pit: dict[bytes, PitEntry] = {}
         self.cs: dict[bytes, CacheEntry] = {}
+        # no CS expiry or PIT deadline falls before this: ``expire`` scans
+        # nothing earlier
+        self._next_due = math.inf
         # key -> (serial, (iface, Interest) of each queued hit)
         self._batch_queues: dict[tuple, tuple[int, list]] = {}
         self._batch_serials = itertools.count()
@@ -176,23 +203,15 @@ class Router:
 
     # -- authorization against cached content ----------------------------
 
-    def _candidates(self, payload: AuthorizationPayload | None, content: ContentObject):
+    @staticmethod
+    def _candidates(payload: AuthorizationPayload | None, entry: CacheEntry):
+        """The ``(group, public key)`` pairs ``payload`` may verify under."""
         if payload is None:
             return []
-        keys = content.verification_keys
         if payload.group_id_encrypted:
             # a cache cannot decrypt the id, so it trial-verifies every key
-            selected = keys
-        else:
-            selected = [kv for kv in keys if kv[0] == payload.group_id]
-        out = []
-        for _, key_bytes in selected:
-            try:
-                group = crypto.signature_group(len(key_bytes) * 8)
-            except crypto.UnsupportedParameter:
-                continue
-            out.append((group, int.from_bytes(key_bytes, "big")))
-        return out
+            return [key for _, key in entry.keys]
+        return [key for group_id, key in entry.keys if group_id == payload.group_id]
 
     def router_authorization_check(
         self,
@@ -205,7 +224,7 @@ class Router:
         outcome = run_authorization_check(
             payload,
             name_bytes,
-            self._candidates(payload, entry.content),
+            self._candidates(payload, entry),
             entry.nonces,
             now,
             entry.window_ms,
@@ -266,6 +285,7 @@ class Router:
             )
             return
         self.pit[name_bytes] = PitEntry(in_iface, interest, now)
+        self._due_by(now + self.pit_lifetime_ms)
         events.append(RouterEvent(EventKind.FORWARD_INTEREST, name_bytes, out_iface, interest))
 
     def _serve_or_drop(
@@ -299,7 +319,7 @@ class Router:
         failure = precheck(
             payload,
             entry.nonces,
-            self._candidates(payload, entry.content),
+            self._candidates(payload, entry),
             now,
             entry.window_ms,
             self.skew_ms,
@@ -356,7 +376,7 @@ class Router:
 
         verifies = 0
         passed = False  # by one batch test of the whole queue
-        candidates = self._candidates(payloads[0], entry.content)
+        candidates = self._candidates(payloads[0], entry)
         if len(queue) > 1 and len(candidates) == 1 and not payloads[0].group_id_encrypted:
             group, signing_public = candidates[0]
             items = [
@@ -368,7 +388,7 @@ class Router:
             failure = None
             if not passed:
                 outcome = verify_any(
-                    payload, name_bytes, self._candidates(payload, entry.content)
+                    payload, name_bytes, self._candidates(payload, entry)
                 )
                 verifies += outcome.verifies
                 failure = outcome.failure
@@ -395,6 +415,7 @@ class Router:
         expires = float(content.expiry_time)
         if expires > now:
             entry = self.cs[name_bytes] = CacheEntry(content, now, expires)
+            self._due_by(expires)
             events.append(RouterEvent(EventKind.CACHE_INSERT, name_bytes))
         else:
             entry = CacheEntry(content, now, now)
@@ -456,10 +477,16 @@ class Router:
             (face, successor), *rest = pit.waiting
             # re-inserted at the end, so the PIT's dict order stays creation order
             self.pit[name_bytes] = PitEntry(face, successor, now, rest or None)
+            self._due_by(now + self.pit_lifetime_ms)
             events.append(RouterEvent(EventKind.REFORWARD, name_bytes, in_iface, successor))
         return events, 0
 
     # -- expiry --------------------------------------------------------------
+
+    def _due_by(self, at: float) -> None:
+        """Lower the bound on the next expiry to ``at`` if it is later."""
+        if at < self._next_due:
+            self._next_due = at
 
     def _evict(self, name_bytes: bytes, events: list[RouterEvent]) -> None:
         self.cs.pop(name_bytes, None)
@@ -473,13 +500,21 @@ class Router:
         router's ``now``, and the simulator never runs a node's clock
         backwards.  So the PIT's dict order is creation order and the scan
         stops at the first entry still live.
+
+        A call before the bound on the earliest expiry returns at once; a
+        scan resets the bound to the earliest expiry it leaves.
         """
+        if now < self._next_due:
+            return []
         events: list[RouterEvent] = []
         for name_bytes in [nb for nb, e in self.cs.items() if e.expires_at <= now]:
             self._evict(name_bytes, events)
+        self._next_due = min((e.expires_at for e in self.cs.values()), default=math.inf)
         stale = []
         for name_bytes, pit in self.pit.items():
-            if pit.created_at + self.pit_lifetime_ms > now:
+            deadline = pit.created_at + self.pit_lifetime_ms
+            if deadline > now:
+                self._due_by(deadline)  # the oldest live entry's is the earliest
                 break
             stale.append(name_bytes)
         for name_bytes in stale:

@@ -17,7 +17,6 @@ constructor, so a file gives the same configuration either way.
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import json
 import math
@@ -774,13 +773,17 @@ def run_sweep(config: ScenarioConfig) -> tuple[list[SweepPoint], list[RunResult]
     router_spec = next(n for n in config.nodes if n.id == config.sweep.router)
     points: list[SweepPoint] = []
     results: list[RunResult] = []
+    # a completion line names the node and kind in its second and third fields
+    served = f"\t{config.sweep.router}\tcs_hit_served\t"
     for delta, mu, horizon_ms in sweep_points(config, router_spec):
-        point_config = copy.deepcopy(config)
-        point_config.sweep = None
-        point_config.traffic.delta = delta
-        point_config.traffic.lambda_per_s = config.sweep.saturation_factor * mu
-        point_config.traffic.max_interests = config.sweep.interests_per_point
-        point_config.duration_ms = horizon_ms
+        # each point shares the base config's records, which a run only reads
+        traffic = replace(
+            config.traffic,
+            delta=delta,
+            lambda_per_s=config.sweep.saturation_factor * mu,
+            max_interests=config.sweep.interests_per_point,
+        )
+        point_config = replace(config, sweep=None, traffic=traffic, duration_ms=horizon_ms)
         result, _ = run_config(point_config)
         measured = analysis.mixture_rate_estimate(
             result.log_lines,
@@ -788,10 +791,7 @@ def run_sweep(config: ScenarioConfig) -> tuple[list[SweepPoint], list[RunResult]
             delta,
             t0=config.traffic.start_ms,
         )
-        served = [config.sweep.router, "cs_hit_served"]  # (node, kind) fields
-        completions = sum(
-            1 for line in result.log_lines if line.split("\t", 3)[1:3] == served
-        )
+        completions = sum(served in line for line in result.log_lines)
         points.append(SweepPoint(delta, mu, measured, completions))
         results.append(result)
     return points, results

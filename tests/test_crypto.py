@@ -79,6 +79,16 @@ def test_unsupported_kappa():
         gen_group(192, 1)
 
 
+def test_one_signature_group_per_size():
+    for key_bits in KEY_SIZES:
+        group = crypto.signature_group(key_bits)
+        assert crypto.signature_group(key_bits) is group
+        assert group.key_bits == key_bits
+    assert crypto.signature_group() is crypto.signature_group(crypto.DEFAULT_KEY_BITS)
+    with pytest.raises(UnsupportedParameter):
+        crypto.signature_group(320)
+
+
 def test_kappa_256_key_length():
     assert len(gen_group(256, 1).obfuscation_key) == 32
 
@@ -423,17 +433,25 @@ def test_two_base_power_edge_bases_and_exponents(key_bits):
     p = group.p
     bases = (0, 1, p - 1, p, p + 5, 3 * p + group.g)
     exponents = (0, 1, group.q - 1, 1 << 256, (1 << 64) - 1, -1)
-    for b1 in bases:
-        for e1 in exponents:
-            for b2 in bases:
-                for e2 in exponents:
-                    if (e1 < 0 and b1 % p == 0) or (e2 < 0 and b2 % p == 0):
-                        with pytest.raises(ValueError):  # no inverse: both refuse
-                            two_pow(b1, e1, b2, e2, p)
-                        with pytest.raises(ValueError):
-                            crypto._power2(b1, e1, b2, e2, p)
-                        continue
-                    assert crypto._power2(b1, e1, b2, e2, p) == two_pow(b1, e1, b2, e2, p)
+    # pow(b, e, p) of each (base, exponent) pair, or None where pow refuses
+    # for want of an inverse; the reference of every combination is a
+    # product of two of these
+    single = {}
+    for b in bases:
+        for e in exponents:
+            if e < 0 and b % p == 0:
+                with pytest.raises(ValueError):
+                    pow(b, e, p)
+                single[b, e] = None
+            else:
+                single[b, e] = pow(b, e, p)
+    for (b1, e1), r1 in single.items():
+        for (b2, e2), r2 in single.items():
+            if r1 is None or r2 is None:
+                with pytest.raises(ValueError):  # no inverse: both refuse
+                    crypto._power2(b1, e1, b2, e2, p)
+                continue
+            assert crypto._power2(b1, e1, b2, e2, p) == r1 * r2 % p
 
 
 def textbook_verdict(group, y, message, sig):

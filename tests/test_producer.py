@@ -1,7 +1,10 @@
 import itertools
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ibac import crypto
 from ibac.authcheck import FailReason
@@ -428,6 +431,47 @@ def test_nonce_windows_swept_after_elapse():
     assert producer.nonce_store  # window not yet elapsed
     producer.sweep_nonces(2500.0)
     assert not producer.nonce_store
+
+
+@settings(max_examples=40, derandomize=True, deadline=None, database=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(["fetch", "sweep"]),
+            st.integers(min_value=0, max_value=3000),  # ms the clock moves first
+            st.sampled_from([HOME, NEWS]),
+            st.sampled_from([300, 1000, 5000]),  # the check's window
+            st.sampled_from([0.0, 0.5, 1.0]),  # how far back in it the timestamp lies
+        ),
+        max_size=30,
+    )
+)
+def test_nonce_sweep_matches_a_full_sweep(ops):
+    # a sweep that returns early, before the earliest stale time, forgets
+    # exactly what a sweep of every stored nonce forgets
+    producer = make_producer()
+    material = crypto.gen_group(128, 1)
+    producer.register_group(material)
+    for name in (HOME, NEWS):
+        published(producer, name, groups=[material.group_id])
+    stamp = [0.0]
+    ctx = make_consumer(material, clock=lambda: stamp[0])
+    now = 0.0
+    for op, step, name, window_ms, lag in ops:
+        now += step
+        if op == "fetch":
+            stamp[0] = max(now - lag * window_ms, 0.0)  # timestamps are unsigned
+            interest = fetch_interest(producer, ctx, name)
+            assert producer.authorize(interest, now, window_ms).passed
+        else:
+            full_sweep = {
+                name_bytes: {n: t for n, t in seen.items() if t >= now}
+                for name_bytes, seen in producer.nonce_store.items()
+            }
+            producer.sweep_nonces(now)
+            assert producer.nonce_store == {nb: seen for nb, seen in full_sweep.items() if seen}
+        stale_times = [t for seen in producer.nonce_store.values() for t in seen.values()]
+        assert producer._next_stale <= min(stale_times, default=math.inf)
 
 
 def test_rekey_swaps_groups_and_maps():

@@ -1,3 +1,4 @@
+import math
 import random
 from dataclasses import replace
 
@@ -558,6 +559,35 @@ def test_encrypted_group_id_trial_verified_at_cache():
     assert verifies >= 1
 
 
+def test_a_carried_key_of_no_group_size_is_skipped():
+    (material,), producer, router, _ = build_world()
+    odd_key = (material.group_id, b"\x07" * 40)  # 320 bits: no group has that size
+    with pytest.raises(crypto.UnsupportedParameter):
+        crypto.signature_group(len(odd_key[1]) * 8)
+
+    def cache_with(keys, now):
+        interest = fetch(material, rng_seed=int(now))
+        router.on_interest(interest, in_iface=0, now=now)
+        content = producer.content_object_generation(interest, now).content
+        router.on_content(replace(content, verification_keys=keys), in_iface=9, now=now + 1)
+
+    # beside a valid key, the hit verifies under the valid key alone
+    cache_with((odd_key, (material.group_id, material.public_key_bytes)), 1000.0)
+    events, verifies = router.on_interest(fetch(material, rng_seed=7), in_iface=2, now=1500.0)
+    assert [(e.kind, e.reason) for e in events] == [(EventKind.SERVE_FROM_CACHE, "verified")]
+    assert verifies == 1
+
+    # with only the unsupported key, the hit is refused and nothing raises
+    router.cs.clear()
+    cache_with((odd_key,), 2000.0)
+    hit = fetch(material, rng_seed=8, clock_value=2500.0)
+    events, verifies = router.on_interest(hit, in_iface=2, now=2500.0)
+    assert [(e.kind, e.reason) for e in events] == [
+        (EventKind.DROP_INTEREST, FailReason.UNKNOWN_GROUP_KEY)
+    ]
+    assert verifies == 0
+
+
 # ---------------------------------------------------------------------------
 # instrumentation
 
@@ -819,14 +849,39 @@ class RouterMachine(RuleBasedStateMachine):
         keys = [*self.router._batch_queues, (b"none", b"")]
         self._take(dt, self.router.flush_batch, data.draw(st.sampled_from(keys)))
 
+    def _expire(self, router: Router) -> list[RouterEvent]:
+        """``router.expire(self.now)``, checked against a full scan of the
+        CS and PIT: an expiry tick that returns early misses nothing."""
+        now = self.now
+        evicted = [nb for nb, e in router.cs.items() if e.expires_at <= now]
+        cs_left = [(nb, e) for nb, e in router.cs.items() if e.expires_at > now]
+        pit_left = [
+            (nb, p) for nb, p in router.pit.items() if p.created_at + router.pit_lifetime_ms > now
+        ]
+        events = router.expire(now)
+        assert [(e.kind, e.name_bytes) for e in events] == [
+            (EventKind.CACHE_EVICT, nb) for nb in evicted
+        ]
+        assert [(nb, id(e)) for nb, e in router.cs.items()] == [(nb, id(e)) for nb, e in cs_left]
+        assert [(nb, id(p)) for nb, p in router.pit.items()] == [(nb, id(p)) for nb, p in pit_left]
+        return events
+
     @rule(dt=WAIT)
     def expire(self, dt):
         self.now += dt
-        assert all(e.kind is EventKind.CACHE_EVICT for e in self.router.expire(self.now))
+        self._expire(self.router)
 
     @invariant()
     def protected_serves_follow_passed_checks(self):
         assert self.router.protected_serves <= self.router.auth_passes
+
+    @invariant()
+    def no_expiry_falls_before_the_bound(self):
+        # what lets an expiry tick before the bound return at once
+        router = self.router
+        due = [e.expires_at for e in router.cs.values()]
+        due += [p.created_at + router.pit_lifetime_ms for p in router.pit.values()]
+        assert router._next_due <= min(due, default=math.inf)
 
     @invariant()
     def pit_order_is_creation_order(self):
@@ -864,7 +919,7 @@ class BatchOfOneRouterMachine(RouterMachine):
     @rule(dt=WAIT)
     def expire(self, dt):
         self.now += dt
-        assert self.router.expire(self.now) == self.twin.expire(self.now)
+        assert self._expire(self.router) == self.twin.expire(self.now)
 
     @precondition(lambda self: False)  # a batch of one leaves no queue to flush
     @rule()

@@ -928,3 +928,21 @@ def test_bundled_sweep_outputs_are_pinned(tmp_path):
     # the model-vs-measured table that `ibac run service_rate_sweep --interests 300` writes
     assert pin["interests_per_point"] == 300
     assert (tmp_path / "mu_model.csv").read_bytes() == (TESTDATA / "mu_model_300.csv").read_bytes()
+
+
+def test_run_sweep_leaves_its_config_unchanged():
+    # each point is the base config with a few fields replaced, so it shares
+    # the base's records and lists: a run that changed one would show here
+    config = load_bundled("service_rate_sweep")
+    config.sweep.interests_per_point = 100
+    config.sweep.deltas = [0.0, 0.5, 1.0]
+    before = copy.deepcopy(config)
+    points, results = scenario.run_sweep(config)
+    assert config == before
+    again_points, again_results = scenario.run_sweep(config)
+    assert again_points == points
+    assert [r.log_lines for r in again_results] == [r.log_lines for r in results]
+    assert [p.completions for p in points] == [
+        sum(line.split("\t")[1:3] == ["r1", "cs_hit_served"] for line in r.log_lines)
+        for r in results
+    ]
