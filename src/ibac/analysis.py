@@ -267,8 +267,17 @@ def class_service_times(log, node: str, t0: float = 0.0, t1: float = float("inf"
     Meaningful when the node is saturated, where each gap is one service
     time; use the median of each class to discount idle gaps.
     """
-    rows = _parse_rows(log)
-    completions = [(t, reason) for t, reason in _completions(rows, node) if t0 <= t <= t1]
+    # a line is the node's only if its second field is the node, so only
+    # lines holding the node as a whole field are split and parsed
+    field = f"\t{node}\t"
+    completions = []
+    for line in _read_log(log):
+        if field not in line:
+            continue
+        t, n, kind, _, reason = line.split("\t")
+        t = float(t)
+        if n == node and kind in INTEREST_COMPLETION_KINDS and t0 <= t <= t1:
+            completions.append((t, reason))
     out = {"verified": [], "plain": []}
     for (t_prev, _), (t_cur, reason) in zip(completions, completions[1:]):
         gap = t_cur - t_prev

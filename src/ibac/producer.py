@@ -15,6 +15,11 @@ timestamp check alone would let its replay through.  The producer keeps a
 lower bound on the earliest of those stale times, lowered by every nonce it
 stores and reset by each full sweep, so a sweep before the bound returns
 at once.
+
+A refusal made before any signature check (an unknown name, a missing
+payload, a group not allowed the content) is one shared, frozen
+``ProducerResponse`` per reason, so a flood of random names builds no
+response records.
 """
 
 from __future__ import annotations
@@ -91,7 +96,7 @@ class ContentEntry:
     content_key: bytes | None = None  # set when several groups share the name
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class ProducerResponse:
     content: ContentObject | None
     drop_reason: object | None = None  # FailReason or DropReason
@@ -100,6 +105,11 @@ class ProducerResponse:
     @property
     def served(self) -> bool:
         return self.content is not None
+
+
+# the one record of each refusal made before any signature check: a flood of
+# unknown names is answered with the same record every time
+_REFUSED = {reason: ProducerResponse(None, reason) for reason in (*DropReason, *FailReason)}
 
 
 class Producer:
@@ -344,16 +354,16 @@ class Producer:
         if interest.payload is not None:
             clear_gid, reason = self._clear_group_id(interest)
             if reason is not None:
-                return ProducerResponse(None, reason)
+                return _REFUSED[reason]
         entry, reason = self._resolve(interest, clear_gid)
         if entry is None:
-            return ProducerResponse(None, reason)
+            return _REFUSED[reason]
         verifies = 0
         if entry.policy is not ProtectionPolicy.PUBLIC:
             if clear_gid is None:
-                return ProducerResponse(None, FailReason.MISSING_PAYLOAD)
+                return _REFUSED[FailReason.MISSING_PAYLOAD]
             if clear_gid not in entry.group_ids:
-                return ProducerResponse(None, DropReason.UNAUTHORIZED)
+                return _REFUSED[DropReason.UNAUTHORIZED]
             if entry.policy is not ProtectionPolicy.OBFUSCATE_ONLY:
                 outcome = self.authorize(interest, now, entry.lifetime_ms, clear_gid)
                 verifies = outcome.verifies

@@ -20,8 +20,9 @@ timer's own.  A router's or producer's ``arrive``, like a batch-flush
 timer, is also its service start: it tests the node's ``busy`` flag
 itself, serves at once when the node is idle, and otherwise queues
 ``(handler, args)``, which ``_next_service`` replays when the current
-service completes.  A batch timer whose queue was flushed full starts no
-service, so ``_next_service`` goes on to the next entry.  Protocol code
+service completes; a completion with nothing queued just clears ``busy``.
+A batch timer whose queue was flushed full starts no service, so
+``_next_service`` goes on to the next entry.  Protocol code
 (``Router.on_interest``, ``crypto.*``) is looked up where it is called,
 never stored in an event.
 
@@ -87,15 +88,23 @@ end would otherwise be replayed after it by a second ``run``.
 The emission log is append-only, one line per event:
 ``time<TAB>node<TAB>kind<TAB>name-hex<TAB>reason``; ``log_event`` writes
 every line.  Router event kinds and drop and failure reasons are string
-enums that format as their values, so they go into a line, and key the
-drop counts, as they are.  Producer interests are counted per node by
-name bytes and turned into hex on the first read of
+enums.  Where a router's or producer's service completes, each is turned
+into its plain ``str`` value (``_TEXT``), which goes into the line and
+keys the drop counts: a line formats a ``str`` several times faster than
+an enum member, and the line reads the same.  Producer interests are
+counted per node by name bytes and turned into hex on the first read of
 ``RunResult.producer_interests``.
+
+``run`` pauses the cyclic garbage collector for its event loop and
+restores the caller's setting when the loop ends or raises.  A run makes
+no reference cycles, so a pass would find nothing, yet under a probe
+flood each pass walks tens of thousands of live PIT records.
 """
 
 from __future__ import annotations
 
 import functools
+import gc
 import hashlib
 import heapq
 import random
@@ -109,6 +118,7 @@ from .kinds import (BOOL, CAPTURE, FRACTION, IDS, MAX_COUNT, MAX_MS, MAX_RATE_PE
                     MAX_SUFFIX_BYTES, TEXT, TIME, Choice, Num, Text, declare, config_record)
 from .producer import DropReason as ProducerDrop
 from .producer import Producer
+from .router import DropReason as RouterDrop
 from .router import EventKind, Router
 from .wire import (
     AuthorizationPayload,
@@ -157,6 +167,13 @@ _DROP_KINDS = frozenset(
 PAYLOAD_REFUSALS = frozenset(FailReason) | {
     ProducerDrop.UNAUTHORIZED,
     ProducerDrop.DECRYPT_FAILURE,
+}
+# the plain ``str`` of each router event kind and refusal reason: a log line
+# formats one several times faster than the string-enum member
+_TEXT = {
+    member: member.value
+    for text_enum in (EventKind, RouterDrop, FailReason, ProducerDrop)
+    for member in text_enum
 }
 
 
@@ -582,12 +599,18 @@ class Simulation:
                 self._push(self.expiry_sweep_ms, self._do_expire, rt)
         queue = self._queue
         horizon = self.horizon_ms
-        while queue:
-            t, _, handler, rt, args = heapq.heappop(queue)
-            if t > horizon:
-                break
-            self.now = t
-            handler(rt, t, *args)
+        collecting = gc.isenabled()
+        gc.disable()  # a run makes no reference cycles for the collector to find
+        try:
+            while queue:
+                t, _, handler, rt, args = heapq.heappop(queue)
+                if t > horizon:
+                    break
+                self.now = t
+                handler(rt, t, *args)
+        finally:
+            if collecting:
+                gc.enable()
         return self._result()
 
     # -- arrivals and the one-message-at-a-time service discipline -------------
@@ -650,8 +673,8 @@ class Simulation:
             if kind is EventKind.BATCH_TIMER:
                 self._push(ev.at, self._batch_flush, rt, (ev.batch_key, ev.batch_serial))
                 continue
-            reason = "" if ev.reason is None else ev.reason
-            self.log_event(at, rt.node_id, kind, ev.name_bytes, reason)
+            reason = "" if ev.reason is None else _TEXT.get(ev.reason, ev.reason)
+            self.log_event(at, rt.node_id, _TEXT[kind], ev.name_bytes, reason)
             if kind in _SEND_KINDS:
                 self._send(rt, ev.iface, ev.message, at)
             elif kind in _DROP_KINDS:
@@ -660,7 +683,10 @@ class Simulation:
                     self._nack(rt, ev.iface, ev.message, reason, at)
             elif kind is EventKind.NACKED:
                 self._nack(rt, ev.iface, ev.message, reason, at)
-        self._next_service(rt, at)
+        if rt.work_queue:
+            self._next_service(rt, at)
+        else:
+            rt.busy = False
 
     def _producer_done(
         self, rt: _NodeRuntime, at: float, iface: int, interest: Interest, response
@@ -671,12 +697,15 @@ class Simulation:
             self.log_event(at, rt.node_id, "content_served", name_bytes, reason)
             self._send(rt, iface, response.content, at)
         else:
-            reason = response.drop_reason
+            reason = _TEXT[response.drop_reason]
             self.log_event(at, rt.node_id, "int_drop", name_bytes, reason)
             self.drops[(rt.node_id, reason)] += 1
             if reason in PAYLOAD_REFUSALS:
                 self._nack(rt, iface, interest, reason, at)
-        self._next_service(rt, at)
+        if rt.work_queue:
+            self._next_service(rt, at)
+        else:
+            rt.busy = False
 
     def _unsolicited_done(self, rt: _NodeRuntime, at: float, name_bytes: bytes) -> None:
         self.log_event(at, rt.node_id, "content_drop", name_bytes, "Unsolicited")
@@ -873,7 +902,7 @@ class Simulation:
     def _do_expire(self, rt: _NodeRuntime, t: float) -> None:
         if rt.role == "router":
             for ev in rt.obj.expire(t):
-                self.log_event(t, rt.node_id, ev.kind, ev.name_bytes)
+                self.log_event(t, rt.node_id, _TEXT[ev.kind], ev.name_bytes)
         else:
             rt.obj.sweep_nonces(t)
         next_t = t + self.expiry_sweep_ms

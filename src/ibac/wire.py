@@ -190,12 +190,18 @@ class _SignedOnRead:
     default, ``None``.
     """
 
+    _crypto = None  # the crypto module, imported on the first signature read
+
     def __get__(self, payload, owner=None):
         if payload is None:
             return None
-        from . import crypto  # crypto imports this module
+        crypto = _SignedOnRead._crypto
+        if crypto is None:
+            from . import crypto  # crypto imports this module
 
+            _SignedOnRead._crypto = crypto
         material, name_bytes = payload._signing
+        # looked up on the module at each read, where a wrapper may replace it
         signature = crypto.sign_payload(
             material, name_bytes, payload.group_id, payload.nonce, payload.timestamp
         )
@@ -335,18 +341,33 @@ def longest_prefix_match(table, name):
     """Return the value of the longest table prefix leading ``name``, else None.
 
     ``name`` is a name or a sequence of components; an obfuscated name's
-    suffix counts as one component.
+    suffix counts as one component.  The empty prefix never matches.
+
+    The whole name is looked up first, then the name without its last
+    component and that one's ancestors, longest first.  A table routes
+    names by prefix, so the second lookup usually hits: for an obfuscated
+    name it is the routable prefix the name already holds, and no ancestor
+    is sliced.
     """
     if isinstance(name, ObfuscatedName):
-        comps = name.routable_prefix
+        parent = name.routable_prefix
         if name.obfuscated_suffix:
-            comps += (name.obfuscated_suffix,)
-    elif isinstance(name, Name):
-        comps = name.components
+            hit = table.get(parent + (name.obfuscated_suffix,))
+            if hit is not None:
+                return hit
     else:
-        comps = tuple(name)
-    for i in range(len(comps), 0, -1):
-        hit = table.get(comps[:i])
+        comps = name.components if isinstance(name, Name) else tuple(name)
+        if not comps:
+            return None
+        hit = table.get(comps)
+        if hit is not None:
+            return hit
+        parent = comps[:-1]
+    hit = table.get(parent) if parent else None
+    if hit is not None:
+        return hit
+    for i in range(len(parent) - 1, 0, -1):
+        hit = table.get(parent[:i])
         if hit is not None:
             return hit
     return None

@@ -9,6 +9,7 @@ from ibac.analysis import (
     OverheadParams,
     ServiceModelParams,
     bench_verification,
+    class_service_times,
     content_overhead_bytes,
     interest_overhead_bytes,
     measure_service_rate,
@@ -232,6 +233,57 @@ def test_measure_service_rate_matches_rescan_on_sweep_log():
         assert measure_service_rate(log, window_ms, node="r1") == reference_service_rate(
             log, window_ms, "r1"
         )
+
+
+def reference_class_service_times(log, node, t0=0.0, t1=float("inf")):
+    """``class_service_times`` over a full parse: every line split and its
+    time read, then the node's completions kept."""
+    rows = [line.split("\t") for line in log if line.strip()]
+    completions = [
+        (float(t), reason)
+        for t, n, kind, _, reason in rows
+        if n == node and kind in INTEREST_COMPLETION_KINDS and t0 <= float(t) <= t1
+    ]
+    out = {"verified": [], "plain": []}
+    for (t_prev, _), (t_cur, reason) in zip(completions, completions[1:]):
+        if t_cur - t_prev > 0:
+            out["verified" if reason == "verified" else "plain"].append(t_cur - t_prev)
+    return out
+
+
+def test_class_service_times_matches_a_full_parse_on_each_sweep_point_log():
+    config = load_bundled("service_rate_sweep")
+    config.sweep.interests_per_point = 300
+    points, results = run_sweep(config)
+    assert len(results) == len(config.sweep.deltas) > 1
+    for result in results:
+        log = result.log_lines
+        for t0 in (0.0, config.traffic.start_ms, 400.0):
+            got = class_service_times(log, "r1", t0)
+            assert got == reference_class_service_times(log, "r1", t0)
+        assert got["plain"] or got["verified"]
+
+
+def test_class_service_times_reads_the_node_field_only():
+    # the node id is also another line's kind, reason and name field
+    lines = [
+        "1.000\tint_drop\tint_forwarded\t00\t",
+        "2.000\tr1\tint_drop\t00\tUnknownName",
+        "",
+        "3.000\tint_drop\tcs_hit_served\t00\tverified",
+        "4.000\tr1\tcs_hit_served\tint_drop\tplain",
+        "5.500\tint_drop\tint_drop\tint_drop\tint_drop",
+        "6.000\tr1\tint_forwarded\t00\tint_drop",
+        "9.000\tint_drop\tint_aggregated\t00\t",
+        "9.500\tcr1\tint_sent\t00\t",
+    ]
+    for node in ("int_drop", "r1", "cr1", "absent"):
+        assert class_service_times(lines, node) == reference_class_service_times(lines, node)
+    assert class_service_times(lines, "int_drop") == {
+        "verified": [2.0], "plain": [2.5, 3.5]
+    }
+    with pytest.raises(ValueError):  # a line of the node with a field too many
+        class_service_times(lines + ["10.000\tr1\tint_drop\t00\tx\ty"], "r1")
 
 
 def test_mixture_rate_estimate_two_classes():

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import random
@@ -273,6 +274,24 @@ def test_hash_unknown_obfuscated_name_dropped():
     response = producer.content_object_generation(interest, 1000.0)
     assert not response.served
     assert response.drop_reason is DropReason.UNKNOWN_NAME
+
+
+def test_name_level_refusals_share_one_frozen_record_per_reason():
+    producer = make_producer()
+    material = crypto.gen_group(128, 1)
+    producer.register_group(material)
+    published(producer, groups=[material.group_id], scheme=SchemeTag.HASH)
+    ctx = make_consumer(material, scheme=SchemeTag.HASH)
+    unknown = [
+        producer.content_object_generation(fetch_interest(producer, ctx, name), 1000.0)
+        for name in (NEWS, Name.from_uri("/edu/uci/ics/other.html"))
+    ]
+    bare = producer.content_object_generation(Interest(Name.from_uri("/edu/uci/x")), 1000.0)
+    assert unknown[0] is unknown[1] is bare
+    assert unknown[0].drop_reason is DropReason.UNKNOWN_NAME
+    assert not unknown[0].served and unknown[0].verifies == 0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        unknown[0].verifies = 1
 
 
 def test_enc_cross_group_request_is_unauthorized():

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import math
@@ -1109,3 +1110,55 @@ def test_set_traffic_refuses_a_delta_that_weighs_a_class_with_no_target(delta, t
     with pytest.raises(simnet.ConfigError, match=f"traffic: {problem}, but there is no"):
         sim.set_traffic(simnet.TrafficProfile("c", lambda_per_s=10.0, delta=delta, **targets))
     assert sim._queue == queued
+
+
+# -- the collector pause ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("collecting", [True, False])
+def test_a_run_pauses_the_collector_and_restores_the_callers_setting(collecting, monkeypatch):
+    sim, _ = scenario.build(linear_config())
+    during = []
+    log_event = sim.log_event
+
+    def observing_log_event(*args, **kwargs):
+        during.append(gc.isenabled())
+        log_event(*args, **kwargs)
+
+    monkeypatch.setattr(sim, "log_event", observing_log_event)
+    (gc.enable if collecting else gc.disable)()
+    try:
+        sim.run()
+        after = gc.isenabled()
+    finally:
+        gc.enable()
+    assert during and not any(during)
+    assert after is collecting
+
+
+@pytest.mark.parametrize("collecting", [True, False])
+def test_a_run_whose_handler_raises_restores_the_callers_setting(collecting, monkeypatch):
+    sim, _ = scenario.build(linear_config())
+
+    def failing_log_event(*args, **kwargs):
+        raise RuntimeError("handler failed")
+
+    monkeypatch.setattr(sim, "log_event", failing_log_event)
+    (gc.enable if collecting else gc.disable)()
+    try:
+        with pytest.raises(RuntimeError, match="handler failed"):
+            sim.run()
+        after = gc.isenabled()
+    finally:
+        gc.enable()
+    assert after is collecting
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLED_DIGESTS))
+def test_a_bundled_run_makes_no_reference_cycles(name):
+    # what makes pausing the collector for a run safe: it would find nothing
+    sim, _ = scenario.build(scenario.load_bundled(name))
+    gc.collect()
+    result = sim.run()
+    assert gc.collect() == 0
+    assert result.log_lines

@@ -163,6 +163,80 @@ def test_obfuscated_name_components_for_lpm():
     assert longest_prefix_match(table, obf) == 7
 
 
+def reference_longest_prefix_match(table, name):
+    """Every prefix of the name's components, longest first, each sliced."""
+    if isinstance(name, ObfuscatedName):
+        comps = name.routable_prefix
+        if name.obfuscated_suffix:
+            comps += (name.obfuscated_suffix,)
+    elif isinstance(name, Name):
+        comps = name.components
+    else:
+        comps = tuple(name)
+    for i in range(len(comps), 0, -1):
+        hit = table.get(comps[:i])
+        if hit is not None:
+            return hit
+    return None
+
+
+# few distinct components, so table keys often lead the name
+lpm_component = st.sampled_from([b"a", b"b", b"ab"])
+lpm_components = st.lists(lpm_component, min_size=1, max_size=4).map(tuple)
+
+
+@st.composite
+def lpm_cases(draw):
+    """A name (clear, obfuscated with or without a suffix, or a plain
+    component sequence, maybe empty) and a table holding some of its
+    prefixes, the empty prefix among them, keys longer than the name and
+    unrelated keys."""
+    form = draw(st.sampled_from(["clear", "obfuscated", "bare", "sequence"]))
+    if form == "clear":
+        name = Name(draw(lpm_components))
+        full = name.components
+    elif form == "obfuscated":
+        suffix_bytes = draw(st.sampled_from([b"a", b"zz"]))
+        name = ObfuscatedName(draw(lpm_components), suffix_bytes, draw(st.sampled_from(SchemeTag)))
+        full = name.routable_prefix + (suffix_bytes,)
+    elif form == "bare":  # scheme NONE allows an empty suffix
+        name = ObfuscatedName(draw(lpm_components), b"", SchemeTag.NONE)
+        full = name.routable_prefix
+    else:
+        name = draw(st.lists(lpm_component, max_size=4))
+        full = tuple(name)
+    keys = [full[:i] for i in draw(st.lists(st.integers(0, len(full)), max_size=4))]
+    keys += [full + extra for extra in draw(st.lists(lpm_components, max_size=2))]
+    keys += draw(st.lists(st.lists(lpm_component, max_size=5).map(tuple), max_size=4))
+    if draw(st.booleans()):
+        keys.append(())
+    return name, {key: i for i, key in enumerate(keys)}
+
+
+@settings(max_examples=500, derandomize=True, deadline=None)
+@given(lpm_cases())
+def test_lpm_answers_as_the_reference_loop(case):
+    name, table = case
+    assert longest_prefix_match(table, name) == reference_longest_prefix_match(table, name)
+
+
+def test_lpm_never_matches_the_empty_prefix():
+    table = {(): 1}
+    assert longest_prefix_match(table, []) is None
+    assert longest_prefix_match(table, Name.from_uri("/a")) is None
+    assert longest_prefix_match(table, ObfuscatedName((b"a",), b"", SchemeTag.NONE)) is None
+    assert longest_prefix_match(table, ObfuscatedName((b"a",), b"s", SchemeTag.HASH)) is None
+
+
+def test_lpm_prefers_a_route_to_the_whole_obfuscated_name():
+    obf = ObfuscatedName((b"edu", b"uci"), b"\x01\x02", SchemeTag.ENC)
+    table = {(b"edu",): 1, (b"edu", b"uci"): 2, (b"edu", b"uci", b"\x01\x02"): 3}
+    assert longest_prefix_match(table, obf) == 3
+    del table[(b"edu", b"uci")]
+    del table[(b"edu", b"uci", b"\x01\x02")]
+    assert longest_prefix_match(table, obf) == 1
+
+
 # ---------------------------------------------------------------------------
 # canonical encoding
 
