@@ -2,15 +2,22 @@
 
 Every node that satisfies an interest runs the same check on the interest
 alone, in a fixed order: nonce duplication, then timestamp validity (the
-``precheck``), then signature verification (``verify_any``).  The caller
-holds the replay state and records the nonce of a passed check.  A nonce
-needs remembering only while its timestamp is valid: once the timestamp
-falls out of the window, the timestamp check refuses every replay of it.
+``precheck``), then signature verification (``verify_any``).
+
+Each node keeps its replay state in one ``ReplayBook``: name, then nonce,
+then the time the nonce's timestamp goes stale (``timestamp + window``,
+with the window the check applied).  A nonce needs remembering only until
+then: once the timestamp falls out of the window, the timestamp check
+refuses every replay of it.  ``run_authorization_check`` books the nonce
+of each check it passes.  A book keeps a lower bound on the earliest stale
+time it holds, lowered by every booking and reset by each full sweep, so a
+sweep at or before the bound returns at once.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 from . import crypto
@@ -48,6 +55,50 @@ class CheckOutcome:
         return self.failure is None
 
 
+class ReplayBook:
+    """name bytes -> {nonce: time its timestamp goes stale}, swept by time."""
+
+    __slots__ = ("names", "_next_stale")
+
+    def __init__(self) -> None:
+        self.names: dict[bytes, dict[bytes, float]] = {}
+        # no booked nonce goes stale before this: ``sweep`` scans nothing earlier
+        self._next_stale = math.inf
+
+    def seen(self, name_bytes: bytes):
+        """The nonces booked for ``name_bytes`` (only ``in`` is meant)."""
+        return self.names.get(name_bytes, ())
+
+    def add(self, name_bytes: bytes, nonce: bytes, stale_at: float) -> None:
+        self.names.setdefault(name_bytes, {})[nonce] = stale_at
+        if stale_at < self._next_stale:
+            self._next_stale = stale_at
+
+    def discard(self, name_bytes: bytes, nonce: bytes) -> None:
+        """Forget a booking whose check did not pass after all."""
+        seen = self.names.get(name_bytes)
+        if seen is not None:
+            seen.pop(nonce, None)
+            if not seen:
+                del self.names[name_bytes]
+
+    def sweep(self, now: float) -> None:
+        """Forget nonces whose timestamps are stale: their replays fail on time.
+
+        A sweep at or before the bound on the earliest stale time returns
+        at once; a full sweep resets the bound to the earliest it leaves."""
+        if now <= self._next_stale:
+            return
+        for name_bytes, seen in list(self.names.items()):
+            for nonce in [n for n, stale_at in seen.items() if stale_at < now]:
+                del seen[nonce]
+            if not seen:
+                del self.names[name_bytes]
+        self._next_stale = min(
+            (t for seen in self.names.values() for t in seen.values()), default=math.inf
+        )
+
+
 def precheck(
     payload: AuthorizationPayload | None,
     seen,
@@ -55,16 +106,15 @@ def precheck(
     now: float,
     window_ms: float,
     skew_ms: float = DEFAULT_SKEW_MS,
-    pending=frozenset(),
 ) -> FailReason | None:
     """Every step of the check short of the signature; None when all pass.
 
-    ``seen`` and ``pending`` are nonce containers (only ``in`` is used): the
-    nonces of passed checks, and those of checks still in flight.
+    ``seen`` holds the booked nonces of the interest's name (only ``in`` is
+    used).
     """
     if payload is None or not payload.has_auth_info():
         return FailReason.MISSING_PAYLOAD
-    if payload.nonce in seen or payload.nonce in pending:
+    if payload.nonce in seen:
         return FailReason.DUPLICATE_NONCE
     if not now - window_ms <= payload.timestamp <= now + skew_ms:
         return FailReason.STALE_TIMESTAMP
@@ -101,14 +151,17 @@ def run_authorization_check(
     payload: AuthorizationPayload | None,
     name_bytes: bytes,
     candidates: list,
-    seen,
+    book: ReplayBook,
     now: float,
     window_ms: float,
     skew_ms: float = DEFAULT_SKEW_MS,
-    pending=frozenset(),
 ) -> CheckOutcome:
-    """``precheck`` then ``verify_any``; the caller records a passed nonce."""
-    failure = precheck(payload, seen, candidates, now, window_ms, skew_ms, pending)
+    """``precheck`` then ``verify_any``; a passed nonce is booked in ``book``
+    until its timestamp leaves ``window_ms``."""
+    failure = precheck(payload, book.seen(name_bytes), candidates, now, window_ms, skew_ms)
     if failure is not None:
         return CheckOutcome(failure)
-    return verify_any(payload, name_bytes, candidates)
+    outcome = verify_any(payload, name_bytes, candidates)
+    if outcome.passed:
+        book.add(name_bytes, payload.nonce, payload.timestamp + window_ms)
+    return outcome

@@ -9,12 +9,11 @@ content-scoped obfuscation key shared by all of them, so every group's
 interests carry the same obfuscated name and a single cached copy serves
 them all; the per-group signing keys still separate authorization.
 
-Replay state is one map per name from nonce to the time the nonce's
-timestamp goes stale; a nonce is kept until then, because until then the
-timestamp check alone would let its replay through.  The producer keeps a
-lower bound on the earliest of those stale times, lowered by every nonce it
-stores and reset by each full sweep, so a sweep before the bound returns
-at once.
+Replay state is the producer's ``authcheck.ReplayBook``: each passed
+nonce is booked until its timestamp leaves the content's window
+(``timestamp + lifetime``), because until then the timestamp check alone
+would let its replay through.  The simulator sweeps the book on the
+producer's expiry tick.
 
 A refusal made before any signature check (an unknown name, a missing
 payload, a group not allowed the content) is one shared, frozen
@@ -25,7 +24,6 @@ response records.
 from __future__ import annotations
 
 import enum
-import math
 import struct
 from dataclasses import dataclass
 
@@ -34,6 +32,7 @@ from .authcheck import (
     DEFAULT_SKEW_MS,
     CheckOutcome,
     FailReason,
+    ReplayBook,
     TextEnum,
     run_authorization_check,
 )
@@ -130,10 +129,7 @@ class Producer:
         # obfuscated suffix bytes -> (cleartext name, obfuscation key id)
         self.hash_name_map: dict[bytes, tuple[Name, bytes]] = {}
         self.enc_name_map: dict[bytes, tuple[Name, bytes]] = {}
-        # name bytes -> {nonce: time its timestamp goes stale}
-        self.nonce_store: dict[bytes, dict[bytes, float]] = {}
-        # no nonce goes stale before this: ``sweep_nonces`` scans nothing earlier
-        self._next_stale = math.inf
+        self.replay_book = ReplayBook()
         self._content_key_seed = content_key_seed
         self._content_key_generation: dict[tuple[bytes, ...], int] = {}
 
@@ -330,19 +326,19 @@ class Producer:
         if window_ms is None:
             window_ms = self.default_window_ms
         name_bytes = interest.name._wire or encode_name(interest.name)
-        seen = self.nonce_store.get(name_bytes, {})
         registered = self.registry.get(clear_gid) if clear_gid is not None else None
         candidates = (
             [(registered.group, registered.signing_public)] if registered else []
         )
-        payload = interest.payload
         outcome = run_authorization_check(
-            payload, name_bytes, candidates, seen, now, window_ms, self.skew_ms
+            interest.payload,
+            name_bytes,
+            candidates,
+            self.replay_book,
+            now,
+            window_ms,
+            self.skew_ms,
         )
-        if outcome.passed:
-            self.nonce_store[name_bytes] = seen
-            seen[payload.nonce] = payload.timestamp + window_ms
-            self._next_stale = min(self._next_stale, seen[payload.nonce])
         if outcome.failure is FailReason.UNKNOWN_GROUP_KEY:
             return CheckOutcome(FailReason.UNKNOWN_GROUP, outcome.verifies)
         return outcome
@@ -393,20 +389,4 @@ class Producer:
             verification_keys=keys,
             expiry_time=expiry,
             producer_signature=producer_signature,
-        )
-
-    def sweep_nonces(self, now: float) -> None:
-        """Forget nonces whose timestamps are stale: their replays fail on time.
-
-        A sweep at or before the bound on the earliest stale time returns
-        at once; a full sweep resets the bound to the earliest it leaves."""
-        if now <= self._next_stale:
-            return
-        for name_bytes, seen in list(self.nonce_store.items()):
-            for nonce in [n for n, stale_at in seen.items() if stale_at < now]:
-                del seen[nonce]
-            if not seen:
-                del self.nonce_store[name_bytes]
-        self._next_stale = min(
-            (t for seen in self.nonce_store.values() for t in seen.values()), default=math.inf
         )

@@ -29,11 +29,15 @@ so one doomed record cannot take the honest interests collapsed behind it
 down with it.  A NACK matches by record identity, so a late one for an
 entry since replaced changes nothing.
 
-Nonce memory lives and dies with the cache entry: the entry holds the
-nonces of its passed checks and of its queued ones, the entry's lifetime
-is the timestamp window, and eviction erases the nonces.  A replay can hit
-the entry only while it lives, and for all that time the entry remembers
-every nonce it accepted.
+Replay state is the router's one ``authcheck.ReplayBook``, which outlives
+the cached copies.  A protected hit's nonce is booked when its precheck
+passes and it joins a queue; the flush forgets it again when the signature
+fails, or when the copy expired first and the hit goes on as a miss.  Each
+pass stays booked until ``timestamp + window``, with the window its check
+applied: the copy's remaining life at insert.  An interest that misses the
+cache with a booked nonce is refused ``DuplicateNonce``, as a hit is, so a
+replay sent after the copy expired is not forwarded.  Each expiry tick
+sweeps the book first.
 
 A cache entry parses its content's verification keys once, when it is
 made: each key whose size names a signature group becomes a
@@ -64,6 +68,7 @@ from .authcheck import (
     DEFAULT_SKEW_MS,
     CheckOutcome,
     FailReason,
+    ReplayBook,
     TextEnum,
     precheck,
     run_authorization_check,
@@ -108,8 +113,6 @@ class CacheEntry:
     content: ContentObject
     inserted_at: float
     expires_at: float
-    nonces: set[bytes] = field(default_factory=set)  # of passed checks
-    queued: set[bytes] = field(default_factory=set)  # of checks awaiting a flush
     # (group id, (SignatureGroup, public key)) of each carried key whose
     # size names a group, parsed once when the entry is made
     keys: list = field(init=False, repr=False)
@@ -187,6 +190,7 @@ class Router:
         self.fib: dict[tuple[bytes, ...], int] = {}
         self.pit: dict[bytes, PitEntry] = {}
         self.cs: dict[bytes, CacheEntry] = {}
+        self.replay_book = ReplayBook()
         # no CS expiry or PIT deadline falls before this: ``expire`` scans
         # nothing earlier
         self._next_due = math.inf
@@ -220,24 +224,19 @@ class Router:
         entry: CacheEntry,
         now: float,
     ) -> CheckOutcome:
-        """Nonce, timestamp, then signature; records the nonce on pass."""
+        """Nonce, timestamp, then signature; books the nonce on pass."""
         outcome = run_authorization_check(
             payload,
             name_bytes,
             self._candidates(payload, entry),
-            entry.nonces,
+            self.replay_book,
             now,
             entry.window_ms,
             self.skew_ms,
-            entry.queued,
         )
         if outcome.passed:
-            self._record_pass(payload, entry)
+            self.auth_passes += 1
         return outcome
-
-    def _record_pass(self, payload: AuthorizationPayload, entry: CacheEntry) -> None:
-        entry.nonces.add(payload.nonce)
-        self.auth_passes += 1
 
     # -- interest pipeline -------------------------------------------------
 
@@ -250,7 +249,12 @@ class Router:
             self._evict(name_bytes, events)
             entry = None
         if entry is None:
-            self._miss(interest, in_iface, name_bytes, now, events)
+            payload = interest.payload
+            if payload is None or payload.nonce not in self.replay_book.seen(name_bytes):
+                self._miss(interest, in_iface, name_bytes, now, events)
+            else:  # a replay of a booked nonce, whose copy has gone
+                failure = FailReason.DUPLICATE_NONCE
+                events.append(self._serve_or_drop(failure, name_bytes, in_iface, interest, None))
         elif entry.content.verification_keys:
             return self._enqueue_batch(interest, entry, in_iface, name_bytes, now)
         else:
@@ -294,10 +298,10 @@ class Router:
         name_bytes: bytes,
         iface: int,
         interest: Interest,
-        entry: CacheEntry,
+        entry: CacheEntry | None,
     ) -> RouterEvent:
-        """The answer to one checked cache hit; a refusal names the refused
-        record and the face it came from."""
+        """The answer to one checked interest: ``entry``'s content, or a
+        refusal that names the refused record and the face it came from."""
         if failure is not None:
             return RouterEvent(EventKind.DROP_INTEREST, name_bytes, iface, interest, failure)
         self.protected_serves += 1
@@ -312,21 +316,21 @@ class Router:
     # -- protected cache hits: precheck, queue, flush -----------------------
 
     def _enqueue_batch(self, interest, entry, in_iface, name_bytes, now):
-        """Precheck now, queue the signature, and flush a queue that is full;
-        an interest left waiting is logged and its queue's first sets the
-        timer."""
+        """Precheck now, book the nonce, queue the signature, and flush a
+        queue that is full; an interest left waiting is logged and its
+        queue's first sets the timer."""
         payload = interest.payload
         failure = precheck(
             payload,
-            entry.nonces,
+            self.replay_book.seen(name_bytes),
             self._candidates(payload, entry),
             now,
             entry.window_ms,
             self.skew_ms,
-            entry.queued,
         )
         if failure is not None:
             return [self._serve_or_drop(failure, name_bytes, in_iface, interest, entry)], 0
+        self.replay_book.add(name_bytes, payload.nonce, payload.timestamp + entry.window_ms)
         key = (name_bytes, payload.group_id)
         if key not in self._batch_queues:
             self._batch_queues[key] = (next(self._batch_serials), [])
@@ -334,7 +338,6 @@ class Router:
         queue.append((in_iface, interest))
         if len(queue) >= self.verify_mode.batch_size:
             return self.flush_batch(key, now)
-        entry.queued.add(payload.nonce)
         events = [RouterEvent(EventKind.BATCH_ENQUEUE, name_bytes)]
         if len(queue) == 1:
             events.append(
@@ -354,8 +357,9 @@ class Router:
         or items that name their group encrypted, each by its own check.
 
         If the cached copy has expired by now, nothing is verified: the
-        copy is evicted and each queued interest goes on as a miss.  A
-        timer passes the ``serial`` of the queue that set it; once that
+        copy is evicted and each queued interest goes on as a miss.  The
+        nonce booked at enqueue is forgotten for each such interest and
+        each item that fails.  A timer passes the ``serial`` of the queue that set it; once that
         queue has been flushed full, the timer flushes nothing."""
         open_serial, queue = self._batch_queues.get(key, (None, None))
         if queue is None or serial not in (None, open_serial):
@@ -368,11 +372,10 @@ class Router:
             if entry is not None:
                 self._evict(name_bytes, events)
             for iface, interest in queue:
+                self.replay_book.discard(name_bytes, interest.payload.nonce)
                 self._miss(interest, iface, name_bytes, now, events)
             return events, 0
         payloads = [interest.payload for _, interest in queue]
-        for payload in payloads:
-            entry.queued.discard(payload.nonce)
 
         verifies = 0
         passed = False  # by one batch test of the whole queue
@@ -393,7 +396,9 @@ class Router:
                 verifies += outcome.verifies
                 failure = outcome.failure
             if failure is None:
-                self._record_pass(payload, entry)
+                self.auth_passes += 1
+            else:
+                self.replay_book.discard(name_bytes, payload.nonce)
             events.append(self._serve_or_drop(failure, name_bytes, iface, interest, entry))
         return events, verifies
 
@@ -493,17 +498,19 @@ class Router:
         events.append(RouterEvent(EventKind.CACHE_EVICT, name_bytes))
 
     def expire(self, now: float) -> list[RouterEvent]:
-        """Flush every cache entry past its expiry together with its nonces,
-        and every PIT entry past its lifetime.
+        """Sweep the replay book, then flush every cache entry past its
+        expiry and every PIT entry past its lifetime.
 
         A PIT entry is inserted only when its key is absent, always at the
         router's ``now``, and the simulator never runs a node's clock
         backwards.  So the PIT's dict order is creation order and the scan
         stops at the first entry still live.
 
-        A call before the bound on the earliest expiry returns at once; a
-        scan resets the bound to the earliest expiry it leaves.
+        A call before the bound on the earliest expiry returns at once,
+        after the book's own sweep; a scan resets the bound to the earliest
+        expiry it leaves.
         """
+        self.replay_book.sweep(now)
         if now < self._next_due:
             return []
         events: list[RouterEvent] = []

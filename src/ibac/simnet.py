@@ -904,7 +904,7 @@ class Simulation:
             for ev in rt.obj.expire(t):
                 self.log_event(t, rt.node_id, _TEXT[ev.kind], ev.name_bytes)
         else:
-            rt.obj.sweep_nonces(t)
+            rt.obj.replay_book.sweep(t)
         next_t = t + self.expiry_sweep_ms
         if next_t <= self.horizon_ms:
             self._push(next_t, self._do_expire, rt)

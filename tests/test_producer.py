@@ -1,11 +1,12 @@
+import copy
 import dataclasses
 import itertools
-import math
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 
 from ibac import crypto
 from ibac.authcheck import FailReason
@@ -18,6 +19,7 @@ from ibac.producer import (
     UnknownGroup,
 )
 from ibac.wire import Interest, Name, SchemeTag, encode_name
+from replay_reference import assert_bound_holds, full_sweep
 
 PREFIX = (b"edu", b"uci")
 HOME = Name.from_uri("/edu/uci/ics/home.html")
@@ -141,8 +143,10 @@ def test_authorize_pass_records_nonce():
     interest = fetch_interest(producer, ctx)
     outcome = producer.authorize(interest, now=1000.0, window_ms=60_000)
     assert outcome.passed
-    seen = producer.nonce_store[encode_name(interest.name)]
-    assert interest.payload.nonce in seen
+    # booked until its timestamp leaves the window
+    assert producer.replay_book.names == {
+        encode_name(interest.name): {interest.payload.nonce: 1000.0 + 60_000}
+    }
 
 
 def test_authorize_replay_is_duplicate_nonce():
@@ -445,11 +449,12 @@ def test_nonce_windows_swept_after_elapse():
     published(producer, groups=[material.group_id], lifetime=1000)
     interest = fetch_interest(producer, make_consumer(material))
     assert producer.content_object_generation(interest, 1000.0).served
-    assert producer.nonce_store
-    producer.sweep_nonces(1500.0)
-    assert producer.nonce_store  # window not yet elapsed
-    producer.sweep_nonces(2500.0)
-    assert not producer.nonce_store
+    booked = {encode_name(interest.name): {interest.payload.nonce: 2000.0}}
+    assert producer.replay_book.names == booked
+    producer.replay_book.sweep(1500.0)
+    assert producer.replay_book.names == booked  # window not yet elapsed
+    producer.replay_book.sweep(2500.0)
+    assert producer.replay_book.names == {}
 
 
 @settings(max_examples=40, derandomize=True, deadline=None, database=None)
@@ -483,14 +488,11 @@ def test_nonce_sweep_matches_a_full_sweep(ops):
             interest = fetch_interest(producer, ctx, name)
             assert producer.authorize(interest, now, window_ms).passed
         else:
-            full_sweep = {
-                name_bytes: {n: t for n, t in seen.items() if t >= now}
-                for name_bytes, seen in producer.nonce_store.items()
-            }
-            producer.sweep_nonces(now)
-            assert producer.nonce_store == {nb: seen for nb, seen in full_sweep.items() if seen}
-        stale_times = [t for seen in producer.nonce_store.values() for t in seen.values()]
-        assert producer._next_stale <= min(stale_times, default=math.inf)
+            book = producer.replay_book
+            expected = full_sweep(book, now)
+            book.sweep(now)
+            assert book.names == expected
+        assert_bound_holds(producer.replay_book)
 
 
 def test_rekey_swaps_groups_and_maps():
@@ -543,3 +545,137 @@ def test_replay_straddling_window_edge_is_refused():
     replay = producer.content_object_generation(late, 1001.0)
     assert not replay.served
     assert replay.drop_reason is FailReason.DUPLICATE_NONCE
+
+
+# ---------------------------------------------------------------------------
+# any call sequence on a non-decreasing clock
+
+POOL = [crypto.gen_group(128, seed) for seed in (1, 2, 3)]
+PAIR = crypto.gen_producer_keypair(5)
+# the last two are refused by a protected publish: the bare prefix, and a
+# name outside it
+NAMES = [HOME, NEWS, Name(PREFIX), Name.from_uri("/edu/mit/x")]
+GROUPS = st.lists(st.sampled_from(range(len(POOL))), max_size=3, unique=True)
+WAIT = st.sampled_from([0.0, 1.0, 250.0, 1000.0])  # ms before a call
+MODE_FOR = {
+    ProtectionPolicy.FULL: ConsumerMode.FULL,
+    ProtectionPolicy.OBFUSCATE_ONLY: ConsumerMode.OBFUSCATE_ONLY,
+    ProtectionPolicy.AUTH_ONLY: ConsumerMode.AUTH_ONLY,
+    ProtectionPolicy.PUBLIC: ConsumerMode.FULL,  # a public name goes in clear anyway
+}
+
+
+class ProducerMachine(RuleBasedStateMachine):
+    """A producer fed registrations, revocations, publications, rekeys,
+    fetches, replays and replay-book sweeps in any order, on a
+    non-decreasing clock.  A call raises only what it documents, a call
+    that raises or refuses changes nothing, and a sweep forgets what a
+    sweep of every booked nonce forgets."""
+
+    @initialize(policy=st.sampled_from(ProtectionPolicy),
+                scheme=st.sampled_from([SchemeTag.ENC, SchemeTag.HASH]))
+    def world(self, policy, scheme):
+        """Every group registered, ``HOME`` published to the first and
+        ``NEWS`` to the first two, both under ``policy``."""
+        self.producer = Producer(PREFIX, keypair=PAIR)
+        for material in POOL:
+            self.producer.register_group(material)
+        for name, groups in ((HOME, POOL[:1]), (NEWS, POOL[:2])):
+            if policy is ProtectionPolicy.PUBLIC:
+                groups = []
+            self.producer.publish(name, b"data", [m.group_id for m in groups], scheme, 1000,
+                                  policy)
+        self.now = 1000.0
+        self.rng = random.Random(0)
+        self.sent: list[Interest] = []
+
+    def _state(self):
+        p = self.producer
+        return copy.deepcopy((p.registry, p.catalog, p.hash_name_map, p.enc_name_map,
+                              p._content_key_generation, p.replay_book.names))
+
+    def _refusable(self, errors, call, *args) -> None:
+        """``call(*args)``, which may refuse by raising one of ``errors``."""
+        before = self._state()
+        try:
+            call(*args)
+        except errors:
+            assert self._state() == before
+
+    def _answer(self, dt, interest: Interest) -> None:
+        self.now += dt
+        before = self._state()
+        if not self.producer.content_object_generation(interest, self.now).served:
+            assert self._state() == before
+        self.sent.append(interest)
+
+    @rule(m=st.sampled_from(range(len(POOL))), forged_id=st.booleans())
+    def register(self, m, forged_id):
+        material = POOL[m]
+        if forged_id:  # not the digest of the obfuscation key
+            material = dataclasses.replace(material, group_id=bytes(32))
+        # DuplicateGroup is a ValueError
+        self._refusable(ValueError, self.producer.register_group, material)
+
+    @rule(m=st.sampled_from(range(len(POOL))))
+    def revoke(self, m):
+        self.producer.revoke_group(POOL[m].group_id)
+
+    @rule(name=st.sampled_from(NAMES), groups=GROUPS,
+          scheme=st.sampled_from([SchemeTag.ENC, SchemeTag.HASH]),
+          policy=st.sampled_from(ProtectionPolicy), lifetime=st.sampled_from([300, 60_000]))
+    def publish(self, name, groups, scheme, policy, lifetime):
+        # UnknownGroup is a ValueError
+        self._refusable(ValueError, self.producer.publish, name, b"data",
+                        [POOL[m].group_id for m in groups], scheme, lifetime, policy)
+
+    @rule(name=st.sampled_from(NAMES), groups=GROUPS)
+    def rekey(self, name, groups):
+        self._refusable((KeyError, ValueError), self.producer.rekey_content, name,
+                        [POOL[m].group_id for m in groups])
+
+    @rule(dt=WAIT, m=st.sampled_from(range(len(POOL))), name=st.sampled_from([HOME, NEWS]),
+          matched=st.booleans(), mode=st.sampled_from(ConsumerMode),
+          scheme=st.sampled_from([SchemeTag.ENC, SchemeTag.HASH]), encrypted=st.booleans(),
+          lag=st.sampled_from([0.0, 250.0, 900.0]))
+    def fetch(self, dt, m, name, matched, mode, scheme, encrypted, lag):
+        """A fetch by a member of ``POOL[m]``, stamped ``lag`` ms in the past,
+        with the content's shared key if the catalog lists one; a
+        ``matched`` fetch takes the mode and scheme the catalog entry asks
+        for."""
+        entry = self.producer.catalog.get(name.components)
+        if matched and entry is not None:
+            scheme = entry.scheme
+            mode = MODE_FOR[entry.policy]
+        ctx = ConsumerContext(
+            group=POOL[m], mode=mode, scheme=scheme, clock=lambda: self.now + dt - lag,
+            rng=self.rng, producer_public=PAIR.public if encrypted else None,
+        )
+        if entry is not None and entry.content_key is not None:
+            ctx.content_keys[name.components] = entry.content_key
+        if entry is not None and entry.policy is ProtectionPolicy.PUBLIC:
+            ctx.public_names.add(name.components)
+        self._answer(dt, interest_generation(ctx, PREFIX, name))
+
+    @precondition(lambda self: self.sent)
+    @rule(dt=WAIT, data=st.data())
+    def replay(self, dt, data):
+        self._answer(dt, data.draw(st.sampled_from(self.sent)))
+
+    @rule(dt=WAIT)
+    def sweep(self, dt):
+        self.now += dt
+        book = self.producer.replay_book
+        expected = full_sweep(book, self.now)
+        book.sweep(self.now)
+        assert book.names == expected
+
+    @invariant()
+    def no_nonce_goes_stale_before_the_bound(self):
+        assert_bound_holds(self.producer.replay_book)
+
+
+TestProducerMachine = ProducerMachine.TestCase
+TestProducerMachine.settings = settings(
+    max_examples=50, stateful_step_count=40, derandomize=True, deadline=None, database=None
+)

@@ -13,6 +13,7 @@ from ibac.consumer import ConsumerContext, ConsumerMode, interest_generation
 from ibac.producer import Producer, ProtectionPolicy
 from ibac.router import DropReason, EventKind, Router, RouterEvent, VerifyMode
 from ibac.wire import ContentObject, Interest, Nack, Name, SchemeTag, encode_name
+from replay_reference import assert_bound_holds, full_sweep
 
 PREFIX = (b"edu", b"uci")
 HOME = Name.from_uri("/edu/uci/ics/home.html")
@@ -71,9 +72,14 @@ def test_check_pass_records_nonce_then_duplicate_fails():
 
     second = fetch(material, rng_seed=2)
     entry = router.cs[name_bytes]
+    assert entry.window_ms == 61_000.0 - 1001.0
     outcome = router.router_authorization_check(second.payload, name_bytes, entry, 1500.0)
     assert outcome.passed
-    assert second.payload.nonce in router.cs[name_bytes].nonces
+    # each pass, the forwarded record's included, is booked until its
+    # timestamp leaves the copy's window
+    assert router.replay_book.names == {
+        name_bytes: {first.payload.nonce: 60_999.0, second.payload.nonce: 60_999.0}
+    }
     replay = router.router_authorization_check(second.payload, name_bytes, entry, 1600.0)
     assert replay.failure is FailReason.DUPLICATE_NONCE
 
@@ -268,16 +274,33 @@ def test_public_content_forwarded_unconditionally():
 # expiry
 
 def test_expire_flushes_cache_and_nonces():
+    # the copy goes at its expiry; a nonce it passed stays booked until its
+    # timestamp leaves the window the check applied, which can outlive the
+    # copy, and the first sweep after that removes it
     (material,), producer, router, _ = build_world(lifetime=2000)
     interest = fetch(material)
     content, _, _ = serve_and_cache(router, producer, interest, 1000.0)
     name_bytes = encode_name(interest.name)
-    assert name_bytes in router.cs and interest.payload.nonce in router.cs[name_bytes].nonces
+    assert router.cs[name_bytes].window_ms == 3000.0 - 1001.0
+    hit = fetch(material, clock_value=2500.0, rng_seed=2)
+    events, _ = router.on_interest(hit, in_iface=0, now=2500.0)
+    assert [e.kind for e in events] == [EventKind.SERVE_FROM_CACHE]
+    assert router.replay_book.names == {
+        name_bytes: {interest.payload.nonce: 2999.0, hit.payload.nonce: 4499.0}
+    }
     router.expire(content.expiry_time - 1.0)
     assert name_bytes in router.cs  # boundary: one ms early keeps the entry
+    assert router.replay_book.names == {
+        name_bytes: {interest.payload.nonce: 2999.0, hit.payload.nonce: 4499.0}
+    }
     events = router.expire(float(content.expiry_time))
-    assert any(e.kind is EventKind.CACHE_EVICT for e in events)
-    assert name_bytes not in router.cs  # the entry's nonces went with it
+    assert [e.kind for e in events] == [EventKind.CACHE_EVICT]
+    assert name_bytes not in router.cs
+    assert router.replay_book.names == {name_bytes: {hit.payload.nonce: 4499.0}}
+    router.expire(4499.0)  # boundary: still inside the hit's window
+    assert router.replay_book.names == {name_bytes: {hit.payload.nonce: 4499.0}}
+    router.expire(4500.0)
+    assert router.replay_book.names == {}
 
 
 @settings(max_examples=150, deadline=None)
@@ -425,6 +448,10 @@ def test_batch_mode_fallback_identifies_passers():
     drops = [e for e in all_events if e.kind is EventKind.DROP_INTEREST]
     assert serves == {0, 2}
     assert len(drops) == 1 and drops[0].reason is FailReason.BAD_SIGNATURE
+    # the forged record was booked at enqueue, and the flush forgot it
+    assert router.replay_book.names[encode_name(warm.name)].keys() == {
+        warm.payload.nonce, good1.payload.nonce, good2.payload.nonce
+    }
     assert total_verifies == 1 + 3  # failed batch, then one check per item
 
 
@@ -507,8 +534,7 @@ def test_a_batch_of_one_answers_each_hit_as_individual_does(kind):
             hit = interest(2, encrypted=True)
         sent = [hit, hit] if kind == "replayed" else [hit]
         answers = [router.on_interest(i, in_iface=4, now=1500.0 + n) for n, i in enumerate(sent)]
-        (entry,) = router.cs.values()
-        return answers, router.auth_passes, router.protected_serves, entry.nonces
+        return answers, router.auth_passes, router.protected_serves, router.replay_book.names
 
     individual = calls(VerifyMode.individual())
     assert calls(VerifyMode.batch(batch_size=1)) == individual
@@ -644,22 +670,29 @@ def test_batch_flush_after_the_copy_expired_forwards_each_queued_interest():
     pit = router.pit[encode_name(queued[0].name)]
     assert pit.records == [(0, queued[0]), (1, queued[1])]
     assert not router.cs
+    # booked at enqueue, forgotten by the flush, so the miss path let them on
+    seen = router.replay_book.seen(encode_name(queued[0].name))
+    assert not any(interest.payload.nonce in seen for interest in queued)
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 4: a router forgets the nonces of "
-                   "an expired copy, and the producer never saw them")
 def test_a_same_path_replay_after_the_copy_expired_is_not_served():
     # README's example: a copy cached at t = 1001 with a 1000 ms lifetime
     # serves an interest stamped 1950 at t = 1950; the same record sent to
-    # the same router at t = 2100 is still inside the producer's window
+    # the same router at t = 2100 is still inside the producer's window.
+    # The router's book keeps the nonce until 1950 + 999 and refuses the
+    # replay on the miss path, as a cache hit would be refused
     (material,), producer, router, _ = build_world(lifetime=1000)
     serve_and_cache(router, producer, fetch(material, clock_value=1000.0), 1000.0)
     interest = fetch(material, clock_value=1950.0, rng_seed=2)
     events, _ = router.on_interest(interest, in_iface=0, now=1950.0)
     assert [e.kind for e in events] == [EventKind.SERVE_FROM_CACHE]
-    events, _ = router.on_interest(interest, in_iface=0, now=2100.0)
-    forwarded = [e for e in events if e.kind is EventKind.FORWARD_INTEREST]
-    assert not (forwarded and producer.content_object_generation(interest, 2100.0).served)
+    router.expire(2000.0)
+    assert not router.cs
+    events, verifies = router.on_interest(interest, in_iface=0, now=2100.0)
+    assert [(e.kind, e.iface, e.message, e.reason) for e in events] == [
+        (EventKind.DROP_INTEREST, 0, interest, FailReason.DUPLICATE_NONCE)
+    ]
+    assert verifies == 0 and not router.pit
 
 
 def forged_and_followers(router, material, now=1000.0):
@@ -756,6 +789,12 @@ class RouterMachine(RuleBasedStateMachine):
     ``PUBLIC`` in clear, a forged one carries a corrupted signature, and a
     replay re-sends any record sent before, on any face.  No call raises:
     the router documents no exception for a well-formed record.
+
+    Each record the router passes is noted, from the hit it served or the
+    record it forwarded content to, with its stale time: its timestamp
+    plus the window its precheck applied.  Until then the router's book
+    holds it at that time, and a re-send is refused as a duplicate, on the
+    hit path or, once the copy is gone, on the miss path.
     """
 
     verify_mode = VerifyMode.individual()
@@ -786,17 +825,50 @@ class RouterMachine(RuleBasedStateMachine):
         ]
         self.sent: list[Interest] = []
         self.contents: list[ContentObject] = []
+        self._note_passes(self.router)
+
+    def _note_passes(self, router: Router) -> None:
+        """Note in ``self.passed`` each record ``router`` passes: (name bytes,
+        nonce) -> (the record, its stale time)."""
+        self.passed: dict[tuple, tuple[Interest, float]] = {}
+        window_at_enqueue: dict[int, float] = {}
+        enqueue, answer, check = (
+            router._enqueue_batch, router._serve_or_drop, router.router_authorization_check
+        )
+
+        def noted_enqueue(interest, entry, *args):
+            window_at_enqueue[id(interest)] = entry.window_ms
+            return enqueue(interest, entry, *args)
+
+        def noted_answer(failure, name_bytes, iface, interest, entry):
+            if failure is None:
+                stale_at = interest.payload.timestamp + window_at_enqueue[id(interest)]
+                self.passed[(name_bytes, interest.payload.nonce)] = (interest, stale_at)
+            return answer(failure, name_bytes, iface, interest, entry)
+
+        def noted_check(payload, name_bytes, entry, now):
+            outcome = check(payload, name_bytes, entry, now)
+            if outcome.passed:
+                interest = next(i for i in self.sent if i.payload is payload)
+                stale_at = payload.timestamp + entry.window_ms
+                self.passed[(name_bytes, payload.nonce)] = (interest, stale_at)
+            return outcome
+
+        router._enqueue_batch, router._serve_or_drop = noted_enqueue, noted_answer
+        router.router_authorization_check = noted_check
 
     def _take(self, dt, call, *args):
-        """``call(*args, now)`` after ``dt`` ms; its events are well formed."""
+        """``call(*args, now)`` after ``dt`` ms; its events are well formed,
+        and returned."""
         self.now += dt
         events, verifies = call(*args, now=self.now)
         assert all(isinstance(e, RouterEvent) and isinstance(e.kind, EventKind) for e in events)
         assert verifies >= 0
+        return events
 
     def _send(self, dt, interest: Interest, face: int):
         self.sent.append(interest)
-        self._take(dt, self.router.on_interest, interest, face)
+        return self._take(dt, self.router.on_interest, interest, face)
 
     def _interest(self, sender: int) -> Interest:
         return interest_generation(self.contexts[sender], PREFIX, HOME)
@@ -820,6 +892,25 @@ class RouterMachine(RuleBasedStateMachine):
     @rule(dt=WAIT, data=st.data(), face=st.integers(0, 3))
     def replayed(self, dt, data, face):
         self._send(dt, data.draw(st.sampled_from(self.sent)), face)
+
+    @precondition(lambda self: any(s >= self.now for _, s in self.passed.values()))
+    @rule(data=st.data(), face=st.integers(0, 3), after_expiry=st.booleans())
+    def replayed_pass(self, data, face, after_expiry):
+        """Re-send a record the router passed, before its stale time: at
+        once, or when its name's cached copy expires."""
+        live = [(i, s) for i, s in self.passed.values() if s >= self.now]
+        interest, stale_at = data.draw(st.sampled_from(live))
+        entry = self.router.cs.get(interest.name._wire)
+        dt = 0.0
+        if after_expiry and entry is not None:
+            dt = max(entry.expires_at - self.now, 0.0)
+        if self.now + dt > stale_at:
+            return
+        events = self._send(dt, interest, face)
+        assert [(e.kind, e.iface, e.message, e.reason) for e in events][-1:] == [
+            (EventKind.DROP_INTEREST, face, interest, FailReason.DUPLICATE_NONCE)
+        ]
+        assert {e.kind for e in events[:-1]} <= {EventKind.CACHE_EVICT}
 
     @precondition(lambda self: self.router.pit)
     @rule(dt=WAIT, data=st.data())
@@ -851,8 +942,10 @@ class RouterMachine(RuleBasedStateMachine):
 
     def _expire(self, router: Router) -> list[RouterEvent]:
         """``router.expire(self.now)``, checked against a full scan of the
-        CS and PIT: an expiry tick that returns early misses nothing."""
+        CS, the PIT and the replay book: an expiry tick that returns early
+        misses nothing."""
         now = self.now
+        book_left = full_sweep(router.replay_book, now)
         evicted = [nb for nb, e in router.cs.items() if e.expires_at <= now]
         cs_left = [(nb, e) for nb, e in router.cs.items() if e.expires_at > now]
         pit_left = [
@@ -864,6 +957,7 @@ class RouterMachine(RuleBasedStateMachine):
         ]
         assert [(nb, id(e)) for nb, e in router.cs.items()] == [(nb, id(e)) for nb, e in cs_left]
         assert [(nb, id(p)) for nb, p in router.pit.items()] == [(nb, id(p)) for nb, p in pit_left]
+        assert router.replay_book.names == book_left
         return events
 
     @rule(dt=WAIT)
@@ -882,6 +976,26 @@ class RouterMachine(RuleBasedStateMachine):
         due = [e.expires_at for e in router.cs.values()]
         due += [p.created_at + router.pit_lifetime_ms for p in router.pit.values()]
         assert router._next_due <= min(due, default=math.inf)
+
+    @invariant()
+    def the_book_holds_each_pass_until_stale_and_else_only_queued_hits(self):
+        booked = self.router.replay_book.names
+        for (name_bytes, nonce), (_, stale_at) in self.passed.items():
+            if stale_at >= self.now:
+                assert booked[name_bytes][nonce] == stale_at
+        queued = {
+            (key[0], interest.payload.nonce)
+            for key, (_, queue) in self.router._batch_queues.items()
+            for _, interest in queue
+        }
+        for name_bytes, seen in booked.items():
+            for nonce, stale_at in seen.items():
+                noted = self.passed.get((name_bytes, nonce), (None, None))
+                assert (name_bytes, nonce) in queued or noted[1] == stale_at
+
+    @invariant()
+    def no_nonce_goes_stale_before_the_bound(self):
+        assert_bound_holds(self.router.replay_book)
 
     @invariant()
     def pit_order_is_creation_order(self):
@@ -915,6 +1029,7 @@ class BatchOfOneRouterMachine(RouterMachine):
         self.now += dt
         answer = call(*args, now=self.now)
         assert getattr(self.twin, call.__name__)(*args, now=self.now) == answer
+        return answer[0]
 
     @rule(dt=WAIT)
     def expire(self, dt):
