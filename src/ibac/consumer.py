@@ -76,6 +76,13 @@ class ConsumerContext:
             raise ValueError(f"{self.mode.value} requires an ENC or HASH scheme")
 
 
+# the members ``interest_generation`` reads, bound once: reading them off the
+# class costs an enum ``__getattr__`` each time (see ``authcheck.TextEnum``)
+_AUTH_ONLY = ConsumerMode.AUTH_ONLY
+_OBFUSCATE_ONLY = ConsumerMode.OBFUSCATE_ONLY
+_ENC = SchemeTag.ENC
+
+
 def _group_id_field(ctx: ConsumerContext) -> tuple[bytes, bool]:
     if ctx.producer_public is not None:
         return (
@@ -89,7 +96,7 @@ def interest_generation(ctx: ConsumerContext, routable_prefix, name: Name) -> In
     """Build one interest for ``name`` under the context's mode and scheme."""
     routable_prefix = tuple(routable_prefix)
     public = name.components in ctx.public_names
-    if public or ctx.mode is ConsumerMode.AUTH_ONLY:
+    if public or ctx.mode is _AUTH_ONLY:
         wire_name = name
         # validate the prefix relationship even though the name stays clear
         suffix(name, routable_prefix)
@@ -102,7 +109,7 @@ def interest_generation(ctx: ConsumerContext, routable_prefix, name: Name) -> In
         wire_name = ctx._obfuscated.get(memo_key)
         if wire_name is None:
             suffix_components = suffix(name, routable_prefix)
-            if ctx.scheme is SchemeTag.ENC:
+            if ctx.scheme is _ENC:
                 obf = crypto.obfuscate_enc(obf_key, suffix_components)
             else:
                 obf = crypto.obfuscate_hash(obf_key, suffix_components)
@@ -112,7 +119,7 @@ def interest_generation(ctx: ConsumerContext, routable_prefix, name: Name) -> In
         name_bytes = wire_name._wire
 
     group_id, encrypted = _group_id_field(ctx)
-    if ctx.mode is ConsumerMode.OBFUSCATE_ONLY:
+    if ctx.mode is _OBFUSCATE_ONLY:
         payload = AuthorizationPayload(group_id, encrypted)
     else:
         kappa = ctx.group.kappa

@@ -110,6 +110,26 @@ class ProducerResponse:
 # unknown names is answered with the same record every time
 _REFUSED = {reason: ProducerResponse(None, reason) for reason in (*DropReason, *FailReason)}
 
+# the members the per-event path reads, bound once: reading them off the
+# class costs an enum ``__getattr__`` each time (see ``authcheck.TextEnum``)
+_UNKNOWN_NAME = DropReason.UNKNOWN_NAME
+_UNAUTHORIZED = DropReason.UNAUTHORIZED
+_PREFIX_MISMATCH = DropReason.PREFIX_MISMATCH
+_AUTHENTICITY_FAILURE = DropReason.AUTHENTICITY_FAILURE
+_DECRYPT_FAILURE = DropReason.DECRYPT_FAILURE
+_MISSING_PAYLOAD = FailReason.MISSING_PAYLOAD
+_UNKNOWN_GROUP = FailReason.UNKNOWN_GROUP
+_UNKNOWN_GROUP_KEY = FailReason.UNKNOWN_GROUP_KEY
+_NONE = SchemeTag.NONE
+_ENC = SchemeTag.ENC
+_HASH = SchemeTag.HASH
+_PUBLIC = ProtectionPolicy.PUBLIC
+_OBFUSCATE_ONLY = ProtectionPolicy.OBFUSCATE_ONLY
+# the policies whose content is resolved by clear name, and those whose
+# content carries its groups' verification keys
+_SERVED_IN_CLEAR = (ProtectionPolicy.AUTH_ONLY, ProtectionPolicy.PUBLIC)
+_KEYS_RIDE_ALONG = (ProtectionPolicy.FULL, ProtectionPolicy.AUTH_ONLY)
+
 
 class Producer:
     def __init__(
@@ -244,15 +264,15 @@ class Producer:
     def _clear_group_id(self, interest: Interest) -> tuple[bytes | None, object | None]:
         payload = interest.payload
         if payload is None:
-            return None, FailReason.MISSING_PAYLOAD
+            return None, _MISSING_PAYLOAD
         if not payload.group_id_encrypted:
             return payload.group_id, None
         if self.keypair is None:
-            return None, FailReason.UNKNOWN_GROUP
+            return None, _UNKNOWN_GROUP
         try:
             return crypto.decrypt_group_id(self.keypair, payload.group_id), None
         except crypto.DecryptFailure:
-            return None, DropReason.DECRYPT_FAILURE
+            return None, _DECRYPT_FAILURE
 
     def _resolve(self, interest: Interest, clear_gid: bytes | None):
         """Map the interest name to a catalog entry; returns (entry, reason)."""
@@ -260,55 +280,52 @@ class Producer:
         if isinstance(name, Name):
             entry = self.catalog.get(name.components)
             if entry is None:
-                return None, DropReason.UNKNOWN_NAME
-            if entry.policy not in (ProtectionPolicy.AUTH_ONLY, ProtectionPolicy.PUBLIC):
+                return None, _UNKNOWN_NAME
+            if entry.policy not in _SERVED_IN_CLEAR:
                 # obfuscation-protected content is never served by clear name
-                return None, DropReason.UNKNOWN_NAME
+                return None, _UNKNOWN_NAME
             return entry, None
 
         if name.routable_prefix != self.prefix:
-            return None, DropReason.PREFIX_MISMATCH
-        if name.scheme_tag is SchemeTag.NONE:
+            return None, _PREFIX_MISMATCH
+        if name.scheme_tag is _NONE:
             try:
                 comps = self.prefix + tuple(unpack_components(name.obfuscated_suffix))
             except Exception:
-                return None, DropReason.UNKNOWN_NAME
+                return None, _UNKNOWN_NAME
             entry = self.catalog.get(comps)
-            if entry is None or entry.policy not in (
-                ProtectionPolicy.AUTH_ONLY,
-                ProtectionPolicy.PUBLIC,
-            ):
-                return None, DropReason.UNKNOWN_NAME
+            if entry is None or entry.policy not in _SERVED_IN_CLEAR:
+                return None, _UNKNOWN_NAME
             return entry, None
-        if name.scheme_tag is SchemeTag.HASH:
+        if name.scheme_tag is _HASH:
             hit = self.hash_name_map.get(name.obfuscated_suffix)
             if hit is None:
-                return None, DropReason.UNKNOWN_NAME
+                return None, _UNKNOWN_NAME
             entry = self.catalog.get(hit[0].components)
-            if entry is None or entry.scheme is not SchemeTag.HASH:
-                return None, DropReason.UNKNOWN_NAME
+            if entry is None or entry.scheme is not _HASH:
+                return None, _UNKNOWN_NAME
             return entry, None
         # encrypted scheme: precomputed shared names first, then live decryption
         hit = self.enc_name_map.get(name.obfuscated_suffix)
         if hit is not None:
             entry = self.catalog.get(hit[0].components)
-            if entry is not None and entry.scheme is SchemeTag.ENC:
+            if entry is not None and entry.scheme is _ENC:
                 return entry, None
-            return None, DropReason.UNKNOWN_NAME
+            return None, _UNKNOWN_NAME
         if clear_gid is None:
-            return None, FailReason.MISSING_PAYLOAD
+            return None, _MISSING_PAYLOAD
         registered = self.registry.get(clear_gid)
         if registered is None:
-            return None, FailReason.UNKNOWN_GROUP
+            return None, _UNKNOWN_GROUP
         try:
             suffix_components = crypto.deobfuscate_enc(
                 registered.obfuscation_key, name.obfuscated_suffix
             )
         except crypto.AuthenticityFailure:
-            return None, DropReason.AUTHENTICITY_FAILURE
+            return None, _AUTHENTICITY_FAILURE
         entry = self.catalog.get(self.prefix + tuple(suffix_components))
-        if entry is None or entry.scheme is not SchemeTag.ENC:
-            return None, DropReason.UNKNOWN_NAME
+        if entry is None or entry.scheme is not _ENC:
+            return None, _UNKNOWN_NAME
         return entry, None
 
     def authorize(
@@ -322,7 +339,7 @@ class Producer:
         if clear_gid is None and interest.payload is not None:
             clear_gid, reason = self._clear_group_id(interest)
             if reason is not None:
-                return CheckOutcome(reason if isinstance(reason, FailReason) else FailReason.UNKNOWN_GROUP)
+                return CheckOutcome(reason if isinstance(reason, FailReason) else _UNKNOWN_GROUP)
         if window_ms is None:
             window_ms = self.default_window_ms
         name_bytes = interest.name._wire or encode_name(interest.name)
@@ -339,8 +356,8 @@ class Producer:
             window_ms,
             self.skew_ms,
         )
-        if outcome.failure is FailReason.UNKNOWN_GROUP_KEY:
-            return CheckOutcome(FailReason.UNKNOWN_GROUP, outcome.verifies)
+        if outcome.failure is _UNKNOWN_GROUP_KEY:
+            return CheckOutcome(_UNKNOWN_GROUP, outcome.verifies)
         return outcome
 
     def content_object_generation(self, interest: Interest, now: float) -> ProducerResponse:
@@ -355,12 +372,12 @@ class Producer:
         if entry is None:
             return _REFUSED[reason]
         verifies = 0
-        if entry.policy is not ProtectionPolicy.PUBLIC:
+        if entry.policy is not _PUBLIC:
             if clear_gid is None:
-                return _REFUSED[FailReason.MISSING_PAYLOAD]
+                return _REFUSED[_MISSING_PAYLOAD]
             if clear_gid not in entry.group_ids:
-                return _REFUSED[DropReason.UNAUTHORIZED]
-            if entry.policy is not ProtectionPolicy.OBFUSCATE_ONLY:
+                return _REFUSED[_UNAUTHORIZED]
+            if entry.policy is not _OBFUSCATE_ONLY:
                 outcome = self.authorize(interest, now, entry.lifetime_ms, clear_gid)
                 verifies = outcome.verifies
                 if not outcome.passed:
@@ -369,7 +386,7 @@ class Producer:
 
     def _build_content(self, entry: ContentEntry, interest: Interest, now: float) -> ContentObject:
         # cached copies can only authorize future interests if the keys ride along
-        if entry.policy in (ProtectionPolicy.FULL, ProtectionPolicy.AUTH_ONLY):
+        if entry.policy in _KEYS_RIDE_ALONG:
             # a group revoked without a rekey stays listed but has no key
             keys = tuple(
                 (gid, self.registry[gid].public_key_bytes)

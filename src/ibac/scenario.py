@@ -700,23 +700,37 @@ def content_wire_name(info: BuildInfo, content_name: str) -> bytes:
 # -- invariants ------------------------------------------------------------------
 
 
+_DROP_KINDS = frozenset({"int_drop", "content_drop", "pending_drop"})
+_RECOUNTED_KINDS = _DROP_KINDS | {"content_delivered", "cs_hit_served", "content_sent"}
+
+
+def _log_recount(lines: list[str], adversaries) -> tuple[Counter, int, Counter]:
+    """What ``check_invariants`` recounts from an emission log: the drops
+    of every node but ``adversaries`` by (node, reason), the deliveries,
+    and the verified serves by node.  Every line must have five fields."""
+    drops: Counter = Counter()
+    delivered = 0
+    served_verified: Counter = Counter()
+    for line in lines:
+        _, node, kind, _, reason = line.split("\t")
+        if kind not in _RECOUNTED_KINDS:
+            continue
+        if kind in _DROP_KINDS:
+            if node not in adversaries:
+                drops[(node, reason)] += 1
+        elif kind == "content_delivered":
+            delivered += 1
+        elif reason == "verified":  # a cs_hit_served or content_sent
+            served_verified[node] += 1
+    return drops, delivered, served_verified
+
+
 def check_invariants(result: RunResult, sim: Simulation) -> None:
     if not result.conservation["balanced"]:
         raise InvariantViolation(f"conservation violated: {result.conservation}")
     # recount drops and deliveries from the raw log
-    drop_kinds = {"int_drop", "content_drop", "pending_drop"}
     adversaries = {node_id for node_id, rt in sim.nodes.items() if rt.role == "adversary"}
-    recount: Counter = Counter()
-    delivered = 0
-    served_verified: Counter = Counter()
-    for line in result.log_lines:
-        _, node, kind, _, reason = line.split("\t")
-        if kind in drop_kinds and node not in adversaries:
-            recount[(node, reason)] += 1
-        if kind == "content_delivered":
-            delivered += 1
-        if kind in ("cs_hit_served", "content_sent") and reason == "verified":
-            served_verified[node] += 1
+    recount, delivered, served_verified = _log_recount(result.log_lines, adversaries)
     if dict(recount) != result.drops:
         raise InvariantViolation("drop counters disagree with the emission log")
     if delivered != result.counters.get("delivered", 0):

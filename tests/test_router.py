@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 
 from ibac import crypto
-from ibac.authcheck import FailReason
+from ibac.authcheck import FailReason, precheck, verify_any
 from ibac.consumer import ConsumerContext, ConsumerMode, interest_generation
 from ibac.producer import Producer, ProtectionPolicy
 from ibac.router import DropReason, EventKind, Router, RouterEvent, VerifyMode
@@ -498,48 +498,83 @@ HIT_KINDS = {
 }
 
 
+def reference_hit_answer(router: Router, interest: Interest, face: int, now: float):
+    """What one check answers to ``interest`` if it hits ``router``'s cache
+    at ``now`` on a copy that carries keys, outside the router's queues:
+    ``precheck`` against the router's book, then ``verify_any`` under each
+    key the copy carries for the payload's group (every key when the group
+    id is encrypted).  Returns ``((kind, face, message, reason),
+    verifications)``, or None when the interest is no such hit."""
+    name_bytes = interest.name._wire or encode_name(interest.name)
+    entry = router.cs.get(name_bytes)
+    if entry is None or entry.expires_at <= now or not entry.content.verification_keys:
+        return None
+    payload = interest.payload
+    candidates = [
+        key for group_id, key in entry.keys
+        if payload is not None and (payload.group_id_encrypted or group_id == payload.group_id)
+    ]
+    seen = router.replay_book.seen(name_bytes)
+    failure = precheck(payload, seen, candidates, now, entry.window_ms, router.skew_ms)
+    verifies = 0
+    if failure is None:
+        outcome = verify_any(payload, name_bytes, candidates)
+        failure, verifies = outcome.failure, outcome.verifies
+    if failure is None:
+        return (EventKind.SERVE_FROM_CACHE, face, entry.content, "verified"), verifies
+    return (EventKind.DROP_INTEREST, face, interest, failure), verifies
+
+
 @pytest.mark.parametrize("kind", HIT_KINDS)
 def test_a_batch_of_one_answers_each_hit_as_individual_does(kind):
-    def calls(verify_mode):
-        """The (events, verifications) of each call of a ``kind`` hit, and
-        the router's books after them."""
-        pair = crypto.gen_producer_keypair(5)
-        materials = [crypto.gen_group(128, seed + 1) for seed in range(2)]
-        producer = Producer(PREFIX, keypair=pair)
-        for material in materials:
-            producer.register_group(material)
-        shared = producer.publish(
-            HOME, b"data", [m.group_id for m in materials], SchemeTag.HASH, 60_000,
-            ProtectionPolicy.FULL,
-        )
-        router = Router(verify_mode=verify_mode, batch_rng=random.Random(0))
-        router.add_route(PREFIX, 9)
+    # each call is answered at once, as the reference check answers it
+    pair = crypto.gen_producer_keypair(5)
+    materials = [crypto.gen_group(128, seed + 1) for seed in range(2)]
+    producer = Producer(PREFIX, keypair=pair)
+    for material in materials:
+        producer.register_group(material)
+    shared = producer.publish(
+        HOME, b"data", [m.group_id for m in materials], SchemeTag.HASH, 60_000,
+        ProtectionPolicy.FULL,
+    )
+    router = Router(verify_mode=VerifyMode.batch(batch_size=1), batch_rng=random.Random(0))
+    router.add_route(PREFIX, 9)
 
-        def interest(rng_seed, clock_value=1500.0, encrypted=False):
-            # the second group's key is the second a trial verification tries
-            ctx = consumer_ctx(materials[1], clock_value=clock_value, scheme=SchemeTag.HASH,
-                               rng_seed=rng_seed, content_key=shared)
-            if encrypted:
-                ctx.producer_public = pair.public
-            return interest_generation(ctx, PREFIX, HOME)
+    def interest(rng_seed, clock_value=1500.0, encrypted=False):
+        # the second group's key is the second a trial verification tries
+        ctx = consumer_ctx(materials[1], clock_value=clock_value, scheme=SchemeTag.HASH,
+                           rng_seed=rng_seed, content_key=shared)
+        if encrypted:
+            ctx.producer_public = pair.public
+        return interest_generation(ctx, PREFIX, HOME)
 
-        serve_and_cache(router, producer, interest(1, clock_value=1000.0), 1000.0)
-        hit = interest(2)
-        if kind == "forged":
-            signature = hit.payload.signature
-            hit = Interest(hit.name, replace(hit.payload, signature=signature[:-1] + b"\xff"))
-        elif kind == "stale":
-            hit = interest(2, clock_value=1500.0 + router.skew_ms + 1)
-        elif kind == "encrypted_id":
-            hit = interest(2, encrypted=True)
-        sent = [hit, hit] if kind == "replayed" else [hit]
-        answers = [router.on_interest(i, in_iface=4, now=1500.0 + n) for n, i in enumerate(sent)]
-        return answers, router.auth_passes, router.protected_serves, router.replay_book.names
-
-    individual = calls(VerifyMode.individual())
-    assert calls(VerifyMode.batch(batch_size=1)) == individual
-    (event,), verifies = individual[0][-1]
-    assert (event.kind, event.reason, verifies) == HIT_KINDS[kind]
+    first = interest(1, clock_value=1000.0)
+    serve_and_cache(router, producer, first, 1000.0)
+    name_bytes = first.name._wire
+    passes, serves = router.auth_passes, 0
+    book = dict(router.replay_book.seen(name_bytes))
+    hit = interest(2)
+    if kind == "forged":
+        signature = hit.payload.signature
+        hit = Interest(hit.name, replace(hit.payload, signature=signature[:-1] + b"\xff"))
+    elif kind == "stale":
+        hit = interest(2, clock_value=1500.0 + router.skew_ms + 1)
+    elif kind == "encrypted_id":
+        hit = interest(2, encrypted=True)
+    window = router.cs[name_bytes].window_ms
+    for n, sent in enumerate([hit, hit] if kind == "replayed" else [hit]):
+        now = 1500.0 + n
+        answer, verifies = reference_hit_answer(router, sent, 4, now)
+        events, verified = router.on_interest(sent, in_iface=4, now=now)
+        assert [(e.kind, e.iface, e.message, e.reason) for e in events] == [answer]
+        assert verified == verifies
+        if answer[0] is EventKind.SERVE_FROM_CACHE:
+            passes += 1
+            serves += 1
+            book[sent.payload.nonce] = sent.payload.timestamp + window
+    assert (answer[0], answer[3], verifies) == HIT_KINDS[kind]
+    assert (router.auth_passes, router.protected_serves) == (passes, serves)
+    assert router.replay_book.seen(name_bytes) == book
 
 
 def test_batch_mode_duplicate_nonce_rejected_at_enqueue():
@@ -859,11 +894,11 @@ class RouterMachine(RuleBasedStateMachine):
 
     def _take(self, dt, call, *args):
         """``call(*args, now)`` after ``dt`` ms; its events are well formed,
-        and returned."""
+        and returned, and its verification count is kept in ``verifies``."""
         self.now += dt
-        events, verifies = call(*args, now=self.now)
+        events, self.verifies = call(*args, now=self.now)
         assert all(isinstance(e, RouterEvent) and isinstance(e.kind, EventKind) for e in events)
-        assert verifies >= 0
+        assert self.verifies >= 0
         return events
 
     def _send(self, dt, interest: Interest, face: int):
@@ -1009,32 +1044,29 @@ class BatchRouterMachine(RouterMachine):
 
 
 class BatchOfOneRouterMachine(RouterMachine):
-    """A batch-of-one router beside an INDIVIDUAL twin fed the same calls:
-    call for call, the same events and the same verification counts."""
+    """A batch-of-one router answers each protected cache hit in the call
+    that brings it, as the reference check does (``reference_hit_answer``):
+    the same event and the same verification count."""
 
     verify_mode = VerifyMode.batch(batch_size=1, batch_timeout_ms=50)
 
     @initialize(lifetime=st.sampled_from([300, 60_000]))
     def world(self, lifetime):
         super().world(lifetime)
-        self.twin = Router(pit_lifetime_ms=400, batch_rng=random.Random(0))
-        self.twin.add_route(PREFIX, 9)
-        # both start with HOME cached, so protected interests hit from the first step
+        # HOME cached from the start, so protected interests hit from the first step
         interest = self._interest(0)
         self._send(0.0, interest, 0)
         self.contents.append(self.producer.content_object_generation(interest, self.now).content)
         self._take(0.0, self.router.on_content, self.contents[0], 9)
 
-    def _take(self, dt, call, *args):
-        self.now += dt
-        answer = call(*args, now=self.now)
-        assert getattr(self.twin, call.__name__)(*args, now=self.now) == answer
-        return answer[0]
-
-    @rule(dt=WAIT)
-    def expire(self, dt):
-        self.now += dt
-        assert self._expire(self.router) == self.twin.expire(self.now)
+    def _send(self, dt, interest: Interest, face: int):
+        reference = reference_hit_answer(self.router, interest, face, self.now + dt)
+        events = super()._send(dt, interest, face)
+        if reference is not None:
+            answer, verifies = reference
+            assert [(e.kind, e.iface, e.message, e.reason) for e in events] == [answer]
+            assert self.verifies == verifies
+        return events
 
     @precondition(lambda self: False)  # a batch of one leaves no queue to flush
     @rule()

@@ -910,6 +910,64 @@ def test_invariants_catch_unbalanced_conservation():
         scenario.check_invariants(doctored, sim)
 
 
+def _full_split_recount(lines, adversaries):
+    """``check_invariants``'s recount, every line split in full and each
+    kind tested on its own."""
+    drops, delivered, served_verified = Counter(), 0, Counter()
+    for line in lines:
+        _, node, kind, _, reason = line.split("\t")
+        if kind in ("int_drop", "content_drop", "pending_drop") and node not in adversaries:
+            drops[(node, reason)] += 1
+        if kind == "content_delivered":
+            delivered += 1
+        if kind in ("cs_hit_served", "content_sent") and reason == "verified":
+            served_verified[node] += 1
+    return drops, delivered, served_verified
+
+
+def _bundled_logs(name):
+    config = load_bundled(name)
+    adversaries = {node.id for node in config.nodes if node.role == "adversary"}
+    if config.sweep is None:
+        return [scenario.run_config(config)[0].log_lines], adversaries
+    config.sweep.interests_per_point = 60
+    return [result.log_lines for result in scenario.run_sweep(config)[1]], adversaries
+
+
+@pytest.mark.parametrize("name", scenario.BUNDLED_SCENARIOS)
+def test_the_log_recount_equals_a_full_split_recount_on_each_bundled_log(name):
+    logs, adversaries = _bundled_logs(name)
+    for lines in logs:
+        recount = scenario._log_recount(lines, adversaries)
+        assert recount == _full_split_recount(lines, adversaries)
+        assert sum(recount[0].values()) + recount[1] + sum(recount[2].values()) > 0
+
+
+def test_the_log_recount_reads_kinds_not_node_ids():
+    # node ids that read as kinds or start with c, as three kinds do: a
+    # router named after a drop kind, a consumer after the delivery kind,
+    # and an adversary (whose drops go uncounted) and a producer starting with c
+    ids = {"r1": "int_drop", "cr1": "content_delivered", "adv": "cs_adv", "p1": "c_p1"}
+
+    def renamed(value):
+        if isinstance(value, dict):
+            return {key: renamed(item) for key, item in value.items()}
+        if isinstance(value, list):
+            return [renamed(item) for item in value]
+        return ids.get(value, value) if isinstance(value, str) else value
+
+    raw = yaml.safe_load(scenario.bundled_scenario_path("replay_same_path").read_text())
+    result, _ = scenario.run_config(scenario.scenario_from_dict(renamed(raw), "renamed"))
+    lines = result.log_lines
+    assert {line.split("\t")[1] for line in lines} == set(ids.values())
+    recount = scenario._log_recount(lines, {"cs_adv"})
+    assert recount == _full_split_recount(lines, {"cs_adv"})
+    assert recount[1] == 5 and recount[0]
+    # a line of another kind is never counted, whatever its node
+    lines = [line.replace("\tint_sent\t", "\tint_dropped\t") for line in lines]
+    assert scenario._log_recount(lines, {"cs_adv"}) == _full_split_recount(lines, {"cs_adv"})
+
+
 # ---------------------------------------------------------------------------
 # the bundled sweep, pinned at a short point length
 

@@ -690,9 +690,9 @@ def test_an_action_keeps_one_shot_queued(monkeypatch):
     log_event = sim.log_event
 
     def observing_log_event(*args, **kwargs):
+        # a shot is an entry whose arguments are its action's chain and index
         queued_shots.append(sum(
-            getattr(entry[2], "__func__", None) is simnet.Simulation._do_shot
-            for entry in sim._queue
+            type(next(iter(entry[4]), None)) is simnet._ShotChain for entry in sim._queue
         ))
         log_event(*args, **kwargs)
 
@@ -700,6 +700,58 @@ def test_an_action_keeps_one_shot_queued(monkeypatch):
     result = sim.run()
     assert result.attack_stat("NAME_PROBE").attempts == 1002
     assert max(queued_shots) == 1
+
+
+def _replay_before_any_capture():
+    # bundled replay_same_path, with a replay action whose three shots fire
+    # before the tapped consumer sends anything: each logs adv_noop
+    config = scenario.load_bundled("replay_same_path")
+    for fetch in config.fetches:
+        fetch.at_ms += 5
+    config.adversary.actions.insert(0, simnet.AdversaryAction(
+        kind="REPLAY_SAME_PATH", at_ms=0.0, target="r1", count=3, interval_ms=1.0
+    ))
+    return config
+
+
+def _probe_with_captured_names():
+    # bundled name_probe, 50 random names and then its two captured names
+    config = scenario.load_bundled("name_probe")
+    config.adversary.actions[0].count = 50
+    return config
+
+
+# what counting each sent shot as it was sent gives: attempts per action, the
+# counters in insertion order, and the conservation books
+FOLDED_COUNTS = {
+    _replay_before_any_capture: (
+        [0, 100],
+        [("injected", 105), ("consumer_fetches", 5), ("delivered", 5), ("adv_injected", 100)],
+        {"injected": 105, "delivered": 5, "origin_drops": 0, "pending_at_end": 100,
+         "balanced": True},
+    ),
+    _probe_with_captured_names: (
+        [52],
+        [("injected", 54), ("consumer_fetches", 2), ("delivered", 2), ("adv_injected", 52),
+         ("adv_delivered", 1)],
+        {"injected": 54, "delivered": 3, "origin_drops": 0, "pending_at_end": 51,
+         "balanced": True},
+    ),
+}
+
+
+@pytest.mark.parametrize("make", FOLDED_COUNTS, ids=lambda make: make.__name__.strip("_"))
+def test_shot_counts_folded_at_the_end_equal_counts_made_per_shot(make):
+    attempts, counters, conservation = FOLDED_COUNTS[make]
+    result, _ = run_config(make())
+    assert [stat.attempts for stat in result.attacks] == attempts
+    # summary.json writes the counters in this order
+    assert list(result.counters.items()) == counters
+    assert result.conservation == conservation
+    # an attempt is an int_sent line, and a shot with no capture is not one
+    sent = Counter(row[4] for row in _lines(result, "adv", "int_sent"))
+    assert [sent[f"{stat.kind}#{stat.index}"] for stat in result.attacks] == attempts
+    assert len(_lines(result, "adv", "adv_noop")) == 3 * (make is _replay_before_any_capture)
 
 
 @pytest.mark.parametrize(
