@@ -16,7 +16,6 @@ sweep at or before the bound returns at once.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -26,23 +25,11 @@ from .wire import AuthorizationPayload
 DEFAULT_SKEW_MS = 1000.0
 
 
-class TextEnum(str, enum.Enum):
-    """An enum of strings that reads as its value, as ``enum.StrEnum``
-    (Python 3.11+) does: ``str()`` and ``format()`` give the value, and a
-    member equals and hashes as its value, so it goes straight into a log
-    line or a table keyed by the value.
+class FailReason:
+    """Why the check refused an interest.  Each reason only ever becomes
+    text (a log field, a NACK reason, a key of the drop counts), so each is
+    a plain ``str``."""
 
-    Code that runs once per simulated event reads members from module
-    constants bound at import (``_DUPLICATE_NONCE = FailReason.DUPLICATE_NONCE``),
-    not as ``FailReason.DUPLICATE_NONCE``: on Python 3.10 and 3.11 the enum
-    class's ``__getattr__`` makes each such read cost about 85 ns, against
-    7 ns for a global."""
-
-    __str__ = str.__str__
-    __format__ = str.__format__
-
-
-class FailReason(TextEnum):
     DUPLICATE_NONCE = "DuplicateNonce"
     STALE_TIMESTAMP = "StaleTimestamp"
     BAD_SIGNATURE = "BadSignature"
@@ -51,17 +38,14 @@ class FailReason(TextEnum):
     MISSING_PAYLOAD = "MissingPayload"
 
 
-# the members the per-event checks return (see ``TextEnum``)
-_DUPLICATE_NONCE = FailReason.DUPLICATE_NONCE
-_STALE_TIMESTAMP = FailReason.STALE_TIMESTAMP
-_BAD_SIGNATURE = FailReason.BAD_SIGNATURE
-_UNKNOWN_GROUP_KEY = FailReason.UNKNOWN_GROUP_KEY
-_MISSING_PAYLOAD = FailReason.MISSING_PAYLOAD
+def members(cls) -> tuple[str, ...]:
+    """The values of a namespace of constants such as ``FailReason``."""
+    return tuple(value for name, value in vars(cls).items() if not name.startswith("_"))
 
 
 @dataclass
 class CheckOutcome:
-    failure: FailReason | None
+    failure: str | None  # why the interest was refused, or None
     verifies: int = 0  # signature verifications actually performed
 
     @property
@@ -120,20 +104,20 @@ def precheck(
     now: float,
     window_ms: float,
     skew_ms: float = DEFAULT_SKEW_MS,
-) -> FailReason | None:
+) -> str | None:
     """Every step of the check short of the signature; None when all pass.
 
     ``seen`` holds the booked nonces of the interest's name (only ``in`` is
     used).
     """
     if payload is None or not payload.has_auth_info():
-        return _MISSING_PAYLOAD
+        return FailReason.MISSING_PAYLOAD
     if payload.nonce in seen:
-        return _DUPLICATE_NONCE
+        return FailReason.DUPLICATE_NONCE
     if not now - window_ms <= payload.timestamp <= now + skew_ms:
-        return _STALE_TIMESTAMP
+        return FailReason.STALE_TIMESTAMP
     if not candidates:
-        return _UNKNOWN_GROUP_KEY
+        return FailReason.UNKNOWN_GROUP_KEY
     return None
 
 
@@ -158,7 +142,7 @@ def verify_any(payload: AuthorizationPayload, name_bytes: bytes, candidates) -> 
             payload.signature,
         ):
             return CheckOutcome(None, verifies)
-    return CheckOutcome(_BAD_SIGNATURE, verifies)
+    return CheckOutcome(FailReason.BAD_SIGNATURE, verifies)
 
 
 def run_authorization_check(

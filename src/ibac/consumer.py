@@ -77,7 +77,7 @@ class ConsumerContext:
 
 
 # the members ``interest_generation`` reads, bound once: reading them off the
-# class costs an enum ``__getattr__`` each time (see ``authcheck.TextEnum``)
+# class costs an enum ``__getattr__`` each time (see ``tests/test_per_event_code.py``)
 _AUTH_ONLY = ConsumerMode.AUTH_ONLY
 _OBFUSCATE_ONLY = ConsumerMode.OBFUSCATE_ONLY
 _ENC = SchemeTag.ENC

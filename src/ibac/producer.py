@@ -33,7 +33,7 @@ from .authcheck import (
     CheckOutcome,
     FailReason,
     ReplayBook,
-    TextEnum,
+    members,
     run_authorization_check,
 )
 from .wire import (
@@ -61,7 +61,9 @@ class ProtectionPolicy(enum.Enum):
     PUBLIC = "PUBLIC"
 
 
-class DropReason(TextEnum):
+class DropReason:
+    """The producer's refusals beside the check's ``FailReason``."""
+
     UNKNOWN_NAME = "UnknownName"
     UNAUTHORIZED = "Unauthorized"
     PREFIX_MISMATCH = "PrefixMismatch"
@@ -98,7 +100,7 @@ class ContentEntry:
 @dataclass(frozen=True, slots=True)
 class ProducerResponse:
     content: ContentObject | None
-    drop_reason: object | None = None  # FailReason or DropReason
+    drop_reason: str | None = None  # a FailReason or DropReason
     verifies: int = 0
 
     @property
@@ -108,18 +110,12 @@ class ProducerResponse:
 
 # the one record of each refusal made before any signature check: a flood of
 # unknown names is answered with the same record every time
-_REFUSED = {reason: ProducerResponse(None, reason) for reason in (*DropReason, *FailReason)}
+_REFUSED = {
+    reason: ProducerResponse(None, reason) for reason in members(DropReason) + members(FailReason)
+}
 
 # the members the per-event path reads, bound once: reading them off the
-# class costs an enum ``__getattr__`` each time (see ``authcheck.TextEnum``)
-_UNKNOWN_NAME = DropReason.UNKNOWN_NAME
-_UNAUTHORIZED = DropReason.UNAUTHORIZED
-_PREFIX_MISMATCH = DropReason.PREFIX_MISMATCH
-_AUTHENTICITY_FAILURE = DropReason.AUTHENTICITY_FAILURE
-_DECRYPT_FAILURE = DropReason.DECRYPT_FAILURE
-_MISSING_PAYLOAD = FailReason.MISSING_PAYLOAD
-_UNKNOWN_GROUP = FailReason.UNKNOWN_GROUP
-_UNKNOWN_GROUP_KEY = FailReason.UNKNOWN_GROUP_KEY
+# class costs an enum ``__getattr__`` each time (see ``tests/test_per_event_code.py``)
 _NONE = SchemeTag.NONE
 _ENC = SchemeTag.ENC
 _HASH = SchemeTag.HASH
@@ -136,13 +132,11 @@ class Producer:
         self,
         prefix,
         keypair: crypto.ProducerKeyPair | None = None,
-        default_window_ms: float = 60_000.0,
         skew_ms: float = DEFAULT_SKEW_MS,
         content_key_seed: int = 0,
     ):
         self.prefix = tuple(prefix)
         self.keypair = keypair
-        self.default_window_ms = default_window_ms
         self.skew_ms = skew_ms
         self.registry: dict[bytes, RegisteredGroup] = {}
         self.catalog: dict[tuple[bytes, ...], ContentEntry] = {}
@@ -261,18 +255,18 @@ class Producer:
 
     # -- interest handling -----------------------------------------------
 
-    def _clear_group_id(self, interest: Interest) -> tuple[bytes | None, object | None]:
+    def _clear_group_id(self, interest: Interest) -> tuple[bytes | None, str | None]:
         payload = interest.payload
         if payload is None:
-            return None, _MISSING_PAYLOAD
+            return None, FailReason.MISSING_PAYLOAD
         if not payload.group_id_encrypted:
             return payload.group_id, None
         if self.keypair is None:
-            return None, _UNKNOWN_GROUP
+            return None, FailReason.UNKNOWN_GROUP
         try:
             return crypto.decrypt_group_id(self.keypair, payload.group_id), None
         except crypto.DecryptFailure:
-            return None, _DECRYPT_FAILURE
+            return None, DropReason.DECRYPT_FAILURE
 
     def _resolve(self, interest: Interest, clear_gid: bytes | None):
         """Map the interest name to a catalog entry; returns (entry, reason)."""
@@ -280,30 +274,30 @@ class Producer:
         if isinstance(name, Name):
             entry = self.catalog.get(name.components)
             if entry is None:
-                return None, _UNKNOWN_NAME
+                return None, DropReason.UNKNOWN_NAME
             if entry.policy not in _SERVED_IN_CLEAR:
                 # obfuscation-protected content is never served by clear name
-                return None, _UNKNOWN_NAME
+                return None, DropReason.UNKNOWN_NAME
             return entry, None
 
         if name.routable_prefix != self.prefix:
-            return None, _PREFIX_MISMATCH
+            return None, DropReason.PREFIX_MISMATCH
         if name.scheme_tag is _NONE:
             try:
                 comps = self.prefix + tuple(unpack_components(name.obfuscated_suffix))
             except Exception:
-                return None, _UNKNOWN_NAME
+                return None, DropReason.UNKNOWN_NAME
             entry = self.catalog.get(comps)
             if entry is None or entry.policy not in _SERVED_IN_CLEAR:
-                return None, _UNKNOWN_NAME
+                return None, DropReason.UNKNOWN_NAME
             return entry, None
         if name.scheme_tag is _HASH:
             hit = self.hash_name_map.get(name.obfuscated_suffix)
             if hit is None:
-                return None, _UNKNOWN_NAME
+                return None, DropReason.UNKNOWN_NAME
             entry = self.catalog.get(hit[0].components)
             if entry is None or entry.scheme is not _HASH:
-                return None, _UNKNOWN_NAME
+                return None, DropReason.UNKNOWN_NAME
             return entry, None
         # encrypted scheme: precomputed shared names first, then live decryption
         hit = self.enc_name_map.get(name.obfuscated_suffix)
@@ -311,37 +305,38 @@ class Producer:
             entry = self.catalog.get(hit[0].components)
             if entry is not None and entry.scheme is _ENC:
                 return entry, None
-            return None, _UNKNOWN_NAME
+            return None, DropReason.UNKNOWN_NAME
         if clear_gid is None:
-            return None, _MISSING_PAYLOAD
+            return None, FailReason.MISSING_PAYLOAD
         registered = self.registry.get(clear_gid)
         if registered is None:
-            return None, _UNKNOWN_GROUP
+            return None, FailReason.UNKNOWN_GROUP
         try:
             suffix_components = crypto.deobfuscate_enc(
                 registered.obfuscation_key, name.obfuscated_suffix
             )
         except crypto.AuthenticityFailure:
-            return None, _AUTHENTICITY_FAILURE
+            return None, DropReason.AUTHENTICITY_FAILURE
         entry = self.catalog.get(self.prefix + tuple(suffix_components))
         if entry is None or entry.scheme is not _ENC:
-            return None, _UNKNOWN_NAME
+            return None, DropReason.UNKNOWN_NAME
         return entry, None
 
     def authorize(
         self,
         interest: Interest,
         now: float,
-        window_ms: float | None = None,
+        window_ms: float,
         clear_gid: bytes | None = None,
     ) -> CheckOutcome:
-        """Anti-replay and signature check against the registered groups."""
+        """Anti-replay and signature check against the registered groups,
+        with the replay window ``window_ms`` (the content's lifetime).  An
+        encrypted group id it cannot decrypt is refused ``DecryptFailure``,
+        as ``content_object_generation`` refuses it."""
         if clear_gid is None and interest.payload is not None:
             clear_gid, reason = self._clear_group_id(interest)
             if reason is not None:
-                return CheckOutcome(reason if isinstance(reason, FailReason) else _UNKNOWN_GROUP)
-        if window_ms is None:
-            window_ms = self.default_window_ms
+                return CheckOutcome(reason)
         name_bytes = interest.name._wire or encode_name(interest.name)
         registered = self.registry.get(clear_gid) if clear_gid is not None else None
         candidates = (
@@ -356,8 +351,8 @@ class Producer:
             window_ms,
             self.skew_ms,
         )
-        if outcome.failure is _UNKNOWN_GROUP_KEY:
-            return CheckOutcome(_UNKNOWN_GROUP, outcome.verifies)
+        if outcome.failure is FailReason.UNKNOWN_GROUP_KEY:
+            return CheckOutcome(FailReason.UNKNOWN_GROUP, outcome.verifies)
         return outcome
 
     def content_object_generation(self, interest: Interest, now: float) -> ProducerResponse:
@@ -374,9 +369,9 @@ class Producer:
         verifies = 0
         if entry.policy is not _PUBLIC:
             if clear_gid is None:
-                return _REFUSED[_MISSING_PAYLOAD]
+                return _REFUSED[FailReason.MISSING_PAYLOAD]
             if clear_gid not in entry.group_ids:
-                return _REFUSED[_UNAUTHORIZED]
+                return _REFUSED[DropReason.UNAUTHORIZED]
             if entry.policy is not _OBFUSCATE_ONLY:
                 outcome = self.authorize(interest, now, entry.lifetime_ms, clear_gid)
                 verifies = outcome.verifies

@@ -69,7 +69,6 @@ from .authcheck import (
     CheckOutcome,
     FailReason,
     ReplayBook,
-    TextEnum,
     precheck,
     run_authorization_check,
     verify_any,
@@ -86,7 +85,9 @@ from .wire import (
 PIT_LIFETIME_MS = 4000.0
 
 
-class DropReason(TextEnum):
+class DropReason:
+    """The router's own refusals, beside the check's ``FailReason``."""
+
     NO_ROUTE = "NoRoute"
     UNSOLICITED = "Unsolicited"
 
@@ -146,7 +147,9 @@ class PitEntry:
         return [(self.face, self.forwarded), *(self.waiting or ())]
 
 
-class EventKind(TextEnum):
+class EventKind:
+    """What a ``RouterEvent`` did, as the emission log's kind field."""
+
     SERVE_FROM_CACHE = "cs_hit_served"
     FORWARD_INTEREST = "int_forwarded"
     AGGREGATE = "int_aggregated"
@@ -163,34 +166,13 @@ class EventKind(TextEnum):
     NACK_UNMATCHED = "nack_unmatched"
 
 
-# the members the per-event path reads, bound once: reading them off the
-# class costs an enum ``__getattr__`` each time (see ``authcheck.TextEnum``)
-_SERVE_FROM_CACHE = EventKind.SERVE_FROM_CACHE
-_FORWARD_INTEREST = EventKind.FORWARD_INTEREST
-_AGGREGATE = EventKind.AGGREGATE
-_DROP_INTEREST = EventKind.DROP_INTEREST
-_FORWARD_CONTENT = EventKind.FORWARD_CONTENT
-_PENDING_DROP = EventKind.PENDING_DROP
-_CACHE_INSERT = EventKind.CACHE_INSERT
-_DROP_CONTENT = EventKind.DROP_CONTENT
-_CACHE_EVICT = EventKind.CACHE_EVICT
-_BATCH_ENQUEUE = EventKind.BATCH_ENQUEUE
-_BATCH_TIMER = EventKind.BATCH_TIMER
-_NACKED = EventKind.NACKED
-_REFORWARD = EventKind.REFORWARD
-_NACK_UNMATCHED = EventKind.NACK_UNMATCHED
-_NO_ROUTE = DropReason.NO_ROUTE
-_UNSOLICITED = DropReason.UNSOLICITED
-_DUPLICATE_NONCE = FailReason.DUPLICATE_NONCE
-
-
 @dataclass(slots=True)
 class RouterEvent:
-    kind: EventKind
+    kind: str  # an EventKind
     name_bytes: bytes = b""
     iface: int | None = None
     message: Interest | ContentObject | None = None  # the record to send or refused
-    reason: object | None = None
+    reason: str | None = None
     at: float | None = None  # BATCH_TIMER: when to flush
     batch_key: tuple | None = None
     batch_serial: int | None = None  # BATCH_TIMER: the queue that set it
@@ -274,14 +256,14 @@ class Router:
             if payload is None or payload.nonce not in self.replay_book.seen(name_bytes):
                 self._miss(interest, in_iface, name_bytes, now, events)
             else:  # a replay of a booked nonce, whose copy has gone
-                failure = _DUPLICATE_NONCE
+                failure = FailReason.DUPLICATE_NONCE
                 events.append(self._serve_or_drop(failure, name_bytes, in_iface, interest, None))
         elif entry.content.verification_keys:
             return self._enqueue_batch(interest, entry, in_iface, name_bytes, now)
         else:
             events.append(
                 RouterEvent(
-                    _SERVE_FROM_CACHE,
+                    EventKind.SERVE_FROM_CACHE,
                     name_bytes,
                     in_iface,
                     entry.content,
@@ -301,21 +283,21 @@ class Router:
             if pit.waiting is None:
                 pit.waiting = []
             pit.waiting.append((in_iface, interest))
-            events.append(RouterEvent(_AGGREGATE, name_bytes))
+            events.append(RouterEvent(EventKind.AGGREGATE, name_bytes))
             return
         out_iface = longest_prefix_match(self.fib, interest.name)
         if out_iface is None:
             events.append(
-                RouterEvent(_DROP_INTEREST, name_bytes, reason=_NO_ROUTE)
+                RouterEvent(EventKind.DROP_INTEREST, name_bytes, reason=DropReason.NO_ROUTE)
             )
             return
         self.pit[name_bytes] = PitEntry(in_iface, interest, now)
         self._due_by(now + self.pit_lifetime_ms)
-        events.append(RouterEvent(_FORWARD_INTEREST, name_bytes, out_iface, interest))
+        events.append(RouterEvent(EventKind.FORWARD_INTEREST, name_bytes, out_iface, interest))
 
     def _serve_or_drop(
         self,
-        failure: FailReason | None,
+        failure: str | None,
         name_bytes: bytes,
         iface: int,
         interest: Interest,
@@ -324,10 +306,10 @@ class Router:
         """The answer to one checked interest: ``entry``'s content, or a
         refusal that names the refused record and the face it came from."""
         if failure is not None:
-            return RouterEvent(_DROP_INTEREST, name_bytes, iface, interest, failure)
+            return RouterEvent(EventKind.DROP_INTEREST, name_bytes, iface, interest, failure)
         self.protected_serves += 1
         return RouterEvent(
-            _SERVE_FROM_CACHE,
+            EventKind.SERVE_FROM_CACHE,
             name_bytes,
             iface,
             entry.content,
@@ -359,11 +341,11 @@ class Router:
         queue.append((in_iface, interest))
         if len(queue) >= self.verify_mode.batch_size:
             return self.flush_batch(key, now)
-        events = [RouterEvent(_BATCH_ENQUEUE, name_bytes)]
+        events = [RouterEvent(EventKind.BATCH_ENQUEUE, name_bytes)]
         if len(queue) == 1:
             events.append(
                 RouterEvent(
-                    _BATCH_TIMER,
+                    EventKind.BATCH_TIMER,
                     name_bytes,
                     at=now + self.verify_mode.batch_timeout_ms,
                     batch_key=key,
@@ -434,7 +416,7 @@ class Router:
             pit = None
         if pit is None:
             events.append(
-                RouterEvent(_DROP_CONTENT, name_bytes, reason=_UNSOLICITED)
+                RouterEvent(EventKind.DROP_CONTENT, name_bytes, reason=DropReason.UNSOLICITED)
             )
             return events, verifies
 
@@ -442,7 +424,7 @@ class Router:
         if expires > now:
             entry = self.cs[name_bytes] = CacheEntry(content, now, expires)
             self._due_by(expires)
-            events.append(RouterEvent(_CACHE_INSERT, name_bytes))
+            events.append(RouterEvent(EventKind.CACHE_INSERT, name_bytes))
         else:
             entry = CacheEntry(content, now, now)
 
@@ -450,7 +432,7 @@ class Router:
             if not content.verification_keys:
                 events.append(
                     RouterEvent(
-                        _FORWARD_CONTENT, name_bytes, iface, content, reason="public"
+                        EventKind.FORWARD_CONTENT, name_bytes, iface, content, reason="public"
                     )
                 )
                 continue
@@ -459,7 +441,7 @@ class Router:
             if outcome.passed:
                 events.append(
                     RouterEvent(
-                        _FORWARD_CONTENT,
+                        EventKind.FORWARD_CONTENT,
                         name_bytes,
                         iface,
                         content,
@@ -469,7 +451,7 @@ class Router:
             else:
                 events.append(
                     RouterEvent(
-                        _PENDING_DROP, name_bytes, iface, interest, outcome.failure
+                        EventKind.PENDING_DROP, name_bytes, iface, interest, outcome.failure
                     )
                 )
         return events, verifies
@@ -496,15 +478,15 @@ class Router:
             or pit.forwarded is not refused
             or pit.created_at + self.pit_lifetime_ms <= now
         ):
-            return [RouterEvent(_NACK_UNMATCHED, name_bytes, reason=nack.reason)], 0
+            return [RouterEvent(EventKind.NACK_UNMATCHED, name_bytes, reason=nack.reason)], 0
         del self.pit[name_bytes]
-        events = [RouterEvent(_NACKED, name_bytes, pit.face, refused, nack.reason)]
+        events = [RouterEvent(EventKind.NACKED, name_bytes, pit.face, refused, nack.reason)]
         if pit.waiting:
             (face, successor), *rest = pit.waiting
             # re-inserted at the end, so the PIT's dict order stays creation order
             self.pit[name_bytes] = PitEntry(face, successor, now, rest or None)
             self._due_by(now + self.pit_lifetime_ms)
-            events.append(RouterEvent(_REFORWARD, name_bytes, in_iface, successor))
+            events.append(RouterEvent(EventKind.REFORWARD, name_bytes, in_iface, successor))
         return events, 0
 
     # -- expiry --------------------------------------------------------------
@@ -516,7 +498,7 @@ class Router:
 
     def _evict(self, name_bytes: bytes, events: list[RouterEvent]) -> None:
         self.cs.pop(name_bytes, None)
-        events.append(RouterEvent(_CACHE_EVICT, name_bytes))
+        events.append(RouterEvent(EventKind.CACHE_EVICT, name_bytes))
 
     def expire(self, now: float) -> list[RouterEvent]:
         """Sweep the replay book, then flush every cache entry past its

@@ -34,8 +34,8 @@ from .kinds import (BOOL, IDS, MAX_COUNT, MAX_DATA_BYTES, MAX_MS, MAX_S, MAX_SWE
                     declare, config_record)
 from .producer import Producer, ProtectionPolicy
 from .router import Router, VerifyMode
-from .simnet import (AdversaryAction, RunResult, Simulation, TrafficProfile, derived_seed,
-                     offer_problems)
+from .simnet import (DROP_KINDS, AdversaryAction, RunResult, Simulation, TrafficProfile,
+                     derived_seed, offer_problems)
 from .wire import Name, SchemeTag
 
 DEFAULT_TAU_PROCESS_S = 0.005
@@ -76,7 +76,6 @@ class NodeSpec:
     pit_lifetime_ms: float = declare(TIME, 4000.0)
     tau_process_s: float = declare(COST, DEFAULT_TAU_PROCESS_S)
     tau_verify_s: float = declare(COST, DEFAULT_TAU_VERIFY_S)
-    window_ms: float | None = declare(Num(0, MAX_MS, optional=True), None)
     skew_ms: float = declare(TIME, 1000.0)
 
 
@@ -548,7 +547,6 @@ def build(config: ScenarioConfig) -> tuple[Simulation, BuildInfo]:
             producer = Producer(
                 _parse_prefix(spec.prefix),
                 keypair=keypair,
-                default_window_ms=spec.window_ms or 60_000.0,
                 skew_ms=spec.skew_ms,
                 content_key_seed=derived_seed(config.seed, f"content-keys:{spec.id}"),
             )
@@ -700,8 +698,7 @@ def content_wire_name(info: BuildInfo, content_name: str) -> bytes:
 # -- invariants ------------------------------------------------------------------
 
 
-_DROP_KINDS = frozenset({"int_drop", "content_drop", "pending_drop"})
-_RECOUNTED_KINDS = _DROP_KINDS | {"content_delivered", "cs_hit_served", "content_sent"}
+_RECOUNTED_KINDS = DROP_KINDS | {"content_delivered", "cs_hit_served", "content_sent"}
 
 
 def _log_recount(lines: list[str], adversaries) -> tuple[Counter, int, Counter]:
@@ -715,7 +712,7 @@ def _log_recount(lines: list[str], adversaries) -> tuple[Counter, int, Counter]:
         _, node, kind, _, reason = line.split("\t")
         if kind not in _RECOUNTED_KINDS:
             continue
-        if kind in _DROP_KINDS:
+        if kind in DROP_KINDS:
             if node not in adversaries:
                 drops[(node, reason)] += 1
         elif kind == "content_delivered":

@@ -93,18 +93,10 @@ end would otherwise be replayed after it by a second ``run``.
 
 The emission log is append-only, one line per event:
 ``time<TAB>node<TAB>kind<TAB>name-hex<TAB>reason``; ``log_event`` writes
-every line.  Router event kinds and drop and failure reasons are string
-enums.  Where a router's or producer's service completes, each is turned
-into its plain ``str`` value (``_TEXT``), which goes into the line and
-keys the drop counts: a line formats a ``str`` several times faster than
-an enum member, and the line reads the same.  Code that runs once per
-event, here and in ``router``, ``producer``, ``consumer`` and
-``authcheck``, reads enum members from module constants bound at import
-(``_BATCH_TIMER``), never off the class: on Python 3.10 and 3.11 each
-``EventKind.BATCH_TIMER`` goes through the enum class's ``__getattr__``,
-about 85 ns against 7 ns for a global.  Producer interests are
-counted per node by name bytes and turned into hex on the first read of
-``RunResult.producer_interests``.
+every line.  Router event kinds and drop and failure reasons are plain
+``str`` constants, which go into the line and key the drop counts as they
+are.  Producer interests are counted per node by name bytes and turned
+into hex on the first read of ``RunResult.producer_interests``.
 
 ``run`` pauses the cyclic garbage collector for its event loop and
 restores the caller's setting when the loop ends or raises.  A run makes
@@ -123,13 +115,12 @@ from collections import Counter, deque
 from dataclasses import dataclass, field
 
 from . import crypto, kinds
-from .authcheck import FailReason
+from .authcheck import FailReason, members
 from .consumer import ConsumerContext, interest_generation
 from .kinds import (BOOL, CAPTURE, FRACTION, IDS, MAX_COUNT, MAX_MS, MAX_RATE_PER_S,
                     MAX_SUFFIX_BYTES, TEXT, TIME, Choice, Num, Text, declare, config_record)
 from .producer import DropReason as ProducerDrop
 from .producer import Producer
-from .router import DropReason as RouterDrop
 from .router import EventKind, Router
 from .wire import (
     AuthorizationPayload,
@@ -168,26 +159,14 @@ _SEND_KINDS = frozenset(
         EventKind.FORWARD_CONTENT,
     }
 )
-_DROP_KINDS = frozenset(
-    {EventKind.DROP_INTEREST, EventKind.DROP_CONTENT, EventKind.PENDING_DROP}
-)
-# the event kinds ``_router_done`` tests for by identity (see the docstring)
-_BATCH_TIMER = EventKind.BATCH_TIMER
-_NACKED = EventKind.NACKED
+DROP_KINDS = frozenset({EventKind.DROP_INTEREST, EventKind.DROP_CONTENT, EventKind.PENDING_DROP})
 # refusals that depend on the refused record's payload, so that a record
 # aggregated behind it may still pass: these are NACKed to a router.  A
 # name-level refusal (UnknownName, PrefixMismatch, AuthenticityFailure,
 # WrongScheme, NoRoute) fails every record for the name alike.
-PAYLOAD_REFUSALS = frozenset(FailReason) | {
+PAYLOAD_REFUSALS = frozenset(members(FailReason)) | {
     ProducerDrop.UNAUTHORIZED,
     ProducerDrop.DECRYPT_FAILURE,
-}
-# the plain ``str`` of each router event kind and refusal reason: a log line
-# formats one several times faster than the string-enum member
-_TEXT = {
-    member: member.value
-    for text_enum in (EventKind, RouterDrop, FailReason, ProducerDrop)
-    for member in text_enum
 }
 
 
@@ -686,18 +665,18 @@ class Simulation:
     def _router_done(self, rt: _NodeRuntime, at: float, events) -> None:
         for ev in events:
             kind = ev.kind
-            if kind is _BATCH_TIMER:
+            if kind is EventKind.BATCH_TIMER:
                 self._push(ev.at, self._batch_flush, rt, (ev.batch_key, ev.batch_serial))
                 continue
-            reason = "" if ev.reason is None else _TEXT.get(ev.reason, ev.reason)
-            self.log_event(at, rt.node_id, _TEXT[kind], ev.name_bytes, reason)
+            reason = ev.reason or ""
+            self.log_event(at, rt.node_id, kind, ev.name_bytes, reason)
             if kind in _SEND_KINDS:
                 self._send(rt, ev.iface, ev.message, at)
-            elif kind in _DROP_KINDS:
+            elif kind in DROP_KINDS:
                 self.drops[(rt.node_id, reason)] += 1
                 if reason in PAYLOAD_REFUSALS:
                     self._nack(rt, ev.iface, ev.message, reason, at)
-            elif kind is _NACKED:
+            elif kind is EventKind.NACKED:
                 self._nack(rt, ev.iface, ev.message, reason, at)
         if rt.work_queue:
             self._next_service(rt, at)
@@ -713,7 +692,7 @@ class Simulation:
             self.log_event(at, rt.node_id, "content_served", name_bytes, reason)
             self._send(rt, iface, response.content, at)
         else:
-            reason = _TEXT[response.drop_reason]
+            reason = response.drop_reason
             self.log_event(at, rt.node_id, "int_drop", name_bytes, reason)
             self.drops[(rt.node_id, reason)] += 1
             if reason in PAYLOAD_REFUSALS:
@@ -943,7 +922,7 @@ class Simulation:
     def _do_expire(self, rt: _NodeRuntime, t: float) -> None:
         if rt.role == "router":
             for ev in rt.obj.expire(t):
-                self.log_event(t, rt.node_id, _TEXT[ev.kind], ev.name_bytes)
+                self.log_event(t, rt.node_id, ev.kind, ev.name_bytes)
         else:
             rt.obj.replay_book.sweep(t)
         next_t = t + self.expiry_sweep_ms

@@ -26,8 +26,8 @@ HOME = Name.from_uri("/edu/uci/ics/home.html")
 NEWS = Name.from_uri("/edu/uci/ics/news.html")
 
 
-def make_producer(window_ms=60_000.0, keypair=None):
-    return Producer(PREFIX, keypair=keypair, default_window_ms=window_ms)
+def make_producer(keypair=None):
+    return Producer(PREFIX, keypair=keypair)
 
 
 def make_consumer(material, mode=ConsumerMode.FULL, scheme=SchemeTag.ENC,
@@ -442,6 +442,22 @@ def test_encrypted_group_id_resolves_like_cleartext():
     assert clear.content.data == encrypted.content.data == b"secret"
 
 
+def test_an_undecryptable_group_id_is_a_decrypt_failure_at_both_entry_points():
+    # the group id is encrypted under another producer's key
+    pair = crypto.gen_producer_keypair(5)
+    producer = make_producer(keypair=pair)
+    material = crypto.gen_group(128, 1)
+    producer.register_group(material)
+    published(producer, groups=[material.group_id])
+    other = crypto.gen_producer_keypair(6).public
+    interest = fetch_interest(producer, make_consumer(material, producer_public=other))
+    outcome = producer.authorize(interest, 1000.0, 60_000)
+    assert (outcome.failure, outcome.verifies) == (DropReason.DECRYPT_FAILURE, 0)
+    response = producer.content_object_generation(interest, 1000.0)
+    assert (response.served, response.drop_reason) == (False, DropReason.DECRYPT_FAILURE)
+    assert producer.replay_book.names == {}
+
+
 def test_nonce_windows_swept_after_elapse():
     producer = make_producer()
     material = crypto.gen_group(128, 1)
@@ -533,7 +549,7 @@ def test_refused_rekey_leaves_the_producer_unchanged(scheme, new_groups, error):
 def test_replay_straddling_window_edge_is_refused():
     # the replay of an interest served just before the window's edge comes
     # back just after it, while its timestamp is still valid
-    producer = make_producer(window_ms=1000.0)
+    producer = make_producer()
     material = crypto.gen_group(128, 1)
     producer.register_group(material)
     published(producer, groups=[material.group_id], lifetime=1000)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 
 from ibac import crypto
-from ibac.authcheck import FailReason, precheck, verify_any
+from ibac.authcheck import FailReason, members, precheck, verify_any
 from ibac.consumer import ConsumerContext, ConsumerMode, interest_generation
 from ibac.producer import Producer, ProtectionPolicy
 from ibac.router import DropReason, EventKind, Router, RouterEvent, VerifyMode
@@ -822,8 +822,13 @@ class RouterMachine(RuleBasedStateMachine):
     Members of the two groups that may read ``HOME`` send fresh protected
     interests, an outsider sends its own, a public interest names
     ``PUBLIC`` in clear, a forged one carries a corrupted signature, and a
-    replay re-sends any record sent before, on any face.  No call raises:
-    the router documents no exception for a well-formed record.
+    replay re-sends any record sent before, on any face.  A member also
+    sends interests stamped ahead of the skew allowance, interests with no
+    payload, and interests that name their group encrypted (a cached copy
+    trial-verifies them), and the outsider, given ``HOME``'s shared name
+    key, names a group the copy carries no key for.  ``HOME`` is cached
+    before the first step.  No call raises: the router documents no
+    exception for a well-formed record.
 
     Each record the router passes is noted, from the hit it served or the
     record it forwarded content to, with its stale time: its timestamp
@@ -838,7 +843,8 @@ class RouterMachine(RuleBasedStateMachine):
     def world(self, lifetime):
         insiders = [crypto.gen_group(128, seed) for seed in (1, 2)]
         outsider = crypto.gen_group(128, 3)
-        self.producer = Producer(PREFIX)
+        self.pair = crypto.gen_producer_keypair(5)
+        self.producer = Producer(PREFIX, keypair=self.pair)
         for material in (*insiders, outsider):
             self.producer.register_group(material)
         shared = self.producer.publish(
@@ -855,12 +861,19 @@ class RouterMachine(RuleBasedStateMachine):
                             clock=lambda: self.now, rng=random.Random(seed),
                             content_keys={} if key is None else {HOME.components: key})
             for seed, (m, key) in enumerate(
-                [(insiders[0], shared), (insiders[1], shared), (outsider, None)]
+                [(insiders[0], shared), (insiders[1], shared), (outsider, None),
+                 (outsider, shared)]
             )
         ]
         self.sent: list[Interest] = []
         self.contents: list[ContentObject] = []
         self._note_passes(self.router)
+        # HOME cached from the start, so protected interests hit from the first step
+        interest = self._interest(0)
+        self._send(0.0, interest, 0)
+        response = self.producer.content_object_generation(interest, self.now)
+        self.contents.append(response.content)
+        self._take(0.0, self.router.on_content, response.content, 9)
 
     def _note_passes(self, router: Router) -> None:
         """Note in ``self.passed`` each record ``router`` passes: (name bytes,
@@ -897,7 +910,7 @@ class RouterMachine(RuleBasedStateMachine):
         and returned, and its verification count is kept in ``verifies``."""
         self.now += dt
         events, self.verifies = call(*args, now=self.now)
-        assert all(isinstance(e, RouterEvent) and isinstance(e.kind, EventKind) for e in events)
+        assert all(isinstance(e, RouterEvent) and e.kind in members(EventKind) for e in events)
         assert self.verifies >= 0
         return events
 
@@ -905,8 +918,11 @@ class RouterMachine(RuleBasedStateMachine):
         self.sent.append(interest)
         return self._take(dt, self.router.on_interest, interest, face)
 
-    def _interest(self, sender: int) -> Interest:
-        return interest_generation(self.contexts[sender], PREFIX, HOME)
+    def _interest(self, sender: int, **changes) -> Interest:
+        """A fresh interest for ``HOME`` from ``sender``'s context, with
+        ``changes`` made to a copy of that context."""
+        ctx = self.contexts[sender]
+        return interest_generation(replace(ctx, **changes) if changes else ctx, PREFIX, HOME)
 
     @rule(dt=WAIT, sender=st.integers(0, 2), face=st.integers(0, 3))
     def protected(self, dt, sender, face):
@@ -922,6 +938,24 @@ class RouterMachine(RuleBasedStateMachine):
         signature = honest.payload.signature
         payload = replace(honest.payload, signature=signature[:-1] + bytes([signature[-1] ^ 1]))
         self._send(dt, Interest(honest.name, payload), face)
+
+    @rule(dt=WAIT, sender=st.integers(0, 1), face=st.integers(0, 3),
+          kind=st.sampled_from(["stale", "no_payload", "encrypted_group", "unkeyed_group"]))
+    def unusual(self, dt, sender, face, kind):
+        """A member's interest stamped past the skew allowance at its
+        arrival, one with no payload, or one that names its group
+        encrypted; or the outsider's under ``HOME``'s shared name key."""
+        self.now += dt
+        if kind == "stale":
+            ahead = self.now + self.router.skew_ms + 2
+            interest = self._interest(sender, clock=lambda: ahead)
+        elif kind == "no_payload":
+            interest = Interest(self._interest(sender).name)
+        elif kind == "encrypted_group":
+            interest = self._interest(sender, producer_public=self.pair.public)
+        else:
+            interest = self._interest(3)
+        self._send(0.0, interest, face)
 
     @precondition(lambda self: self.sent)
     @rule(dt=WAIT, data=st.data(), face=st.integers(0, 3))
@@ -1049,15 +1083,6 @@ class BatchOfOneRouterMachine(RouterMachine):
     the same event and the same verification count."""
 
     verify_mode = VerifyMode.batch(batch_size=1, batch_timeout_ms=50)
-
-    @initialize(lifetime=st.sampled_from([300, 60_000]))
-    def world(self, lifetime):
-        super().world(lifetime)
-        # HOME cached from the start, so protected interests hit from the first step
-        interest = self._interest(0)
-        self._send(0.0, interest, 0)
-        self.contents.append(self.producer.content_object_generation(interest, self.now).content)
-        self._take(0.0, self.router.on_content, self.contents[0], 9)
 
     def _send(self, dt, interest: Interest, face: int):
         reference = reference_hit_answer(self.router, interest, face, self.now + dt)

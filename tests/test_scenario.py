@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -159,9 +160,13 @@ def test_unknown_keys_rejected(tmp_path, capsys):
     node_field["nodes"][0]["colour"] = "blue"
     # links carry records only, so there is no wire to record
     record_wire = minimal_raw(record_wire=True)
+    # a producer's replay window is each content's lifetime, so no window is set
+    window = minimal_raw()
+    window["nodes"][2]["window_ms"] = 1000
     for raw, message in [
         (node_field, "nodes[0]: unknown keys ['colour']"),
         (record_wire, "top level: unknown keys ['record_wire']"),
+        (window, "nodes[2]: unknown keys ['window_ms']"),
     ]:
         with pytest.raises(ValidationError) as err:
             scenario_from_dict(raw)
@@ -592,15 +597,14 @@ def test_every_config_field_declares_a_kind():
 def test_readme_lists_every_config_field():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     reference = readme.split("## Scenario file reference\n", 1)[1].split("\n## ", 1)[0]
-    missing = []
+    missing, extra = [], []
     for cls in _record_classes():
         block = reference.split(f"(`{cls.__name__}`)", 1)[1].split("\n### ", 1)[0]
-        missing += [
-            f"{cls.__name__}.{f.name}"
-            for f in dataclasses.fields(cls)
-            if f"| `{f.name}` |" not in block
-        ]
-    assert missing == []
+        fields = {f.name for f in dataclasses.fields(cls)}
+        listed = set(re.findall(r"^\| `(\w+)` \|", block, re.M))
+        missing += [f"{cls.__name__}.{name}" for name in sorted(fields - listed)]
+        extra += [f"{cls.__name__}.{name}" for name in sorted(listed - fields)]
+    assert (missing, extra) == ([], [])
 
 
 @pytest.mark.parametrize(

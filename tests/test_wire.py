@@ -393,7 +393,7 @@ def built_messages(draw):
         if kind == "interest":
             return interest
         text = st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=20)
-        reason = draw(st.sampled_from(list(authcheck.FailReason)) | text)
+        reason = draw(st.sampled_from(authcheck.members(authcheck.FailReason)) | text)
         return Nack(interest, reason)
     keys = draw(
         st.lists(
