@@ -34,17 +34,17 @@ at most 2^-64.  ``R_i`` is only range-checked, so a signer can submit an
 verification yet passes a batch with fair probability; the repair is open
 (ROADMAP item 3).
 
-Exponentiation engine.  Every modular power here is ``_power`` (one
-base) or ``_power2`` (the product of two powers), which return exactly
-what built-in ``pow`` returns.  For a group modulus they call
-``BN_mod_exp_mont`` and ``BN_mod_exp2_mont`` through ``ctypes`` in the
-libcrypto that CPython's ``hashlib`` links, loaded by soname on the first
-power, not at import; ``BN_mod_exp2_mont`` interleaves both powers in one
-pass of squarings (Shamir's trick, the two-base case of Straus).  Where
-no libcrypto loads, for a negative exponent, and for a two-base power
-with a base ``0 mod p`` (which ``BN_mod_exp2_mont`` answers with 0 even
-when its exponent is 0, where ``pow``'s ``0^0`` is 1), ``pow`` does the
-work.  Each Schnorr equation is one two-base power:
+Exponentiation engine.  Every modular power here is one call of
+``_power2``, the product of two powers, which returns exactly what
+built-in ``pow`` returns; a one-base power ``_power(b, e)`` is
+``b^e * 1^0``.  For a group modulus it calls ``BN_mod_exp2_mont`` through
+``ctypes`` in the libcrypto that CPython's ``hashlib`` links, loaded by
+soname on the first power, not at import; ``BN_mod_exp2_mont``
+interleaves both powers in one pass of squarings (Shamir's trick, the
+two-base case of Straus).  Where no libcrypto loads, for a negative
+exponent, and for a base ``0 mod p`` (which ``BN_mod_exp2_mont`` answers
+with 0 even when its exponent is 0, where ``pow``'s ``0^0`` is 1),
+``pow`` does the work.  Each Schnorr equation is one two-base power:
 
 * ``g^e`` is ``g^(e mod 2^128) * G^(e >> 128)`` with ``G = g^(2^128)``
   computed once per group (Lim-Lee), so signing, key generation and
@@ -53,7 +53,7 @@ work.  Each Schnorr equation is one two-base power:
   multiplied by the invertible ``y^-e``; ``y^-1`` is computed once per
   key, and a ``y`` that is ``0 mod p`` keeps the textbook equation;
 * a batch checks its ``g``/``y`` pair the same way and pairs its
-  ``R_i^{z_i}`` terms two per pass.
+  ``R_i^{z_i}`` terms two per pass, an odd last term with ``1^0``.
 
 Accepted payload checks.  In a simulated network every node that serves
 an interest checks its payload, so one payload is checked at the
@@ -84,6 +84,7 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache, partial
+from itertools import zip_longest
 
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
@@ -177,17 +178,18 @@ def sha256(data: bytes) -> bytes:
     return hashlib.sha256(data).digest()
 
 
+def _sha256_stream(prefix: bytes, nbytes: int) -> bytes:
+    """The first ``nbytes`` of ``SHA-256(prefix || c)`` for the 4-byte
+    big-endian counters ``c`` = 0, 1, ... (counter-mode SHA-256)."""
+    blocks = (nbytes + DIGEST_LEN - 1) // DIGEST_LEN
+    return b"".join(sha256(prefix + c.to_bytes(4, "big")) for c in range(blocks))[:nbytes]
+
+
 def _expand(seed: int, label: bytes, nbytes: int) -> bytes:
-    """Deterministic byte expansion from a 64-bit seed (counter-mode SHA-256)."""
+    """Deterministic byte expansion from a 64-bit seed."""
     if not 0 <= seed < 1 << 64:
         raise UnsupportedParameter("seed must fit in 64 bits")
-    out = bytearray()
-    counter = 0
-    prefix = b"ibac.keygen." + seed.to_bytes(8, "big") + b"." + label + b"."
-    while len(out) < nbytes:
-        out += sha256(prefix + struct.pack(">I", counter))
-        counter += 1
-    return bytes(out[:nbytes])
+    return _sha256_stream(b"ibac.keygen." + seed.to_bytes(8, "big") + b"." + label + b".", nbytes)
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +213,6 @@ def _load_libcrypto():
         "BN_MONT_CTX_set": (size, [ptr, ptr, ptr]),
         "BN_bin2bn": (ptr, [data, size, ptr]),
         "BN_bn2binpad": (size, [ptr, ctypes.POINTER(ctypes.c_ubyte), size]),
-        "BN_mod_exp_mont": (size, [ptr, ptr, ptr, ptr, ptr, ptr]),
         "BN_mod_exp2_mont": (size, [ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr]),
     }
     for soname in LIBCRYPTO_SONAMES:
@@ -231,18 +232,16 @@ def _pow2(b1: int, e1: int, b2: int, e2: int, p: int) -> int:
 
 
 def _montgomery(lib, p: int):
-    """``(power, power2)`` for the odd modulus ``p``: ``power(b, e)`` is
-    exactly ``pow(b, e, p)``, by libcrypto's ``BN_mod_exp_mont``, and
-    ``power2(b1, e1, b2, e2)`` is exactly ``_pow2(b1, e1, b2, e2, p)``, by
+    """``power2`` for the odd modulus ``p``: ``power2(b1, e1, b2, e2)`` is
+    exactly ``_pow2(b1, e1, b2, e2, p)``, by libcrypto's
     ``BN_mod_exp2_mont``, which interleaves both powers in one pass of
-    squarings.  Both share one Montgomery context, five scratch BIGNUMs and
-    one output buffer, under one lock, so calls from two threads cannot
-    interleave."""
+    squarings.  Every call reuses one Montgomery context, five scratch
+    BIGNUMs and one output buffer, under one lock, so calls from two
+    threads cannot interleave."""
     import ctypes
 
     size = (p.bit_length() + 7) // 8
-    bin2bn, bn2bin = lib.BN_bin2bn, lib.BN_bn2binpad
-    mod_exp, mod_exp2 = lib.BN_mod_exp_mont, lib.BN_mod_exp2_mont
+    bin2bn, bn2bin, mod_exp2 = lib.BN_bin2bn, lib.BN_bn2binpad, lib.BN_mod_exp2_mont
     ctx, mont = lib.BN_CTX_new(), lib.BN_MONT_CTX_new()
     base, exp, base2, exp2, result = (lib.BN_new() for _ in range(5))
     m = bin2bn(p.to_bytes(size, "big"), size, None)
@@ -253,22 +252,6 @@ def _montgomery(lib, p: int):
     out = bytearray(size)
     out_ptr = (ctypes.c_ubyte * size).from_buffer(out)
     lock = threading.Lock()
-
-    def power(b: int, e: int) -> int:
-        if e < 0:  # an inverse power, which BN_mod_exp_mont does not take
-            return pow(b, e, p)
-        if not 0 <= b < p:
-            b %= p
-        eb = e.to_bytes((e.bit_length() + 7) // 8, "big")
-        with lock:
-            if (
-                bin2bn(b.to_bytes(size, "big"), size, base) is None
-                or bin2bn(eb, len(eb), exp) is None
-                or not mod_exp(result, base, exp, m, ctx, mont)
-                or bn2bin(result, out_ptr, size) != size
-            ):
-                raise CryptoError("libcrypto BN_mod_exp_mont failed")
-            return int.from_bytes(out, "big")
 
     def power2(b1: int, e1: int, b2: int, e2: int) -> int:
         if not 0 < b1 < p:
@@ -293,17 +276,17 @@ def _montgomery(lib, p: int):
                 raise CryptoError("libcrypto BN_mod_exp2_mont failed")
             return int.from_bytes(out, "big")
 
-    return power, power2
+    return power2
 
 
 _MODULI = frozenset(p for p, _, _ in _GROUP_PARAMS.values())
-_ENGINES: dict = {}  # group modulus -> its (power, power2), made on first use
+_ENGINES: dict = {}  # group modulus -> its power2, made on first use
 
 
 def _engine(p: int):
-    """``(power, power2)`` for modulus ``p``: in libcrypto for a group
-    modulus where libcrypto loads, by built-in ``pow`` otherwise."""
-    fallback = (partial(pow, mod=p), partial(_pow2, p=p))
+    """``power2`` for modulus ``p``: in libcrypto for a group modulus where
+    libcrypto loads, by built-in ``pow`` otherwise."""
+    fallback = partial(_pow2, p=p)
     if p not in _MODULI:
         return fallback
     lib = _load_libcrypto()
@@ -311,14 +294,14 @@ def _engine(p: int):
     return engine
 
 
-def _power(b: int, e: int, p: int) -> int:
-    """Exactly ``pow(b, e, p)``."""
-    return (_ENGINES.get(p) or _engine(p))[0](b, e)
-
-
 def _power2(b1: int, e1: int, b2: int, e2: int, p: int) -> int:
     """Exactly ``pow(b1, e1, p) * pow(b2, e2, p) % p``, in one pass."""
-    return (_ENGINES.get(p) or _engine(p))[1](b1, e1, b2, e2)
+    return (_ENGINES.get(p) or _engine(p))(b1, e1, b2, e2)
+
+
+def _power(b: int, e: int, p: int) -> int:
+    """Exactly ``pow(b, e, p)``: the two-base power ``b^e * 1^0``."""
+    return _power2(b, e, 1, 0, p)
 
 
 _SPLIT_BITS = 128  # generator exponents are split into halves of this many bits
@@ -363,10 +346,10 @@ def schnorr_equation(group: SignatureGroup, y: int, s: int, e: int, big_r: int) 
 
 def multi_power(pairs, p: int) -> int:
     """``prod b^z mod p`` over ``(b, z)`` pairs with ``z >= 0``, two terms
-    per pass (Straus)."""
-    pairs = list(pairs)
-    acc = _power(*pairs[-1], p) if len(pairs) % 2 else 1
-    for (b1, z1), (b2, z2) in zip(pairs[::2], pairs[1::2]):
+    per pass (Straus); an odd last term pairs with ``1^0``."""
+    terms = iter(pairs)
+    acc = 1
+    for (b1, z1), (b2, z2) in zip_longest(terms, terms, fillvalue=(1, 0)):
         acc = acc * _power2(b1, z1, b2, z2, p) % p
     return acc
 
@@ -506,12 +489,7 @@ def encrypt_group_id(public: ProducerPublicKey, group_id: bytes, rng: random.Ran
     c1 = generator_power(group, r).to_bytes(group.element_bytes, "big")
     shared = key_power(group, public.y, r).to_bytes(group.element_bytes, "big")
     kdf = sha256(c1 + shared + b"group-id-encryption")
-    stream = bytearray()
-    counter = 0
-    while len(stream) < len(group_id):
-        stream += sha256(kdf + struct.pack(">I", counter))
-        counter += 1
-    ct = bytes(a ^ b for a, b in zip(group_id, stream))
+    ct = bytes(a ^ b for a, b in zip(group_id, _sha256_stream(kdf, len(group_id))))
     tag = hmac.new(kdf, ct, hashlib.sha256).digest()[:ENC_TAG_LEN]
     return c1 + ct + tag
 
@@ -530,12 +508,7 @@ def decrypt_group_id(pair: ProducerKeyPair, blob: bytes) -> bytes:
     expected = hmac.new(kdf, ct, hashlib.sha256).digest()[:ENC_TAG_LEN]
     if not hmac.compare_digest(tag, expected):
         raise DecryptFailure("tag mismatch")
-    stream = bytearray()
-    counter = 0
-    while len(stream) < len(ct):
-        stream += sha256(kdf + struct.pack(">I", counter))
-        counter += 1
-    return bytes(a ^ b for a, b in zip(ct, stream))
+    return bytes(a ^ b for a, b in zip(ct, _sha256_stream(kdf, len(ct))))
 
 
 # ---------------------------------------------------------------------------

@@ -83,6 +83,7 @@ from .wire import (
 )
 
 PIT_LIFETIME_MS = 4000.0
+BATCH_TIMEOUT_MS = 100.0  # a queue's flush timer, from its first interest
 
 
 class DropReason:
@@ -98,14 +99,14 @@ class VerifyMode:
     ``batch_size`` interests, or ``batch_timeout_ms`` after its first."""
 
     batch_size: int = 1
-    batch_timeout_ms: float = 100.0
+    batch_timeout_ms: float = BATCH_TIMEOUT_MS
 
     @classmethod
     def individual(cls) -> "VerifyMode":
         return cls()
 
     @classmethod
-    def batch(cls, batch_size: int, batch_timeout_ms: float = 100.0) -> "VerifyMode":
+    def batch(cls, batch_size: int, batch_timeout_ms: float = BATCH_TIMEOUT_MS) -> "VerifyMode":
         return cls(batch_size, batch_timeout_ms)
 
 

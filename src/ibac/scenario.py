@@ -28,12 +28,13 @@ from pathlib import Path
 import yaml
 
 from . import analysis, crypto, kinds
+from .authcheck import DEFAULT_SKEW_MS
 from .consumer import ConsumerMode
 from .kinds import (BOOL, IDS, MAX_COUNT, MAX_DATA_BYTES, MAX_MS, MAX_S, MAX_SWEEP_TICKS, SEED,
                     TEXT, TIME, Choice, Fractions, Ids, Num, Pairs, Record, Records, Text,
                     declare, config_record)
 from .producer import Producer, ProtectionPolicy
-from .router import Router, VerifyMode
+from .router import BATCH_TIMEOUT_MS, PIT_LIFETIME_MS, Router, VerifyMode
 from .simnet import (DROP_KINDS, AdversaryAction, RunResult, Simulation, TrafficProfile,
                      derived_seed, offer_problems)
 from .wire import Name, SchemeTag
@@ -72,11 +73,11 @@ class NodeSpec:
     prefix: str | None = declare(Text(optional=True), None)
     verify_mode: str = declare(Choice(("INDIVIDUAL", "BATCH")), "INDIVIDUAL")
     batch_size: int = declare(Num(0, MAX_COUNT, strict=True, integer=True), 10)
-    batch_timeout_ms: float = declare(TIME, 100.0)
-    pit_lifetime_ms: float = declare(TIME, 4000.0)
+    batch_timeout_ms: float = declare(TIME, BATCH_TIMEOUT_MS)
+    pit_lifetime_ms: float = declare(TIME, PIT_LIFETIME_MS)
     tau_process_s: float = declare(COST, DEFAULT_TAU_PROCESS_S)
     tau_verify_s: float = declare(COST, DEFAULT_TAU_VERIFY_S)
-    skew_ms: float = declare(TIME, 1000.0)
+    skew_ms: float = declare(TIME, DEFAULT_SKEW_MS)
 
 
 @config_record
@@ -327,7 +328,9 @@ def validate(config: ScenarioConfig) -> list[str]:
             if n.id in nodes:
                 errors.append("duplicate node ids")
             nodes[n.id], node_bad[n.id] = n, bad
-    by_role = {role: {i for i, n in nodes.items() if n.role == role} for role in ROLES}
+    # ids by role, in file order
+    by_role = {role: dict.fromkeys(i for i, n in nodes.items() if n.role == role)
+               for role in ROLES}
     adv = config.adversary
     for i, n in nodes.items():
         if node_bad[i]:
@@ -483,15 +486,10 @@ def validate(config: ScenarioConfig) -> list[str]:
                 ]
 
     # connectivity: every consumer must reach at least one producer
-    for i in consumers:
-        seen = {i}
-        frontier = deque([i])
-        while frontier:
-            for nxt in adjacency[frontier.popleft()] - seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-        if not seen & by_role["producer"]:
-            errors.append(f"consumer {i}: no path to any producer")
+    reached = set()
+    for i in by_role["producer"]:
+        reached.update(_bfs_next_hops(adjacency, i))
+    errors += [f"consumer {i}: no path to any producer" for i in consumers if i not in reached]
 
     return errors
 

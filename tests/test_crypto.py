@@ -214,6 +214,15 @@ def test_decrypt_group_id_malformed():
         decrypt_group_id(pair, bytes(corrupted))
 
 
+@pytest.mark.parametrize("nbytes", [0, 1, 31, 32, 33, 64, 100])
+def test_sha256_stream_is_the_counter_mode_keystream(nbytes):
+    # key expansion and the group-id keystream: SHA-256 of the prefix and a
+    # 4-byte big-endian counter counting from 0, cut to length
+    prefix = b"ibac.stream."
+    blocks = b"".join(hashlib.sha256(prefix + struct.pack(">I", c)).digest() for c in range(4))
+    assert crypto._sha256_stream(prefix, nbytes) == blocks[:nbytes]
+
+
 # ---------------------------------------------------------------------------
 # payload signatures
 
@@ -359,8 +368,12 @@ def test_engine_every_byte_at_first_middle_and_last_position(key_bits):
                 assert power(d << 8 * i) == pow(position_base, d, group.p)
 
 
+@pytest.mark.parametrize("engine", ["libcrypto", "pow"])
 @pytest.mark.parametrize("key_bits", KEY_SIZES)
-def test_engine_edge_exponents_and_bases(key_bits):
+def test_engine_edge_exponents_and_bases(monkeypatch, key_bits, engine):
+    if engine == "pow":
+        monkeypatch.setattr(crypto, "_load_libcrypto", lambda: None)
+        monkeypatch.setattr(crypto, "_ENGINES", {})
     group = crypto.signature_group(key_bits)
     p, top = group.p, (1 << 256) - 1
     exponents = [
@@ -379,8 +392,8 @@ def test_engine_edge_exponents_and_bases(key_bits):
     ]
     for e in exponents + exponents:  # repeated calls reuse the scratch numbers
         assert crypto.generator_power(group, e) == pow(group.g, e, p)
-    for base in (0, 1, p - 1, p, p + 5, 3 * p + group.g):
-        for e in (0, 1, group.q - 1, 1 << 256, -1):
+    for base in (0, 1, p - 1, p, p + 5, 2 * p + 3, 3 * p + group.g):
+        for e in (0, 1, group.q - 1, 1 << 256, (1 << 256) + 1, -1):
             if e < 0 and base % p == 0:  # no inverse: both refuse alike
                 with pytest.raises(ValueError):
                     pow(base, e, p)
@@ -388,6 +401,8 @@ def test_engine_edge_exponents_and_bases(key_bits):
                     crypto.key_power(group, base, e)
                 continue
             assert crypto.key_power(group, base, e) == pow(base, e, p)
+    if engine == "pow":
+        assert isinstance(crypto._ENGINES[p], partial)  # every power went to pow
 
 
 @pytest.mark.parametrize("key_bits", KEY_SIZES)
@@ -522,8 +537,7 @@ def test_the_pow_fallback_reproduces_the_pinned_signature_and_forgery_digest(mon
     digests = json.loads((TESTDATA / "bundled_digests.json").read_text())
     assert hashlib.sha256(log).hexdigest() == digests["forgery"]
     assert list(crypto._ENGINES) == [m.group.p]
-    power, power2 = crypto._ENGINES[m.group.p]
-    assert isinstance(power, partial) and isinstance(power2, partial)
+    assert isinstance(crypto._ENGINES[m.group.p], partial)
     assert two_base and set(two_base) == {m.group.p}
 
 

@@ -12,7 +12,8 @@ from ibac.authcheck import FailReason, members, precheck, verify_any
 from ibac.consumer import ConsumerContext, ConsumerMode, interest_generation
 from ibac.producer import Producer, ProtectionPolicy
 from ibac.router import DropReason, EventKind, Router, RouterEvent, VerifyMode
-from ibac.wire import ContentObject, Interest, Nack, Name, SchemeTag, encode_name
+from ibac.wire import (AuthorizationPayload, ContentObject, Interest, Nack, Name, SchemeTag,
+                       encode_name)
 from replay_reference import assert_bound_holds, full_sweep
 
 PREFIX = (b"edu", b"uci")
@@ -590,9 +591,12 @@ def test_batch_mode_duplicate_nonce_rejected_at_enqueue():
     assert events[0].reason is FailReason.DUPLICATE_NONCE
 
 
-def test_encrypted_group_id_trial_verified_at_cache():
+def encrypted_id_world(verify_mode=None, groups=2):
+    """A router that caches a copy of HOME carrying the keys of ``groups``
+    groups, and ``hidden(material, rng_seed)``, a member's interest whose
+    group id travels encrypted to the producer."""
     pair = crypto.gen_producer_keypair(5)
-    materials = [crypto.gen_group(128, seed + 1) for seed in range(2)]
+    materials = [crypto.gen_group(128, seed + 1) for seed in range(groups)]
     producer = Producer(PREFIX, keypair=pair)
     for material in materials:
         producer.register_group(material)
@@ -600,24 +604,73 @@ def test_encrypted_group_id_trial_verified_at_cache():
         HOME, b"data", [m.group_id for m in materials], SchemeTag.HASH, 60_000,
         ProtectionPolicy.FULL,
     )
-    router = Router()
+    router = Router(verify_mode=verify_mode, batch_rng=random.Random(0))
     router.add_route(PREFIX, 9)
 
-    def enc_ctx(material, rng_seed):
+    def hidden(material, rng_seed):
         ctx = consumer_ctx(material, scheme=SchemeTag.HASH, rng_seed=rng_seed,
                            content_key=shared)
         ctx.producer_public = pair.public
-        return ctx
+        return interest_generation(ctx, PREFIX, HOME)
 
-    warm = interest_generation(enc_ctx(materials[0], 1), PREFIX, HOME)
-    serve_and_cache(router, producer, warm, 1000.0)
+    serve_and_cache(router, producer, hidden(materials[0], 1), 1000.0)
+    return materials, router, hidden
+
+
+def test_encrypted_group_id_trial_verified_at_cache():
+    materials, router, hidden = encrypted_id_world()
     # second group member also hides its id; the cache cannot decrypt, so it
-    # trial-verifies against both carried keys
-    hidden = interest_generation(enc_ctx(materials[1], 2), PREFIX, HOME)
-    assert hidden.payload.group_id_encrypted
-    events, verifies = router.on_interest(hidden, in_iface=2, now=1500.0)
+    # trial-verifies against both carried keys, its own the second
+    interest = hidden(materials[1], 2)
+    assert interest.payload.group_id_encrypted
+    events, verifies = router.on_interest(interest, in_iface=2, now=1500.0)
     assert events[0].kind is EventKind.SERVE_FROM_CACHE
-    assert verifies >= 1
+    assert verifies == 2
+
+
+def test_a_forged_hit_with_an_encrypted_group_id_fails_every_trial():
+    materials, router, hidden = encrypted_id_world()
+    honest = hidden(materials[1], 2)
+    signature = honest.payload.signature
+    forged = Interest(
+        honest.name, replace(honest.payload, signature=signature[:-1] + bytes([signature[-1] ^ 1]))
+    )
+    events, verifies = router.on_interest(forged, in_iface=2, now=1500.0)
+    assert [(e.kind, e.iface, e.message, e.reason) for e in events] == [
+        (EventKind.DROP_INTEREST, 2, forged, FailReason.BAD_SIGNATURE)
+    ]
+    assert verifies == 2  # one trial under each carried key
+    assert forged.payload.nonce not in router.replay_book.seen(forged.name._wire)
+
+
+@pytest.mark.parametrize("groups", [1, 2])
+def test_hits_sharing_an_encrypted_group_id_queue_together_but_are_checked_alone(
+    monkeypatch, groups
+):
+    # the queue key is the group-id field as carried, so two hits that share
+    # one ciphertext share a queue; an encrypted id names no single key, so
+    # the flush runs no batch test, even under a copy's one key, and
+    # trial-verifies each hit under every carried key, its own the last
+    materials, router, hidden = encrypted_id_world(VerifyMode.batch(batch_size=2), groups)
+    first = hidden(materials[-1], 2)
+    blob, name_bytes = first.payload.group_id, first.name._wire
+    other = hidden(materials[-1], 3).payload
+    assert other.nonce != first.payload.nonce
+    second = Interest(first.name, AuthorizationPayload.signed_on_read(
+        materials[-1], name_bytes, blob, True, other.nonce, other.timestamp
+    ))
+    batches = []
+    monkeypatch.setattr(crypto, "batch_verify", lambda *args: batches.append(args))
+    enqueued, verifies = router.on_interest(first, in_iface=2, now=1500.0)
+    assert [e.kind for e in enqueued] == [EventKind.BATCH_ENQUEUE, EventKind.BATCH_TIMER]
+    assert (verifies, list(router._batch_queues)) == (0, [(name_bytes, blob)])
+    events, verifies = router.on_interest(second, in_iface=3, now=1501.0)
+    assert [(e.kind, e.iface, e.reason) for e in events] == [
+        (EventKind.SERVE_FROM_CACHE, 2, "verified"),
+        (EventKind.SERVE_FROM_CACHE, 3, "verified"),
+    ]
+    assert verifies == 2 * groups
+    assert batches == [] and router._batch_queues == {}
 
 
 def test_a_carried_key_of_no_group_size_is_skipped():

@@ -18,6 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ibac import cli, kinds, scenario, simnet
+from ibac.authcheck import DEFAULT_SKEW_MS
+from ibac.router import BATCH_TIMEOUT_MS, PIT_LIFETIME_MS, VerifyMode
 from ibac.scenario import (
     BUNDLED_SCENARIOS,
     InvariantViolation,
@@ -153,6 +155,44 @@ def test_disconnected_consumer_rejected():
     with pytest.raises(ValidationError) as err:
         scenario_from_dict(raw)
     assert any("no path" in e for e in err.value.errors)
+
+
+def test_validate_reports_in_file_order_whatever_the_hash_seed(tmp_path):
+    # six unlinked consumers stamping before 0, and a content two producer
+    # prefixes claim: each rule lists its nodes as the file does
+    raw = minimal_raw()
+    consumers = [f"c{i}" for i in range(6)]
+    raw["nodes"] += [
+        {"id": c, "role": "consumer", "group": "g1", "clock_offset_ms": -5} for c in consumers
+    ]
+    raw["nodes"] += [{"id": p, "role": "producer", "prefix": "/edu"} for p in ("p3", "p2")]
+    raw["fetches"] += [{"consumer": c, "name": "/edu/uci/x", "at_ms": 0} for c in consumers]
+    path = tmp_path / "orders.json"
+    path.write_text(json.dumps(raw))
+    src = Path(scenario.__file__).resolve().parents[1]
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    code = (
+        "import json, sys; from ibac import scenario\n"
+        "try: scenario.load_scenario(sys.argv[1])\n"
+        "except scenario.ValidationError as exc: print(json.dumps(exc.errors))"
+    )
+
+    def errors(seed):
+        result = subprocess.run([sys.executable, "-c", code, str(path)],
+                                env={**env, "PYTHONHASHSEED": seed},
+                                capture_output=True, text=True, timeout=60)
+        assert result.returncode == 0, result.stderr
+        return json.loads(result.stdout)
+
+    found = errors("1")
+    assert found == errors("3")
+    assert [e for e in found if "no path" in e or "before 0" in e] == [
+        *(f"consumer {c}: clock_offset_ms -5 stamps a time before 0" for c in consumers),
+        *(f"consumer {c}: no path to any producer" for c in consumers),
+    ]
+    assert "content /edu/uci/x: must extend exactly one producer prefix " \
+        "(matched ['p1', 'p3', 'p2'])" in found
 
 
 def test_unknown_keys_rejected(tmp_path, capsys):
@@ -605,6 +645,19 @@ def test_readme_lists_every_config_field():
         missing += [f"{cls.__name__}.{name}" for name in sorted(fields - listed)]
         extra += [f"{cls.__name__}.{name}" for name in sorted(listed - fields)]
     assert (missing, extra) == ([], [])
+
+
+def test_a_node_defaults_to_the_protocol_defaults_readme_gives():
+    # one source each: the router's PIT lifetime and batch timeout, the check's skew
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    node = scenario.NodeSpec(id="r1", role="router")
+    for field, default in (("pit_lifetime_ms", PIT_LIFETIME_MS),
+                           ("batch_timeout_ms", BATCH_TIMEOUT_MS),
+                           ("skew_ms", DEFAULT_SKEW_MS)):
+        assert getattr(node, field) == default
+        assert re.search(rf"^\| `{field}` \|.*\| {default:g} \|$", readme, re.M)
+    assert VerifyMode().batch_timeout_ms == BATCH_TIMEOUT_MS
+    assert VerifyMode.batch(2).batch_timeout_ms == BATCH_TIMEOUT_MS
 
 
 @pytest.mark.parametrize(
