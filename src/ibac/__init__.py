@@ -37,11 +37,9 @@ from .crypto import (
 )
 from .consumer import ConsumerContext, ConsumerMode, interest_generation
 from .producer import Producer, ProtectionPolicy
-from .router import Router, VerifyMode
+from .router import Router
 from .simnet import AdversaryAction, Simulation, TrafficProfile
 from .analysis import (
-    OverheadParams,
-    ServiceModelParams,
     bench_verification,
     content_overhead_bytes,
     interest_overhead_bytes,

@@ -18,10 +18,12 @@ an emission log).
 
 from __future__ import annotations
 
+import math
 import random
 import statistics
 import time
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -40,64 +42,33 @@ class EmptyLog(ValueError):
 # -- analytic model ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ServiceModelParams:
-    delta: float
-    tau_process_s: float
-    tau_verify_s: float = 0.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.delta <= 1.0:
-            raise DomainError("delta must lie in [0, 1]")
-        if self.tau_process_s < 0 or self.tau_verify_s < 0:
-            raise DomainError("service times must be non-negative")
-
-
-def model_mu(params: ServiceModelParams) -> float:
+def model_mu(delta: float, tau_process_s: float, tau_verify_s: float = 0.0) -> float:
     """Interests served per second under the two-class service model."""
-    if params.tau_process_s == 0:
+    if not 0.0 <= delta <= 1.0:
+        raise DomainError("delta must lie in [0, 1]")
+    if not (0.0 <= tau_process_s < math.inf and 0.0 <= tau_verify_s < math.inf):
+        raise DomainError("service times must be finite and non-negative")
+    if tau_process_s == 0:
         raise DomainError("tau_process must be positive")
-    mu = (1.0 - params.delta) / params.tau_process_s
-    if params.delta:
-        mu += params.delta / (params.tau_process_s + params.tau_verify_s)
+    mu = (1.0 - delta) / tau_process_s
+    if delta:
+        mu += delta / (tau_process_s + tau_verify_s)
     return mu
 
 
 # -- bandwidth overhead -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OverheadParams:
-    nonce_bytes: int = 16
-    timestamp_bytes: int = 8
-    signature_bytes: int = 96
-    group_id_bytes: int = 32
-    key_sizes: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        for value in (
-            self.nonce_bytes,
-            self.timestamp_bytes,
-            self.signature_bytes,
-            self.group_id_bytes,
-        ):
-            if value < 0:
-                raise DomainError("sizes must be non-negative")
-
-
-def interest_overhead_bytes(params: OverheadParams) -> int:
+def interest_overhead_bytes(
+    nonce_bytes: int, timestamp_bytes: int, signature_bytes: int, group_id_bytes: int
+) -> int:
     """Payload bytes added to an interest that carries full authorization."""
-    return (
-        params.nonce_bytes
-        + params.timestamp_bytes
-        + params.signature_bytes
-        + params.group_id_bytes
-    )
+    return nonce_bytes + timestamp_bytes + signature_bytes + group_id_bytes
 
 
-def content_overhead_bytes(params: OverheadParams) -> int:
+def content_overhead_bytes(key_sizes) -> int:
     """Key bytes added to a content object authorized for ``len(key_sizes)`` groups."""
-    return sum(params.key_sizes)
+    return sum(key_sizes)
 
 
 # TLV framing constants for the encode-and-diff checks: adding a full
@@ -209,22 +180,21 @@ def _read_log(log) -> list[str]:
     return list(log)
 
 
-def _parse_rows(log):
-    rows = []
-    for line in _read_log(log):
-        if not line.strip():
+def _node_completions(lines, node: str, t0: float = 0.0, t1: float = math.inf):
+    """``(time, reason)`` of each of ``node``'s interest completions within
+    ``[t0, t1]``, in log order."""
+    # a line is the node's only if its second field is the node, so only
+    # lines holding the node as a whole field are split and parsed
+    field = f"\t{node}\t"
+    completions = []
+    for line in lines:
+        if field not in line:
             continue
-        t, node, kind, name_hex, reason = line.split("\t")
-        rows.append((float(t), node, kind, name_hex, reason))
-    return rows
-
-
-def _completions(rows, node):
-    return [
-        (t, reason)
-        for t, n, kind, _, reason in rows
-        if n == node and kind in INTEREST_COMPLETION_KINDS
-    ]
+        t, n, kind, _, reason = line.split("\t")
+        t = float(t)
+        if n == node and kind in INTEREST_COMPLETION_KINDS and t0 <= t <= t1:
+            completions.append((t, reason))
+    return completions
 
 
 def measure_service_rate(log, window_ms: float, node: str | None = None):
@@ -233,18 +203,17 @@ def measure_service_rate(log, window_ms: float, node: str | None = None):
     Returns a list of (window_start_ms, rate_per_s) covering the node's
     completion events.  With ``node`` unset, the busiest node is measured.
     """
-    rows = _parse_rows(log)
-    if not rows:
-        raise EmptyLog("emission log holds no events")
+    lines = _read_log(log)
     if node is None:
-        per_node: dict[str, int] = {}
-        for _, n, kind, _, _ in rows:
+        per_node: Counter = Counter()
+        for line in filter(str.strip, lines):
+            _, n, kind, _, _ = line.split("\t")
             if kind in INTEREST_COMPLETION_KINDS:
-                per_node[n] = per_node.get(n, 0) + 1
+                per_node[n] += 1
         if not per_node:
             raise EmptyLog("no interest completions in log")
         node = max(per_node, key=lambda k: (per_node[k], k))
-    completions = _completions(rows, node)
+    completions = _node_completions(lines, node)
     if not completions:
         raise EmptyLog(f"no interest completions at {node}")
     t_first = completions[0][0]
@@ -267,17 +236,7 @@ def class_service_times(log, node: str, t0: float = 0.0, t1: float = float("inf"
     Meaningful when the node is saturated, where each gap is one service
     time; use the median of each class to discount idle gaps.
     """
-    # a line is the node's only if its second field is the node, so only
-    # lines holding the node as a whole field are split and parsed
-    field = f"\t{node}\t"
-    completions = []
-    for line in _read_log(log):
-        if field not in line:
-            continue
-        t, n, kind, _, reason = line.split("\t")
-        t = float(t)
-        if n == node and kind in INTEREST_COMPLETION_KINDS and t0 <= t <= t1:
-            completions.append((t, reason))
+    completions = _node_completions(_read_log(log), node, t0, t1)
     out = {"verified": [], "plain": []}
     for (t_prev, _), (t_cur, reason) in zip(completions, completions[1:]):
         gap = t_cur - t_prev

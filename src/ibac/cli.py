@@ -56,12 +56,12 @@ def cmd_run(args) -> int:
         if config.sweep is None:
             print(f"{config.name}: --interests needs a scenario with a sweep", file=sys.stderr)
             return 2
-        config.sweep.interests_per_point = args.interests
-        errors = scenario.validate(config)  # the override moves each point's horizon
-        if errors:
-            for err in errors:
-                print(f"invalid scenario: {err}", file=sys.stderr)
-            return 2
+        config.sweep.interests_per_point = args.interests  # moves each point's horizon
+    errors = scenario.validate(config)  # an override is checked as a file's value is
+    if errors:
+        for err in errors:
+            print(f"invalid scenario: {err}", file=sys.stderr)
+        return 2
     out_dir = _default_out(config.name, args.out)
     try:
         code = scenario.run_scenario(config, out_dir)
@@ -128,9 +128,7 @@ def cmd_bench(args) -> int:
 
 def cmd_model_mu(args) -> int:
     try:
-        mu = analysis.model_mu(
-            analysis.ServiceModelParams(args.delta, args.tau_process, args.tau_verify)
-        )
+        mu = analysis.model_mu(args.delta, args.tau_process, args.tau_verify)
     except analysis.DomainError as exc:
         print(exc, file=sys.stderr)
         return 2
@@ -152,12 +150,6 @@ def _overhead_rows() -> list[tuple[str, int, int, int]]:
         rng=random.Random(1),
     )
     full = interest_generation(ctx, (b"edu", b"uci"), Name.from_uri("/edu/uci/ics/home.html"))
-    params = analysis.OverheadParams(
-        nonce_bytes=len(full.payload.nonce),
-        timestamp_bytes=8,
-        signature_bytes=len(full.payload.signature),
-        group_id_bytes=len(full.payload.group_id),
-    )
     interest_measured = len(encode_interest(full)) - len(encode_interest(Interest(full.name)))
 
     keys = tuple((m.group_id, m.public_key_bytes) for m in (material, crypto.gen_group(128, 2)))
@@ -167,15 +159,18 @@ def _overhead_rows() -> list[tuple[str, int, int, int]]:
     return [
         (
             "interest_auth_payload",
-            analysis.interest_overhead_bytes(params),
+            analysis.interest_overhead_bytes(
+                nonce_bytes=len(full.payload.nonce),
+                timestamp_bytes=8,
+                signature_bytes=len(full.payload.signature),
+                group_id_bytes=len(full.payload.group_id),
+            ),
             interest_measured,
             analysis.INTEREST_AUTH_FRAMING_BYTES,
         ),
         (
             "content_two_group_keys",
-            analysis.content_overhead_bytes(
-                analysis.OverheadParams(key_sizes=tuple(len(k) for _, k in keys))
-            ),
+            analysis.content_overhead_bytes([len(k) for _, k in keys]),
             content_measured,
             sum(analysis.content_key_entry_framing_bytes(len(gid)) for gid, _ in keys),
         ),
@@ -229,8 +224,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_mu = sub.add_parser("model-mu", help="evaluate the service-rate model")
     p_mu.add_argument("--delta", type=float, required=True)
-    p_mu.add_argument("--tau-process", type=float, default=0.005)
-    p_mu.add_argument("--tau-verify", type=float, default=0.599)
+    p_mu.add_argument("--tau-process", type=float, default=scenario.DEFAULT_TAU_PROCESS_S)
+    p_mu.add_argument("--tau-verify", type=float, default=scenario.DEFAULT_TAU_VERIFY_S)
     p_mu.set_defaults(func=cmd_model_mu)
 
     p_oh = sub.add_parser("overhead-table", help="analytic vs measured bandwidth overheads")

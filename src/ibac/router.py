@@ -12,9 +12,9 @@ A protected cache hit takes one path in every verify mode: its precheck
 runs at once, and its signature waits in a queue per (name, group id)
 until the queue holds ``batch_size`` interests or the timer set by its
 first runs out; a timer whose queue was flushed full flushes nothing.
-INDIVIDUAL is the batch of one, flushed as it arrives.  A flush of two
-or more under one key runs one batch test, and falls back to each
-item's own check when it fails; a lone item gets its own check.
+INDIVIDUAL is ``batch_size=1``, the batch of one, flushed as it arrives.
+A flush of two or more under one key runs one batch test, and falls back
+to each item's own check when it fails; a lone item gets its own check.
 An interest whose cached copy expired while it waited for a flush goes on
 as a miss, as if it had arrived after the expiry.
 
@@ -93,23 +93,6 @@ class DropReason:
     UNSOLICITED = "Unsolicited"
 
 
-@dataclass(frozen=True)
-class VerifyMode:
-    """When a queue of protected cache hits is flushed: once it holds
-    ``batch_size`` interests, or ``batch_timeout_ms`` after its first."""
-
-    batch_size: int = 1
-    batch_timeout_ms: float = BATCH_TIMEOUT_MS
-
-    @classmethod
-    def individual(cls) -> "VerifyMode":
-        return cls()
-
-    @classmethod
-    def batch(cls, batch_size: int, batch_timeout_ms: float = BATCH_TIMEOUT_MS) -> "VerifyMode":
-        return cls(batch_size, batch_timeout_ms)
-
-
 @dataclass
 class CacheEntry:
     content: ContentObject
@@ -182,12 +165,16 @@ class RouterEvent:
 class Router:
     def __init__(
         self,
-        verify_mode: VerifyMode | None = None,
+        batch_size: int = 1,
+        batch_timeout_ms: float = BATCH_TIMEOUT_MS,
         pit_lifetime_ms: float = PIT_LIFETIME_MS,
         skew_ms: float = DEFAULT_SKEW_MS,
         batch_rng=None,
     ):
-        self.verify_mode = verify_mode or VerifyMode.individual()
+        # a queue of protected cache hits is flushed once it holds
+        # ``batch_size`` interests, or ``batch_timeout_ms`` after its first
+        self.batch_size = batch_size
+        self.batch_timeout_ms = batch_timeout_ms
         self.pit_lifetime_ms = pit_lifetime_ms
         self.skew_ms = skew_ms
         self.batch_rng = batch_rng
@@ -340,7 +327,7 @@ class Router:
             self._batch_queues[key] = (next(self._batch_serials), [])
         serial, queue = self._batch_queues[key]
         queue.append((in_iface, interest))
-        if len(queue) >= self.verify_mode.batch_size:
+        if len(queue) >= self.batch_size:
             return self.flush_batch(key, now)
         events = [RouterEvent(EventKind.BATCH_ENQUEUE, name_bytes)]
         if len(queue) == 1:
@@ -348,7 +335,7 @@ class Router:
                 RouterEvent(
                     EventKind.BATCH_TIMER,
                     name_bytes,
-                    at=now + self.verify_mode.batch_timeout_ms,
+                    at=now + self.batch_timeout_ms,
                     batch_key=key,
                     batch_serial=serial,
                 )

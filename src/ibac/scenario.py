@@ -34,7 +34,7 @@ from .kinds import (BOOL, IDS, MAX_COUNT, MAX_DATA_BYTES, MAX_MS, MAX_S, MAX_SWE
                     TEXT, TIME, Choice, Fractions, Ids, Num, Pairs, Record, Records, Text,
                     declare, config_record)
 from .producer import Producer, ProtectionPolicy
-from .router import BATCH_TIMEOUT_MS, PIT_LIFETIME_MS, Router, VerifyMode
+from .router import BATCH_TIMEOUT_MS, PIT_LIFETIME_MS, Router
 from .simnet import (DROP_KINDS, AdversaryAction, RunResult, Simulation, TrafficProfile,
                      derived_seed, offer_problems)
 from .wire import Name, SchemeTag
@@ -177,8 +177,6 @@ class BuildInfo:
     content_keys: dict  # name components -> obfuscation key bytes
     content_names: dict  # content name string -> Name
     producers: dict  # node id -> Producer
-    producer_keys: dict  # node id -> ProducerKeyPair | None
-    prefix_of: dict  # name components -> producer prefix tuple
 
 
 BUNDLED_SCENARIOS = (
@@ -512,6 +510,17 @@ def _bfs_next_hops(adjacency: dict[str, list[str]], root: str) -> dict[str, str]
     return parent
 
 
+def _owner(producers: dict, name: Name) -> str:
+    """The id of the producer whose prefix ``name`` extends; ``validate``
+    makes it the only one."""
+    return next(
+        pid
+        for pid, producer in producers.items()
+        if name.components[: len(producer.prefix)] == producer.prefix
+        and len(name.components) > len(producer.prefix)
+    )
+
+
 def build(config: ScenarioConfig) -> tuple[Simulation, BuildInfo]:
     sim = Simulation(
         seed=config.seed,
@@ -521,17 +530,13 @@ def build(config: ScenarioConfig) -> tuple[Simulation, BuildInfo]:
     materials = {g.id: crypto.gen_group(config.kappa, g.seed) for g in config.groups}
 
     producers: dict[str, Producer] = {}
-    producer_keys: dict[str, object] = {}
     consumers: dict[str, object] = {}
     consumer_specs: dict[str, NodeSpec] = {}
     for spec in config.nodes:
         if spec.role == "router":
-            if spec.verify_mode == "BATCH":
-                mode = VerifyMode.batch(spec.batch_size, spec.batch_timeout_ms)
-            else:
-                mode = VerifyMode.individual()
             router = Router(
-                verify_mode=mode,
+                batch_size=spec.batch_size if spec.verify_mode == "BATCH" else 1,
+                batch_timeout_ms=spec.batch_timeout_ms,
                 pit_lifetime_ms=spec.pit_lifetime_ms,
                 skew_ms=spec.skew_ms,
             )
@@ -549,7 +554,6 @@ def build(config: ScenarioConfig) -> tuple[Simulation, BuildInfo]:
                 content_key_seed=derived_seed(config.seed, f"content-keys:{spec.id}"),
             )
             producers[spec.id] = producer
-            producer_keys[spec.id] = keypair
             sim.add_producer(spec.id, producer, spec.tau_process_s, spec.tau_verify_s)
         elif spec.role == "consumer":
             consumer_specs[spec.id] = spec
@@ -559,9 +563,8 @@ def build(config: ScenarioConfig) -> tuple[Simulation, BuildInfo]:
     # consumers need the producer public key when ids travel encrypted;
     # single-producer scenarios are the only ones using that feature
     default_public = None
-    if config.encrypted_group_ids and producer_keys:
-        first = sorted(producer_keys)[0]
-        default_public = producer_keys[first].public if producer_keys[first] else None
+    if config.encrypted_group_ids and producers:
+        default_public = producers[min(producers)].keypair.public
     for node_id, spec in consumer_specs.items():
         consumers[node_id] = sim.add_consumer(
             node_id,
@@ -599,20 +602,14 @@ def build(config: ScenarioConfig) -> tuple[Simulation, BuildInfo]:
             producer.register_group(material)
 
     # publish the catalog and hand out content-scoped keys
-    info = BuildInfo(config, materials, {}, {}, producers, producer_keys, {})
+    info = BuildInfo(config, materials, {}, {}, producers)
     group_members: dict[str, list[str]] = {}
     for node_id, spec in consumer_specs.items():
         group_members.setdefault(spec.group, []).append(node_id)
     for c in config.contents:
         name = Name.from_uri(c.name)
         info.content_names[c.name] = name
-        owner = next(
-            pid
-            for pid, producer in producers.items()
-            if name.components[: len(producer.prefix)] == producer.prefix
-            and len(name.components) > len(producer.prefix)
-        )
-        producer = producers[owner]
+        producer = producers[_owner(producers, name)]
         obf_key = producer.publish(
             name,
             _content_data(config.seed, c),
@@ -622,7 +619,6 @@ def build(config: ScenarioConfig) -> tuple[Simulation, BuildInfo]:
             ProtectionPolicy[c.policy],
         )
         sim.register_content_prefix(name, producer.prefix)
-        info.prefix_of[name.components] = producer.prefix
         if c.policy == "PUBLIC":
             for consumer in consumers.values():
                 consumer.ctx.public_names.add(name.components)
@@ -651,14 +647,9 @@ def build(config: ScenarioConfig) -> tuple[Simulation, BuildInfo]:
 
     for r in config.rekeys:
         name = info.content_names[r.content]
-        owner = next(
-            pid
-            for pid, producer in producers.items()
-            if name.components[: len(producer.prefix)] == producer.prefix
-        )
         sim.schedule_rekey(
             r.at_ms,
-            owner,
+            _owner(producers, name),
             name,
             [materials[g] for g in r.new_groups],
             [materials[g].group_id for g in r.revoke_groups],
@@ -682,7 +673,7 @@ def content_wire_name(info: BuildInfo, content_name: str) -> bytes:
     name = info.content_names[content_name]
     if spec.policy in ("AUTH_ONLY", "PUBLIC"):
         return encode_name(name)
-    prefix = info.prefix_of[name.components]
+    prefix = info.producers[_owner(info.producers, name)].prefix
     obf_key = info.content_keys[name.components]
     suffix_components = name.components[len(prefix):]
     scheme = SchemeTag[spec.scheme]
@@ -737,7 +728,7 @@ def check_invariants(result: RunResult, sim: Simulation) -> None:
         passes = rt.obj.auth_passes
         # the one service that may still be in flight at the horizon can hold
         # passed-but-unemitted checks: up to a batch worth, one for INDIVIDUAL
-        slack = rt.obj.verify_mode.batch_size if rt.busy else 0
+        slack = rt.obj.batch_size if rt.busy else 0
         if not emitted <= passes <= emitted + slack:
             raise InvariantViolation(
                 f"{node_id}: emitted {emitted} protected contents "
@@ -763,11 +754,7 @@ def sweep_points(config: ScenarioConfig, router_spec: NodeSpec) -> list[tuple[fl
     sweep = config.sweep
     points = []
     for delta in sweep.deltas:
-        mu = analysis.model_mu(
-            analysis.ServiceModelParams(
-                delta, router_spec.tau_process_s, router_spec.tau_verify_s
-            )
-        )
+        mu = analysis.model_mu(delta, router_spec.tau_process_s, router_spec.tau_verify_s)
         lam = sweep.saturation_factor * mu
         # a tiny saturation_factor can underflow the offered rate to 0
         inject_ms = sweep.interests_per_point / lam * 1000.0 if lam else math.inf

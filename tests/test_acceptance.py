@@ -13,8 +13,6 @@ import pytest
 
 from ibac import analysis, crypto, scenario
 from ibac.analysis import (
-    OverheadParams,
-    ServiceModelParams,
     bench_verification,
     content_overhead_bytes,
     interest_overhead_bytes,
@@ -148,14 +146,14 @@ def test_acceptance_4_name_probing():
 
 def test_acceptance_5_analytic_model():
     t0 = time.perf_counter()
-    assert model_mu(ServiceModelParams(0.0, 0.005, 0.599)) == 200.0
-    assert model_mu(ServiceModelParams(0.2, 0.005, 0.599)) == pytest.approx(
+    assert model_mu(0.0, 0.005, 0.599) == 200.0
+    assert model_mu(0.2, 0.005, 0.599) == pytest.approx(
         160.33112582781456, rel=1e-6
     )
-    assert model_mu(ServiceModelParams(1.0, 0.005, 0.599)) == pytest.approx(
+    assert model_mu(1.0, 0.005, 0.599) == pytest.approx(
         1.6556291390728477, rel=1e-6
     )
-    grid = [model_mu(ServiceModelParams(i / 100, 0.005, 0.599)) for i in range(101)]
+    grid = [model_mu(i / 100, 0.005, 0.599) for i in range(101)]
     assert all(a > b for a, b in zip(grid, grid[1:]))
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0
@@ -274,20 +272,20 @@ def test_acceptance_8_overhead_accounting():
     name = Name.from_uri("/edu/uci/ics/home.html")
     full = interest_generation(ctx, (b"edu", b"uci"), name)
     bare = Interest(full.name)
-    params = OverheadParams(
+    params = dict(
         nonce_bytes=len(full.payload.nonce),
         timestamp_bytes=8,
         signature_bytes=len(full.payload.signature),
         group_id_bytes=len(full.payload.group_id),
     )
     wire_delta = len(encode_interest(full)) - len(encode_interest(bare))
-    assert wire_delta == interest_overhead_bytes(params) + analysis.INTEREST_AUTH_FRAMING_BYTES
+    assert wire_delta == interest_overhead_bytes(**params) + analysis.INTEREST_AUTH_FRAMING_BYTES
 
     id_only = Interest(full.name, AuthorizationPayload(full.payload.group_id))
     delta_vs_id = len(encode_interest(full)) - len(encode_interest(id_only))
     assert delta_vs_id == (
-        interest_overhead_bytes(params)
-        - params.group_id_bytes
+        interest_overhead_bytes(**params)
+        - params["group_id_bytes"]
         + analysis.INTEREST_AUTH_VS_ID_ONLY_FRAMING_BYTES
     )
 
@@ -322,7 +320,7 @@ def test_acceptance_8_overhead_accounting():
         analysis.content_key_entry_framing_bytes(len(gid))
         for gid, _ in content.verification_keys
     )
-    assert content_delta == content_overhead_bytes(OverheadParams(key_sizes=key_sizes)) + framing
+    assert content_delta == content_overhead_bytes(key_sizes) + framing
     elapsed = time.perf_counter() - t0
     assert elapsed < 5.0
     _report(

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -6,8 +7,6 @@ from ibac import analysis, crypto
 from ibac.analysis import (
     DomainError,
     EmptyLog,
-    OverheadParams,
-    ServiceModelParams,
     bench_verification,
     class_service_times,
     content_overhead_bytes,
@@ -34,32 +33,40 @@ from ibac.wire import (
 
 
 def test_model_mu_delta_zero_exact():
-    assert model_mu(ServiceModelParams(0.0, 0.005, 0.599)) == 200.0
+    assert model_mu(0.0, 0.005, 0.599) == 200.0
 
 
 def test_model_mu_delta_one():
-    got = model_mu(ServiceModelParams(1.0, 0.005, 0.599))
+    got = model_mu(1.0, 0.005, 0.599)
     assert got == pytest.approx(1.6556291390728477, rel=1e-6)
 
 
 def test_model_mu_delta_fifth():
-    got = model_mu(ServiceModelParams(0.2, 0.005, 0.599))
+    got = model_mu(0.2, 0.005, 0.599)
     assert got == pytest.approx(160.33112582781456, rel=1e-6)
 
 
 def test_model_mu_zero_process_time_rejected():
     with pytest.raises(DomainError):
-        model_mu(ServiceModelParams(0.5, 0.0, 0.599))
+        model_mu(0.5, 0.0, 0.599)
 
 
 def test_model_mu_bad_delta_rejected():
     with pytest.raises(DomainError):
-        ServiceModelParams(1.5, 0.005, 0.599)
+        model_mu(1.5, 0.005, 0.599)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("time", ["tau_process_s", "tau_verify_s"])
+def test_model_mu_refuses_a_non_finite_time(time, value):
+    times = {"tau_process_s": 0.005, "tau_verify_s": 0.599, time: value}
+    with pytest.raises(DomainError, match="finite"):
+        model_mu(0.2, **times)
 
 
 def test_model_mu_strictly_decreasing_in_delta():
     values = [
-        model_mu(ServiceModelParams(i / 100.0, 0.005, 0.599)) for i in range(101)
+        model_mu(i / 100.0, 0.005, 0.599) for i in range(101)
     ]
     assert all(a > b for a, b in zip(values, values[1:]))
 
@@ -69,17 +76,17 @@ def test_model_mu_strictly_decreasing_in_delta():
 
 
 def test_interest_overhead_sum():
-    p = OverheadParams(nonce_bytes=16, timestamp_bytes=8, signature_bytes=64, group_id_bytes=32)
-    assert interest_overhead_bytes(p) == 120
+    p = dict(nonce_bytes=16, timestamp_bytes=8, signature_bytes=64, group_id_bytes=32)
+    assert interest_overhead_bytes(**p) == 120
 
 
 def test_interest_overhead_zero():
-    assert interest_overhead_bytes(OverheadParams(0, 0, 0, 0)) == 0
+    assert interest_overhead_bytes(0, 0, 0, 0) == 0
 
 
 def test_content_overhead_sums_key_sizes():
-    assert content_overhead_bytes(OverheadParams(key_sizes=(32, 32))) == 64
-    assert content_overhead_bytes(OverheadParams(key_sizes=())) == 0
+    assert content_overhead_bytes((32, 32)) == 64
+    assert content_overhead_bytes(()) == 0
 
 
 def _full_interest():
@@ -98,20 +105,20 @@ def _full_interest():
 def test_interest_overhead_matches_wire_diff():
     material, full = _full_interest()
     bare = Interest(full.name)
-    p = OverheadParams(
+    p = dict(
         nonce_bytes=len(full.payload.nonce),
         timestamp_bytes=8,
         signature_bytes=len(full.payload.signature),
         group_id_bytes=len(full.payload.group_id),
     )
     delta = len(encode_interest(full)) - len(encode_interest(bare))
-    assert delta == interest_overhead_bytes(p) + analysis.INTEREST_AUTH_FRAMING_BYTES
+    assert delta == interest_overhead_bytes(**p) + analysis.INTEREST_AUTH_FRAMING_BYTES
 
 
 def test_interest_overhead_vs_identity_only_payload():
     material, full = _full_interest()
     id_only = Interest(full.name, AuthorizationPayload(full.payload.group_id))
-    p = OverheadParams(
+    p = dict(
         nonce_bytes=len(full.payload.nonce),
         timestamp_bytes=8,
         signature_bytes=len(full.payload.signature),
@@ -119,8 +126,8 @@ def test_interest_overhead_vs_identity_only_payload():
     )
     delta = len(encode_interest(full)) - len(encode_interest(id_only))
     expected = (
-        interest_overhead_bytes(p)
-        - p.group_id_bytes
+        interest_overhead_bytes(**p)
+        - p["group_id_bytes"]
         + analysis.INTEREST_AUTH_VS_ID_ONLY_FRAMING_BYTES
     )
     assert delta == expected
@@ -132,9 +139,9 @@ def test_content_overhead_matches_wire_diff():
     with_keys = ContentObject(name, b"data", keys, 5, b"sig")
     without = ContentObject(name, b"data", (), 5, b"sig")
     delta = len(encode_content(with_keys)) - len(encode_content(without))
-    p = OverheadParams(key_sizes=(64, 64))
+    key_sizes = (64, 64)
     framing = 2 * analysis.content_key_entry_framing_bytes(group_id_bytes=32)
-    assert delta == content_overhead_bytes(p) + framing
+    assert delta == content_overhead_bytes(key_sizes) + framing
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +305,7 @@ def test_mixture_rate_estimate_two_classes():
             t += 604.0
             lines.append(f"{t:.3f}\tr1\tcs_hit_served\t00\tverified")
     got = mixture_rate_estimate(lines, "r1", delta=0.2)
-    want = model_mu(ServiceModelParams(0.2, 0.005, 0.599))
+    want = model_mu(0.2, 0.005, 0.599)
     assert got == pytest.approx(want, rel=1e-6)
 
 

@@ -11,7 +11,7 @@ from ibac import crypto
 from ibac.authcheck import FailReason, members, precheck, verify_any
 from ibac.consumer import ConsumerContext, ConsumerMode, interest_generation
 from ibac.producer import Producer, ProtectionPolicy
-from ibac.router import DropReason, EventKind, Router, RouterEvent, VerifyMode
+from ibac.router import DropReason, EventKind, Router, RouterEvent
 from ibac.wire import (AuthorizationPayload, ContentObject, Interest, Nack, Name, SchemeTag,
                        encode_name)
 from replay_reference import assert_bound_holds, full_sweep
@@ -21,7 +21,7 @@ HOME = Name.from_uri("/edu/uci/ics/home.html")
 
 
 def build_world(policy=ProtectionPolicy.FULL, scheme=SchemeTag.ENC, lifetime=60_000,
-                verify_mode=None, groups=1):
+                groups=1, **router_args):
     materials = [crypto.gen_group(128, seed + 1) for seed in range(groups)]
     producer = Producer(PREFIX)
     for material in materials:
@@ -29,7 +29,7 @@ def build_world(policy=ProtectionPolicy.FULL, scheme=SchemeTag.ENC, lifetime=60_
     shared = producer.publish(
         HOME, b"data", [m.group_id for m in materials], scheme, lifetime, policy
     )
-    router = Router(verify_mode=verify_mode, batch_rng=random.Random(0))
+    router = Router(batch_rng=random.Random(0), **router_args)
     router.add_route(PREFIX, 9)  # iface 9 points at the producer
     return materials, producer, router, shared
 
@@ -367,9 +367,7 @@ def test_shorter_expiry_bounds_revoked_access():
 # batched verification
 
 def test_batch_mode_flushes_at_size():
-    (material,), producer, router, _ = build_world(
-        verify_mode=VerifyMode.batch(batch_size=3)
-    )
+    (material,), producer, router, _ = build_world(batch_size=3)
     warm = fetch(material, rng_seed=1)
     serve_and_cache(router, producer, warm, 1000.0)
     all_events = []
@@ -386,9 +384,7 @@ def test_batch_mode_flushes_at_size():
 
 
 def test_batch_mode_timer_requested_for_partial_batch():
-    (material,), producer, router, _ = build_world(
-        verify_mode=VerifyMode.batch(batch_size=5, batch_timeout_ms=50)
-    )
+    (material,), producer, router, _ = build_world(batch_size=5, batch_timeout_ms=50)
     warm = fetch(material, rng_seed=1)
     serve_and_cache(router, producer, warm, 1000.0)
     interest = fetch(material, rng_seed=2)
@@ -402,9 +398,7 @@ def test_batch_mode_timer_requested_for_partial_batch():
 
 
 def test_a_stale_batch_timer_flushes_nothing():
-    (material,), producer, router, _ = build_world(
-        verify_mode=VerifyMode.batch(batch_size=2, batch_timeout_ms=100)
-    )
+    (material,), producer, router, _ = build_world(batch_size=2, batch_timeout_ms=100)
     serve_and_cache(router, producer, fetch(material, rng_seed=1), 1000.0)
     first, _ = router.on_interest(fetch(material, rng_seed=2), in_iface=0, now=1500.0)
     (stale,) = [e for e in first if e.kind is EventKind.BATCH_TIMER]
@@ -421,9 +415,7 @@ def test_a_stale_batch_timer_flushes_nothing():
 
 
 def test_batch_mode_fallback_identifies_passers():
-    (material,), producer, router, _ = build_world(
-        verify_mode=VerifyMode.batch(batch_size=3)
-    )
+    (material,), producer, router, _ = build_world(batch_size=3)
     warm = fetch(material, rng_seed=1)
     serve_and_cache(router, producer, warm, 1000.0)
     good1 = fetch(material, rng_seed=20)
@@ -459,8 +451,8 @@ def test_batch_mode_fallback_identifies_passers():
 def test_a_failed_batch_of_one_is_not_checked_again(monkeypatch):
     # a lone item in a flush gets its own check, charged once as INDIVIDUAL
     # charges it, and its failure is the item's BadSignature
-    def world(verify_mode):
-        (material,), producer, router, _ = build_world(verify_mode=verify_mode)
+    def world(batch_size):
+        (material,), producer, router, _ = build_world(batch_size=batch_size)
         serve_and_cache(router, producer, fetch(material, rng_seed=1), 1000.0)
         honest = fetch(material, rng_seed=2)
         signature = honest.payload.signature  # well formed, but not a signature of it
@@ -472,9 +464,9 @@ def test_a_failed_batch_of_one_is_not_checked_again(monkeypatch):
     def answer(events):
         return [(e.kind, e.iface, e.message, e.reason) for e in events]
 
-    router, forged = world(None)
+    router, forged = world(1)
     individual, _ = router.on_interest(forged, in_iface=4, now=1500.0)
-    router, forged = world(VerifyMode.batch(batch_size=5))
+    router, forged = world(5)
     enqueued, _ = router.on_interest(forged, in_iface=4, now=1500.0)
     (timer,) = [e for e in enqueued if e.kind is EventKind.BATCH_TIMER]
     equations = []
@@ -538,7 +530,7 @@ def test_a_batch_of_one_answers_each_hit_as_individual_does(kind):
         HOME, b"data", [m.group_id for m in materials], SchemeTag.HASH, 60_000,
         ProtectionPolicy.FULL,
     )
-    router = Router(verify_mode=VerifyMode.batch(batch_size=1), batch_rng=random.Random(0))
+    router = Router(batch_size=1, batch_rng=random.Random(0))
     router.add_route(PREFIX, 9)
 
     def interest(rng_seed, clock_value=1500.0, encrypted=False):
@@ -579,9 +571,7 @@ def test_a_batch_of_one_answers_each_hit_as_individual_does(kind):
 
 
 def test_batch_mode_duplicate_nonce_rejected_at_enqueue():
-    (material,), producer, router, _ = build_world(
-        verify_mode=VerifyMode.batch(batch_size=4)
-    )
+    (material,), producer, router, _ = build_world(batch_size=4)
     warm = fetch(material, rng_seed=1)
     serve_and_cache(router, producer, warm, 1000.0)
     interest = fetch(material, rng_seed=30)
@@ -591,7 +581,7 @@ def test_batch_mode_duplicate_nonce_rejected_at_enqueue():
     assert events[0].reason is FailReason.DUPLICATE_NONCE
 
 
-def encrypted_id_world(verify_mode=None, groups=2):
+def encrypted_id_world(batch_size=1, groups=2):
     """A router that caches a copy of HOME carrying the keys of ``groups``
     groups, and ``hidden(material, rng_seed)``, a member's interest whose
     group id travels encrypted to the producer."""
@@ -604,7 +594,7 @@ def encrypted_id_world(verify_mode=None, groups=2):
         HOME, b"data", [m.group_id for m in materials], SchemeTag.HASH, 60_000,
         ProtectionPolicy.FULL,
     )
-    router = Router(verify_mode=verify_mode, batch_rng=random.Random(0))
+    router = Router(batch_size=batch_size, batch_rng=random.Random(0))
     router.add_route(PREFIX, 9)
 
     def hidden(material, rng_seed):
@@ -651,7 +641,7 @@ def test_hits_sharing_an_encrypted_group_id_queue_together_but_are_checked_alone
     # one ciphertext share a queue; an encrypted id names no single key, so
     # the flush runs no batch test, even under a copy's one key, and
     # trial-verifies each hit under every carried key, its own the last
-    materials, router, hidden = encrypted_id_world(VerifyMode.batch(batch_size=2), groups)
+    materials, router, hidden = encrypted_id_world(2, groups)
     first = hidden(materials[-1], 2)
     blob, name_bytes = first.payload.group_id, first.name._wire
     other = hidden(materials[-1], 3).payload
@@ -718,9 +708,7 @@ def test_protected_serves_never_exceed_passes():
 
 
 def test_batch_mode_replay_after_passed_flush_is_duplicate():
-    (material,), producer, router, _ = build_world(
-        verify_mode=VerifyMode.batch(batch_size=2)
-    )
+    (material,), producer, router, _ = build_world(batch_size=2)
     warm = fetch(material, rng_seed=1)
     serve_and_cache(router, producer, warm, 1000.0)
     first = fetch(material, rng_seed=50)
@@ -741,7 +729,7 @@ def test_batch_mode_replay_after_passed_flush_is_duplicate():
 def test_batch_flush_after_the_copy_expired_forwards_each_queued_interest():
     # the flush used to drop every queued interest as CacheExpired
     (material,), producer, router, _ = build_world(
-        lifetime=1000, verify_mode=VerifyMode.batch(batch_size=5, batch_timeout_ms=100)
+        lifetime=1000, batch_size=5, batch_timeout_ms=100
     )
     serve_and_cache(router, producer, fetch(material, rng_seed=1), 1000.0)
     queued = [fetch(material, clock_value=1950.0, rng_seed=2 + i) for i in range(2)]
@@ -890,7 +878,7 @@ class RouterMachine(RuleBasedStateMachine):
     hit path or, once the copy is gone, on the miss path.
     """
 
-    verify_mode = VerifyMode.individual()
+    router_args = {}
 
     @initialize(lifetime=st.sampled_from([300, 60_000]))
     def world(self, lifetime):
@@ -905,7 +893,7 @@ class RouterMachine(RuleBasedStateMachine):
         )
         self.producer.publish(PUBLIC, b"open", [], SchemeTag.ENC, lifetime,
                               ProtectionPolicy.PUBLIC)
-        self.router = Router(verify_mode=self.verify_mode, pit_lifetime_ms=400,
+        self.router = Router(**self.router_args, pit_lifetime_ms=400,
                              batch_rng=random.Random(0))
         self.router.add_route(PREFIX, 9)
         self.now = 1000.0
@@ -1127,7 +1115,7 @@ class RouterMachine(RuleBasedStateMachine):
 
 
 class BatchRouterMachine(RouterMachine):
-    verify_mode = VerifyMode.batch(batch_size=3, batch_timeout_ms=50)
+    router_args = {"batch_size": 3, "batch_timeout_ms": 50}
 
 
 class BatchOfOneRouterMachine(RouterMachine):
@@ -1135,7 +1123,7 @@ class BatchOfOneRouterMachine(RouterMachine):
     that brings it, as the reference check does (``reference_hit_answer``):
     the same event and the same verification count."""
 
-    verify_mode = VerifyMode.batch(batch_size=1, batch_timeout_ms=50)
+    router_args = {"batch_size": 1, "batch_timeout_ms": 50}
 
     def _send(self, dt, interest: Interest, face: int):
         reference = reference_hit_answer(self.router, interest, face, self.now + dt)

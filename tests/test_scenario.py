@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from ibac import cli, kinds, scenario, simnet
 from ibac.authcheck import DEFAULT_SKEW_MS
-from ibac.router import BATCH_TIMEOUT_MS, PIT_LIFETIME_MS, VerifyMode
+from ibac.router import BATCH_TIMEOUT_MS, PIT_LIFETIME_MS, Router
 from ibac.scenario import (
     BUNDLED_SCENARIOS,
     InvariantViolation,
@@ -539,6 +539,21 @@ def test_malformed_values_are_validation_errors(tmp_path, capsys, raw):
     assert captured.out == "" and captured.err
 
 
+def test_a_rekey_goes_to_the_producer_that_owns_the_content():
+    # p0's prefix is the content's whole name, which only p1's extends; the
+    # rekey once went to p0, the first prefix it matched, and the run ended
+    # in a KeyError
+    raw = minimal_raw()
+    raw["nodes"].insert(0, {"id": "p0", "role": "producer", "prefix": "/edu/uci/x"})
+    raw["links"].append(["r1", "p0", 10])
+    raw["groups"].append({"id": "g2", "seed": 10})
+    raw["rekeys"] = [{"at_ms": 500, "content": "/edu/uci/x", "new_groups": ["g2"],
+                      "revoke_groups": ["g1"]}]
+    result, _ = run_config(scenario_from_dict(raw))
+    rekeys = [line.split("\t")[:3] for line in result.log_lines if "\trekey\t" in line]
+    assert rekeys == [["500.000", "p1", "rekey"]]
+
+
 # ---------------------------------------------------------------------------
 # the mutation space: each value and list entry of one config, replaced by
 # each of these
@@ -656,8 +671,11 @@ def test_a_node_defaults_to_the_protocol_defaults_readme_gives():
                            ("skew_ms", DEFAULT_SKEW_MS)):
         assert getattr(node, field) == default
         assert re.search(rf"^\| `{field}` \|.*\| {default:g} \|$", readme, re.M)
-    assert VerifyMode().batch_timeout_ms == BATCH_TIMEOUT_MS
-    assert VerifyMode.batch(2).batch_timeout_ms == BATCH_TIMEOUT_MS
+    assert Router().batch_timeout_ms == BATCH_TIMEOUT_MS
+    # and the service-rate model's times, which ``ibac model-mu`` defaults to
+    args = cli.build_parser().parse_args(["model-mu", "--delta", "0"])
+    assert (args.tau_process, args.tau_verify) == (node.tau_process_s, node.tau_verify_s) == (
+        scenario.DEFAULT_TAU_PROCESS_S, scenario.DEFAULT_TAU_VERIFY_S)
 
 
 @pytest.mark.parametrize(
@@ -771,6 +789,15 @@ def test_cli_model_mu(capsys):
     assert capsys.readouterr().out.strip() == "200.000000"
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("flag", ["--tau-process", "--tau-verify"])
+def test_cli_model_mu_refuses_a_non_finite_time(capsys, flag, value):
+    # a scenario file refuses the same times through scenario.COST
+    assert cli.main(["model-mu", "--delta", "0.2", flag, value]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "service times must be finite and non-negative\n")
+
+
 def test_cli_validate_bundled(capsys):
     assert cli.main(["validate", "figure_sequence"]) == 0
     assert "OK" in capsys.readouterr().out
@@ -861,6 +888,17 @@ def test_cli_run_refuses_interests_it_cannot_apply(tmp_path, capsys, target, int
     assert cli.main(["run", target, "--interests", interests, "--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", error + "\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("extra", [[], ["--interests", "300"]], ids=["alone", "with-interests"])
+def test_cli_run_checks_the_seed_as_a_file_seed_is(tmp_path, capsys, extra):
+    target = "service_rate_sweep" if extra else "mode_matrix"
+    out = tmp_path / "out"
+    assert cli.main(["run", target, "--seed", "-1", *extra, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", "invalid scenario: seed must be an integer in [0, 2**64)\n")
     assert not out.exists()
 
 
