@@ -8,7 +8,6 @@ import subprocess
 import sys
 import threading
 from collections import OrderedDict
-from contextlib import contextmanager
 from functools import partial
 from pathlib import Path
 from unittest import mock
@@ -54,7 +53,8 @@ def siv_oracle(k: bytes, comps) -> bytes:
     mac_key = hmac.new(k, b"mac", hashlib.sha256).digest()
     enc_key = hmac.new(k, b"enc", hashlib.sha256).digest()[: len(k)]
     tag = hmac.new(mac_key, pt, hashlib.sha256).digest()[:16]
-    return tag + oracle_aes_ctr(enc_key, tag, pt)
+    enc = Cipher(algorithms.AES(enc_key), modes.CTR(tag)).encryptor()
+    return tag + enc.update(pt) + enc.finalize()
 
 
 # ---------------------------------------------------------------------------
@@ -94,34 +94,6 @@ def test_kappa_256_key_length():
 
 
 # ---------------------------------------------------------------------------
-# AES-CTR engines: libcrypto, and the cryptography fallback where none loads
-
-AES_ENGINES = ("libcrypto", "cryptography")
-AES_KEY_SIZES = (16, 24, 32)
-COUNTER_WRAP = b"\xff" * 16  # the counter block wraps to zero after one block
-
-
-def oracle_aes_ctr(key: bytes, iv: bytes, data: bytes) -> bytes:
-    enc = Cipher(algorithms.AES(key), modes.CTR(iv)).encryptor()
-    return enc.update(data) + enc.finalize()
-
-
-@contextmanager
-def aes_engine(engine):
-    """``_aes_ctr`` on a fresh engine: libcrypto's, or the fallback that
-    runs where no libcrypto loads.  Checks on leaving that the engine
-    was the one named."""
-    load = crypto._load_libcrypto if engine == "libcrypto" else lambda: None
-    with mock.patch.object(crypto, "_AES_ENGINE", None), \
-            mock.patch.object(crypto, "_load_libcrypto", load):
-        yield
-        used = crypto._AES_ENGINE
-        assert used is not None
-        fallback = engine == "cryptography" or crypto._load_libcrypto() is None
-        assert (used is crypto._cryptography_aes_ctr) == fallback
-
-
-# ---------------------------------------------------------------------------
 # encryption-based obfuscation
 
 def test_obfuscate_enc_deterministic():
@@ -142,10 +114,8 @@ def test_obfuscate_enc_roundtrip(k, comps):
     assert deobfuscate_enc(k, obfuscate_enc(k, comps)) == comps
 
 
-@pytest.mark.parametrize("engine", AES_ENGINES)
-def test_obfuscate_enc_frozen_vector(engine):
-    with aes_engine(engine):
-        got = obfuscate_enc(bytes(16), [b"ics", b"home.html"])
+def test_obfuscate_enc_frozen_vector():
+    got = obfuscate_enc(bytes(16), [b"ics", b"home.html"])
     assert got == vector("obfuscate_enc_zero_key.hex")
     assert got == siv_oracle(bytes(16), [b"ics", b"home.html"])
 
@@ -179,95 +149,34 @@ def test_cross_key_separation():
     assert len(seen) == 50
 
 
-CHUNK = crypto.AES_CHUNK
-EDGE_LENGTHS = (0, 1, 15, 16, 17, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 17)
-
-
-@pytest.mark.parametrize("engine", AES_ENGINES)
-def test_aes_ctr_edge_lengths_and_counter_wrap_equal_cryptography(engine):
-    rng = random.Random(7)
-    with aes_engine(engine):
-        for key_size in AES_KEY_SIZES:
-            key = rng.randbytes(key_size)
-            for iv in (COUNTER_WRAP, bytes(15) + b"\xff", bytes(16)):
-                for n in EDGE_LENGTHS:
-                    data = rng.randbytes(n)
-                    assert crypto._aes_ctr(key, iv, data) == oracle_aes_ctr(key, iv, data)
-
-
-aes_lengths = st.one_of(
-    st.sampled_from([0, 1, 15, 16, 17]),
-    st.integers(min_value=0, max_value=64),
-    st.integers(min_value=CHUNK - 20, max_value=CHUNK + 20),
-    st.integers(min_value=0, max_value=3 * CHUNK),
-)
-aes_ivs = st.one_of(
-    st.just(COUNTER_WRAP),
-    st.binary(min_size=15, max_size=15).map(lambda head: head + b"\xff"),
-    st.binary(min_size=16, max_size=16),
-)
-
-
-@pytest.mark.parametrize("engine", AES_ENGINES)
-@settings(max_examples=40, deadline=None)
-@given(data=st.data())
-def test_aes_ctr_equals_cryptography(engine, data):
-    with aes_engine(engine):
-        for _ in range(3):  # one engine serves every call
-            key = data.draw(st.sampled_from(AES_KEY_SIZES).flatmap(
-                lambda n: st.binary(min_size=n, max_size=n)), label="key")
-            iv = data.draw(aes_ivs, label="iv")
-            n = data.draw(aes_lengths, label="length")
-            message = random.Random(n).randbytes(n)
-            assert crypto._aes_ctr(key, iv, message) == oracle_aes_ctr(key, iv, message)
-
-
-@pytest.mark.parametrize("engine", AES_ENGINES)
-@pytest.mark.parametrize("key_size", [0, 1, 15, 16, 17, 23, 24, 25, 31, 32, 33, 64])
-def test_every_key_size_works_as_cryptography_takes_it(engine, key_size):
-    # 16, 24 and 32 bytes are AES-128, -192 and -256; any other is a ValueError
-    key, iv, message = bytes(range(key_size)), COUNTER_WRAP, b"x" * 40
-    with aes_engine(engine):
-        if key_size in AES_KEY_SIZES:
-            assert crypto._aes_ctr(key, iv, message) == oracle_aes_ctr(key, iv, message)
-        else:
-            with pytest.raises(ValueError):
-                oracle_aes_ctr(key, iv, message)
-            with pytest.raises(ValueError):
-                crypto._aes_ctr(key, iv, message)
-
-
-@pytest.mark.parametrize("engine", AES_ENGINES)
 @pytest.mark.parametrize("key_size", [15, 16, 20, 24, 32, 40])
-def test_obfuscate_enc_takes_the_key_sizes_it_took(engine, key_size):
+def test_obfuscate_enc_takes_the_key_sizes_it_took(key_size):
     # the AES key is the first len(k) bytes of a 32-byte HMAC: a 24-byte
-    # obfuscation key gives AES-192, a 40-byte one AES-256
+    # obfuscation key gives AES-192, a 40-byte one AES-256, and a key of
+    # 15 or 20 bytes is a ValueError
     k, comps = bytes(range(1, key_size + 1)), [b"ics", b"home.html"]
-    with aes_engine(engine):
-        if key_size in (15, 20):
-            with pytest.raises(ValueError):
-                siv_oracle(k, comps)
-            with pytest.raises(ValueError):
-                obfuscate_enc(k, comps)
-        else:
-            ct = obfuscate_enc(k, comps)
-            assert ct == siv_oracle(k, comps)
-            assert deobfuscate_enc(bytearray(k), bytearray(ct)) == comps
+    if key_size in (15, 20):
+        with pytest.raises(ValueError):
+            siv_oracle(k, comps)
+        with pytest.raises(ValueError):
+            obfuscate_enc(k, comps)
+    else:
+        ct = obfuscate_enc(k, comps)
+        assert ct == siv_oracle(k, comps)
+        assert deobfuscate_enc(bytearray(k), bytearray(ct)) == comps
 
 
-@pytest.mark.parametrize("engine", AES_ENGINES)
-def test_a_ciphertext_with_an_empty_body_is_refused(engine):
+def test_a_ciphertext_with_an_empty_body_is_refused():
     # no suffix encrypts to an empty body, so none is accepted, not even
     # under the tag of the empty plaintext
     k = bytes(16)
     mac_key, _ = crypto._enc_subkeys(k)
     empty_tag = hmac.new(mac_key, b"", hashlib.sha256).digest()[:16]
-    with aes_engine(engine):
-        got = obfuscate_enc(k, [b"ics", b"home.html"])
-        assert deobfuscate_enc(k, got) == [b"ics", b"home.html"]
-        for ciphertext in (got[:16], empty_tag):
-            with pytest.raises(AuthenticityFailure):
-                deobfuscate_enc(k, ciphertext)
+    got = obfuscate_enc(k, [b"ics", b"home.html"])
+    assert deobfuscate_enc(k, got) == [b"ics", b"home.html"]
+    for ciphertext in (got[:16], empty_tag):
+        with pytest.raises(AuthenticityFailure):
+            deobfuscate_enc(k, ciphertext)
 
 
 def test_the_subkeys_are_derived_once_per_key():
@@ -279,36 +188,6 @@ def test_the_subkeys_are_derived_once_per_key():
     info = crypto._enc_subkeys.cache_info()
     assert (info.misses, info.hits) == (1, 3)
     assert info.maxsize == crypto._key_inverse.cache_info().maxsize
-
-
-@pytest.mark.parametrize("engine", AES_ENGINES)
-def test_threads_sharing_the_aes_context_get_their_own_output(engine):
-    # every call reuses one cipher context and one output buffer, which one
-    # lock guards
-    wrong = []
-
-    def work(seed):
-        rng = random.Random(seed)
-        for _ in range(150):
-            key, iv = rng.randbytes(rng.choice(AES_KEY_SIZES)), rng.randbytes(16)
-            data = rng.randbytes(rng.choice([1, 40, CHUNK + 3]))
-            if crypto._aes_ctr(key, iv, data) != oracle_aes_ctr(key, iv, data):
-                wrong.append((key, iv, data))
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with aes_engine(engine):
-            crypto._aes_ctr(bytes(16), bytes(16), b"")  # one engine for every thread
-            threads = [threading.Thread(target=work, args=(seed,)) for seed in range(4)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(thread.is_alive() for thread in threads)
-    assert wrong == []
 
 
 # ---------------------------------------------------------------------------
@@ -715,11 +594,10 @@ def test_importing_crypto_loads_no_library():
         "assert not loaded(), loaded(); "
         "assert 'ctypes' not in sys.modules, 'ctypes imported'; "
         "assert crypto._load_libcrypto.cache_info().currsize == 0, 'libcrypto loaded'; "
-        "assert not crypto._ENGINES and crypto._AES_ENGINE is None; "
-        "k = bytes(16); ct = crypto.obfuscate_enc(k, [b'ics', b'home.html']); "
-        "assert crypto.deobfuscate_enc(k, ct) == [b'ics', b'home.html']; "
-        # on Linux libcrypto loads by its soname, so the round trip needs no fallback
-        "assert not sys.platform.startswith('linux') or not loaded(), loaded()"
+        "assert not crypto._ENGINES; "
+        # hashed names need no AES, so a hashing process never maps it
+        "crypto.obfuscate_hash(bytes(16), [b'ics', b'home.html']); "
+        "assert not loaded(), loaded()"
     )
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                             text=True, timeout=60)
@@ -762,8 +640,6 @@ def test_the_libcrypto_engine_is_active_on_linux():
     group = crypto.signature_group(512)
     assert crypto.generator_power(group, 5) == pow(group.g, 5, group.p)
     assert not isinstance(crypto._ENGINES[group.p], partial)  # the fallback's
-    assert crypto._aes_ctr(bytes(16), bytes(16), b"x") == oracle_aes_ctr(bytes(16), bytes(16), b"x")
-    assert crypto._AES_ENGINE is not crypto._cryptography_aes_ctr
 
 
 @pytest.mark.parametrize("key_bits", KEY_SIZES)
