@@ -1,17 +1,20 @@
 """The one authorization pipeline shared by caches and producers.
 
 Every node that satisfies an interest runs the same check on the interest
-alone, in a fixed order: nonce duplication, then timestamp validity (the
-``precheck``), then signature verification (``verify_any``).
+alone, in a fixed order: payload presence, nonce duplication, timestamp
+validity and a candidate key (the ``precheck``), then signature
+verification (``verify_any``).  ``run_authorization_check`` runs the two
+back to back; a router that queues signatures for a batch runs them apart.
 
 Each node keeps its replay state in one ``ReplayBook``: name, then nonce,
 then the time the nonce's timestamp goes stale (``timestamp + window``,
 with the window the check applied).  A nonce needs remembering only until
 then: once the timestamp falls out of the window, the timestamp check
-refuses every replay of it.  ``run_authorization_check`` books the nonce
-of each check it passes.  A book keeps a lower bound on the earliest stale
-time it holds, lowered by every booking and reset by each full sweep, so a
-sweep at or before the bound returns at once.
+refuses every replay of it.  ``precheck`` books the nonce of each interest
+it passes, and is the one place that books; whoever then finds the
+signature bad forgets the booking again.  A book keeps a lower bound on
+the earliest stale time it holds, lowered by every booking and reset by
+each full sweep, so a sweep at or before the bound returns at once.
 """
 
 from __future__ import annotations
@@ -99,25 +102,27 @@ class ReplayBook:
 
 def precheck(
     payload: AuthorizationPayload | None,
-    seen,
+    name_bytes: bytes,
     candidates,
+    book: ReplayBook,
     now: float,
     window_ms: float,
     skew_ms: float = DEFAULT_SKEW_MS,
 ) -> str | None:
     """Every step of the check short of the signature; None when all pass.
 
-    ``seen`` holds the booked nonces of the interest's name (only ``in`` is
-    used).
+    A pass books the nonce in ``book`` until its timestamp leaves
+    ``window_ms``; a refusal leaves ``book`` as it was.
     """
     if payload is None or not payload.has_auth_info():
         return FailReason.MISSING_PAYLOAD
-    if payload.nonce in seen:
+    if payload.nonce in book.seen(name_bytes):
         return FailReason.DUPLICATE_NONCE
     if not now - window_ms <= payload.timestamp <= now + skew_ms:
         return FailReason.STALE_TIMESTAMP
     if not candidates:
         return FailReason.UNKNOWN_GROUP_KEY
+    book.add(name_bytes, payload.nonce, payload.timestamp + window_ms)
     return None
 
 
@@ -154,12 +159,11 @@ def run_authorization_check(
     window_ms: float,
     skew_ms: float = DEFAULT_SKEW_MS,
 ) -> CheckOutcome:
-    """``precheck`` then ``verify_any``; a passed nonce is booked in ``book``
-    until its timestamp leaves ``window_ms``."""
-    failure = precheck(payload, book.seen(name_bytes), candidates, now, window_ms, skew_ms)
+    """``precheck`` then ``verify_any``; only a pass stays booked in ``book``."""
+    failure = precheck(payload, name_bytes, candidates, book, now, window_ms, skew_ms)
     if failure is not None:
         return CheckOutcome(failure)
     outcome = verify_any(payload, name_bytes, candidates)
-    if outcome.passed:
-        book.add(name_bytes, payload.nonce, payload.timestamp + window_ms)
+    if not outcome.passed:
+        book.discard(name_bytes, payload.nonce)
     return outcome

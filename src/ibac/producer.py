@@ -9,8 +9,14 @@ content-scoped obfuscation key shared by all of them, so every group's
 interests carry the same obfuscated name and a single cached copy serves
 them all; the per-group signing keys still separate authorization.
 
-Replay state is the producer's ``authcheck.ReplayBook``: each passed
-nonce is booked until its timestamp leaves the content's window
+``content_object_generation`` decrypts an encrypted group id once, then
+calls ``authcheck.run_authorization_check`` with the group's key as the one
+candidate and the content's lifetime as the window.  A group revoked
+without a rekey is still listed on the content but has no key; the check
+refuses it ``UnknownGroupKey``, which the producer answers ``UnknownGroup``.
+
+Replay state is the producer's ``authcheck.ReplayBook``: the check books
+each passed nonce until its timestamp leaves the content's window
 (``timestamp + lifetime``), because until then the timestamp check alone
 would let its replay through.  The simulator sweeps the book on the
 producer's expiry tick.
@@ -30,7 +36,6 @@ from dataclasses import dataclass
 from . import crypto
 from .authcheck import (
     DEFAULT_SKEW_MS,
-    CheckOutcome,
     FailReason,
     ReplayBook,
     members,
@@ -140,9 +145,9 @@ class Producer:
         self.skew_ms = skew_ms
         self.registry: dict[bytes, RegisteredGroup] = {}
         self.catalog: dict[tuple[bytes, ...], ContentEntry] = {}
-        # obfuscated suffix bytes -> (cleartext name, obfuscation key id)
-        self.hash_name_map: dict[bytes, tuple[Name, bytes]] = {}
-        self.enc_name_map: dict[bytes, tuple[Name, bytes]] = {}
+        # obfuscated suffix bytes -> cleartext name
+        self.hash_name_map: dict[bytes, Name] = {}
+        self.enc_name_map: dict[bytes, Name] = {}
         self.replay_book = ReplayBook()
         self._content_key_seed = content_key_seed
         self._content_key_generation: dict[tuple[bytes, ...], int] = {}
@@ -205,20 +210,15 @@ class Producer:
             if not suffix_components:
                 raise ValueError("content name must extend the producer prefix")
             if len(group_ids) == 1:
-                registered = self.registry[group_ids[0]]
-                obf_key = registered.obfuscation_key
-                key_owner = registered.group_id
+                obf_key = self.registry[group_ids[0]].obfuscation_key
             else:
                 obf_key = self._content_key(name, len(self.registry[group_ids[0]].obfuscation_key) * 8)
                 entry.content_key = obf_key
-                key_owner = crypto.key_id(obf_key)
             if scheme is SchemeTag.HASH:
-                digest = crypto.obfuscate_hash(obf_key, suffix_components)
-                self.hash_name_map[digest] = (name, key_owner)
+                self.hash_name_map[crypto.obfuscate_hash(obf_key, suffix_components)] = name
             elif len(group_ids) > 1:
                 # deterministic encryption lets the shared name be precomputed
-                ct = crypto.obfuscate_enc(obf_key, suffix_components)
-                self.enc_name_map[ct] = (name, key_owner)
+                self.enc_name_map[crypto.obfuscate_enc(obf_key, suffix_components)] = name
         self.catalog[name.components] = entry
         return obf_key
 
@@ -246,7 +246,7 @@ class Producer:
         self._check_groups(new_group_ids, entry.policy)
         del self.catalog[name.components]
         for table in (self.hash_name_map, self.enc_name_map):
-            stale = [k for k, (n, _) in table.items() if n.components == name.components]
+            stale = [k for k, n in table.items() if n.components == name.components]
             for k in stale:
                 del table[k]
         return self.publish(
@@ -254,19 +254,6 @@ class Producer:
         )
 
     # -- interest handling -----------------------------------------------
-
-    def _clear_group_id(self, interest: Interest) -> tuple[bytes | None, str | None]:
-        payload = interest.payload
-        if payload is None:
-            return None, FailReason.MISSING_PAYLOAD
-        if not payload.group_id_encrypted:
-            return payload.group_id, None
-        if self.keypair is None:
-            return None, FailReason.UNKNOWN_GROUP
-        try:
-            return crypto.decrypt_group_id(self.keypair, payload.group_id), None
-        except crypto.DecryptFailure:
-            return None, DropReason.DECRYPT_FAILURE
 
     def _resolve(self, interest: Interest, clear_gid: bytes | None):
         """Map the interest name to a catalog entry; returns (entry, reason)."""
@@ -295,14 +282,14 @@ class Producer:
             hit = self.hash_name_map.get(name.obfuscated_suffix)
             if hit is None:
                 return None, DropReason.UNKNOWN_NAME
-            entry = self.catalog.get(hit[0].components)
+            entry = self.catalog.get(hit.components)
             if entry is None or entry.scheme is not _HASH:
                 return None, DropReason.UNKNOWN_NAME
             return entry, None
         # encrypted scheme: precomputed shared names first, then live decryption
         hit = self.enc_name_map.get(name.obfuscated_suffix)
         if hit is not None:
-            entry = self.catalog.get(hit[0].components)
+            entry = self.catalog.get(hit.components)
             if entry is not None and entry.scheme is _ENC:
                 return entry, None
             return None, DropReason.UNKNOWN_NAME
@@ -322,47 +309,19 @@ class Producer:
             return None, DropReason.UNKNOWN_NAME
         return entry, None
 
-    def authorize(
-        self,
-        interest: Interest,
-        now: float,
-        window_ms: float,
-        clear_gid: bytes | None = None,
-    ) -> CheckOutcome:
-        """Anti-replay and signature check against the registered groups,
-        with the replay window ``window_ms`` (the content's lifetime).  An
-        encrypted group id it cannot decrypt is refused ``DecryptFailure``,
-        as ``content_object_generation`` refuses it."""
-        if clear_gid is None and interest.payload is not None:
-            clear_gid, reason = self._clear_group_id(interest)
-            if reason is not None:
-                return CheckOutcome(reason)
-        name_bytes = interest.name._wire or encode_name(interest.name)
-        registered = self.registry.get(clear_gid) if clear_gid is not None else None
-        candidates = (
-            [(registered.group, registered.signing_public)] if registered else []
-        )
-        outcome = run_authorization_check(
-            interest.payload,
-            name_bytes,
-            candidates,
-            self.replay_book,
-            now,
-            window_ms,
-            self.skew_ms,
-        )
-        if outcome.failure is FailReason.UNKNOWN_GROUP_KEY:
-            return CheckOutcome(FailReason.UNKNOWN_GROUP, outcome.verifies)
-        return outcome
-
     def content_object_generation(self, interest: Interest, now: float) -> ProducerResponse:
         """Answer one interest: resolve, authorize per policy, build the object."""
+        payload = interest.payload
         clear_gid: bytes | None = None
-        reason = None
-        if interest.payload is not None:
-            clear_gid, reason = self._clear_group_id(interest)
-            if reason is not None:
-                return _REFUSED[reason]
+        if payload is not None:
+            clear_gid = payload.group_id
+            if payload.group_id_encrypted:
+                if self.keypair is None:
+                    return _REFUSED[FailReason.UNKNOWN_GROUP]
+                try:
+                    clear_gid = crypto.decrypt_group_id(self.keypair, clear_gid)
+                except crypto.DecryptFailure:
+                    return _REFUSED[DropReason.DECRYPT_FAILURE]
         entry, reason = self._resolve(interest, clear_gid)
         if entry is None:
             return _REFUSED[reason]
@@ -373,8 +332,20 @@ class Producer:
             if clear_gid not in entry.group_ids:
                 return _REFUSED[DropReason.UNAUTHORIZED]
             if entry.policy is not _OBFUSCATE_ONLY:
-                outcome = self.authorize(interest, now, entry.lifetime_ms, clear_gid)
+                # a group revoked without a rekey stays listed but has no key
+                registered = self.registry.get(clear_gid)
+                outcome = run_authorization_check(
+                    payload,
+                    interest.name._wire or encode_name(interest.name),
+                    [(registered.group, registered.signing_public)] if registered else [],
+                    self.replay_book,
+                    now,
+                    entry.lifetime_ms,
+                    self.skew_ms,
+                )
                 verifies = outcome.verifies
+                if outcome.failure is FailReason.UNKNOWN_GROUP_KEY:
+                    return _REFUSED[FailReason.UNKNOWN_GROUP]
                 if not outcome.passed:
                     return ProducerResponse(None, outcome.failure, verifies)
         return ProducerResponse(self._build_content(entry, interest, now), None, verifies)

@@ -6,7 +6,9 @@ authorization check (nonce, timestamp, signature) before anything leaves
 the store; content without keys is served unconditionally.  When content
 arrives for aggregated interests, each pending payload is checked against
 the arriving keys the moment they are available, so collapsed requesters
-cannot bypass authorization.  Every check is ``authcheck``'s pipeline.
+cannot bypass authorization.  Every check is ``authcheck``'s pipeline,
+called here with no wrapper: ``run_authorization_check`` for a pending
+record, ``precheck`` and then a queued signature for a cache hit.
 
 A protected cache hit takes one path in every verify mode: its precheck
 runs at once, and its signature waits in a queue per (name, group id)
@@ -30,14 +32,14 @@ down with it.  A NACK matches by record identity, so a late one for an
 entry since replaced changes nothing.
 
 Replay state is the router's one ``authcheck.ReplayBook``, which outlives
-the cached copies.  A protected hit's nonce is booked when its precheck
-passes and it joins a queue; the flush forgets it again when the signature
-fails, or when the copy expired first and the hit goes on as a miss.  Each
-pass stays booked until ``timestamp + window``, with the window its check
-applied: the copy's remaining life at insert.  An interest that misses the
-cache with a booked nonce is refused ``DuplicateNonce``, as a hit is, so a
-replay sent after the copy expired is not forwarded.  Each expiry tick
-sweeps the book first.
+the cached copies.  ``precheck`` books each nonce it passes, so a protected
+hit's is booked as it joins a queue; the flush forgets it again when the
+signature fails, or when the copy expired first and the hit goes on as a
+miss.  Each pass stays booked until ``timestamp + window``, with the window
+its check applied: the copy's remaining life at insert.  An interest that
+misses the cache with a booked nonce is refused ``DuplicateNonce``, as a
+hit is, so a replay sent after the copy expired is not forwarded.  Each
+expiry tick sweeps the book first.
 
 A cache entry parses its content's verification keys once, when it is
 made: each key whose size names a signature group becomes a
@@ -66,7 +68,6 @@ from dataclasses import dataclass, field
 from . import crypto
 from .authcheck import (
     DEFAULT_SKEW_MS,
-    CheckOutcome,
     FailReason,
     ReplayBook,
     precheck,
@@ -188,10 +189,9 @@ class Router:
         # key -> (serial, (iface, Interest) of each queued hit)
         self._batch_queues: dict[tuple, tuple[int, list]] = {}
         self._batch_serials = itertools.count()
-        # emission-safety instrumentation: protected cache serves must pair
-        # with a passed check
+        # checks passed against cached keys; ``check_invariants`` pairs them
+        # with the protected contents the log shows sent
         self.auth_passes = 0
-        self.protected_serves = 0
 
     def add_route(self, prefix, iface: int) -> None:
         self.fib[tuple(prefix)] = iface
@@ -207,27 +207,6 @@ class Router:
             # a cache cannot decrypt the id, so it trial-verifies every key
             return [key for _, key in entry.keys]
         return [key for group_id, key in entry.keys if group_id == payload.group_id]
-
-    def router_authorization_check(
-        self,
-        payload: AuthorizationPayload | None,
-        name_bytes: bytes,
-        entry: CacheEntry,
-        now: float,
-    ) -> CheckOutcome:
-        """Nonce, timestamp, then signature; books the nonce on pass."""
-        outcome = run_authorization_check(
-            payload,
-            name_bytes,
-            self._candidates(payload, entry),
-            self.replay_book,
-            now,
-            entry.window_ms,
-            self.skew_ms,
-        )
-        if outcome.passed:
-            self.auth_passes += 1
-        return outcome
 
     # -- interest pipeline -------------------------------------------------
 
@@ -295,7 +274,6 @@ class Router:
         refusal that names the refused record and the face it came from."""
         if failure is not None:
             return RouterEvent(EventKind.DROP_INTEREST, name_bytes, iface, interest, failure)
-        self.protected_serves += 1
         return RouterEvent(
             EventKind.SERVE_FROM_CACHE,
             name_bytes,
@@ -307,21 +285,16 @@ class Router:
     # -- protected cache hits: precheck, queue, flush -----------------------
 
     def _enqueue_batch(self, interest, entry, in_iface, name_bytes, now):
-        """Precheck now, book the nonce, queue the signature, and flush a
-        queue that is full; an interest left waiting is logged and its
-        queue's first sets the timer."""
+        """Precheck now (which books the nonce), queue the signature, and
+        flush a queue that is full; an interest left waiting is logged and
+        its queue's first sets the timer."""
         payload = interest.payload
+        candidates = self._candidates(payload, entry)
         failure = precheck(
-            payload,
-            self.replay_book.seen(name_bytes),
-            self._candidates(payload, entry),
-            now,
-            entry.window_ms,
-            self.skew_ms,
+            payload, name_bytes, candidates, self.replay_book, now, entry.window_ms, self.skew_ms
         )
         if failure is not None:
             return [self._serve_or_drop(failure, name_bytes, in_iface, interest, entry)], 0
-        self.replay_book.add(name_bytes, payload.nonce, payload.timestamp + entry.window_ms)
         key = (name_bytes, payload.group_id)
         if key not in self._batch_queues:
             self._batch_queues[key] = (next(self._batch_serials), [])
@@ -424,9 +397,15 @@ class Router:
                     )
                 )
                 continue
-            outcome = self.router_authorization_check(interest.payload, name_bytes, entry, now)
+            payload = interest.payload
+            candidates = self._candidates(payload, entry)
+            outcome = run_authorization_check(
+                payload, name_bytes, candidates, self.replay_book, now, entry.window_ms,
+                self.skew_ms,
+            )
             verifies += outcome.verifies
             if outcome.passed:
+                self.auth_passes += 1
                 events.append(
                     RouterEvent(
                         EventKind.FORWARD_CONTENT,

@@ -370,7 +370,6 @@ class Simulation:
         self.actions: list[AdversaryAction] = []
         self._action_adversary: dict[int, str] = {}
         self._chains: list[_ShotChain] = []
-        self._traffic_sent = 0
         self.content_prefixes: dict[tuple[bytes, ...], tuple[bytes, ...]] = {}
         self.log_lines: list[str] = []
         self.counters: Counter = Counter()
@@ -536,7 +535,7 @@ class Simulation:
         if problems:
             raise ConfigError("; ".join(problems))
         rt = self._node(profile.consumer, "consumer")
-        self._push(profile.start_ms, self._do_traffic, rt, (profile, *pools))
+        self._push(profile.start_ms, self._do_traffic, rt, (profile, *pools, 0))
 
     def schedule_action(self, adversary: str, action: AdversaryAction) -> int:
         problems = action.problems()
@@ -770,18 +769,18 @@ class Simulation:
         self._send(rt, out_iface, interest, t)
 
     def _do_traffic(
-        self, rt: _NodeRuntime, t: float, profile: TrafficProfile, ibac: list, public: list
+        self, rt: _NodeRuntime, t: float, profile: TrafficProfile, ibac: list, public: list,
+        sent: int,  # the fetches this profile has made so far
     ) -> None:
-        if profile.max_interests is not None and self._traffic_sent >= profile.max_interests:
+        if profile.max_interests is not None and sent >= profile.max_interests:
             return
         if profile.end_ms is not None and t > profile.end_ms:
             return
         # set_traffic refused a delta that weighs a class with no target
         use_ibac = ibac and self.rng.random() < profile.delta
         self._do_fetch(rt, t, *self.rng.choice(ibac if use_ibac else public))
-        self._traffic_sent += 1
         next_t = t + self.rng.expovariate(profile.lambda_per_s / 1000.0)
-        self._push(next_t, self._do_traffic, rt, (profile, ibac, public))
+        self._push(next_t, self._do_traffic, rt, (profile, ibac, public, sent + 1))
 
     def _start_action(self, rt: _NodeRuntime, t: float, index: int) -> None:
         """Resolve what every shot of the action shares, its kind's shot

@@ -42,9 +42,7 @@ PER_EVENT = [
     Router.on_nack,
     Router._evict,
     Router.expire,
-    Producer._clear_group_id,
     Producer._resolve,
-    Producer.authorize,
     Producer.content_object_generation,
     Producer._build_content,
     authcheck.precheck,

@@ -89,9 +89,8 @@ def test_publish_two_groups_hash_single_map_entry():
     assert shared is not None
     assert len(producer.catalog) == 1
     assert len(producer.hash_name_map) == 1
-    digest, (name, owner) = next(iter(producer.hash_name_map.items()))
+    digest, name = next(iter(producer.hash_name_map.items()))
     assert name == HOME
-    assert owner == crypto.key_id(shared)
     assert digest == crypto.obfuscate_hash(shared, [b"ics", b"home.html"])
 
 
@@ -128,53 +127,55 @@ def test_hash_map_size_matches_closed_form():
 
 
 # ---------------------------------------------------------------------------
-# authorize
+# authorization: the check content generation runs, with the content's
+# lifetime as its window
 
 def fetch_interest(producer, ctx, name=HOME):
     return interest_generation(ctx, producer.prefix, name)
 
 
-def test_authorize_pass_records_nonce():
+def test_a_passed_check_books_its_nonce():
     producer = make_producer()
     material = crypto.gen_group(128, 1)
     producer.register_group(material)
-    published(producer, groups=[material.group_id])
+    published(producer, groups=[material.group_id], lifetime=60_000)
     ctx = make_consumer(material)
     interest = fetch_interest(producer, ctx)
-    outcome = producer.authorize(interest, now=1000.0, window_ms=60_000)
-    assert outcome.passed
+    response = producer.content_object_generation(interest, now=1000.0)
+    assert (response.served, response.verifies) == (True, 1)
     # booked until its timestamp leaves the window
     assert producer.replay_book.names == {
         encode_name(interest.name): {interest.payload.nonce: 1000.0 + 60_000}
     }
 
 
-def test_authorize_replay_is_duplicate_nonce():
+def test_a_replay_is_duplicate_nonce():
     producer = make_producer()
     material = crypto.gen_group(128, 1)
     producer.register_group(material)
-    published(producer, groups=[material.group_id])
+    published(producer, groups=[material.group_id], lifetime=60_000)
     interest = fetch_interest(producer, make_consumer(material))
-    assert producer.authorize(interest, 1000.0, 60_000).passed
-    outcome = producer.authorize(interest, 1500.0, 60_000)
-    assert outcome.failure is FailReason.DUPLICATE_NONCE
+    assert producer.content_object_generation(interest, 1000.0).served
+    response = producer.content_object_generation(interest, 1500.0)
+    assert (response.drop_reason, response.verifies) == (FailReason.DUPLICATE_NONCE, 0)
 
 
-def test_authorize_stale_timestamp():
+def test_a_stale_timestamp_is_refused():
     producer = make_producer()
     material = crypto.gen_group(128, 1)
     producer.register_group(material)
-    published(producer, groups=[material.group_id])
+    published(producer, groups=[material.group_id], lifetime=60_000)
     interest = fetch_interest(producer, make_consumer(material, clock=lambda: 1000.0))
-    outcome = producer.authorize(interest, now=70_000.0, window_ms=60_000)
-    assert outcome.failure is FailReason.STALE_TIMESTAMP
+    response = producer.content_object_generation(interest, now=70_000.0)
+    assert response.drop_reason is FailReason.STALE_TIMESTAMP
+    assert producer.replay_book.names == {}
 
 
-def test_authorize_bad_signature():
+def test_a_bad_signature_is_refused_and_not_booked():
     producer = make_producer()
     material = crypto.gen_group(128, 1)
     producer.register_group(material)
-    published(producer, groups=[material.group_id])
+    published(producer, groups=[material.group_id], lifetime=60_000)
     interest = fetch_interest(producer, make_consumer(material))
     tampered = Interest(
         interest.name,
@@ -186,14 +187,32 @@ def test_authorize_bad_signature():
             interest.payload.signature[:-1] + b"\x00",
         ),
     )
-    assert producer.authorize(tampered, 1000.0, 60_000).failure is FailReason.BAD_SIGNATURE
+    response = producer.content_object_generation(tampered, 1000.0)
+    assert (response.drop_reason, response.verifies) == (FailReason.BAD_SIGNATURE, 1)
+    assert producer.replay_book.names == {}
+    # the honest record, with the same nonce, still passes
+    assert producer.content_object_generation(interest, 1000.0).served
 
 
-def test_authorize_unknown_group():
+def test_an_unregistered_group_is_unknown_group():
     producer = make_producer()
     material = crypto.gen_group(128, 1)  # never registered
     interest = fetch_interest(producer, make_consumer(material))
-    assert producer.authorize(interest, 1000.0, 60_000).failure is FailReason.UNKNOWN_GROUP
+    response = producer.content_object_generation(interest, 1000.0)
+    assert response.drop_reason is FailReason.UNKNOWN_GROUP
+
+
+def test_a_group_revoked_without_a_rekey_is_unknown_group():
+    # the entry still lists the group, so the check runs and finds no key
+    producer = make_producer()
+    material = crypto.gen_group(128, 1)
+    producer.register_group(material)
+    published(producer, groups=[material.group_id], scheme=SchemeTag.HASH, lifetime=60_000)
+    producer.revoke_group(material.group_id)
+    interest = fetch_interest(producer, make_consumer(material, scheme=SchemeTag.HASH))
+    response = producer.content_object_generation(interest, 1000.0)
+    assert (response.drop_reason, response.verifies) == (FailReason.UNKNOWN_GROUP, 0)
+    assert producer.replay_book.names == {}
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +461,7 @@ def test_encrypted_group_id_resolves_like_cleartext():
     assert clear.content.data == encrypted.content.data == b"secret"
 
 
-def test_an_undecryptable_group_id_is_a_decrypt_failure_at_both_entry_points():
+def test_an_undecryptable_group_id_is_a_decrypt_failure():
     # the group id is encrypted under another producer's key
     pair = crypto.gen_producer_keypair(5)
     producer = make_producer(keypair=pair)
@@ -451,8 +470,6 @@ def test_an_undecryptable_group_id_is_a_decrypt_failure_at_both_entry_points():
     published(producer, groups=[material.group_id])
     other = crypto.gen_producer_keypair(6).public
     interest = fetch_interest(producer, make_consumer(material, producer_public=other))
-    outcome = producer.authorize(interest, 1000.0, 60_000)
-    assert (outcome.failure, outcome.verifies) == (DropReason.DECRYPT_FAILURE, 0)
     response = producer.content_object_generation(interest, 1000.0)
     assert (response.served, response.drop_reason) == (False, DropReason.DECRYPT_FAILURE)
     assert producer.replay_book.names == {}
@@ -492,8 +509,6 @@ def test_nonce_sweep_matches_a_full_sweep(ops):
     producer = make_producer()
     material = crypto.gen_group(128, 1)
     producer.register_group(material)
-    for name in (HOME, NEWS):
-        published(producer, name, groups=[material.group_id])
     stamp = [0.0]
     ctx = make_consumer(material, clock=lambda: stamp[0])
     now = 0.0
@@ -501,8 +516,10 @@ def test_nonce_sweep_matches_a_full_sweep(ops):
         now += step
         if op == "fetch":
             stamp[0] = max(now - lag * window_ms, 0.0)  # timestamps are unsigned
+            # the check's window is the content's lifetime
+            published(producer, name, groups=[material.group_id], lifetime=window_ms)
             interest = fetch_interest(producer, ctx, name)
-            assert producer.authorize(interest, now, window_ms).passed
+            assert producer.content_object_generation(interest, now).served
         else:
             book = producer.replay_book
             expected = full_sweep(book, now)

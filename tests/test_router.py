@@ -1,3 +1,4 @@
+import copy
 import math
 import random
 from dataclasses import replace
@@ -8,7 +9,8 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 
 from ibac import crypto
-from ibac.authcheck import FailReason, members, precheck, verify_any
+from ibac import router as router_module
+from ibac.authcheck import FailReason, members, run_authorization_check
 from ibac.consumer import ConsumerContext, ConsumerMode, interest_generation
 from ibac.producer import Producer, ProtectionPolicy
 from ibac.router import DropReason, EventKind, Router, RouterEvent
@@ -65,6 +67,16 @@ def serve_and_cache(router, producer, interest, now):
 # ---------------------------------------------------------------------------
 # cache-hit authorization
 
+def cache_check(router, payload, name_bytes, now):
+    """The check ``on_content`` runs on a pending record, against the keys
+    and window of the copy ``router`` caches under ``name_bytes``."""
+    entry = router.cs[name_bytes]
+    candidates = router._candidates(payload, entry)
+    return run_authorization_check(
+        payload, name_bytes, candidates, router.replay_book, now, entry.window_ms, router.skew_ms
+    )
+
+
 def test_check_pass_records_nonce_then_duplicate_fails():
     (material,), producer, router, _ = build_world()
     first = fetch(material, rng_seed=1)
@@ -72,16 +84,15 @@ def test_check_pass_records_nonce_then_duplicate_fails():
     name_bytes = encode_name(first.name)
 
     second = fetch(material, rng_seed=2)
-    entry = router.cs[name_bytes]
-    assert entry.window_ms == 61_000.0 - 1001.0
-    outcome = router.router_authorization_check(second.payload, name_bytes, entry, 1500.0)
+    assert router.cs[name_bytes].window_ms == 61_000.0 - 1001.0
+    outcome = cache_check(router, second.payload, name_bytes, 1500.0)
     assert outcome.passed
     # each pass, the forwarded record's included, is booked until its
     # timestamp leaves the copy's window
     assert router.replay_book.names == {
         name_bytes: {first.payload.nonce: 60_999.0, second.payload.nonce: 60_999.0}
     }
-    replay = router.router_authorization_check(second.payload, name_bytes, entry, 1600.0)
+    replay = cache_check(router, second.payload, name_bytes, 1600.0)
     assert replay.failure is FailReason.DUPLICATE_NONCE
 
 
@@ -90,8 +101,7 @@ def test_check_stale_timestamp():
     first = fetch(material, clock_value=1000.0)
     serve_and_cache(router, producer, first, 1000.0)
     old = fetch(material, clock_value=900.0, rng_seed=3)
-    entry = router.cs[encode_name(first.name)]
-    outcome = router.router_authorization_check(old.payload, encode_name(old.name), entry, 3500.0)
+    outcome = cache_check(router, old.payload, encode_name(old.name), 3500.0)
     assert outcome.failure is FailReason.STALE_TIMESTAMP
 
 
@@ -107,10 +117,7 @@ def test_check_unknown_group_key():
         PREFIX,
         HOME,
     )
-    entry = router.cs[encode_name(first.name)]
-    outcome = router.router_authorization_check(
-        foreign.payload, encode_name(foreign.name), entry, 1500.0
-    )
+    outcome = cache_check(router, foreign.payload, encode_name(foreign.name), 1500.0)
     assert outcome.failure is FailReason.UNKNOWN_GROUP_KEY
 
 
@@ -119,8 +126,7 @@ def test_check_missing_payload():
     first = fetch(material)
     serve_and_cache(router, producer, first, 1000.0)
     bare = Interest(first.name)
-    entry = router.cs[encode_name(first.name)]
-    outcome = router.router_authorization_check(bare.payload, encode_name(bare.name), entry, 1500.0)
+    outcome = cache_check(router, bare.payload, encode_name(bare.name), 1500.0)
     assert outcome.failure is FailReason.MISSING_PAYLOAD
 
 
@@ -225,8 +231,7 @@ def test_two_authorized_pendings_both_served_and_pit_removed():
     assert verifies == 2
     assert encode_name(first.name) not in router.pit
     # nonces of both pendings are recorded: replaying either now fails
-    entry = router.cs[encode_name(first.name)]
-    outcome = router.router_authorization_check(first.payload, encode_name(first.name), entry, 1004.0)
+    outcome = cache_check(router, first.payload, encode_name(first.name), 1004.0)
     assert outcome.failure is FailReason.DUPLICATE_NONCE
 
 
@@ -494,10 +499,11 @@ HIT_KINDS = {
 def reference_hit_answer(router: Router, interest: Interest, face: int, now: float):
     """What one check answers to ``interest`` if it hits ``router``'s cache
     at ``now`` on a copy that carries keys, outside the router's queues:
-    ``precheck`` against the router's book, then ``verify_any`` under each
-    key the copy carries for the payload's group (every key when the group
-    id is encrypted).  Returns ``((kind, face, message, reason),
-    verifications)``, or None when the interest is no such hit."""
+    ``run_authorization_check`` against a copy of the router's book (the
+    check books what it passes), under each key the copy carries for the
+    payload's group (every key when the group id is encrypted).  Returns
+    ``((kind, face, message, reason), verifications)``, or None when the
+    interest is no such hit."""
     name_bytes = interest.name._wire or encode_name(interest.name)
     entry = router.cs.get(name_bytes)
     if entry is None or entry.expires_at <= now or not entry.content.verification_keys:
@@ -507,15 +513,13 @@ def reference_hit_answer(router: Router, interest: Interest, face: int, now: flo
         key for group_id, key in entry.keys
         if payload is not None and (payload.group_id_encrypted or group_id == payload.group_id)
     ]
-    seen = router.replay_book.seen(name_bytes)
-    failure = precheck(payload, seen, candidates, now, entry.window_ms, router.skew_ms)
-    verifies = 0
-    if failure is None:
-        outcome = verify_any(payload, name_bytes, candidates)
-        failure, verifies = outcome.failure, outcome.verifies
-    if failure is None:
-        return (EventKind.SERVE_FROM_CACHE, face, entry.content, "verified"), verifies
-    return (EventKind.DROP_INTEREST, face, interest, failure), verifies
+    book = copy.deepcopy(router.replay_book)
+    outcome = run_authorization_check(
+        payload, name_bytes, candidates, book, now, entry.window_ms, router.skew_ms
+    )
+    if outcome.passed:
+        return (EventKind.SERVE_FROM_CACHE, face, entry.content, "verified"), outcome.verifies
+    return (EventKind.DROP_INTEREST, face, interest, outcome.failure), outcome.verifies
 
 
 @pytest.mark.parametrize("kind", HIT_KINDS)
@@ -544,7 +548,7 @@ def test_a_batch_of_one_answers_each_hit_as_individual_does(kind):
     first = interest(1, clock_value=1000.0)
     serve_and_cache(router, producer, first, 1000.0)
     name_bytes = first.name._wire
-    passes, serves = router.auth_passes, 0
+    passes = router.auth_passes
     book = dict(router.replay_book.seen(name_bytes))
     hit = interest(2)
     if kind == "forged":
@@ -563,10 +567,9 @@ def test_a_batch_of_one_answers_each_hit_as_individual_does(kind):
         assert verified == verifies
         if answer[0] is EventKind.SERVE_FROM_CACHE:
             passes += 1
-            serves += 1
             book[sent.payload.nonce] = sent.payload.timestamp + window
     assert (answer[0], answer[3], verifies) == HIT_KINDS[kind]
-    assert (router.auth_passes, router.protected_serves) == (passes, serves)
+    assert router.auth_passes == passes
     assert router.replay_book.seen(name_bytes) == book
 
 
@@ -695,16 +698,19 @@ def test_a_carried_key_of_no_group_size_is_skipped():
 # ---------------------------------------------------------------------------
 # instrumentation
 
-def test_protected_serves_never_exceed_passes():
+def test_each_verified_serve_is_a_passed_check():
     (material,), producer, router, _ = build_world()
     first = fetch(material, rng_seed=1)
     serve_and_cache(router, producer, first, 1000.0)
+    passes = router.auth_passes  # the forwarded record's
+    events = []
     for i in range(5):
-        router.on_interest(fetch(material, rng_seed=40 + i), in_iface=0, now=2000.0 + i)
+        hit = fetch(material, rng_seed=40 + i)
+        events += router.on_interest(hit, in_iface=0, now=2000.0 + i)[0]
     bare = Interest(first.name)
-    router.on_interest(bare, in_iface=0, now=2010.0)
-    assert router.protected_serves <= router.auth_passes
-    assert router.protected_serves == 5
+    events += router.on_interest(bare, in_iface=0, now=2010.0)[0]
+    verified = [e for e in events if (e.kind, e.reason) == (EventKind.SERVE_FROM_CACHE, "verified")]
+    assert len(verified) == router.auth_passes - passes == 5
 
 
 def test_batch_mode_replay_after_passed_flush_is_duplicate():
@@ -908,6 +914,7 @@ class RouterMachine(RuleBasedStateMachine):
         ]
         self.sent: list[Interest] = []
         self.contents: list[ContentObject] = []
+        self.verified_sends = 0
         self._note_passes(self.router)
         # HOME cached from the start, so protected interests hit from the first step
         interest = self._interest(0)
@@ -921,9 +928,9 @@ class RouterMachine(RuleBasedStateMachine):
         nonce) -> (the record, its stale time)."""
         self.passed: dict[tuple, tuple[Interest, float]] = {}
         window_at_enqueue: dict[int, float] = {}
-        enqueue, answer, check = (
-            router._enqueue_batch, router._serve_or_drop, router.router_authorization_check
-        )
+        enqueue, answer = router._enqueue_batch, router._serve_or_drop
+        # on_content checks each pending record through the module's binding
+        check = self._check = router_module.run_authorization_check
 
         def noted_enqueue(interest, entry, *args):
             window_at_enqueue[id(interest)] = entry.window_ms
@@ -935,16 +942,20 @@ class RouterMachine(RuleBasedStateMachine):
                 self.passed[(name_bytes, interest.payload.nonce)] = (interest, stale_at)
             return answer(failure, name_bytes, iface, interest, entry)
 
-        def noted_check(payload, name_bytes, entry, now):
-            outcome = check(payload, name_bytes, entry, now)
-            if outcome.passed:
+        def noted_check(payload, name_bytes, candidates, book, now, window_ms, *args):
+            outcome = check(payload, name_bytes, candidates, book, now, window_ms, *args)
+            if outcome.passed and book is router.replay_book:
                 interest = next(i for i in self.sent if i.payload is payload)
-                stale_at = payload.timestamp + entry.window_ms
+                stale_at = payload.timestamp + window_ms
                 self.passed[(name_bytes, payload.nonce)] = (interest, stale_at)
             return outcome
 
         router._enqueue_batch, router._serve_or_drop = noted_enqueue, noted_answer
-        router.router_authorization_check = noted_check
+        router_module.run_authorization_check = noted_check
+
+    def teardown(self):
+        if hasattr(self, "_check"):
+            router_module.run_authorization_check = self._check
 
     def _take(self, dt, call, *args):
         """``call(*args, now)`` after ``dt`` ms; its events are well formed,
@@ -952,6 +963,7 @@ class RouterMachine(RuleBasedStateMachine):
         self.now += dt
         events, self.verifies = call(*args, now=self.now)
         assert all(isinstance(e, RouterEvent) and e.kind in members(EventKind) for e in events)
+        self.verified_sends += sum(e.reason == "verified" for e in events)
         assert self.verifies >= 0
         return events
 
@@ -1076,8 +1088,9 @@ class RouterMachine(RuleBasedStateMachine):
         self._expire(self.router)
 
     @invariant()
-    def protected_serves_follow_passed_checks(self):
-        assert self.router.protected_serves <= self.router.auth_passes
+    def each_verified_send_is_a_passed_check(self):
+        # served from the cache or forwarded to a pending record
+        assert self.verified_sends == self.router.auth_passes
 
     @invariant()
     def no_expiry_falls_before_the_bound(self):

@@ -378,6 +378,31 @@ def test_poisson_traffic_count_within_3_sigma():
     assert abs(injected - expected) <= 3 * sigma
 
 
+def test_each_traffic_profile_counts_its_own_max_interests():
+    # the two profiles used to share one count, so they sent 5 fetches in all
+    cfg = linear_config(
+        nodes=[
+            {"id": "cr1", "role": "consumer", "group": "g1", "mode": "FULL", "scheme": "ENC"},
+            {"id": "cr2", "role": "consumer", "group": "g1", "mode": "FULL", "scheme": "ENC"},
+            {"id": "r1", "role": "router", "tau_process_s": 0.0005, "tau_verify_s": 0.0005},
+            {"id": "p1", "role": "producer", "prefix": "/edu/uci",
+             "tau_process_s": 0.0005, "tau_verify_s": 0.0005},
+        ],
+        links=[["cr1", "r1", 10], ["cr2", "r1", 10], ["r1", "p1", 10]],
+        contents=[{"name": "/edu/uci/pub/x", "policy": "PUBLIC", "expiry_ms": 1_000_000,
+                   "data_size": 16}],
+        fetches=[],
+    )
+    sim, _ = scenario.build(cfg)
+    for consumer in ("cr1", "cr2"):
+        sim.set_traffic(simnet.TrafficProfile(
+            consumer, lambda_per_s=40.0, delta=0.0, max_interests=5,
+            public_targets=["/edu/uci/pub/x"],
+        ))
+    result = sim.run()
+    assert {c: len(_lines(result, c, "int_sent")) for c in ("cr1", "cr2")} == {"cr1": 5, "cr2": 5}
+
+
 def test_measured_rate_tracks_arrival_rate_below_capacity():
     # stable queue: the router serves every arrival, so the measured
     # completion rate approximates the arrival rate, not the service rate
@@ -984,7 +1009,8 @@ def test_an_interest_whose_copy_expires_before_the_flush_is_forwarded_and_served
     assert result.drop_total() == 0
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 5: content that arrives expired "
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 5: content that arrives expired "
                    "gets a 1 ms window, which refuses the record the edge forwarded")
 def test_a_copy_that_reaches_the_edge_after_its_expiry_still_serves_the_consumer():
     # cr2 warms the core's cache; cr1's interest misses at the edge, the core

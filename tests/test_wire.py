@@ -676,7 +676,8 @@ def test_auth_info_and_precheck_make_no_signature(monkeypatch):
     )
     candidates = [(material.group, material.signing_public)]
     assert payload.has_auth_info()
-    assert authcheck.precheck(payload, set(), candidates, 1000.0, 4000.0) is None
+    book = authcheck.ReplayBook()
+    assert authcheck.precheck(payload, name_bytes, candidates, book, 1000.0, 4000.0) is None
     assert calls == [] and payload._signing == (material, name_bytes)
     assert authcheck.verify_any(payload, name_bytes, candidates).passed
     assert len(calls) == 1
