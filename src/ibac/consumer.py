@@ -11,6 +11,11 @@ PUBLIC content, which the context lists in ``public_names``, is requested
 by its clear name with no payload: there is nothing to hide or authorize,
 and the producer resolves a public name only in clear.
 
+Modes and schemes are plain strings, spelled as a scenario file writes
+them (``ConsumerMode``, ``wire.SchemeTag``).  A context refuses any other
+value with ``ValueError``, and needs ENC or HASH even in AUTH_ONLY mode,
+which obfuscates nothing.
+
 Obfuscation is deterministic and draws nothing from the generator, so a
 context memoises each ``ObfuscatedName`` it builds, with its Name TLV
 bytes, keyed on the obfuscation key, the scheme, the routable prefix and
@@ -30,12 +35,12 @@ does not reach a payload already built.
 
 from __future__ import annotations
 
-import enum
 import random
 from dataclasses import dataclass, field
 from typing import Callable
 
 from . import crypto
+from .authcheck import members
 from .wire import (
     AuthorizationPayload,
     Interest,
@@ -47,7 +52,9 @@ from .wire import (
 )
 
 
-class ConsumerMode(enum.Enum):
+class ConsumerMode:
+    """The three access-control modes, spelled as a scenario file writes them."""
+
     OBFUSCATE_ONLY = "OBFUSCATE_ONLY"
     FULL = "FULL"
     AUTH_ONLY = "AUTH_ONLY"
@@ -56,8 +63,8 @@ class ConsumerMode(enum.Enum):
 @dataclass
 class ConsumerContext:
     group: crypto.GroupKeyMaterial
-    mode: ConsumerMode
-    scheme: SchemeTag
+    mode: str  # a ConsumerMode value
+    scheme: str  # a SchemeTag value
     clock: Callable[[], float]  # milliseconds
     rng: random.Random
     producer_public: crypto.ProducerPublicKey | None = None
@@ -69,18 +76,10 @@ class ConsumerContext:
     _obfuscated: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.mode is not ConsumerMode.AUTH_ONLY and self.scheme not in (
-            SchemeTag.ENC,
-            SchemeTag.HASH,
-        ):
-            raise ValueError(f"{self.mode.value} requires an ENC or HASH scheme")
-
-
-# the members ``interest_generation`` reads, bound once: reading them off the
-# class costs an enum ``__getattr__`` each time (see ``tests/test_per_event_code.py``)
-_AUTH_ONLY = ConsumerMode.AUTH_ONLY
-_OBFUSCATE_ONLY = ConsumerMode.OBFUSCATE_ONLY
-_ENC = SchemeTag.ENC
+        if self.mode not in members(ConsumerMode):
+            raise ValueError(f"unknown consumer mode {self.mode!r}")
+        if self.scheme not in members(SchemeTag):
+            raise ValueError(f"unknown scheme {self.scheme!r}")
 
 
 def _group_id_field(ctx: ConsumerContext) -> tuple[bytes, bool]:
@@ -96,7 +95,7 @@ def interest_generation(ctx: ConsumerContext, routable_prefix, name: Name) -> In
     """Build one interest for ``name`` under the context's mode and scheme."""
     routable_prefix = tuple(routable_prefix)
     public = name.components in ctx.public_names
-    if public or ctx.mode is _AUTH_ONLY:
+    if public or ctx.mode == ConsumerMode.AUTH_ONLY:
         wire_name = name
         # validate the prefix relationship even though the name stays clear
         suffix(name, routable_prefix)
@@ -109,7 +108,7 @@ def interest_generation(ctx: ConsumerContext, routable_prefix, name: Name) -> In
         wire_name = ctx._obfuscated.get(memo_key)
         if wire_name is None:
             suffix_components = suffix(name, routable_prefix)
-            if ctx.scheme is _ENC:
+            if ctx.scheme == SchemeTag.ENC:
                 obf = crypto.obfuscate_enc(obf_key, suffix_components)
             else:
                 obf = crypto.obfuscate_hash(obf_key, suffix_components)
@@ -119,7 +118,7 @@ def interest_generation(ctx: ConsumerContext, routable_prefix, name: Name) -> In
         name_bytes = wire_name._wire
 
     group_id, encrypted = _group_id_field(ctx)
-    if ctx.mode is _OBFUSCATE_ONLY:
+    if ctx.mode == ConsumerMode.OBFUSCATE_ONLY:
         payload = AuthorizationPayload(group_id, encrypted)
     else:
         kappa = ctx.group.kappa

@@ -1,13 +1,16 @@
 """Publishing, interest authorization, and content generation at the origin.
 
 A producer registers the access groups it serves, publishes contents under
-a protection policy, and answers interests whose obfuscated (or clear)
-names it can resolve.  Hash-obfuscated names are resolved through a
-reverse map filled at publish time; encrypted names are decrypted with the
-requesting group's key.  Content published to several groups uses one
-content-scoped obfuscation key shared by all of them, so every group's
-interests carry the same obfuscated name and a single cached copy serves
-them all; the per-group signing keys still separate authorization.
+a protection policy, and answers interests whose names it can resolve.  A
+name is clear (AUTH_ONLY and PUBLIC contents) or obfuscated by one of the
+two schemes.  Hash-obfuscated names are resolved through a reverse map
+filled at publish time; encrypted names are decrypted with the requesting
+group's key.  Policies and schemes are the plain strings a scenario file
+writes (``ProtectionPolicy``, ``wire.SchemeTag``), and ``publish`` refuses
+any other value with ``ValueError``.  Content published to several groups
+uses one content-scoped obfuscation key shared by all of them, so every
+group's interests carry the same obfuscated name and a single cached copy
+serves them all; the per-group signing keys still separate authorization.
 
 ``content_object_generation`` decrypts an encrypted group id once, then
 calls ``authcheck.run_authorization_check`` with the group's key as the one
@@ -29,7 +32,6 @@ response records.
 
 from __future__ import annotations
 
-import enum
 import struct
 from dataclasses import dataclass
 
@@ -47,7 +49,6 @@ from .wire import (
     Name,
     SchemeTag,
     encode_name,
-    unpack_components,
 )
 
 
@@ -59,7 +60,9 @@ class UnknownGroup(ValueError):
     pass
 
 
-class ProtectionPolicy(enum.Enum):
+class ProtectionPolicy:
+    """How a content is protected, spelled as a scenario file writes it."""
+
     FULL = "FULL"
     OBFUSCATE_ONLY = "OBFUSCATE_ONLY"
     AUTH_ONLY = "AUTH_ONLY"
@@ -74,7 +77,6 @@ class DropReason:
     PREFIX_MISMATCH = "PrefixMismatch"
     AUTHENTICITY_FAILURE = "AuthenticityFailure"
     DECRYPT_FAILURE = "DecryptFailure"
-    WRONG_SCHEME = "WrongScheme"
 
 
 @dataclass(frozen=True)
@@ -96,9 +98,9 @@ class ContentEntry:
     name: Name
     data: bytes
     group_ids: tuple[bytes, ...]
-    scheme: SchemeTag
+    scheme: str  # a SchemeTag value
     lifetime_ms: int
-    policy: ProtectionPolicy
+    policy: str  # a ProtectionPolicy value
     content_key: bytes | None = None  # set when several groups share the name
 
 
@@ -119,13 +121,6 @@ _REFUSED = {
     reason: ProducerResponse(None, reason) for reason in members(DropReason) + members(FailReason)
 }
 
-# the members the per-event path reads, bound once: reading them off the
-# class costs an enum ``__getattr__`` each time (see ``tests/test_per_event_code.py``)
-_NONE = SchemeTag.NONE
-_ENC = SchemeTag.ENC
-_HASH = SchemeTag.HASH
-_PUBLIC = ProtectionPolicy.PUBLIC
-_OBFUSCATE_ONLY = ProtectionPolicy.OBFUSCATE_ONLY
 # the policies whose content is resolved by clear name, and those whose
 # content carries its groups' verification keys
 _SERVED_IN_CLEAR = (ProtectionPolicy.AUTH_ONLY, ProtectionPolicy.PUBLIC)
@@ -182,22 +177,27 @@ class Producer:
         name: Name,
         data: bytes,
         group_ids,
-        scheme: SchemeTag,
+        scheme: str,
         lifetime_ms: int,
-        policy: ProtectionPolicy = ProtectionPolicy.FULL,
+        policy: str = ProtectionPolicy.FULL,
     ) -> bytes | None:
         """Add a catalog entry; returns the obfuscation key consumers must use.
 
         Single-group contents are obfuscated under the group's own key; a
         multi-group content gets a fresh content-scoped key (returned here
         for out-of-band provisioning).  Public and auth-only contents need
-        no obfuscation key.
+        no obfuscation key.  A policy or scheme outside ``ProtectionPolicy``
+        or ``SchemeTag`` is refused with ``ValueError``.
         """
+        if policy not in members(ProtectionPolicy):
+            raise ValueError(f"unknown protection policy {policy!r}")
+        if scheme not in members(SchemeTag):
+            raise ValueError(f"unknown scheme {scheme!r}")
         group_ids = tuple(group_ids)
         if name.components[: len(self.prefix)] != self.prefix:
             raise ValueError("content name must start with the producer prefix")
         self._check_groups(group_ids, policy)
-        if policy is ProtectionPolicy.PUBLIC:
+        if policy == ProtectionPolicy.PUBLIC:
             self.catalog[name.components] = ContentEntry(
                 name, data, (), scheme, lifetime_ms, policy
             )
@@ -205,7 +205,7 @@ class Producer:
 
         entry = ContentEntry(name, data, group_ids, scheme, lifetime_ms, policy)
         obf_key: bytes | None = None
-        if policy is not ProtectionPolicy.AUTH_ONLY:
+        if policy != ProtectionPolicy.AUTH_ONLY:
             suffix_components = name.components[len(self.prefix):]
             if not suffix_components:
                 raise ValueError("content name must extend the producer prefix")
@@ -214,7 +214,7 @@ class Producer:
             else:
                 obf_key = self._content_key(name, len(self.registry[group_ids[0]].obfuscation_key) * 8)
                 entry.content_key = obf_key
-            if scheme is SchemeTag.HASH:
+            if scheme == SchemeTag.HASH:
                 self.hash_name_map[crypto.obfuscate_hash(obf_key, suffix_components)] = name
             elif len(group_ids) > 1:
                 # deterministic encryption lets the shared name be precomputed
@@ -222,9 +222,9 @@ class Producer:
         self.catalog[name.components] = entry
         return obf_key
 
-    def _check_groups(self, group_ids: tuple, policy: ProtectionPolicy) -> None:
+    def _check_groups(self, group_ids: tuple, policy: str) -> None:
         """Raise unless ``group_ids`` suit ``policy`` and are all registered."""
-        if policy is ProtectionPolicy.PUBLIC:
+        if policy == ProtectionPolicy.PUBLIC:
             if group_ids:
                 raise ValueError("public content cannot list access groups")
             return
@@ -269,28 +269,19 @@ class Producer:
 
         if name.routable_prefix != self.prefix:
             return None, DropReason.PREFIX_MISMATCH
-        if name.scheme_tag is _NONE:
-            try:
-                comps = self.prefix + tuple(unpack_components(name.obfuscated_suffix))
-            except Exception:
-                return None, DropReason.UNKNOWN_NAME
-            entry = self.catalog.get(comps)
-            if entry is None or entry.policy not in _SERVED_IN_CLEAR:
-                return None, DropReason.UNKNOWN_NAME
-            return entry, None
-        if name.scheme_tag is _HASH:
+        if name.scheme_tag == SchemeTag.HASH:
             hit = self.hash_name_map.get(name.obfuscated_suffix)
             if hit is None:
                 return None, DropReason.UNKNOWN_NAME
             entry = self.catalog.get(hit.components)
-            if entry is None or entry.scheme is not _HASH:
+            if entry is None or entry.scheme != SchemeTag.HASH:
                 return None, DropReason.UNKNOWN_NAME
             return entry, None
         # encrypted scheme: precomputed shared names first, then live decryption
         hit = self.enc_name_map.get(name.obfuscated_suffix)
         if hit is not None:
             entry = self.catalog.get(hit.components)
-            if entry is not None and entry.scheme is _ENC:
+            if entry is not None and entry.scheme == SchemeTag.ENC:
                 return entry, None
             return None, DropReason.UNKNOWN_NAME
         if clear_gid is None:
@@ -305,7 +296,7 @@ class Producer:
         except crypto.AuthenticityFailure:
             return None, DropReason.AUTHENTICITY_FAILURE
         entry = self.catalog.get(self.prefix + tuple(suffix_components))
-        if entry is None or entry.scheme is not _ENC:
+        if entry is None or entry.scheme != SchemeTag.ENC:
             return None, DropReason.UNKNOWN_NAME
         return entry, None
 
@@ -326,12 +317,12 @@ class Producer:
         if entry is None:
             return _REFUSED[reason]
         verifies = 0
-        if entry.policy is not _PUBLIC:
+        if entry.policy != ProtectionPolicy.PUBLIC:
             if clear_gid is None:
                 return _REFUSED[FailReason.MISSING_PAYLOAD]
             if clear_gid not in entry.group_ids:
                 return _REFUSED[DropReason.UNAUTHORIZED]
-            if entry.policy is not _OBFUSCATE_ONLY:
+            if entry.policy != ProtectionPolicy.OBFUSCATE_ONLY:
                 # a group revoked without a rekey stays listed but has no key
                 registered = self.registry.get(clear_gid)
                 outcome = run_authorization_check(

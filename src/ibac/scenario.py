@@ -28,7 +28,7 @@ from pathlib import Path
 import yaml
 
 from . import analysis, crypto, kinds
-from .authcheck import DEFAULT_SKEW_MS
+from .authcheck import DEFAULT_SKEW_MS, members
 from .consumer import ConsumerMode
 from .kinds import (BOOL, IDS, MAX_COUNT, MAX_DATA_BYTES, MAX_MS, MAX_S, MAX_SWEEP_TICKS, SEED,
                     TEXT, TIME, Choice, Fractions, Ids, Num, Pairs, Record, Records, Text,
@@ -58,7 +58,7 @@ class InvariantViolation(AssertionError):
 
 
 ROLES = ("consumer", "producer", "router", "adversary")
-SCHEMES = ("ENC", "HASH")
+SCHEMES = members(SchemeTag)
 COST = Num(0, MAX_S)  # a negative cost runs the log's clock backwards
 
 
@@ -67,7 +67,7 @@ class NodeSpec:
     id: str = declare(TEXT)
     role: str = declare(Choice(ROLES))
     group: str | None = declare(Text(optional=True), None)
-    mode: str = declare(Choice(ConsumerMode.__members__), "FULL")
+    mode: str = declare(Choice(members(ConsumerMode)), "FULL")
     scheme: str = declare(Choice(SCHEMES), "ENC")
     clock_offset_ms: float = declare(Num(-MAX_MS, MAX_MS), 0.0)
     prefix: str | None = declare(Text(optional=True), None)
@@ -100,7 +100,7 @@ class ContentSpec:
     name: str = declare(TEXT)
     groups: list[str] = declare(IDS, factory=list)
     scheme: str = declare(Choice(SCHEMES), "ENC")
-    policy: str = declare(Choice(ProtectionPolicy.__members__), "FULL")
+    policy: str = declare(Choice(members(ProtectionPolicy)), "FULL")
     # the producer stamps ``round(now) + expiry_ms`` as a uint64
     expiry_ms: int = declare(Num(0, (1 << 63) - 1, strict=True, integer=True,
                                  what="a positive number", bound="an integer in (0, 2**63)"),
@@ -483,10 +483,10 @@ def validate(config: ScenarioConfig) -> list[str]:
                     if not horizon_ms <= limit
                 ]
 
-    # connectivity: every consumer must reach at least one producer
+    # connectivity: every consumer must reach at least one producer, through routers
     reached = set()
     for i in by_role["producer"]:
-        reached.update(_bfs_next_hops(adjacency, i))
+        reached.update(_next_hops(adjacency, i, by_role["router"]))
     errors += [f"consumer {i}: no path to any producer" for i in consumers if i not in reached]
 
     return errors
@@ -495,8 +495,12 @@ def validate(config: ScenarioConfig) -> list[str]:
 # -- building -----------------------------------------------------------------
 
 
-def _bfs_next_hops(adjacency: dict[str, list[str]], root: str) -> dict[str, str]:
-    """Next hop toward ``root`` for every reachable node (deterministic order)."""
+def _next_hops(adjacency, root: str, routers) -> dict[str, str]:
+    """Next hop toward the producer ``root`` for every node that reaches it
+    through ``routers`` alone, on a shortest such path (ties go to the hop
+    whose id sorts first).  Only routers forward, so the search expands the
+    root and routers and no other node: a consumer or an adversary is never
+    a hop."""
     parent: dict[str, str] = {}
     seen = {root}
     frontier = deque([root])
@@ -506,7 +510,8 @@ def _bfs_next_hops(adjacency: dict[str, list[str]], root: str) -> dict[str, str]
             if nxt not in seen:
                 seen.add(nxt)
                 parent[nxt] = cur
-                frontier.append(nxt)
+                if nxt in routers:
+                    frontier.append(nxt)
     return parent
 
 
@@ -569,8 +574,8 @@ def build(config: ScenarioConfig) -> tuple[Simulation, BuildInfo]:
         consumers[node_id] = sim.add_consumer(
             node_id,
             materials[spec.group],
-            ConsumerMode[spec.mode],
-            SchemeTag[spec.scheme],
+            spec.mode,
+            spec.scheme,
             producer_public=default_public,
             clock_offset_ms=spec.clock_offset_ms,
         )
@@ -581,13 +586,14 @@ def build(config: ScenarioConfig) -> tuple[Simulation, BuildInfo]:
     for link in config.links:
         sim.add_link(link.a, link.b, link.latency_ms)
 
-    # FIB: shortest paths toward each producer prefix
+    # FIB: shortest paths through routers toward each producer prefix
     adjacency: dict[str, list[str]] = {n.id: [] for n in config.nodes}
     for link in config.links:
         adjacency[link.a].append(link.b)
         adjacency[link.b].append(link.a)
+    routers = {n.id for n in config.nodes if n.role == "router"}
     for producer_id, producer in producers.items():
-        next_hops = _bfs_next_hops(adjacency, producer_id)
+        next_hops = _next_hops(adjacency, producer_id, routers)
         for node_id, hop in next_hops.items():
             rt = sim.nodes[node_id]
             iface = rt.iface_to[hop]
@@ -614,9 +620,9 @@ def build(config: ScenarioConfig) -> tuple[Simulation, BuildInfo]:
             name,
             _content_data(config.seed, c),
             [materials[g].group_id for g in c.groups],
-            SchemeTag[c.scheme],
+            c.scheme,
             c.expiry_ms,
-            ProtectionPolicy[c.policy],
+            c.policy,
         )
         sim.register_content_prefix(name, producer.prefix)
         if c.policy == "PUBLIC":
@@ -676,12 +682,11 @@ def content_wire_name(info: BuildInfo, content_name: str) -> bytes:
     prefix = info.producers[_owner(info.producers, name)].prefix
     obf_key = info.content_keys[name.components]
     suffix_components = name.components[len(prefix):]
-    scheme = SchemeTag[spec.scheme]
-    if scheme is SchemeTag.ENC:
+    if spec.scheme == SchemeTag.ENC:
         obf = crypto.obfuscate_enc(obf_key, suffix_components)
     else:
         obf = crypto.obfuscate_hash(obf_key, suffix_components)
-    return encode_name(ObfuscatedName(prefix, obf, scheme))
+    return encode_name(ObfuscatedName(prefix, obf, spec.scheme))
 
 
 # -- invariants ------------------------------------------------------------------

@@ -73,7 +73,7 @@ adversaries tapping it (none when the sender is itself an adversary), so
 a send is one lookup.
 
 ``AdversaryAction`` and ``TrafficProfile`` hold values as a scenario file
-writes them: a probe prefix is a URI, a probe scheme a ``SchemeTag`` name
+writes them: a probe prefix is a URI, a probe scheme a ``SchemeTag`` value
 and a traffic target a content URI.  Each field declares its kind
 (``kinds.declare``), and ``schedule_action`` and ``set_traffic`` raise what
 the one field checker finds as ``ConfigError``: ``kinds.problems`` for a
@@ -163,7 +163,7 @@ DROP_KINDS = frozenset({EventKind.DROP_INTEREST, EventKind.DROP_CONTENT, EventKi
 # refusals that depend on the refused record's payload, so that a record
 # aggregated behind it may still pass: these are NACKed to a router.  A
 # name-level refusal (UnknownName, PrefixMismatch, AuthenticityFailure,
-# WrongScheme, NoRoute) fails every record for the name alike.
+# NoRoute) fails every record for the name alike.
 PAYLOAD_REFUSALS = frozenset(members(FailReason)) | {
     ProducerDrop.UNAUTHORIZED,
     ProducerDrop.DECRYPT_FAILURE,
@@ -186,7 +186,7 @@ class AdversaryAction:
     capture: int | str = declare(CAPTURE, "cycle")
     include_captured: bool = declare(BOOL, False)
     probe_prefix: str | None = declare(Text(optional=True), None)  # URI of the probed prefix
-    probe_scheme: str = declare(Choice(SchemeTag.__members__), "HASH")
+    probe_scheme: str = declare(Choice(members(SchemeTag)), "HASH")
     probe_suffix_len: int = declare(Num(0, MAX_SUFFIX_BYTES, strict=True, integer=True), 32)
     label: str = declare(TEXT, "")
 
@@ -448,7 +448,7 @@ class Simulation:
         node_id: str,
         group: crypto.GroupKeyMaterial,
         mode,
-        scheme: SchemeTag = SchemeTag.ENC,
+        scheme: str = SchemeTag.ENC,
         producer_public=None,
         content_keys: dict | None = None,
         clock_offset_ms: float = 0.0,
@@ -797,7 +797,7 @@ class Simulation:
                 ObfuscatedName(
                     Name.from_uri(action.probe_prefix).components,
                     bytes(action.probe_suffix_len),
-                    SchemeTag[action.probe_scheme],
+                    action.probe_scheme,
                 )
             )
             if action.include_captured:

@@ -12,7 +12,7 @@ Type codes:
     0x0001 Interest                  0x0002 ContentObject
     0x0003 Nack                      0x0050 NackReason (UTF-8 text)
     0x0010 Name                      0x0011 NameComponent (repeatable)
-    0x0012 ObfuscatedComponent       0x0013 SchemeTag (1 byte: 0/1/2)
+    0x0012 ObfuscatedComponent       0x0013 SchemeTag (1 byte: 1 or 2)
     0x0020 AuthPayload               0x0021 GroupID
     0x0022 Nonce                     0x0023 Timestamp (8-byte BE ms)
     0x0024 PayloadSignature          0x0025 GroupIDEncryptedFlag (1 byte)
@@ -24,12 +24,14 @@ A VerificationKeyEntry value is a GroupID TLV followed by the raw key
 bytes.  A Nack holds the refused Interest TLV followed by a NackReason.
 Values are limited to 65535 bytes and whole messages to 1 MiB.
 
-A clear name is its components and nothing more: the split between
-routable prefix and the rest is consumer-side addressing state, given to
-``consumer.interest_generation``, and never part of a ``Name``.  An
-obfuscated name travels as its cleartext prefix components followed by one
-ObfuscatedComponent and a SchemeTag; the obfuscated suffix is a single
-opaque component whose display form is lowercase hex.
+A name takes one of two forms.  A clear name is its components and
+nothing more: the split between routable prefix and the rest is
+consumer-side addressing state, given to ``consumer.interest_generation``,
+and never part of a ``Name``.  An obfuscated name travels as its cleartext
+prefix components followed by one ObfuscatedComponent and a SchemeTag; the
+obfuscated suffix is a single non-empty opaque component whose display
+form is lowercase hex, obfuscated under one of the paper's two schemes,
+``SchemeTag.ENC`` (tag byte 1) or ``SchemeTag.HASH`` (tag byte 2).
 
 Names carry their bytes; messages do not.  A name holds its Name TLV in a
 private ``_wire`` field: ``encode_name`` memoises its output there and a
@@ -42,7 +44,7 @@ means the Name TLV ``data`` decodes to an equal name:
   decoders accept is the one encoding of the record they return, so
   decode then encode is the identity;
 * for built names because the constructors reject every field value the
-  decoders reject (a scheme tag that is not a ``SchemeTag``) and
+  decoders reject (a scheme other than ENC or HASH, an empty suffix) and
   normalise sequences to the tuples the decoders return.
 
 The field takes no part in equality, hashing or ``repr``, and
@@ -72,7 +74,6 @@ place that knows a signature can be pending: every reader sees bytes.
 
 from __future__ import annotations
 
-import enum
 import functools
 import struct
 from dataclasses import dataclass, field
@@ -122,10 +123,18 @@ class EmptySuffix(ValueError):
     """The prefix consumes the whole name, leaving nothing to obfuscate."""
 
 
-class SchemeTag(enum.IntEnum):
-    NONE = 0
-    ENC = 1
-    HASH = 2
+class SchemeTag:
+    """How an obfuscated name's suffix was obfuscated, spelled as a scenario
+    file writes it.  On the wire each scheme is one byte, its
+    ``_SCHEME_CODES`` entry."""
+
+    ENC = "ENC"
+    HASH = "HASH"
+
+
+# the one map from scheme to tag byte: the encoder, the decoder and
+# ``ObfuscatedName``'s check all read it
+_SCHEME_CODES = {SchemeTag.ENC: 1, SchemeTag.HASH: 2}
 
 
 def _check_component(comp: bytes) -> None:
@@ -163,7 +172,7 @@ class ObfuscatedName:
 
     routable_prefix: tuple[bytes, ...]
     obfuscated_suffix: bytes
-    scheme_tag: SchemeTag
+    scheme_tag: str  # a SchemeTag value
     _wire: bytes | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -172,10 +181,10 @@ class ObfuscatedName:
             raise ValueError("routable prefix must be non-empty")
         for comp in self.routable_prefix:
             _check_component(comp)
-        if not isinstance(self.scheme_tag, SchemeTag):
-            raise TypeError(f"scheme_tag must be a SchemeTag, got {self.scheme_tag!r}")
-        if self.scheme_tag != SchemeTag.NONE and not self.obfuscated_suffix:
-            raise ValueError("obfuscated suffix must be non-empty for ENC/HASH")
+        if self.scheme_tag not in _SCHEME_CODES:
+            raise ValueError(f"unknown scheme {self.scheme_tag!r}")
+        if not self.obfuscated_suffix:
+            raise ValueError("obfuscated suffix must be non-empty")
 
 
 AnyName = Name | ObfuscatedName
@@ -351,10 +360,9 @@ def longest_prefix_match(table, name):
     """
     if isinstance(name, ObfuscatedName):
         parent = name.routable_prefix
-        if name.obfuscated_suffix:
-            hit = table.get(parent + (name.obfuscated_suffix,))
-            if hit is not None:
-                return hit
+        hit = table.get(parent + (name.obfuscated_suffix,))
+        if hit is not None:
+            return hit
     else:
         comps = name.components if isinstance(name, Name) else tuple(name)
         if not comps:
@@ -444,8 +452,10 @@ def _decode_flag(value: bytes) -> bool:
 # ---------------------------------------------------------------------------
 # names
 
-_SCHEME_TAGS = {tag.value: tag for tag in SchemeTag}
-_SCHEME_TAG_TLVS = {tag: _tlv(TYPE_SCHEME_TAG, bytes([tag])) for tag in SchemeTag}
+_SCHEME_TAGS = {code: tag for tag, code in _SCHEME_CODES.items()}
+_SCHEME_TAG_TLVS = {
+    tag: _tlv(TYPE_SCHEME_TAG, bytes([code])) for tag, code in _SCHEME_CODES.items()
+}
 
 
 @functools.lru_cache(maxsize=64)
@@ -480,7 +490,7 @@ def _decode_name(buf: bytes, start: int, end: int) -> AnyName:
     """The name whose TLV value is ``buf[start:end]``; it keeps its TLV bytes."""
     comps: list[bytes] = []
     obf_suffix: bytes | None = None
-    scheme: SchemeTag | None = None
+    scheme: str | None = None
     for type_code, vs, ve in _tlvs(buf, start, end):
         if type_code == TYPE_NAME_COMPONENT:
             if obf_suffix is not None or scheme is not None:

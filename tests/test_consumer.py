@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ibac import crypto
+from ibac.authcheck import members
 from ibac.consumer import ConsumerContext, ConsumerMode, interest_generation
 from ibac.wire import Name, ObfuscatedName, SchemeTag, encode_name
 
@@ -28,7 +29,7 @@ def test_full_enc_interest_decrypts_and_verifies():
     ctx = make_ctx()
     interest = interest_generation(ctx, PREFIX, NAME)
     assert isinstance(interest.name, ObfuscatedName)
-    assert interest.name.scheme_tag is SchemeTag.ENC
+    assert interest.name.scheme_tag == SchemeTag.ENC
     recovered = crypto.deobfuscate_enc(
         ctx.group.obfuscation_key, interest.name.obfuscated_suffix
     )
@@ -138,9 +139,29 @@ def test_suffix_errors_propagate():
         interest_generation(ctx, (b"com",), NAME)
 
 
-def test_mode_scheme_validation():
-    with pytest.raises(ValueError):
-        make_ctx(scheme=SchemeTag.NONE)
+@pytest.mark.parametrize("mode", members(ConsumerMode))
+@pytest.mark.parametrize("scheme", ["NONE", 1])
+def test_a_context_refuses_a_scheme_outside_the_vocabulary(mode, scheme):
+    # AUTH_ONLY obfuscates nothing, yet its scheme must still be one of the two
+    with pytest.raises(ValueError, match="unknown scheme"):
+        make_ctx(mode=mode, scheme=scheme)
+
+
+@pytest.mark.parametrize("mode", ["BOGUS", "PUBLIC"])
+def test_a_context_refuses_a_mode_outside_the_vocabulary(mode):
+    with pytest.raises(ValueError, match="unknown consumer mode"):
+        make_ctx(mode=mode)
+
+
+def test_a_context_takes_modes_and_schemes_as_a_scenario_file_spells_them():
+    # strings built at run time, as a file's parser builds them: equal to
+    # the constants, but other objects
+    mode, scheme = "".join(["AUTH", "_ONLY"]), "".join(["HA", "SH"])
+    interest = interest_generation(make_ctx(mode=mode, scheme=scheme), PREFIX, NAME)
+    assert interest.name == NAME and interest.payload.nonce is not None
+    obfuscating = make_ctx(mode="".join(["OBFUSCATE", "_ONLY"]), scheme=scheme)
+    interest = interest_generation(obfuscating, PREFIX, NAME)
+    assert interest.name.scheme_tag == SchemeTag.HASH and interest.payload.nonce is None
 
 
 components = st.lists(st.binary(min_size=1, max_size=8), min_size=1, max_size=3)
@@ -158,7 +179,7 @@ def test_memoised_name_equals_a_fresh_obfuscation(key, scheme, mode, prefix, res
     ctx = make_ctx(mode=mode, scheme=scheme)
     name = Name(tuple(prefix + rest))
     ctx.content_keys[name.components] = key
-    obfuscate = crypto.obfuscate_enc if scheme is SchemeTag.ENC else crypto.obfuscate_hash
+    obfuscate = crypto.obfuscate_enc if scheme == SchemeTag.ENC else crypto.obfuscate_hash
     fresh = ObfuscatedName(tuple(prefix), obfuscate(key, rest), scheme)
     first = interest_generation(ctx, prefix, name)
     second = interest_generation(ctx, tuple(prefix), name)
@@ -177,7 +198,7 @@ def test_memo_follows_scheme_and_content_key_changes():
     )
     ctx.scheme = SchemeTag.HASH
     hashed = interest_generation(ctx, PREFIX, NAME).name
-    assert hashed.scheme_tag is SchemeTag.HASH
+    assert hashed.scheme_tag == SchemeTag.HASH
     assert hashed.obfuscated_suffix == crypto.obfuscate_hash(own, rest)
     shared = bytes(range(16))
     ctx.content_keys[NAME.components] = shared

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, precondition, rule
 
 from ibac import crypto
-from ibac.authcheck import FailReason
+from ibac.authcheck import FailReason, members
 from ibac.consumer import ConsumerContext, ConsumerMode, interest_generation
 from ibac.producer import (
     DropReason,
@@ -396,6 +396,46 @@ def test_public_content_served_without_payload():
     assert response.content.verification_keys == ()
 
 
+# strings as a scenario file's parser makes them: equal to the constants,
+# but not the same objects
+PARSED_FULL = "".join(["FU", "LL"])
+PARSED_HASH = "".join(["HA", "SH"])
+
+
+@pytest.mark.parametrize("policy, scheme", [("FULL", "HASH"), (PARSED_FULL, PARSED_HASH)],
+                         ids=["literal", "parsed"])
+def test_a_policy_spelled_as_a_file_writes_it_serves_copies_with_their_keys(policy, scheme):
+    # the served copy carries its group's key, so a router holding it can
+    # check the next interest for the name
+    producer = make_producer()
+    material = crypto.gen_group(128, 1)
+    producer.register_group(material)
+    published(producer, groups=[material.group_id], scheme=scheme, policy=policy)
+    ctx = make_consumer(material, scheme=SchemeTag.HASH)
+    response = producer.content_object_generation(fetch_interest(producer, ctx), 1000.0)
+    assert response.served and response.verifies == 1
+    assert response.content.verification_keys == (
+        (material.group_id, material.public_key_bytes),
+    )
+
+
+@pytest.mark.parametrize(
+    "policy, scheme",
+    [("BOGUS", SchemeTag.ENC), ("full", SchemeTag.ENC), (None, SchemeTag.HASH),
+     (ProtectionPolicy.FULL, "NONE"), (ProtectionPolicy.AUTH_ONLY, "hash"),
+     (ProtectionPolicy.PUBLIC, 0)],
+)
+def test_publish_refuses_a_policy_or_scheme_outside_the_vocabulary(policy, scheme):
+    producer = make_producer()
+    material = crypto.gen_group(128, 1)
+    producer.register_group(material)
+    groups = [] if policy == ProtectionPolicy.PUBLIC else [material.group_id]
+    with pytest.raises(ValueError, match="unknown (protection policy|scheme)"):
+        published(producer, groups=groups, scheme=scheme, policy=policy)
+    assert producer.catalog == {} and producer.hash_name_map == {}
+    assert producer.enc_name_map == {}
+
+
 def test_protected_content_not_served_by_clear_name():
     producer = make_producer()
     material = crypto.gen_group(128, 1)
@@ -605,7 +645,7 @@ class ProducerMachine(RuleBasedStateMachine):
     that raises or refuses changes nothing, and a sweep forgets what a
     sweep of every booked nonce forgets."""
 
-    @initialize(policy=st.sampled_from(ProtectionPolicy),
+    @initialize(policy=st.sampled_from(members(ProtectionPolicy)),
                 scheme=st.sampled_from([SchemeTag.ENC, SchemeTag.HASH]))
     def world(self, policy, scheme):
         """Every group registered, ``HOME`` published to the first and
@@ -614,7 +654,7 @@ class ProducerMachine(RuleBasedStateMachine):
         for material in POOL:
             self.producer.register_group(material)
         for name, groups in ((HOME, POOL[:1]), (NEWS, POOL[:2])):
-            if policy is ProtectionPolicy.PUBLIC:
+            if policy == ProtectionPolicy.PUBLIC:
                 groups = []
             self.producer.publish(name, b"data", [m.group_id for m in groups], scheme, 1000,
                                   policy)
@@ -656,7 +696,8 @@ class ProducerMachine(RuleBasedStateMachine):
 
     @rule(name=st.sampled_from(NAMES), groups=GROUPS,
           scheme=st.sampled_from([SchemeTag.ENC, SchemeTag.HASH]),
-          policy=st.sampled_from(ProtectionPolicy), lifetime=st.sampled_from([300, 60_000]))
+          policy=st.sampled_from(members(ProtectionPolicy)),
+          lifetime=st.sampled_from([300, 60_000]))
     def publish(self, name, groups, scheme, policy, lifetime):
         # UnknownGroup is a ValueError
         self._refusable(ValueError, self.producer.publish, name, b"data",
@@ -668,7 +709,7 @@ class ProducerMachine(RuleBasedStateMachine):
                         [POOL[m].group_id for m in groups])
 
     @rule(dt=WAIT, m=st.sampled_from(range(len(POOL))), name=st.sampled_from([HOME, NEWS]),
-          matched=st.booleans(), mode=st.sampled_from(ConsumerMode),
+          matched=st.booleans(), mode=st.sampled_from(members(ConsumerMode)),
           scheme=st.sampled_from([SchemeTag.ENC, SchemeTag.HASH]), encrypted=st.booleans(),
           lag=st.sampled_from([0.0, 250.0, 900.0]))
     def fetch(self, dt, m, name, matched, mode, scheme, encrypted, lag):
@@ -686,7 +727,7 @@ class ProducerMachine(RuleBasedStateMachine):
         )
         if entry is not None and entry.content_key is not None:
             ctx.content_keys[name.components] = entry.content_key
-        if entry is not None and entry.policy is ProtectionPolicy.PUBLIC:
+        if entry is not None and entry.policy == ProtectionPolicy.PUBLIC:
             ctx.public_names.add(name.components)
         self._answer(dt, interest_generation(ctx, PREFIX, name))
 

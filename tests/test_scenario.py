@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ibac import cli, kinds, scenario, simnet
+from ibac import producer as producer_module
 from ibac.authcheck import DEFAULT_SKEW_MS
 from ibac.router import BATCH_TIMEOUT_MS, PIT_LIFETIME_MS, Router
 from ibac.scenario import (
@@ -157,6 +158,45 @@ def test_disconnected_consumer_rejected():
     assert any("no path" in e for e in err.value.errors)
 
 
+def adversary_path_raw(links):
+    """``minimal_raw`` with a second router ``r2`` and an adversary ``adv``
+    that holds a link to the producer, on ``links``."""
+    raw = minimal_raw(links=links, adversary={"node": "adv"})
+    raw["nodes"] += [
+        {"id": "r2", "role": "router", "tau_process_s": 0.0005, "tau_verify_s": 0.0005},
+        {"id": "adv", "role": "adversary"},
+    ]
+    return raw
+
+
+def test_routes_cross_routers_only():
+    # two equal-length paths from r1: through r2, and through adv, whose id
+    # sorts first; only a router forwards, so the route goes through r2
+    raw = adversary_path_raw([["cr1", "r1", 10], ["r1", "r2", 10], ["r2", "p1", 10],
+                              ["r1", "adv", 10], ["adv", "p1", 10]])
+    result, _ = run_config(scenario_from_dict(raw))
+    assert [line.split("\t")[1:3] for line in result.log_lines] == [
+        ["cr1", "int_sent"],
+        ["r1", "int_forwarded"],
+        ["r2", "int_forwarded"],
+        ["p1", "content_served"],
+        ["r2", "content_cached"],
+        ["r2", "content_sent"],
+        ["r1", "content_cached"],
+        ["r1", "content_sent"],
+        ["cr1", "content_delivered"],
+    ]
+    assert len(result.deliveries) == 1 and result.drops == {}
+
+
+def test_a_consumer_that_reaches_a_producer_only_through_the_adversary_is_refused():
+    raw = adversary_path_raw([["cr1", "r1", 10], ["r1", "adv", 10], ["adv", "p1", 10]])
+    raw["nodes"] = [n for n in raw["nodes"] if n["id"] != "r2"]
+    with pytest.raises(ValidationError) as err:
+        scenario_from_dict(raw)
+    assert err.value.errors == ["consumer cr1: no path to any producer"]
+
+
 def test_validate_reports_in_file_order_whatever_the_hash_seed(tmp_path):
     # six unlinked consumers stamping before 0, and a content two producer
     # prefixes claim: each rule lists its nodes as the file does
@@ -239,10 +279,12 @@ def name_probe_raw(**action):
     return raw
 
 
-def test_unknown_probe_scheme_rejected():
+# a name is clear or obfuscated under ENC or HASH, so NONE is no scheme
+@pytest.mark.parametrize("scheme", ["BOGUS", "NONE"])
+def test_unknown_probe_scheme_rejected(scheme):
     with pytest.raises(ValidationError) as err:
-        scenario_from_dict(name_probe_raw(probe_scheme="BOGUS"))
-    assert any("unknown probe_scheme 'BOGUS'" in e for e in err.value.errors)
+        scenario_from_dict(name_probe_raw(probe_scheme=scheme))
+    assert err.value.errors == [f"adversary.actions[0]: unknown probe_scheme {scheme!r}"]
 
 
 @pytest.mark.parametrize("length", [-1, 0, "8"])
@@ -686,6 +728,48 @@ def test_bundled_scenarios_run_deterministically(name):
     second, _ = run_config(load_bundled(name))
     assert first.log_lines == second.log_lines
     assert first.conservation["balanced"]
+
+
+# the producer's calls of the shared check on each bundled scenario
+PRODUCER_CHECKS = {
+    "figure_sequence": 2,
+    "replay_same_path": 1,
+    "replay_cross_path": 3,
+    "forgery": 502,
+    "name_probe": 1,
+    "multi_group": 1,
+    "mode_matrix": 2,
+    "revocation_expiry": 1,
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRODUCER_CHECKS))
+def test_producers_authorize_through_the_shared_check(monkeypatch, name):
+    # every verified serve and every refusal the check makes at a producer
+    # is one call of ``run_authorization_check`` by the producer module;
+    # perfbench's ``authcheck.check.calls`` sums the routers' calls in too
+    assert sorted(PRODUCER_CHECKS) == sorted(n for n in BUNDLED_SCENARIOS
+                                             if n != "service_rate_sweep")
+    calls = []
+    check = producer_module.run_authorization_check
+
+    def counted(*args):
+        calls.append(args)
+        return check(*args)
+
+    monkeypatch.setattr(producer_module, "run_authorization_check", counted)
+    config = load_bundled(name)
+    producers = {node.id for node in config.nodes if node.role == "producer"}
+    result, _ = run_config(config)
+    checked = 0
+    for line in result.log_lines:
+        _, node, kind, _, reason = line.split("\t")
+        if node in producers and (
+            (kind, reason) == ("content_served", "verified")
+            or kind == "int_drop" and reason in ("DuplicateNonce", "StaleTimestamp", "BadSignature")
+        ):
+            checked += 1
+    assert len(calls) == checked == PRODUCER_CHECKS[name]
 
 
 # ---------------------------------------------------------------------------

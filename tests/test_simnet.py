@@ -649,7 +649,7 @@ def test_random_probes_are_the_records_the_constructors_build(
         action.probe_prefix, action.probe_scheme = prefix, scheme
         action.probe_suffix_len, action.count = suffix_len, 40
     components = Name.from_uri(action.probe_prefix).components
-    tag = SchemeTag[action.probe_scheme]
+    tag = action.probe_scheme
     probes, captures = _random_probes(monkeypatch, config)
     assert len(probes) == action.count
     expected = {}
@@ -921,7 +921,7 @@ def test_content_reaching_a_producer_is_dropped_and_the_queue_moves_on():
     # interest waits while the producer refuses the content
     sim = simnet.Simulation(seed=1)
     material = crypto.gen_group(128, 1)
-    consumer = sim.add_consumer("c", material, ConsumerMode.AUTH_ONLY, SchemeTag.NONE)
+    consumer = sim.add_consumer("c", material, ConsumerMode.AUTH_ONLY)
     consumer.fib[(b"edu",)] = 0
     producer = sim.add_producer("p", Producer((b"edu",)), tau_process_s=0.0005)
     name = Name.from_uri("/edu/x")

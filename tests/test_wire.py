@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ibac import authcheck, crypto, wire
+from ibac.authcheck import members
 from ibac.wire import (
     AuthorizationPayload,
     ContentObject,
@@ -166,9 +167,7 @@ def test_obfuscated_name_components_for_lpm():
 def reference_longest_prefix_match(table, name):
     """Every prefix of the name's components, longest first, each sliced."""
     if isinstance(name, ObfuscatedName):
-        comps = name.routable_prefix
-        if name.obfuscated_suffix:
-            comps += (name.obfuscated_suffix,)
+        comps = name.routable_prefix + (name.obfuscated_suffix,)
     elif isinstance(name, Name):
         comps = name.components
     else:
@@ -187,21 +186,18 @@ lpm_components = st.lists(lpm_component, min_size=1, max_size=4).map(tuple)
 
 @st.composite
 def lpm_cases(draw):
-    """A name (clear, obfuscated with or without a suffix, or a plain
-    component sequence, maybe empty) and a table holding some of its
-    prefixes, the empty prefix among them, keys longer than the name and
-    unrelated keys."""
-    form = draw(st.sampled_from(["clear", "obfuscated", "bare", "sequence"]))
+    """A name (clear, obfuscated, or a plain component sequence, maybe
+    empty) and a table holding some of its prefixes, the empty prefix among
+    them, keys longer than the name and unrelated keys."""
+    form = draw(st.sampled_from(["clear", "obfuscated", "sequence"]))
     if form == "clear":
         name = Name(draw(lpm_components))
         full = name.components
     elif form == "obfuscated":
         suffix_bytes = draw(st.sampled_from([b"a", b"zz"]))
-        name = ObfuscatedName(draw(lpm_components), suffix_bytes, draw(st.sampled_from(SchemeTag)))
+        scheme = draw(st.sampled_from(members(SchemeTag)))
+        name = ObfuscatedName(draw(lpm_components), suffix_bytes, scheme)
         full = name.routable_prefix + (suffix_bytes,)
-    elif form == "bare":  # scheme NONE allows an empty suffix
-        name = ObfuscatedName(draw(lpm_components), b"", SchemeTag.NONE)
-        full = name.routable_prefix
     else:
         name = draw(st.lists(lpm_component, max_size=4))
         full = tuple(name)
@@ -224,7 +220,6 @@ def test_lpm_never_matches_the_empty_prefix():
     table = {(): 1}
     assert longest_prefix_match(table, []) is None
     assert longest_prefix_match(table, Name.from_uri("/a")) is None
-    assert longest_prefix_match(table, ObfuscatedName((b"a",), b"", SchemeTag.NONE)) is None
     assert longest_prefix_match(table, ObfuscatedName((b"a",), b"s", SchemeTag.HASH)) is None
 
 
@@ -374,8 +369,8 @@ def built_names(draw):
     as_given = draw(st.sampled_from([list, tuple]))
     if draw(st.booleans()):
         return Name(as_given(comps))
-    scheme = draw(st.sampled_from(SchemeTag))
-    suffix_bytes = draw(st.binary(min_size=0 if scheme is SchemeTag.NONE else 1, max_size=48))
+    scheme = draw(st.sampled_from(members(SchemeTag)))
+    suffix_bytes = draw(st.binary(min_size=1, max_size=48))
     return ObfuscatedName(as_given(comps), suffix_bytes, scheme)
 
 
@@ -424,7 +419,7 @@ def test_built_records_encode_to_bytes_that_decode_to_them(message):
 @settings(max_examples=200, deadline=None)
 @given(
     st.lists(st.binary(min_size=1, max_size=12), min_size=1, max_size=4),
-    st.sampled_from(list(SchemeTag)),
+    st.sampled_from(members(SchemeTag)),
     st.integers(min_value=1, max_value=64).flatmap(
         lambda n: st.lists(st.binary(min_size=n, max_size=n), min_size=1, max_size=3)
     ),
@@ -494,8 +489,9 @@ def test_suffix_template_refuses_a_suffix_of_another_length():
 
 
 def test_constructors_reject_fields_the_decoders_reject():
-    for tag in (5, 1, None):
-        with pytest.raises(TypeError):
+    # a scheme outside SchemeTag, its tag byte or another spelling among them
+    for tag in (5, 1, 0, None, "NONE", "enc", b"ENC"):
+        with pytest.raises(ValueError, match="unknown scheme"):
             ObfuscatedName((b"a",), b"x", tag)
     for flag in (2, 1, None):
         with pytest.raises(TypeError):
@@ -565,24 +561,30 @@ def test_two_key_entries_in_list_order():
     assert decoded.verification_keys == content.verification_keys
 
 
-def test_scheme_none_permits_empty_suffix():
-    name = ObfuscatedName((b"edu",), b"", SchemeTag.NONE)
-    interest = Interest(name)
-    assert decode_interest(encode_interest(interest)) == interest
+@pytest.mark.parametrize("scheme", members(SchemeTag))
+def test_every_scheme_requires_a_nonempty_suffix(scheme):
+    with pytest.raises(ValueError, match="non-empty"):
+        ObfuscatedName((b"edu",), b"", scheme)
 
 
-def test_enc_scheme_requires_nonempty_suffix():
-    with pytest.raises(ValueError):
-        ObfuscatedName((b"edu",), b"", SchemeTag.ENC)
-
-
-def test_bad_scheme_tag_rejected():
-    # scheme tag byte 9 is undefined
-    body = bytes.fromhex("0011000161") + bytes.fromhex("0012000101") + bytes.fromhex("0013000109")
+def _interest_with_scheme_byte(code: int) -> bytes:
+    body = bytes.fromhex("0011000161") + bytes.fromhex("0012000101") + bytes([0, 0x13, 0, 1, code])
     name_tlv = bytes.fromhex("0010") + len(body).to_bytes(2, "big") + body
-    data = bytes.fromhex("0001") + len(name_tlv).to_bytes(2, "big") + name_tlv
-    with pytest.raises(DecodeError):
-        decode_interest(data)
+    return bytes.fromhex("0001") + len(name_tlv).to_bytes(2, "big") + name_tlv
+
+
+@pytest.mark.parametrize("code", [0, 3, 9, 255])
+def test_bad_scheme_tag_rejected(code):
+    # only 1 (ENC) and 2 (HASH) are scheme tag bytes; 0 once meant a clear suffix
+    with pytest.raises(DecodeError, match=f"unknown scheme tag {code}"):
+        decode_interest(_interest_with_scheme_byte(code))
+
+
+def test_scheme_tag_bytes_are_one_for_enc_and_two_for_hash():
+    for code, scheme in ((1, SchemeTag.ENC), (2, SchemeTag.HASH)):
+        name = decode_interest(_interest_with_scheme_byte(code)).name
+        assert name == ObfuscatedName((b"a",), b"\x01", scheme)
+        assert encode_name(ObfuscatedName((b"a",), b"\x01", scheme)).endswith(bytes([code]))
 
 
 def test_timestamp_must_be_eight_bytes():
