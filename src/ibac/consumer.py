@@ -25,6 +25,11 @@ every call, so changing ``scheme``, ``group`` or ``content_keys`` never
 yields a stale name.  Every interest built here carries its name's bytes
 (``name._wire``).
 
+A context whose ``producer_public`` maps routable prefixes to producer
+keys encrypts the group id under the key of the prefix it fetches from,
+and refuses a prefix it has no key for with ``ValueError``; an empty map
+sends the id in clear.
+
 A full payload's nonce and timestamp are drawn at once, but its signature
 is pending (``AuthorizationPayload.signed_on_read``): it holds the
 context's group key material and the name bytes of this call, and
@@ -67,7 +72,11 @@ class ConsumerContext:
     scheme: str  # a SchemeTag value
     clock: Callable[[], float]  # milliseconds
     rng: random.Random
-    producer_public: crypto.ProducerPublicKey | None = None
+    # routable prefix -> the public key of the producer that owns it; when
+    # not empty, group ids travel encrypted under the prefix's key
+    producer_public: dict[tuple[bytes, ...], crypto.ProducerPublicKey] = field(
+        default_factory=dict
+    )
     # per-name obfuscation keys provisioned out of band (multi-group content)
     content_keys: dict[tuple[bytes, ...], bytes] = field(default_factory=dict)
     # the name components of the catalog's PUBLIC contents
@@ -82,13 +91,13 @@ class ConsumerContext:
             raise ValueError(f"unknown scheme {self.scheme!r}")
 
 
-def _group_id_field(ctx: ConsumerContext) -> tuple[bytes, bool]:
-    if ctx.producer_public is not None:
-        return (
-            crypto.encrypt_group_id(ctx.producer_public, ctx.group.group_id, ctx.rng),
-            True,
-        )
-    return ctx.group.group_id, False
+def _group_id_field(ctx: ConsumerContext, routable_prefix: tuple) -> tuple[bytes, bool]:
+    if not ctx.producer_public:
+        return ctx.group.group_id, False
+    public = ctx.producer_public.get(routable_prefix)
+    if public is None:  # sending the id in clear instead would link the member
+        raise ValueError(f"no producer key for the prefix {routable_prefix!r}")
+    return crypto.encrypt_group_id(public, ctx.group.group_id, ctx.rng), True
 
 
 def interest_generation(ctx: ConsumerContext, routable_prefix, name: Name) -> Interest:
@@ -117,7 +126,7 @@ def interest_generation(ctx: ConsumerContext, routable_prefix, name: Name) -> In
             ctx._obfuscated[memo_key] = wire_name
         name_bytes = wire_name._wire
 
-    group_id, encrypted = _group_id_field(ctx)
+    group_id, encrypted = _group_id_field(ctx, routable_prefix)
     if ctx.mode == ConsumerMode.OBFUSCATE_ONLY:
         payload = AuthorizationPayload(group_id, encrypted)
     else:

@@ -55,11 +55,16 @@ with 0 even when its exponent is 0, where ``pow``'s ``0^0`` is 1),
 * a batch checks its ``g``/``y`` pair the same way and pairs its
   ``R_i^{z_i}`` terms two per pass, an odd last term with ``1^0``.
 
-Name cipher.  AES-CTR comes from the ``cryptography`` package, imported
-on the first encryption, so importing this module does not map its
-bindings (about 6 MB resident); a process that obfuscates by hash only
-never loads it.  The MAC and AES subkeys of an obfuscation key are
-derived once per key.
+Name cipher.  AES-CTR runs in the same libcrypto as the powers, through
+its EVP interface (``EVP_aes_{128,192,256}_ctr``): one cipher context and
+one output buffer, made on the first encryption and reused under one
+lock.  Where no libcrypto loads, the ``cryptography`` package does the
+work, imported only then, so importing this module loads neither, and an
+encryption on Linux never maps ``cryptography``'s bindings (about 6 MB
+resident).  Both give the same bytes, and a key of another length than
+16, 24 or 32 bytes, or a counter block of another length than 16 bytes,
+raises ``ValueError`` in both.  The MAC and AES subkeys of an obfuscation
+key are derived once per key.
 
 Accepted payload checks.  In a simulated network every node that serves
 an interest checks its payload, so one payload is checked at the
@@ -205,19 +210,27 @@ LIBCRYPTO_SONAMES = ("libcrypto.so.3", "libcrypto.so.1.1")  # OpenSSL 3, then 1.
 
 @lru_cache(maxsize=None)
 def _load_libcrypto():
-    """libcrypto with its bignum calls declared, or None where none loads.
-    ``PyDLL`` keeps the GIL through each short call instead of releasing it."""
+    """libcrypto with its bignum and AES-CTR calls declared, or None where
+    none loads.  ``PyDLL`` keeps the GIL through each short call instead of
+    releasing it."""
     import ctypes
 
     ptr, data, size = ctypes.c_void_p, ctypes.c_char_p, ctypes.c_int
+    out = ctypes.POINTER(ctypes.c_ubyte)
     signatures = {
         "BN_new": (ptr, []),
         "BN_CTX_new": (ptr, []),
         "BN_MONT_CTX_new": (ptr, []),
         "BN_MONT_CTX_set": (size, [ptr, ptr, ptr]),
         "BN_bin2bn": (ptr, [data, size, ptr]),
-        "BN_bn2binpad": (size, [ptr, ctypes.POINTER(ctypes.c_ubyte), size]),
+        "BN_bn2binpad": (size, [ptr, out, size]),
         "BN_mod_exp2_mont": (size, [ptr, ptr, ptr, ptr, ptr, ptr, ptr, ptr]),
+        "EVP_aes_128_ctr": (ptr, []),
+        "EVP_aes_192_ctr": (ptr, []),
+        "EVP_aes_256_ctr": (ptr, []),
+        "EVP_CIPHER_CTX_new": (ptr, []),
+        "EVP_EncryptInit_ex": (size, [ptr, ptr, ptr, data, data]),
+        "EVP_EncryptUpdate": (size, [ptr, out, ctypes.POINTER(size), data, size]),
     }
     for soname in LIBCRYPTO_SONAMES:
         try:
@@ -439,15 +452,79 @@ def _enc_subkeys(k: bytes) -> tuple[bytes, bytes]:
     return mac_key, enc_key
 
 
-def _aes_ctr(key: bytes, iv: bytes, data: bytes) -> bytes:
-    """``data`` XOR the AES-CTR key stream of ``key`` from the counter
-    block ``iv``; a key of another length than 16, 24 or 32 bytes raises
-    ``ValueError``.  ``cryptography`` is imported on the first call, so
-    importing this module does not map its bindings."""
+AES_BLOCK = 16  # bytes of an AES block, and so of a CTR counter block
+AES_CHUNK = 4096  # bytes of AES-CTR output per libcrypto call
+
+
+def _evp_aes_ctr(lib):
+    """``aes_ctr(key, iv, data)``, AES-CTR by libcrypto's EVP interface;
+    a 16-, 24- or 32-byte key picks AES-128, -192 or -256.  Every call
+    reuses one cipher context and one output buffer, filled ``AES_CHUNK``
+    bytes at a time, under one lock, so calls from two threads cannot
+    interleave."""
+    import ctypes
+
+    ciphers = {16: lib.EVP_aes_128_ctr(), 24: lib.EVP_aes_192_ctr(), 32: lib.EVP_aes_256_ctr()}
+    ctx = lib.EVP_CIPHER_CTX_new()
+    if ctx is None or None in ciphers.values():
+        raise CryptoError("libcrypto could not set up an AES-CTR context")
+    init, update = lib.EVP_EncryptInit_ex, lib.EVP_EncryptUpdate
+    out = bytearray(AES_CHUNK)
+    out_ptr = (ctypes.c_ubyte * AES_CHUNK).from_buffer(out)
+    out_view = memoryview(out)
+    written = ctypes.c_int()
+    written_ptr = ctypes.pointer(written)
+    lock = threading.Lock()
+
+    def aes_ctr(key: bytes, iv: bytes, data: bytes) -> bytes:
+        cipher = ciphers.get(len(key))
+        if cipher is None:
+            raise ValueError(f"AES takes a 16-, 24- or 32-byte key, not {len(key)} bytes")
+        if len(iv) != AES_BLOCK:  # libcrypto reads 16 bytes whatever it is given
+            raise ValueError(f"AES-CTR takes a 16-byte counter block, not {len(iv)} bytes")
+        key, iv, data = bytes(key), bytes(iv), bytes(data)
+        with lock:
+            if not init(ctx, cipher, None, key, iv):
+                raise CryptoError("libcrypto EVP_EncryptInit_ex failed")
+            chunks = []
+            for start in range(0, len(data), AES_CHUNK):
+                chunk = data[start : start + AES_CHUNK]
+                n = len(chunk)
+                if not update(ctx, out_ptr, written_ptr, chunk, n) or written.value != n:
+                    raise CryptoError("libcrypto EVP_EncryptUpdate failed")
+                chunks.append(out_view[:n].tobytes())
+            return b"".join(chunks)
+
+    return aes_ctr
+
+
+def _cryptography_aes_ctr(key: bytes, iv: bytes, data: bytes) -> bytes:
+    """AES-CTR by the ``cryptography`` package, imported on first use."""
     from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
     enc = Cipher(algorithms.AES(key), modes.CTR(iv)).encryptor()
     return enc.update(data) + enc.finalize()
+
+
+_AES_ENGINE = None  # the aes_ctr every call uses, made on first use
+
+
+def _aes_engine():
+    """``aes_ctr``: in libcrypto where libcrypto loads, by ``cryptography``
+    otherwise."""
+    global _AES_ENGINE
+    lib = _load_libcrypto()
+    _AES_ENGINE = _evp_aes_ctr(lib) if lib else _cryptography_aes_ctr
+    return _AES_ENGINE
+
+
+def _aes_ctr(key: bytes, iv: bytes, data: bytes) -> bytes:
+    """``data`` XOR the AES-CTR key stream of ``key`` from the counter
+    block ``iv``, which counts up as one 128-bit big-endian number.  A key
+    of another length than 16, 24 or 32 bytes, or a counter block of
+    another length than 16 bytes, raises ``ValueError``.  libcrypto does
+    the work where it loads, ``cryptography`` otherwise."""
+    return (_AES_ENGINE or _aes_engine())(key, iv, data)
 
 
 def obfuscate_enc(k: bytes, suffix_components) -> bytes:

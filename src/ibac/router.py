@@ -124,6 +124,7 @@ class PitEntry:
     face: int  # where ``forwarded`` came from
     forwarded: Interest  # the record sent upstream
     created_at: float
+    upstream: int  # where ``forwarded`` went, the one face its content may come from
     waiting: list | None = None  # (iface, Interest) of each aggregated record
 
     @property
@@ -258,7 +259,7 @@ class Router:
                 RouterEvent(EventKind.DROP_INTEREST, name_bytes, reason=DropReason.NO_ROUTE)
             )
             return
-        self.pit[name_bytes] = PitEntry(in_iface, interest, now)
+        self.pit[name_bytes] = PitEntry(in_iface, interest, now, out_iface)
         self._due_by(now + self.pit_lifetime_ms)
         events.append(RouterEvent(EventKind.FORWARD_INTEREST, name_bytes, out_iface, interest))
 
@@ -369,17 +370,22 @@ class Router:
     # -- content pipeline ---------------------------------------------------
 
     def on_content(self, content: ContentObject, in_iface: int, now: float):
+        """Take content for a live PIT entry from the face its record was
+        forwarded on.  Content with no live entry, or from any other face,
+        is dropped as ``UNSOLICITED``; a live entry stays for its upstream."""
         events: list[RouterEvent] = []
         verifies = 0
         name_bytes = content.name._wire or encode_name(content.name)
-        pit = self.pit.pop(name_bytes, None)
+        pit = self.pit.get(name_bytes)
         if pit is not None and pit.created_at + self.pit_lifetime_ms <= now:
+            del self.pit[name_bytes]
             pit = None
-        if pit is None:
+        if pit is None or pit.upstream != in_iface:
             events.append(
                 RouterEvent(EventKind.DROP_CONTENT, name_bytes, reason=DropReason.UNSOLICITED)
             )
             return events, verifies
+        del self.pit[name_bytes]
 
         expires = float(content.expiry_time)
         if expires > now:
@@ -451,7 +457,7 @@ class Router:
         if pit.waiting:
             (face, successor), *rest = pit.waiting
             # re-inserted at the end, so the PIT's dict order stays creation order
-            self.pit[name_bytes] = PitEntry(face, successor, now, rest or None)
+            self.pit[name_bytes] = PitEntry(face, successor, now, in_iface, rest or None)
             self._due_by(now + self.pit_lifetime_ms)
             events.append(RouterEvent(EventKind.REFORWARD, name_bytes, in_iface, successor))
         return events, 0

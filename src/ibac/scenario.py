@@ -565,18 +565,18 @@ def build(config: ScenarioConfig) -> tuple[Simulation, BuildInfo]:
         elif spec.role == "adversary":
             pass  # added with the adversary spec below
 
-    # consumers need the producer public key when ids travel encrypted;
-    # single-producer scenarios are the only ones using that feature
-    default_public = None
-    if config.encrypted_group_ids and producers:
-        default_public = producers[min(producers)].keypair.public
+    # when ids travel encrypted, a consumer encrypts each under the key of
+    # the producer that owns the prefix it fetches from; one map serves all
+    producer_keys = {}
+    if config.encrypted_group_ids:
+        producer_keys = {p.prefix: p.keypair.public for p in producers.values()}
     for node_id, spec in consumer_specs.items():
         consumers[node_id] = sim.add_consumer(
             node_id,
             materials[spec.group],
             spec.mode,
             spec.scheme,
-            producer_public=default_public,
+            producer_public=producer_keys,
             clock_offset_ms=spec.clock_offset_ms,
         )
     if config.adversary is not None:

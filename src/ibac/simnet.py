@@ -319,6 +319,14 @@ class RunResult:
         return hits[0]
 
 
+def _missing_producer_key(consumer: str, ctx: ConsumerContext, prefix: tuple) -> str | None:
+    """Why ``consumer`` cannot fetch under ``prefix``: it encrypts group
+    ids but holds no producer key for that prefix; None when it can."""
+    if ctx.producer_public and prefix not in ctx.producer_public:
+        return f"consumer {consumer}: no producer key for the prefix {prefix!r}"
+    return None
+
+
 def _routable_prefix(name: Name, prefix) -> tuple[bytes, ...]:
     """``prefix`` as a tuple, which must be a strict leading part of ``name``."""
     prefix = tuple(prefix)
@@ -459,7 +467,7 @@ class Simulation:
             scheme=scheme,
             clock=lambda offset=clock_offset_ms: self.now + offset,
             rng=self.rng,
-            producer_public=producer_public,
+            producer_public=producer_public or {},
             content_keys=dict(content_keys or {}),
         )
         state = _ConsumerState(ctx)
@@ -516,6 +524,9 @@ class Simulation:
                 raise ConfigError(f"no routable prefix known for {name.to_uri()}")
         else:
             prefix = _routable_prefix(name, prefix)
+        problem = _missing_producer_key(consumer, rt.obj.ctx, prefix)
+        if problem:
+            raise ConfigError(problem)
         self._push(at_ms, self._do_fetch, rt, (name, prefix))
 
     def set_traffic(self, profile: TrafficProfile) -> None:
@@ -535,6 +546,12 @@ class Simulation:
         if problems:
             raise ConfigError("; ".join(problems))
         rt = self._node(profile.consumer, "consumer")
+        missing = {
+            _missing_producer_key(profile.consumer, rt.obj.ctx, prefix)
+            for pool in pools for _, prefix in pool
+        } - {None}
+        if missing:
+            raise ConfigError("; ".join(sorted(missing)))
         self._push(profile.start_ms, self._do_traffic, rt, (profile, *pools, 0))
 
     def schedule_action(self, adversary: str, action: AdversaryAction) -> int:

@@ -21,7 +21,7 @@ def make_ctx(mode=ConsumerMode.FULL, scheme=SchemeTag.ENC, seed=1, clock=lambda:
         scheme=scheme,
         clock=clock,
         rng=random.Random(rng_seed),
-        producer_public=producer_public,
+        producer_public=producer_public or {},
     )
 
 
@@ -125,7 +125,7 @@ def test_group_id_linkability_cleartext_vs_encrypted():
     ids = {interest_generation(plain_ctx, PREFIX, NAME).payload.group_id for _ in range(5)}
     assert len(ids) == 1  # cleartext ids are linkable by design
 
-    enc_ctx = make_ctx(producer_public=pair.public)
+    enc_ctx = make_ctx(producer_public={PREFIX: pair.public})
     blobs = [interest_generation(enc_ctx, PREFIX, NAME).payload for _ in range(5)]
     assert all(p.group_id_encrypted for p in blobs)
     assert len({p.group_id for p in blobs}) == 5  # pairwise distinct ciphertexts

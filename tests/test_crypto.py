@@ -8,6 +8,7 @@ import subprocess
 import sys
 import threading
 from collections import OrderedDict
+from contextlib import contextmanager
 from functools import partial
 from pathlib import Path
 from unittest import mock
@@ -53,8 +54,36 @@ def siv_oracle(k: bytes, comps) -> bytes:
     mac_key = hmac.new(k, b"mac", hashlib.sha256).digest()
     enc_key = hmac.new(k, b"enc", hashlib.sha256).digest()[: len(k)]
     tag = hmac.new(mac_key, pt, hashlib.sha256).digest()[:16]
-    enc = Cipher(algorithms.AES(enc_key), modes.CTR(tag)).encryptor()
-    return tag + enc.update(pt) + enc.finalize()
+    return tag + oracle_aes_ctr(enc_key, tag, pt)
+
+
+# ---------------------------------------------------------------------------
+# AES-CTR engines: libcrypto, and the cryptography fallback where none loads
+
+AES_ENGINES = ("libcrypto", "cryptography")
+AES_KEY_SIZES = (16, 24, 32)
+COUNTER_WRAP = b"\xff" * 16  # the counter block wraps to zero after one block
+CHUNK = crypto.AES_CHUNK
+
+
+def oracle_aes_ctr(key: bytes, iv: bytes, data: bytes) -> bytes:
+    enc = Cipher(algorithms.AES(key), modes.CTR(iv)).encryptor()
+    return enc.update(data) + enc.finalize()
+
+
+@contextmanager
+def aes_engine(engine):
+    """``_aes_ctr`` on a fresh engine: libcrypto's, or the fallback that
+    runs where no libcrypto loads.  Checks on leaving that the engine
+    was the one named."""
+    load = crypto._load_libcrypto if engine == "libcrypto" else lambda: None
+    with mock.patch.object(crypto, "_AES_ENGINE", None), \
+            mock.patch.object(crypto, "_load_libcrypto", load):
+        yield
+        used = crypto._AES_ENGINE
+        assert used is not None
+        fallback = engine == "cryptography" or crypto._load_libcrypto() is None
+        assert (used is crypto._cryptography_aes_ctr) == fallback
 
 
 # ---------------------------------------------------------------------------
@@ -147,6 +176,83 @@ def test_cross_key_separation():
     for seed in range(50):
         seen.add(obfuscate_enc(gen_group(128, seed).obfuscation_key, s))
     assert len(seen) == 50
+
+
+EDGE_LENGTHS = (0, 1, 15, 16, 17, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 17)
+
+
+@pytest.mark.parametrize("engine", AES_ENGINES)
+def test_aes_ctr_edge_lengths_and_counter_wrap_equal_cryptography(engine):
+    rng = random.Random(7)
+    with aes_engine(engine):
+        for key_size in AES_KEY_SIZES:
+            key = rng.randbytes(key_size)
+            for iv in (COUNTER_WRAP, bytes(15) + b"\xff", bytes(16)):
+                for n in EDGE_LENGTHS:
+                    data = rng.randbytes(n)
+                    assert crypto._aes_ctr(key, iv, data) == oracle_aes_ctr(key, iv, data)
+
+
+@pytest.mark.parametrize("engine", AES_ENGINES)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_aes_ctr_equals_cryptography(engine, data):
+    with aes_engine(engine):
+        for _ in range(3):  # one engine serves every call
+            key = data.draw(st.sampled_from(AES_KEY_SIZES).flatmap(
+                lambda n: st.binary(min_size=n, max_size=n)), label="key")
+            iv = data.draw(st.one_of(st.just(COUNTER_WRAP), st.binary(min_size=16, max_size=16)),
+                           label="iv")
+            n = data.draw(st.one_of(st.integers(0, 64), st.integers(CHUNK - 20, CHUNK + 20)),
+                          label="length")
+            message = random.Random(n).randbytes(n)
+            assert crypto._aes_ctr(key, iv, message) == oracle_aes_ctr(key, iv, message)
+
+
+@pytest.mark.parametrize("engine", AES_ENGINES)
+def test_a_wrong_key_or_counter_block_size_raises_value_error(engine):
+    # 16, 24 and 32 bytes are AES-128, -192 and -256, and the counter block
+    # is one 16-byte AES block; any other size is refused as cryptography
+    # refuses it, not read past its end
+    cases = [(bytes(n), bytes(16)) for n in (0, 1, 15, 17, 23, 25, 31, 33, 64)]
+    cases += [(bytes(16), bytes(n)) for n in (0, 1, 8, 15, 17, 32)]
+    with aes_engine(engine):
+        crypto._aes_ctr(bytes(16), bytes(16), b"")  # the engine exists before the refusals
+        for key, iv in cases:
+            with pytest.raises(ValueError):
+                oracle_aes_ctr(key, iv, b"x" * 40)
+            with pytest.raises(ValueError):
+                crypto._aes_ctr(key, iv, b"x" * 40)
+
+
+@pytest.mark.parametrize("engine", AES_ENGINES)
+def test_threads_sharing_the_aes_context_get_their_own_output(engine):
+    # every call reuses one cipher context and one output buffer, which one
+    # lock guards
+    wrong = []
+
+    def work(seed):
+        rng = random.Random(seed)
+        for _ in range(150):
+            key, iv = rng.randbytes(rng.choice(AES_KEY_SIZES)), rng.randbytes(16)
+            data = rng.randbytes(rng.choice([1, 40, CHUNK + 3]))
+            if crypto._aes_ctr(key, iv, data) != oracle_aes_ctr(key, iv, data):
+                wrong.append((key, iv, data))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with aes_engine(engine):
+            crypto._aes_ctr(bytes(16), bytes(16), b"")  # one engine for every thread
+            threads = [threading.Thread(target=work, args=(seed,)) for seed in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
 
 
 @pytest.mark.parametrize("key_size", [15, 16, 20, 24, 32, 40])
@@ -594,10 +700,14 @@ def test_importing_crypto_loads_no_library():
         "assert not loaded(), loaded(); "
         "assert 'ctypes' not in sys.modules, 'ctypes imported'; "
         "assert crypto._load_libcrypto.cache_info().currsize == 0, 'libcrypto loaded'; "
-        "assert not crypto._ENGINES; "
+        "assert not crypto._ENGINES and crypto._AES_ENGINE is None; "
         # hashed names need no AES, so a hashing process never maps it
         "crypto.obfuscate_hash(bytes(16), [b'ics', b'home.html']); "
-        "assert not loaded(), loaded()"
+        "assert not loaded(), loaded(); "
+        "k = bytes(16); ct = crypto.obfuscate_enc(k, [b'ics', b'home.html']); "
+        "assert crypto.deobfuscate_enc(k, ct) == [b'ics', b'home.html']; "
+        # on Linux libcrypto loads by its soname, so the round trip needs no fallback
+        "assert not sys.platform.startswith('linux') or not loaded(), loaded()"
     )
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                             text=True, timeout=60)
@@ -640,6 +750,8 @@ def test_the_libcrypto_engine_is_active_on_linux():
     group = crypto.signature_group(512)
     assert crypto.generator_power(group, 5) == pow(group.g, 5, group.p)
     assert not isinstance(crypto._ENGINES[group.p], partial)  # the fallback's
+    assert crypto._aes_ctr(bytes(16), bytes(16), b"x") == oracle_aes_ctr(bytes(16), bytes(16), b"x")
+    assert crypto._AES_ENGINE is not crypto._cryptography_aes_ctr
 
 
 @pytest.mark.parametrize("key_bits", KEY_SIZES)

@@ -39,7 +39,7 @@ def make_consumer(material, mode=ConsumerMode.FULL, scheme=SchemeTag.ENC,
         scheme=scheme,
         clock=clock,
         rng=random.Random(rng_seed),
-        producer_public=producer_public,
+        producer_public=producer_public or {},
     )
     if content_keys:
         ctx.content_keys.update(content_keys)
@@ -494,7 +494,7 @@ def test_encrypted_group_id_resolves_like_cleartext():
         fetch_interest(producer, make_consumer(material)), 1000.0
     )
     encrypted = producer.content_object_generation(
-        fetch_interest(producer, make_consumer(material, producer_public=pair.public)),
+        fetch_interest(producer, make_consumer(material, producer_public={PREFIX: pair.public})),
         2000.0,
     )
     assert clear.served and encrypted.served
@@ -509,7 +509,7 @@ def test_an_undecryptable_group_id_is_a_decrypt_failure():
     producer.register_group(material)
     published(producer, groups=[material.group_id])
     other = crypto.gen_producer_keypair(6).public
-    interest = fetch_interest(producer, make_consumer(material, producer_public=other))
+    interest = fetch_interest(producer, make_consumer(material, producer_public={PREFIX: other}))
     response = producer.content_object_generation(interest, 1000.0)
     assert (response.served, response.drop_reason) == (False, DropReason.DECRYPT_FAILURE)
     assert producer.replay_book.names == {}
@@ -723,7 +723,7 @@ class ProducerMachine(RuleBasedStateMachine):
             mode = MODE_FOR[entry.policy]
         ctx = ConsumerContext(
             group=POOL[m], mode=mode, scheme=scheme, clock=lambda: self.now + dt - lag,
-            rng=self.rng, producer_public=PAIR.public if encrypted else None,
+            rng=self.rng, producer_public={PREFIX: PAIR.public} if encrypted else {},
         )
         if entry is not None and entry.content_key is not None:
             ctx.content_keys[name.components] = entry.content_key

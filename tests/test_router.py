@@ -217,6 +217,58 @@ def test_unsolicited_content_dropped():
     assert encode_name(interest.name) not in router.cs
 
 
+def test_content_from_a_face_the_record_did_not_go_out_on_is_unsolicited():
+    # a forged copy on another face neither answers the pending record nor
+    # takes the cache: the real answer from upstream does both
+    (material,), producer, router, _ = build_world()
+    interest = fetch(material, rng_seed=1)
+    events, _ = router.on_interest(interest, in_iface=0, now=1000.0)
+    assert [(e.kind, e.iface) for e in events] == [(EventKind.FORWARD_INTEREST, 9)]
+    name_bytes = encode_name(interest.name)
+    pit = router.pit[name_bytes]
+
+    forged = ContentObject(interest.name, b"forged", (), expiry_time=2**63)
+    events, _ = router.on_content(forged, in_iface=5, now=1001.0)
+    assert [(e.kind, e.reason) for e in events] == [
+        (EventKind.DROP_CONTENT, DropReason.UNSOLICITED)
+    ]
+    assert name_bytes not in router.cs and router.pit[name_bytes] is pit
+
+    real = producer.content_object_generation(interest, 1002.0).content
+    events, verifies = router.on_content(real, in_iface=9, now=1003.0)
+    assert [(e.kind, e.iface, e.reason) for e in events] == [
+        (EventKind.CACHE_INSERT, None, None), (EventKind.FORWARD_CONTENT, 0, "verified")
+    ]
+    assert verifies == 1 and router.cs[name_bytes].content is real
+    assert name_bytes not in router.pit
+
+    later = fetch(material, rng_seed=2)
+    events, _ = router.on_interest(later, in_iface=4, now=1500.0)
+    assert [(e.kind, e.iface, e.message, e.reason) for e in events] == [
+        (EventKind.SERVE_FROM_CACHE, 4, real, "verified")
+    ]
+    events, _ = router.on_interest(Interest(interest.name), in_iface=4, now=1501.0)
+    assert [e.kind for e in events] == [EventKind.DROP_INTEREST]
+
+
+def test_a_reforwarded_record_takes_content_only_from_the_face_that_refused():
+    (material,), producer, router, _ = build_world()
+    first, second = fetch(material, rng_seed=1), fetch(material, rng_seed=2)
+    router.on_interest(first, in_iface=0, now=1000.0)
+    router.on_interest(second, in_iface=3, now=1001.0)
+    events, _ = router.on_nack(Nack(first, "BadSignature"), in_iface=7, now=1002.0)
+    assert [(e.kind, e.iface) for e in events] == [
+        (EventKind.NACKED, 0), (EventKind.REFORWARD, 7)
+    ]
+    answer = producer.content_object_generation(second, 1003.0).content
+    events, _ = router.on_content(answer, in_iface=9, now=1004.0)
+    assert [e.reason for e in events] == [DropReason.UNSOLICITED]
+    events, _ = router.on_content(answer, in_iface=7, now=1005.0)
+    assert [(e.kind, e.iface, e.reason) for e in events] == [
+        (EventKind.CACHE_INSERT, None, None), (EventKind.FORWARD_CONTENT, 3, "verified")
+    ]
+
+
 def test_two_authorized_pendings_both_served_and_pit_removed():
     (material,), producer, router, _ = build_world()
     first = fetch(material, rng_seed=1)
@@ -542,7 +594,7 @@ def test_a_batch_of_one_answers_each_hit_as_individual_does(kind):
         ctx = consumer_ctx(materials[1], clock_value=clock_value, scheme=SchemeTag.HASH,
                            rng_seed=rng_seed, content_key=shared)
         if encrypted:
-            ctx.producer_public = pair.public
+            ctx.producer_public = {PREFIX: pair.public}
         return interest_generation(ctx, PREFIX, HOME)
 
     first = interest(1, clock_value=1000.0)
@@ -603,7 +655,7 @@ def encrypted_id_world(batch_size=1, groups=2):
     def hidden(material, rng_seed):
         ctx = consumer_ctx(material, scheme=SchemeTag.HASH, rng_seed=rng_seed,
                            content_key=shared)
-        ctx.producer_public = pair.public
+        ctx.producer_public = {PREFIX: pair.public}
         return interest_generation(ctx, PREFIX, HOME)
 
     serve_and_cache(router, producer, hidden(materials[0], 1), 1000.0)
@@ -1005,7 +1057,7 @@ class RouterMachine(RuleBasedStateMachine):
         elif kind == "no_payload":
             interest = Interest(self._interest(sender).name)
         elif kind == "encrypted_group":
-            interest = self._interest(sender, producer_public=self.pair.public)
+            interest = self._interest(sender, producer_public={PREFIX: self.pair.public})
         else:
             interest = self._interest(3)
         self._send(0.0, interest, face)
@@ -1050,6 +1102,25 @@ class RouterMachine(RuleBasedStateMachine):
     @rule(dt=WAIT, data=st.data())
     def late_content(self, dt, data):
         self._take(dt, self.router.on_content, data.draw(st.sampled_from(self.contents)), 9)
+
+    @precondition(lambda self: self.contents)
+    @rule(dt=WAIT, data=st.data(), face=st.sampled_from([0, 3, 5, 9]))
+    def content_on_any_face(self, dt, data, face):
+        """Content arrives on any face.  Only from the face a live record
+        went out on does it answer that record; from any other it is
+        unsolicited, and the pending entry stays for its upstream."""
+        content = data.draw(st.sampled_from(self.contents))
+        name_bytes = encode_name(content.name)
+        pit = self.router.pit.get(name_bytes)
+        live = pit is not None and pit.created_at + self.router.pit_lifetime_ms > self.now + dt
+        events = self._take(dt, self.router.on_content, content, face)
+        if live and face == pit.upstream:
+            assert name_bytes not in self.router.pit
+        else:
+            assert [(e.kind, e.reason) for e in events] == [
+                (EventKind.DROP_CONTENT, DropReason.UNSOLICITED)
+            ]
+            assert self.router.pit.get(name_bytes) is (pit if live else None)
 
     @precondition(lambda self: self.sent)
     @rule(dt=WAIT, data=st.data(), reason=st.sampled_from(["BadSignature", "StaleTimestamp"]))

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import random
 import re
 import signal
 import subprocess
@@ -17,7 +18,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ibac import cli, kinds, scenario, simnet
+from ibac import cli, consumer, crypto, kinds, scenario, simnet
 from ibac import producer as producer_module
 from ibac.authcheck import DEFAULT_SKEW_MS
 from ibac.router import BATCH_TIMEOUT_MS, PIT_LIFETIME_MS, Router
@@ -187,6 +188,59 @@ def test_routes_cross_routers_only():
         ["cr1", "content_delivered"],
     ]
     assert len(result.deliveries) == 1 and result.drops == {}
+
+
+def two_producer_encrypted_raw():
+    """``minimal_raw`` with encrypted group ids and a second producer ``p2``
+    at ``/edu/mit`` behind ``r1``, whose content ``cr1`` also fetches."""
+    raw = minimal_raw(encrypted_group_ids=True)
+    raw["nodes"].append({"id": "p2", "role": "producer", "prefix": "/edu/mit",
+                         "tau_process_s": 0.0005, "tau_verify_s": 0.0005})
+    raw["links"].append(["r1", "p2", 10])
+    raw["contents"].append({"name": "/edu/mit/y", "groups": ["g1"], "scheme": "ENC",
+                            "policy": "FULL", "expiry_ms": 60000, "data_size": 8})
+    raw["fetches"].append({"consumer": "cr1", "name": "/edu/mit/y", "at_ms": 0})
+    return raw
+
+
+def test_encrypted_group_ids_go_under_the_key_of_the_producer_that_owns_the_prefix():
+    sim, info = scenario.build(scenario_from_dict(two_producer_encrypted_raw()))
+    keys = {p.prefix: p.keypair.public for p in info.producers.values()}
+    assert sim.nodes["cr1"].obj.ctx.producer_public == keys and len(keys) == 2
+    result = sim.run()
+    scenario.check_invariants(result, sim)
+    assert sorted(d.name.to_uri() for d in result.deliveries) == ["/edu/mit/y", "/edu/uci/x"]
+    assert result.drops == {}
+
+
+def test_a_consumer_with_no_producer_key_for_a_prefix_is_refused_at_build():
+    # the consumer encrypts group ids but holds only /edu/uci's key
+    sim = simnet.Simulation(seed=1)
+    material = crypto.gen_group(128, 1)
+    uci, mit = (b"edu", b"uci"), (b"edu", b"mit")
+    public = crypto.gen_producer_keypair(5).public
+    sim.add_consumer("c", material, "FULL", "ENC", producer_public={uci: public})
+    sim.register_content_prefix(Name.from_uri("/edu/uci/x"), uci)
+    sim.register_content_prefix(Name.from_uri("/edu/mit/y"), mit)
+    sim.schedule_fetch("c", Name.from_uri("/edu/uci/x"), 0.0)
+    refusal = "consumer c: no producer key for the prefix (b'edu', b'mit')"
+    with pytest.raises(simnet.ConfigError, match=re.escape(refusal)):
+        sim.schedule_fetch("c", Name.from_uri("/edu/mit/y"), 0.0)
+    with pytest.raises(simnet.ConfigError, match=re.escape(refusal)):
+        sim.set_traffic(simnet.TrafficProfile(
+            "c", lambda_per_s=10.0, delta=1.0, ibac_targets=["/edu/uci/x", "/edu/mit/y"]
+        ))
+
+
+def test_a_consumer_with_no_producer_key_for_a_prefix_refuses_to_build_an_interest():
+    # sending the group id in clear instead would link the member
+    ctx = consumer.ConsumerContext(
+        crypto.gen_group(128, 1), "FULL", "ENC", clock=lambda: 0.0, rng=random.Random(1),
+        producer_public={(b"edu", b"uci"): crypto.gen_producer_keypair(5).public},
+    )
+    consumer.interest_generation(ctx, (b"edu", b"uci"), Name.from_uri("/edu/uci/x"))
+    with pytest.raises(ValueError, match="no producer key"):
+        consumer.interest_generation(ctx, (b"edu", b"mit"), Name.from_uri("/edu/mit/y"))
 
 
 def test_a_consumer_that_reaches_a_producer_only_through_the_adversary_is_refused():
