@@ -319,12 +319,11 @@ class RunResult:
         return hits[0]
 
 
-def _missing_producer_key(consumer: str, ctx: ConsumerContext, prefix: tuple) -> str | None:
-    """Why ``consumer`` cannot fetch under ``prefix``: it encrypts group
-    ids but holds no producer key for that prefix; None when it can."""
+def _check_producer_key(consumer: str, ctx: ConsumerContext, prefix: tuple) -> None:
+    """Refuse a fetch under ``prefix`` by ``consumer`` that encrypts group
+    ids but holds no producer key for that prefix."""
     if ctx.producer_public and prefix not in ctx.producer_public:
-        return f"consumer {consumer}: no producer key for the prefix {prefix!r}"
-    return None
+        raise ConfigError(f"consumer {consumer}: no producer key for the prefix {prefix!r}")
 
 
 def _routable_prefix(name: Name, prefix) -> tuple[bytes, ...]:
@@ -524,9 +523,7 @@ class Simulation:
                 raise ConfigError(f"no routable prefix known for {name.to_uri()}")
         else:
             prefix = _routable_prefix(name, prefix)
-        problem = _missing_producer_key(consumer, rt.obj.ctx, prefix)
-        if problem:
-            raise ConfigError(problem)
+        _check_producer_key(consumer, rt.obj.ctx, prefix)
         self._push(at_ms, self._do_fetch, rt, (name, prefix))
 
     def set_traffic(self, profile: TrafficProfile) -> None:
@@ -546,12 +543,9 @@ class Simulation:
         if problems:
             raise ConfigError("; ".join(problems))
         rt = self._node(profile.consumer, "consumer")
-        missing = {
-            _missing_producer_key(profile.consumer, rt.obj.ctx, prefix)
-            for pool in pools for _, prefix in pool
-        } - {None}
-        if missing:
-            raise ConfigError("; ".join(sorted(missing)))
+        for pool in pools:
+            for _, prefix in pool:
+                _check_producer_key(profile.consumer, rt.obj.ctx, prefix)
         self._push(profile.start_ms, self._do_traffic, rt, (profile, *pools, 0))
 
     def schedule_action(self, adversary: str, action: AdversaryAction) -> int:
