@@ -434,14 +434,14 @@ class Router:
     def on_nack(self, nack: Nack, in_iface: int, now: float):
         """Take an upstream refusal of a forwarded record; returns (events, 0).
 
-        A NACK for the record a live PIT entry forwarded drops that record
-        (``NACKED``, which names the face it came from, so the refusal can
-        go on downstream) and forwards the next aggregated record on
-        ``in_iface``, the upstream that refused, under a fresh entry
-        lifetime (``REFORWARD``: that record's arrival already completed as
-        ``AGGREGATE``, so the re-forward is not a second interest
-        completion); with no record left the entry is deleted.  Any other
-        NACK changes nothing.
+        A NACK for the record a live PIT entry forwarded, from the face it
+        went out on, drops that record (``NACKED``, which names the face it
+        came from, so the refusal can go on downstream) and forwards the
+        next aggregated record on the same upstream face, under a fresh
+        entry lifetime (``REFORWARD``: that record's arrival already
+        completed as ``AGGREGATE``, so the re-forward is not a second
+        interest completion); with no record left the entry is deleted.
+        Any other NACK changes nothing.
         """
         refused = nack.interest
         name_bytes = refused.name._wire or encode_name(refused.name)
@@ -449,6 +449,7 @@ class Router:
         if (
             pit is None
             or pit.forwarded is not refused
+            or pit.upstream != in_iface
             or pit.created_at + self.pit_lifetime_ms <= now
         ):
             return [RouterEvent(EventKind.NACK_UNMATCHED, name_bytes, reason=nack.reason)], 0

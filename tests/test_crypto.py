@@ -194,22 +194,6 @@ def test_aes_ctr_edge_lengths_and_counter_wrap_equal_cryptography(engine):
 
 
 @pytest.mark.parametrize("engine", AES_ENGINES)
-@settings(max_examples=30, deadline=None)
-@given(data=st.data())
-def test_aes_ctr_equals_cryptography(engine, data):
-    with aes_engine(engine):
-        for _ in range(3):  # one engine serves every call
-            key = data.draw(st.sampled_from(AES_KEY_SIZES).flatmap(
-                lambda n: st.binary(min_size=n, max_size=n)), label="key")
-            iv = data.draw(st.one_of(st.just(COUNTER_WRAP), st.binary(min_size=16, max_size=16)),
-                           label="iv")
-            n = data.draw(st.one_of(st.integers(0, 64), st.integers(CHUNK - 20, CHUNK + 20)),
-                          label="length")
-            message = random.Random(n).randbytes(n)
-            assert crypto._aes_ctr(key, iv, message) == oracle_aes_ctr(key, iv, message)
-
-
-@pytest.mark.parametrize("engine", AES_ENGINES)
 def test_a_wrong_key_or_counter_block_size_raises_value_error(engine):
     # 16, 24 and 32 bytes are AES-128, -192 and -256, and the counter block
     # is one 16-byte AES block; any other size is refused as cryptography

@@ -251,19 +251,23 @@ def test_content_from_a_face_the_record_did_not_go_out_on_is_unsolicited():
     assert [e.kind for e in events] == [EventKind.DROP_INTEREST]
 
 
-def test_a_reforwarded_record_takes_content_only_from_the_face_that_refused():
+def test_only_the_upstream_face_can_nack_the_forwarded_record():
+    # a NACK from another face would otherwise drop the forwarded record
+    # and send the next one out where the NACK came from
     (material,), producer, router, _ = build_world()
     first, second = fetch(material, rng_seed=1), fetch(material, rng_seed=2)
     router.on_interest(first, in_iface=0, now=1000.0)
     router.on_interest(second, in_iface=3, now=1001.0)
-    events, _ = router.on_nack(Nack(first, "BadSignature"), in_iface=7, now=1002.0)
+    pit = router.pit[encode_name(first.name)]
+    events, _ = router.on_nack(Nack(first, "BadSignature"), in_iface=5, now=1002.0)
+    assert [e.kind for e in events] == [EventKind.NACK_UNMATCHED]
+    assert router.pit[encode_name(first.name)] is pit
+    events, _ = router.on_nack(Nack(first, "BadSignature"), in_iface=9, now=1003.0)
     assert [(e.kind, e.iface) for e in events] == [
-        (EventKind.NACKED, 0), (EventKind.REFORWARD, 7)
+        (EventKind.NACKED, 0), (EventKind.REFORWARD, 9)
     ]
-    answer = producer.content_object_generation(second, 1003.0).content
-    events, _ = router.on_content(answer, in_iface=9, now=1004.0)
-    assert [e.reason for e in events] == [DropReason.UNSOLICITED]
-    events, _ = router.on_content(answer, in_iface=7, now=1005.0)
+    answer = producer.content_object_generation(second, 1004.0).content
+    events, _ = router.on_content(answer, in_iface=9, now=1005.0)
     assert [(e.kind, e.iface, e.reason) for e in events] == [
         (EventKind.CACHE_INSERT, None, None), (EventKind.FORWARD_CONTENT, 3, "verified")
     ]
