@@ -207,6 +207,8 @@ def measure_service_rate(log, window_ms: float, node: str | None = None):
     if node is None:
         per_node: Counter = Counter()
         for line in filter(str.strip, lines):
+            if line.startswith("#"):  # a sweep log's "# delta=" point marks
+                continue
             _, n, kind, _, _ = line.split("\t")
             if kind in INTEREST_COMPLETION_KINDS:
                 per_node[n] += 1

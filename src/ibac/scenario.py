@@ -451,6 +451,8 @@ def validate(config: ScenarioConfig) -> list[str]:
             continue
         if r.content not in catalog:
             errors.append(f"rekey of {r.content}: content not in catalog")
+        elif r.content in by_class[True]:
+            errors.append(f"rekey of {r.content}: public content has no access groups")
         for gid in [*r.new_groups, *r.revoke_groups]:
             if gid not in groups:
                 errors.append(f"rekey of {r.content}: undefined group {gid!r}")

@@ -948,7 +948,13 @@ class Simulation:
         for material in new_materials:
             if material.group_id not in producer.registry:
                 producer.register_group(material)
-        producer.rekey_content(name, tuple(m.group_id for m in new_materials))
+        new_ids = tuple(m.group_id for m in new_materials)
+        key = producer.rekey_content(name, new_ids)
+        if key is not None:
+            # provisioned out of band to the new groups' members, as at publish
+            for node in self.nodes.values():
+                if node.role == "consumer" and node.obj.ctx.group.group_id in new_ids:
+                    node.obj.ctx.content_keys[name.components] = key
         self.log_event(t, rt.node_id, "rekey", encode_name(name))
 
     # -- results ---------------------------------------------------------------

@@ -5,7 +5,11 @@ length, value.  Within a container, fields appear in ascending type order
 (repeatable types stay adjacent, in list order) and non-repeatable types
 appear at most once, so records with equal fields always encode to
 identical bytes.  Routers index PIT/CS/FIB by those bytes, which makes the
-canonical encoding a correctness requirement, not a nicety.
+canonical encoding a correctness requirement, not a nicety.  Each message
+container is one table of its fields in type order (``_PAYLOAD``,
+``_INTEREST``, ``_CONTENT``, ``_NACK``), and one encoder and one decoder,
+``_Container``'s, read all four, so these rules are written once.  A name
+has a codec of its own: it is the hot path, and it takes two forms.
 
 Type codes:
 
@@ -18,7 +22,7 @@ Type codes:
     0x0024 PayloadSignature          0x0025 GroupIDEncryptedFlag (1 byte)
     0x0030 ContentData               0x0031 VerificationKeyEntry
     0x0032 ExpiryTime (8-byte BE ms) 0x0033 ProducerSignature
-    0x0040 KeyID                     0x0041 ContentObjectHash
+    0x0040 KeyID
 
 A VerificationKeyEntry value is a GroupID TLV followed by the raw key
 bytes.  A Nack holds the refused Interest TLV followed by a NackReason.
@@ -77,6 +81,7 @@ from __future__ import annotations
 import functools
 import struct
 from dataclasses import dataclass, field
+from typing import Any, Callable, NamedTuple
 
 TYPE_INTEREST = 0x0001
 TYPE_CONTENT = 0x0002
@@ -96,7 +101,6 @@ TYPE_VERIFICATION_KEY = 0x0031
 TYPE_EXPIRY_TIME = 0x0032
 TYPE_PRODUCER_SIGNATURE = 0x0033
 TYPE_KEY_ID = 0x0040
-TYPE_CONTENT_OBJECT_HASH = 0x0041
 TYPE_NACK_REASON = 0x0050
 
 MAX_VALUE_LEN = 65535
@@ -287,7 +291,6 @@ class Interest:
     name: AnyName
     payload: AuthorizationPayload | None = None
     key_id: bytes | None = None
-    content_object_hash: bytes | None = None
 
 
 @dataclass(frozen=True)
@@ -410,6 +413,7 @@ def unpack_components(blob: bytes) -> list[bytes]:
 # TLV primitives
 
 _HEADER = struct.Struct(">HH")
+_BE64 = struct.Struct(">Q")
 
 
 def _tlv(type_code: int, value: bytes) -> bytes:
@@ -435,18 +439,6 @@ def _tlvs(buf: bytes, pos: int, end: int):
             raise DecodeError("TLV length overflows container")
         yield type_code, pos, value_end
         pos = value_end
-
-
-def _decode_uint64(value: bytes, what: str) -> int:
-    if len(value) != 8:
-        raise DecodeError(f"{what} must be exactly 8 bytes")
-    return struct.unpack(">Q", value)[0]
-
-
-def _decode_flag(value: bytes) -> bool:
-    if len(value) != 1 or value[0] not in (0, 1):
-        raise DecodeError("flag must be a single 0/1 byte")
-    return bool(value[0])
 
 
 # ---------------------------------------------------------------------------
@@ -527,105 +519,6 @@ def _decode_name(buf: bytes, start: int, end: int) -> AnyName:
     return name
 
 
-# ---------------------------------------------------------------------------
-# authorization payload
-
-_PAYLOAD_TYPES = frozenset(
-    (TYPE_GROUP_ID, TYPE_NONCE, TYPE_TIMESTAMP, TYPE_PAYLOAD_SIGNATURE, TYPE_GROUP_ID_ENCRYPTED)
-)
-
-
-def _encode_payload(p: AuthorizationPayload) -> bytes:
-    body = _tlv(TYPE_GROUP_ID, p.group_id)
-    if p.nonce is not None:
-        body += _tlv(TYPE_NONCE, p.nonce)
-    if p.timestamp is not None:
-        body += _tlv(TYPE_TIMESTAMP, struct.pack(">Q", p.timestamp))
-    if p.signature is not None:
-        body += _tlv(TYPE_PAYLOAD_SIGNATURE, p.signature)
-    body += _tlv(TYPE_GROUP_ID_ENCRYPTED, bytes([int(p.group_id_encrypted)]))
-    return _tlv(TYPE_AUTH_PAYLOAD, body)
-
-
-def _decode_payload(buf: bytes, start: int, end: int) -> AuthorizationPayload:
-    seen: dict[int, bytes] = {}
-    last_type = 0
-    for type_code, vs, ve in _tlvs(buf, start, end):
-        if type_code not in _PAYLOAD_TYPES:
-            raise DecodeError(f"unknown type 0x{type_code:04x} inside payload")
-        if type_code <= last_type:
-            raise DecodeError("payload fields out of canonical order or duplicated")
-        last_type = type_code
-        seen[type_code] = buf[vs:ve]
-    if TYPE_GROUP_ID not in seen or TYPE_GROUP_ID_ENCRYPTED not in seen:
-        raise DecodeError("payload missing group id or encrypted flag")
-    try:
-        return AuthorizationPayload(
-            group_id=seen[TYPE_GROUP_ID],
-            group_id_encrypted=_decode_flag(seen[TYPE_GROUP_ID_ENCRYPTED]),
-            nonce=seen.get(TYPE_NONCE),
-            timestamp=(
-                _decode_uint64(seen[TYPE_TIMESTAMP], "timestamp")
-                if TYPE_TIMESTAMP in seen
-                else None
-            ),
-            signature=seen.get(TYPE_PAYLOAD_SIGNATURE),
-        )
-    except ValueError as exc:
-        raise DecodeError(str(exc)) from None
-
-
-# ---------------------------------------------------------------------------
-# interest
-
-
-def encode_interest(interest: Interest) -> bytes:
-    """Canonical Interest TLV."""
-    body = encode_name(interest.name)
-    if interest.payload is not None:
-        body += _encode_payload(interest.payload)
-    if interest.key_id is not None:
-        body += _tlv(TYPE_KEY_ID, interest.key_id)
-    if interest.content_object_hash is not None:
-        body += _tlv(TYPE_CONTENT_OBJECT_HASH, interest.content_object_hash)
-    out = _tlv(TYPE_INTEREST, body)
-    if len(out) > MAX_MESSAGE_LEN:
-        raise EncodeError("message exceeds 1 MiB")
-    return out
-
-
-def decode_interest(data: bytes) -> Interest:
-    type_code, start, end = _decode_top(data)
-    if type_code != TYPE_INTEREST:
-        raise DecodeError(f"expected interest, got type 0x{type_code:04x}")
-    return _decode_interest(data, start, end)
-
-
-def _decode_interest(buf: bytes, start: int, end: int) -> Interest:
-    name: AnyName | None = None
-    payload: AuthorizationPayload | None = None
-    key_id: bytes | None = None
-    co_hash: bytes | None = None
-    last_type = 0
-    for type_code, vs, ve in _tlvs(buf, start, end):
-        if type_code <= last_type:
-            raise DecodeError("interest fields out of canonical order or duplicated")
-        last_type = type_code
-        if type_code == TYPE_NAME:
-            name = _decode_name(buf, vs, ve)
-        elif type_code == TYPE_AUTH_PAYLOAD:
-            payload = _decode_payload(buf, vs, ve)
-        elif type_code == TYPE_KEY_ID:
-            key_id = buf[vs:ve]
-        elif type_code == TYPE_CONTENT_OBJECT_HASH:
-            co_hash = buf[vs:ve]
-        else:
-            raise DecodeError(f"unknown type 0x{type_code:04x} inside interest")
-    if name is None:
-        raise DecodeError("interest missing name")
-    return Interest(name, payload, key_id, co_hash)
-
-
 class SuffixTemplate:
     """Name-only interests for the obfuscated names that differ from one
     checked name only in a suffix of the same length.
@@ -662,7 +555,6 @@ class SuffixTemplate:
         _set_name(interest, name)
         _set_payload(interest, None)
         _set_key_id(interest, None)
-        _set_content_object_hash(interest, None)
         return interest
 
 
@@ -676,107 +568,160 @@ _set_name_wire = ObfuscatedName._wire.__set__
 _set_name = Interest.name.__set__
 _set_payload = Interest.payload.__set__
 _set_key_id = Interest.key_id.__set__
-_set_content_object_hash = Interest.content_object_hash.__set__
 
 
 # ---------------------------------------------------------------------------
-# content object
+# message containers
+
+
+class _Codec(NamedTuple):
+    """How one field travels: ``encode(type_code, value)`` makes the field's
+    whole TLV, and ``decode(buf, start, end)`` reads its value from
+    ``buf[start:end]``.  A ``_Container`` is the codec of a field that
+    nests it."""
+
+    encode: Callable[[int, Any], bytes]
+    decode: Callable[[bytes, int, int], Any]
+
+
+def _decode_uint64(buf: bytes, start: int, end: int) -> int:
+    if end - start != 8:
+        raise DecodeError("a uint64 field must be exactly 8 bytes")
+    return _BE64.unpack_from(buf, start)[0]
+
+
+def _decode_flag(buf: bytes, start: int, end: int) -> bool:
+    if end - start != 1 or buf[start] > 1:
+        raise DecodeError("flag must be a single 0/1 byte")
+    return buf[start] == 1
+
+
+def _decode_key_entry(buf: bytes, start: int, end: int) -> tuple[bytes, bytes]:
+    """A GroupID TLV and the raw key bytes after it; ``ContentObject``
+    refuses an empty one."""
+    type_code, vs, ve = next(_tlvs(buf, start, end), (None, start, start))
+    if type_code != TYPE_GROUP_ID:
+        raise DecodeError("verification key entry must start with a group id")
+    return buf[vs:ve], buf[ve:end]
+
+
+_BYTES = _Codec(_tlv, lambda buf, start, end: buf[start:end])
+_UINT64 = _Codec(lambda type_code, value: _tlv(type_code, _BE64.pack(value)), _decode_uint64)
+_FLAG = _Codec(lambda type_code, flag: _tlv(type_code, bytes([flag])), _decode_flag)
+_TEXT = _Codec(
+    lambda type_code, text: _tlv(type_code, text.encode()),
+    lambda buf, start, end: buf[start:end].decode(),
+)
+_NAME = _Codec(lambda type_code, name: encode_name(name), _decode_name)
+_KEY_ENTRY = _Codec(
+    lambda type_code, entry: _tlv(type_code, _tlv(TYPE_GROUP_ID, entry[0]) + entry[1]),
+    _decode_key_entry,
+)
+
+# how often a field occurs in its container
+_ONCE, _OPTIONAL, _REPEATED = "once", "optional", "repeated"
+
+
+class _Container:
+    """One container: the record it holds and a row per field, in ascending
+    type order.  A row is ``(type code, record field, codec, occurs)``.
+
+    ``encode`` and ``decode`` are the only code that walks a container, so
+    the canonical rules live here: fields in ascending type order, a
+    repeated field's entries adjacent and in list order, at most one of any
+    other field, every ``_ONCE`` field present and no unknown type.  The
+    record's constructor checks the field values, and its ``ValueError``
+    becomes ``DecodeError``.
+    """
+
+    def __init__(self, record, *rows):
+        self.record = record
+        self.rows = rows
+        self._by_type = {row[0]: row for row in rows}
+
+    def encode(self, type_code: int, record) -> bytes:
+        """The record's canonical TLV, of type ``type_code``."""
+        body = b""
+        for field_type, field_name, codec, occurs in self.rows:
+            value = getattr(record, field_name)
+            if occurs == _REPEATED:
+                body += b"".join(codec.encode(field_type, entry) for entry in value)
+            elif value is not None or occurs == _ONCE:
+                body += codec.encode(field_type, value)
+        return _tlv(type_code, body)
+
+    def decode(self, buf: bytes, start: int, end: int):
+        """The record whose canonical fields fill ``buf[start:end]``."""
+        what = self.record.__name__
+        values: dict[str, Any] = {}
+        last_type = 0
+        try:
+            for type_code, vs, ve in _tlvs(buf, start, end):
+                row = self._by_type.get(type_code)
+                if row is None:
+                    raise DecodeError(f"unknown type 0x{type_code:04x} inside {what}")
+                _, field_name, codec, occurs = row
+                if type_code < last_type or (type_code == last_type and occurs != _REPEATED):
+                    raise DecodeError(f"{what} fields out of canonical order or duplicated")
+                last_type = type_code
+                value = codec.decode(buf, vs, ve)
+                if occurs == _REPEATED:
+                    values.setdefault(field_name, []).append(value)
+                else:
+                    values[field_name] = value
+            for _, field_name, _, occurs in self.rows:
+                if occurs == _ONCE and field_name not in values:
+                    raise DecodeError(f"{what} missing {field_name}")
+            return self.record(**values)
+        except ValueError as exc:  # a constructor's check, or text that is not UTF-8
+            raise DecodeError(f"bad {what}: {exc}") from None
+
+
+_PAYLOAD = _Container(
+    AuthorizationPayload,
+    (TYPE_GROUP_ID, "group_id", _BYTES, _ONCE),
+    (TYPE_NONCE, "nonce", _BYTES, _OPTIONAL),
+    (TYPE_TIMESTAMP, "timestamp", _UINT64, _OPTIONAL),
+    (TYPE_PAYLOAD_SIGNATURE, "signature", _BYTES, _OPTIONAL),
+    (TYPE_GROUP_ID_ENCRYPTED, "group_id_encrypted", _FLAG, _ONCE),
+)
+_INTEREST = _Container(
+    Interest,
+    (TYPE_NAME, "name", _NAME, _ONCE),
+    (TYPE_AUTH_PAYLOAD, "payload", _PAYLOAD, _OPTIONAL),
+    (TYPE_KEY_ID, "key_id", _BYTES, _OPTIONAL),
+)
+_CONTENT = _Container(
+    ContentObject,
+    (TYPE_NAME, "name", _NAME, _ONCE),
+    (TYPE_CONTENT_DATA, "data", _BYTES, _ONCE),
+    (TYPE_VERIFICATION_KEY, "verification_keys", _KEY_ENTRY, _REPEATED),
+    (TYPE_EXPIRY_TIME, "expiry_time", _UINT64, _ONCE),
+    (TYPE_PRODUCER_SIGNATURE, "producer_signature", _BYTES, _ONCE),
+)
+_NACK = _Container(
+    Nack,
+    (TYPE_INTEREST, "interest", _INTEREST, _ONCE),
+    (TYPE_NACK_REASON, "reason", _TEXT, _ONCE),
+)
+
+# the message kinds, by top-level type
+_MESSAGES = {TYPE_INTEREST: _INTEREST, TYPE_CONTENT: _CONTENT, TYPE_NACK: _NACK}
+
+
+def encode_interest(interest: Interest) -> bytes:
+    """Canonical Interest TLV."""
+    return _INTEREST.encode(TYPE_INTEREST, interest)
 
 
 def encode_content(content: ContentObject) -> bytes:
     """Canonical ContentObject TLV."""
-    body = encode_name(content.name)
-    body += _tlv(TYPE_CONTENT_DATA, content.data)
-    for group_id, key in content.verification_keys:
-        body += _tlv(TYPE_VERIFICATION_KEY, _tlv(TYPE_GROUP_ID, group_id) + key)
-    body += _tlv(TYPE_EXPIRY_TIME, struct.pack(">Q", content.expiry_time))
-    body += _tlv(TYPE_PRODUCER_SIGNATURE, content.producer_signature)
-    out = _tlv(TYPE_CONTENT, body)
-    if len(out) > MAX_MESSAGE_LEN:
-        raise EncodeError("message exceeds 1 MiB")
-    return out
-
-
-def decode_content(data: bytes) -> ContentObject:
-    type_code, start, end = _decode_top(data)
-    if type_code != TYPE_CONTENT:
-        raise DecodeError(f"expected content object, got type 0x{type_code:04x}")
-    return _decode_content(data, start, end)
-
-
-def _decode_key_entry(buf: bytes, start: int, end: int) -> tuple[bytes, bytes]:
-    first = next(_tlvs(buf, start, end), None)
-    if first is None:
-        raise DecodeError("truncated TLV header")
-    type_code, vs, ve = first
-    if type_code != TYPE_GROUP_ID:
-        raise DecodeError("verification key entry must start with a group id")
-    group_id = buf[vs:ve]
-    key = buf[ve:end]
-    if not group_id or not key:
-        raise DecodeError("verification key entry needs group id and key bytes")
-    return group_id, key
-
-
-def _decode_content(buf: bytes, start: int, end: int) -> ContentObject:
-    name: AnyName | None = None
-    data: bytes | None = None
-    keys: list[tuple[bytes, bytes]] = []
-    expiry: int | None = None
-    producer_sig: bytes | None = None
-    last_type = 0
-    for type_code, vs, ve in _tlvs(buf, start, end):
-        if type_code == TYPE_VERIFICATION_KEY:
-            if last_type > TYPE_VERIFICATION_KEY:
-                raise DecodeError("content fields out of canonical order")
-            last_type = type_code
-            keys.append(_decode_key_entry(buf, vs, ve))
-            continue
-        if type_code <= last_type:
-            raise DecodeError("content fields out of canonical order or duplicated")
-        last_type = type_code
-        if type_code == TYPE_NAME:
-            name = _decode_name(buf, vs, ve)
-        elif type_code == TYPE_CONTENT_DATA:
-            data = buf[vs:ve]
-        elif type_code == TYPE_EXPIRY_TIME:
-            expiry = _decode_uint64(buf[vs:ve], "expiry time")
-        elif type_code == TYPE_PRODUCER_SIGNATURE:
-            producer_sig = buf[vs:ve]
-        else:
-            raise DecodeError(f"unknown type 0x{type_code:04x} inside content object")
-    if name is None or data is None or expiry is None or producer_sig is None:
-        raise DecodeError("content object missing mandatory field")
-    return ContentObject(name, data, tuple(keys), expiry, producer_sig)
-
-
-# ---------------------------------------------------------------------------
-# nack
+    return _CONTENT.encode(TYPE_CONTENT, content)
 
 
 def encode_nack(nack: Nack) -> bytes:
     """Canonical Nack TLV."""
-    body = encode_interest(nack.interest) + _tlv(TYPE_NACK_REASON, nack.reason.encode())
-    out = _tlv(TYPE_NACK, body)
-    if len(out) > MAX_MESSAGE_LEN:
-        raise EncodeError("message exceeds 1 MiB")
-    return out
-
-
-def _decode_nack(buf: bytes, start: int, end: int) -> Nack:
-    fields = list(_tlvs(buf, start, end))
-    if [type_code for type_code, _, _ in fields] != [TYPE_INTEREST, TYPE_NACK_REASON]:
-        raise DecodeError("a nack holds one interest followed by one reason")
-    (_, istart, iend), (_, rstart, rend) = fields
-    interest = _decode_interest(buf, istart, iend)
-    try:
-        return Nack(interest, buf[rstart:rend].decode())
-    except ValueError as exc:  # UnicodeDecodeError among them
-        raise DecodeError(f"bad nack reason: {exc}") from None
-
-
-# ---------------------------------------------------------------------------
-# top level
+    return _NACK.encode(TYPE_NACK, nack)
 
 
 def encode_message(message: Interest | ContentObject | Nack) -> bytes:
@@ -788,25 +733,28 @@ def encode_message(message: Interest | ContentObject | Nack) -> bytes:
     return encode_nack(message)
 
 
-def _decode_top(data: bytes) -> tuple[int, int, int]:
-    """Type and value span of the single TLV that is the whole message."""
+def _decode(data: bytes, expected: int | None):
+    """The message that is the single TLV ``data``, of type ``expected``
+    unless that is ``None``; its names keep their TLV bytes."""
     if len(data) > MAX_MESSAGE_LEN:
         raise DecodeError("message exceeds 1 MiB")
     top = next(_tlvs(data, 0, len(data)), None)
-    if top is None:
-        raise DecodeError("truncated TLV header")
-    if top[2] != len(data):
-        raise DecodeError("trailing bytes after message")
-    return top
+    if top is None or top[2] != len(data):
+        raise DecodeError("a message must be exactly one TLV")
+    type_code, start, end = top
+    if type_code not in _MESSAGES or expected not in (None, type_code):
+        raise DecodeError(f"unexpected top-level type 0x{type_code:04x}")
+    return _MESSAGES[type_code].decode(data, start, end)
+
+
+def decode_interest(data: bytes) -> Interest:
+    return _decode(data, TYPE_INTEREST)
+
+
+def decode_content(data: bytes) -> ContentObject:
+    return _decode(data, TYPE_CONTENT)
 
 
 def decode_message(data: bytes) -> Interest | ContentObject | Nack:
     """Decode any message kind; its names keep their TLV bytes."""
-    type_code, start, end = _decode_top(data)
-    if type_code == TYPE_INTEREST:
-        return _decode_interest(data, start, end)
-    if type_code == TYPE_CONTENT:
-        return _decode_content(data, start, end)
-    if type_code == TYPE_NACK:
-        return _decode_nack(data, start, end)
-    raise DecodeError(f"unknown top-level type 0x{type_code:04x}")
+    return _decode(data, None)

@@ -16,7 +16,7 @@ from ibac.analysis import (
     model_mu,
 )
 from ibac.consumer import ConsumerContext, ConsumerMode, interest_generation
-from ibac.scenario import load_bundled, run_sweep
+from ibac.scenario import load_bundled, run_scenario, run_sweep
 from ibac.simnet import INTEREST_COMPLETION_KINDS
 from ibac.wire import (
     AuthorizationPayload,
@@ -240,6 +240,18 @@ def test_measure_service_rate_matches_rescan_on_sweep_log():
         assert measure_service_rate(log, window_ms, node="r1") == reference_service_rate(
             log, window_ms, "r1"
         )
+
+
+def test_measure_service_rate_finds_the_busiest_node_in_a_sweep_log(tmp_path):
+    # run_scenario marks each point's lines with "# delta=...", which the
+    # busiest-node scan once split as an event line
+    config = load_bundled("service_rate_sweep")
+    config.sweep.interests_per_point = 100
+    config.sweep.deltas = [0.0, 0.5]
+    assert run_scenario(config, tmp_path) == 0
+    log = tmp_path / "emission.log"
+    assert log.read_text().count("# delta=") == 2
+    assert measure_service_rate(log, 250.0) == measure_service_rate(log, 250.0, node="r1")
 
 
 def reference_class_service_times(log, node, t0=0.0, t1=float("inf")):

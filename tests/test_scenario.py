@@ -616,6 +616,10 @@ MALFORMED = {
     "new_groups-empty": minimal_raw(
         rekeys=[{"at_ms": 500, "content": "/edu/uci/x", "new_groups": []}]
     ),
+    "rekey-of-public-content": minimal_raw(
+        contents=[{"name": "/edu/uci/x", "policy": "PUBLIC"}],
+        rekeys=[{"at_ms": 500, "content": "/edu/uci/x", "new_groups": ["g1"]}],
+    ),
     "duration_ms-huge": minimal_raw(duration_ms=10**30),
     "data_size-huge": _content_field("data_size", 10**30),
 }
@@ -648,6 +652,30 @@ def test_a_rekey_goes_to_the_producer_that_owns_the_content():
     result, _ = run_config(scenario_from_dict(raw))
     rekeys = [line.split("\t")[:3] for line in result.log_lines if "\trekey\t" in line]
     assert rekeys == [["500.000", "p1", "rekey"]]
+
+
+
+def test_a_multi_group_rekey_keys_the_groups_it_keeps():
+    # a multi-group content is obfuscated under a content-scoped key, and a
+    # rekey draws a new one: the kept groups' members once kept the old key,
+    # and the producer dropped their fetches as UnknownName
+    raw = minimal_raw(duration_ms=6000)
+    raw["nodes"][1:1] = [
+        {"id": f"c{i}", "role": "consumer", "group": f"g{i}", "mode": "FULL", "scheme": "HASH"}
+        for i in (1, 2, 3)
+    ]
+    raw["links"] += [[f"c{i}", "r1", 10] for i in (1, 2, 3)]
+    raw["groups"] = [{"id": f"g{i}", "seed": 8 + i} for i in (1, 2, 3)]
+    raw["contents"] = [{"name": "/edu/uci/shared/doc", "groups": ["g1", "g2", "g3"],
+                        "scheme": "HASH", "policy": "FULL"}]
+    raw["fetches"] = [{"consumer": c, "name": "/edu/uci/shared/doc", "at_ms": at}
+                      for c, at in (("c1", 4000), ("c2", 4100), ("c3", 4200))]
+    raw["rekeys"] = [{"at_ms": 2000, "content": "/edu/uci/shared/doc", "new_groups": ["g1", "g2"],
+                      "revoke_groups": ["g3"]}]
+    result, _ = run_config(scenario_from_dict(raw))
+    assert sorted(d.consumer for d in result.deliveries) == ["c1", "c2"]
+    # the revoked group's member still holds the old key, whose name is gone
+    assert result.drops == {("p1", "UnknownName"): 1}
 
 
 # ---------------------------------------------------------------------------

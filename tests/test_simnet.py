@@ -70,19 +70,18 @@ def test_linear_fetch_caches_at_both_routers():
 
 
 def count_decodes(monkeypatch) -> list:
-    """Record the type of every message decoded, by whichever of ``wire``'s
-    decoders: each one builds its record with ``_decode_interest`` or
-    ``_decode_content``."""
+    """Record the type of every record decoded, by whichever of ``wire``'s
+    decoders: each one builds its records, nested ones too, with
+    ``_Container.decode``."""
     decoded = []
-    for decoder in ("_decode_interest", "_decode_content"):
-        real_decode = getattr(wire, decoder)
+    real_decode = wire._Container.decode
 
-        def counting_decode(buf, start, end, real_decode=real_decode):
-            message = real_decode(buf, start, end)
-            decoded.append(type(message).__name__)
-            return message
+    def counting_decode(container, buf, start, end):
+        record = real_decode(container, buf, start, end)
+        decoded.append(type(record).__name__)
+        return record
 
-        monkeypatch.setattr(wire, decoder, counting_decode)
+    monkeypatch.setattr(wire._Container, "decode", counting_decode)
     return decoded
 
 
@@ -98,22 +97,17 @@ def test_count_decodes_sees_every_decoder(monkeypatch):
 
 
 def count_encodes(monkeypatch) -> list:
-    """Record the type of every message encoded, by whichever of ``wire``'s
-    encoders and wherever it is bound: each one encodes an interest with
-    ``encode_interest`` and a content object with ``encode_content``."""
+    """Record the type of every record encoded, by whichever of ``wire``'s
+    encoders and wherever it is bound: each one encodes its records, nested
+    ones too, with ``_Container.encode``."""
     encoded = []
-    for encoder in ("encode_interest", "encode_content", "encode_nack"):
-        real_encode = getattr(wire, encoder)
+    real_encode = wire._Container.encode
 
-        def counting_encode(message, real_encode=real_encode):
-            encoded.append(type(message).__name__)
-            return real_encode(message)
+    def counting_encode(container, type_code, record):
+        encoded.append(type(record).__name__)
+        return real_encode(container, type_code, record)
 
-        for module in list(sys.modules.values()):
-            if module.__name__.partition(".")[0] == "ibac" and (
-                getattr(module, encoder, None) is real_encode
-            ):
-                monkeypatch.setattr(module, encoder, counting_encode)
+    monkeypatch.setattr(wire._Container, "encode", counting_encode)
     return encoded
 
 

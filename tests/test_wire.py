@@ -77,7 +77,6 @@ def interests(draw):
         name,
         payload=draw(st.none() | payloads()),
         key_id=draw(st.none() | st.binary(min_size=1, max_size=32)),
-        content_object_hash=draw(st.none() | st.binary(min_size=1, max_size=32)),
     )
 
 
@@ -321,7 +320,7 @@ def _fresh(message):
     else:
         name = ObfuscatedName(name.routable_prefix, name.obfuscated_suffix, name.scheme_tag)
     if isinstance(message, Interest):
-        return Interest(name, message.payload, message.key_id, message.content_object_hash)
+        return Interest(name, message.payload, message.key_id)
     return ContentObject(
         name,
         message.data,
@@ -383,7 +382,6 @@ def built_messages(draw):
             name,
             payload=draw(st.none() | payloads()),
             key_id=draw(st.none() | st.binary(max_size=32)),
-            content_object_hash=draw(st.none() | st.binary(max_size=32)),
         )
         if kind == "interest":
             return interest
@@ -524,10 +522,44 @@ def test_duplicate_name_tlv_rejected():
 
 
 def test_unknown_type_rejected():
-    body = bytes.fromhex("00100005" "0011000161") + bytes.fromhex("7fff0000")
-    data = bytes.fromhex("0001") + len(body).to_bytes(2, "big") + body
-    with pytest.raises(DecodeError):
-        decode_interest(data)
+    # 0x0041 was ContentObjectHash, a field no node read
+    for field in ("7fff0000", "00410001aa"):
+        body = bytes.fromhex("00100005" "0011000161") + bytes.fromhex(field)
+        data = bytes.fromhex("0001") + len(body).to_bytes(2, "big") + body
+        with pytest.raises(DecodeError, match="unknown type"):
+            decode_interest(data)
+
+
+CONTAINERS = {
+    wire.TYPE_AUTH_PAYLOAD: wire._PAYLOAD,
+    wire.TYPE_INTEREST: wire._INTEREST,
+    wire.TYPE_CONTENT: wire._CONTENT,
+    wire.TYPE_NACK: wire._NACK,
+}
+NAME_TYPES = [
+    wire.TYPE_NAME,
+    wire.TYPE_NAME_COMPONENT,
+    wire.TYPE_OBFUSCATED_COMPONENT,
+    wire.TYPE_SCHEME_TAG,
+]
+
+
+def test_each_field_table_ascends_and_every_type_code_has_one_owner():
+    # a container owns its own type and each of its leaf fields' types; a
+    # field that holds a name or another container reuses that one's type
+    owned = list(CONTAINERS) + NAME_TYPES
+    for container in CONTAINERS.values():
+        types = [row[0] for row in container.rows]
+        assert types == sorted(set(types))
+        for type_code, _, codec, _ in container.rows:
+            if codec is wire._NAME:
+                assert type_code == wire.TYPE_NAME
+            elif isinstance(codec, wire._Container):
+                assert CONTAINERS[type_code] is codec
+            else:
+                owned.append(type_code)
+    constants = [value for key, value in vars(wire).items() if key.startswith("TYPE_")]
+    assert sorted(owned) == sorted(constants)
 
 
 def test_out_of_order_fields_rejected():
