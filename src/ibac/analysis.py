@@ -141,6 +141,8 @@ def bench_verification(
         raise DomainError("batch_size must be at least 1")
     if trials < 1:
         raise DomainError("trials must be at least 1")
+    if payload_bytes < 0:
+        raise DomainError("payload_bytes must not be negative")
     group = crypto.signature_group(key_bits)
     rng = random.Random(seed)
     x = rng.randrange(1, group.q)
@@ -202,7 +204,11 @@ def measure_service_rate(log, window_ms: float, node: str | None = None):
 
     Returns a list of (window_start_ms, rate_per_s) covering the node's
     completion events.  With ``node`` unset, the busiest node is measured.
+    A window that is not a finite positive number is refused with
+    ``DomainError``.
     """
+    if not 0.0 < window_ms < math.inf:
+        raise DomainError(f"window_ms must be finite and positive, got {window_ms!r}")
     lines = _read_log(log)
     if node is None:
         per_node: Counter = Counter()

@@ -100,12 +100,16 @@ def cmd_bench(args) -> int:
     results = []
     grid = itertools.product(args.key_bits, args.batch, args.sig_bytes)
     for key_bits, batch, sig_bytes in grid:
-        result = analysis.bench_verification(
-            key_bits=key_bits,
-            batch_size=batch,
-            payload_bytes=sig_bytes,
-            trials=args.trials,
-        )
+        try:
+            result = analysis.bench_verification(
+                key_bits=key_bits,
+                batch_size=batch,
+                payload_bytes=sig_bytes,
+                trials=args.trials,
+            )
+        except (analysis.DomainError, crypto.UnsupportedParameter) as exc:
+            print(exc, file=sys.stderr)
+            return 2
         results.append(result)
         line = (
             f"key={result.key_bits}b batch={result.batch_size} "

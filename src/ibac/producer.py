@@ -21,13 +21,24 @@ refuses it ``UnknownGroupKey``, which the producer answers ``UnknownGroup``.
 Replay state is the producer's ``authcheck.ReplayBook``: the check books
 each passed nonce until its timestamp leaves the content's window
 (``timestamp + lifetime``), because until then the timestamp check alone
-would let its replay through.  The simulator sweeps the book on the
-producer's expiry tick.
+would let its replay through.
+
+The simulator serves a producer through the router's service interface,
+on the one path it serves routers by.  ``on_interest`` counts the interest
+under its name bytes (``interest_counts``), runs
+``content_object_generation`` and returns ``(events, verifies)`` with one
+``RouterEvent``: ``SERVE_CONTENT``, the content to send back on the
+interest's face, reason ``verified`` after a signature check and ``plain``
+otherwise, or ``DROP_INTEREST``, which names the refused record and its
+face so that a router there can be sent a NACK.  ``on_content`` drops
+content, which a producer never asks for, as ``Unsolicited``, and
+``expire``, the producer's expiry tick, sweeps the replay book.
 
 A refusal made before any signature check (an unknown name, a missing
 payload, a group not allowed the content) is one shared, frozen
-``ProducerResponse`` per reason, so a flood of random names builds no
-response records.
+``ProducerResponse`` per reason, so ``content_object_generation`` builds no
+response record for a flood of random names.  ``on_interest`` still builds
+one event per refusal, because the event names the refused record.
 """
 
 from __future__ import annotations
@@ -43,6 +54,8 @@ from .authcheck import (
     members,
     run_authorization_check,
 )
+from .router import DropReason as RouterDrop
+from .router import EventKind, RouterEvent
 from .wire import (
     ContentObject,
     Interest,
@@ -144,6 +157,7 @@ class Producer:
         self.hash_name_map: dict[bytes, Name] = {}
         self.enc_name_map: dict[bytes, Name] = {}
         self.replay_book = ReplayBook()
+        self.interest_counts: dict[bytes, int] = {}  # name bytes -> interests taken
         self._content_key_seed = content_key_seed
         self._content_key_generation: dict[tuple[bytes, ...], int] = {}
 
@@ -299,6 +313,37 @@ class Producer:
         if entry is None or entry.scheme != SchemeTag.ENC:
             return None, DropReason.UNKNOWN_NAME
         return entry, None
+
+    # -- service, through the router's interface ----------------------------
+
+    def on_interest(self, interest: Interest, in_iface: int, now: float):
+        """Answer one interest as a router's service does; returns (events,
+        signature verifications), with the one event of the answer."""
+        name_bytes = interest.name._wire or encode_name(interest.name)
+        self.interest_counts[name_bytes] = self.interest_counts.get(name_bytes, 0) + 1
+        response = self.content_object_generation(interest, now)
+        verifies = response.verifies
+        if response.content is None:
+            reason = response.drop_reason
+            event = RouterEvent(EventKind.DROP_INTEREST, name_bytes, in_iface, interest, reason)
+        else:
+            reason = "verified" if verifies else "plain"
+            event = RouterEvent(
+                EventKind.SERVE_CONTENT, name_bytes, in_iface, response.content, reason
+            )
+        return [event], verifies
+
+    def on_content(self, content: ContentObject, in_iface: int, now: float):
+        """Drop content, which a producer never asks for; returns (events, 0)."""
+        name_bytes = content.name._wire or encode_name(content.name)
+        return [RouterEvent(EventKind.DROP_CONTENT, name_bytes, reason=RouterDrop.UNSOLICITED)], 0
+
+    def expire(self, now: float) -> list:
+        """Sweep the replay book; a producer has nothing else that expires."""
+        self.replay_book.sweep(now)
+        return []
+
+    # -- the decision ----------------------------------------------------------
 
     def content_object_generation(self, interest: Interest, now: float) -> ProducerResponse:
         """Answer one interest: resolve, authorize per policy, build the object."""

@@ -134,7 +134,8 @@ class PitEntry:
 
 
 class EventKind:
-    """What a ``RouterEvent`` did, as the emission log's kind field."""
+    """What a ``RouterEvent`` did, as the emission log's kind field; a
+    ``Producer`` answers with these events too."""
 
     SERVE_FROM_CACHE = "cs_hit_served"
     FORWARD_INTEREST = "int_forwarded"
@@ -150,6 +151,7 @@ class EventKind:
     NACKED = "int_nacked"  # the forwarded record was refused upstream
     REFORWARD = "int_reforwarded"  # the next aggregated record, sent after a NACK
     NACK_UNMATCHED = "nack_unmatched"
+    SERVE_CONTENT = "content_served"  # a producer's answer to an interest
 
 
 @dataclass(slots=True)

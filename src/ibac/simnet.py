@@ -16,13 +16,18 @@ The event queue is a heap of ``(time, seq, handler, runtime, args)``;
 ``run`` pops an entry and calls ``handler(runtime, time, *args)``, and
 ``seq`` breaks ties in time.  Handlers are methods of the simulation: the
 receiving node's ``arrive`` (set by its role), a service's completion or a
-timer's own.  A router's or producer's ``arrive``, like a batch-flush
-timer, is also its service start: it tests the node's ``busy`` flag
-itself, serves at once when the node is idle, and otherwise queues
+timer's own.  Routers and producers are served on one path.  A producer
+has the router's service interface (``on_interest``, ``on_content``,
+``expire``) and answers with ``RouterEvent``s, so both arrive through
+``_serve`` and complete through ``_done``.  ``_serve``, like a
+batch-flush timer, is the service start: it tests the node's ``busy``
+flag itself, serves at once when the node is idle, and otherwise queues
 ``(handler, args)``, which ``_next_service`` replays when the current
-service completes; a completion with nothing queued just clears ``busy``.
-A batch timer whose queue was flushed full starts no service, so
-``_next_service`` goes on to the next entry.  Protocol code
+service completes.  ``_done`` logs each event, sends the record of a
+``_SEND_KINDS`` event, counts a ``DROP_KINDS`` event and NACKs it when
+its reason is a payload refusal; with nothing queued it just clears
+``busy``.  A batch timer whose queue was flushed full starts no service,
+so ``_next_service`` goes on to the next entry.  Protocol code
 (``Router.on_interest``, ``crypto.*``) is looked up where it is called,
 never stored in an event.
 
@@ -95,8 +100,10 @@ The emission log is append-only, one line per event:
 ``time<TAB>node<TAB>kind<TAB>name-hex<TAB>reason``; ``log_event`` writes
 every line.  Router event kinds and drop and failure reasons are plain
 ``str`` constants, which go into the line and key the drop counts as they
-are.  Producer interests are counted per node by name bytes and turned
-into hex on the first read of ``RunResult.producer_interests``.
+are.  Each producer counts the interests it takes by name bytes
+(``Producer.interest_counts``); ``RunResult.producer_counts`` reads them
+per node, and ``RunResult.producer_interests`` turns them into hex on
+first read.
 
 ``run`` pauses the cyclic garbage collector for its event loop and
 restores the caller's setting when the loop ends or raises.  A run makes
@@ -120,7 +127,7 @@ from .consumer import ConsumerContext, interest_generation
 from .kinds import (BOOL, CAPTURE, FRACTION, IDS, MAX_COUNT, MAX_MS, MAX_RATE_PER_S,
                     MAX_SUFFIX_BYTES, TEXT, TIME, Choice, Num, Text, declare, config_record)
 from .producer import DropReason as ProducerDrop
-from .producer import Producer
+from .producer import Producer, ProtectionPolicy
 from .router import EventKind, Router
 from .wire import (
     AuthorizationPayload,
@@ -150,13 +157,15 @@ FORGE_PAYLOAD = "FORGE_PAYLOAD"
 NAME_PROBE = "NAME_PROBE"
 ATTACK_KINDS = (REPLAY_SAME_PATH, REPLAY_CROSS_PATH, FORGE_PAYLOAD, NAME_PROBE)
 
-# router events that put their record on a link, and those counted as drops
+# router and producer events that put their record on a link, and those
+# counted as drops
 _SEND_KINDS = frozenset(
     {
         EventKind.SERVE_FROM_CACHE,
         EventKind.FORWARD_INTEREST,
         EventKind.REFORWARD,
         EventKind.FORWARD_CONTENT,
+        EventKind.SERVE_CONTENT,
     }
 )
 DROP_KINDS = frozenset({EventKind.DROP_INTEREST, EventKind.DROP_CONTENT, EventKind.PENDING_DROP})
@@ -273,7 +282,6 @@ class _NodeRuntime:
     obj: object
     tau_process_ms: float = 0.0
     tau_verify_ms: float = 0.0
-    clock_offset_ms: float = 0.0
     arrive: object = None  # handler of a message arriving here
     busy: bool = False
     work_queue: deque = field(default_factory=deque)  # (handler, args)
@@ -289,20 +297,27 @@ class RunResult:
     log_lines: list[str]
     counters: dict
     drops: dict
-    producer_counts: dict  # node -> {name bytes: interests served or refused there}
     deliveries: list[Delivery]
     attacks: list[AttackStat]
     captured_probe_outcomes: dict
     conservation: dict
     nodes: dict
 
+    @property
+    def producer_counts(self) -> dict:
+        """node -> {name bytes: interests served or refused there}, each
+        producer's own ``interest_counts``."""
+        return {node: obj.interest_counts for node, obj in self.nodes.items()
+                if isinstance(obj, Producer)}
+
     @functools.cached_property
     def producer_interests(self) -> dict:
-        """``producer_counts`` keyed by name hex, made on first read."""
+        """The producers' interest counts keyed by ``(node, name hex)``,
+        made on first read."""
         return {
             (node, name_bytes.hex()): n
-            for node, counts in self.producer_counts.items()
-            for name_bytes, n in counts.items()
+            for node, obj in self.nodes.items() if isinstance(obj, Producer)
+            for name_bytes, n in obj.interest_counts.items()
         }
 
     def drop_total(self, reason: str | None = None) -> int:
@@ -381,7 +396,6 @@ class Simulation:
         self.log_lines: list[str] = []
         self.counters: Counter = Counter()
         self.drops: Counter = Counter()
-        self.producer_counts: dict[str, dict[bytes, int]] = {}
         self.deliveries: list[Delivery] = []
 
     # -- construction -----------------------------------------------------
@@ -390,8 +404,8 @@ class Simulation:
         if rt.node_id in self.nodes:
             raise ConfigError(f"duplicate node id {rt.node_id}")
         rt.arrive = {
-            "router": self._router_message,
-            "producer": self._producer_message,
+            "router": self._serve,
+            "producer": self._serve,
             "consumer": self._consumer_arrival,
             "adversary": self._adversary_arrival,
         }[rt.role]
@@ -447,7 +461,6 @@ class Simulation:
                 tau_verify_ms=tau_verify_s * 1000.0,
             )
         )
-        self.producer_counts[node_id] = {}
         return producer
 
     def add_consumer(
@@ -470,9 +483,7 @@ class Simulation:
             content_keys=dict(content_keys or {}),
         )
         state = _ConsumerState(ctx)
-        self._add_node(
-            _NodeRuntime(node_id, "consumer", state, clock_offset_ms=clock_offset_ms)
-        )
+        self._add_node(_NodeRuntime(node_id, "consumer", state))
         return state
 
     def add_adversary(self, node_id: str, material: crypto.GroupKeyMaterial) -> _AdversaryState:
@@ -562,8 +573,24 @@ class Simulation:
     def schedule_rekey(
         self, at_ms: float, producer: str, name: Name, new_group_materials, revoke_ids
     ) -> None:
+        """Re-publish ``name`` at ``at_ms`` under the new groups, after
+        revoking the groups ``revoke_ids``.
+
+        The content is published before its rekey is scheduled, as
+        ``scenario.build`` does.  A name outside the producer's catalog, a
+        PUBLIC content or no new group is refused here with ``ConfigError``,
+        before anything is queued, so the rekey cannot fail when it fires.
+        """
         rt = self._node(producer, "producer")
-        args = (name, tuple(new_group_materials), tuple(revoke_ids))
+        new_group_materials = tuple(new_group_materials)
+        entry = rt.obj.catalog.get(name.components)
+        if entry is None:
+            raise ConfigError(f"rekey of {name.to_uri()}: not in the catalog of {producer}")
+        if entry.policy == ProtectionPolicy.PUBLIC:
+            raise ConfigError(f"rekey of {name.to_uri()}: public content has no access groups")
+        if not new_group_materials:
+            raise ConfigError(f"rekey of {name.to_uri()}: no new group given")
+        args = (name, new_group_materials, tuple(revoke_ids))
         self._push(at_ms, self._do_rekey, rt, args)
 
     # -- event machinery ----------------------------------------------------
@@ -631,9 +658,11 @@ class Simulation:
             handler, args = rt.work_queue.popleft()
             handler(rt, t, *args)
 
-    def _router_message(self, rt: _NodeRuntime, t: float, iface: int, message) -> None:
+    def _serve(self, rt: _NodeRuntime, t: float, iface: int, message) -> None:
+        """A message arriving at a router or producer: served now if the
+        node is idle, else queued behind the service under way."""
         if rt.busy:
-            rt.work_queue.append((self._router_message, (iface, message)))
+            rt.work_queue.append((self._serve, (iface, message)))
             return
         rt.busy = True
         if isinstance(message, Interest):
@@ -644,7 +673,7 @@ class Simulation:
             events, verifies = rt.obj.on_nack(message, iface, t)
         completion = t + rt.tau_process_ms + verifies * rt.tau_verify_ms
         self._seq += 1
-        heapq.heappush(self._queue, (completion, self._seq, self._router_done, rt, (events,)))
+        heapq.heappush(self._queue, (completion, self._seq, self._done, rt, (events,)))
 
     def _batch_flush(self, rt: _NodeRuntime, t: float, key: tuple, serial: int) -> None:
         if rt.busy:
@@ -653,26 +682,12 @@ class Simulation:
         events, verifies = rt.obj.flush_batch(key, t, serial)
         if events:  # none for a stale timer, whose queue was flushed full
             rt.busy = True
-            self._push(t + verifies * rt.tau_verify_ms, self._router_done, rt, (events,))
+            self._push(t + verifies * rt.tau_verify_ms, self._done, rt, (events,))
 
-    def _producer_message(self, rt: _NodeRuntime, t: float, iface: int, message) -> None:
-        if rt.busy:
-            rt.work_queue.append((self._producer_message, (iface, message)))
-            return
-        rt.busy = True
-        name_bytes = message.name._wire
-        if isinstance(message, ContentObject):
-            self._push(t + rt.tau_process_ms, self._unsolicited_done, rt, (name_bytes,))
-            return
-        response = rt.obj.content_object_generation(message, t)
-        completion = t + rt.tau_process_ms + response.verifies * rt.tau_verify_ms
-        counts = self.producer_counts[rt.node_id]
-        counts[name_bytes] = counts.get(name_bytes, 0) + 1
-        self._seq += 1
-        args = (iface, message, response)
-        heapq.heappush(self._queue, (completion, self._seq, self._producer_done, rt, args))
-
-    def _router_done(self, rt: _NodeRuntime, at: float, events) -> None:
+    def _done(self, rt: _NodeRuntime, at: float, events) -> None:
+        """A router's or producer's service completion: log each event, send
+        its record or count its drop (NACKing a payload refusal), then start
+        the next queued service."""
         for ev in events:
             kind = ev.kind
             if kind is EventKind.BATCH_TIMER:
@@ -692,30 +707,6 @@ class Simulation:
             self._next_service(rt, at)
         else:
             rt.busy = False
-
-    def _producer_done(
-        self, rt: _NodeRuntime, at: float, iface: int, interest: Interest, response
-    ) -> None:
-        name_bytes = interest.name._wire
-        if response.served:
-            reason = "verified" if response.verifies else "plain"
-            self.log_event(at, rt.node_id, "content_served", name_bytes, reason)
-            self._send(rt, iface, response.content, at)
-        else:
-            reason = response.drop_reason
-            self.log_event(at, rt.node_id, "int_drop", name_bytes, reason)
-            self.drops[(rt.node_id, reason)] += 1
-            if reason in PAYLOAD_REFUSALS:
-                self._nack(rt, iface, interest, reason, at)
-        if rt.work_queue:
-            self._next_service(rt, at)
-        else:
-            rt.busy = False
-
-    def _unsolicited_done(self, rt: _NodeRuntime, at: float, name_bytes: bytes) -> None:
-        self.log_event(at, rt.node_id, "content_drop", name_bytes, "Unsolicited")
-        self.drops[(rt.node_id, "Unsolicited")] += 1
-        self._next_service(rt, at)
 
     def _consumer_arrival(self, rt: _NodeRuntime, t: float, iface: int, message) -> None:
         state: _ConsumerState = rt.obj
@@ -930,11 +921,8 @@ class Simulation:
         self._send(rt, chain.target_iface, message, t)
 
     def _do_expire(self, rt: _NodeRuntime, t: float) -> None:
-        if rt.role == "router":
-            for ev in rt.obj.expire(t):
-                self.log_event(t, rt.node_id, ev.kind, ev.name_bytes)
-        else:
-            rt.obj.replay_book.sweep(t)
+        for ev in rt.obj.expire(t):
+            self.log_event(t, rt.node_id, ev.kind, ev.name_bytes)
         next_t = t + self.expiry_sweep_ms
         if next_t <= self.horizon_ms:
             self._push(next_t, self._do_expire, rt)
@@ -1019,7 +1007,6 @@ class Simulation:
             log_lines=self.log_lines,
             counters=counters,
             drops=dict(self.drops),
-            producer_counts=self.producer_counts,
             deliveries=self.deliveries,
             attacks=attacks,
             captured_probe_outcomes=captured_outcomes,

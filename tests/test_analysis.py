@@ -166,6 +166,8 @@ def test_bench_rejects_bad_params():
         bench_verification(batch_size=0)
     with pytest.raises(DomainError):
         bench_verification(trials=0)
+    with pytest.raises(DomainError, match="payload_bytes"):
+        bench_verification(payload_bytes=-1)  # randbytes used to raise ValueError
 
 
 # ---------------------------------------------------------------------------
@@ -197,6 +199,14 @@ def test_measure_service_rate_empty_log():
         measure_service_rate([], window_ms=100.0)
     with pytest.raises(EmptyLog):
         measure_service_rate(["1.000\tr1\tcontent_delivered\t00\t"], window_ms=100.0, node="r1")
+
+
+@pytest.mark.parametrize("window_ms", [-5.0, 0.0, math.nan, math.inf])
+def test_measure_service_rate_refuses_a_window_that_is_not_finite_and_positive(window_ms):
+    # -5 never returned while its output grew, 0 divided by zero, and NaN
+    # gave one NaN rate
+    with pytest.raises(DomainError, match="window_ms"):
+        measure_service_rate(synth_log(), window_ms=window_ms, node="r1")
 
 
 def reference_service_rate(log, window_ms, node):

@@ -18,7 +18,8 @@ from ibac.producer import (
     ProtectionPolicy,
     UnknownGroup,
 )
-from ibac.wire import Interest, Name, SchemeTag, encode_name
+from ibac.router import EventKind
+from ibac.wire import ContentObject, Interest, Name, SchemeTag, encode_name
 from replay_reference import assert_bound_holds, full_sweep
 
 PREFIX = (b"edu", b"uci")
@@ -618,6 +619,101 @@ def test_replay_straddling_window_edge_is_refused():
     replay = producer.content_object_generation(late, 1001.0)
     assert not replay.served
     assert replay.drop_reason is FailReason.DUPLICATE_NONCE
+
+
+# ---------------------------------------------------------------------------
+# the router's service interface, through which the simulator serves a producer
+
+def test_a_served_full_interest_is_one_verified_event_on_its_face():
+    producer = make_producer()
+    material = crypto.gen_group(128, 1)
+    producer.register_group(material)
+    published(producer, groups=[material.group_id])
+    interest = fetch_interest(producer, make_consumer(material))
+    events, verifies = producer.on_interest(interest, 3, 1000.0)
+    assert verifies == 1
+    [event] = events
+    name_bytes = encode_name(interest.name)
+    assert (event.kind, event.name_bytes, event.iface, event.reason) == (
+        EventKind.SERVE_CONTENT, name_bytes, 3, "verified"
+    )
+    assert encode_name(event.message.name) == name_bytes
+    assert event.message.verification_keys == ((material.group_id, material.public_key_bytes),)
+
+
+def test_a_served_obfuscate_only_interest_is_plain_with_no_verification():
+    producer = make_producer()
+    material = crypto.gen_group(128, 1)
+    producer.register_group(material)
+    published(producer, groups=[material.group_id], policy=ProtectionPolicy.OBFUSCATE_ONLY)
+    interest = fetch_interest(producer, make_consumer(material, ConsumerMode.OBFUSCATE_ONLY))
+    events, verifies = producer.on_interest(interest, 0, 1000.0)
+    assert verifies == 0
+    [event] = events
+    assert (event.kind, event.iface, event.reason) == (EventKind.SERVE_CONTENT, 0, "plain")
+    assert event.message.data == b"payload" and event.message.verification_keys == ()
+
+
+def test_a_refusal_names_the_refused_record_and_its_face():
+    # Unauthorized depends on the payload, so the simulator NACKs it to a
+    # router on the event's face, carrying the event's record
+    producer = make_producer()
+    allowed, other = crypto.gen_group(128, 1), crypto.gen_group(128, 2)
+    producer.register_group(allowed)
+    producer.register_group(other)
+    published(producer, groups=[allowed.group_id], scheme=SchemeTag.HASH,
+              policy=ProtectionPolicy.AUTH_ONLY)
+    interest = fetch_interest(producer, make_consumer(other, ConsumerMode.AUTH_ONLY))
+    events, verifies = producer.on_interest(interest, 2, 1000.0)
+    assert verifies == 0
+    [event] = events
+    assert (event.kind, event.name_bytes, event.iface, event.reason) == (
+        EventKind.DROP_INTEREST, encode_name(interest.name), 2, DropReason.UNAUTHORIZED
+    )
+    assert event.message is interest
+
+
+def test_content_reaching_a_producer_is_dropped_unsolicited():
+    producer = make_producer()
+    content = ContentObject(HOME, b"data", (), 5000, b"sig")
+    events, verifies = producer.on_content(content, 1, 1000.0)
+    assert verifies == 0
+    assert [(e.kind, e.name_bytes, e.reason) for e in events] == [
+        (EventKind.DROP_CONTENT, encode_name(HOME), "Unsolicited")
+    ]
+    assert producer.interest_counts == {}
+
+
+def test_expire_sweeps_the_replay_book_and_returns_no_event():
+    producer = make_producer()
+    material = crypto.gen_group(128, 1)
+    producer.register_group(material)
+    published(producer, groups=[material.group_id], lifetime=1000)
+    interest = fetch_interest(producer, make_consumer(material))
+    producer.on_interest(interest, 0, 1000.0)
+    booked = {encode_name(interest.name): {interest.payload.nonce: 2000.0}}
+    assert producer.expire(1500.0) == []
+    assert producer.replay_book.names == booked  # window not yet elapsed
+    assert producer.expire(2500.0) == []
+    assert producer.replay_book.names == {}
+
+
+def test_each_interest_taken_is_counted_under_its_name_bytes():
+    producer = make_producer()
+    material = crypto.gen_group(128, 1)
+    producer.register_group(material)
+    published(producer, groups=[material.group_id])
+    ctx = make_consumer(material)
+    served = fetch_interest(producer, ctx)
+    unknown = Interest(Name.from_uri("/edu/uci/nothing"))
+    for interest in (served, unknown, served):  # the replay is counted, then refused
+        producer.on_interest(interest, 0, 1000.0)
+    assert producer.interest_counts == {
+        encode_name(served.name): 2, encode_name(unknown.name): 1
+    }
+    # the decision function alone counts nothing
+    producer.content_object_generation(fetch_interest(producer, ctx), 1000.0)
+    assert sum(producer.interest_counts.values()) == 3
 
 
 # ---------------------------------------------------------------------------

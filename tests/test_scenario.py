@@ -964,6 +964,24 @@ def test_cli_model_mu_refuses_a_non_finite_time(capsys, flag, value):
     assert (captured.out, captured.err) == ("", "service times must be finite and non-negative\n")
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--batch", "0"], "batch_size must be at least 1"),
+        (["--trials", "0"], "trials must be at least 1"),
+        (["--key-bits", "999"], "no signature group for key_bits=999"),
+        (["--sig-bytes", "-1"], "payload_bytes must not be negative"),
+    ],
+    ids=["batch-0", "trials-0", "key-bits-999", "sig-bytes-negative"],
+)
+def test_cli_bench_refuses_an_out_of_range_argument_in_one_line(capsys, argv, message):
+    # each ended in a traceback with exit 1
+    assert cli.main(["bench", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(message) and captured.err.count("\n") == 1
+
+
 def test_cli_validate_bundled(capsys):
     assert cli.main(["validate", "figure_sequence"]) == 0
     assert "OK" in capsys.readouterr().out

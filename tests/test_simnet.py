@@ -501,13 +501,13 @@ def test_a_batch_flushed_full_leaves_no_timer_for_the_next_queue(monkeypatch):
     # 1110 ms, used to flush the next queue 50 ms early, and that queue's
     # own timer then ran a service on an empty queue
     services = []
-    router_done = simnet.Simulation._router_done
+    router_done = simnet.Simulation._done
 
     def recording(self, rt, at, events):
         services.append((rt.node_id, at, len(events)))
         router_done(self, rt, at, events)
 
-    monkeypatch.setattr(simnet.Simulation, "_router_done", recording)
+    monkeypatch.setattr(simnet.Simulation, "_done", recording)
     result, _ = run_config(_batch_of_two_at_r1([0, 1000, 1005, 1050]))
     served = [float(r[0]) for r in _lines(result, "r1", "cs_hit_served")]
     assert served == [1016.0, 1016.0, 1160.5]
@@ -882,6 +882,29 @@ def test_a_node_of_the_wrong_role_is_refused_at_call_time(entry, node):
     with pytest.raises(simnet.ConfigError, match=problem):
         call(sim, node)
     assert sim._queue == queued and sim._taps == taps and sim.actions == []
+
+
+@pytest.mark.parametrize(
+    "uri, new_groups, problem",
+    [
+        ("/edu/y", True, "not in the catalog of p"),
+        ("/edu/open", True, "public content has no access groups"),
+        ("/edu/x", False, "no new group given"),
+    ],
+    ids=["uncatalogued", "public", "no-new-group"],
+)
+def test_a_rekey_that_cannot_fire_is_refused_when_scheduled(uri, new_groups, problem):
+    # each was queued, and the run ended in a KeyError or ValueError when it fired
+    sim = simnet.Simulation(seed=1)
+    material = crypto.gen_group(128, 1)
+    producer = sim.add_producer("p", Producer((b"edu",)))
+    producer.register_group(material)
+    producer.publish(CONTENT, b"x", [material.group_id], SchemeTag.HASH, 1000)
+    producer.publish(Name.from_uri("/edu/open"), b"x", [], SchemeTag.HASH, 1000, "PUBLIC")
+    with pytest.raises(simnet.ConfigError, match=problem):
+        sim.schedule_rekey(10.0, "p", Name.from_uri(uri), [material] if new_groups else [], [])
+    assert sim._queue == []
+    assert sim.run().log_lines == []
 
 
 def test_a_simulation_runs_once():
