@@ -291,6 +291,12 @@ def _parse_prefix(uri: str) -> tuple[bytes, ...]:
     return tuple(c.encode() for c in uri.strip("/").split("/") if c)
 
 
+def _owns(prefix: tuple[bytes, ...], components: tuple[bytes, ...]) -> bool:
+    """Whether a producer at ``prefix`` owns the name of ``components``: the
+    name extends the prefix by at least one component."""
+    return len(components) > len(prefix) and components[: len(prefix)] == prefix
+
+
 def _node_where(n: NodeSpec) -> str:
     # "router r1"; a node whose id or role cannot say so is named as written
     if n.role in ROLES and isinstance(n.id, str):
@@ -311,9 +317,17 @@ def validate(config: ScenarioConfig) -> list[str]:
     ):
         errors.append(f"duration_ms must be at most {MAX_SWEEP_TICKS:,} times expiry_sweep_ms")
 
-    group_ids = [
-        g.id for g in config.groups if "id" not in kinds.check(g, f"group {g.id}", errors)
-    ]
+    group_ids = []
+    seeded: dict[int, str] = {}  # seed -> the first group of it
+    for g in config.groups:
+        bad = kinds.check(g, f"group {g.id}", errors)
+        if "id" not in bad:
+            group_ids.append(g.id)
+        if not bad and seeded.setdefault(g.seed, g.id) != g.id:
+            # ``crypto.gen_group`` is deterministic in the seed: one group id
+            errors.append(
+                f"groups {seeded[g.seed]} and {g.id}: the same seed {g.seed} makes one group"
+            )
     groups = set(group_ids)
     if len(groups) != len(group_ids):
         errors.append("duplicate group ids")
@@ -339,6 +353,8 @@ def validate(config: ScenarioConfig) -> list[str]:
             errors.append(f"consumer {i}: undefined group {n.group!r}")
         elif n.role == "producer" and not n.prefix:
             errors.append(f"producer {i}: missing prefix")
+        elif n.role == "producer" and not _parse_prefix(n.prefix):
+            errors.append(f"producer {i}: prefix {n.prefix!r} names no component")
         elif n.role == "adversary" and (adv is None or adv.node != i):
             errors.append(f"adversary {i}: no adversary block names this node")
 
@@ -375,11 +391,7 @@ def validate(config: ScenarioConfig) -> list[str]:
         if "policy" not in bad:
             by_class[c.policy == "PUBLIC"].append(c.name)
         comps = _parse_prefix(c.name)
-        owners = [
-            pid
-            for pid, pref in prefixes.items()
-            if pref and comps[: len(pref)] == pref and len(comps) > len(pref)
-        ]
+        owners = [pid for pid, pref in prefixes.items() if _owns(pref, comps)]
         if len(owners) != 1:
             errors.append(
                 f"content {c.name}: must extend exactly one producer prefix (matched {owners})"
@@ -521,10 +533,7 @@ def _owner(producers: dict, name: Name) -> str:
     """The id of the producer whose prefix ``name`` extends; ``validate``
     makes it the only one."""
     return next(
-        pid
-        for pid, producer in producers.items()
-        if name.components[: len(producer.prefix)] == producer.prefix
-        and len(name.components) > len(producer.prefix)
+        pid for pid, producer in producers.items() if _owns(producer.prefix, name.components)
     )
 
 

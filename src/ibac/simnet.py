@@ -31,27 +31,39 @@ so ``_next_service`` goes on to the next entry.  Protocol code
 (``Router.on_interest``, ``crypto.*``) is looked up where it is called,
 never stored in an event.
 
-An action of ``n`` shots reserves ``n`` consecutive sequence numbers when
-it starts, and each shot schedules the next at ``at + i * interval_ms``
-under its reserved number.  With non-negative latencies, service costs
-and intervals no handler schedules an event before its own time, so every
-shot pops exactly where queueing all of them up front would, ties
-included, while the heap holds one shot per action.  The shots carry a
-``_ShotChain``: what they all share, resolved when the action starts --
-the shot handler of the action's kind (``_probe_shot``, ``_replay_shot``
-or ``_forge_shot``), the target interface, the ``KIND#index`` reason and,
-for a name probe, a ``wire.SuffixTemplate``, and for a probe of captured
-names the first capture of each.  The template is made from a name built
-by the ``ObfuscatedName`` constructor, which checks the probe's prefix
-and scheme once; each random probe then draws its suffix, and the
-template joins it to fixed bytes into a name whose bytes are memoised.
-The chain counts the shots that put an interest on the link, and
-``_result`` folds each chain's count into its action's attempts and the
-``injected`` and ``adv_injected`` counters.  The first shot sent puts
-both keys in place, so ``counters`` keeps the key order that one
-increment per shot gives, which ``summary.json`` writes.  The adversary's
-``pending`` maps each probe name to the action's one shared ``(kind,
-index)``, and holds a list only for a name pending more than once.
+An adversary action is one record, a ``_ShotChain``: ``schedule_action``
+makes it with the action, its index, its ``(kind, index)`` tag and its
+``KIND#index`` reason, and queues the action's start.  An action of ``n`` shots reserves ``n``
+consecutive sequence numbers when it starts, and each shot schedules the
+next at ``at + i * interval_ms`` under its reserved number.  With
+non-negative latencies, service costs and intervals no handler schedules
+an event before its own time, so every shot pops exactly where queueing
+all of them up front would, ties included, while the heap holds one shot
+per action.  ``_start_action`` fills in what the shots share -- the shot
+handler of the action's kind (``_probe_shot``, ``_replay_shot`` or
+``_forge_shot``), the target interface and, for a name probe, a
+``wire.SuffixTemplate``, and for a probe of captured names the first
+capture of each.  The template is made from a name built by the
+``ObfuscatedName`` constructor, which checks the probe's prefix and
+scheme once; each random probe then draws its suffix, and the template
+joins it to fixed bytes into a name whose bytes are memoised.  A replay
+or forgery shot with no capture to take logs ``adv_noop``
+(``_select_capture``).  The record counts the shots that put an interest
+on the link (``sent``) and the contents that answered them
+(``successes``).  ``_result`` reads each action's ``AttackStat`` off its
+record, in index order, and folds the sent counts into the ``injected``
+and ``adv_injected`` counters.  The first shot sent puts both keys in
+place, so ``counters`` keeps the key order that one increment per shot
+gives, which ``summary.json`` writes.
+
+Consumers and adversaries book what they wait for in one kind of book,
+a ``_WaitBook`` (``pending``): name bytes to the requests waiting for
+that name, first in first out.  A consumer books the ``Name`` it
+fetched, an adversary each shot's tag, which every random probe of an
+action shares.  The book holds a lone entry as itself and makes a list
+only for a name that waits twice, so a probe flood makes no container
+per probe.  ``_result`` counts both roles' books into the requests
+pending at the end.
 
 Links carry records only, and a run encodes and decodes no message.
 Every sender -- a consumer's fetch, a producer's content, a router's
@@ -242,36 +254,71 @@ class AttackStat:
 
 @dataclass(slots=True)
 class _ShotChain:
-    """What every shot of one adversary action shares, resolved when the
-    action starts, and the number of shots sent so far."""
+    """One scheduled adversary action: made when it is scheduled, filled in
+    with what every shot shares when it starts, and counting the shots
+    sent and the contents that answered them."""
 
     index: int
     action: AdversaryAction
-    handler: object  # the shot handler of the action's kind
-    shots: int
-    start: float
-    first_seq: int  # the first of ``shots`` reserved sequence numbers
-    target_iface: int | None  # None when the adversary has no link to the target
-    reason: str  # the ``int_sent`` line's reason, ``KIND#index``
-    probe: SuffixTemplate | None  # a NAME_PROBE's random-name interests
     tag: tuple  # ``(kind, index)``, each shot's pending entry
-    captured: list  # a NAME_PROBE's first capture of each name, else empty
+    reason: str  # the ``int_sent`` line's reason, ``KIND#index``
+    handler: object = None  # the shot handler of the action's kind
+    shots: int = 0
+    start: float = 0.0
+    first_seq: int = 0  # the first of ``shots`` reserved sequence numbers
+    target_iface: int | None = None  # None when the adversary has no link to the target
+    probe: SuffixTemplate | None = None  # a NAME_PROBE's random-name interests
+    captured: list | tuple = ()  # a NAME_PROBE's first capture of each name
     sent: int = 0  # shots that put an interest on the link
+    successes: int = 0  # contents that reached the adversary for a shot
+
+
+class _WaitBook(dict):
+    """Name bytes -> the requests waiting for that name, oldest first.  A
+    lone entry is held as itself and a list is made only for a name that
+    waits twice, so no entry may itself be a list."""
+
+    __slots__ = ()
+
+    def put(self, name_bytes: bytes, entry) -> None:
+        held = self.get(name_bytes)
+        if held is None:
+            self[name_bytes] = entry
+        elif type(held) is list:
+            held.append(entry)
+        else:
+            self[name_bytes] = [held, entry]
+
+    def take(self, name_bytes: bytes):
+        """The oldest entry waiting for ``name_bytes``, taken out of the
+        book; None when none waits."""
+        held = self.get(name_bytes)
+        if type(held) is not list:
+            if held is not None:
+                del self[name_bytes]
+            return held
+        entry = held.pop(0)
+        if not held:
+            del self[name_bytes]
+        return entry
+
+    def count(self) -> int:
+        """The entries waiting, over every name."""
+        return sum(len(held) if type(held) is list else 1 for held in self.values())
 
 
 @dataclass
 class _ConsumerState:
     ctx: ConsumerContext
     fib: dict = field(default_factory=dict)
-    outstanding: dict = field(default_factory=dict)  # name bytes -> [Name]
+    pending: _WaitBook = field(default_factory=_WaitBook)  # name bytes -> Name fetched
 
 
 @dataclass
 class _AdversaryState:
     material: crypto.GroupKeyMaterial
     captures: list = field(default_factory=list)  # tapped Interests, in order
-    pending: dict = field(default_factory=dict)  # name bytes -> (kind, idx), or a list of them
-    successes: Counter = field(default_factory=Counter)
+    pending: _WaitBook = field(default_factory=_WaitBook)  # name bytes -> a shot's tag
     captured_probe_outcomes: dict = field(default_factory=dict)  # name hex -> count
 
 
@@ -389,9 +436,7 @@ class Simulation:
         self._seq = 0
         self.nodes: dict[str, _NodeRuntime] = {}
         self._taps: dict[frozenset, tuple[_NodeRuntime, ...]] = {}
-        self.actions: list[AdversaryAction] = []
-        self._action_adversary: dict[int, str] = {}
-        self._chains: list[_ShotChain] = []
+        self._chains: list[_ShotChain] = []  # every scheduled action, by index
         self.content_prefixes: dict[tuple[bytes, ...], tuple[bytes, ...]] = {}
         self.log_lines: list[str] = []
         self.counters: Counter = Counter()
@@ -470,7 +515,6 @@ class Simulation:
         mode,
         scheme: str = SchemeTag.ENC,
         producer_public=None,
-        content_keys: dict | None = None,
         clock_offset_ms: float = 0.0,
     ) -> _ConsumerState:
         ctx = ConsumerContext(
@@ -480,7 +524,6 @@ class Simulation:
             clock=lambda offset=clock_offset_ms: self.now + offset,
             rng=self.rng,
             producer_public=producer_public or {},
-            content_keys=dict(content_keys or {}),
         )
         state = _ConsumerState(ctx)
         self._add_node(_NodeRuntime(node_id, "consumer", state))
@@ -564,10 +607,10 @@ class Simulation:
         if problems:
             raise ConfigError("; ".join(problems))
         rt = self._node(adversary, "adversary")
-        index = len(self.actions)
-        self.actions.append(action)
-        self._action_adversary[index] = adversary
-        self._push(action.at_ms, self._start_action, rt, (index,))
+        index = len(self._chains)
+        chain = _ShotChain(index, action, (action.kind, index), f"{action.kind}#{index}")
+        self._chains.append(chain)
+        self._push(action.at_ms, self._start_action, rt, (chain,))
         return index
 
     def schedule_rekey(
@@ -715,14 +758,11 @@ class Simulation:
             self.log_event(t, rt.node_id, "int_drop", name_bytes, "Unexpected")
             self.drops[(rt.node_id, "Unexpected")] += 1
             return
-        waiting = state.outstanding.get(name_bytes)
-        if not waiting:
+        requested = state.pending.take(name_bytes)
+        if requested is None:
             self.log_event(t, rt.node_id, "content_drop", name_bytes, "Unsolicited")
             self.drops[(rt.node_id, "Unsolicited")] += 1
             return
-        requested = waiting.pop(0)
-        if not waiting:
-            del state.outstanding[name_bytes]
         self.deliveries.append(Delivery(t, rt.node_id, requested, message.data))
         self.counters["delivered"] += 1
         self.log_event(t, rt.node_id, "content_delivered", name_bytes)
@@ -732,18 +772,12 @@ class Simulation:
         if isinstance(message, Interest):
             return
         name_bytes = message.name._wire
-        held = state.pending.get(name_bytes)
-        if held is None:
+        tag = state.pending.take(name_bytes)
+        if tag is None:
             self.log_event(t, rt.node_id, "content_drop", name_bytes, "Unsolicited")
             return
-        if type(held) is tuple:
-            del state.pending[name_bytes]
-            kind, index = held
-        else:
-            kind, index = held.pop(0)
-            if not held:
-                del state.pending[name_bytes]
-        state.successes[(index, kind)] += 1
+        kind, index = tag
+        self._chains[index].successes += 1
         if kind == "NAME_PROBE_CAPTURED":
             hex_name = name_bytes.hex()
             state.captured_probe_outcomes[hex_name] = (
@@ -766,7 +800,7 @@ class Simulation:
             self.drops[(rt.node_id, "NoRoute")] += 1
             self.counters["origin_drops"] += 1
             return
-        state.outstanding.setdefault(name_bytes, []).append(name)
+        state.pending.put(name_bytes, name)
         self.log_event(t, rt.node_id, "int_sent", name_bytes)
         self._send(rt, out_iface, interest, t)
 
@@ -784,18 +818,16 @@ class Simulation:
         next_t = t + self.rng.expovariate(profile.lambda_per_s / 1000.0)
         self._push(next_t, self._do_traffic, rt, (profile, ibac, public, sent + 1))
 
-    def _start_action(self, rt: _NodeRuntime, t: float, index: int) -> None:
-        """Resolve what every shot of the action shares, its kind's shot
+    def _start_action(self, rt: _NodeRuntime, t: float, chain: _ShotChain) -> None:
+        """Fill in what every shot of the action shares, its kind's shot
         handler among it, reserve a sequence number for each shot and
         schedule the first; each shot schedules the next."""
-        action = self.actions[index]
+        action = chain.action
         shots = action.count
-        probe = None
-        captured = []
         if action.kind == NAME_PROBE:
-            handler = self._probe_shot
+            chain.handler = self._probe_shot
             # the constructor checks the prefix and scheme, once per action
-            probe = SuffixTemplate(
+            chain.probe = SuffixTemplate(
                 ObfuscatedName(
                     Name.from_uri(action.probe_prefix).components,
                     bytes(action.probe_suffix_len),
@@ -803,22 +835,17 @@ class Simulation:
                 )
             )
             if action.include_captured:
-                captured = self._first_capture_of_each_name(rt.obj)
-                shots += len(captured)
+                chain.captured = self._first_capture_of_each_name(rt.obj)
+                shots += len(chain.captured)
         elif action.kind == FORGE_PAYLOAD:
-            handler = self._forge_shot
+            chain.handler = self._forge_shot
         else:
-            handler = self._replay_shot
-        target_iface = rt.iface_to.get(action.target)
-        reason = f"{action.kind}#{index}"
-        chain = _ShotChain(
-            index, action, handler, shots, t, self._seq + 1, target_iface, reason, probe,
-            (action.kind, index), captured,
-        )
+            chain.handler = self._replay_shot
+        chain.target_iface = rt.iface_to.get(action.target)
+        chain.shots, chain.start, chain.first_seq = shots, t, self._seq + 1
         self._seq += shots
-        self._chains.append(chain)
         if shots:
-            heapq.heappush(self._queue, (t, chain.first_seq, handler, rt, (chain, 0)))
+            heapq.heappush(self._queue, (t, chain.first_seq, chain.handler, rt, (chain, 0)))
 
     @staticmethod
     def _first_capture_of_each_name(state: _AdversaryState) -> list[Interest]:
@@ -828,14 +855,17 @@ class Simulation:
             seen.setdefault(capture.name._wire, capture)
         return list(seen.values())
 
-    def _select_capture(self, state: _AdversaryState, action: AdversaryAction, shot: int):
-        if not state.captures:
-            return None
+    def _select_capture(self, rt: _NodeRuntime, t: float, action: AdversaryAction, shot: int):
+        """The capture a replay or forgery shot sends again; None, logged
+        ``adv_noop``, when there is none to take."""
+        captures = rt.obj.captures
         if action.capture == "cycle":
-            return state.captures[shot % len(state.captures)]
-        if action.capture >= len(state.captures):
-            return None
-        return state.captures[action.capture]
+            if captures:
+                return captures[shot % len(captures)]
+        elif action.capture < len(captures):
+            return captures[action.capture]
+        self.log_event(t, rt.node_id, "adv_noop", b"", "no capture")
+        return None
 
     def _next_shot(self, rt: _NodeRuntime, chain: _ShotChain, shot: int) -> None:
         """Schedule the shot after ``shot``, if the action has one left,
@@ -868,20 +898,17 @@ class Simulation:
     def _replay_shot(self, rt: _NodeRuntime, t: float, chain: _ShotChain, shot: int) -> None:
         """A REPLAY_SAME_PATH or REPLAY_CROSS_PATH shot: a capture, resent as taken."""
         self._next_shot(rt, chain, shot)
-        message = self._select_capture(rt.obj, chain.action, shot)
-        if message is None:
-            self.log_event(t, rt.node_id, "adv_noop", b"", "no capture")
-            return
-        self._fire(rt, t, chain, message, message.name._wire, chain.tag)
+        message = self._select_capture(rt, t, chain.action, shot)
+        if message is not None:
+            self._fire(rt, t, chain, message, message.name._wire, chain.tag)
 
     def _forge_shot(self, rt: _NodeRuntime, t: float, chain: _ShotChain, shot: int) -> None:
         """A FORGE_PAYLOAD shot: a capture's name under a fresh payload
         signed with the adversary's own group key."""
         self._next_shot(rt, chain, shot)
         state: _AdversaryState = rt.obj
-        base = self._select_capture(state, chain.action, shot)
+        base = self._select_capture(rt, t, chain.action, shot)
         if base is None:
-            self.log_event(t, rt.node_id, "adv_noop", b"", "no capture")
             return
         name_bytes = base.name._wire
         group_id = base.payload.group_id if base.payload else state.material.group_id
@@ -903,14 +930,7 @@ class Simulation:
             raise ConfigError(
                 f"adversary {rt.node_id} has no link to action target {chain.action.target}"
             )
-        pending = rt.obj.pending
-        held = pending.get(name_bytes)
-        if held is None:
-            pending[name_bytes] = tag
-        elif type(held) is tuple:
-            pending[name_bytes] = [held, tag]
-        else:
-            held.append(tag)
+        rt.obj.pending.put(name_bytes, tag)
         if not chain.sent:
             # the keys ``_result`` folds the count into, where an increment
             # per shot would put them
@@ -948,53 +968,30 @@ class Simulation:
     # -- results ---------------------------------------------------------------
 
     def _result(self) -> RunResult:
-        # each chain's sent shots, into keys its first sent shot put in place
+        # each action's record, and its sent shots into the keys its first
+        # sent shot put in place
         counters = dict(self.counters)
-        attempts = {}
+        attacks = []
         for chain in self._chains:
-            attempts[chain.index] = chain.sent
+            action = chain.action
+            attacks.append(AttackStat(chain.index, action.kind, action.at_ms, action.label,
+                                      chain.sent, chain.successes))
             if chain.sent:
                 counters["injected"] += chain.sent
                 counters["adv_injected"] += chain.sent
-        attacks = []
-        adv_pending = 0
+        pending = 0
         captured_outcomes: dict[str, int] = {}
         for rt in self.nodes.values():
-            if rt.role != "adversary":
-                continue
-            state: _AdversaryState = rt.obj
-            adv_pending += sum(
-                1 if type(held) is tuple else len(held) for held in state.pending.values()
-            )
-            captured_outcomes.update(state.captured_probe_outcomes)
-            for index, action in enumerate(self.actions):
-                if self._action_adversary.get(index) != rt.node_id:
-                    continue
-                successes = sum(
-                    n for (i, kind), n in state.successes.items() if i == index
-                )
-                attacks.append(
-                    AttackStat(
-                        index,
-                        action.kind,
-                        action.at_ms,
-                        action.label,
-                        attempts.get(index, 0),
-                        successes,
-                    )
-                )
-        consumer_pending = sum(
-            len(waiting)
-            for rt in self.nodes.values()
-            if rt.role == "consumer"
-            for waiting in rt.obj.outstanding.values()
-        )
+            if rt.role in ("consumer", "adversary"):
+                pending += rt.obj.pending.count()
+            if rt.role == "adversary":
+                captured_outcomes.update(rt.obj.captured_probe_outcomes)
         conservation = {
             "injected": counters.get("injected", 0),
             "delivered": counters.get("delivered", 0)
             + counters.get("adv_delivered", 0),
             "origin_drops": counters.get("origin_drops", 0),
-            "pending_at_end": consumer_pending + adv_pending,
+            "pending_at_end": pending,
         }
         conservation["balanced"] = (
             conservation["injected"]

@@ -251,6 +251,21 @@ def test_a_consumer_that_reaches_a_producer_only_through_the_adversary_is_refuse
     assert err.value.errors == ["consumer cr1: no path to any producer"]
 
 
+@pytest.mark.parametrize(
+    "file, reason",
+    [
+        ("root_prefix", "producer p0: prefix '/' names no component"),
+        ("same_group_seed", "groups g1 and g2: the same seed 9 makes one group"),
+    ],
+)
+def test_a_scenario_whose_run_ended_in_a_traceback_is_refused(capsys, file, reason):
+    # each passed validation, and ``ibac run`` ended in a ValueError from
+    # ObfuscatedName (p0's empty prefix was taken as the owner of /edu/x) or
+    # in DuplicateGroup (a group's id is made from its seed alone)
+    assert cli.main(["validate", str(TESTDATA / f"{file}.yaml")]) == 1
+    assert reason in capsys.readouterr().err.splitlines()
+
+
 def test_validate_reports_in_file_order_whatever_the_hash_seed(tmp_path):
     # six unlinked consumers stamping before 0, and a content two producer
     # prefixes claim: each rule lists its nodes as the file does

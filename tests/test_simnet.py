@@ -773,6 +773,43 @@ def test_shot_counts_folded_at_the_end_equal_counts_made_per_shot(make):
     assert len(_lines(result, "adv", "adv_noop")) == 3 * (make is _replay_before_any_capture)
 
 
+def test_attack_stats_follow_the_action_index_across_adversaries():
+    # a second adversary's action comes between two of the first's; one
+    # dated past the horizon never starts and reports no attempt
+    config = scenario.load_bundled("name_probe")
+    config.adversary.actions[0].count = 20
+    sim, _ = scenario.build(config)
+    sim.add_adversary("adv2", crypto.gen_group(config.kappa, 77))
+    sim.add_link("adv2", "r1", 1.0)
+    late = simnet.AdversaryAction(simnet.FORGE_PAYLOAD, at_ms=config.duration_ms + 1, target="r1")
+    replay = simnet.AdversaryAction(simnet.REPLAY_SAME_PATH, at_ms=config.duration_ms - 100,
+                                    target="r1", count=3)
+    assert sim.schedule_action("adv2", late) == 1
+    assert sim.schedule_action("adv", replay) == 2
+    result = sim.run()
+    assert [(a.index, a.kind, a.attempts, a.successes) for a in result.attacks] == [
+        (0, simnet.NAME_PROBE, 22, 1),  # the captured OBFUSCATE_ONLY name is served
+        (1, simnet.FORGE_PAYLOAD, 0, 0),
+        (2, simnet.REPLAY_SAME_PATH, 3, 1),
+    ]
+    assert result.counters["adv_delivered"] == 2
+
+
+def test_a_wait_book_is_first_in_first_out_and_makes_a_list_only_for_a_second_entry():
+    book = simnet._WaitBook()
+    book.put(b"a", ("X", 0))
+    book.put(b"b", ("X", 1))
+    assert book == {b"a": ("X", 0), b"b": ("X", 1)}  # lone entries, held as themselves
+    book.put(b"a", ("Y", 2))
+    book.put(b"a", ("X", 0))
+    assert book[b"a"] == [("X", 0), ("Y", 2), ("X", 0)]
+    assert book.count() == 4
+    assert [book.take(b"a") for _ in range(4)] == [("X", 0), ("Y", 2), ("X", 0), None]
+    assert book == {b"b": ("X", 1)} and book.count() == 1
+    assert book.take(b"b") == ("X", 1) and book.take(b"b") is None
+    assert book == {} and book.count() == 0
+
+
 @pytest.mark.parametrize(
     "field, value",
     [("interval_ms", -5), ("at_ms", -1.0), ("count", -1), ("count", 2.5)],
@@ -881,7 +918,7 @@ def test_a_node_of_the_wrong_role_is_refused_at_call_time(entry, node):
     problem = f"unknown {role} 'zz'" if node == "zz" else f"has role {ROLES[node]}, not {role}"
     with pytest.raises(simnet.ConfigError, match=problem):
         call(sim, node)
-    assert sim._queue == queued and sim._taps == taps and sim.actions == []
+    assert sim._queue == queued and sim._taps == taps and sim._chains == []
 
 
 @pytest.mark.parametrize(
@@ -929,7 +966,7 @@ def test_no_work_is_scheduled_after_a_run(entry):
     queued, taps = list(sim._queue), dict(sim._taps)
     with pytest.raises(simnet.ConfigError, match="already run"):
         call(sim, next(node for node, r in ROLES.items() if r == role))
-    assert sim._queue == queued and sim._taps == taps and sim.actions == []
+    assert sim._queue == queued and sim._taps == taps and sim._chains == []
     assert sim.log_lines == []
 
 
