@@ -274,25 +274,7 @@ def mixture_rate_estimate(
 # -- CSV emission ----------------------------------------------------------------
 
 
-def write_mu_csv(path, rows) -> None:
-    """rows: iterable of (delta, mu_model, mu_measured)."""
-    lines = ["delta,mu_model,mu_measured"]
-    lines += [f"{d},{m},{meas}" for d, m, meas in rows]
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def write_bench_csv(path, results) -> None:
-    lines = ["key_size,batch_size,sig_size,t_individual,t_batch,improvement_pct"]
-    for r in results:
-        lines.append(
-            f"{r.key_bits},{r.batch_size},{r.payload_bytes},"
-            f"{r.t_individual_s:.6f},{r.t_batch_s:.6f},{r.improvement_pct:.1f}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def write_overhead_csv(path, rows) -> None:
-    """rows: iterable of (quantity, analytic_bytes, measured_bytes, framing_bytes)."""
-    lines = ["quantity,analytic_bytes,measured_bytes,framing_bytes"]
-    lines += [f"{q},{a},{m},{f}" for q, a, m, f in rows]
+def write_csv(path, header, rows) -> None:
+    """Write ``header`` and then each row, their fields joined by commas."""
+    lines = [",".join(header), *(",".join(map(str, row)) for row in rows)]
     Path(path).write_text("\n".join(lines) + "\n")

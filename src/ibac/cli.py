@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import json
 import os
 import random
 import sys
@@ -64,7 +63,7 @@ def cmd_run(args) -> int:
         return 2
     out_dir = _default_out(config.name, args.out)
     try:
-        code = scenario.run_scenario(config, out_dir)
+        points = scenario.run_scenario(config, out_dir)
     except scenario.InvariantViolation as exc:
         print(f"internal invariant violated: {exc}", file=sys.stderr)
         return 1
@@ -74,12 +73,12 @@ def cmd_run(args) -> int:
     if config.sweep is not None:
         # the model-vs-measured service rate per delta, as mu_model.csv holds it
         print(f"{'delta':>6} {'mu_model':>12} {'mu_measured':>12} {'rel_err':>8}")
-        for p in json.loads((out_dir / "summary.json").read_text())["sweep"]:
-            rel = abs(p["mu_measured"] - p["mu_model"]) / p["mu_model"]
-            print(f"{p['delta']:>6} {p['mu_model']:>12.4f} {p['mu_measured']:>12.4f} {rel:>7.2%}")
+        for p in points:
+            rel = abs(p.mu_measured - p.mu_model) / p.mu_model
+            print(f"{p.delta:>6} {p.mu_model:>12.4f} {p.mu_measured:>12.4f} {rel:>7.2%}")
         print(f"wrote {out_dir}/mu_model.csv")
     print(f"wrote {out_dir}/emission.log, summary.json")
-    return code
+    return 0
 
 
 def cmd_validate(args) -> int:
@@ -125,7 +124,11 @@ def cmd_bench(args) -> int:
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        analysis.write_bench_csv(out / "bench.csv", results)
+        header = ("key_size", "batch_size", "sig_size",
+                  "t_individual", "t_batch", "improvement_pct")
+        rows = [(r.key_bits, r.batch_size, r.payload_bytes, f"{r.t_individual_s:.6f}",
+                 f"{r.t_batch_s:.6f}", f"{r.improvement_pct:.1f}") for r in results]
+        analysis.write_csv(out / "bench.csv", header, rows)
         print(f"wrote {out / 'bench.csv'}")
     return 0
 
@@ -194,7 +197,8 @@ def cmd_overhead_table(args) -> int:
             return 1
     out = _default_out("overhead", args.out)
     out.mkdir(parents=True, exist_ok=True)
-    analysis.write_overhead_csv(out / "overhead.csv", rows)
+    header = ("quantity", "analytic_bytes", "measured_bytes", "framing_bytes")
+    analysis.write_csv(out / "overhead.csv", header, rows)
     print(f"wrote {out / 'overhead.csv'}")
     return 0
 

@@ -21,7 +21,7 @@ import hashlib
 import json
 import math
 from collections import Counter, deque
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from importlib import resources
 from pathlib import Path
 
@@ -443,6 +443,11 @@ def validate(config: ScenarioConfig) -> list[str]:
         bad = kinds.check(adv, "adversary", errors)
         if "node" not in bad and adv.node not in by_role["adversary"]:
             errors.append(kinds.refusal(adv, "node", "adversary"))
+        if "keypair_seed" not in bad and adv.keypair_seed in seeded:
+            errors.append(
+                f"adversary: keypair_seed {adv.keypair_seed} is group"
+                f" {seeded[adv.keypair_seed]}'s seed, so it holds that group's keys"
+            )
         for a, b in () if "taps" in bad else adv.taps:
             if frozenset((a, b)) not in linked:
                 errors.append(f"adversary tap ({a}, {b}): no such link")
@@ -812,34 +817,23 @@ def run_sweep(config: ScenarioConfig) -> tuple[list[SweepPoint], list[RunResult]
 # -- output ------------------------------------------------------------------------
 
 
+def _by_node(counts: dict) -> dict[str, dict]:
+    """``{(node, key): n}`` nested as ``{node: {key: n}}``, in key order."""
+    nested: dict[str, dict] = {}
+    for (node, key), n in sorted(counts.items()):
+        nested.setdefault(node, {})[key] = n
+    return nested
+
+
 def summarize(result: RunResult, config: ScenarioConfig) -> dict:
-    drops_nested: dict[str, dict[str, int]] = {}
-    for (node, reason), count in sorted(result.drops.items()):
-        drops_nested.setdefault(node, {})[reason] = count
-    producer_nested: dict[str, dict[str, int]] = {}
-    for (node, name_hex), count in sorted(result.producer_interests.items()):
-        producer_nested.setdefault(node, {})[name_hex] = count
-    delivered_by_consumer: Counter = Counter()
-    for d in result.deliveries:
-        delivered_by_consumer[d.consumer] += 1
     return {
         "scenario": config.name,
         "seed": result.seed,
         "counters": result.counters,
-        "drops": drops_nested,
-        "producer_interests": producer_nested,
-        "delivered_by_consumer": dict(delivered_by_consumer),
-        "attacks": [
-            {
-                "index": a.index,
-                "kind": a.kind,
-                "at_ms": a.at_ms,
-                "label": a.label,
-                "attempts": a.attempts,
-                "successes": a.successes,
-            }
-            for a in result.attacks
-        ],
+        "drops": _by_node(result.drops),
+        "producer_interests": _by_node(result.producer_interests),
+        "delivered_by_consumer": dict(Counter(d.consumer for d in result.deliveries)),
+        "attacks": [asdict(a) for a in result.attacks],
         "captured_probe_outcomes": result.captured_probe_outcomes,
         "conservation": result.conservation,
     }
@@ -850,45 +844,30 @@ def write_outputs(result: RunResult, config: ScenarioConfig, out_dir) -> None:
     out.mkdir(parents=True, exist_ok=True)
     (out / "emission.log").write_text("\n".join(result.log_lines) + "\n")
     (out / "summary.json").write_text(json.dumps(summarize(result, config), indent=2) + "\n")
-    lines = ["metric,node,detail,value"]
-    for (node, reason), count in sorted(result.drops.items()):
-        lines.append(f"drop,{node},{reason},{count}")
-    for (node, name_hex), count in sorted(result.producer_interests.items()):
-        lines.append(f"producer_interest,{node},{name_hex},{count}")
-    for key, value in sorted(result.counters.items()):
-        lines.append(f"counter,,{key},{value}")
-    (out / "metrics.csv").write_text("\n".join(lines) + "\n")
+    drops = [("drop", node, reason, n) for (node, reason), n in sorted(result.drops.items())]
+    interests = [("producer_interest", node, name_hex, n)
+                 for (node, name_hex), n in sorted(result.producer_interests.items())]
+    counters = [("counter", "", key, value) for key, value in sorted(result.counters.items())]
+    analysis.write_csv(out / "metrics.csv", ("metric", "node", "detail", "value"),
+                       [*drops, *interests, *counters])
 
 
-def run_scenario(config: ScenarioConfig, out_dir) -> int:
-    """Execute one scenario (or its sweep) and write all artifacts; 0 on success."""
+def run_scenario(config: ScenarioConfig, out_dir) -> list[SweepPoint]:
+    """Execute one scenario (or its sweep) and write all artifacts; returns
+    the sweep points written, none for a run without a sweep."""
     out = Path(out_dir)
-    if config.sweep is not None:
-        points, results = run_sweep(config)
-        out.mkdir(parents=True, exist_ok=True)
-        analysis.write_mu_csv(
-            out / "mu_model.csv",
-            [(p.delta, p.mu_model, p.mu_measured) for p in points],
-        )
-        merged_lines = []
-        for point, result in zip(points, results):
-            merged_lines += [f"# delta={point.delta}"] + result.log_lines
-        (out / "emission.log").write_text("\n".join(merged_lines) + "\n")
-        summary = {
-            "scenario": config.name,
-            "seed": config.seed,
-            "sweep": [
-                {
-                    "delta": p.delta,
-                    "mu_model": p.mu_model,
-                    "mu_measured": p.mu_measured,
-                    "completions": p.completions,
-                }
-                for p in points
-            ],
-        }
-        (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
-        return 0
-    result, _ = run_config(config)
-    write_outputs(result, config, out)
-    return 0
+    if config.sweep is None:
+        result, _ = run_config(config)
+        write_outputs(result, config, out)
+        return []
+    points, results = run_sweep(config)
+    out.mkdir(parents=True, exist_ok=True)
+    analysis.write_csv(out / "mu_model.csv", ("delta", "mu_model", "mu_measured"),
+                       [(p.delta, p.mu_model, p.mu_measured) for p in points])
+    merged_lines = []
+    for point, result in zip(points, results):
+        merged_lines += [f"# delta={point.delta}"] + result.log_lines
+    (out / "emission.log").write_text("\n".join(merged_lines) + "\n")
+    summary = {"scenario": config.name, "seed": config.seed, "sweep": [asdict(p) for p in points]}
+    (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
+    return points

@@ -104,18 +104,20 @@ Each call that schedules work for a named node (``add_tap``,
 ``schedule_fetch``, ``set_traffic``, ``schedule_action``,
 ``schedule_rekey``) looks the node up with ``_node``, which raises
 ``ConfigError`` for an unknown id or a node of another role before
-anything is queued.  A simulation runs once: after ``run``, ``_node`` and
-``run`` itself raise ``ConfigError``, since work dated before the run's
-end would otherwise be replayed after it by a second ``run``.
+anything is queued.  ``run`` refuses an action whose adversary has no
+link to its target with ``ConfigError`` before any event, so the link
+can still be added and the simulation run.  A simulation runs once: after
+``run``, ``_node`` and ``run`` itself raise ``ConfigError``, since work
+dated before the run's end would otherwise be replayed after it by a
+second ``run``.
 
 The emission log is append-only, one line per event:
 ``time<TAB>node<TAB>kind<TAB>name-hex<TAB>reason``; ``log_event`` writes
 every line.  Router event kinds and drop and failure reasons are plain
 ``str`` constants, which go into the line and key the drop counts as they
 are.  Each producer counts the interests it takes by name bytes
-(``Producer.interest_counts``); ``RunResult.producer_counts`` reads them
-per node, and ``RunResult.producer_interests`` turns them into hex on
-first read.
+(``Producer.interest_counts``), and ``RunResult.producer_interests``
+turns them into hex on first read.
 
 ``run`` pauses the cyclic garbage collector for its event loop and
 restores the caller's setting when the loop ends or raises.  A run makes
@@ -259,6 +261,7 @@ class _ShotChain:
     sent and the contents that answered them."""
 
     index: int
+    adversary: str  # the id of the adversary that fires it
     action: AdversaryAction
     tag: tuple  # ``(kind, index)``, each shot's pending entry
     reason: str  # the ``int_sent`` line's reason, ``KIND#index``
@@ -266,7 +269,7 @@ class _ShotChain:
     shots: int = 0
     start: float = 0.0
     first_seq: int = 0  # the first of ``shots`` reserved sequence numbers
-    target_iface: int | None = None  # None when the adversary has no link to the target
+    target_iface: int = 0  # the adversary's face toward the action's target
     probe: SuffixTemplate | None = None  # a NAME_PROBE's random-name interests
     captured: list | tuple = ()  # a NAME_PROBE's first capture of each name
     sent: int = 0  # shots that put an interest on the link
@@ -349,13 +352,6 @@ class RunResult:
     captured_probe_outcomes: dict
     conservation: dict
     nodes: dict
-
-    @property
-    def producer_counts(self) -> dict:
-        """node -> {name bytes: interests served or refused there}, each
-        producer's own ``interest_counts``."""
-        return {node: obj.interest_counts for node, obj in self.nodes.items()
-                if isinstance(obj, Producer)}
 
     @functools.cached_property
     def producer_interests(self) -> dict:
@@ -608,7 +604,8 @@ class Simulation:
             raise ConfigError("; ".join(problems))
         rt = self._node(adversary, "adversary")
         index = len(self._chains)
-        chain = _ShotChain(index, action, (action.kind, index), f"{action.kind}#{index}")
+        chain = _ShotChain(index, adversary, action, (action.kind, index),
+                           f"{action.kind}#{index}")
         self._chains.append(chain)
         self._push(action.at_ms, self._start_action, rt, (chain,))
         return index
@@ -668,6 +665,10 @@ class Simulation:
     def run(self) -> RunResult:
         if self._ran:
             raise ConfigError("the simulation has already run")
+        for chain in self._chains:
+            if chain.action.target not in self.nodes[chain.adversary].iface_to:
+                raise ConfigError(f"adversary {chain.adversary} has no link to action"
+                                  f" target {chain.action.target}")
         self._ran = True
         for rt in self.nodes.values():
             if rt.role in ("router", "producer"):
@@ -841,7 +842,7 @@ class Simulation:
             chain.handler = self._forge_shot
         else:
             chain.handler = self._replay_shot
-        chain.target_iface = rt.iface_to.get(action.target)
+        chain.target_iface = rt.iface_to[action.target]
         chain.shots, chain.start, chain.first_seq = shots, t, self._seq + 1
         self._seq += shots
         if shots:
@@ -926,10 +927,6 @@ class Simulation:
     def _fire(self, rt: _NodeRuntime, t: float, chain: _ShotChain, message: Interest,
               name_bytes: bytes, tag: tuple) -> None:
         """Send one shot's interest to the action's target, pending as ``tag``."""
-        if chain.target_iface is None:
-            raise ConfigError(
-                f"adversary {rt.node_id} has no link to action target {chain.action.target}"
-            )
         rt.obj.pending.put(name_bytes, tag)
         if not chain.sent:
             # the keys ``_result`` folds the count into, where an increment

@@ -40,6 +40,6 @@ def test_bundled_emission_log_digest(name):
 
 @pytest.mark.parametrize("name", sorted(OUTPUTS))
 def test_bundled_summary_and_metrics_digests(name, tmp_path):
-    assert scenario.run_scenario(scenario.load_bundled(name), tmp_path) == 0
+    assert scenario.run_scenario(scenario.load_bundled(name), tmp_path) == []
     for output, digest in OUTPUTS[name].items():
         assert hashlib.sha256((tmp_path / output).read_bytes()).hexdigest() == digest, output

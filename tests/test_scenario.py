@@ -266,6 +266,22 @@ def test_a_scenario_whose_run_ended_in_a_traceback_is_refused(capsys, file, reas
     assert reason in capsys.readouterr().err.splitlines()
 
 
+def test_an_adversary_seeded_with_a_groups_seed_is_refused(capsys):
+    # a group's keys are made from its seed alone: with g1's seed the adversary
+    # held g1's signing key, and each of forgery's 1000 forged payloads verified
+    assert cli.main(["validate", str(TESTDATA / "insider_keypair_seed.yaml")]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "adversary: keypair_seed 401 is group g1's seed, so it holds that group's keys"
+    ]
+    config = load_bundled("forgery")
+    assert scenario.validate(config) == []
+    config.adversary.keypair_seed = 401
+    config.groups[0].id = 7  # the rule reads only groups whose fields are of their kind
+    errors = scenario.validate(config)
+    assert "group 7: id must be a string" in errors
+    assert not [e for e in errors if "keypair_seed" in e]
+
+
 def test_validate_reports_in_file_order_whatever_the_hash_seed(tmp_path):
     # six unlinked consumers stamping before 0, and a content two producer
     # prefixes claim: each rule lists its nodes as the file does
@@ -521,6 +537,34 @@ def test_traffic_and_seed_fields_are_validated(raw, message):
 
 def test_sweep_raw_is_valid():
     assert scenario_from_dict(sweep_raw()).sweep.router == "r1"
+
+
+def _edited(raw, edit):
+    edit(raw)
+    return raw
+
+
+@pytest.mark.parametrize(
+    "raw, message",
+    [
+        (_edited(minimal_raw(), lambda r: r["nodes"].append(dict(r["nodes"][1]))),
+         "duplicate node ids"),
+        (_edited(minimal_raw(), lambda r: r["groups"].append({"id": "g1", "seed": 10})),
+         "duplicate group ids"),
+        (_edited(minimal_raw(), lambda r: r["contents"].append(dict(r["contents"][0]))),
+         "content /edu/uci/x: duplicated"),
+        (_edited(sweep_raw(), lambda r: r["contents"][1].update(groups=["g1"])),
+         "content /edu/uci/pub: public content cannot list groups"),
+        (_edited(sweep_raw(), lambda r: r.pop("traffic")), "sweep: requires a traffic profile"),
+        (minimal_raw(expiry_sweep_ms=0.001),
+         "duration_ms must be at most 1,000,000 times expiry_sweep_ms"),
+    ],
+    ids=["node-id", "group-id", "content", "public-groups", "sweep-traffic", "sweep-ticks"],
+)
+def test_rules_across_records_are_refused(raw, message):
+    with pytest.raises(ValidationError) as err:
+        scenario_from_dict(raw)
+    assert message in err.value.errors
 
 
 def test_a_delta_that_weighs_a_class_with_no_target_is_refused():
@@ -895,8 +939,7 @@ def test_summary_reconciles_with_log(tmp_path):
 
 def test_run_scenario_writes_outputs(tmp_path):
     config = load_bundled("figure_sequence")
-    code = scenario.run_scenario(config, tmp_path)
-    assert code == 0
+    assert scenario.run_scenario(config, tmp_path) == []
     assert (tmp_path / "emission.log").exists()
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["scenario"] == "figure_sequence"
@@ -1057,6 +1100,15 @@ def test_cli_bench_writes_csv(tmp_path, capsys):
     assert sorted(tuple(r.split(",")[:2]) for r in rows) == [
         ("1024", "2"), ("1024", "3"), ("512", "2"), ("512", "3"),
     ]
+
+
+def test_cli_bench_writes_its_header_and_row_format(tmp_path, capsys):
+    out = tmp_path / "bench"
+    argv = ["bench", "--key-bits", "512", "--batch", "1", "--sig-bytes", "64", "--trials", "1"]
+    assert cli.main([*argv, "--out", str(out)]) == 0
+    header, row = (out / "bench.csv").read_text().splitlines()
+    assert header == "key_size,batch_size,sig_size,t_individual,t_batch,improvement_pct"
+    assert re.fullmatch(r"512,1,64,\d+\.\d{6},\d+\.\d{6},-?\d+\.\d", row), row
 
 
 def test_cli_run_prints_the_sweep_table_at_the_interests_given(tmp_path, capsys):
@@ -1273,7 +1325,9 @@ def test_bundled_sweep_outputs_are_pinned(tmp_path):
     pin = SWEEP_PINS["service_rate_sweep"]
     config = load_bundled("service_rate_sweep")
     config.sweep.interests_per_point = pin["interests_per_point"]
-    assert scenario.run_scenario(config, tmp_path) == 0
+    points = scenario.run_scenario(config, tmp_path)
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert [dataclasses.asdict(p) for p in points] == summary["sweep"]
     for output in ("emission.log", "summary.json"):
         digest = hashlib.sha256((tmp_path / output).read_bytes()).hexdigest()
         assert digest == pin[output], output

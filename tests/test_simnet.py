@@ -681,8 +681,7 @@ def test_a_probe_flood_leaves_no_container_per_probe():
     assert len({id(held) for held in pending.values()}) <= 1 + len(
         result.captured_probe_outcomes
     )
-    assert list(result.producer_counts) == ["p1"]
-    counts = result.producer_counts["p1"]
+    counts = result.nodes["p1"].interest_counts
     assert len(counts) >= 2000 and all(type(key) is bytes for key in counts)
     assert sum(counts.values()) == sum(result.producer_interests.values())
 
@@ -793,6 +792,64 @@ def test_attack_stats_follow_the_action_index_across_adversaries():
         (2, simnet.REPLAY_SAME_PATH, 3, 1),
     ]
     assert result.counters["adv_delivered"] == 2
+
+
+def test_an_action_at_a_node_its_adversary_has_no_link_to_is_refused_before_any_event():
+    # the probe raised at its first shot, 50 ms in, and left the simulation
+    # spent; the replay, with no capture to take, ran and logged adv_noop
+    sim = simnet.Simulation(seed=1)
+    sim.add_router("r1")
+    sim.add_router("r2")
+    sim.add_adversary("adv", crypto.gen_group(128, 1))
+    sim.add_link("adv", "r1", 5.0)
+    sim.add_link("r1", "r2", 5.0)
+    sim.schedule_action("adv", simnet.AdversaryAction(simnet.REPLAY_SAME_PATH, at_ms=10,
+                                                      target="r2"))
+    sim.schedule_action("adv", simnet.AdversaryAction(simnet.NAME_PROBE, at_ms=50, target="r2",
+                                                      count=3, probe_prefix="/a"))
+    queued = list(sim._queue)
+    with pytest.raises(simnet.ConfigError, match="^adversary adv has no link to action target r2$"):
+        sim.run()
+    assert sim.log_lines == [] and sim._queue == queued
+    sim.add_link("adv", "r2", 5.0)
+    result = sim.run()
+    assert [(a.kind, a.attempts) for a in result.attacks] == [
+        (simnet.REPLAY_SAME_PATH, 0), (simnet.NAME_PROBE, 3)
+    ]
+    assert len(_lines(result, "adv", "adv_noop")) == 1
+
+
+def test_a_consumer_books_its_own_drops_and_the_run_balances():
+    # c1 has no route to /b, and the adversary replays c1's own tapped
+    # interest back at it, which a consumer never takes
+    raw = {
+        "name": "consumer_drops",
+        "seed": 1,
+        "duration_ms": 5000,  # two default verifications, at r1 and p1, take 1.2 s
+        "nodes": [
+            {"id": "c1", "role": "consumer", "group": "g1"},
+            {"id": "c2", "role": "consumer", "group": "g1"},
+            {"id": "r1", "role": "router"},
+            {"id": "r2", "role": "router"},
+            {"id": "p1", "role": "producer", "prefix": "/a"},
+            {"id": "p2", "role": "producer", "prefix": "/b"},
+            {"id": "adv", "role": "adversary"},
+        ],
+        "links": [["c1", "r1", 10], ["r1", "p1", 10], ["c2", "r2", 10], ["r2", "p2", 10],
+                  ["adv", "c1", 5], ["adv", "r1", 5]],
+        "groups": [{"id": "g1", "seed": 9}],
+        "contents": [{"name": "/a/x", "groups": ["g1"]}, {"name": "/b/y", "groups": ["g1"]}],
+        "fetches": [{"consumer": "c1", "name": "/b/y", "at_ms": 0},
+                    {"consumer": "c1", "name": "/a/x", "at_ms": 10}],
+        "adversary": {"node": "adv", "taps": [["c1", "r1"]], "actions": [
+            {"kind": "REPLAY_CROSS_PATH", "at_ms": 500, "target": "c1", "count": 2}]},
+    }
+    sim, _ = scenario.build(scenario_from_dict(raw))
+    result = sim.run()
+    assert result.drops == {("c1", "NoRoute"): 1, ("c1", "Unexpected"): 2}
+    assert result.conservation == {"injected": 4, "delivered": 1, "origin_drops": 1,
+                                   "pending_at_end": 2, "balanced": True}
+    scenario.check_invariants(result, sim)
 
 
 def test_a_wait_book_is_first_in_first_out_and_makes_a_list_only_for_a_second_entry():
