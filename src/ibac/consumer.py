@@ -17,13 +17,13 @@ value with ``ValueError``, and needs ENC or HASH even in AUTH_ONLY mode,
 which obfuscates nothing.
 
 Obfuscation is deterministic and draws nothing from the generator, so a
-context memoises each ``ObfuscatedName`` it builds, with its Name TLV
-bytes, keyed on the obfuscation key, the scheme, the routable prefix and
-the name (which fixes the suffix): ``obfuscate_*`` runs once per distinct
-name, not once per fetch.  Key and scheme are read from the context on
-every call, so changing ``scheme``, ``group`` or ``content_keys`` never
-yields a stale name.  Every interest built here carries its name's bytes
-(``name._wire``).
+context memoises each ``ObfuscatedName`` it builds, keyed on the
+obfuscation key, the scheme, the routable prefix and the name (which
+fixes the suffix): ``obfuscate_*`` runs once per distinct name, not once
+per fetch.  Key and scheme are read from the context on every call, so
+changing ``scheme``, ``group`` or ``content_keys`` never yields a stale
+name.  Every name carries its Name TLV from its construction
+(``name._wire``), and a full payload signs those bytes.
 
 A context whose ``producer_public`` maps routable prefixes to producer
 keys encrypts the group id under the key of the prefix it fetches from,
@@ -52,7 +52,6 @@ from .wire import (
     Name,
     ObfuscatedName,
     SchemeTag,
-    encode_name,
     suffix,
 )
 
@@ -108,7 +107,6 @@ def interest_generation(ctx: ConsumerContext, routable_prefix, name: Name) -> In
         wire_name = name
         # validate the prefix relationship even though the name stays clear
         suffix(name, routable_prefix)
-        name_bytes = encode_name(wire_name)
         if public:
             return Interest(wire_name)
     else:
@@ -122,9 +120,7 @@ def interest_generation(ctx: ConsumerContext, routable_prefix, name: Name) -> In
             else:
                 obf = crypto.obfuscate_hash(obf_key, suffix_components)
             wire_name = ObfuscatedName(routable_prefix, obf, ctx.scheme)
-            encode_name(wire_name)  # memoised on the name
             ctx._obfuscated[memo_key] = wire_name
-        name_bytes = wire_name._wire
 
     group_id, encrypted = _group_id_field(ctx, routable_prefix)
     if ctx.mode == ConsumerMode.OBFUSCATE_ONLY:
@@ -134,6 +130,6 @@ def interest_generation(ctx: ConsumerContext, routable_prefix, name: Name) -> In
         nonce = ctx.rng.getrandbits(kappa).to_bytes(kappa // 8, "big")
         timestamp = round(ctx.clock())
         payload = AuthorizationPayload.signed_on_read(
-            ctx.group, name_bytes, group_id, encrypted, nonce, timestamp
+            ctx.group, wire_name._wire, group_id, encrypted, nonce, timestamp
         )
     return Interest(wire_name, payload)

@@ -56,13 +56,7 @@ from .authcheck import (
 )
 from .router import DropReason as RouterDrop
 from .router import EventKind, RouterEvent
-from .wire import (
-    ContentObject,
-    Interest,
-    Name,
-    SchemeTag,
-    encode_name,
-)
+from .wire import ContentObject, Interest, Name, SchemeTag
 
 
 class DuplicateGroup(ValueError):
@@ -183,7 +177,7 @@ class Producer:
     def _content_key(self, name: Name, kappa: int) -> bytes:
         generation = self._content_key_generation.get(name.components, 0)
         self._content_key_generation[name.components] = generation + 1
-        label = b"content-key." + struct.pack(">I", generation) + encode_name(name)
+        label = b"content-key." + struct.pack(">I", generation) + name._wire
         return crypto._expand(self._content_key_seed, label, kappa // 8)
 
     def publish(
@@ -319,7 +313,7 @@ class Producer:
     def on_interest(self, interest: Interest, in_iface: int, now: float):
         """Answer one interest as a router's service does; returns (events,
         signature verifications), with the one event of the answer."""
-        name_bytes = interest.name._wire or encode_name(interest.name)
+        name_bytes = interest.name._wire
         self.interest_counts[name_bytes] = self.interest_counts.get(name_bytes, 0) + 1
         response = self.content_object_generation(interest, now)
         verifies = response.verifies
@@ -335,7 +329,7 @@ class Producer:
 
     def on_content(self, content: ContentObject, in_iface: int, now: float):
         """Drop content, which a producer never asks for; returns (events, 0)."""
-        name_bytes = content.name._wire or encode_name(content.name)
+        name_bytes = content.name._wire
         return [RouterEvent(EventKind.DROP_CONTENT, name_bytes, reason=RouterDrop.UNSOLICITED)], 0
 
     def expire(self, now: float) -> list:
@@ -372,7 +366,7 @@ class Producer:
                 registered = self.registry.get(clear_gid)
                 outcome = run_authorization_check(
                     payload,
-                    interest.name._wire or encode_name(interest.name),
+                    interest.name._wire,
                     [(registered.group, registered.signing_public)] if registered else [],
                     self.replay_book,
                     now,
@@ -398,7 +392,7 @@ class Producer:
         else:
             keys = ()
         expiry = round(now) + entry.lifetime_ms
-        name_bytes = interest.name._wire or encode_name(interest.name)
+        name_bytes = interest.name._wire
         producer_signature = crypto.sha256(
             name_bytes + entry.data + struct.pack(">Q", expiry)
         )

@@ -53,8 +53,8 @@ before the bound returns at once, with what a full scan would return:
 nothing.
 
 Routers never hold obfuscation keys; every decision here keys off the
-binary name bytes only, read off the name (``name._wire``) when it carries
-them and encoded once otherwise.  What a router sends on is the record it
+binary name bytes only, read off the name (``name._wire``), which
+carries them from its construction.  What a router sends on is the record it
 was given: the interest it forwards and the content it caches or forwards
 are passed on as received, and nothing here encodes a message.
 """
@@ -79,7 +79,6 @@ from .wire import (
     ContentObject,
     Interest,
     Nack,
-    encode_name,
     longest_prefix_match,
 )
 
@@ -216,7 +215,7 @@ class Router:
     def on_interest(self, interest: Interest, in_iface: int, now: float):
         """Process one interest; returns (events, signature verifications)."""
         events: list[RouterEvent] = []
-        name_bytes = interest.name._wire or encode_name(interest.name)
+        name_bytes = interest.name._wire
         entry = self.cs.get(name_bytes)
         if entry is not None and entry.expires_at <= now:
             self._evict(name_bytes, events)
@@ -377,7 +376,7 @@ class Router:
         is dropped as ``UNSOLICITED``; a live entry stays for its upstream."""
         events: list[RouterEvent] = []
         verifies = 0
-        name_bytes = content.name._wire or encode_name(content.name)
+        name_bytes = content.name._wire
         pit = self.pit.get(name_bytes)
         if pit is not None and pit.created_at + self.pit_lifetime_ms <= now:
             del self.pit[name_bytes]
@@ -446,7 +445,7 @@ class Router:
         Any other NACK changes nothing.
         """
         refused = nack.interest
-        name_bytes = refused.name._wire or encode_name(refused.name)
+        name_bytes = refused.name._wire
         pit = self.pit.get(name_bytes)
         if (
             pit is None

@@ -689,12 +689,12 @@ def run_config(config: ScenarioConfig) -> tuple[RunResult, BuildInfo]:
 
 def content_wire_name(info: BuildInfo, content_name: str) -> bytes:
     """Wire-name bytes a conforming consumer would put on an interest."""
-    from .wire import ObfuscatedName, encode_name
+    from .wire import ObfuscatedName
 
     spec = next(c for c in info.config.contents if c.name == content_name)
     name = info.content_names[content_name]
     if spec.policy in ("AUTH_ONLY", "PUBLIC"):
-        return encode_name(name)
+        return name._wire
     prefix = info.producers[_owner(info.producers, name)].prefix
     obf_key = info.content_keys[name.components]
     suffix_components = name.components[len(prefix):]
@@ -702,7 +702,7 @@ def content_wire_name(info: BuildInfo, content_name: str) -> bytes:
         obf = crypto.obfuscate_enc(obf_key, suffix_components)
     else:
         obf = crypto.obfuscate_hash(obf_key, suffix_components)
-    return encode_name(ObfuscatedName(prefix, obf, spec.scheme))
+    return ObfuscatedName(prefix, obf, spec.scheme)._wire
 
 
 # -- invariants ------------------------------------------------------------------

@@ -72,10 +72,9 @@ the record it holds to ``_send``, and the receiver takes that record.  A
 tap appends the ``Interest`` itself to each tapping adversary's
 ``captures``.  Every record's bytes decode to an equal record (see
 ``wire``), so a record stands for the bytes a real link would carry.
-Every origin builds its record around a name whose bytes are memoised
-(``name._wire``): the consumer encodes the names it makes, a probe's
-template joins its name's bytes, and every other name crossed a link.
-So receivers, routers and producers read name bytes off the name.
+Every name carries its Name TLV from its construction (``name._wire``),
+and a probe's template joins its name's bytes, so receivers, routers and
+producers read name bytes off the name.
 
 A node that refuses an interest which came from a router, for a reason
 that depends on the record's payload (``PAYLOAD_REFUSALS``), sends a
@@ -154,7 +153,6 @@ from .wire import (
     PrefixMismatch,
     SchemeTag,
     SuffixTemplate,
-    encode_name,
     longest_prefix_match,
     suffix,
 )
@@ -960,7 +958,7 @@ class Simulation:
             for node in self.nodes.values():
                 if node.role == "consumer" and node.obj.ctx.group.group_id in new_ids:
                     node.obj.ctx.content_keys[name.components] = key
-        self.log_event(t, rt.node_id, "rekey", encode_name(name))
+        self.log_event(t, rt.node_id, "rekey", name._wire)
 
     # -- results ---------------------------------------------------------------
 

@@ -37,36 +37,32 @@ obfuscated suffix is a single non-empty opaque component whose display
 form is lowercase hex, obfuscated under one of the paper's two schemes,
 ``SchemeTag.ENC`` (tag byte 1) or ``SchemeTag.HASH`` (tag byte 2).
 
-Names carry their bytes; messages do not.  A name holds its Name TLV in a
-private ``_wire`` field: ``encode_name`` memoises its output there and a
-decoder sets it to the exact input slice, so a name is encoded at most
-once and a decoded one never.  Routers, producers and consumers key their
-PIT, CS and nonce state on these bytes.  ``name._wire is data`` always
-means the Name TLV ``data`` decodes to an equal name:
-
-* for decoded names because the encoding is canonical: every input the
-  decoders accept is the one encoding of the record they return, so
-  decode then encode is the identity;
-* for built names because the constructors reject every field value the
-  decoders reject (a scheme other than ENC or HASH, an empty suffix) and
-  normalise sequences to the tuples the decoders return.
+Names carry their bytes; messages do not.  A name's constructor checks
+its fields and then encodes its Name TLV once, into the private ``_wire``
+field, so every name holds its bytes and a name the wire cannot carry (a
+component, or the whole TLV, over 65535 bytes) cannot be built: the
+constructor raises ``EncodeError``.  ``encode_name`` reads the field.
+Routers, producers and consumers key their PIT, CS and nonce state on
+these bytes.  They always decode to an equal name, because the
+constructors reject every field value the decoders reject (a scheme other
+than ENC or HASH, an empty suffix) and normalise sequences to the tuples
+the decoders return.  A decoded name's bytes equal its input slice,
+because every input the decoders accept is the one encoding of the
+record they return.
 
 The field takes no part in equality, hashing or ``repr``, and
-``dataclasses.replace`` drops it.  An ``Interest``, ``ContentObject`` or
-``Nack`` keeps no bytes: the encoders build a message's TLV on each call,
-reusing its name's, and the decoders keep nothing of their input but the
-names.  The constructors check and normalise message fields as they do
-names' (an encrypted flag that is not a bool is refused), and every field
-travels, so every record's bytes decode to an equal record.  Interests,
-obfuscated names and NACKs keep their fields in slots: a router's PIT
-holds every interest it forwarded until the entry resolves, thousands of
-them under a flood of random names.  ``encode_name`` builds the
-component TLVs of each routable prefix once and keeps one tag TLV per
-scheme, so encoding a fresh obfuscated name costs its suffix alone.  A
-``SuffixTemplate`` goes further for a run of name-only interests under
-one prefix and scheme with suffixes of one length: it checks and encodes
-the first name, and each further interest's name is its suffix joined to
-fixed bytes.
+``dataclasses.replace`` encodes the new name afresh.  An ``Interest``,
+``ContentObject`` or ``Nack`` keeps no bytes: the encoders build a
+message's TLV on each call, reusing its name's.  The constructors check
+and normalise message fields as they do names' (an encrypted flag that
+is not a bool is refused), and every field travels, so every record's
+bytes decode to an equal record.  Interests, obfuscated names and NACKs
+keep their fields in slots: a router's PIT holds every interest it
+forwarded until the entry resolves, thousands of them under a flood of
+random names.  A ``SuffixTemplate`` serves a run of name-only interests
+under one prefix and scheme with suffixes of one length: its first name
+is checked and encoded by the constructor, and each further interest's
+name is its suffix joined to fixed bytes.
 
 Payloads are signed where their signature is read.  A payload built with
 ``AuthorizationPayload.signed_on_read`` holds the signer's key material
@@ -78,7 +74,6 @@ place that knows a signature can be pending: every reader sees bytes.
 
 from __future__ import annotations
 
-import functools
 import struct
 from dataclasses import dataclass, field
 from typing import Any, Callable, NamedTuple
@@ -153,7 +148,7 @@ class Name:
     """Cleartext hierarchical name."""
 
     components: tuple[bytes, ...]
-    _wire: bytes | None = field(default=None, init=False, compare=False, repr=False)
+    _wire: bytes = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "components", tuple(self.components))
@@ -161,6 +156,7 @@ class Name:
             raise ValueError("a name needs at least one component")
         for comp in self.components:
             _check_component(comp)
+        object.__setattr__(self, "_wire", _name_tlv(self.components))
 
     @classmethod
     def from_uri(cls, uri: str) -> "Name":
@@ -177,7 +173,7 @@ class ObfuscatedName:
     routable_prefix: tuple[bytes, ...]
     obfuscated_suffix: bytes
     scheme_tag: str  # a SchemeTag value
-    _wire: bytes | None = field(default=None, init=False, compare=False, repr=False)
+    _wire: bytes = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "routable_prefix", tuple(self.routable_prefix))
@@ -189,6 +185,9 @@ class ObfuscatedName:
             raise ValueError(f"unknown scheme {self.scheme_tag!r}")
         if not self.obfuscated_suffix:
             raise ValueError("obfuscated suffix must be non-empty")
+        tail = _tlv(TYPE_OBFUSCATED_COMPONENT, self.obfuscated_suffix)
+        tail += _SCHEME_TAG_TLVS[self.scheme_tag]
+        object.__setattr__(self, "_wire", _name_tlv(self.routable_prefix, tail))
 
 
 AnyName = Name | ObfuscatedName
@@ -450,36 +449,20 @@ _SCHEME_TAG_TLVS = {
 }
 
 
-@functools.lru_cache(maxsize=64)
-def _prefix_body(routable_prefix: tuple[bytes, ...]) -> bytes:
-    """The NameComponent TLVs of a routable prefix, built once per prefix."""
-    return b"".join(_tlv(TYPE_NAME_COMPONENT, c) for c in routable_prefix)
+def _name_tlv(components: tuple[bytes, ...], tail: bytes = b"") -> bytes:
+    """The Name TLV of ``components``' NameComponent TLVs followed by the
+    TLVs ``tail``; the name constructors' one encoder."""
+    return _tlv(TYPE_NAME, b"".join([_tlv(TYPE_NAME_COMPONENT, c) for c in components]) + tail)
 
 
 def encode_name(name: AnyName) -> bytes:
     """Canonical Name TLV; these bytes are what routers key their tables on.
-
-    Names are immutable, so the encoding is memoised on the name.  An
-    obfuscated name reuses its prefix's component TLVs and its scheme's tag
-    TLV, so only the suffix is encoded afresh.
-    """
-    out = name._wire
-    if out is None:
-        if isinstance(name, Name):
-            body = b"".join(_tlv(TYPE_NAME_COMPONENT, c) for c in name.components)
-        else:
-            body = (
-                _prefix_body(name.routable_prefix)
-                + _tlv(TYPE_OBFUSCATED_COMPONENT, name.obfuscated_suffix)
-                + _SCHEME_TAG_TLVS[name.scheme_tag]
-            )
-        out = _tlv(TYPE_NAME, body)
-        object.__setattr__(name, "_wire", out)
-    return out
+    Every name holds them from its construction."""
+    return name._wire
 
 
 def _decode_name(buf: bytes, start: int, end: int) -> AnyName:
-    """The name whose TLV value is ``buf[start:end]``; it keeps its TLV bytes."""
+    """The name whose TLV value is ``buf[start:end]``."""
     comps: list[bytes] = []
     obf_suffix: bytes | None = None
     scheme: str | None = None
@@ -508,15 +491,12 @@ def _decode_name(buf: bytes, start: int, end: int) -> AnyName:
         if obf_suffix is None and scheme is None:
             if not comps:
                 raise DecodeError("empty name")
-            name = Name(tuple(comps))
-        elif obf_suffix is None or scheme is None:
+            return Name(tuple(comps))
+        if obf_suffix is None or scheme is None:
             raise DecodeError("obfuscated name needs both suffix and scheme tag")
-        else:
-            name = ObfuscatedName(tuple(comps), obf_suffix, scheme)
+        return ObfuscatedName(tuple(comps), obf_suffix, scheme)
     except ValueError as exc:
         raise DecodeError(str(exc)) from None
-    object.__setattr__(name, "_wire", buf[start - 4 : end])
-    return name
 
 
 class SuffixTemplate:
@@ -534,7 +514,7 @@ class SuffixTemplate:
     __slots__ = ("suffix_len", "_prefix", "_scheme", "_name_head", "_tag")
 
     def __init__(self, first: ObfuscatedName):
-        name_wire = encode_name(first)
+        name_wire = first._wire
         self.suffix_len = len(first.obfuscated_suffix)
         self._tag = _SCHEME_TAG_TLVS[first.scheme_tag]
         self._name_head = name_wire[: len(name_wire) - self.suffix_len - len(self._tag)]
@@ -612,7 +592,7 @@ _TEXT = _Codec(
     lambda type_code, text: _tlv(type_code, text.encode()),
     lambda buf, start, end: buf[start:end].decode(),
 )
-_NAME = _Codec(lambda type_code, name: encode_name(name), _decode_name)
+_NAME = _Codec(lambda type_code, name: name._wire, _decode_name)
 _KEY_ENTRY = _Codec(
     lambda type_code, entry: _tlv(type_code, _tlv(TYPE_GROUP_ID, entry[0]) + entry[1]),
     _decode_key_entry,
@@ -735,7 +715,7 @@ def encode_message(message: Interest | ContentObject | Nack) -> bytes:
 
 def _decode(data: bytes, expected: int | None):
     """The message that is the single TLV ``data``, of type ``expected``
-    unless that is ``None``; its names keep their TLV bytes."""
+    unless that is ``None``."""
     if len(data) > MAX_MESSAGE_LEN:
         raise DecodeError("message exceeds 1 MiB")
     top = next(_tlvs(data, 0, len(data)), None)
@@ -756,5 +736,5 @@ def decode_content(data: bytes) -> ContentObject:
 
 
 def decode_message(data: bytes) -> Interest | ContentObject | Nack:
-    """Decode any message kind; its names keep their TLV bytes."""
+    """Decode any message kind."""
     return _decode(data, None)
