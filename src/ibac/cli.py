@@ -39,6 +39,17 @@ def _default_out(config_name: str, explicit: str | None) -> Path:
     return Path(base) / config_name
 
 
+def _made(out: Path) -> bool:
+    """Make the output directory ``out``; False, with the reason in one
+    line, when it cannot be made."""
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"output directory {out}: {exc.strerror or exc}", file=sys.stderr)
+        return False
+    return True
+
+
 def cmd_run(args) -> int:
     try:
         config = _resolve_config(args.scenario)
@@ -62,6 +73,8 @@ def cmd_run(args) -> int:
             print(f"invalid scenario: {err}", file=sys.stderr)
         return 2
     out_dir = _default_out(config.name, args.out)
+    if not _made(out_dir):
+        return 2
     try:
         points = scenario.run_scenario(config, out_dir)
     except scenario.InvariantViolation as exc:
@@ -96,6 +109,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    if args.out and not _made(Path(args.out)):
+        return 2
     results = []
     grid = itertools.product(args.key_bits, args.batch, args.sig_bytes)
     for key_bits, batch, sig_bytes in grid:
@@ -123,7 +138,6 @@ def cmd_bench(args) -> int:
         print(line)
     if args.out:
         out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
         header = ("key_size", "batch_size", "sig_size",
                   "t_individual", "t_batch", "improvement_pct")
         rows = [(r.key_bits, r.batch_size, r.payload_bytes, f"{r.t_individual_s:.6f}",
@@ -195,8 +209,10 @@ def cmd_overhead_table(args) -> int:
                 file=sys.stderr,
             )
             return 1
+    # made once the table adds up, so a refused table leaves no directory
     out = _default_out("overhead", args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    if not _made(out):
+        return 2
     header = ("quantity", "analytic_bytes", "measured_bytes", "framing_bytes")
     analysis.write_csv(out / "overhead.csv", header, rows)
     print(f"wrote {out / 'overhead.csv'}")

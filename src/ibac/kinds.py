@@ -245,6 +245,14 @@ def refusal(record, name: str, where: str) -> str:
     return fields(type(record))[name].problems(where, name, getattr(record, name))[0]
 
 
+def shown(text: str) -> str:
+    """``text`` as an error line names it: whole up to 40 characters, else
+    its first 40 and its length in UTF-8 bytes."""
+    if len(text) <= 40:
+        return text
+    return f"{text[:40]}... ({len(text.encode()):,} bytes)"
+
+
 def problems(record, where: str) -> list[str]:
     """The messages ``check`` gives ``record``."""
     out: list[str] = []

@@ -37,7 +37,7 @@ from .producer import Producer, ProtectionPolicy
 from .router import BATCH_TIMEOUT_MS, PIT_LIFETIME_MS, Router
 from .simnet import (DROP_KINDS, AdversaryAction, RunResult, Simulation, TrafficProfile,
                      derived_seed, offer_problems)
-from .wire import Name, SchemeTag
+from .wire import EncodeError, Name, ObfuscatedName, SchemeTag, pack_components
 
 DEFAULT_TAU_PROCESS_S = 0.005
 DEFAULT_TAU_VERIFY_S = 0.599
@@ -304,6 +304,27 @@ def _node_where(n: NodeSpec) -> str:
     return f"node {n.id!r}"
 
 
+def _unencodable(where: str, comps: tuple[bytes, ...], prefix: tuple[bytes, ...],
+                 obfuscated: bool) -> list[str]:
+    """The line refusing a content under ``prefix`` whose names a run could
+    not build: its clear name, else, when ``obfuscated``, the obfuscated
+    name a consumer sends, with a stand-in suffix as long as the longer
+    scheme makes (HASH a digest, ENC a tag and the packed suffix; the key
+    does not change the length)."""
+    try:
+        Name(comps)
+    except EncodeError as exc:
+        return [f"{where}: its name cannot be encoded: {exc}"]
+    if obfuscated:
+        packed = pack_components(comps[len(prefix):])
+        stand_in = bytes(max(crypto.DIGEST_LEN, crypto.ENC_TAG_LEN + len(packed)))
+        try:
+            ObfuscatedName(prefix, stand_in, SchemeTag.ENC)
+        except EncodeError as exc:
+            return [f"{where}: its obfuscated name cannot be encoded: {exc}"]
+    return []
+
+
 def validate(config: ScenarioConfig) -> list[str]:
     """Every problem in ``config``: each field not of its declared kind
     (``kinds.check``), and each broken rule across fields or records.  A
@@ -367,6 +388,8 @@ def validate(config: ScenarioConfig) -> list[str]:
         for end in (a, b):
             if end not in nodes:
                 errors.append(f"link ({a}, {b}): unknown node {end}")
+        if a == b:
+            errors.append(f"link ({a}, {b}): a node cannot link to itself")
         if not link.latency_ms > 0:  # also refuses NaN
             errors.append(f"link ({a}, {b}): latency must be positive")
         if a in nodes and b in nodes:
@@ -379,6 +402,7 @@ def validate(config: ScenarioConfig) -> list[str]:
         for i in by_role["producer"]
         if nodes[i].prefix and "prefix" not in node_bad[i]
     }
+    obfuscating = any(nodes[i].mode != "AUTH_ONLY" for i in by_role["consumer"])
     catalog: set[str] = set()
     by_class: dict[bool, list[str]] = {True: [], False: []}  # names, by "is PUBLIC"
     for c in config.contents:
@@ -396,6 +420,13 @@ def validate(config: ScenarioConfig) -> list[str]:
             errors.append(
                 f"content {c.name}: must extend exactly one producer prefix (matched {owners})"
             )
+        else:
+            # ``content_wire_name`` obfuscates the name of a content that is
+            # neither PUBLIC nor AUTH_ONLY, and a consumer's fetch any
+            # protected name, in every mode but AUTH_ONLY
+            obfuscated = c.policy != "PUBLIC" and (c.policy != "AUTH_ONLY" or obfuscating)
+            errors += _unencodable(f"content {kinds.shown(c.name)}", comps,
+                                   prefixes[owners[0]], obfuscated)
         if bad:
             continue
         if c.policy == "PUBLIC" and c.groups:

@@ -33,28 +33,27 @@ never stored in an event.
 
 An adversary action is one record, a ``_ShotChain``: ``schedule_action``
 makes it with the action, its index, its ``(kind, index)`` tag and its
-``KIND#index`` reason, and queues the action's start.  An action of ``n`` shots reserves ``n``
-consecutive sequence numbers when it starts, and each shot schedules the
-next at ``at + i * interval_ms`` under its reserved number.  With
-non-negative latencies, service costs and intervals no handler schedules
-an event before its own time, so every shot pops exactly where queueing
-all of them up front would, ties included, while the heap holds one shot
-per action.  ``_start_action`` fills in what the shots share -- the shot
-handler of the action's kind (``_probe_shot``, ``_replay_shot`` or
-``_forge_shot``), the target interface and, for a name probe, a
-``wire.SuffixTemplate``, and for a probe of captured names the first
-capture of each.  The template is made from a name built by the
-``ObfuscatedName`` constructor, which checks the probe's prefix and
-scheme once; each random probe then draws its suffix, and the template
-joins it to fixed bytes into a name whose bytes are memoised.  A replay
-or forgery shot with no capture to take logs ``adv_noop``
-(``_select_capture``).  The record counts the shots that put an interest
-on the link (``sent``) and the contents that answered them
-(``successes``).  ``_result`` reads each action's ``AttackStat`` off its
-record, in index order, and folds the sent counts into the ``injected``
-and ``adv_injected`` counters.  The first shot sent puts both keys in
-place, so ``counters`` keeps the key order that one increment per shot
-gives, which ``summary.json`` writes.
+``KIND#index`` reason, and queues the action's start.  An action of ``n``
+shots reserves ``n`` consecutive sequence numbers when it starts, and each
+shot schedules the next at ``at + i * interval_ms`` under its reserved
+number.  With non-negative latencies, service costs and intervals no
+handler schedules an event before its own time, so every shot pops exactly
+where queueing all of them up front would, ties included, while the heap
+holds one shot per action.  ``_start_action`` fills in what the shots
+share -- the shot handler of the action's kind (``_probe_shot``,
+``_replay_shot`` or ``_forge_shot``), the target interface and, for a name
+probe, a ``wire.SuffixTemplate``, and for a probe of captured names the
+first capture of each.  The template is made from the action's
+``first_probe()``, a name built by the ``ObfuscatedName`` constructor;
+each random probe then draws its suffix, and the template joins it to
+fixed bytes into a name that carries them.  A replay or forgery shot with
+no capture to take logs ``adv_noop`` (``_select_capture``).  The record
+counts the shots that put an interest on the link (``sent``) and the
+contents that answered them (``successes``).  ``_result`` reads each
+action's ``AttackStat`` off its record, in index order, and folds the sent
+counts into the ``injected`` and ``adv_injected`` counters.  The first
+shot sent puts both keys in place, so ``counters`` keeps the key order
+that one increment per shot gives, which ``summary.json`` writes.
 
 Consumers and adversaries book what they wait for in one kind of book,
 a ``_WaitBook`` (``pending``): name bytes to the requests waiting for
@@ -93,8 +92,10 @@ writes them: a probe prefix is a URI, a probe scheme a ``SchemeTag`` value
 and a traffic target a content URI.  Each field declares its kind
 (``kinds.declare``), and ``schedule_action`` and ``set_traffic`` raise what
 the one field checker finds as ``ConfigError``: ``kinds.problems`` for a
-profile, and for an action its ``problems()``, which adds the rule across
-its own fields.  The simulator resolves the file values once: a probe's
+profile, and for an action its ``problems()``, which adds the rules across
+its own fields: a ``NAME_PROBE`` needs a prefix, and its ``first_probe()``
+must be a name the wire can carry.  ``add_link`` refuses a link from a
+node to itself.  The simulator resolves the file values once: a probe's
 prefix and scheme when its action starts, and the traffic targets to the
 registered names and their prefixes in ``set_traffic``, never per shot or
 per fetch.
@@ -146,6 +147,7 @@ from .wire import (
     AuthorizationPayload,
     ContentObject,
     EmptySuffix,
+    EncodeError,
     Interest,
     Nack,
     Name,
@@ -214,9 +216,22 @@ class AdversaryAction:
     def problems(self, where: str = "adversary action") -> list[str]:
         """What is wrong with the action's fields; empty when it can run."""
         out = kinds.problems(self, where)
-        if not out and self.kind == NAME_PROBE and not (self.probe_prefix or "").strip("/"):
-            out.append(f"{where}: NAME_PROBE needs probe_prefix")
-        return out
+        if out or self.kind != NAME_PROBE:
+            return out
+        if not (self.probe_prefix or "").strip("/"):
+            return [f"{where}: NAME_PROBE needs probe_prefix"]
+        try:
+            self.first_probe()
+        except EncodeError as exc:
+            return [f"{where}: probe names under {kinds.shown(self.probe_prefix)}"
+                    f" cannot be encoded: {exc}"]
+        return []
+
+    def first_probe(self) -> ObfuscatedName:
+        """The name a NAME_PROBE's interests are made from: its prefix, a
+        suffix of its length and its scheme; the constructor checks them."""
+        prefix = Name.from_uri(self.probe_prefix).components
+        return ObfuscatedName(prefix, bytes(self.probe_suffix_len), self.probe_scheme)
 
 
 @config_record
@@ -529,6 +544,8 @@ class Simulation:
         return state
 
     def add_link(self, a: str, b: str, latency_ms: float) -> None:
+        if a == b:
+            raise ConfigError(f"link ({a}, {b}): a node cannot link to itself")
         for end in (a, b):
             if end not in self.nodes:
                 raise ConfigError(f"link references unknown node {end}")
@@ -825,14 +842,7 @@ class Simulation:
         shots = action.count
         if action.kind == NAME_PROBE:
             chain.handler = self._probe_shot
-            # the constructor checks the prefix and scheme, once per action
-            chain.probe = SuffixTemplate(
-                ObfuscatedName(
-                    Name.from_uri(action.probe_prefix).components,
-                    bytes(action.probe_suffix_len),
-                    action.probe_scheme,
-                )
-            )
+            chain.probe = SuffixTemplate(action.first_probe())
             if action.include_captured:
                 chain.captured = self._first_capture_of_each_name(rt.obj)
                 shots += len(chain.captured)

@@ -18,7 +18,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ibac import cli, consumer, crypto, kinds, scenario, simnet
+from ibac import analysis, cli, consumer, crypto, kinds, scenario, simnet
 from ibac import producer as producer_module
 from ibac.authcheck import DEFAULT_SKEW_MS
 from ibac.router import BATCH_TIMEOUT_MS, PIT_LIFETIME_MS, Router
@@ -280,6 +280,81 @@ def test_an_adversary_seeded_with_a_groups_seed_is_refused(capsys):
     errors = scenario.validate(config)
     assert "group 7: id must be a string" in errors
     assert not [e for e in errors if "keypair_seed" in e]
+
+
+def _one_content_raw(name, policy, mode):
+    """``minimal_raw()`` whose one content, fetched once by its one consumer
+    in ``mode``, is ``name``."""
+    raw = minimal_raw()
+    raw["nodes"][0]["mode"] = mode
+    raw["contents"] = [{"name": name, "groups": ["g1"], "policy": policy}]
+    raw["fetches"] = [{"consumer": "cr1", "name": name, "at_ms": 0}]
+    return raw
+
+
+# under /edu/uci a clear name's TLV value is 14 bytes of prefix TLVs and 4
+# + n for an n-byte last component, and an ENC-obfuscated name's is 14, 4 +
+# 16 + 2 + n for its suffix, and 5 for its scheme tag
+@pytest.mark.parametrize(
+    "prefix, policy, mode, last, reason",
+    [
+        ("/edu/uci", "AUTH_ONLY", "AUTH_ONLY", ["x" * 70_000],
+         "its name cannot be encoded: value for type 0x0011 exceeds 65535 bytes"),
+        ("/" + "a" * 30_000, "AUTH_ONLY", "AUTH_ONLY", ["b" * 30_000, "c" * 30_000],
+         "its name cannot be encoded: value for type 0x0010 exceeds 65535 bytes"),
+        ("/edu/uci", "AUTH_ONLY", "AUTH_ONLY", ["q" * 65_518],
+         "its name cannot be encoded: value for type 0x0010 exceeds 65535 bytes"),
+        ("/edu/uci", "AUTH_ONLY", "AUTH_ONLY", ["q" * 65_517], None),
+        ("/edu/uci", "FULL", "FULL", ["q" * 65_495],
+         "its obfuscated name cannot be encoded: value for type 0x0010 exceeds 65535 bytes"),
+        ("/edu/uci", "FULL", "FULL", ["q" * 65_494], None),
+        # the suffix TLV alone: 16 + 2 + 65,518 bytes
+        ("/a", "FULL", "FULL", ["q" * 65_518],
+         "its obfuscated name cannot be encoded: value for type 0x0012 exceeds 65535 bytes"),
+        # a FULL consumer obfuscates an AUTH_ONLY content's name too
+        ("/edu/uci", "AUTH_ONLY", "FULL", ["q" * 65_517],
+         "its obfuscated name cannot be encoded: value for type 0x0010 exceeds 65535 bytes"),
+    ],
+    ids=["component", "whole-name", "clear-by-one", "clear-at-limit", "obfuscated-by-one",
+         "obfuscated-at-limit", "obfuscated-suffix", "auth-only-content-full-consumer"],
+)
+def test_a_content_name_the_wire_cannot_carry_is_refused(prefix, policy, mode, last, reason):
+    # each that is refused passed validation, and ``ibac run`` ended in
+    # EncodeError at the fetch
+    name = "/".join([prefix, *last])
+    raw = _one_content_raw(name, policy, mode)
+    raw["nodes"][2]["prefix"] = prefix
+    if reason is None:
+        result, _ = run_config(scenario_from_dict(raw))
+        assert [d.name.to_uri() for d in result.deliveries] == [name]
+        return
+    with pytest.raises(ValidationError) as err:
+        scenario_from_dict(raw)
+    assert err.value.errors == [f"content {name[:40]}... ({len(name):,} bytes): {reason}"]
+
+
+@pytest.mark.parametrize(
+    "file, reason",
+    [
+        ("oversized_name", f"content /edu/uci/{'x' * 31}... (65,545 bytes): its name cannot be"
+                           " encoded: value for type 0x0011 exceeds 65535 bytes"),
+        ("self_link", "link (adv, adv): a node cannot link to itself"),
+    ],
+    ids=["oversized_name", "self_link"],
+)
+def test_a_file_that_validated_and_could_not_run_as_written_is_refused(capsys, file, reason):
+    assert cli.main(["validate", str(TESTDATA / f"{file}.yaml")]) == 1
+    assert capsys.readouterr().err.splitlines() == [reason]
+
+
+def test_a_self_link_is_refused():
+    raw = adversary_raw()
+    raw["links"].append(["a1", "a1", 1])
+    raw["adversary"]["actions"] = [{"kind": "NAME_PROBE", "at_ms": 5, "target": "a1",
+                                    "count": 3, "probe_prefix": "/edu/uci"}]
+    with pytest.raises(ValidationError) as err:
+        scenario_from_dict(raw)
+    assert err.value.errors == ["link (a1, a1): a node cannot link to itself"]
 
 
 def test_validate_reports_in_file_order_whatever_the_hash_seed(tmp_path):
@@ -805,6 +880,47 @@ def test_any_malformed_value_is_refused_or_runs(path, value):
         signal.signal(signal.SIGALRM, previous)
 
 
+def sweep_mutation_base():
+    """``sweep_raw()`` with two deltas, three interests a point, a 100 ms
+    tail, and traffic that starts once a fetch of each target has filled
+    r1's cache, so each point measures its class."""
+    raw = sweep_raw(deltas=[0.0, 1.0], interests_per_point=3, tail_ms=100)
+    raw["traffic"]["start_ms"] = 100
+    raw["fetches"].append({"consumer": "cr1", "name": "/edu/uci/pub", "at_ms": 0})
+    return raw
+
+
+SWEEP_MUTATION_PATHS = list(_paths(sweep_mutation_base()))
+
+
+def test_the_sweep_mutation_base_measures_both_points():
+    points, _ = scenario.run_sweep(scenario_from_dict(sweep_mutation_base()))
+    assert [(p.delta, p.completions) for p in points] == [(0.0, 3), (1.0, 3)]
+    assert len(SWEEP_MUTATION_PATHS) * len(MUTANTS) == 897
+
+
+@settings(max_examples=1000, derandomize=True, deadline=None, database=None)
+@given(path=st.sampled_from(SWEEP_MUTATION_PATHS), value=st.sampled_from(MUTANTS))
+def test_any_malformed_value_in_a_sweep_is_refused_or_runs(path, value):
+    # ``cmd_run`` reports EmptyLog and DomainError in one line with exit 2
+    raw = sweep_mutation_base()
+    node = raw
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = copy.deepcopy(value)
+    previous = signal.signal(signal.SIGALRM, _hang)
+    signal.setitimer(signal.ITIMER_REAL, 2.0)
+    try:
+        scenario.run_sweep(scenario_from_dict(raw))
+    except (ValidationError, ParseError, analysis.EmptyLog, analysis.DomainError):
+        pass
+    except _Hang:
+        pytest.fail(f"{path} = {value!r} still ran after 2 s")
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 # ---------------------------------------------------------------------------
 # every config field declares its kind, and README lists it
 
@@ -1151,6 +1267,44 @@ def test_cli_run_checks_the_seed_as_a_file_seed_is(tmp_path, capsys, extra):
     assert (captured.out, captured.err) == (
         "", "invalid scenario: seed must be an integer in [0, 2**64)\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, work",
+    [
+        (["run", "figure_sequence"], (scenario, "run_scenario")),
+        (["bench", "--key-bits", "512", "--batch", "1", "--sig-bytes", "64", "--trials", "1"],
+         (cli.analysis, "bench_verification")),
+        # its directory waits for the table's check, which refuses leaving none
+        (["overhead-table"], None),
+    ],
+    ids=["run", "bench", "overhead-table"],
+)
+@pytest.mark.parametrize("under_file", [True, False], ids=["under-a-file", "a-file"])
+def test_an_output_directory_that_cannot_be_made_exits_2_before_any_work(
+    tmp_path, capsys, monkeypatch, argv, work, under_file
+):
+    # each ended in NotADirectoryError (or FileExistsError for --out <file>)
+    # after its work was done: a sweep ran to its end first
+    if work is not None:
+        monkeypatch.setattr(*work, lambda *args, **kwargs: pytest.fail("the work started"))
+    blocker = tmp_path / "f"
+    blocker.write_text("")
+    out = blocker / "x" if under_file else blocker
+    assert cli.main([*argv, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "wrote" not in captured.out
+    assert re.fullmatch(f"output directory {re.escape(str(out))}: [^\n]+\n", captured.err)
+    assert "Traceback" not in captured.err
+    assert list(tmp_path.rglob("emission.log")) == []
+
+
+def test_an_unusable_ibac_out_dir_exits_2(tmp_path, capsys, monkeypatch):
+    blocker = tmp_path / "f"
+    blocker.write_text("")
+    monkeypatch.setenv("IBAC_OUT_DIR", str(blocker))
+    assert cli.main(["run", "forgery"]) == 2
+    assert capsys.readouterr().err.startswith(f"output directory {blocker / 'forgery'}: ")
 
 
 def test_cli_run_checks_the_sweep_horizon_that_interests_gives(tmp_path, capsys):

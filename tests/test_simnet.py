@@ -819,6 +819,53 @@ def test_an_action_at_a_node_its_adversary_has_no_link_to_is_refused_before_any_
     assert len(_lines(result, "adv", "adv_noop")) == 1
 
 
+def test_a_node_cannot_link_to_itself():
+    # an adversary linked to itself fired three probes that never left it,
+    # and the attack table counted them: 3 attempts, 0 successes, 3 pending
+    sim = simnet.Simulation(seed=1)
+    sim.add_router("r1")
+    with pytest.raises(simnet.ConfigError, match=r"^link \(r1, r1\): a node cannot link to itself$"):
+        sim.add_link("r1", "r1", 1.0)
+    assert sim.nodes["r1"].ifaces == {} and sim.nodes["r1"].iface_to == {}
+
+
+@pytest.mark.parametrize(
+    "prefix_len, suffix_len, reason",
+    [
+        (70_000, 32, "value for type 0x0011 exceeds 65535 bytes"),
+        # the prefix component fits; with the 32-byte suffix the Name TLV does not
+        (65_491, 32, "value for type 0x0010 exceeds 65535 bytes"),
+        (65_490, 32, None),
+        (64_498, 1024, None),
+    ],
+    ids=["component", "whole-name", "at-limit", "at-limit-longest-suffix"],
+)
+def test_a_probe_name_the_wire_cannot_carry_is_refused_when_scheduled(
+    prefix_len, suffix_len, reason
+):
+    # a 70,000-byte prefix component passed validation and raised when the
+    # action started; a probe's Name TLV is its prefix component's TLV (4 +
+    # prefix_len), its suffix's (4 + suffix_len) and the scheme tag's (5)
+    prefix = "/" + "p" * prefix_len
+    action = simnet.AdversaryAction(simnet.NAME_PROBE, at_ms=1, target="r1",
+                                    probe_prefix=prefix, probe_suffix_len=suffix_len)
+    sim = simnet.Simulation(seed=1)
+    sim.add_router("r1")
+    sim.add_adversary("adv", crypto.gen_group(128, 1))
+    sim.add_link("adv", "r1", 5.0)
+    if reason is None:
+        assert action.problems() == []
+        sim.schedule_action("adv", action)
+        assert sim.run().attacks[0].attempts == 1
+        return
+    problem = (f"adversary action: probe names under {prefix[:40]}..."
+               f" ({len(prefix):,} bytes) cannot be encoded: {reason}")
+    assert action.problems() == [problem]
+    with pytest.raises(simnet.ConfigError) as err:
+        sim.schedule_action("adv", action)
+    assert str(err.value) == problem and sim._queue == []
+
+
 def test_a_consumer_books_its_own_drops_and_the_run_balances():
     # c1 has no route to /b, and the adversary replays c1's own tapped
     # interest back at it, which a consumer never takes

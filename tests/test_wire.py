@@ -433,6 +433,35 @@ def test_suffix_template_builds_what_the_constructors_build(prefix, scheme, suff
         assert decode_message(encode_interest(built)) == built
 
 
+@pytest.mark.parametrize(
+    "build, type_code",
+    [
+        (lambda: Name((b"x" * 65_536,)), "0x0011"),
+        (lambda: Name((b"a" * 30_000, b"b" * 30_000, b"c" * 30_000)), "0x0010"),
+        (lambda: Name((b"a" * 65_532,)), "0x0010"),
+        (lambda: ObfuscatedName((b"a",), b"s" * 65_536, SchemeTag.HASH), "0x0012"),
+        (lambda: ObfuscatedName((b"a" * 65_495,), b"s" * 32, SchemeTag.ENC), "0x0010"),
+    ],
+    ids=["component", "three-components", "one-over", "suffix", "prefix-and-suffix"],
+)
+def test_a_name_the_wire_cannot_carry_cannot_be_built(build, type_code):
+    # each was built, and raised only where something first encoded it
+    with pytest.raises(EncodeError, match=f"^value for type {type_code} exceeds 65535 bytes$"):
+        build()
+
+
+def test_every_name_carries_its_name_tlv_from_construction():
+    largest = Name((b"a" * 65_531,))  # 4 + 65,531 bytes of Name TLV value
+    assert len(largest._wire) == 4 + 65_535 and encode_name(largest) is largest._wire
+    obfuscated = ObfuscatedName((b"a" * 65_490,), b"s" * 32, SchemeTag.ENC)
+    assert len(obfuscated._wire) == 4 + 65_535
+    # the largest names a name-only Interest TLV holds: its value is the Name TLV
+    for name in (Name((b"a" * 65_527,)), ObfuscatedName((b"a" * 65_486,), b"s" * 32, "ENC")):
+        data = encode_interest(Interest(name))
+        decoded = decode_message(data)
+        assert decoded.name == name and decoded.name._wire == name._wire == data[4:]
+
+
 def test_a_template_probe_makes_its_interest_bytes_on_read():
     # a record holds no message bytes, so a probe holds only its name's
     # bytes, and its Interest TLV is made by whatever encodes it
