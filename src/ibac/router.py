@@ -53,10 +53,10 @@ before the bound returns at once, with what a full scan would return:
 nothing.
 
 Routers never hold obfuscation keys; every decision here keys off the
-binary name bytes only, read off the name (``name._wire``), which
-carries them from its construction.  What a router sends on is the record it
-was given: the interest it forwards and the content it caches or forwards
-are passed on as received, and nothing here encodes a message.
+binary name bytes only, read off the name (``name._wire``), which carries
+them from its construction.  What a router sends on is the record it was
+given: the interest it forwards and the content it caches or forwards are
+passed on as received, and nothing here encodes a message.
 """
 
 from __future__ import annotations

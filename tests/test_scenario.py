@@ -282,16 +282,6 @@ def test_an_adversary_seeded_with_a_groups_seed_is_refused(capsys):
     assert not [e for e in errors if "keypair_seed" in e]
 
 
-def _one_content_raw(name, policy, mode):
-    """``minimal_raw()`` whose one content, fetched once by its one consumer
-    in ``mode``, is ``name``."""
-    raw = minimal_raw()
-    raw["nodes"][0]["mode"] = mode
-    raw["contents"] = [{"name": name, "groups": ["g1"], "policy": policy}]
-    raw["fetches"] = [{"consumer": "cr1", "name": name, "at_ms": 0}]
-    return raw
-
-
 # under /edu/uci a clear name's TLV value is 14 bytes of prefix TLVs and 4
 # + n for an n-byte last component, and an ENC-obfuscated name's is 14, 4 +
 # 16 + 2 + n for its suffix, and 5 for its scheme tag
@@ -322,8 +312,11 @@ def test_a_content_name_the_wire_cannot_carry_is_refused(prefix, policy, mode, l
     # each that is refused passed validation, and ``ibac run`` ended in
     # EncodeError at the fetch
     name = "/".join([prefix, *last])
-    raw = _one_content_raw(name, policy, mode)
+    raw = minimal_raw()
+    raw["nodes"][0]["mode"] = mode
     raw["nodes"][2]["prefix"] = prefix
+    raw["contents"] = [{"name": name, "groups": ["g1"], "policy": policy}]
+    raw["fetches"] = [{"consumer": "cr1", "name": name, "at_ms": 0}]
     if reason is None:
         result, _ = run_config(scenario_from_dict(raw))
         assert [d.name.to_uri() for d in result.deliveries] == [name]
@@ -345,16 +338,6 @@ def test_a_content_name_the_wire_cannot_carry_is_refused(prefix, policy, mode, l
 def test_a_file_that_validated_and_could_not_run_as_written_is_refused(capsys, file, reason):
     assert cli.main(["validate", str(TESTDATA / f"{file}.yaml")]) == 1
     assert capsys.readouterr().err.splitlines() == [reason]
-
-
-def test_a_self_link_is_refused():
-    raw = adversary_raw()
-    raw["links"].append(["a1", "a1", 1])
-    raw["adversary"]["actions"] = [{"kind": "NAME_PROBE", "at_ms": 5, "target": "a1",
-                                    "count": 3, "probe_prefix": "/edu/uci"}]
-    with pytest.raises(ValidationError) as err:
-        scenario_from_dict(raw)
-    assert err.value.errors == ["link (a1, a1): a node cannot link to itself"]
 
 
 def test_validate_reports_in_file_order_whatever_the_hash_seed(tmp_path):
